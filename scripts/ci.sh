@@ -13,7 +13,8 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 echo "==> tier-1: configure + build + ctest (fast labels first)"
-cmake -B build -S .
+# Zero-warning build: any -Wall -Wextra warning fails the tier-1 stage.
+cmake -B build -S . -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build build -j "${JOBS}"
 # Fail fast: the unit and property buckets finish in ~1 s; the slow/chaos
 # buckets (several seconds each) only run once those are green.
@@ -31,12 +32,15 @@ fi
 
 # ASan/UBSan over the layers with the most concurrency and raw-pointer
 # traffic: the fabric op pipeline, the transaction stack, the chaos
-# harness (which exercises every engine's fault paths), and the
-# congestion/load-driver layer (virtual-time queueing + histogram math).
+# harness (which exercises every engine's fault paths), the
+# congestion/load-driver layer (virtual-time queueing + histogram math),
+# and the storage services, which keep redo as raw encoded byte spans.
 SAN_TESTS=(net_test fabric_pipeline_test txn_test concurrency_test chaos_test
            congestion_test load_driver_test histogram_test degrade_test
            shared_log_test log_backend_parity_test parallel_sim_test
-           slo_controller_test memnode_executor_test membership_test)
+           slo_controller_test memnode_executor_test membership_test
+           storage_services_test quorum_property_test log_codec_test
+           engines_test engine_recovery_test crash_recovery_property_test)
 
 echo "==> sanitizer pass: ${SAN_TESTS[*]}"
 cmake -B build-asan -S . \

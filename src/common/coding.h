@@ -48,6 +48,16 @@ inline void PutVarint64(std::string* dst, uint64_t v) {
   dst->append(reinterpret_cast<char*>(buf), n);
 }
 
+/// Number of bytes PutVarint64 writes for `v`.
+inline size_t VarintLength(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    n++;
+  }
+  return n;
+}
+
 /// Parses a varint64 from the front of `input`, advancing it. Returns false
 /// on malformed/truncated input.
 inline bool GetVarint64(Slice* input, uint64_t* value) {

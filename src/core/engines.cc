@@ -134,12 +134,13 @@ class MultiLogSink : public LogSink {
 
   Result<Lsn> Append(NetContext* ctx,
                      const std::vector<LogRecord>& records) override {
+    const std::string batch = LogRecord::EncodeBatch(records);
     std::vector<NetContext> branch(nodes_.size(), ctx->Fork());
     int acks = 0;
     Lsn lsn = kInvalidLsn;
     for (size_t i = 0; i < nodes_.size(); i++) {
       LogStoreClient client(fabric_, nodes_[i]);
-      auto r = client.Append(&branch[i], records);
+      auto r = client.Append(&branch[i], batch);
       if (r.ok()) {
         acks++;
         lsn = std::max(lsn, *r);
@@ -313,10 +314,11 @@ Status AuroraDb::OnCommit(NetContext* ctx,
   if (segment_ == nullptr && !records.empty()) {
     // Shared-log mode: the log fleet is dumb storage, so redo reaches the
     // page-materialization replicas here (parallel fan-out, all copies).
+    const std::string batch = LogRecord::EncodeBatch(records);
     std::vector<NetContext> branch(page_nodes_.size(), ctx->Fork());
     for (size_t i = 0; i < page_nodes_.size(); i++) {
       PageStoreClient client(fabric_, page_nodes_[i]);
-      DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i], records).status());
+      DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i], batch).status());
     }
     JoinParallel(ctx, branch.data(), branch.size());
   }
@@ -450,10 +452,11 @@ Status SocratesDb::PropagateLogs(NetContext* ctx) {
   DISAGG_ASSIGN_OR_RETURN(std::vector<LogRecord> records,
                           sink_->ReadFrom(ctx, propagated_lsn_));
   if (records.empty()) return Status::OK();
+  const std::string batch = LogRecord::EncodeBatch(records);
   std::vector<NetContext> branch(page_nodes_.size(), ctx->Fork());
   for (size_t i = 0; i < page_nodes_.size(); i++) {
     PageStoreClient client(fabric_, page_nodes_[i]);
-    DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i], records).status());
+    DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i], batch).status());
   }
   JoinParallel(ctx, branch.data(), branch.size());
   propagated_lsn_ = records.back().lsn;

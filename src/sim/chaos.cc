@@ -1187,7 +1187,7 @@ ChaosReport RunIndexChaos(const std::string& kind, uint64_t seed) {
      public:
       explicit MembershipPump(MembershipService* m) : member_(m) {}
       const char* name() const override { return "membership-pump"; }
-      Status Intercept(Fabric* fabric, FabricOp* op, NetContext* ctx,
+      Status Intercept(Fabric*, FabricOp* op, NetContext* ctx,
                        const FabricOpInvoker& next) override {
         member_->AdvanceTo(ctx->sim_ns);
         return next(op, ctx);

@@ -1,5 +1,7 @@
 #include "storage/log_store.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 
 namespace disagg {
@@ -43,27 +45,23 @@ Lsn LogStoreService::durable_lsn() const {
 
 size_t LogStoreService::record_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
+  return log_.size();
 }
 
 std::vector<LogRecord> LogStoreService::SnapshotFrom(Lsn from_exclusive) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LogRecord> out;
-  for (const LogRecord& r : records_) {
-    if (r.lsn > from_exclusive) out.push_back(r);
-  }
-  return out;
+  return log_.Decode(log_.FirstAfter(from_exclusive));
 }
 
 Status LogStoreService::HandleAppend(Slice req, std::string* resp,
                                      RpcServerContext* sctx) {
-  auto batch = LogRecord::DecodeBatch(req);
+  auto batch = LogRecord::ScanBatch(req);
   if (!batch.ok()) return batch.status();
   std::lock_guard<std::mutex> lock(mu_);
-  for (LogRecord& r : *batch) {
+  for (const LogRecordSpan& r : *batch) {
     if (r.lsn <= durable_lsn_) continue;  // idempotent re-send
     durable_lsn_ = r.lsn;
-    records_.push_back(std::move(r));
+    log_.Append(r.lsn, r.bytes);
   }
   sctx->ChargeCompute(kAppendNsPerRecord * batch->size());
   resp->clear();
@@ -77,18 +75,14 @@ Status LogStoreService::HandleRead(Slice req, std::string* resp,
   if (!GetVarint64(&req, &from) || !GetVarint64(&req, &max_records)) {
     return Status::InvalidArgument("malformed log.read");
   }
-  std::vector<LogRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const LogRecord& r : records_) {
-      if (r.lsn > from) {
-        out.push_back(r);
-        if (out.size() >= max_records) break;
-      }
-    }
-    sctx->ChargeCompute(kScanNsPerRecord * records_.size());
-  }
-  *resp = LogRecord::EncodeBatch(out);
+  std::lock_guard<std::mutex> lock(mu_);
+  // A bound of 0 reads as 1: the scan checks the bound only after taking a
+  // record.
+  const size_t first = log_.FirstAfter(from);
+  const size_t count = static_cast<size_t>(std::min<uint64_t>(
+      std::max<uint64_t>(max_records, 1), log_.size() - first));
+  *resp = log_.Batch(first, count);
+  sctx->ChargeCompute(kScanNsPerRecord * log_.size());
   return Status::OK();
 }
 
@@ -109,21 +103,15 @@ Status LogStoreService::HandleTruncate(Slice req, std::string* resp,
     return Status::InvalidArgument("malformed log.truncate");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LogRecord> kept;
-  for (LogRecord& r : records_) {
-    if (r.lsn > up_to) kept.push_back(std::move(r));
-  }
-  sctx->ChargeCompute(kScanNsPerRecord * records_.size());
-  records_ = std::move(kept);
+  sctx->ChargeCompute(kScanNsPerRecord * log_.size());
+  log_.EraseFront(log_.FirstAfter(up_to));
   resp->clear();
   return Status::OK();
 }
 
-Result<Lsn> LogStoreClient::Append(NetContext* ctx,
-                                   const std::vector<LogRecord>& records) {
-  const std::string req = LogRecord::EncodeBatch(records);
+Result<Lsn> LogStoreClient::Append(NetContext* ctx, Slice encoded_batch) {
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "log.append", req, &resp);
+  Status st = fabric_->Call(ctx, node_, "log.append", encoded_batch, &resp);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t lsn = 0;

@@ -26,6 +26,10 @@ namespace disagg {
 /// LSN: records with `lsn <= durable_lsn` are dropped on re-send, which is
 /// what makes WAL re-flush after a failed batch safe.
 ///
+/// Records are kept as the bytes they arrived in (`EncodedRecords`):
+/// `log.read` returns stored bytes without re-encoding, and records are
+/// decoded only when a co-located caller asks for them (SnapshotFrom).
+///
 /// All state is behind a mutex; handler compute time is charged to callers
 /// via RpcServerContext.
 class LogStoreService {
@@ -50,7 +54,8 @@ class LogStoreService {
   Fabric* fabric_;
   NodeId node_;
   mutable std::mutex mu_;
-  std::vector<LogRecord> records_;
+  // In increasing LSN order: appends only accept lsn > durable_lsn_.
+  EncodedRecords log_;
   Lsn durable_lsn_ = kInvalidLsn;
 };
 
@@ -61,7 +66,12 @@ class LogStoreClient {
 
   NodeId node() const { return node_; }
 
-  Result<Lsn> Append(NetContext* ctx, const std::vector<LogRecord>& records);
+  /// Appends a pre-encoded batch (LogRecord::EncodeBatch's format), so a
+  /// caller fanning one batch out to several stores encodes it once.
+  Result<Lsn> Append(NetContext* ctx, Slice encoded_batch);
+  Result<Lsn> Append(NetContext* ctx, const std::vector<LogRecord>& records) {
+    return Append(ctx, LogRecord::EncodeBatch(records));
+  }
   Result<std::vector<LogRecord>> ReadFrom(NetContext* ctx, Lsn from_exclusive,
                                           uint64_t max_records = 1024);
   /// Highest durable LSN on the node, fetched over the fabric (so deadline,

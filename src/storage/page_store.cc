@@ -42,16 +42,18 @@ size_t PageStoreService::materialized_pages() const {
 size_t PageStoreService::pending_records() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
-  for (const auto& [id, recs] : pending_) n += recs.size();
+  for (const auto& [id, redo] : pending_) n += redo.size();
   return n;
 }
 
 size_t PageStoreService::MaterializeAll() {
   std::lock_guard<std::mutex> lock(mu_);
   size_t applied = 0;
-  for (auto& [id, recs] : pending_) applied += recs.size();
   std::vector<PageId> ids;
-  for (const auto& [id, recs] : pending_) ids.push_back(id);
+  for (const auto& [id, redo] : pending_) {
+    applied += redo.size();
+    ids.push_back(id);
+  }
   for (PageId id : ids) {
     Status st = MaterializeLocked(id);
     (void)st;  // materialization errors surface on reads
@@ -63,9 +65,9 @@ std::map<PageId, Lsn> PageStoreService::PageVersions() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<PageId, Lsn> out;
   for (const auto& [id, page] : pages_) out[id] = page.lsn();
-  for (const auto& [id, recs] : pending_) {
-    if (!recs.empty()) {
-      Lsn last = recs.back().lsn;
+  for (const auto& [id, redo] : pending_) {
+    if (!redo.empty()) {
+      Lsn last = redo.lsn(redo.size() - 1);
       auto it = out.find(id);
       if (it == out.end() || it->second < last) out[id] = last;
     }
@@ -81,9 +83,10 @@ void PageStoreService::IngestPage(const Page& page) {
     // Drop pending redo the ingested image already covers.
     auto pit = pending_.find(page.page_id());
     if (pit != pending_.end()) {
-      std::vector<LogRecord> keep;
-      for (LogRecord& r : pit->second) {
-        if (r.lsn > page.lsn()) keep.push_back(std::move(r));
+      EncodedRecords keep;
+      for (size_t i = 0; i < pit->second.size(); i++) {
+        const Lsn lsn = pit->second.lsn(i);
+        if (lsn > page.lsn()) keep.Append(lsn, pit->second.record(i));
       }
       pit->second = std::move(keep);
     }
@@ -105,22 +108,22 @@ Status PageStoreService::MaterializeLocked(PageId id) {
   if (it == pages_.end()) {
     it = pages_.emplace(id, Page(id)).first;
   }
-  for (const LogRecord& r : pit->second) {
+  for (const LogRecord& r : pit->second.Decode(0)) {
     DISAGG_RETURN_NOT_OK(ApplyRedo(&it->second, r));
   }
-  pit->second.clear();
+  pit->second.Clear();
   return Status::OK();
 }
 
 Status PageStoreService::HandleApplyLog(Slice req, std::string* resp,
                                         RpcServerContext* sctx) {
-  auto batch = LogRecord::DecodeBatch(req);
+  auto batch = LogRecord::ScanBatch(req);
   if (!batch.ok()) return batch.status();
   std::lock_guard<std::mutex> lock(mu_);
-  for (LogRecord& r : *batch) {
+  for (const LogRecordSpan& r : *batch) {
     if (r.lsn > high_water_lsn_) high_water_lsn_ = r.lsn;
     if (r.page_id == kInvalidPageId) continue;  // txn control records
-    pending_[r.page_id].push_back(std::move(r));
+    pending_[r.page_id].Append(r.lsn, r.bytes);
   }
   // Receiving/queueing is cheap; replay cost is paid at materialization.
   sctx->ChargeCompute(30 * batch->size());
@@ -159,11 +162,10 @@ Status PageStoreService::HandleGet(Slice req, std::string* resp,
   return Status::OK();
 }
 
-Result<Lsn> PageStoreClient::ApplyLog(NetContext* ctx,
-                                      const std::vector<LogRecord>& records) {
-  const std::string req = LogRecord::EncodeBatch(records);
+Result<Lsn> PageStoreClient::ApplyLog(NetContext* ctx, Slice encoded_batch) {
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "page.apply_log", req, &resp);
+  Status st =
+      fabric_->Call(ctx, node_, "page.apply_log", encoded_batch, &resp);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t lsn = 0;

@@ -19,7 +19,8 @@ namespace disagg {
 ///    "generates data pages based on logs asynchronously";
 ///  - page shipping (PolarDB): compute sends whole pages ("page.put").
 /// Reads ("page.get") materialize any pending redo first and return the full
-/// page image plus its LSN.
+/// page image plus its LSN. Pending redo is queued per page as the encoded
+/// bytes it arrived in and decoded only at materialization.
 class PageStoreService {
  public:
   PageStoreService(Fabric* fabric, NodeId node);
@@ -54,7 +55,8 @@ class PageStoreService {
   NodeId node_;
   mutable std::mutex mu_;
   std::map<PageId, Page> pages_;
-  std::map<PageId, std::vector<LogRecord>> pending_;
+  // Each page's queued redo in arrival order, re-sent duplicates included.
+  std::map<PageId, EncodedRecords> pending_;
   Lsn high_water_lsn_ = kInvalidLsn;
 };
 
@@ -65,8 +67,13 @@ class PageStoreClient {
 
   NodeId node() const { return node_; }
 
-  /// Ships redo records (log shipping). Returns the store's high-water LSN.
-  Result<Lsn> ApplyLog(NetContext* ctx, const std::vector<LogRecord>& records);
+  /// Ships redo records (log shipping) as a pre-encoded batch
+  /// (LogRecord::EncodeBatch's format), so a caller fanning one batch out to
+  /// several stores encodes it once. Returns the store's high-water LSN.
+  Result<Lsn> ApplyLog(NetContext* ctx, Slice encoded_batch);
+  Result<Lsn> ApplyLog(NetContext* ctx, const std::vector<LogRecord>& records) {
+    return ApplyLog(ctx, LogRecord::EncodeBatch(records));
+  }
 
   /// Ships a full page image (page shipping).
   Status PutPage(NetContext* ctx, const Page& page);

@@ -29,7 +29,11 @@ ReplicatedSegment::ReplicatedSegment(Fabric* fabric, const Config& config,
 Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
                                          const std::vector<LogRecord>& records) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const LogRecord& r : records) history_.push_back(r);
+  const size_t first_new = history_.size();
+  for (const LogRecord& r : records) history_.Append(r);
+  // Fault-free every replica's un-acked suffix is exactly `records`, so all
+  // of them share this one request for both the log and the page service.
+  const std::string batch = history_.Batch(first_new, records.size());
   size_t fanout = replicas_.size();
 #ifdef DISAGG_CHAOS_MUTATION
   // Chaos-harness self-check mutation: silently skip the last replica and
@@ -42,22 +46,32 @@ Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
   int acks = 0;
   Lsn lsn = kInvalidLsn;
   for (size_t i = 0; i < fanout; i++) {
-    // Resync: this replica gets everything it has not acked yet, so the new
-    // records never land with a gap in front of them. Fault-free this is
-    // exactly `records`.
-    const std::vector<LogRecord> suffix(history_.begin() + next_idx_[i],
-                                        history_.end());
+    // Resync: a replica that missed earlier appends gets everything it has
+    // not acked yet, so the new records never land with a gap in front.
+    std::string resync;
+    Slice req(batch);
+    if (next_idx_[i] != first_new) {
+      resync = history_.Batch(next_idx_[i], history_.size() - next_idx_[i]);
+      req = resync;
+    }
     LogStoreClient log_client(fabric_, replicas_[i].node);
     PageStoreClient page_client(fabric_, replicas_[i].node);
-    auto r = log_client.Append(&branch[i], suffix);
+    auto r = log_client.Append(&branch[i], req);
     if (!r.ok()) continue;
     // The segment also queues the redo for page materialization.
-    auto p = page_client.ApplyLog(&branch[i], suffix);
+    auto p = page_client.ApplyLog(&branch[i], req);
     if (!p.ok()) continue;
     next_idx_[i] = history_.size();
     acked_lsn_[i] = *r;
     lsn = std::max(lsn, *r);
     acks++;
+  }
+  // Every replica holds the whole history: nothing is left to resync.
+  if (std::all_of(next_idx_.begin(), next_idx_.end(), [&](size_t next) {
+        return next == history_.size();
+      })) {
+    history_.Clear();
+    std::fill(next_idx_.begin(), next_idx_.end(), 0);
   }
   JoinParallel(ctx, branch.data(), branch.size());
   int required = config_.write_quorum;

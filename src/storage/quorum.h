@@ -90,9 +90,10 @@ class ReplicatedSegment {
   // as one unit, so appends hold this for their full fan-out.
   mutable std::mutex mu_;
   std::vector<Lsn> acked_lsn_;  // per-replica contiguously-acked LSN
-  // Client-side append history driving per-replica resync. Unbounded, like
-  // the replica logs themselves — the simulator never truncates segments.
-  std::vector<LogRecord> history_;
+  // Client-side append history driving per-replica resync, each record
+  // encoded once, when appended. Only what some replica has not acked is
+  // kept: once every replica acks, the history empties.
+  EncodedRecords history_;
   std::vector<size_t> next_idx_;  // per-replica: first history_ index not acked
 };
 

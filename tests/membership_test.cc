@@ -112,7 +112,7 @@ TEST_F(MembershipTest, BusyIsAnAliveSignalNeverAFailure) {
   class BusyWall : public FabricInterceptor {
    public:
     const char* name() const override { return "busy-wall"; }
-    Status Intercept(Fabric*, FabricOp* op, NetContext* ctx,
+    Status Intercept(Fabric*, FabricOp*, NetContext* ctx,
                      const FabricOpInvoker&) override {
       ctx->Charge(100);
       return Status::Busy("admission queue full");

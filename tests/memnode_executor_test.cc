@@ -72,7 +72,9 @@ TEST(MemNodeExecutorTest, OffloadSemanticEquivalence) {
       auto ra = one_sided.Get(&ca, k);
       auto rb = offloaded.Get(&cb, k);
       ASSERT_EQ(ra.status().code(), rb.status().code()) << "op " << i;
-      if (ra.ok()) ASSERT_EQ(*ra, *rb) << "op " << i;
+      if (ra.ok()) {
+        ASSERT_EQ(*ra, *rb) << "op " << i;
+      }
     } else {
       Status sa = one_sided.Delete(&ca, k);
       Status sb = offloaded.Delete(&cb, k);
@@ -85,7 +87,9 @@ TEST(MemNodeExecutorTest, OffloadSemanticEquivalence) {
     auto ra = one_sided.Get(&ca, k);
     auto rb = offloaded.Get(&cb, k);
     ASSERT_EQ(ra.status().code(), rb.status().code()) << "key " << k;
-    if (ra.ok()) ASSERT_EQ(*ra, *rb) << "key " << k;
+    if (ra.ok()) {
+      ASSERT_EQ(*ra, *rb) << "key " << k;
+    }
   }
   auto sa = one_sided.Scan(&ca, 0, kKeySpace + 8);
   auto sb = offloaded.Scan(&cb, 0, kKeySpace + 8);

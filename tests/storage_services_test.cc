@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "net/fabric.h"
 #include "storage/gossip.h"
 #include "storage/log_store.h"
@@ -31,6 +33,45 @@ LogRecord MakeUpdate(Lsn lsn, PageId page, uint16_t slot,
   LogRecord r = MakeInsert(lsn, page, slot, payload, txn);
   r.type = LogType::kUpdate;
   return r;
+}
+
+// Captures the request bytes of every log.append / page.apply_log RPC, and
+// can refuse one method on one node to simulate a replica that took the
+// log append but missed the page-store copy.
+class RedoTap : public FabricInterceptor {
+ public:
+  struct Sent {
+    NodeId node;
+    std::string method;
+    std::string request;
+  };
+  const char* name() const override { return "redo-tap"; }
+  Status Intercept(Fabric*, FabricOp* op, NetContext* ctx,
+                   const FabricOpInvoker& next) override {
+    if (op->verb != FabricVerb::kRpc ||
+        (*op->method != "log.append" && *op->method != "page.apply_log")) {
+      return next(op, ctx);
+    }
+    sent.push_back({op->node, *op->method, op->request.ToString()});
+    if (refuse_node == op->node && refuse_method == *op->method) {
+      refuse_method.clear();
+      return Status::Unavailable("refused by test");
+    }
+    return next(op, ctx);
+  }
+
+  std::vector<Sent> sent;
+  NodeId refuse_node = 0;
+  std::string refuse_method;
+};
+
+std::string ReadAllBytes(Fabric* fabric, NetContext* ctx, NodeId node,
+                         Lsn from = 0, uint64_t max = ~uint64_t{0}) {
+  std::string req, resp;
+  PutVarint64(&req, from);
+  PutVarint64(&req, max);
+  EXPECT_TRUE(fabric->Call(ctx, node, "log.read", req, &resp).ok());
+  return resp;
 }
 
 class LogStoreTest : public ::testing::Test {
@@ -86,6 +127,39 @@ TEST_F(LogStoreTest, TruncateDropsPrefix) {
   ASSERT_TRUE(recs.ok());
   ASSERT_EQ(recs->size(), 1u);
   EXPECT_EQ((*recs)[0].lsn, 2u);
+}
+
+TEST_F(LogStoreTest, ReadReturnsTheAppendedEncodings) {
+  const std::vector<LogRecord> first = {MakeInsert(1, 7, 0, "a"),
+                                        MakeInsert(2, 8, 0, std::string(200, 'b'))};
+  std::vector<LogRecord> second = {MakeUpdate(3, 7, 0, ""),
+                                   MakeInsert(4, 9, 0, "d")};
+  second[0].undo_payload = "a";
+  ASSERT_TRUE(client_->Append(&ctx_, first).ok());
+  ASSERT_TRUE(client_->Append(&ctx_, LogRecord::EncodeBatch(first)).ok());
+  ASSERT_TRUE(client_->Append(&ctx_, second).ok());
+  std::vector<LogRecord> all = first;
+  all.insert(all.end(), second.begin(), second.end());
+
+  EXPECT_EQ(ReadAllBytes(&fabric_, &ctx_, node_), LogRecord::EncodeBatch(all));
+  EXPECT_EQ(ReadAllBytes(&fabric_, &ctx_, node_, 1, 2),
+            LogRecord::EncodeBatch({all[1], all[2]}));
+  EXPECT_EQ(ReadAllBytes(&fabric_, &ctx_, node_, 4),
+            LogRecord::EncodeBatch({}));
+  // A bound of 0 still returns the first match.
+  EXPECT_EQ(ReadAllBytes(&fabric_, &ctx_, node_, 0, 0),
+            LogRecord::EncodeBatch({all[0]}));
+  EXPECT_EQ(LogRecord::EncodeBatch(service_->SnapshotFrom(2)),
+            LogRecord::EncodeBatch({all[2], all[3]}));
+
+  ASSERT_TRUE(client_->Truncate(&ctx_, 2).ok());
+  EXPECT_EQ(ReadAllBytes(&fabric_, &ctx_, node_),
+            LogRecord::EncodeBatch({all[2], all[3]}));
+  EXPECT_EQ(LogRecord::EncodeBatch(service_->SnapshotFrom(0)),
+            LogRecord::EncodeBatch({all[2], all[3]}));
+  ASSERT_TRUE(client_->Append(&ctx_, {MakeInsert(5, 9, 1, "e")}).ok());
+  EXPECT_EQ(ReadAllBytes(&fabric_, &ctx_, node_, 3),
+            LogRecord::EncodeBatch({all[3], MakeInsert(5, 9, 1, "e")}));
 }
 
 class PageStoreTest : public ::testing::Test {
@@ -156,6 +230,53 @@ TEST_F(PageStoreTest, HighWaterTracksControlRecords) {
   EXPECT_EQ(service_->pending_records(), 0u);
 }
 
+// Pending redo is queued per page in arrival order, duplicates included
+// (the page store does not dedup re-sends; materialization skips records
+// at or below the page LSN).
+TEST_F(PageStoreTest, PendingRedoKeepsArrivalOrderCountsAndLsns) {
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(5, 1, 0, "a"),
+                                        MakeInsert(6, 2, 0, "x"),
+                                        MakeUpdate(7, 1, 0, "b")})
+                  .ok());
+  // A resync re-sends LSN 5 after 7: the last queued record for page 1 is
+  // now the LSN-5 duplicate.
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(5, 1, 0, "a")}).ok());
+  EXPECT_EQ(service_->pending_records(), 4u);
+  EXPECT_EQ(service_->PageVersions(),
+            (std::map<PageId, Lsn>{{1, 5}, {2, 6}}));
+
+  // Ingesting an image at LSN 5 drops exactly the records it covers.
+  Page image(1);
+  ASSERT_TRUE(image.Insert("a").ok());
+  image.set_lsn(5);
+  service_->IngestPage(image);
+  EXPECT_EQ(service_->pending_records(), 2u);  // page 1's LSN 7, page 2's 6
+  EXPECT_EQ(service_->PageVersions(),
+            (std::map<PageId, Lsn>{{1, 7}, {2, 6}}));
+
+  EXPECT_EQ(service_->MaterializeAll(), 2u);
+  EXPECT_EQ(service_->pending_records(), 0u);
+  auto p1 = service_->PeekPage(1);
+  ASSERT_TRUE(p1.ok());
+  EXPECT_EQ(p1->lsn(), 7u);
+  EXPECT_EQ(p1->Get(0)->ToString(), "b");
+  auto p2 = client_->GetPage(&ctx_, 2);
+  ASSERT_TRUE(p2.ok());
+  EXPECT_EQ(p2->Get(0)->ToString(), "x");
+}
+
+TEST_F(PageStoreTest, GetChargesPerPendingRecordIncludingDuplicates) {
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(1, 4, 0, "a")}).ok());
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(1, 4, 0, "a")}).ok());
+  NetContext two;
+  ASSERT_TRUE(client_->GetPage(&two, 4).ok());
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeUpdate(2, 4, 0, "b")}).ok());
+  NetContext one;
+  ASSERT_TRUE(client_->GetPage(&one, 4).ok());
+  // Same request and response sizes; only the replayed-record count differs.
+  EXPECT_GT(two.sim_ns, one.sim_ns);
+}
+
 TEST(QuorumTest, AuroraQuorumSurvivesAzFailure) {
   Fabric fabric;
   ReplicatedSegment::Config cfg;  // 6 replicas / 3 AZs / W=4 / R=3
@@ -209,6 +330,90 @@ TEST(QuorumTest, ParallelFanOutChargesMaxNotSum) {
   ASSERT_TRUE(one.Append(&single, {MakeInsert(2, 1, 1, "b")}).ok());
   EXPECT_LT(ctx.sim_ns, 4 * single.sim_ns);
   EXPECT_GT(ctx.bytes_out, 5 * single.bytes_out);  // but 6x the traffic
+}
+
+TEST(QuorumTest, FaultFreeRequestIsTheEncodedBatch) {
+  Fabric fabric;
+  auto tap = std::make_shared<RedoTap>();
+  fabric.AddInterceptor(tap);
+  ReplicatedSegment segment(&fabric, {});
+  NetContext ctx;
+  const std::vector<std::vector<LogRecord>> batches = {
+      {MakeInsert(1, 1, 0, "a"), MakeInsert(2, 2, 0, std::string(300, 'z'))},
+      {MakeUpdate(3, 1, 0, "b")}};
+  for (const auto& batch : batches) {
+    tap->sent.clear();
+    ASSERT_TRUE(segment.AppendLog(&ctx, batch).ok());
+    // One log.append and one page.apply_log per replica, all carrying
+    // exactly EncodeBatch(batch).
+    ASSERT_EQ(tap->sent.size(), 2 * segment.replica_count());
+    for (const RedoTap::Sent& s : tap->sent) {
+      EXPECT_EQ(s.request, LogRecord::EncodeBatch(batch)) << s.method;
+    }
+  }
+}
+
+TEST(QuorumTest, LaggingReplicaRequestIsTheEncodedHistorySuffix) {
+  Fabric fabric;
+  auto tap = std::make_shared<RedoTap>();
+  fabric.AddInterceptor(tap);
+  ReplicatedSegment segment(&fabric, {});
+  NetContext ctx;
+  const NodeId down = segment.replica(0).node;
+  const NodeId half = segment.replica(1).node;
+  const std::vector<LogRecord> a = {MakeInsert(1, 1, 0, "a")};
+  const std::vector<LogRecord> b = {MakeInsert(2, 1, 1, "b"),
+                                    MakeInsert(3, 2, 0, "c")};
+  const std::vector<LogRecord> c = {MakeUpdate(4, 1, 0, "A")};
+  auto request_to = [&](NodeId node, const std::string& method) {
+    for (const RedoTap::Sent& s : tap->sent) {
+      if (s.node == node && s.method == method) return s.request;
+    }
+    ADD_FAILURE() << "no " << method << " sent to node " << node;
+    return std::string();
+  };
+
+  // Replica 0 misses `a` entirely; replica 1 takes a's log append but its
+  // page-store copy is refused, so it has not acked `a` either.
+  fabric.node(down)->Fail();
+  tap->refuse_node = half;
+  tap->refuse_method = "page.apply_log";
+  ASSERT_TRUE(segment.AppendLog(&ctx, a).ok());
+  tap->sent.clear();
+  ASSERT_TRUE(segment.AppendLog(&ctx, b).ok());
+  std::vector<LogRecord> ab = a;
+  ab.insert(ab.end(), b.begin(), b.end());
+  EXPECT_EQ(request_to(half, "log.append"), LogRecord::EncodeBatch(ab));
+  EXPECT_EQ(request_to(half, "page.apply_log"), LogRecord::EncodeBatch(ab));
+  EXPECT_EQ(request_to(segment.replica(2).node, "log.append"),
+            LogRecord::EncodeBatch(b));
+
+  fabric.node(down)->Revive();
+  tap->sent.clear();
+  ASSERT_TRUE(segment.AppendLog(&ctx, c).ok());
+  std::vector<LogRecord> abc = ab;
+  abc.insert(abc.end(), c.begin(), c.end());
+  EXPECT_EQ(request_to(down, "log.append"), LogRecord::EncodeBatch(abc));
+  EXPECT_EQ(request_to(down, "page.apply_log"), LogRecord::EncodeBatch(abc));
+  EXPECT_EQ(request_to(half, "log.append"), LogRecord::EncodeBatch(c));
+  EXPECT_EQ(segment.CountDurable(4), 6);
+
+  // Every replica's log now holds exactly the history, and the replica
+  // whose page-store copy was refused materializes the same page.
+  for (size_t i = 0; i < segment.replica_count(); i++) {
+    EXPECT_EQ(ReadAllBytes(&fabric, &ctx, segment.replica(i).node),
+              LogRecord::EncodeBatch(abc))
+        << "replica " << i;
+  }
+  auto page = segment.ReadPage(&ctx, 1, 4);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->Get(0)->ToString(), "A");
+  EXPECT_EQ(page->Get(1)->ToString(), "b");
+  PageStoreClient half_pages(&fabric, half);
+  auto half_page = half_pages.GetPage(&ctx, 1);
+  ASSERT_TRUE(half_page.ok());
+  EXPECT_EQ(half_page->lsn(), 4u);
+  EXPECT_EQ(half_page->Get(0)->ToString(), "A");
 }
 
 TEST(RaftLiteTest, AppendCommitsOnMajority) {
