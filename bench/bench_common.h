@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -58,9 +59,26 @@ inline void ReportSim(benchmark::State& state, const NetContext& ctx,
   }
 }
 
-/// The epoch-parallel driver configuration from the environment, for any
-/// bench built on sim::RunClosedLoop / sim::RunOpenLoop:
-///   DISAGG_SIM_PARTITIONS - client partitions (0 = legacy serial driver)
+/// Reads the unsigned decimal environment variable `name` into `*out`.
+/// Returns false, leaving `*out` alone, when it is unset or not a number;
+/// a non-numeric value (strtoul would silently read "abc" as 0) is also
+/// reported on stderr.
+inline bool EnvU32(const char* name, uint32_t* out) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return false;
+  char* end = nullptr;
+  const unsigned long parsed = std::strtoul(env, &end, 10);
+  if (end == env || *end != '\0') {
+    std::fprintf(stderr, "%s='%s' is not a number; ignoring it\n", name, env);
+    return false;
+  }
+  *out = static_cast<uint32_t>(parsed);
+  return true;
+}
+
+/// The load driver configuration from the environment, for any bench built
+/// on sim::RunClosedLoop / sim::RunOpenLoop:
+///   DISAGG_SIM_PARTITIONS - client partitions (default 1)
 ///   DISAGG_SIM_THREADS    - worker threads (execution resource only; the
 ///                           determinism contract keeps results identical
 ///                           at any value)
@@ -69,15 +87,13 @@ inline void ReportSim(benchmark::State& state, const NetContext& ctx,
 /// OpenLoopOptions::parallel.
 inline sim::ParallelConfig ParallelFromEnv() {
   sim::ParallelConfig parallel;
-  if (const char* env = std::getenv("DISAGG_SIM_PARTITIONS")) {
-    parallel.partitions = static_cast<uint32_t>(std::strtoul(env, nullptr, 10));
-  }
-  if (const char* env = std::getenv("DISAGG_SIM_THREADS")) {
-    parallel.threads = static_cast<uint32_t>(std::strtoul(env, nullptr, 10));
+  const bool partitions_set =
+      EnvU32("DISAGG_SIM_PARTITIONS", &parallel.partitions);
+  if (EnvU32("DISAGG_SIM_THREADS", &parallel.threads)) {
     if (parallel.threads == 0) parallel.threads = 1;
-    // Threads without partitions would silently stay serial; give the
-    // sweep something to parallelize over.
-    if (parallel.partitions == 0) parallel.partitions = parallel.threads;
+    // Threads without partitions would leave every client on one
+    // partition; give the sweep something to parallelize over.
+    if (!partitions_set) parallel.partitions = parallel.threads;
   }
   return parallel;
 }

@@ -19,16 +19,16 @@
 //  - none: the node stays dead (availability floor).
 // Reported per arm: detection latency, MTTR (revoke -> rejoin), and
 // availability (completed / issued ops). The detector's event log is the
-// decision trace; it must be bit-identical across worker thread counts and
-// between the serial and partitioned drivers.
+// decision trace; it must be bit-identical across worker thread counts, at
+// four partitions and at one.
 //
 // With DISAGG_E29_ASSERT=1 (the CI smoke stage) the bench self-checks:
 // the self-heal arm completes >= 99% of ops and every failed node is
 // revoked, repaired, and rejoined (MTTR measured); the overloaded node is
 // NEVER revoked (Busy is an alive signal); the no-recovery arm's
 // availability sits strictly below self-heal's; and the self-heal run —
-// detector decisions included — replays bit for bit at 1/2/8 threads and
-// serial vs partitions=1.
+// detector decisions included — replays bit for bit at 1/2/8 threads, at
+// partitions 4 and 1.
 
 #include <benchmark/benchmark.h>
 
@@ -227,7 +227,7 @@ bool NodeWasRevoked(const ArmResult& r, size_t node_idx) {
 void BM_E29_SelfHealing(benchmark::State& state) {
   ArmResult r;
   for (auto _ : state) {
-    r = RunArm(Arm::kSelfHeal, 0, 1);
+    r = RunArm(Arm::kSelfHeal, 1, 1);
   }
   state.counters["availability"] = r.Availability();
   state.counters["detect_us"] = static_cast<double>(r.detect_ns) / 1e3;
@@ -285,9 +285,9 @@ void BM_E29_SelfHealing(benchmark::State& state) {
 void BM_E29_RecoveryComparison(benchmark::State& state) {
   ArmResult heal, scripted, none;
   for (auto _ : state) {
-    heal = RunArm(Arm::kSelfHeal, 0, 1);
-    scripted = RunArm(Arm::kScripted, 0, 1);
-    none = RunArm(Arm::kNone, 0, 1);
+    heal = RunArm(Arm::kSelfHeal, 1, 1);
+    scripted = RunArm(Arm::kScripted, 1, 1);
+    none = RunArm(Arm::kNone, 1, 1);
   }
   state.counters["selfheal_avail"] = heal.Availability();
   state.counters["scripted_avail"] = scripted.Availability();
@@ -312,23 +312,27 @@ void BM_E29_RecoveryComparison(benchmark::State& state) {
 void BM_E29_DecisionDeterminism(benchmark::State& state) {
   // The acceptance contract: detector decisions (the event log), the op
   // trace, and the error count are a pure function of (seed, partitions,
-  // epoch_ns) — identical at 1/2/8 worker threads, and the serial driver
-  // reproduces partitions=1 bit for bit.
+  // epoch_ns) — identical at 1/2/8 worker threads, at four partitions and
+  // at one.
   bool ok = true;
   for (auto _ : state) {
     const ArmResult t1 = RunArm(Arm::kSelfHeal, 4, 1);
     const ArmResult t2 = RunArm(Arm::kSelfHeal, 4, 2);
     const ArmResult t8 = RunArm(Arm::kSelfHeal, 4, 8);
-    const ArmResult serial = RunArm(Arm::kSelfHeal, 0, 1);
     const ArmResult p1 = RunArm(Arm::kSelfHeal, 1, 1);
+    const ArmResult p1_t2 = RunArm(Arm::kSelfHeal, 1, 2);
+    const ArmResult p1_t8 = RunArm(Arm::kSelfHeal, 1, 8);
     ok = t1.events == t2.events && t1.events == t8.events &&
          t1.trace == t2.trace && t1.trace == t8.trace &&
          t1.errors == t2.errors && t1.errors == t8.errors &&
          t1.makespan_ns == t2.makespan_ns &&
          t1.makespan_ns == t8.makespan_ns &&
-         serial.events == p1.events && serial.trace == p1.trace &&
-         serial.errors == p1.errors &&
-         serial.makespan_ns == p1.makespan_ns && !t1.events.empty();
+         p1.events == p1_t2.events && p1.events == p1_t8.events &&
+         p1.trace == p1_t2.trace && p1.trace == p1_t8.trace &&
+         p1.errors == p1_t2.errors && p1.errors == p1_t8.errors &&
+         p1.makespan_ns == p1_t2.makespan_ns &&
+         p1.makespan_ns == p1_t8.makespan_ns &&
+         !t1.events.empty() && !p1.events.empty();
     DISAGG_CHECK(ok);  // determinism is load-bearing: always enforced
   }
   state.counters["bit_identical"] = ok ? 1.0 : 0.0;

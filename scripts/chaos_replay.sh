@@ -10,9 +10,9 @@
 # failing seed, paste it here to reproduce the exact run with full
 # per-engine reports.
 #
-# --threads additionally replays each seed on the epoch-parallel load
-# driver at the given worker thread counts and asserts the traces match
-# the serial run bit for bit (DESIGN.md, "Parallel simulation"). Without
+# --threads additionally replays each seed on the load driver at the given
+# worker thread counts and asserts the traces match the partitions=1,
+# one-thread run bit for bit (DESIGN.md, "Parallel simulation"). Without
 # the flag the parallel replay still runs at the default counts {1,2,8}.
 set -euo pipefail
 

@@ -10,7 +10,7 @@ namespace {
 
 /// Quorum sink that owns its segment (so the sink's lifetime covers the
 /// engine's).
-class OwningQuorumSink : public LogSink {
+class OwningQuorumSink : public LogBackend {
  public:
   OwningQuorumSink(Fabric* fabric, const ReplicatedSegment::Config& config)
       : fabric_(fabric),
@@ -55,7 +55,7 @@ class OwningQuorumSink : public LogSink {
 };
 
 /// PolarFS sink: the WAL rides a 3-way RaftLite replication group.
-class RaftLogSink : public LogSink {
+class RaftLogSink : public LogBackend {
  public:
   explicit RaftLogSink(Fabric* fabric)
       : raft_(std::make_unique<RaftLiteGroup>(fabric, 3,
@@ -91,7 +91,7 @@ class RaftLogSink : public LogSink {
 };
 
 /// XLOG sink: one fast log service node (Socrates' log tier).
-class XlogSink : public LogSink {
+class XlogSink : public LogBackend {
  public:
   explicit XlogSink(Fabric* fabric) {
     node_ = fabric->AddNode("xlog", NodeKind::kLog, InterconnectModel::Ssd());
@@ -121,7 +121,7 @@ class XlogSink : public LogSink {
 };
 
 /// Taurus sink: N log stores, majority ack, parallel fan-out.
-class MultiLogSink : public LogSink {
+class MultiLogSink : public LogBackend {
  public:
   MultiLogSink(Fabric* fabric, int n) : fabric_(fabric) {
     for (int i = 0; i < n; i++) {
@@ -210,7 +210,7 @@ bool UseShared(const EngineLogConfig& log) {
 /// Legacy sinks construct their private log tier (fabric nodes included) as
 /// a side effect, so the selection must happen before sink construction —
 /// a shared-mode engine never instantiates its legacy tier at all.
-std::unique_ptr<LogSink> SharedSink(const EngineLogConfig& log) {
+std::unique_ptr<LogBackend> SharedSink(const EngineLogConfig& log) {
   DISAGG_CHECK(log.shared_log != nullptr);
   return std::make_unique<SharedLogBackend>(log.shared_log->fabric(),
                                             log.shared_log, log.tag);
@@ -241,7 +241,7 @@ Result<Page> FreshestFromStores(Fabric* fabric, NetContext* ctx,
 MonolithicDb::MonolithicDb(EngineLogConfig log)
     : RowEngine(UseShared(log)
                     ? SharedSink(log)
-                    : std::unique_ptr<LogSink>(
+                    : std::unique_ptr<LogBackend>(
                           std::make_unique<LocalDiskSink>())),
       disk_(InterconnectModel::Ssd()) {}
 
@@ -265,7 +265,7 @@ AuroraDb::AuroraDb(Fabric* fabric, ReplicatedSegment::Config config,
                    EngineLogConfig log)
     : RowEngine(UseShared(log)
                     ? SharedSink(log)
-                    : std::unique_ptr<LogSink>(
+                    : std::unique_ptr<LogBackend>(
                           std::make_unique<OwningQuorumSink>(fabric, config))),
       fabric_(fabric),
       segment_(UseShared(log)
@@ -362,7 +362,7 @@ Result<std::string> AuroraReader::Get(NetContext* ctx, uint64_t key) {
 PolarDb::PolarDb(Fabric* fabric, EngineLogConfig log)
     : RowEngine(UseShared(log)
                     ? SharedSink(log)
-                    : std::unique_ptr<LogSink>(
+                    : std::unique_ptr<LogBackend>(
                           std::make_unique<RaftLogSink>(fabric))),
       fabric_(fabric),
       raft_(UseShared(log)
@@ -426,7 +426,7 @@ Status PolarDb::OnCommit(NetContext* ctx,
 SocratesDb::SocratesDb(Fabric* fabric, int page_servers, EngineLogConfig log)
     : RowEngine(UseShared(log)
                     ? SharedSink(log)
-                    : std::unique_ptr<LogSink>(
+                    : std::unique_ptr<LogBackend>(
                           std::make_unique<XlogSink>(fabric))),
       fabric_(fabric) {
   if (!UseShared(log)) {
@@ -523,7 +523,7 @@ TaurusDb::TaurusDb(Fabric* fabric, int log_stores, int page_stores,
                    EngineLogConfig log)
     : RowEngine(UseShared(log)
                     ? SharedSink(log)
-                    : std::unique_ptr<LogSink>(
+                    : std::unique_ptr<LogBackend>(
                           std::make_unique<MultiLogSink>(fabric, log_stores))),
       fabric_(fabric) {
   std::vector<PageStoreService*> raw;

@@ -7,7 +7,7 @@
 
 namespace disagg {
 
-RowEngine::RowEngine(std::unique_ptr<LogSink> sink)
+RowEngine::RowEngine(std::unique_ptr<LogBackend> sink)
     : sink_(std::move(sink)), wal_(sink_.get()), tm_(&wal_, &locks_) {}
 
 RowEngine::~RowEngine() = default;

@@ -53,7 +53,7 @@ struct DegradePolicy {
 /// row) on slotted pages with strict 2PL and ARIES-style logging. The
 /// surveyed architectures differ ONLY in the two virtual hooks:
 ///
-///   - where the write-ahead log goes (the LogSink passed in), and
+///   - where the write-ahead log goes (the LogBackend passed in), and
 ///   - what happens to data pages (`FetchPage` miss path + `OnCommit`
 ///     shipping hook).
 ///
@@ -128,7 +128,7 @@ class RowEngine : public StalenessActuator {
     }
   }
   WalManager* wal() { return &wal_; }
-  LogSink* sink() { return sink_.get(); }
+  LogBackend* sink() { return sink_.get(); }
 
   /// Takes ownership of the shared-log fleet backing this engine's sink
   /// (registry-built "+slog" variants), tying its lifetime to the engine's.
@@ -173,7 +173,7 @@ class RowEngine : public StalenessActuator {
 
  protected:
   // Out-of-line like the destructor: owned_shared_log_ is forward-declared.
-  explicit RowEngine(std::unique_ptr<LogSink> sink);
+  explicit RowEngine(std::unique_ptr<LogBackend> sink);
 
   /// Buffer-miss path: where this architecture reads pages from.
   virtual Result<Page> FetchPage(NetContext* ctx, PageId id) = 0;
@@ -226,7 +226,7 @@ class RowEngine : public StalenessActuator {
   /// metadata-service state, like the row index).
   void NoteDurablePageLsns(const std::vector<LogRecord>& records);
 
-  std::unique_ptr<LogSink> sink_;
+  std::unique_ptr<LogBackend> sink_;
   /// Owned shared-log fleet when built via the registry's "+slog" names
   /// (declared after sink_, destroyed first: the sink never dereferences
   /// the service — it only holds the fabric pointer and node ids).

@@ -167,7 +167,7 @@ struct CongestionConfig {
 /// makes arrivals non-decreasing; the whole run is then a pure function of
 /// the workload seed.
 ///
-/// Under the epoch-parallel driver (DESIGN.md "Parallel simulation") a
+/// Under a multi-partition run (DESIGN.md "Parallel simulation") a
 /// thread-local `PartitionEffects` is installed while a partition executes
 /// an epoch; `TryAdmit`/`Admit` then route to that partition's `Shard` — a
 /// mutex-free copy-on-first-touch view of this state — and the driver
@@ -250,10 +250,9 @@ class CongestionState {
   /// state and clears the shard for the next epoch. The log is replayed in
   /// the shard's own execution order, and the driver merges partitions in
   /// partition-id order — a total order that is a pure function of the
-  /// simulation config. With a single partition the shard copied exactly
-  /// the authoritative state and the replay re-derives it bit for bit, so
-  /// stats match the serial driver's; with several, ops replay on top of
-  /// sibling partitions' backlog, so authoritative ops/bytes/busy_ns are
+  /// simulation config. The load driver shards only runs with several
+  /// partitions: ops replay on top of sibling partitions' backlog, so
+  /// authoritative ops/bytes/busy_ns are
   /// conserved exactly while free_ns/queue_ns reflect the merged order.
   void MergeShard(Shard* shard);
 

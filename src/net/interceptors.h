@@ -342,9 +342,8 @@ class CircuitBreakerInterceptor : public FabricInterceptor {
   };
 
   /// Replays one partition's epoch of outcomes into the authoritative state
-  /// machines and clears the shard for the next epoch. With one partition
-  /// this re-derives the serial transitions (and `opens()` count) bit for
-  /// bit; with several, transitions reflect the merged partition order.
+  /// machines and clears the shard for the next epoch; transitions reflect
+  /// the merged partition order.
   void MergeShard(ShardState* shard);
 
  private:

@@ -136,8 +136,8 @@ void MembershipService::AdvanceTo(uint64_t now_ns) {
     advancing_ = true;
     period = opts_.heartbeat_period_ns;
   }
-  // Impose the same barrier structure serial loops get from the drivers:
-  // one step per period boundary. The set of instants is a pure function
+  // Impose the barrier structure the load driver's epochs give: one step
+  // per period boundary. The set of instants is a pure function
   // of the caller's (monotone) clock, so chaos replays are bit-identical.
   for (;;) {
     uint64_t step_ns;

@@ -90,7 +90,7 @@ struct MembershipOptions {
 /// and congestion apply to probes exactly as to data traffic), and
 /// deadline-capped at one heartbeat period. Suspicion updates, lease
 /// revocations, orchestrated repairs, and rejoins all execute inside
-/// `EndEpoch`, which the load drivers call at the PR-7 epoch barriers
+/// `EndEpoch`, which the load driver calls at its epoch barriers
 /// while no ops are in flight — so every decision is a pure function of
 /// (seed, partitions, epoch_ns), bit-identical at any thread count. The
 /// deterministic `events()` log is both the replay comparand and the

@@ -13,12 +13,12 @@ namespace disagg {
 /// shared state while it executes an epoch under the epoch-parallel driver
 /// (DESIGN.md "Parallel simulation"): a `CongestionState::Shard` per
 /// congestion model touched and a `CircuitBreakerInterceptor::ShardState`
-/// per breaker touched, both created lazily on first use. The driver
-/// installs one of these per partition via `PartitionEffectsScope` before
-/// running the partition's slice of an epoch, and replays every shard into
-/// the authoritative state at the barrier — in partition-id order, so the
-/// merged evolution is a pure function of the simulation config, not of
-/// thread scheduling.
+/// per breaker touched, both created lazily on first use. With more than
+/// one partition the driver installs one of these per partition via
+/// `PartitionEffectsScope` before running the partition's slice of an
+/// epoch, and replays every shard into the authoritative state at the
+/// barrier — in partition-id order, so the merged evolution is a pure
+/// function of the simulation config, not of thread scheduling.
 ///
 /// Shards are keyed by the authoritative object's address, which makes the
 /// routing workload-agnostic: the driver never needs to know which fabrics
@@ -41,8 +41,9 @@ struct PartitionEffects {
 };
 
 /// The effects container installed for the calling thread, or null when no
-/// epoch-parallel partition is executing (the common case: every legacy
-/// code path sees null and runs the authoritative, mutex-protected logic).
+/// partition of a multi-partition run is executing (single-partition runs
+/// and all code outside the load driver see null and run the authoritative,
+/// mutex-protected logic).
 PartitionEffects* CurrentPartitionEffects();
 
 /// RAII install/restore of the calling thread's `PartitionEffects`.

@@ -32,11 +32,6 @@ void SloController::Sample::Merge(const Sample& other) {
   latency.Merge(other.latency);
 }
 
-void SloController::Observe(uint32_t tenant, uint64_t latency_ns,
-                            const Status& st) {
-  obs_[tenant].Add(latency_ns, st);
-}
-
 void SloController::Ingest(const EpochObservations& obs) {
   for (const auto& [tenant, sample] : obs) obs_[tenant].Merge(sample);
 }

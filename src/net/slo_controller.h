@@ -26,9 +26,9 @@ class StalenessActuator {
 /// Multi-tenant SLO control plane.
 ///
 /// Tenants declare p99 latency targets on the fabric (`Fabric::DeclareSlo`).
-/// The load drivers feed the controller one observation per completed op and
-/// call `EndEpoch` at every virtual-time epoch barrier (serial driver) /
-/// epoch merge point (parallel driver). Each epoch the controller compares
+/// The load driver records one observation per completed op, ingests each
+/// partition's observations and calls `EndEpoch` at every virtual-time epoch
+/// barrier. Each epoch the controller compares
 /// every declared tenant's observed p99 against its target and steers three
 /// actuators, in escalation order:
 ///
@@ -57,9 +57,9 @@ class StalenessActuator {
 /// and its actuation is FROZEN at the saturated values — the declared SLO
 /// set is reported as impossible rather than oscillated around.
 ///
-/// Determinism: actuation happens only inside `EndEpoch`, which both
-/// drivers call at epoch barriers while no ops are in flight. The parallel
-/// driver accumulates per-partition `Sample`s and ingests them in
+/// Determinism: actuation happens only inside `EndEpoch`, which the load
+/// driver calls at epoch barriers while no ops are in flight. The driver
+/// accumulates per-partition `Sample`s and ingests them in
 /// partition-id order; `Sample::Merge` is commutative and associative over
 /// that order, so the controller's inputs — and therefore every decision —
 /// are bit-identical at any thread count.
@@ -111,11 +111,8 @@ class SloController {
   };
   using EpochObservations = std::map<uint32_t, Sample>;
 
-  /// One completed-op observation (serial driver feed).
-  void Observe(uint32_t tenant, uint64_t latency_ns, const Status& st);
-
-  /// Bulk feed: merges one partition's epoch of observations (parallel
-  /// driver, called at the barrier in partition-id order).
+  /// Merges one partition's epoch of observations (the load driver calls
+  /// it at the barrier in partition-id order).
   void Ingest(const EpochObservations& obs);
 
   /// Closes the control epoch ending at `epoch_end_ns`: runs the feedback

@@ -18,57 +18,56 @@ class MembershipService;  // src/net/membership.h
 
 namespace sim {
 
-/// Default virtual-time epoch width for the epoch-parallel driver (100 us):
-/// wide enough to amortize the barrier, narrow enough that cross-partition
-/// effect exchange stays timely at the congestion timescales the benches use.
+/// Default virtual-time epoch width of the load driver (100 us): wide
+/// enough to amortize the barrier, narrow enough that cross-partition effect
+/// exchange stays timely at the congestion timescales the benches use.
 inline constexpr uint64_t kDefaultEpochNs = 100'000;
 
-/// Epoch-parallel execution of a load run (DESIGN.md "Parallel simulation").
+/// How the load driver executes a run (DESIGN.md "Parallel simulation").
 ///
-/// With `partitions > 0` the driver splits clients into `partitions`
-/// round-robin partitions (client -> client % partitions) and advances them
-/// through bounded virtual-time epochs: within an epoch each partition runs
-/// independently against partition-local views of the order-sensitive
-/// shared state (congestion queues, breaker windows), then all partitions
-/// barrier and their effect logs replay into the authoritative state in
-/// partition-id order.
+/// The driver splits clients into `partitions` round-robin partitions
+/// (client -> client % partitions) and advances them through bounded
+/// virtual-time epochs. Within an epoch each partition processes its own
+/// virtual-time heap; then all partitions barrier. With more than one
+/// partition, each runs against partition-local views of the
+/// order-sensitive shared state (congestion queues, breaker windows), and
+/// the barrier replays their effect logs into the authoritative state in
+/// partition-id order. A single partition has nothing to exchange: its ops
+/// act on the authoritative state directly, in global virtual-time order.
 ///
 /// The determinism contract: the result is a pure function of
 /// (seed, workload, `partitions`, `epoch_ns`) — `threads` is purely an
 /// execution resource and NEVER affects a single counter or trace bit
 /// (pinned by tests/parallel_sim_test.cc across thread counts 1/2/8).
-/// `partitions == 1` reproduces the legacy serial global-order schedule bit
-/// for bit; `partitions > 1` is its own (equally deterministic) schedule in
-/// which cross-partition interference at shared resources is exchanged at
-/// epoch granularity rather than per op.
+/// `partitions == 1` is the global virtual-time schedule (pinned against a
+/// reference loop in the same test); `partitions > 1` is its own (equally
+/// deterministic) schedule in which cross-partition interference at shared
+/// resources is exchanged at epoch granularity rather than per op.
 struct ParallelConfig {
   uint32_t threads = 1;     ///< worker threads (execution resource only)
-  uint32_t partitions = 0;  ///< client partitions; 0 = legacy serial driver
+  uint32_t partitions = 1;  ///< client partitions (0 is read as 1)
   uint64_t epoch_ns = 0;    ///< epoch width; 0 = kDefaultEpochNs
   bool record_trace = false;  ///< fill `LoadReport::trace` (one record/op)
 
   /// SLO control plane hook: when set, every completed op is reported to
-  /// the controller (tenant taken from the op's context) and
-  /// `SloController::EndEpoch` fires at every epoch barrier. The serial
-  /// drivers (`partitions == 0`) impose the same `epoch_ns` epoch structure
-  /// when a controller is attached, firing `EndEpoch` at identical virtual
-  /// instants as the parallel driver — controller decisions are a pure
-  /// function of (seed, workload, partitions, epoch_ns), never of
-  /// `threads`. Not owned.
+  /// the controller (tenant taken from the op's context; partitions'
+  /// observations are ingested at the barrier) and
+  /// `SloController::EndEpoch` fires at every epoch barrier. Controller
+  /// decisions are a pure function of (seed, workload, partitions,
+  /// epoch_ns), never of `threads`. Not owned.
   SloController* controller = nullptr;
 
   /// Fleet membership hook: when set, `MembershipService::EndEpoch` fires at
   /// every epoch barrier (after the SLO controller's), so heartbeat rounds,
   /// suspicion updates, lease revocations, and orchestrated repairs execute
-  /// at the same virtual instants under the serial and parallel drivers —
-  /// pure function of (seed, workload, partitions, epoch_ns), never of
-  /// `threads`. Not owned.
+  /// between epochs, never inside one — a pure function of (seed, workload,
+  /// partitions, epoch_ns), never of `threads`. Not owned.
   MembershipService* membership = nullptr;
 };
 
 /// Options for one closed-loop load run: N logical clients, each issuing
 /// `ops_per_client` operations back to back (plus optional think time),
-/// interleaved in *virtual* time on one OS thread.
+/// interleaved in *virtual* time.
 struct LoadOptions {
   uint64_t clients = 1;
   uint64_t ops_per_client = 100;
@@ -148,9 +147,8 @@ struct LoadReport {
 
   /// One record per op when `ParallelConfig::record_trace` is set: the
   /// trace the determinism suite compares bit for bit. Canonical order is
-  /// (arrival_ns, client, op_index) — which is exactly the serial driver's
-  /// processing order (virtual-time heap with client-id tie-break), so
-  /// serial and epoch-parallel traces are directly comparable.
+  /// (arrival_ns, client, op_index) — the global virtual-time order with a
+  /// client-id tie-break, independent of partitions and threads.
   struct OpTrace {
     uint64_t arrival_ns = 0;  ///< when the op was issued (closed loop: the
                               ///< client's clock before the op)
@@ -162,8 +160,8 @@ struct LoadReport {
   };
   std::vector<OpTrace> trace;
 
-  /// Epoch barriers the run crossed (0 on the legacy serial path, unless an
-  /// SLO controller imposed its epoch structure there).
+  /// Epoch barriers the run crossed (empty epochs are skipped, not
+  /// counted).
   uint64_t epochs = 0;
 
   double ThroughputOpsPerSec() const {
@@ -181,11 +179,9 @@ struct LoadReport {
 /// the shared-resource congestion model (`src/net/congestion.h`) a
 /// queue-by-arrival discipline — arrivals at every resource are
 /// non-decreasing — and it makes the whole run a pure function of (`opts`,
-/// the op closure): same seed, same trace, bit for bit.
-///
-/// With `opts.parallel.partitions > 0` the run executes on the
-/// epoch-parallel engine instead (see `ParallelConfig`); the same
-/// determinism holds with `threads` excluded from the function.
+/// the op closure): same seed, same trace, bit for bit. With more than one
+/// partition the order holds within each partition and epoch (see
+/// `ParallelConfig`); `threads` never enters the function.
 LoadReport RunClosedLoop(const LoadOptions& opts, const ClientOpFn& op);
 
 /// Runs `opts.clients` open-loop arrival streams against `op`. Arrival
@@ -198,11 +194,7 @@ LoadReport RunClosedLoop(const LoadOptions& opts, const ClientOpFn& op);
 /// when earlier ops are still queued — past capacity the in-flight count
 /// and the response-time tail grow without bound, exactly the regime
 /// closed-loop clients cannot reach. Deterministic: same options, same
-/// trace, bit for bit.
-///
-/// With `opts.parallel.partitions > 0` the run executes on the
-/// epoch-parallel engine instead (see `ParallelConfig`); the same
-/// determinism holds with `threads` excluded from the function.
+/// trace, bit for bit; partitions and threads as in `RunClosedLoop`.
 LoadReport RunOpenLoop(const OpenLoopOptions& opts, const ClientOpFn& op);
 
 }  // namespace sim

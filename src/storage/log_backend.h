@@ -56,10 +56,6 @@ class LogBackend {
   }
 };
 
-/// Legacy alias: the WAL layer historically called this seam `LogSink`.
-/// All pre-shared-log sink implementations live in `src/txn/wal.h`.
-using LogSink = LogBackend;
-
 }  // namespace disagg
 
 #endif  // DISAGG_STORAGE_LOG_BACKEND_H_

@@ -3,7 +3,7 @@
 namespace disagg {
 
 TwoTierAries::TwoTierAries(Fabric* fabric, MemoryNode* pool,
-                           PageSource* storage, LogSink* log)
+                           PageSource* storage, LogBackend* log)
     : fabric_(fabric), pool_(pool), storage_(storage), log_(log) {}
 
 Status TwoTierAries::Checkpoint(NetContext* ctx,

@@ -25,7 +25,7 @@ class TwoTierAries {
   };
 
   TwoTierAries(Fabric* fabric, MemoryNode* pool, PageSource* storage,
-               LogSink* log);
+               LogBackend* log);
 
   /// Checkpoints `pages` (the dirty working set) at `lsn` to both tiers.
   Status Checkpoint(NetContext* ctx, const std::map<PageId, Page>& pages,
@@ -45,7 +45,7 @@ class TwoTierAries {
   Fabric* fabric_;
   MemoryNode* pool_;
   PageSource* storage_;
-  LogSink* log_;
+  LogBackend* log_;
   CheckpointMeta meta_;
   std::map<PageId, Page> storage_checkpoint_;  // ids checkpointed to storage
   Lsn storage_checkpoint_lsn_ = kInvalidLsn;

@@ -15,7 +15,7 @@ namespace disagg {
 
 /// Local-disk sink (the monolithic baseline): records buffered in process,
 /// charged at SSD cost per flush.
-class LocalDiskSink : public LogSink {
+class LocalDiskSink : public LogBackend {
  public:
   explicit LocalDiskSink(InterconnectModel model = InterconnectModel::Ssd())
       : model_(std::move(model)) {}
@@ -35,7 +35,7 @@ class LocalDiskSink : public LogSink {
 };
 
 /// Sink writing to a LogStoreService over the fabric.
-class LogServiceSink : public LogSink {
+class LogServiceSink : public LogBackend {
  public:
   LogServiceSink(Fabric* fabric, NodeId node) : client_(fabric, node) {}
 
@@ -56,7 +56,7 @@ class LogServiceSink : public LogSink {
 };
 
 /// Sink writing through an Aurora-style replicated segment quorum.
-class QuorumSink : public LogSink {
+class QuorumSink : public LogBackend {
  public:
   explicit QuorumSink(ReplicatedSegment* segment) : segment_(segment) {}
 
@@ -78,7 +78,7 @@ class QuorumSink : public LogSink {
 /// commit (the durability point).
 class WalManager {
  public:
-  explicit WalManager(LogSink* sink) : sink_(sink) {}
+  explicit WalManager(LogBackend* sink) : sink_(sink) {}
 
   /// Stamps `*record` with the next LSN and the transaction's prev_lsn
   /// chain, then buffers a copy. Returns the assigned LSN.
@@ -103,7 +103,7 @@ class WalManager {
   Lsn LastLsnOf(TxnId txn) const;
 
  private:
-  LogSink* sink_;
+  LogBackend* sink_;
   mutable std::mutex mu_;
   Lsn next_lsn_ = 1;
   Lsn flushed_lsn_ = kInvalidLsn;

@@ -446,8 +446,8 @@ TEST(ChaosReplayTest, ReplaySeedsFromEnv) {
   }
 }
 
-// A seeded chaos schedule under the epoch-parallel driver replays bit for
-// bit against the serial driver, at any thread count: the schedule's
+// A seeded chaos schedule under the load driver replays bit for bit at any
+// thread count, at partitions=1 and at 8: the schedule's
 // drop/spike probabilities become a tag-keyed FaultPolicy and its flap
 // windows become virtual-time windows (both pure functions of the logical
 // op, not of execution order), so the whole faulted run falls under the
@@ -536,19 +536,19 @@ TEST(ChaosParallelReplayTest, ScheduleReplaysIdenticallyAcrossThreads) {
   };
 
   for (uint64_t seed : seeds) {
-    const LoadReport serial = run(seed, 0, 1);
-    ASSERT_GT(serial.ops, 0u);
+    const LoadReport p1_a = run(seed, 1, 1);
+    ASSERT_GT(p1_a.ops, 0u);
     for (uint64_t t : threads) {
-      const LoadReport par = run(seed, 1, static_cast<uint32_t>(t));
-      EXPECT_EQ(serial.trace, par.trace) << "seed=" << seed << " t=" << t;
-      EXPECT_EQ(serial.ops, par.ops) << seed;
-      EXPECT_EQ(serial.errors, par.errors) << seed;
-      EXPECT_EQ(serial.total.sim_ns, par.total.sim_ns) << seed;
-      EXPECT_EQ(serial.total.backoff_ns, par.total.backoff_ns) << seed;
-      EXPECT_EQ(serial.total.bytes_in, par.total.bytes_in) << seed;
+      const LoadReport p1_b = run(seed, 1, static_cast<uint32_t>(t));
+      EXPECT_EQ(p1_a.trace, p1_b.trace) << "seed=" << seed << " t=" << t;
+      EXPECT_EQ(p1_a.ops, p1_b.ops) << seed;
+      EXPECT_EQ(p1_a.errors, p1_b.errors) << seed;
+      EXPECT_EQ(p1_a.total.sim_ns, p1_b.total.sim_ns) << seed;
+      EXPECT_EQ(p1_a.total.backoff_ns, p1_b.total.backoff_ns) << seed;
+      EXPECT_EQ(p1_a.total.bytes_in, p1_b.total.bytes_in) << seed;
     }
     // P=8 is a different deterministic schedule: it must reproduce itself
-    // across thread counts even though it differs from serial.
+    // across thread counts even though it differs from P=1.
     const LoadReport p8_a = run(seed, 8, 1);
     for (uint64_t t : threads) {
       const LoadReport p8_b = run(seed, 8, static_cast<uint32_t>(t));

@@ -9,6 +9,7 @@
 #include "memnode/executor.h"
 #include "net/congestion.h"
 #include "net/fabric.h"
+#include "net/partition.h"
 
 namespace disagg {
 namespace {
@@ -142,7 +143,7 @@ TEST(LoadDriverTest, ClosedLoopOneClientReproducesManualLoopExactly) {
 }
 
 TEST(LoadDriverTest, OffloadedLockWorkloadIsBitIdenticalAndCountsRpcs) {
-  // The serial driver over the memory-node executor's lock table: same seed
+  // The load driver over the memory-node executor's lock table: same seed
   // -> bit-identical report, and the op stream's RPC arithmetic is exact —
   // each op is one `exec.lock.acquire` Call plus one `exec.lock.release`
   // per 4-op window, with no one-sided verbs at all on the offloaded path.
@@ -488,6 +489,65 @@ TEST(LoadDriverTest, ErrorsAndBusyAreCountedWithoutStoppingClients) {
   EXPECT_EQ(report.busy, 20u);
   EXPECT_EQ(report.latency.count(), 60u);
   EXPECT_EQ(report.makespan_ns, 30u * 100u);
+}
+
+TEST(LoadDriverTest, OnlyMultiPartitionRunsInstallPartitionEffects) {
+  // One partition has nothing to exchange, so its ops act on the
+  // authoritative shared state; with two, every op runs against its
+  // partition's effects container.
+  for (uint32_t partitions : {1u, 2u}) {
+    uint64_t with_effects = 0;
+    sim::LoadOptions opts;
+    opts.clients = 4;
+    opts.ops_per_client = 5;
+    opts.parallel.partitions = partitions;
+    const auto report = sim::RunClosedLoop(
+        opts, [&](uint64_t, uint64_t, NetContext* ctx, Random*) {
+          ctx->Charge(100);
+          if (CurrentPartitionEffects() != nullptr) with_effects++;
+          return Status::OK();
+        });
+    EXPECT_EQ(report.ops, 20u);
+    EXPECT_EQ(with_effects, partitions == 1 ? 0u : 20u) << partitions;
+  }
+  EXPECT_EQ(CurrentPartitionEffects(), nullptr);  // restored after the run
+}
+
+TEST(LoadDriverTest, ZeroPartitionsRunsAsOne) {
+  auto closed = [](uint32_t partitions) {
+    ReadRig rig;
+    sim::LoadOptions opts;
+    opts.clients = 8;
+    opts.ops_per_client = 40;
+    opts.seed = 42;
+    opts.parallel.partitions = partitions;
+    opts.parallel.record_trace = true;
+    return sim::RunClosedLoop(opts, rig.Op());
+  };
+  const auto c0 = closed(0);
+  const auto c1 = closed(1);
+  EXPECT_EQ(Flatten(c0), Flatten(c1));
+  EXPECT_EQ(c0.trace, c1.trace);
+  EXPECT_EQ(c0.epochs, c1.epochs);
+  EXPECT_EQ(c0.trace.size(), 8u * 40u);
+
+  auto open = [](uint32_t partitions) {
+    ReadRig rig;
+    sim::OpenLoopOptions opts;
+    opts.clients = 8;
+    opts.ops_per_client = 40;
+    opts.ops_per_sec = 100'000;
+    opts.seed = 42;
+    opts.parallel.partitions = partitions;
+    opts.parallel.record_trace = true;
+    return sim::RunOpenLoop(opts, rig.Op());
+  };
+  const auto o0 = open(0);
+  const auto o1 = open(1);
+  EXPECT_EQ(Flatten(o0), Flatten(o1));
+  EXPECT_EQ(o0.trace, o1.trace);
+  EXPECT_EQ(o0.epochs, o1.epochs);
+  EXPECT_EQ(o0.trace.size(), 8u * 40u);
 }
 
 TEST(LoadDriverTest, DegenerateOptionsReturnEmptyReports) {

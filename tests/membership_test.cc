@@ -336,21 +336,23 @@ TEST(MembershipDeterminismTest, DecisionsAreBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t1.errors, t8.errors);
 }
 
-TEST(MembershipDeterminismTest, SerialAndSinglePartitionRunsMatchBitForBit) {
-  const FleetRun serial = RunFleet(1, 0);   // legacy serial driver
-  const FleetRun p1 = RunFleet(1, 1);       // epoch-parallel, one partition
+TEST(MembershipDeterminismTest, SinglePartitionRunsAreThreadCountInvariant) {
+  const FleetRun t1 = RunFleet(1, 1);
 
-  ASSERT_GE(serial.events.size(), 3u);
-  EXPECT_EQ(serial.events, p1.events);
-  EXPECT_EQ(serial.trace, p1.trace);
-  EXPECT_EQ(serial.errors, p1.errors);
-  EXPECT_EQ(serial.ops, p1.ops);
+  ASSERT_GE(t1.events.size(), 3u);
+  EXPECT_GT(t1.errors, 0u);
+  for (uint32_t threads : {2u, 8u}) {
+    const FleetRun tn = RunFleet(threads, 1);
+    EXPECT_EQ(t1.events, tn.events) << threads;
+    EXPECT_EQ(t1.trace, tn.trace) << threads;
+    EXPECT_EQ(t1.errors, tn.errors) << threads;
+    EXPECT_EQ(t1.ops, tn.ops) << threads;
+  }
 }
 
 // With a membership service attached but monitoring nothing, every workload
 // counter must be bit-identical to a run with no membership at all — the
-// unconfigured seam costs nothing (only the epoch counter, which the serial
-// driver maintains whenever a barrier consumer is attached, may differ).
+// unconfigured seam costs nothing.
 TEST(MembershipDeterminismTest, UnconfiguredServiceIsInvisibleToTheWorkload) {
   auto run = [](bool attach) {
     Fabric fabric;
@@ -381,6 +383,7 @@ TEST(MembershipDeterminismTest, UnconfiguredServiceIsInvisibleToTheWorkload) {
   EXPECT_EQ(without.errors, with.errors);
   EXPECT_EQ(without.total.sim_ns, with.total.sim_ns);
   EXPECT_EQ(without.total.rpcs, with.total.rpcs);
+  EXPECT_EQ(without.epochs, with.epochs);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <tuple>
 #include <vector>
 
@@ -21,11 +25,11 @@ namespace {
 //      any thread count {1, 2, 8}: bit-identical counters AND trace, for
 //      both loop disciplines, with the full stack enabled (congestion +
 //      WFQ + admission control + breakers + retry + tag-keyed faults).
-//   2. `partitions == 1` reproduces the legacy serial driver bit for bit.
+//   2. `partitions == 1` reproduces a plain reference loop bit for bit.
 //   3. Equal virtual timestamps order deterministically by (client id,
 //      op seq) — pinned by a deliberately engineered timestamp collision.
 //   4. `partitions > 1` conserves work: authoritative resource accounting
-//      equals the serial run's even though the interleaving differs.
+//      equals the one-partition run's even though the interleaving differs.
 
 /// Everything a LoadReport exposes, flattened for tuple comparison. The
 /// trace rides along separately (vector<OpTrace> has operator==).
@@ -38,6 +42,136 @@ auto Flatten(const sim::LoadReport& r) {
       r.latency.max(), r.latency.Percentile(50), r.latency.Percentile(99),
       r.offered_ops_per_sec, r.max_in_flight, r.queue_depth.count(),
       r.queue_depth.max(), r.queue_depth.Mean());
+}
+
+// ---- Reference schedule ---------------------------------------------------
+//
+// The global virtual-time schedule written out the plain way: one heap over
+// every client (lower clock first, client id breaking ties), one context per
+// client, the open loop's in-flight gauge computed inline at each arrival,
+// and no controller or membership hooks. `partitions == 1` must reproduce
+// it bit for bit. The seed, arrival and op-tag arithmetic restates the
+// driver's on purpose: changing any of it changes every seeded result.
+
+uint64_t RefClientSeed(uint64_t seed, uint64_t client) {
+  return seed + client * 0x9E3779B97F4A7C15ull;
+}
+
+uint64_t RefOpTag(uint64_t client, uint64_t op_index) {
+  uint64_t mix = (client + 1) * 0x9E3779B97F4A7C15ull;
+  mix ^= (op_index + 1) * 0xC2B2AE3D27D4EB4Full;
+  mix ^= mix >> 29;
+  return mix | 1;
+}
+
+struct RefEvent {
+  uint64_t at_ns;
+  uint64_t client;
+  bool operator>(const RefEvent& o) const {
+    return at_ns != o.at_ns ? at_ns > o.at_ns : client > o.client;
+  }
+};
+using RefHeap =
+    std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<>>;
+
+/// Counts one completed op and appends its trace record.
+void RefRecord(sim::LoadReport* report, uint64_t arrival_ns, uint64_t done_ns,
+               uint64_t client, uint64_t op_index, const Status& st) {
+  report->ops++;
+  if (!st.ok()) {
+    report->errors++;
+    if (st.IsBusy()) report->busy++;
+  }
+  report->latency.Record(done_ns - arrival_ns);
+  report->trace.push_back(
+      sim::LoadReport::OpTrace{arrival_ns, done_ns, client, op_index,
+                               st.code()});
+}
+
+void RefFinish(sim::LoadReport* report, const std::vector<NetContext>& ctxs) {
+  for (const NetContext& c : ctxs) {
+    report->per_client_sim_ns.push_back(c.sim_ns);
+    report->makespan_ns = std::max(report->makespan_ns, c.sim_ns);
+  }
+  MergeParallel(&report->total, ctxs.data(), ctxs.size());
+}
+
+sim::LoadReport ReferenceClosedLoop(const sim::LoadOptions& opts,
+                                    const sim::ClientOpFn& op) {
+  sim::LoadReport report;
+  report.clients = opts.clients;
+  std::vector<NetContext> ctxs(opts.clients);
+  std::vector<Random> rngs;
+  std::vector<uint64_t> issued(opts.clients, 0);
+  RefHeap ready;
+  for (uint64_t c = 0; c < opts.clients; c++) {
+    rngs.emplace_back(RefClientSeed(opts.seed, c));
+    ready.push({0, c});
+  }
+  while (!ready.empty()) {
+    const RefEvent r = ready.top();
+    ready.pop();
+    NetContext* ctx = &ctxs[r.client];
+    const uint64_t before = ctx->sim_ns;
+    ctx->op_tag = RefOpTag(r.client, issued[r.client]);
+    const Status st = op(r.client, issued[r.client], ctx, &rngs[r.client]);
+    RefRecord(&report, before, ctx->sim_ns, r.client, issued[r.client], st);
+    ctx->Charge(opts.think_ns);
+    if (++issued[r.client] < opts.ops_per_client) {
+      ready.push({ctx->sim_ns, r.client});
+    }
+  }
+  RefFinish(&report, ctxs);
+  return report;
+}
+
+/// Poisson arrivals only (what the rigs below drive).
+sim::LoadReport ReferenceOpenLoop(const sim::OpenLoopOptions& opts,
+                                  const sim::ClientOpFn& op) {
+  sim::LoadReport report;
+  report.clients = opts.clients;
+  report.offered_ops_per_sec =
+      opts.ops_per_sec * static_cast<double>(opts.clients);
+  const double period_ns = 1e9 / opts.ops_per_sec;
+  auto gap = [period_ns](Random* rng) {
+    return static_cast<uint64_t>(-std::log(1.0 - rng->NextDouble()) *
+                                 period_ns);
+  };
+  std::vector<NetContext> accs(opts.clients);
+  std::vector<Random> rngs;
+  std::vector<Random> arrival_rngs;
+  std::vector<uint64_t> issued(opts.clients, 0);
+  RefHeap arrivals;
+  for (uint64_t c = 0; c < opts.clients; c++) {
+    rngs.emplace_back(RefClientSeed(opts.seed, c));
+    arrival_rngs.emplace_back(RefClientSeed(opts.seed, c) ^
+                              0xA221BA15ED5EEDull);
+    arrivals.push({gap(&arrival_rngs[c]), c});
+  }
+  std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>>
+      completions;
+  while (!arrivals.empty()) {
+    const RefEvent a = arrivals.top();
+    arrivals.pop();
+    while (!completions.empty() && completions.top() <= a.at_ns) {
+      completions.pop();
+    }
+    NetContext ctx = accs[a.client].Fork();
+    ctx.sim_ns = a.at_ns;
+    ctx.op_tag = RefOpTag(a.client, issued[a.client]);
+    const Status st = op(a.client, issued[a.client], &ctx, &rngs[a.client]);
+    RefRecord(&report, a.at_ns, ctx.sim_ns, a.client, issued[a.client], st);
+    completions.push(ctx.sim_ns);
+    report.queue_depth.Record(completions.size());
+    report.max_in_flight = std::max<uint64_t>(report.max_in_flight,
+                                              completions.size());
+    JoinParallel(&accs[a.client], &ctx, 1);
+    if (++issued[a.client] < opts.ops_per_client) {
+      arrivals.push({a.at_ns + gap(&arrival_rngs[a.client]), a.client});
+    }
+  }
+  RefFinish(&report, accs);
+  return report;
 }
 
 /// The adversarial rig: three congested memory nodes behind a shared
@@ -98,8 +232,15 @@ struct FullStackRig {
   }
 };
 
+/// A closed- or open-loop runner: the driver's, or the reference loop.
+using ClosedRunner = sim::LoadReport (*)(const sim::LoadOptions&,
+                                         const sim::ClientOpFn&);
+using OpenRunner = sim::LoadReport (*)(const sim::OpenLoopOptions&,
+                                       const sim::ClientOpFn&);
+
 sim::LoadReport RunClosed(uint64_t seed, uint32_t partitions,
-                          uint32_t threads) {
+                          uint32_t threads,
+                          ClosedRunner runner = sim::RunClosedLoop) {
   FullStackRig rig;
   sim::LoadOptions opts;
   opts.clients = 24;
@@ -108,10 +249,11 @@ sim::LoadReport RunClosed(uint64_t seed, uint32_t partitions,
   opts.parallel.partitions = partitions;
   opts.parallel.threads = threads;
   opts.parallel.record_trace = true;
-  return sim::RunClosedLoop(opts, rig.Op());
+  return runner(opts, rig.Op());
 }
 
-sim::LoadReport RunOpen(uint64_t seed, uint32_t partitions, uint32_t threads) {
+sim::LoadReport RunOpen(uint64_t seed, uint32_t partitions, uint32_t threads,
+                        OpenRunner runner = sim::RunOpenLoop) {
   FullStackRig rig;
   sim::OpenLoopOptions opts;
   opts.clients = 24;
@@ -121,7 +263,7 @@ sim::LoadReport RunOpen(uint64_t seed, uint32_t partitions, uint32_t threads) {
   opts.parallel.partitions = partitions;
   opts.parallel.threads = threads;
   opts.parallel.record_trace = true;
-  return sim::RunOpenLoop(opts, rig.Op());
+  return runner(opts, rig.Op());
 }
 
 TEST(ParallelSimTest, ClosedLoopBitIdenticalAcrossThreadCounts) {
@@ -151,22 +293,27 @@ TEST(ParallelSimTest, OpenLoopBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(Flatten(t1), Flatten(RunOpen(43, 8, 8)));
 }
 
-TEST(ParallelSimTest, SinglePartitionReproducesSerialDriverExactly) {
-  // partitions == 1 is the serial global-order schedule run through the
-  // epoch machinery (shard copy + replay, epoch barriers): the contract
-  // says that round trip is invisible, bit for bit — full stack enabled.
-  const auto serial_closed = RunClosed(42, 0, 1);  // partitions=0: legacy
+TEST(ParallelSimTest, SinglePartitionReproducesReferenceLoopExactly) {
+  // partitions == 1 is the global virtual-time schedule run through the
+  // epoch machinery (epoch barriers, post-pass queue-depth gauge): the
+  // contract says that machinery is invisible, bit for bit — full stack
+  // enabled.
+  const auto ref_closed = RunClosed(42, 1, 1, ReferenceClosedLoop);
+  ASSERT_EQ(ref_closed.ops, 24u * 50u);
   for (uint32_t threads : {1u, 2u, 8u}) {
     const auto epoch = RunClosed(42, 1, threads);
-    EXPECT_EQ(Flatten(serial_closed), Flatten(epoch)) << threads;
-    EXPECT_EQ(serial_closed.trace, epoch.trace) << threads;
+    EXPECT_GT(epoch.epochs, 1u);
+    EXPECT_EQ(Flatten(ref_closed), Flatten(epoch)) << threads;
+    EXPECT_EQ(ref_closed.trace, epoch.trace) << threads;
   }
 
-  const auto serial_open = RunOpen(42, 0, 1);
+  const auto ref_open = RunOpen(42, 1, 1, ReferenceOpenLoop);
+  ASSERT_EQ(ref_open.ops, 24u * 50u);
   for (uint32_t threads : {1u, 2u, 8u}) {
     const auto epoch = RunOpen(42, 1, threads);
-    EXPECT_EQ(Flatten(serial_open), Flatten(epoch)) << threads;
-    EXPECT_EQ(serial_open.trace, epoch.trace) << threads;
+    EXPECT_GT(epoch.epochs, 1u);
+    EXPECT_EQ(Flatten(ref_open), Flatten(epoch)) << threads;
+    EXPECT_EQ(ref_open.trace, epoch.trace) << threads;
   }
 }
 
@@ -187,8 +334,8 @@ TEST(ParallelSimTest, EqualTimestampsOrderByClientThenOpSeq) {
   // Engineer a collision: every client starts at t=0 with a fixed-cost op,
   // so every epoch boundary has several clients tied at the same virtual
   // instant. The pinned tie-break is (client id, then per-client op seq):
-  // serial order must be round-robin by client id, and the canonical trace
-  // must be identical at any partition/thread count.
+  // the one-partition order must be round-robin by client id, and the
+  // canonical trace must be identical at any partition/thread count.
   constexpr uint64_t kCost = 500;
   constexpr uint64_t kClients = 6;
   constexpr uint64_t kOps = 8;
@@ -201,14 +348,14 @@ TEST(ParallelSimTest, EqualTimestampsOrderByClientThenOpSeq) {
   opts.clients = kClients;
   opts.ops_per_client = kOps;
   opts.parallel.record_trace = true;
-  const auto serial = sim::RunClosedLoop(opts, fixed);
-  ASSERT_EQ(serial.trace.size(), kClients * kOps);
-  for (uint64_t i = 0; i < serial.trace.size(); i++) {
+  const auto ref = ReferenceClosedLoop(opts, fixed);
+  ASSERT_EQ(ref.trace.size(), kClients * kOps);
+  for (uint64_t i = 0; i < ref.trace.size(); i++) {
     // Round k of the round-robin: client i%6 issuing its (i/6)-th op at
     // virtual time k*kCost. Any other order fails here.
-    EXPECT_EQ(serial.trace[i].arrival_ns, (i / kClients) * kCost) << i;
-    EXPECT_EQ(serial.trace[i].client, i % kClients) << i;
-    EXPECT_EQ(serial.trace[i].op_index, i / kClients) << i;
+    EXPECT_EQ(ref.trace[i].arrival_ns, (i / kClients) * kCost) << i;
+    EXPECT_EQ(ref.trace[i].client, i % kClients) << i;
+    EXPECT_EQ(ref.trace[i].op_index, i / kClients) << i;
   }
 
   for (uint32_t partitions : {1u, 2u, 4u}) {
@@ -216,7 +363,7 @@ TEST(ParallelSimTest, EqualTimestampsOrderByClientThenOpSeq) {
       opts.parallel.partitions = partitions;
       opts.parallel.threads = threads;
       const auto par = sim::RunClosedLoop(opts, fixed);
-      EXPECT_EQ(serial.trace, par.trace) << partitions << "x" << threads;
+      EXPECT_EQ(ref.trace, par.trace) << partitions << "x" << threads;
     }
   }
 }
@@ -224,8 +371,8 @@ TEST(ParallelSimTest, EqualTimestampsOrderByClientThenOpSeq) {
 TEST(ParallelSimTest, ContendedPartitionsConserveAuthoritativeAccounting) {
   // The epoch exchange must conserve work: after a P=2 run over a shared
   // congested node, the authoritative resource accounting (ops serviced,
-  // bytes, busy time) equals the serial run's exactly — the interleaving
-  // differs, the physics doesn't.
+  // bytes, busy time) equals the one-partition run's exactly — the
+  // interleaving differs, the physics doesn't.
   auto run = [](uint32_t partitions) {
     Fabric fabric;
     NodeId node =
@@ -249,11 +396,11 @@ TEST(ParallelSimTest, ContendedPartitionsConserveAuthoritativeAccounting) {
     return fabric.congestion()->NodeStats(node);
   };
 
-  const auto serial = run(0);
+  const auto single = run(1);
   const auto sharded = run(2);
-  EXPECT_EQ(serial.ops, sharded.ops);
-  EXPECT_EQ(serial.bytes, sharded.bytes);
-  EXPECT_EQ(serial.busy_ns, sharded.busy_ns);
+  EXPECT_EQ(single.ops, sharded.ops);
+  EXPECT_EQ(single.bytes, sharded.bytes);
+  EXPECT_EQ(single.busy_ns, sharded.busy_ns);
 }
 
 TEST(ParallelSimTest, RecordTraceToggleDoesNotChangeCounters) {
@@ -320,7 +467,7 @@ TEST(ParallelSimTest, BatchedWorkloadStaysBitIdenticalAcrossThreadCounts) {
 // one `exec.idx.get` RPC) on a congested pool node. Per-client lock keys
 // are disjoint, so lock-table mutations commute and the thread-invariance
 // contract must hold over the offloaded lock path bit for bit: threads
-// {1, 2, 8} at P=4, and partitions=1 reproducing the legacy serial driver.
+// {1, 2, 8} at P=4, and partitions=1 reproducing the reference loop.
 struct OffloadLockRig {
   Fabric fabric;
   MemoryNode pool{&fabric, "pool", 1 << 22};
@@ -365,7 +512,8 @@ struct OffloadLockRig {
 sim::LoadReport RunOffloadLocks(uint64_t seed, uint32_t partitions,
                                 uint32_t threads,
                                 MemNodeExecutor::Stats* stats = nullptr,
-                                size_t* leftover = nullptr) {
+                                size_t* leftover = nullptr,
+                                ClosedRunner runner = sim::RunClosedLoop) {
   OffloadLockRig rig;
   sim::LoadOptions opts;
   opts.clients = 12;
@@ -374,7 +522,7 @@ sim::LoadReport RunOffloadLocks(uint64_t seed, uint32_t partitions,
   opts.parallel.partitions = partitions;
   opts.parallel.threads = threads;
   opts.parallel.record_trace = true;
-  auto report = sim::RunClosedLoop(opts, rig.Op());
+  auto report = runner(opts, rig.Op());
   if (stats != nullptr) *stats = rig.exec.stats();
   if (leftover != nullptr) {
     *leftover = rig.exec.active_locks() + rig.locks.pending_releases();
@@ -400,13 +548,14 @@ TEST(ParallelSimTest, OffloadedLockPathBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t1.trace, t2.trace);
   EXPECT_EQ(t1.trace, t8.trace);
 
-  // partitions == 1 reproduces the legacy serial driver bit for bit, lock
-  // and traversal RPCs included.
-  const auto serial = RunOffloadLocks(42, 0, 1);
+  // partitions == 1 reproduces the reference loop bit for bit, lock and
+  // traversal RPCs included.
+  const auto ref =
+      RunOffloadLocks(42, 1, 1, nullptr, nullptr, ReferenceClosedLoop);
   for (uint32_t threads : {1u, 2u, 8u}) {
     const auto epoch = RunOffloadLocks(42, 1, threads);
-    EXPECT_EQ(Flatten(serial), Flatten(epoch)) << threads;
-    EXPECT_EQ(serial.trace, epoch.trace) << threads;
+    EXPECT_EQ(Flatten(ref), Flatten(epoch)) << threads;
+    EXPECT_EQ(ref.trace, epoch.trace) << threads;
   }
 
   EXPECT_NE(Flatten(t1), Flatten(RunOffloadLocks(43, 4, 8)));

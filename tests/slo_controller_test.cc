@@ -37,9 +37,9 @@ class RecordingActuator : public StalenessActuator {
 /// control-law arithmetic below is exact, not bucket-approximate.
 void FeedOk(SloController* ctrl, uint32_t tenant, uint64_t n,
             uint64_t latency_ns) {
-  for (uint64_t i = 0; i < n; i++) {
-    ctrl->Observe(tenant, latency_ns, Status::OK());
-  }
+  SloController::EpochObservations obs;
+  for (uint64_t i = 0; i < n; i++) obs[tenant].Add(latency_ns, Status::OK());
+  ctrl->Ingest(obs);
 }
 
 class SloControllerTest : public ::testing::Test {
@@ -437,7 +437,7 @@ TEST(SloControlLoopTest, ControllerMeetsTargetWhereStaticWfqMisses) {
 
   // Static equal weights: tenant 1's p99 blows the target.
   Rig fixed;
-  const auto static_report = RunMixed(&fixed, nullptr, 0, 1);
+  const auto static_report = RunMixed(&fixed, nullptr, 1, 1);
   ASSERT_GT(static_report.ops, 0u);
   const double static_p99 = TenantP99(static_report.trace, true);
   EXPECT_GT(static_p99, static_cast<double>(target));
@@ -447,7 +447,7 @@ TEST(SloControlLoopTest, ControllerMeetsTargetWhereStaticWfqMisses) {
   Rig steered;
   steered.fabric.DeclareSlo(1, SloSpec{target});
   SloController ctrl(&steered.fabric, {});
-  const auto ctrl_report = RunMixed(&steered, &ctrl, 0, 1);
+  const auto ctrl_report = RunMixed(&steered, &ctrl, 1, 1);
   ASSERT_EQ(ctrl_report.ops, static_report.ops);
 
   const auto ts = ctrl.StateFor(1);
@@ -477,7 +477,7 @@ TEST(SloControlLoopTest, InfeasibleTargetIsFlaggedNotOscillated) {
   Rig rig;
   rig.fabric.DeclareSlo(1, SloSpec{1'500});
   SloController ctrl(&rig.fabric, {});
-  RunMixed(&rig, &ctrl, 0, 1);
+  RunMixed(&rig, &ctrl, 1, 1);
 
   EXPECT_TRUE(ctrl.AnyInfeasible()) << ctrl.ToString();
   const auto ts = ctrl.StateFor(1);
@@ -540,26 +540,27 @@ TEST(SloControlLoopTest, ControllerDecisionsAreThreadCountInvariant) {
   EXPECT_EQ(t1.bound, t8.bound);
 }
 
-TEST(SloControlLoopTest, SerialControllerMatchesPartitionsOneBitForBit) {
-  // The serial driver imposes the parallel driver's epoch structure when a
-  // controller is attached: partitions=1 must reproduce the serial run —
-  // same EndEpoch instants, same observations, same decisions, same trace.
-  const ControlRun serial = RunControlled(0, 1);
-  const ControlRun p1 = RunControlled(1, 1);
-
-  EXPECT_EQ(serial.trace, p1.trace);
-  EXPECT_EQ(serial.makespan, p1.makespan);
-  EXPECT_EQ(serial.busy, p1.busy);
-  EXPECT_EQ(serial.epochs, p1.epochs);
-  EXPECT_EQ(serial.controller_state, p1.controller_state);
-  EXPECT_EQ(serial.weight, p1.weight);
-  EXPECT_EQ(serial.bound, p1.bound);
+TEST(SloControlLoopTest, SinglePartitionControllerIsThreadCountInvariant) {
+  // The same contract at partitions=1: same EndEpoch instants, same
+  // observations, same decisions, same trace at 1, 2, and 8 threads.
+  const ControlRun t1 = RunControlled(1, 1);
+  EXPECT_NE(t1.weight, 1.0);  // the controller actually steered mid-run
+  for (uint32_t threads : {2u, 8u}) {
+    const ControlRun tn = RunControlled(1, threads);
+    EXPECT_EQ(t1.trace, tn.trace) << threads;
+    EXPECT_EQ(t1.makespan, tn.makespan) << threads;
+    EXPECT_EQ(t1.busy, tn.busy) << threads;
+    EXPECT_EQ(t1.epochs, tn.epochs) << threads;
+    EXPECT_EQ(t1.controller_state, tn.controller_state) << threads;
+    EXPECT_EQ(t1.weight, tn.weight) << threads;
+    EXPECT_EQ(t1.bound, tn.bound) << threads;
+  }
 }
 
-TEST(SloControlLoopTest, OpenLoopSerialMatchesPartitionsOne) {
-  // Same parity on the open-loop path (independent arrival streams, epoch
-  // seeding from the earliest arrival).
-  auto run = [](uint32_t partitions) {
+TEST(SloControlLoopTest, OpenLoopSinglePartitionIsThreadCountInvariant) {
+  // Same on the open-loop path (independent arrival streams, epoch seeding
+  // from the earliest arrival).
+  auto run = [](uint32_t threads) {
     Rig rig;
     rig.fabric.DeclareSlo(1, SloSpec{6'500});
     SloController ctrl(&rig.fabric, {});
@@ -568,8 +569,8 @@ TEST(SloControlLoopTest, OpenLoopSerialMatchesPartitionsOne) {
     opts.ops_per_client = 600;
     opts.ops_per_sec = 150'000.0;  // aggregate 1.2M ops/s vs 1M capacity
     opts.seed = 7;
-    opts.parallel.partitions = partitions;
-    opts.parallel.threads = partitions == 0 ? 1 : 2;
+    opts.parallel.partitions = 1;
+    opts.parallel.threads = threads;
     opts.parallel.record_trace = true;
     opts.parallel.controller = &ctrl;
     Fabric* fabric = &rig.fabric;
@@ -586,7 +587,10 @@ TEST(SloControlLoopTest, OpenLoopSerialMatchesPartitionsOne) {
     return std::make_tuple(report.trace, report.makespan_ns, report.epochs,
                            ctrl.ToString());
   };
-  EXPECT_EQ(run(0), run(1));
+  const auto t1 = run(1);
+  EXPECT_GT(std::get<2>(t1), 1u);  // the run crossed epoch barriers
+  EXPECT_EQ(t1, run(2));
+  EXPECT_EQ(t1, run(8));
 }
 
 }  // namespace
