@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification, a sanitizer pass over the whole test suite, and the
-# chaos stage (fresh commit-derived seeds + mutation self-check).
+# Tier-1 verification, a sanitizer pass over the whole test suite, a
+# ThreadSanitizer pass over the parallel-driver suites, and the chaos stage
+# (fresh commit-derived seeds + mutation self-check).
 #
-#   scripts/ci.sh          # full: build + ctest + ASan/UBSan + chaos
+#   scripts/ci.sh          # full: build + ctest + ASan/UBSan + TSan + chaos
 #   scripts/ci.sh --fast   # tier-1 only (skip sanitizer + chaos stages)
 #
 # Requires: cmake >= 3.16, a C++20 compiler, GTest and google-benchmark dev
@@ -38,6 +39,20 @@ cmake -B build-asan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "${JOBS}"
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
+
+# ThreadSanitizer over the `parallel` suites: they drive the load driver's
+# worker pool at up to 8 threads (partition queues, barrier drains, effect
+# shards). concurrency_test stays out until the fabric's region copies stop
+# racing with its CAS on the same words (memcpy vs compare_exchange in
+# Fabric::ExecuteVerb); TSan reports those today.
+echo "==> ThreadSanitizer pass: ctest -L parallel"
+cmake -B build-tsan -S . \
+  -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+cmake --build build-tsan -j "${JOBS}" \
+  --target parallel_sim_test slo_controller_test membership_test
+ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L parallel
 
 # Chaos stage: beyond the fixed seeds baked into chaos_test, run fresh
 # schedules derived from the commit hash so every commit explores new

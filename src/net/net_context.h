@@ -210,8 +210,9 @@ inline void AccumulateTraffic(NetContext* parent, const NetContext& b) {
 /// Rule of thumb: one timeline -> `Merge`; side-by-side timelines ->
 /// `MergeParallel`. Users: quorum/raft replication fan-out, engine commit
 /// fan-out (`src/core/engines.cc`), FORD parallel validation,
-/// pushdown producers, `SnowflakeDb::Query` VW merge, and
-/// `sim::RunClosedLoop`.
+/// pushdown producers and `SnowflakeDb::Query` VW merge. The load driver
+/// folds its clients the same way, summing `AccumulateTraffic` per
+/// partition rather than keeping a context per open-loop client.
 inline void MergeParallel(NetContext* parent,
                           const NetContext* branches, size_t n) {
   uint64_t max_ns = 0;

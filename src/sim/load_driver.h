@@ -123,8 +123,8 @@ struct LoadReport {
   /// open-loop runs this is the *response time* from arrival to completion.
   Histogram latency;
 
-  /// All clients' counters folded with `MergeParallel` — traffic is summed,
-  /// `total.sim_ns` equals `makespan_ns`.
+  /// All ops' traffic counters summed, as `MergeParallel` folds concurrent
+  /// clients; `total.sim_ns` equals `makespan_ns`.
   NetContext total;
 
   /// Each client's final simulated clock (completion of its last op);
@@ -141,14 +141,20 @@ struct LoadReport {
   /// Ops in flight sampled at every arrival instant (for Poisson arrivals
   /// PASTA makes these samples unbiased time averages). Mean/max/percentiles
   /// show the queue-depth-over-time behaviour: bounded below the knee,
-  /// growing without bound past it.
+  /// growing without bound past it. Computed at every epoch barrier from
+  /// that epoch's ops in canonical order (see `trace`), with the set of
+  /// unfinished ops carried from epoch to epoch — equal to replaying the
+  /// whole canonical trace, without keeping it unless `record_trace` is set.
   Histogram queue_depth;
   uint64_t max_in_flight = 0;
 
   /// One record per op when `ParallelConfig::record_trace` is set: the
   /// trace the determinism suite compares bit for bit. Canonical order is
   /// (arrival_ns, client, op_index) — the global virtual-time order with a
-  /// client-id tie-break, independent of partitions and threads.
+  /// client-id tie-break, independent of partitions and threads. The driver
+  /// appends each epoch's records at its barrier, merged from the
+  /// partitions in that order; epochs split virtual time, so no whole-run
+  /// sort is needed.
   struct OpTrace {
     uint64_t arrival_ns = 0;  ///< when the op was issued (closed loop: the
                               ///< client's clock before the op)
@@ -195,6 +201,9 @@ LoadReport RunClosedLoop(const LoadOptions& opts, const ClientOpFn& op);
 /// and the response-time tail grow without bound, exactly the regime
 /// closed-loop clients cannot reach. Deterministic: same options, same
 /// trace, bit for bit; partitions and threads as in `RunClosedLoop`.
+/// Non-finite or non-positive rates, and rates so low that a stream's
+/// arrivals could overrun the 64-bit virtual clock, return an empty report
+/// (as a zero rate does).
 LoadReport RunOpenLoop(const OpenLoopOptions& opts, const ClientOpFn& op);
 
 }  // namespace sim

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -564,6 +566,24 @@ TEST(LoadDriverTest, DegenerateOptionsReturnEmptyReports) {
   open.ops_per_client = 10;
   open.ops_per_sec = 0.0;
   EXPECT_EQ(sim::RunOpenLoop(open, nop).ops, 0u);
+
+  // Non-finite rates, and rates so low that a stream's gaps cannot fit the
+  // 64-bit virtual clock, get the same empty report under either process.
+  for (auto process :
+       {sim::ArrivalProcess::kPoisson, sim::ArrivalProcess::kDeterministic}) {
+    open.process = process;
+    for (double rate : {std::nan(""), std::numeric_limits<double>::infinity(),
+                        -1.0, 1e-12, 1e-300}) {
+      open.ops_per_sec = rate;
+      const auto r = sim::RunOpenLoop(open, nop);
+      EXPECT_EQ(r.ops, 0u) << rate;
+      EXPECT_EQ(r.epochs, 0u) << rate;
+      EXPECT_EQ(r.offered_ops_per_sec, 0.0) << rate;
+    }
+    // A slow rate whose stream still fits runs normally.
+    open.ops_per_sec = 1e-3;
+    EXPECT_EQ(sim::RunOpenLoop(open, nop).ops, 10u);
+  }
 }
 
 }  // namespace

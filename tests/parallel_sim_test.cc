@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -30,6 +31,10 @@ namespace {
 //      op seq) — pinned by a deliberately engineered timestamp collision.
 //   4. `partitions > 1` conserves work: authoritative resource accounting
 //      equals the one-partition run's even though the interleaving differs.
+//   5. The open-loop gauge, fed epoch by epoch at the barriers, equals a
+//      post-pass over the canonical trace, and 1-2 hold for arrival gaps
+//      at and far beyond the run queue's window, for mostly empty epochs
+//      and for equal timestamps.
 
 /// Everything a LoadReport exposes, flattened for tuple comparison. The
 /// trace rides along separately (vector<OpTrace> has operator==).
@@ -125,7 +130,7 @@ sim::LoadReport ReferenceClosedLoop(const sim::LoadOptions& opts,
   return report;
 }
 
-/// Poisson arrivals only (what the rigs below drive).
+/// Both arrival processes, restated from the driver.
 sim::LoadReport ReferenceOpenLoop(const sim::OpenLoopOptions& opts,
                                   const sim::ClientOpFn& op) {
   sim::LoadReport report;
@@ -133,7 +138,9 @@ sim::LoadReport ReferenceOpenLoop(const sim::OpenLoopOptions& opts,
   report.offered_ops_per_sec =
       opts.ops_per_sec * static_cast<double>(opts.clients);
   const double period_ns = 1e9 / opts.ops_per_sec;
-  auto gap = [period_ns](Random* rng) {
+  const bool poisson = opts.process == sim::ArrivalProcess::kPoisson;
+  auto gap = [period_ns, poisson](Random* rng) {
+    if (!poisson) return static_cast<uint64_t>(period_ns);
     return static_cast<uint64_t>(-std::log(1.0 - rng->NextDouble()) *
                                  period_ns);
   };
@@ -146,7 +153,11 @@ sim::LoadReport ReferenceOpenLoop(const sim::OpenLoopOptions& opts,
     rngs.emplace_back(RefClientSeed(opts.seed, c));
     arrival_rngs.emplace_back(RefClientSeed(opts.seed, c) ^
                               0xA221BA15ED5EEDull);
-    arrivals.push({gap(&arrival_rngs[c]), c});
+    arrivals.push({poisson ? gap(&arrival_rngs[c])
+                           : static_cast<uint64_t>(
+                                 period_ns * static_cast<double>(c) /
+                                 static_cast<double>(opts.clients)),
+                   c});
   }
   std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>>
       completions;
@@ -582,6 +593,195 @@ TEST(ParallelSimTest, EpochWidthIsPartOfTheFunctionAndReproducible) {
     EXPECT_EQ(a.trace, b.trace) << epoch_ns;
     EXPECT_EQ(a.ops, 12u * 25u) << epoch_ns;
   }
+}
+
+// ---- Per-epoch gauge and the epoch calendar ------------------------------
+
+/// Canonical trace order: (arrival, client, op index).
+bool CanonicalLess(const sim::LoadReport::OpTrace& a,
+                   const sim::LoadReport::OpTrace& b) {
+  return std::tie(a.arrival_ns, a.client, a.op_index) <
+         std::tie(b.arrival_ns, b.client, b.op_index);
+}
+
+/// The open-loop in-flight gauge as a post-pass over a canonical trace: ops
+/// whose completion precedes an arrival have left; the depth sampled at an
+/// arrival includes the arriving op.
+struct TraceGauge {
+  Histogram depth;
+  uint64_t max_in_flight = 0;
+
+  explicit TraceGauge(const std::vector<sim::LoadReport::OpTrace>& trace) {
+    std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>>
+        completions;
+    for (const auto& t : trace) {
+      while (!completions.empty() && completions.top() <= t.arrival_ns) {
+        completions.pop();
+      }
+      completions.push(t.done_ns);
+      depth.Record(completions.size());
+      max_in_flight = std::max<uint64_t>(max_in_flight, completions.size());
+    }
+  }
+};
+
+sim::OpenLoopOptions WideOpenLoop(uint32_t partitions, uint32_t threads,
+                                  bool record_trace) {
+  sim::OpenLoopOptions opts;
+  opts.clients = 128;  // enough for 64 non-empty partitions
+  opts.ops_per_client = 20;
+  opts.ops_per_sec = 8'000;  // aggregate ~1M ops/s
+  opts.seed = 42;
+  opts.parallel.partitions = partitions;
+  opts.parallel.threads = threads;
+  opts.parallel.epoch_ns = 20'000;
+  opts.parallel.record_trace = record_trace;
+  return opts;
+}
+
+TEST(ParallelSimTest, OpenLoopGaugeEqualsTracePostPass) {
+  // The gauge is fed epoch by epoch at the barriers; it must equal the
+  // post-pass over the whole canonical trace, at any partition count.
+  for (uint32_t partitions : {1u, 4u, 64u}) {
+    FullStackRig rig;
+    const auto r =
+        sim::RunOpenLoop(WideOpenLoop(partitions, 4, true), rig.Op());
+    ASSERT_EQ(r.trace.size(), 128u * 20u) << partitions;
+    ASSERT_GT(r.epochs, 1u) << partitions;
+    EXPECT_TRUE(std::is_sorted(r.trace.begin(), r.trace.end(), CanonicalLess))
+        << partitions;
+    const TraceGauge post(r.trace);
+    EXPECT_GT(post.max_in_flight, 1u) << partitions;  // ops overlapped
+    EXPECT_EQ(r.queue_depth.count(), post.depth.count()) << partitions;
+    EXPECT_EQ(r.queue_depth.min(), post.depth.min()) << partitions;
+    EXPECT_EQ(r.queue_depth.max(), post.depth.max()) << partitions;
+    EXPECT_EQ(r.queue_depth.Mean(), post.depth.Mean()) << partitions;
+    EXPECT_EQ(r.max_in_flight, post.max_in_flight) << partitions;
+  }
+}
+
+TEST(ParallelSimTest, OpenLoopRecordTraceToggleDoesNotChangeCounters) {
+  for (uint32_t threads : {1u, 4u}) {
+    FullStackRig with_rig;
+    FullStackRig without_rig;
+    const auto with =
+        sim::RunOpenLoop(WideOpenLoop(64, threads, true), with_rig.Op());
+    const auto without =
+        sim::RunOpenLoop(WideOpenLoop(64, threads, false), without_rig.Op());
+    EXPECT_EQ(Flatten(with), Flatten(without)) << threads;
+    EXPECT_EQ(with.epochs, without.epochs) << threads;
+    EXPECT_EQ(with.trace.size(), 128u * 20u) << threads;
+    EXPECT_TRUE(without.trace.empty()) << threads;
+  }
+}
+
+/// Runs an open-loop shape on the full stack: at one partition it must
+/// reproduce the reference loop, and at four it must be bit-identical
+/// across threads 1/2/8. Returns the one-partition report.
+sim::LoadReport ExpectOpenLoopContract(sim::OpenLoopOptions opts,
+                                       const std::string& what) {
+  opts.parallel.record_trace = true;
+  opts.parallel.partitions = 1;
+  FullStackRig ref_rig;
+  const auto ref = ReferenceOpenLoop(opts, ref_rig.Op());
+  sim::LoadReport single;
+  for (uint32_t threads : {1u, 2u, 8u}) {
+    FullStackRig rig;
+    opts.parallel.threads = threads;
+    single = sim::RunOpenLoop(opts, rig.Op());
+    EXPECT_EQ(Flatten(ref), Flatten(single)) << what << " t" << threads;
+    EXPECT_EQ(ref.trace, single.trace) << what << " t" << threads;
+  }
+  opts.parallel.partitions = 4;
+  opts.parallel.threads = 1;
+  FullStackRig rig1;
+  const auto p1 = sim::RunOpenLoop(opts, rig1.Op());
+  EXPECT_TRUE(std::is_sorted(p1.trace.begin(), p1.trace.end(), CanonicalLess))
+      << what;
+  for (uint32_t threads : {2u, 8u}) {
+    FullStackRig rig;
+    opts.parallel.threads = threads;
+    const auto pt = sim::RunOpenLoop(opts, rig.Op());
+    EXPECT_EQ(Flatten(p1), Flatten(pt)) << what << " P4 t" << threads;
+    EXPECT_EQ(p1.trace, pt.trace) << what << " P4 t" << threads;
+    EXPECT_EQ(p1.epochs, pt.epochs) << what << " P4 t" << threads;
+  }
+  EXPECT_EQ(single.ops, opts.clients * opts.ops_per_client) << what;
+  return single;
+}
+
+TEST(ParallelSimTest, CalendarHandlesGapsAroundAndFarBeyondItsWindow) {
+  // Deterministic periods of whole epochs land every re-arrival exactly
+  // that many epochs ahead: periods straddling power-of-two ring sizes hit
+  // the window edge on every push, and 10^4 epochs is far beyond any ring.
+  constexpr uint64_t kEpochNs = 10'000;
+  for (uint64_t period_epochs :
+       {1ull, 31ull, 32ull, 33ull, 63ull, 64ull, 65ull, 127ull, 128ull,
+        129ull, 10'000ull}) {
+    sim::OpenLoopOptions opts;
+    opts.clients = 8;
+    opts.ops_per_client = 6;
+    opts.process = sim::ArrivalProcess::kDeterministic;
+    opts.ops_per_sec = 1e9 / static_cast<double>(period_epochs * kEpochNs);
+    opts.parallel.epoch_ns = kEpochNs;
+    const auto r = ExpectOpenLoopContract(
+        opts, "period " + std::to_string(period_epochs));
+    // One barrier per distinct arrival epoch: empty epochs are skipped.
+    EXPECT_LE(r.epochs, 8u * 6u) << period_epochs;
+  }
+  // Poisson gaps whose mean sits at a ring's width spread re-arrivals on
+  // both sides of the window edge.
+  for (uint64_t mean_epochs : {16ull, 64ull, 256ull}) {
+    sim::OpenLoopOptions opts;
+    opts.clients = 24;
+    opts.ops_per_client = 12;
+    opts.ops_per_sec = 1e9 / static_cast<double>(mean_epochs * kEpochNs);
+    opts.parallel.epoch_ns = kEpochNs;
+    ExpectOpenLoopContract(opts, "mean gap " + std::to_string(mean_epochs));
+  }
+}
+
+TEST(ParallelSimTest, CalendarSkipsMostlyEmptyEpochs) {
+  // Sparse arrivals: nearly every epoch between two ops is empty, and the
+  // run must jump straight to the next pending one.
+  sim::OpenLoopOptions opts;
+  opts.clients = 6;
+  opts.ops_per_client = 10;
+  opts.ops_per_sec = 20;  // mean gap 50 ms = 500 epochs of 100 us
+  const auto r = ExpectOpenLoopContract(opts, "sparse");
+  const uint64_t spanned = r.makespan_ns / sim::kDefaultEpochNs;
+  EXPECT_GT(spanned, 20 * r.epochs);  // >95% of epochs were skipped
+  EXPECT_LE(r.epochs, 6u * 10u);
+}
+
+TEST(ParallelSimTest, CalendarOrdersEqualTimestampsByClientThenOpSeq) {
+  // Deterministic streams with a 4 ns period over 12 clients: the stagger
+  // puts three clients on every arrival instant, and 3 ns epochs split the
+  // ties across barriers. A 1 GHz Poisson stream draws zero gaps most of
+  // the time, so one client's successive ops tie as well.
+  sim::OpenLoopOptions det;
+  det.clients = 12;
+  det.ops_per_client = 10;
+  det.process = sim::ArrivalProcess::kDeterministic;
+  det.ops_per_sec = 2.5e8;
+  det.parallel.epoch_ns = 3;
+  const auto r = ExpectOpenLoopContract(det, "deterministic ties");
+  ASSERT_EQ(r.trace.size(), 120u);
+  EXPECT_EQ(r.trace[0].arrival_ns, r.trace[2].arrival_ns);  // a 3-way tie
+  EXPECT_EQ(r.trace[2].client, 2u);
+
+  sim::OpenLoopOptions poisson;
+  poisson.clients = 8;
+  poisson.ops_per_client = 16;
+  poisson.ops_per_sec = 1e9;
+  poisson.parallel.epoch_ns = 2;
+  const auto p = ExpectOpenLoopContract(poisson, "zero gaps");
+  size_t self_ties = 0;
+  for (size_t i = 1; i < p.trace.size(); i++) {
+    self_ties += p.trace[i].arrival_ns == p.trace[i - 1].arrival_ns &&
+                 p.trace[i].client == p.trace[i - 1].client;
+  }
+  EXPECT_GT(self_ties, 0u);
 }
 
 }  // namespace
