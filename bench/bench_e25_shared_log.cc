@@ -95,8 +95,7 @@ class PrivateQuorumBackend : public LogBackend {
 
   ReplicatedSegment* segment() { return segment_.get(); }
 
-  Result<Lsn> Append(NetContext* ctx,
-                     const std::vector<LogRecord>& records) override {
+  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
     return segment_->AppendLog(ctx, records);
   }
 
@@ -206,10 +205,9 @@ E25Result RunMode(bool shared, int tenants, int computes) {
       }
       bool first_batch_of_session = true;
       for (int b = 0; b < kBatchesPerSession; b++) {
-        std::vector<LogRecord> batch;
-        batch.reserve(kRecordsPerBatch);
+        EncodedRecords batch;
         for (int r = 0; r < kRecordsPerBatch; r++) {
-          batch.push_back(Rec(next_lsn[t] + static_cast<Lsn>(r), t));
+          batch.Append(Rec(next_lsn[t] + static_cast<Lsn>(r), t));
         }
         const uint64_t before = ctx->sim_ns;
         auto tail = logs[t]->Append(ctx, batch);

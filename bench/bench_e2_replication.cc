@@ -34,7 +34,8 @@ void BM_E2_AuroraQuorum_6of3AZ(benchmark::State& state) {
   NetContext ctx;
   for (auto _ : state) {
     for (Lsn lsn = 1; lsn <= kWrites; lsn++) {
-      DISAGG_CHECK(segment.AppendLog(&ctx, {MakeRecord(lsn)}).ok());
+      DISAGG_CHECK(
+          segment.AppendLog(&ctx, EncodedRecords({MakeRecord(lsn)})).ok());
     }
   }
   bench::ReportSim(state, ctx, kWrites);
@@ -47,7 +48,8 @@ void BM_E2_AuroraQuorum_UnderAzFailure(benchmark::State& state) {
   NetContext ctx;
   for (auto _ : state) {
     for (Lsn lsn = 1; lsn <= kWrites; lsn++) {
-      DISAGG_CHECK(segment.AppendLog(&ctx, {MakeRecord(lsn)}).ok());
+      DISAGG_CHECK(
+          segment.AppendLog(&ctx, EncodedRecords({MakeRecord(lsn)})).ok());
     }
   }
   bench::ReportSim(state, ctx, kWrites);

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification, a sanitizer pass over the whole test suite, a
+# Tier-1 verification, a sim-counter parity check against the newest
+# committed bench snapshot, a sanitizer pass over the whole test suite, a
 # ThreadSanitizer pass over the parallel-driver suites, and the chaos stage
 # (fresh commit-derived seeds + mutation self-check).
 #
-#   scripts/ci.sh          # full: build + ctest + ASan/UBSan + TSan + chaos
-#   scripts/ci.sh --fast   # tier-1 only (skip sanitizer + chaos stages)
+#   scripts/ci.sh          # full: build + ctest + parity + sanitizers + chaos
+#   scripts/ci.sh --fast   # tier-1 + parity (skip sanitizer + chaos stages)
 #
 # Requires: cmake >= 3.16, a C++20 compiler, GTest and google-benchmark dev
 # packages (see .github/workflows/ci.yml for the Ubuntu package list).
@@ -25,6 +26,15 @@ ctest --test-dir build --output-on-failure -j "${JOBS}" -L 'unit|property'
 # reference loop at partitions=1) before anything downstream trusts it.
 ctest --test-dir build --output-on-failure -j "${JOBS}" -L 'parallel'
 ctest --test-dir build --output-on-failure -j "${JOBS}" -LE 'unit|property'
+
+# Sim-counter parity: every bench case's simulated counters must match the
+# newest committed BENCH_<n>.json snapshot bit for bit. A change that moves
+# the model on purpose declares each moved counter in the script's CHANGED
+# table (with its reason) and commits a new snapshot.
+echo "==> sim-counter parity: bench_snapshot.py vs the newest BENCH_*.json"
+BASELINE="$(ls BENCH_*.json | sort -t_ -k2 -n | tail -n 1)"
+python3 scripts/bench_snapshot.py --build build \
+  --out build/bench_snapshot.json --compare "${BASELINE}"
 
 if [[ "${1:-}" == "--fast" ]]; then
   echo "==> --fast: skipping sanitizer pass"

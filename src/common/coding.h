@@ -37,15 +37,19 @@ inline void PutFixed64(std::string* dst, uint64_t v) {
   dst->append(buf, 8);
 }
 
-inline void PutVarint64(std::string* dst, uint64_t v) {
-  unsigned char buf[10];
-  int n = 0;
+/// Writes `v` as a varint64 at `dst` and returns the byte after it.
+inline char* EncodeVarint64(char* dst, uint64_t v) {
   while (v >= 0x80) {
-    buf[n++] = static_cast<unsigned char>(v) | 0x80;
+    *dst++ = static_cast<char>(static_cast<unsigned char>(v) | 0x80);
     v >>= 7;
   }
-  buf[n++] = static_cast<unsigned char>(v);
-  dst->append(reinterpret_cast<char*>(buf), n);
+  *dst++ = static_cast<char>(v);
+  return dst;
+}
+
+inline void PutVarint64(std::string* dst, uint64_t v) {
+  char buf[10];
+  dst->append(buf, static_cast<size_t>(EncodeVarint64(buf, v) - buf));
 }
 
 /// Number of bytes PutVarint64 writes for `v`.
@@ -70,6 +74,19 @@ inline bool GetVarint64(Slice* input, uint64_t* value) {
     } else {
       result |= (static_cast<uint64_t>(byte) << shift);
       *value = result;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Advances `input` past one varint64 without decoding it. Accepts and
+/// rejects exactly the inputs GetVarint64 does.
+inline bool SkipVarint64(Slice* input) {
+  const size_t limit = input->size() < 10 ? input->size() : 10;
+  for (size_t i = 0; i < limit; i++) {
+    if (!((*input)[i] & 0x80)) {
+      input->remove_prefix(i + 1);
       return true;
     }
   }

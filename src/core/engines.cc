@@ -19,8 +19,7 @@ class OwningQuorumSink : public LogBackend {
 
   ReplicatedSegment* segment() { return segment_.get(); }
 
-  Result<Lsn> Append(NetContext* ctx,
-                     const std::vector<LogRecord>& records) override {
+  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
     return segment_->AppendLog(ctx, records);
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
@@ -64,12 +63,13 @@ class RaftLogSink : public LogBackend {
 
   RaftLiteGroup* raft() { return raft_.get(); }
 
-  Result<Lsn> Append(NetContext* ctx,
-                     const std::vector<LogRecord>& records) override {
-    auto idx = raft_->Append(ctx, LogRecord::EncodeBatch(records));
+  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
+    auto idx = raft_->Append(ctx, records.Batch(0, records.size()));
     if (!idx.ok()) return idx.status();
     Lsn max_lsn = kInvalidLsn;
-    for (const LogRecord& r : records) max_lsn = std::max(max_lsn, r.lsn);
+    for (size_t i = 0; i < records.size(); i++) {
+      max_lsn = std::max(max_lsn, records.lsn(i));
+    }
     return max_lsn;
   }
 
@@ -102,9 +102,8 @@ class XlogSink : public LogBackend {
   NodeId node() const { return node_; }
   LogStoreService* service() { return service_.get(); }
 
-  Result<Lsn> Append(NetContext* ctx,
-                     const std::vector<LogRecord>& records) override {
-    return client_->Append(ctx, records);
+  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
+    return client_->Append(ctx, records.Batch(0, records.size()));
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
     return client_->ReadFrom(ctx, 0, ~0ull);
@@ -132,9 +131,8 @@ class MultiLogSink : public LogBackend {
     }
   }
 
-  Result<Lsn> Append(NetContext* ctx,
-                     const std::vector<LogRecord>& records) override {
-    const std::string batch = LogRecord::EncodeBatch(records);
+  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
+    const std::string batch = records.Batch(0, records.size());
     std::vector<NetContext> branch(nodes_.size(), ctx->Fork());
     int acks = 0;
     Lsn lsn = kInvalidLsn;

@@ -104,7 +104,8 @@ Status MultiWriterDb::Writer::Put(NetContext* ctx, uint64_t key, Slice row) {
         rec.page_id = loc.page;
         rec.slot = loc.slot;
         rec.payload = row.ToString();
-        DISAGG_RETURN_NOT_OK(db_->log_backend_->Append(ctx, {rec}).status());
+        DISAGG_RETURN_NOT_OK(
+            db_->log_backend_->Append(ctx, EncodedRecords({rec})).status());
         DISAGG_RETURN_NOT_OK(page.Update(loc.slot, row));
         page.set_lsn(rec.lsn);
         return pool_client_.WritePageIf(ctx, page, page_version);
@@ -138,7 +139,8 @@ Status MultiWriterDb::Writer::Put(NetContext* ctx, uint64_t key, Slice row) {
     rec.page_id = page.page_id();
     rec.slot = page.slot_count();
     rec.payload = row.ToString();
-    DISAGG_RETURN_NOT_OK(db_->log_backend_->Append(ctx, {rec}).status());
+    DISAGG_RETURN_NOT_OK(
+        db_->log_backend_->Append(ctx, EncodedRecords({rec})).status());
     auto slot = page.Insert(row);
     if (!slot.ok()) return slot.status();
     page.set_lsn(rec.lsn);
@@ -161,7 +163,8 @@ Status MultiWriterDb::Writer::Put(NetContext* ctx, uint64_t key, Slice row) {
       del.page_id = loc.page;
       del.slot = loc.slot;
       del.undo_payload = old_payload;
-      DISAGG_RETURN_NOT_OK(db_->log_backend_->Append(ctx, {del}).status());
+      DISAGG_RETURN_NOT_OK(
+          db_->log_backend_->Append(ctx, EncodedRecords({del})).status());
       for (int attempt = 0; attempt < 64; attempt++) {
         uint64_t old_version = 0;
         DISAGG_ASSIGN_OR_RETURN(

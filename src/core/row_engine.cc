@@ -145,8 +145,8 @@ Result<std::string> RowEngine::ReadImpl(NetContext* ctx, TxnId txn,
 }
 
 Status RowEngine::Commit(NetContext* ctx, TxnId txn) {
-  const std::vector<LogRecord> records = tm_.PendingRecords(txn);
-  DISAGG_RETURN_NOT_OK(tm_.Commit(ctx, txn));  // WAL flush = durability
+  std::vector<LogRecord> records;  // moved out of the transaction manager
+  DISAGG_RETURN_NOT_OK(tm_.Commit(ctx, txn, &records));  // durability point
   stats_.commits++;
   return OnCommit(ctx, records);
 }
@@ -154,38 +154,43 @@ Status RowEngine::Commit(NetContext* ctx, TxnId txn) {
 Status RowEngine::Abort(NetContext* ctx, TxnId txn) {
   const std::vector<LogRecord> undo = tm_.Abort(ctx, txn);  // newest first
   stats_.aborts++;
-  for (const LogRecord& r : undo) {
-    DISAGG_ASSIGN_OR_RETURN(Page * page, GetPage(ctx, r.page_id));
-    switch (r.type) {
-      case LogType::kInsert: {
-        DISAGG_RETURN_NOT_OK(page->Delete(r.slot));
-        auto iit = index_.find(r.row_key);
-        if (iit != index_.end() && iit->second.page == r.page_id &&
-            iit->second.slot == r.slot) {
-          index_.erase(iit);
+  auto rollback = [&]() -> Status {
+    for (const LogRecord& r : undo) {
+      DISAGG_ASSIGN_OR_RETURN(Page * page, GetPage(ctx, r.page_id));
+      switch (r.type) {
+        case LogType::kInsert: {
+          DISAGG_RETURN_NOT_OK(page->Delete(r.slot));
+          auto iit = index_.find(r.row_key);
+          if (iit != index_.end() && iit->second.page == r.page_id &&
+              iit->second.slot == r.slot) {
+            index_.erase(iit);
+          }
+          break;
         }
-        break;
+        case LogType::kUpdate:
+          DISAGG_RETURN_NOT_OK(page->Update(r.slot, r.undo_payload));
+          break;
+        case LogType::kDelete: {
+          // Undo of delete restores the row. Page slots are tombstoned and
+          // never reused, so the row re-inserts into a fresh slot and the
+          // index entry for the logged key is repointed there. The CLR must
+          // carry the fresh slot so recovery can redo this exact rollback.
+          auto slot = page->Insert(r.undo_payload);
+          if (!slot.ok()) return slot.status();
+          index_[r.row_key] = RowLoc{r.page_id, *slot};
+          tm_.LogClr(txn, r.page_id, *slot, r.undo_payload, r.lsn);
+          break;
+        }
+        default:
+          break;
       }
-      case LogType::kUpdate:
-        DISAGG_RETURN_NOT_OK(page->Update(r.slot, r.undo_payload));
-        break;
-      case LogType::kDelete: {
-        // Undo of delete restores the row. Page slots are tombstoned and
-        // never reused, so the row re-inserts into a fresh slot and the
-        // index entry for the logged key is repointed there. The CLR must
-        // carry the fresh slot so recovery can redo this exact rollback.
-        auto slot = page->Insert(r.undo_payload);
-        if (!slot.ok()) return slot.status();
-        index_[r.row_key] = RowLoc{r.page_id, *slot};
-        tm_.LogClr(txn, r.page_id, *slot, r.undo_payload, r.lsn);
-        break;
-      }
-      default:
-        break;
+      dirty_.insert(r.page_id);
     }
-    dirty_.insert(r.page_id);
-  }
-  return Status::OK();
+    return Status::OK();
+  };
+  const Status st = rollback();
+  tm_.FinishRollback(txn);  // after the delete-undo CLRs above
+  return st;
 }
 
 Status RowEngine::Put(NetContext* ctx, uint64_t key, Slice row) {

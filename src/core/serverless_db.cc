@@ -41,7 +41,8 @@ Status ServerlessDb::Compute::Put(NetContext* ctx, uint64_t key, Slice row) {
     rec.page_id = it->second.page;
     rec.slot = it->second.slot;
     rec.payload = row.ToString();
-    DISAGG_RETURN_NOT_OK(db_->segment_->AppendLog(ctx, {rec}).status());
+    DISAGG_RETURN_NOT_OK(
+        db_->segment_->AppendLog(ctx, EncodedRecords({rec})).status());
     DISAGG_ASSIGN_OR_RETURN(Page page,
                             pool_client_.ReadPage(ctx, it->second.page));
     DISAGG_RETURN_NOT_OK(page.Update(it->second.slot, row));
@@ -67,7 +68,8 @@ Status ServerlessDb::Compute::Put(NetContext* ctx, uint64_t key, Slice row) {
   rec.page_id = page.page_id();
   rec.slot = page.slot_count();
   rec.payload = row.ToString();
-  DISAGG_RETURN_NOT_OK(db_->segment_->AppendLog(ctx, {rec}).status());
+  DISAGG_RETURN_NOT_OK(
+      db_->segment_->AppendLog(ctx, EncodedRecords({rec})).status());
   auto slot = page.Insert(row);
   if (!slot.ok()) return slot.status();
   page.set_lsn(rec.lsn);

@@ -512,8 +512,8 @@ Status SharedLogClient::CallPrimary(NetContext* ctx, LogTag tag,
 }
 
 Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
-                                    const std::vector<LogRecord>& records) {
-  const std::string batch = LogRecord::EncodeBatch(records);
+                                    const EncodedRecords& records) {
+  const std::string batch = records.Batch(0, records.size());
   Status last = Status::Unavailable("shared log: no view");
   for (int attempt = 0; attempt < 3; attempt++) {
     Status st = EnsureView(ctx);
@@ -539,7 +539,8 @@ Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
     Slice in(resp);
     uint64_t stored = 0, tail_seq = 0, tail_lsn = 0, base = 0;
     if (!GetVarint64(&in, &stored) || !GetVarint64(&in, &tail_seq) ||
-        !GetVarint64(&in, &tail_lsn) || !GetVarint64(&in, &base)) {
+        !GetVarint64(&in, &tail_lsn) || !GetVarint64(&in, &base) ||
+        stored > records.size()) {
       return Status::Corruption("slog.append response");
     }
     // The primary deduplicated a (possibly complete) prefix; backups get
@@ -550,14 +551,13 @@ Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
     // gap-resync path pulls whatever a lagging backup is missing from the
     // primary. Returning early on duplicates would declare one copy
     // durable.
-    std::vector<LogRecord> suffix(records.end() - stored, records.end());
     std::string rep_req;
     PutVarint64(&rep_req, view_.epoch);
     PutVarint64(&rep_req, tag);
     PutVarint64(&rep_req, base);
     PutVarint64(&rep_req, 0);  // no trim watermark on the append path
     PutVarint64(&rep_req, 0);
-    rep_req += LogRecord::EncodeBatch(suffix);
+    rep_req += records.Batch(records.size() - stored, stored);
 
     const uint64_t epoch = view_.epoch;
     const NodeId primary = replicas[0];

@@ -151,7 +151,7 @@ class SharedLogClient {
   /// idempotent. On epoch staleness the client refreshes its view and
   /// retries (bounded).
   Result<Lsn> Append(NetContext* ctx, LogTag tag,
-                     const std::vector<LogRecord>& records);
+                     const EncodedRecords& records);
 
   /// Tag suffix with `seqnum > from_exclusive`, LSN order, up to
   /// `max_records`. `NotFound` if the range reaches below the trim point.
@@ -205,8 +205,7 @@ class SharedLogBackend : public LogBackend {
   SharedLogBackend(Fabric* fabric, const SharedLogService* service, LogTag tag)
       : client_(fabric, service->ctl_node()), tag_(tag) {}
 
-  Result<Lsn> Append(NetContext* ctx,
-                     const std::vector<LogRecord>& records) override {
+  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
     return client_.Append(ctx, tag_, records);
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {

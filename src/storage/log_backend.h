@@ -36,8 +36,10 @@ class LogBackend {
  public:
   virtual ~LogBackend() = default;
 
+  /// `records` arrive encoded, as the WAL buffered them, so sinks ship or
+  /// store the bytes without re-encoding.
   virtual Result<Lsn> Append(NetContext* ctx,
-                             const std::vector<LogRecord>& records) = 0;
+                             const EncodedRecords& records) = 0;
 
   virtual Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) = 0;
 

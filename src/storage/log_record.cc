@@ -1,6 +1,7 @@
 #include "storage/log_record.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -9,34 +10,51 @@ namespace disagg {
 
 namespace {
 
-// Parses one record's fields, leaving payload and undo payload as views into
-// `input`. The single validation path behind DecodeFrom and ScanBatch.
-Status ParseRecord(Slice* input, LogRecord* rec, Slice* payload, Slice* undo) {
-  uint64_t tmp = 0;
-  if (!GetVarint64(input, &rec->lsn)) return Status::Corruption("lsn");
-  if (!GetVarint64(input, &rec->prev_lsn)) return Status::Corruption("prev");
-  if (!GetVarint64(input, &rec->txn_id)) return Status::Corruption("txn");
-  if (input->empty()) return Status::Corruption("type");
-  rec->type = static_cast<LogType>((*input)[0]);
+// The one field parser behind DecodeFrom (kFull) and ScanBatch. Both
+// validate every field identically; without kFull only lsn and page_id —
+// the fields storage routes and orders by — are decoded, and the rest are
+// skipped. Payload and undo payload are left as views into `input`.
+template <bool kFull>
+bool ParseRecord(Slice* input, LogRecord* rec, Slice* payload, Slice* undo) {
+  auto field = [input](uint64_t* value) {
+    if constexpr (kFull) {
+      return GetVarint64(input, value);
+    } else {
+      (void)value;
+      return SkipVarint64(input);
+    }
+  };
+  uint64_t slot = 0;
+  if (!GetVarint64(input, &rec->lsn) || !field(&rec->prev_lsn) ||
+      !field(&rec->txn_id) || input->empty()) {
+    return false;
+  }
+  if constexpr (kFull) rec->type = static_cast<LogType>((*input)[0]);
   input->remove_prefix(1);
-  if (!GetVarint64(input, &rec->page_id)) return Status::Corruption("page");
-  if (!GetVarint64(input, &tmp)) return Status::Corruption("slot");
-  rec->slot = static_cast<uint16_t>(tmp);
-  if (!GetVarint64(input, &rec->row_key)) return Status::Corruption("row_key");
-  if (!GetVarint64(input, &rec->compensates_lsn)) {
-    return Status::Corruption("compensates_lsn");
+  if (!GetVarint64(input, &rec->page_id) || !field(&slot) ||
+      !field(&rec->row_key) || !field(&rec->compensates_lsn)) {
+    return false;
   }
-  if (!GetLengthPrefixedSlice(input, payload)) {
-    return Status::Corruption("payload");
-  }
-  if (!GetLengthPrefixedSlice(input, undo)) return Status::Corruption("undo");
-  return Status::OK();
+  if constexpr (kFull) rec->slot = static_cast<uint16_t>(slot);
+  return GetLengthPrefixedSlice(input, payload) &&
+         GetLengthPrefixedSlice(input, undo);
 }
 
+// Smallest encoding of a record: eight one-byte varints, the type byte and
+// two empty length prefixes.
+constexpr uint64_t kMinRecordBytes = 10;
+
 // A hostile count prefix must not drive an allocation: every record takes
-// at least one byte, so the remaining input bounds the reservation.
+// at least kMinRecordBytes, so the remaining input bounds the reservation.
 size_t ReserveFor(uint64_t count, Slice rest) {
-  return static_cast<size_t>(std::min<uint64_t>(count, rest.size()));
+  return static_cast<size_t>(
+      std::min<uint64_t>(count, rest.size() / kMinRecordBytes));
+}
+
+char* EncodeLengthPrefixed(char* dst, const std::string& bytes) {
+  dst = EncodeVarint64(dst, bytes.size());
+  std::memcpy(dst, bytes.data(), bytes.size());
+  return dst + bytes.size();
 }
 
 }  // namespace
@@ -49,23 +67,31 @@ size_t LogRecord::EncodedSize() const {
          VarintLength(undo_payload.size()) + undo_payload.size();
 }
 
+char* LogRecord::EncodeTo(char* dst) const {
+  dst = EncodeVarint64(dst, lsn);
+  dst = EncodeVarint64(dst, prev_lsn);
+  dst = EncodeVarint64(dst, txn_id);
+  *dst++ = static_cast<char>(type);
+  dst = EncodeVarint64(dst, page_id);
+  dst = EncodeVarint64(dst, slot);
+  dst = EncodeVarint64(dst, row_key);
+  dst = EncodeVarint64(dst, compensates_lsn);
+  dst = EncodeLengthPrefixed(dst, payload);
+  return EncodeLengthPrefixed(dst, undo_payload);
+}
+
 void LogRecord::EncodeTo(std::string* dst) const {
-  PutVarint64(dst, lsn);
-  PutVarint64(dst, prev_lsn);
-  PutVarint64(dst, txn_id);
-  dst->push_back(static_cast<char>(type));
-  PutVarint64(dst, page_id);
-  PutVarint64(dst, slot);
-  PutVarint64(dst, row_key);
-  PutVarint64(dst, compensates_lsn);
-  PutLengthPrefixedSlice(dst, payload);
-  PutLengthPrefixedSlice(dst, undo_payload);
+  const size_t old = dst->size();
+  dst->resize(old + EncodedSize());
+  EncodeTo(dst->data() + old);
 }
 
 Result<LogRecord> LogRecord::DecodeFrom(Slice* input) {
   LogRecord rec;
   Slice payload, undo;
-  DISAGG_RETURN_NOT_OK(ParseRecord(input, &rec, &payload, &undo));
+  if (!ParseRecord<true>(input, &rec, &payload, &undo)) {
+    return Status::Corruption("log record");
+  }
   rec.payload = payload.ToString();
   rec.undo_payload = undo.ToString();
   return rec;
@@ -91,55 +117,107 @@ Result<std::vector<LogRecord>> LogRecord::DecodeBatch(Slice input) {
   return out;
 }
 
-Result<std::vector<LogRecordSpan>> LogRecord::ScanBatch(Slice input) {
+Status LogRecord::ScanBatch(Slice input, std::vector<LogRecordSpan>* out) {
+  out->clear();
   uint64_t n = 0;
   if (!GetVarint64(&input, &n)) return Status::Corruption("batch count");
-  std::vector<LogRecordSpan> out;
-  out.reserve(ReserveFor(n, input));
-  LogRecord fields;  // numeric fields only; its strings stay empty
+  out->reserve(ReserveFor(n, input));
+  LogRecord fields;  // lsn and page_id only; the rest stays default
   for (uint64_t i = 0; i < n; i++) {
     const char* start = input.data();
     Slice payload, undo;
-    DISAGG_RETURN_NOT_OK(ParseRecord(&input, &fields, &payload, &undo));
-    out.push_back({fields.lsn, fields.page_id,
-                   Slice(start, static_cast<size_t>(input.data() - start))});
+    if (!ParseRecord<false>(&input, &fields, &payload, &undo)) {
+      out->clear();
+      return Status::Corruption("log record");
+    }
+    out->push_back({fields.lsn, fields.page_id,
+                    Slice(start, static_cast<size_t>(input.data() - start))});
   }
-  return out;
+  return Status::OK();
+}
+
+EncodedRecords::EncodedRecords(const std::vector<LogRecord>& records) {
+  for (const LogRecord& r : records) Append(r);
+}
+
+size_t EncodedRecords::EndOf(size_t i) const {
+  const Entry& e = index_[i];
+  if (i + 1 < index_.size() && index_[i + 1].chunk == e.chunk) {
+    return index_[i + 1].offset;
+  }
+  return ChunkOf(e).used;
 }
 
 Slice EncodedRecords::record(size_t i) const {
-  return Slice(bytes_.data() + index_[i].offset,
-               OffsetOf(i + 1) - index_[i].offset);
+  i += head_;
+  const Entry& e = index_[i];
+  return Slice(ChunkOf(e).data.get() + e.offset, EndOf(i) - e.offset);
 }
 
-size_t EncodedRecords::OffsetOf(size_t i) const {
-  return i < index_.size() ? index_[i].offset : bytes_.size();
+template <typename Fn>
+void EncodedRecords::ForEachRun(size_t first, size_t last, Fn fn) const {
+  const uint32_t first_chunk = index_[first].chunk;
+  const uint32_t last_chunk = index_[last].chunk;
+  for (uint32_t c = first_chunk; c <= last_chunk; c++) {
+    const Chunk& chunk = chunks_[c - first_chunk_];
+    const size_t begin = c == first_chunk ? index_[first].offset : 0;
+    const size_t end = c == last_chunk ? EndOf(last) : chunk.used;
+    fn(chunk.data.get() + begin, end - begin);
+  }
+}
+
+char* EncodedRecords::Place(Lsn lsn, size_t n) {
+  if (chunks_.empty() || chunks_.back().capacity - chunks_.back().used < n) {
+    const size_t step =
+        chunks_.empty() ? kMinChunkBytes
+                        : std::min(kMaxChunkBytes, 2 * chunks_.back().capacity);
+    Chunk chunk;
+    chunk.capacity = std::max(step, n);
+    chunk.data = std::make_unique_for_overwrite<char[]>(chunk.capacity);
+    chunks_.push_back(std::move(chunk));
+  }
+  Chunk& chunk = chunks_.back();
+  index_.push_back({lsn,
+                    first_chunk_ + static_cast<uint32_t>(chunks_.size() - 1),
+                    static_cast<uint32_t>(chunk.used)});
+  char* dst = chunk.data.get() + chunk.used;
+  chunk.used += n;
+  bytes_ += n;
+  return dst;
 }
 
 void EncodedRecords::Append(Lsn lsn, Slice encoding) {
-  index_.push_back({lsn, bytes_.size()});
-  bytes_.append(encoding.data(), encoding.size());
+  std::memcpy(Place(lsn, encoding.size()), encoding.data(), encoding.size());
 }
 
 void EncodedRecords::Append(const LogRecord& record) {
-  index_.push_back({record.lsn, bytes_.size()});
-  record.EncodeTo(&bytes_);
+  record.EncodeTo(Place(record.lsn, record.EncodedSize()));
+}
+
+void EncodedRecords::Append(const EncodedRecords& records) {
+  const size_t n = records.size();  // fixed up front: `records` may be *this
+  for (size_t i = 0; i < n; i++) Append(records.lsn(i), records.record(i));
 }
 
 std::string EncodedRecords::Batch(size_t from, size_t count) const {
   std::string out;
   PutVarint64(&out, count);
-  const size_t begin = OffsetOf(from);
-  out.append(bytes_, begin, OffsetOf(from + count) - begin);
+  if (count == 0) return out;
+  const size_t first = head_ + from;
+  const size_t last = first + count - 1;
+  size_t total = out.size();
+  ForEachRun(first, last, [&](const char*, size_t n) { total += n; });
+  out.reserve(total);
+  ForEachRun(first, last,
+             [&](const char* data, size_t n) { out.append(data, n); });
   return out;
 }
 
 std::vector<LogRecord> EncodedRecords::Decode(size_t from) const {
   std::vector<LogRecord> out;
   out.reserve(size() - from);
-  const size_t begin = OffsetOf(from);
-  Slice in(bytes_.data() + begin, bytes_.size() - begin);
-  while (!in.empty()) {
+  for (size_t i = from; i < size(); i++) {
+    Slice in = record(i);
     auto rec = LogRecord::DecodeFrom(&in);
     DISAGG_CHECK(rec.ok());  // only whole, validated encodings are appended
     out.push_back(std::move(rec).value());
@@ -149,21 +227,38 @@ std::vector<LogRecord> EncodedRecords::Decode(size_t from) const {
 
 size_t EncodedRecords::FirstAfter(Lsn lsn) const {
   return std::upper_bound(
-             index_.begin(), index_.end(), lsn,
-             [](Lsn l, const Entry& e) { return l < e.lsn; }) -
-         index_.begin();
+             index_.begin() + static_cast<ptrdiff_t>(head_), index_.end(),
+             lsn, [](Lsn l, const Entry& e) { return l < e.lsn; }) -
+         index_.begin() - static_cast<ptrdiff_t>(head_);
 }
 
 void EncodedRecords::EraseFront(size_t n) {
-  const size_t cut = OffsetOf(n);
-  bytes_.erase(0, cut);
-  index_.erase(index_.begin(), index_.begin() + n);
-  for (Entry& e : index_) e.offset -= cut;
+  if (n == 0) return;
+  if (n >= size()) {
+    Clear();
+    return;
+  }
+  ForEachRun(head_, head_ + n - 1,
+             [&](const char*, size_t bytes) { bytes_ -= bytes; });
+  head_ += n;
+  const uint32_t keep = index_[head_].chunk;
+  chunks_.erase(chunks_.begin(),
+                chunks_.begin() + static_cast<ptrdiff_t>(keep - first_chunk_));
+  first_chunk_ = keep;
+  if (head_ > index_.size() - head_) {
+    index_.erase(index_.begin(),
+                 index_.begin() + static_cast<ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 void EncodedRecords::Clear() {
-  bytes_.clear();
+  if (chunks_.size() > 1) chunks_.erase(chunks_.begin(), chunks_.end() - 1);
+  if (!chunks_.empty()) chunks_.front().used = 0;
+  first_chunk_ = 0;
   index_.clear();
+  head_ = 0;
+  bytes_ = 0;
 }
 
 Status ApplyRedo(Page* page, const LogRecord& record) {

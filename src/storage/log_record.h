@@ -2,6 +2,7 @@
 #define DISAGG_STORAGE_LOG_RECORD_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,8 @@ struct LogRecord {
 
   /// Serialized length in bytes (what gets charged to the network).
   size_t EncodedSize() const;
+  /// Writes the encoding (EncodedSize() bytes) at `dst`; returns its end.
+  char* EncodeTo(char* dst) const;
   void EncodeTo(std::string* dst) const;
   static Result<LogRecord> DecodeFrom(Slice* input);
 
@@ -64,29 +67,49 @@ struct LogRecord {
   /// varint(count) followed by each record's encoding.
   static std::string EncodeBatch(const std::vector<LogRecord>& records);
   static Result<std::vector<LogRecord>> DecodeBatch(Slice input);
-  /// Splits an encoded batch into per-record spans without allocating
-  /// records. Accepts and rejects exactly the inputs DecodeBatch does, and
-  /// DecodeFrom on a span's bytes yields the record DecodeBatch would.
-  static Result<std::vector<LogRecordSpan>> ScanBatch(Slice input);
+  /// Splits an encoded batch into per-record spans in `*out` (cleared
+  /// first, capacity kept) without allocating records. Accepts and rejects
+  /// exactly the inputs DecodeBatch does, and DecodeFrom on a span's bytes
+  /// yields the record DecodeBatch would. On failure `*out` is empty.
+  static Status ScanBatch(Slice input, std::vector<LogRecordSpan>* out);
 };
 
-/// Log records kept encoded: their encodings back to back, each indexed by
-/// LSN and start offset. This is the one form redo takes between the
-/// compute node's WAL flush and page materialization — a segment client's
-/// append history, a log store's log, and each page's pending redo — so
-/// records are encoded once and decoded only when a consumer needs them.
+/// Log records kept encoded: their encodings in append-only chunks, each
+/// indexed by LSN. This is the one form redo takes between the compute
+/// node's WAL append and page materialization — the WAL buffer, a segment
+/// client's append history, a log store's log, and each page's pending redo
+/// — so records are encoded once and decoded only when a consumer needs
+/// them.
+///
+/// A record never moves once written: a `record(i)` slice stays valid until
+/// the record is erased. Chunks grow geometrically up to `kMaxChunkBytes`;
+/// a record that does not fit in the current chunk starts a new one, sized
+/// to hold it if it is larger than the next step. `Clear` keeps the newest
+/// chunk, so a buffer that is filled and cleared repeatedly (the WAL, the
+/// append history) stops allocating once it has grown to its working size.
 class EncodedRecords {
  public:
-  size_t size() const { return index_.size(); }
-  bool empty() const { return index_.empty(); }
-  Lsn lsn(size_t i) const { return index_[i].lsn; }
-  /// Record `i`'s encoding.
+  static constexpr size_t kMinChunkBytes = 256;
+  static constexpr size_t kMaxChunkBytes = 64 * 1024;
+
+  EncodedRecords() = default;
+  /// Encodes `records` in order.
+  explicit EncodedRecords(const std::vector<LogRecord>& records);
+
+  size_t size() const { return index_.size() - head_; }
+  bool empty() const { return size() == 0; }
+  /// Total encoded bytes of the records held.
+  size_t bytes() const { return bytes_; }
+  Lsn lsn(size_t i) const { return index_[head_ + i].lsn; }
+  /// Record `i`'s encoding, within one chunk.
   Slice record(size_t i) const;
 
   /// Appends one record's encoding (e.g. a `LogRecordSpan`'s bytes).
   void Append(Lsn lsn, Slice encoding);
   /// Encodes `record` and appends it.
   void Append(const LogRecord& record);
+  /// Appends every record of `records`, in order.
+  void Append(const EncodedRecords& records);
 
   /// Records [from, from + count) in `LogRecord::EncodeBatch`'s format.
   std::string Batch(size_t from, size_t count) const;
@@ -96,20 +119,45 @@ class EncodedRecords {
   /// records to be in increasing LSN order.
   size_t FirstAfter(Lsn lsn) const;
 
-  /// Drops the first `n` records.
+  /// Drops the first `n` records, freeing the chunks that held only them.
   void EraseFront(size_t n);
+  /// Drops every record; keeps the newest chunk for reuse.
   void Clear();
 
  private:
+  struct Chunk {
+    std::unique_ptr<char[]> data;
+    size_t capacity = 0;
+    size_t used = 0;
+  };
+  // Record bytes start at `offset` in chunk `chunk` (a sequence number:
+  // chunks_[chunk - first_chunk_]) and end where the next record of that
+  // chunk starts, or at the chunk's `used` mark.
   struct Entry {
     Lsn lsn;
-    size_t offset;
+    uint32_t chunk;
+    uint32_t offset;
   };
-  // Where record `i` starts; bytes_.size() for i == size().
-  size_t OffsetOf(size_t i) const;
+  const Chunk& ChunkOf(const Entry& e) const {
+    return chunks_[e.chunk - first_chunk_];
+  }
+  // End offset of record `i` (absolute index) in its chunk.
+  size_t EndOf(size_t i) const;
+  // Calls fn(data, length) once per chunk for the bytes of records
+  // [first, last] (absolute indexes): a chunk's records are contiguous.
+  template <typename Fn>
+  void ForEachRun(size_t first, size_t last, Fn fn) const;
+  // Space for `n` more bytes at the end of the newest chunk, starting a new
+  // chunk when they do not fit; indexes a record there under `lsn`.
+  char* Place(Lsn lsn, size_t n);
 
-  std::string bytes_;
+  std::vector<Chunk> chunks_;
+  uint32_t first_chunk_ = 0;  // sequence number of chunks_[0]
+  // index_[head_..] are the live records; the erased prefix is compacted
+  // away once it outgrows them, so EraseFront is amortized O(n).
   std::vector<Entry> index_;
+  size_t head_ = 0;
+  size_t bytes_ = 0;
 };
 
 /// Applies a redo record to a page. Idempotent: records at or below the

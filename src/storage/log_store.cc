@@ -55,15 +55,14 @@ std::vector<LogRecord> LogStoreService::SnapshotFrom(Lsn from_exclusive) const {
 
 Status LogStoreService::HandleAppend(Slice req, std::string* resp,
                                      RpcServerContext* sctx) {
-  auto batch = LogRecord::ScanBatch(req);
-  if (!batch.ok()) return batch.status();
   std::lock_guard<std::mutex> lock(mu_);
-  for (const LogRecordSpan& r : *batch) {
+  DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(req, &scan_));
+  for (const LogRecordSpan& r : scan_) {
     if (r.lsn <= durable_lsn_) continue;  // idempotent re-send
     durable_lsn_ = r.lsn;
     log_.Append(r.lsn, r.bytes);
   }
-  sctx->ChargeCompute(kAppendNsPerRecord * batch->size());
+  sctx->ChargeCompute(kAppendNsPerRecord * scan_.size());
   resp->clear();
   PutVarint64(resp, durable_lsn_);
   return Status::OK();

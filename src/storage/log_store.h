@@ -56,6 +56,8 @@ class LogStoreService {
   mutable std::mutex mu_;
   // In increasing LSN order: appends only accept lsn > durable_lsn_.
   EncodedRecords log_;
+  // log.append's scan of the request, reused across requests (mu_).
+  std::vector<LogRecordSpan> scan_;
   Lsn durable_lsn_ = kInvalidLsn;
 };
 

@@ -117,16 +117,15 @@ Status PageStoreService::MaterializeLocked(PageId id) {
 
 Status PageStoreService::HandleApplyLog(Slice req, std::string* resp,
                                         RpcServerContext* sctx) {
-  auto batch = LogRecord::ScanBatch(req);
-  if (!batch.ok()) return batch.status();
   std::lock_guard<std::mutex> lock(mu_);
-  for (const LogRecordSpan& r : *batch) {
+  DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(req, &scan_));
+  for (const LogRecordSpan& r : scan_) {
     if (r.lsn > high_water_lsn_) high_water_lsn_ = r.lsn;
     if (r.page_id == kInvalidPageId) continue;  // txn control records
     pending_[r.page_id].Append(r.lsn, r.bytes);
   }
   // Receiving/queueing is cheap; replay cost is paid at materialization.
-  sctx->ChargeCompute(30 * batch->size());
+  sctx->ChargeCompute(30 * scan_.size());
   resp->clear();
   PutVarint64(resp, high_water_lsn_);
   return Status::OK();

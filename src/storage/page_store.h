@@ -3,6 +3,7 @@
 
 #include <map>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -56,7 +57,9 @@ class PageStoreService {
   mutable std::mutex mu_;
   std::map<PageId, Page> pages_;
   // Each page's queued redo in arrival order, re-sent duplicates included.
-  std::map<PageId, EncodedRecords> pending_;
+  std::unordered_map<PageId, EncodedRecords> pending_;
+  // page.apply_log's scan of the request, reused across requests (mu_).
+  std::vector<LogRecordSpan> scan_;
   Lsn high_water_lsn_ = kInvalidLsn;
 };
 

@@ -27,13 +27,13 @@ ReplicatedSegment::ReplicatedSegment(Fabric* fabric, const Config& config,
 }
 
 Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
-                                         const std::vector<LogRecord>& records) {
+                                         const EncodedRecords& records) {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t first_new = history_.size();
-  for (const LogRecord& r : records) history_.Append(r);
+  history_.Append(records);
   // Fault-free every replica's un-acked suffix is exactly `records`, so all
   // of them share this one request for both the log and the page service.
-  const std::string batch = history_.Batch(first_new, records.size());
+  const std::string batch = records.Batch(0, records.size());
   size_t fanout = replicas_.size();
 #ifdef DISAGG_CHAOS_MUTATION
   // Chaos-harness self-check mutation: silently skip the last replica and

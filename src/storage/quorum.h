@@ -54,7 +54,7 @@ class ReplicatedSegment {
   /// replica contiguously holds everything up to the acked LSN". In the
   /// fault-free case the suffix is exactly `records`, so costs are
   /// unchanged. Server-side LSN dedup makes re-sends idempotent.
-  Result<Lsn> AppendLog(NetContext* ctx, const std::vector<LogRecord>& records);
+  Result<Lsn> AppendLog(NetContext* ctx, const EncodedRecords& records);
 
   /// Reads a page from the first reachable replica whose durable LSN covers
   /// `min_lsn` (the compute node tracks acked LSNs, as in Aurora where reads
@@ -90,8 +90,8 @@ class ReplicatedSegment {
   // as one unit, so appends hold this for their full fan-out.
   mutable std::mutex mu_;
   std::vector<Lsn> acked_lsn_;  // per-replica contiguously-acked LSN
-  // Client-side append history driving per-replica resync, each record
-  // encoded once, when appended. Only what some replica has not acked is
+  // Client-side append history driving per-replica resync, holding the
+  // appended bytes as they arrived. Only what some replica has not acked is
   // kept: once every replica acks, the history empties.
   EncodedRecords history_;
   std::vector<size_t> next_idx_;  // per-replica: first history_ index not acked

@@ -60,16 +60,22 @@ Lsn TxnManager::LogDelete(TxnId txn, PageId page, uint16_t slot, Slice before,
   return LogAndTrack(txn, std::move(r));
 }
 
-Status TxnManager::Commit(NetContext* ctx, TxnId txn) {
+Status TxnManager::Commit(NetContext* ctx, TxnId txn,
+                          std::vector<LogRecord>* records) {
   LogRecord commit;
   commit.txn_id = txn;
   commit.type = LogType::kTxnCommit;
   commit.page_id = kInvalidPageId;
   wal_->Append(std::move(commit));
+  wal_->EndTxn(txn);
   Status st = wal_->Flush(ctx);  // durability point
   {
     std::lock_guard<std::mutex> lock(mu_);
-    undo_.erase(txn);
+    auto it = undo_.find(txn);
+    if (it != undo_.end()) {
+      if (records != nullptr) *records = std::move(it->second);
+      undo_.erase(it);
+    }
   }
   locks_->ReleaseAllLocks(ctx, txn);
   return st;
@@ -106,6 +112,7 @@ std::vector<LogRecord> TxnManager::Abort(NetContext* ctx, TxnId txn) {
 }
 
 void TxnManager::EndReadOnly(NetContext* ctx, TxnId txn) {
+  wal_->EndTxn(txn);
   {
     std::lock_guard<std::mutex> lock(mu_);
     undo_.erase(txn);
@@ -122,19 +129,12 @@ Lsn TxnManager::LogClr(TxnId txn, PageId page, uint16_t slot,
   clr.slot = slot;
   clr.payload = restored_image.ToString();
   clr.compensates_lsn = compensated_lsn;
-  LogRecord copy = clr;
-  return wal_->Append(&copy);
+  return wal_->Append(&clr);
 }
 
 size_t TxnManager::active_txns() const {
   std::lock_guard<std::mutex> lock(mu_);
   return undo_.size();
-}
-
-std::vector<LogRecord> TxnManager::PendingRecords(TxnId txn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = undo_.find(txn);
-  return it == undo_.end() ? std::vector<LogRecord>{} : it->second;
 }
 
 }  // namespace disagg

@@ -54,12 +54,17 @@ class TxnManager {
                 uint64_t row_key = 0);
 
   /// Appends the commit record and flushes (group commit). Releases locks.
-  Status Commit(NetContext* ctx, TxnId txn);
+  /// If `records` is given, the transaction's stamped data records (oldest
+  /// first) are moved into it — what a page-shipping engine sends to its
+  /// page stores at commit.
+  Status Commit(NetContext* ctx, TxnId txn,
+                std::vector<LogRecord>* records = nullptr);
 
   /// Logs compensation records (CLRs) for the rollback plus an abort
   /// record, and returns the transaction's updates in reverse order so the
   /// engine can undo them in its buffer. Releases locks. Delete-undo CLRs
-  /// are the engine's job (it knows the re-insert slot): call LogClr.
+  /// are the engine's job (it knows the re-insert slot): call LogClr, then
+  /// FinishRollback.
   std::vector<LogRecord> Abort(NetContext* ctx, TxnId txn);
   std::vector<LogRecord> Abort(TxnId txn) { return Abort(nullptr, txn); }
 
@@ -75,11 +80,11 @@ class TxnManager {
   Lsn LogClr(TxnId txn, PageId page, uint16_t slot, Slice restored_image,
              Lsn compensated_lsn);
 
-  size_t active_txns() const;
+  /// Ends an aborted transaction's log chain once the engine has logged its
+  /// last CLR: the WAL forgets the transaction.
+  void FinishRollback(TxnId txn) { wal_->EndTxn(txn); }
 
-  /// Stamped data records of an active transaction (oldest first) — what a
-  /// page-shipping engine sends to its page stores at commit.
-  std::vector<LogRecord> PendingRecords(TxnId txn) const;
+  size_t active_txns() const;
 
  private:
   Lsn LogAndTrack(TxnId txn, LogRecord record);

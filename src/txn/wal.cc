@@ -1,58 +1,70 @@
 #include "txn/wal.h"
 
+#include <utility>
+
 namespace disagg {
 
 Result<Lsn> LocalDiskSink::Append(NetContext* ctx,
-                                  const std::vector<LogRecord>& records) {
+                                  const EncodedRecords& records) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t bytes = 0;
-  for (const LogRecord& r : records) {
-    bytes += r.EncodedSize();
-    durable_ = std::max(durable_, r.lsn);
-    records_.push_back(r);
+  for (size_t i = 0; i < records.size(); i++) {
+    durable_ = std::max(durable_, records.lsn(i));
   }
+  records_.Append(records);
   // One fsync'ed sequential write.
-  ctx->Charge(model_.WriteCost(bytes));
-  ctx->bytes_out += bytes;
+  ctx->Charge(model_.WriteCost(records.bytes()));
+  ctx->bytes_out += records.bytes();
   return durable_;
 }
 
 Result<std::vector<LogRecord>> LocalDiskSink::ReadAll(NetContext* ctx) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t bytes = 0;
-  for (const LogRecord& r : records_) bytes += r.EncodedSize();
-  ctx->Charge(model_.ReadCost(bytes));
-  ctx->bytes_in += bytes;
-  return records_;
+  ctx->Charge(model_.ReadCost(records_.bytes()));
+  ctx->bytes_in += records_.bytes();
+  return records_.Decode(0);
 }
 
 Lsn WalManager::Append(LogRecord* record) {
   std::lock_guard<std::mutex> lock(mu_);
   record->lsn = next_lsn_++;
-  auto it = last_lsn_.find(record->txn_id);
-  record->prev_lsn = it == last_lsn_.end() ? kInvalidLsn : it->second;
-  last_lsn_[record->txn_id] = record->lsn;
-  buffer_.push_back(*record);
+  Lsn& last = last_lsn_[record->txn_id];
+  record->prev_lsn = last;  // kInvalidLsn for the transaction's first record
+  last = record->lsn;
+  buffer_.Append(*record);
   return record->lsn;
 }
 
 Status WalManager::Flush(NetContext* ctx) {
-  std::vector<LogRecord> batch;
+  EncodedRecords batch;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (buffer_.empty()) return Status::OK();
-    batch.swap(buffer_);
+    std::swap(batch, buffer_);
+    std::swap(buffer_, spare_);
   }
   auto lsn = sink_->Append(ctx, batch);
-  if (!lsn.ok()) {
-    // Put the batch back so a retry does not lose records.
-    std::lock_guard<std::mutex> lock(mu_);
-    buffer_.insert(buffer_.begin(), batch.begin(), batch.end());
-    return lsn.status();
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  flushed_lsn_ = std::max(flushed_lsn_, *lsn);
-  return Status::OK();
+  if (!lsn.ok()) {
+    // Put the batch back in front of anything appended meanwhile, so a
+    // retry does not lose records and ships them in LSN order.
+    batch.Append(buffer_);
+    std::swap(batch, buffer_);
+  } else {
+    flushed_lsn_ = std::max(flushed_lsn_, *lsn);
+  }
+  batch.Clear();
+  std::swap(batch, spare_);
+  return lsn.status();
+}
+
+void WalManager::EndTxn(TxnId txn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  last_lsn_.erase(txn);
+}
+
+size_t WalManager::buffered() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return buffer_.size();
 }
 
 Lsn WalManager::LastLsnOf(TxnId txn) const {

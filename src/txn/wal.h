@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "net/net_context.h"
@@ -20,8 +21,7 @@ class LocalDiskSink : public LogBackend {
   explicit LocalDiskSink(InterconnectModel model = InterconnectModel::Ssd())
       : model_(std::move(model)) {}
 
-  Result<Lsn> Append(NetContext* ctx,
-                     const std::vector<LogRecord>& records) override;
+  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override;
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override;
 
   /// Crash helper: everything appended survives (it was fsync'ed).
@@ -30,7 +30,7 @@ class LocalDiskSink : public LogBackend {
  private:
   InterconnectModel model_;
   std::mutex mu_;
-  std::vector<LogRecord> records_;
+  EncodedRecords records_;
   Lsn durable_ = kInvalidLsn;
 };
 
@@ -39,9 +39,8 @@ class LogServiceSink : public LogBackend {
  public:
   LogServiceSink(Fabric* fabric, NodeId node) : client_(fabric, node) {}
 
-  Result<Lsn> Append(NetContext* ctx,
-                     const std::vector<LogRecord>& records) override {
-    return client_.Append(ctx, records);
+  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
+    return client_.Append(ctx, records.Batch(0, records.size()));
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
     return client_.ReadFrom(ctx, 0, ~0ull);
@@ -60,8 +59,7 @@ class QuorumSink : public LogBackend {
  public:
   explicit QuorumSink(ReplicatedSegment* segment) : segment_(segment) {}
 
-  Result<Lsn> Append(NetContext* ctx,
-                     const std::vector<LogRecord>& records) override {
+  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
     return segment_->AppendLog(ctx, records);
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
@@ -75,31 +73,35 @@ class QuorumSink : public LogBackend {
 
 /// Write-ahead-log manager on the compute node: allocates LSNs, chains each
 /// transaction's records, group-buffers appends, and flushes to the sink at
-/// commit (the durability point).
+/// commit (the durability point). Records are encoded once, when appended,
+/// and reach the sink as those bytes.
 class WalManager {
  public:
   explicit WalManager(LogBackend* sink) : sink_(sink) {}
 
   /// Stamps `*record` with the next LSN and the transaction's prev_lsn
-  /// chain, then buffers a copy. Returns the assigned LSN.
+  /// chain, then buffers its encoding. Returns the assigned LSN.
   Lsn Append(LogRecord* record);
-  Lsn Append(LogRecord&& record) {
-    LogRecord r = std::move(record);
-    return Append(&r);
-  }
+  Lsn Append(LogRecord&& record) { return Append(&record); }
   Lsn Append(const LogRecord& record) {
     LogRecord r = record;
     return Append(&r);
   }
 
-  /// Flushes all buffered records to the sink (group commit).
+  /// Flushes all buffered records to the sink (group commit). On failure
+  /// they stay buffered, ahead of anything appended meanwhile.
   Status Flush(NetContext* ctx);
+
+  /// Forgets `txn`'s prev_lsn chain once it has logged its last record
+  /// (commit, read-only end, or the last CLR of a rollback).
+  void EndTxn(TxnId txn);
 
   Lsn next_lsn() const { return next_lsn_; }
   Lsn flushed_lsn() const { return flushed_lsn_; }
-  size_t buffered() const { return buffer_.size(); }
+  size_t buffered() const;
 
-  /// Last LSN written by `txn` (for prev_lsn chaining), 0 if none.
+  /// Last LSN written by `txn` (for prev_lsn chaining); kInvalidLsn if it
+  /// has logged nothing or has ended.
   Lsn LastLsnOf(TxnId txn) const;
 
  private:
@@ -107,8 +109,11 @@ class WalManager {
   mutable std::mutex mu_;
   Lsn next_lsn_ = 1;
   Lsn flushed_lsn_ = kInvalidLsn;
-  std::vector<LogRecord> buffer_;
-  std::map<TxnId, Lsn> last_lsn_;
+  EncodedRecords buffer_;
+  // The previous flush's buffer, cleared but keeping its chunk, swapped in
+  // at the next flush so neither buffer regrows from empty.
+  EncodedRecords spare_;
+  std::unordered_map<TxnId, Lsn> last_lsn_;
 };
 
 }  // namespace disagg

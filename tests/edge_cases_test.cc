@@ -112,14 +112,16 @@ TEST(EdgeCaseTest, DoubleAzFailureAndRevival) {
   rec.type = LogType::kInsert;
   rec.page_id = 1;
   rec.payload = "x";
-  ASSERT_TRUE(segment.AppendLog(&ctx, {rec}).ok());
+  ASSERT_TRUE(segment.AppendLog(&ctx, EncodedRecords({rec})).ok());
   segment.FailAz(0);
   segment.FailAz(1);  // 4 of 6 down: writes blocked
   rec.lsn = 2;
-  EXPECT_TRUE(segment.AppendLog(&ctx, {rec}).status().IsUnavailable());
+  EXPECT_TRUE(
+      segment.AppendLog(&ctx, EncodedRecords({rec})).status().IsUnavailable());
   segment.ReviveAz(0);
   segment.ReviveAz(1);
-  ASSERT_TRUE(segment.AppendLog(&ctx, {rec}).ok());  // back to life
+  // Back to life.
+  ASSERT_TRUE(segment.AppendLog(&ctx, EncodedRecords({rec})).ok());
   EXPECT_GE(segment.CountDurable(2), 4);
 }
 

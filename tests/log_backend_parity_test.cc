@@ -127,7 +127,7 @@ TEST(LogBackendParityTest, RecoverDurableLsnGoesOverTheFabric) {
     r.payload = "p";
     recs.push_back(r);
   }
-  ASSERT_TRUE(segment.AppendLog(&ctx, recs).ok());
+  ASSERT_TRUE(segment.AppendLog(&ctx, EncodedRecords(recs)).ok());
 
   NetContext probe;
   auto lsn = segment.RecoverDurableLsn(&probe);

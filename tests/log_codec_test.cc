@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -129,21 +130,24 @@ std::vector<std::string> HostileCorpus(const std::string& good,
 TEST(LogCodecTest, ScanBatchAgreesWithDecodeBatchOnHostileInputs) {
   std::mt19937_64 rng(0x5eed0002);
   size_t accepted = 0, rejected = 0;
+  std::vector<LogRecordSpan> spans;  // reused, as the store handlers do
   for (int round = 0; round < 12; round++) {
     const std::string good =
         LogRecord::EncodeBatch(WalBatch(&rng, 1 + round * 8));
     for (const std::string& input : HostileCorpus(good, &rng)) {
       auto decoded = LogRecord::DecodeBatch(input);
-      auto spans = LogRecord::ScanBatch(input);
-      ASSERT_EQ(decoded.ok(), spans.ok()) << "round " << round;
+      const Status scanned = LogRecord::ScanBatch(input, &spans);
+      ASSERT_EQ(decoded.ok(), scanned.ok()) << "round " << round;
       if (!decoded.ok()) {
         rejected++;
+        EXPECT_TRUE(scanned.IsCorruption());
+        EXPECT_TRUE(spans.empty());
         continue;
       }
       accepted++;
-      ASSERT_EQ(decoded->size(), spans->size());
-      for (size_t i = 0; i < spans->size(); i++) {
-        const LogRecordSpan& span = (*spans)[i];
+      ASSERT_EQ(decoded->size(), spans.size());
+      for (size_t i = 0; i < spans.size(); i++) {
+        const LogRecordSpan& span = spans[i];
         const LogRecord& rec = (*decoded)[i];
         EXPECT_EQ(span.lsn, rec.lsn);
         EXPECT_EQ(span.page_id, rec.page_id);
@@ -158,6 +162,22 @@ TEST(LogCodecTest, ScanBatchAgreesWithDecodeBatchOnHostileInputs) {
   // The corpus exercises both sides of the contract.
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+// A count prefix claiming 2^40 records in front of 1 MiB must not reserve
+// for the claim: every record takes at least 10 bytes, so a scan buffer
+// never grows past input.size() / 10 spans — and a store's reused buffer
+// does not keep a hostile request's capacity.
+TEST(LogCodecTest, HostileBatchCountBoundsTheReservation) {
+  std::string input;
+  PutVarint64(&input, uint64_t{1} << 40);
+  // 104857 all-zero minimal records, then 6 stray bytes.
+  input.append(size_t{1} << 20, '\0');
+  std::vector<LogRecordSpan> spans;
+  EXPECT_TRUE(LogRecord::ScanBatch(input, &spans).IsCorruption());
+  EXPECT_TRUE(spans.empty());
+  EXPECT_LE(spans.capacity(), input.size() / 10);
+  EXPECT_TRUE(LogRecord::DecodeBatch(input).status().IsCorruption());
 }
 
 // Every rejected payload must fail log.append and page.apply_log with a
@@ -206,6 +226,127 @@ TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
   EXPECT_EQ(pages.pending_records(), pending);
   EXPECT_EQ(pages.high_water_lsn(), high_water);
   EXPECT_EQ(pages.PageVersions(), versions);
+}
+
+// EncodedRecords against a reference vector under seeded random sequences
+// of raw appends (0 bytes up to several maximum chunks), encoded-record
+// appends, bulk appends, front erasures and clears. A slice taken earlier
+// must keep its bytes for as long as its record lives: chunks never move
+// (the sanitizer build checks that freed chunks are never read).
+TEST(EncodedRecordsTest, MatchesReferenceUnderRandomOps) {
+  constexpr size_t kMaxChunk = EncodedRecords::kMaxChunkBytes;
+  struct Ref {
+    Lsn lsn;
+    std::string bytes;
+    bool real;  // a whole record encoding (Decode-able)
+    uint64_t seq;
+  };
+  struct Held {
+    uint64_t seq;
+    Slice slice;
+    std::string bytes;
+  };
+  for (uint64_t seed = 1; seed <= 6; seed++) {
+    std::mt19937_64 rng(0x5eed0100 + seed);
+    EncodedRecords store;
+    std::vector<Ref> ref;
+    std::vector<Held> held;
+    uint64_t next_seq = 0;
+    Lsn next_lsn = 1;
+    auto random_record = [&] {
+      LogRecord r = RandomRecord(&rng);
+      r.lsn = next_lsn++;
+      return r;
+    };
+    for (int op = 0; op < 300; op++) {
+      switch (rng() % 10) {
+        case 0:
+        case 1:
+        case 2: {
+          const size_t n =
+              rng() % 12 == 0 ? rng() % (3 * kMaxChunk + 1) : rng() % 300;
+          std::string bytes(n, '\0');
+          for (char& c : bytes) c = static_cast<char>(rng());
+          const Lsn lsn = next_lsn++;
+          store.Append(lsn, bytes);
+          ref.push_back({lsn, std::move(bytes), false, next_seq++});
+          break;
+        }
+        case 3:
+        case 4:
+        case 5: {
+          const LogRecord r = random_record();
+          store.Append(r);
+          ref.push_back({r.lsn, Encoded(r), true, next_seq++});
+          break;
+        }
+        case 6: {
+          EncodedRecords batch;
+          for (size_t n = rng() % 5; n > 0; n--) {
+            const LogRecord r = random_record();
+            batch.Append(r);
+            ref.push_back({r.lsn, Encoded(r), true, next_seq++});
+          }
+          store.Append(batch);
+          break;
+        }
+        case 7:
+        case 8: {
+          const size_t n = rng() % (ref.size() + 1);
+          store.EraseFront(n);
+          ref.erase(ref.begin(), ref.begin() + static_cast<ptrdiff_t>(n));
+          break;
+        }
+        default:
+          if (rng() % 4 == 0) {
+            store.Clear();
+            ref.clear();
+          }
+          break;
+      }
+      ASSERT_EQ(store.size(), ref.size()) << "seed " << seed << " op " << op;
+      size_t total = 0;
+      for (const Ref& r : ref) total += r.bytes.size();
+      ASSERT_EQ(store.bytes(), total);
+
+      // Slices held across later operations keep their bytes.
+      if (!ref.empty()) {
+        const size_t i = rng() % ref.size();
+        held.push_back({ref[i].seq, store.record(i), ref[i].bytes});
+      }
+      const uint64_t first_live = ref.empty() ? next_seq : ref.front().seq;
+      std::erase_if(held, [&](const Held& h) { return h.seq < first_live; });
+      for (const Held& h : held) ASSERT_EQ(h.slice, Slice(h.bytes));
+
+      if (op % 10 == 0) {
+        for (size_t i = 0; i < ref.size(); i++) {
+          ASSERT_EQ(store.lsn(i), ref[i].lsn);
+          ASSERT_EQ(store.record(i), Slice(ref[i].bytes));
+        }
+      }
+      const Lsn probe = rng() % (next_lsn + 1);
+      const size_t after =
+          std::upper_bound(ref.begin(), ref.end(), probe,
+                           [](Lsn l, const Ref& r) { return l < r.lsn; }) -
+          ref.begin();
+      ASSERT_EQ(store.FirstAfter(probe), after);
+
+      const size_t from = rng() % (ref.size() + 1);
+      const size_t count = rng() % (ref.size() - from + 1);
+      std::string want;
+      PutVarint64(&want, count);
+      for (size_t i = from; i < from + count; i++) want += ref[i].bytes;
+      ASSERT_EQ(store.Batch(from, count), want);
+
+      // The suffix of whole encodings decodes back to EncodeBatch's bytes.
+      size_t real_from = ref.size();
+      while (real_from > 0 && ref[real_from - 1].real) real_from--;
+      const std::vector<LogRecord> decoded = store.Decode(real_from);
+      ASSERT_EQ(decoded.size(), ref.size() - real_from);
+      ASSERT_EQ(LogRecord::EncodeBatch(decoded),
+                store.Batch(real_from, decoded.size()));
+    }
+  }
 }
 
 }  // namespace

@@ -47,20 +47,22 @@ TEST_P(QuorumPropertyTest, WritesSurviveMaxTolerableFailures) {
   ReplicatedSegment segment(&fabric, cfg);
   NetContext ctx;
 
-  ASSERT_TRUE(segment.AppendLog(&ctx, {Rec(1)}).ok());
+  ASSERT_TRUE(segment.AppendLog(&ctx, EncodedRecords({Rec(1)})).ok());
 
   // Fail exactly V - W replicas: writes must still make quorum.
   const int tolerable = g.replicas - g.write_quorum;
   for (int i = 0; i < tolerable; i++) {
     fabric.node(segment.replica(static_cast<size_t>(i)).node)->Fail();
   }
-  ASSERT_TRUE(segment.AppendLog(&ctx, {Rec(2)}).ok())
+  ASSERT_TRUE(segment.AppendLog(&ctx, EncodedRecords({Rec(2)})).ok())
       << g.name << " should tolerate " << tolerable << " failures";
 
   // One more failure blocks writes...
   if (tolerable + 1 < g.replicas) {
     fabric.node(segment.replica(static_cast<size_t>(tolerable)).node)->Fail();
-    EXPECT_TRUE(segment.AppendLog(&ctx, {Rec(3)}).status().IsUnavailable());
+    EXPECT_TRUE(segment.AppendLog(&ctx, EncodedRecords({Rec(3)}))
+                    .status()
+                    .IsUnavailable());
     // ...but as long as R replicas live, recovery still sees LSN 2.
     if (g.replicas - tolerable - 1 >= g.read_quorum) {
       auto durable = segment.RecoverDurableLsn(&ctx);
@@ -83,7 +85,7 @@ TEST_P(QuorumPropertyTest, ReadQuorumAlwaysOverlapsWriteQuorum) {
   ReplicatedSegment segment(&fabric, cfg);
   NetContext ctx;
   for (Lsn lsn = 1; lsn <= 5; lsn++) {
-    ASSERT_TRUE(segment.AppendLog(&ctx, {Rec(lsn)}).ok());
+    ASSERT_TRUE(segment.AppendLog(&ctx, EncodedRecords({Rec(lsn)})).ok());
   }
   // Whatever R live replicas recovery polls, it must see LSN >= 5.
   auto durable = segment.RecoverDurableLsn(&ctx);
@@ -154,7 +156,8 @@ TEST_P(QuorumPropertyTest, ResyncRequestsAreEncodedHistorySuffixes) {
     for (uint64_t n = 1 + rng() % 3; n > 0; n--) batch.push_back(Rec(lsn++));
     history.insert(history.end(), batch.begin(), batch.end());
     tap->sent.clear();
-    (void)segment.AppendLog(&ctx, batch);  // may miss quorum; that is fine
+    // May miss quorum; that is fine.
+    (void)segment.AppendLog(&ctx, EncodedRecords(batch));
     for (size_t i = 0; i < segment.replica_count(); i++) {
       const NodeId node = segment.replica(i).node;
       bool log_ok = false, page_ok = false;

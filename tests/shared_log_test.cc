@@ -17,9 +17,9 @@ LogRecord Rec(Lsn lsn, const char* payload = nullptr) {
   return r;
 }
 
-std::vector<LogRecord> Recs(Lsn from, Lsn to) {
-  std::vector<LogRecord> out;
-  for (Lsn l = from; l <= to; l++) out.push_back(Rec(l));
+EncodedRecords Recs(Lsn from, Lsn to) {
+  EncodedRecords out;
+  for (Lsn l = from; l <= to; l++) out.Append(Rec(l));
   return out;
 }
 

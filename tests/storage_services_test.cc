@@ -283,18 +283,22 @@ TEST(QuorumTest, AuroraQuorumSurvivesAzFailure) {
   ReplicatedSegment segment(&fabric, cfg);
   NetContext ctx;
 
-  ASSERT_TRUE(segment.AppendLog(&ctx, {MakeInsert(1, 1, 0, "a")}).ok());
+  ASSERT_TRUE(
+      segment.AppendLog(&ctx, EncodedRecords({MakeInsert(1, 1, 0, "a")}))
+          .ok());
   EXPECT_EQ(segment.CountDurable(1), 6);
 
   segment.FailAz(0);  // lose 2 of 6 replicas
-  auto lsn = segment.AppendLog(&ctx, {MakeInsert(2, 1, 1, "b")});
+  auto lsn =
+      segment.AppendLog(&ctx, EncodedRecords({MakeInsert(2, 1, 1, "b")}));
   ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
   EXPECT_EQ(segment.CountDurable(2), 4);
 
   // Losing one more node blocks writes (3 < W=4)...
   fabric.node(segment.replica(1).node)->Fail();
   EXPECT_TRUE(
-      segment.AppendLog(&ctx, {MakeInsert(3, 1, 2, "c")}).status()
+      segment.AppendLog(&ctx, EncodedRecords({MakeInsert(3, 1, 2, "c")}))
+          .status()
           .IsUnavailable());
   // ...but the read quorum still sees every committed write: the recovered
   // LSN is never below the quorum-committed LSN 2 (it may exceed it when an
@@ -309,7 +313,9 @@ TEST(QuorumTest, ReadPagePrefersCurrentReplica) {
   Fabric fabric;
   ReplicatedSegment segment(&fabric, {});
   NetContext ctx;
-  ASSERT_TRUE(segment.AppendLog(&ctx, {MakeInsert(1, 3, 0, "x")}).ok());
+  ASSERT_TRUE(
+      segment.AppendLog(&ctx, EncodedRecords({MakeInsert(1, 3, 0, "x")}))
+          .ok());
   auto page = segment.ReadPage(&ctx, 3, /*min_lsn=*/1);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->Get(0)->ToString(), "x");
@@ -322,7 +328,9 @@ TEST(QuorumTest, ParallelFanOutChargesMaxNotSum) {
   Fabric fabric;
   ReplicatedSegment segment(&fabric, {});
   NetContext ctx;
-  ASSERT_TRUE(segment.AppendLog(&ctx, {MakeInsert(1, 1, 0, "a")}).ok());
+  ASSERT_TRUE(
+      segment.AppendLog(&ctx, EncodedRecords({MakeInsert(1, 1, 0, "a")}))
+          .ok());
   // One append = log.append + page.apply_log to ONE replica's worth of
   // simulated time (fan-out is parallel), so well under 6x a single RPC pair.
   NetContext single;
@@ -343,7 +351,7 @@ TEST(QuorumTest, FaultFreeRequestIsTheEncodedBatch) {
       {MakeUpdate(3, 1, 0, "b")}};
   for (const auto& batch : batches) {
     tap->sent.clear();
-    ASSERT_TRUE(segment.AppendLog(&ctx, batch).ok());
+    ASSERT_TRUE(segment.AppendLog(&ctx, EncodedRecords(batch)).ok());
     // One log.append and one page.apply_log per replica, all carrying
     // exactly EncodeBatch(batch).
     ASSERT_EQ(tap->sent.size(), 2 * segment.replica_count());
@@ -378,9 +386,9 @@ TEST(QuorumTest, LaggingReplicaRequestIsTheEncodedHistorySuffix) {
   fabric.node(down)->Fail();
   tap->refuse_node = half;
   tap->refuse_method = "page.apply_log";
-  ASSERT_TRUE(segment.AppendLog(&ctx, a).ok());
+  ASSERT_TRUE(segment.AppendLog(&ctx, EncodedRecords(a)).ok());
   tap->sent.clear();
-  ASSERT_TRUE(segment.AppendLog(&ctx, b).ok());
+  ASSERT_TRUE(segment.AppendLog(&ctx, EncodedRecords(b)).ok());
   std::vector<LogRecord> ab = a;
   ab.insert(ab.end(), b.begin(), b.end());
   EXPECT_EQ(request_to(half, "log.append"), LogRecord::EncodeBatch(ab));
@@ -390,7 +398,7 @@ TEST(QuorumTest, LaggingReplicaRequestIsTheEncodedHistorySuffix) {
 
   fabric.node(down)->Revive();
   tap->sent.clear();
-  ASSERT_TRUE(segment.AppendLog(&ctx, c).ok());
+  ASSERT_TRUE(segment.AppendLog(&ctx, EncodedRecords(c)).ok());
   std::vector<LogRecord> abc = ab;
   abc.insert(abc.end(), c.begin(), c.end());
   EXPECT_EQ(request_to(down, "log.append"), LogRecord::EncodeBatch(abc));

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/logging.h"
+#include "core/engines.h"
 #include "memnode/page_source.h"
 #include "txn/lock_manager.h"
 #include "txn/recovery.h"
@@ -80,6 +83,70 @@ TEST(WalManagerTest, FlushDrainsBufferToSink) {
   EXPECT_GT(ctx.sim_ns, 0u);  // the fsync was charged
 }
 
+// Fails its first append, running `during_failure` while that batch is in
+// flight; afterwards accepts and keeps each request's bytes.
+class FailOnceSink : public LogBackend {
+ public:
+  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
+    (void)ctx;
+    if (!failed_) {
+      failed_ = true;
+      if (during_failure) during_failure();
+      return Status::Unavailable("injected flush failure");
+    }
+    shipped.push_back(records.Batch(0, records.size()));
+    return records.lsn(records.size() - 1);
+  }
+  Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
+    (void)ctx;
+    return Status::NotSupported("write-only sink");
+  }
+
+  std::function<void()> during_failure;
+  std::vector<std::string> shipped;
+
+ private:
+  bool failed_ = false;
+};
+
+TEST(WalManagerTest, FailedFlushResendsEveryRecordOnceInLsnOrder) {
+  FailOnceSink sink;
+  WalManager wal(&sink);
+  std::vector<LogRecord> stamped;
+  auto append = [&](TxnId txn, std::string payload) {
+    LogRecord r;
+    r.txn_id = txn;
+    r.type = LogType::kInsert;
+    r.page_id = 3;
+    r.payload = std::move(payload);
+    wal.Append(&r);
+    stamped.push_back(r);
+  };
+  append(1, "a");
+  append(2, std::string(300, 'b'));
+  append(1, "c");
+  // Records appended while the failing batch is in flight land behind it.
+  sink.during_failure = [&] { append(2, "d"); };
+  NetContext ctx;
+  EXPECT_TRUE(wal.Flush(&ctx).IsUnavailable());
+  EXPECT_EQ(wal.buffered(), 4u);
+  EXPECT_EQ(wal.flushed_lsn(), kInvalidLsn);
+  append(3, "e");
+
+  ASSERT_TRUE(wal.Flush(&ctx).ok());
+  ASSERT_EQ(sink.shipped.size(), 1u);
+  EXPECT_EQ(sink.shipped[0], LogRecord::EncodeBatch(stamped));
+  EXPECT_EQ(wal.buffered(), 0u);
+  EXPECT_EQ(wal.flushed_lsn(), 5u);
+
+  // The next flush ships only what was appended since.
+  stamped.clear();
+  append(1, "f");
+  ASSERT_TRUE(wal.Flush(&ctx).ok());
+  ASSERT_EQ(sink.shipped.size(), 2u);
+  EXPECT_EQ(sink.shipped[1], LogRecord::EncodeBatch(stamped));
+}
+
 class TxnManagerTest : public ::testing::Test {
  protected:
   TxnManagerTest() : wal_(&sink_), tm_(&wal_, &locks_) {}
@@ -111,6 +178,71 @@ TEST_F(TxnManagerTest, AbortReturnsUndoNewestFirst) {
   EXPECT_EQ(undo[0].undo_payload, "v0");
   EXPECT_EQ(undo[1].type, LogType::kInsert);
   EXPECT_EQ(locks_.held_locks(), 0u);
+}
+
+// The WAL keeps a transaction's prev_lsn chain only while it can still log:
+// commit, a read-only end and a finished rollback each drop it.
+TEST_F(TxnManagerTest, EndedTransactionsLeaveNoLsnChain) {
+  const TxnId committed = tm_.Begin();
+  tm_.LogInsert(committed, 1, 0, "row");
+  ASSERT_NE(wal_.LastLsnOf(committed), kInvalidLsn);
+  ASSERT_TRUE(tm_.Commit(&ctx_, committed).ok());
+  EXPECT_EQ(wal_.LastLsnOf(committed), kInvalidLsn);
+
+  const TxnId reader = tm_.Begin();  // logs its begin record
+  ASSERT_NE(wal_.LastLsnOf(reader), kInvalidLsn);
+  tm_.EndReadOnly(reader);
+  EXPECT_EQ(wal_.LastLsnOf(reader), kInvalidLsn);
+
+  const TxnId aborted = tm_.Begin();
+  tm_.LogInsert(aborted, 1, 1, "gone");
+  (void)tm_.Abort(aborted);
+  // The engine may still log delete-undo CLRs behind the abort record.
+  const Lsn abort_lsn = wal_.LastLsnOf(aborted);
+  EXPECT_EQ(abort_lsn, wal_.next_lsn() - 1);
+  const Lsn clr = tm_.LogClr(aborted, 1, 2, "back", 1);
+  EXPECT_EQ(wal_.LastLsnOf(aborted), clr);
+  tm_.FinishRollback(aborted);
+  EXPECT_EQ(wal_.LastLsnOf(aborted), kInvalidLsn);
+}
+
+// A rollback's records chain through prev_lsn in log order: the undo CLR
+// TxnManager logs, then the abort record, then the engine's delete-undo CLR
+// behind it.
+TEST(RowEngineWalTest, RollbackClrChainAndEndedChains) {
+  MonolithicDb db;
+  NetContext ctx;
+  ASSERT_TRUE(db.Put(&ctx, 1, "one").ok());
+  ASSERT_TRUE(db.Put(&ctx, 2, "two").ok());
+
+  const TxnId txn = db.Begin();
+  ASSERT_TRUE(db.Update(&ctx, txn, 1, "ONE").ok());
+  ASSERT_TRUE(db.Delete(&ctx, txn, 2).ok());
+  ASSERT_TRUE(db.Abort(&ctx, txn).ok());
+  EXPECT_EQ(db.wal()->LastLsnOf(txn), kInvalidLsn);
+
+  const TxnId reader = db.Begin();
+  ASSERT_NE(db.wal()->LastLsnOf(reader), kInvalidLsn);
+  ASSERT_TRUE(db.Commit(&ctx, reader).ok());  // flushes the rollback too
+  EXPECT_EQ(db.wal()->LastLsnOf(reader), kInvalidLsn);
+
+  auto log = db.sink()->ReadAll(&ctx);
+  ASSERT_TRUE(log.ok());
+  std::vector<LogRecord> chain;
+  for (const LogRecord& r : *log) {
+    if (r.txn_id == txn) chain.push_back(r);
+  }
+  const std::vector<LogType> types = {LogType::kTxnBegin, LogType::kUpdate,
+                                      LogType::kDelete,   LogType::kClr,
+                                      LogType::kTxnAbort, LogType::kClr};
+  ASSERT_EQ(chain.size(), types.size());
+  for (size_t i = 0; i < chain.size(); i++) {
+    EXPECT_EQ(chain[i].type, types[i]) << i;
+    EXPECT_EQ(chain[i].prev_lsn, i == 0 ? kInvalidLsn : chain[i - 1].lsn)
+        << i;
+  }
+  EXPECT_EQ(chain[3].compensates_lsn, chain[1].lsn);  // undoes the update
+  EXPECT_EQ(chain[5].compensates_lsn, chain[2].lsn);  // undoes the delete
 }
 
 TEST_F(TxnManagerTest, NoWaitConflictAbortsSecondTxn) {
