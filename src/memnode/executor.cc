@@ -1,20 +1,15 @@
 #include "memnode/executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
 
 #include "common/coding.h"
 #include "net/membership.h"
+#include "rindex/blink_tree.h"
 
 namespace disagg {
-
-namespace {
-// Mirrors the one-sided client's bounds (src/rindex/remote_btree.cc) so the
-// two protocols converge or starve under the same conditions.
-constexpr int kMaxOptimisticRetries = 64;
-constexpr int kMaxLockSpins = 100000;
-}  // namespace
 
 using offload::LockOutcome;
 
@@ -137,215 +132,127 @@ Status MemNodeExecutor::CheckAlive() {
   return Status::OK();
 }
 
-// ---- Region-local B+tree walker -------------------------------------------
-
-char* MemNodeExecutor::TreeBase(const RemoteBTree::TreeRef& tree) {
-  return fabric_->node(tree.root_ptr.node)->region(tree.root_ptr.region)
-      ->data();
-}
-
-uint64_t MemNodeExecutor::LoadRoot(const RemoteBTree::TreeRef& tree) {
-  auto* word = reinterpret_cast<std::atomic<uint64_t>*>(
-      TreeBase(tree) + tree.root_ptr.offset);
-  return word->load(std::memory_order_acquire);
-}
-
-void MemNodeExecutor::LoadNode(const RemoteBTree::TreeRef& tree,
-                               uint64_t offset, BTreeNodeImage* out,
-                               uint64_t* visited) {
-  char* base = TreeBase(tree);
-  (*visited)++;
-  for (int retry = 0; retry < kMaxOptimisticRetries; retry++) {
-    std::memcpy(out, base + offset, kBTreeNodeBytes);
-    if (out->version_front == out->version_back &&
-        out->version_front % 2 == 0) {
-      return;
-    }
-    std::this_thread::yield();
-  }
-  // A torn image can only persist under a concurrent one-sided writer that
-  // died mid-write; accept the last copy (writers hold the lock word, so
-  // server-side mutations never observe this).
-}
-
-void MemNodeExecutor::StoreNode(const RemoteBTree::TreeRef& tree,
-                                uint64_t offset, BTreeNodeImage* node) {
-  node->version_front += 2;
-  node->version_back = node->version_front;
-  std::memcpy(TreeBase(tree) + offset, node, kBTreeNodeBytes);
-}
-
-Status MemNodeExecutor::LockWordAcquire(const RemoteBTree::TreeRef& tree,
-                                        uint64_t slot) {
-  auto* word = reinterpret_cast<std::atomic<uint64_t>*>(
-      TreeBase(tree) + tree.lock_table.offset + slot * 8);
-  for (int spin = 0; spin < kMaxLockSpins; spin++) {
-    uint64_t expected = 0;
-    if (word->compare_exchange_strong(expected, 1,
-                                      std::memory_order_acq_rel)) {
-      return Status::OK();
-    }
-    std::this_thread::yield();
-  }
-  return Status::Busy("lock acquisition starved");
-}
-
-void MemNodeExecutor::LockWordRelease(const RemoteBTree::TreeRef& tree,
-                                      uint64_t slot) {
-  auto* word = reinterpret_cast<std::atomic<uint64_t>*>(
-      TreeBase(tree) + tree.lock_table.offset + slot * 8);
-  word->store(0, std::memory_order_release);
-}
-
-void MemNodeExecutor::Descend(const RemoteBTree::TreeRef& tree, uint64_t key,
-                              std::vector<uint64_t>* path,
-                              BTreeNodeImage* leaf, uint64_t* visited) {
-  uint64_t offset = LoadRoot(tree);
-  BTreeNodeImage node;
-  while (true) {
-    LoadNode(tree, offset, &node, visited);
-    if (path != nullptr) path->push_back(offset);
-    if (node.level == 0) {
-      // B-link step: a concurrent split may have moved the key right.
-      while (node.nkeys > 0 && key > node.keys[node.nkeys - 1] &&
-             node.next != 0) {
-        offset = node.next;
-        if (path != nullptr) path->back() = offset;
-        LoadNode(tree, offset, &node, visited);
-      }
-      *leaf = node;
-      return;
-    }
-    uint32_t idx = 0;
-    while (idx + 1 < node.nkeys && node.keys[idx + 1] <= key) idx++;
-    offset = node.vals[idx];
-  }
-}
+// ---- Region node store ------------------------------------------------------
 
 namespace {
 
-/// Sorted insert of (key, value) into a node with room. Matches the
-/// one-sided client's layout logic exactly (bit-identical images).
-void InsertIntoNode(BTreeNodeImage* n, uint64_t key, uint64_t value) {
-  uint32_t pos = 0;
-  while (pos < n->nkeys && n->keys[pos] < key) pos++;
-  for (uint32_t i = n->nkeys; i > pos; i--) {
-    n->keys[i] = n->keys[i - 1];
-    n->vals[i] = n->vals[i - 1];
+/// The offloaded protocol's view of the tree: the memory node's own loads,
+/// stores and atomics on the pool region. It issues no fabric verbs
+/// (handlers must not re-enter the pipeline; see the fabric-bypass rule in
+/// DESIGN.md). It counts the nodes it inspects and the splits it makes; the
+/// handler charges the visits and folds both into `stats()` under `mu_`.
+class RegionStore {
+ public:
+  RegionStore(MemoryNode* pool, char* base, const RemoteBTree::TreeRef& tree)
+      : pool_(pool), base_(base), tree_(tree) {}
+
+  Result<uint64_t> Root() {
+    return Word(tree_.root_ptr.offset)->load(std::memory_order_acquire);
   }
-  n->keys[pos] = key;
-  n->vals[pos] = value;
-  n->nkeys++;
-}
+  Status SetRoot(uint64_t offset) {
+    Word(tree_.root_ptr.offset)->store(offset, std::memory_order_release);
+    return Status::OK();
+  }
+
+  Status Read(uint64_t offset, BTreeNodeImage* out) {
+    visited++;
+    for (int retry = 0; retry < kBTreeMaxOptimisticRetries; retry++) {
+      std::memcpy(out, base_ + offset, kBTreeNodeBytes);
+      if (out->version_front == out->version_back &&
+          out->version_front % 2 == 0) {
+        return Status::OK();
+      }
+      std::this_thread::yield();
+    }
+    // A torn image can only persist under a concurrent one-sided writer that
+    // died mid-write; accept the last copy (writers hold the lock word, so
+    // server-side mutations never observe this).
+    return Status::OK();
+  }
+  Status DescendRead(uint64_t offset, BTreeNodeImage* out) {
+    return Read(offset, out);
+  }
+
+  Status Write(uint64_t offset, BTreeNodeImage* node) {
+    node->version_front += 2;
+    node->version_back = node->version_front;
+    std::memcpy(base_ + offset, node, kBTreeNodeBytes);
+    return Status::OK();
+  }
+
+  /// Spins on the shared lock word via region-local atomics (interoperates
+  /// with one-sided CAS); Busy on starvation, per the status contract.
+  Status Lock(uint64_t slot) {
+    for (int spin = 0; spin < kBTreeMaxLockSpins; spin++) {
+      uint64_t expected = 0;
+      if (LockWord(slot)->compare_exchange_strong(expected, 1,
+                                                 std::memory_order_acq_rel)) {
+        return Status::OK();
+      }
+      std::this_thread::yield();
+    }
+    return Status::Busy("lock acquisition starved");
+  }
+  void Unlock(uint64_t slot) {
+    LockWord(slot)->store(0, std::memory_order_release);
+  }
+  uint64_t lock_slots() const { return tree_.lock_slots; }
+
+  /// Allocation is a local call: the allocator is co-located with the
+  /// executor — the near-data win.
+  Result<uint64_t> Alloc() {
+    DISAGG_ASSIGN_OR_RETURN(GlobalAddr addr,
+                            pool_->AllocLocal(kBTreeNodeBytes));
+    return addr.offset;
+  }
+  void CountSplit() { splits++; }
+
+  uint64_t visited = 0;
+  uint64_t splits = 0;
+
+ private:
+  std::atomic<uint64_t>* Word(uint64_t offset) const {
+    return reinterpret_cast<std::atomic<uint64_t>*>(base_ + offset);
+  }
+  std::atomic<uint64_t>* LockWord(uint64_t slot) const {
+    return Word(tree_.lock_table.offset + slot * 8);
+  }
+
+  MemoryNode* pool_;
+  char* base_;
+  RemoteBTree::TreeRef tree_;
+};
 
 }  // namespace
 
-Status MemNodeExecutor::InsertWithSplit(const RemoteBTree::TreeRef& tree,
-                                        uint64_t key, uint64_t value,
-                                        uint64_t* visited) {
-  constexpr uint32_t kFanout = BTreeNodeImage::kFanout;
-  DISAGG_RETURN_NOT_OK(LockWordAcquire(tree, 0));  // SMO lock
-  Status st = [&]() -> Status {
-    std::vector<uint64_t> path;
-    BTreeNodeImage leaf;
-    Descend(tree, key, &path, &leaf, visited);
-    const uint64_t leaf_off = path.back();
-    const uint64_t leaf_slot = BTreeLockSlot(leaf_off, tree.lock_slots);
-    DISAGG_RETURN_NOT_OK(LockWordAcquire(tree, leaf_slot));
-    Status inner = [&]() -> Status {
-      LoadNode(tree, leaf_off, &leaf, visited);
-      for (uint32_t i = 0; i < leaf.nkeys; i++) {
-        if (leaf.keys[i] == key) {
-          leaf.vals[i] = value;
-          StoreNode(tree, leaf_off, &leaf);
-          return Status::OK();
-        }
-      }
-      if (leaf.nkeys < kFanout) {
-        InsertIntoNode(&leaf, key, value);
-        StoreNode(tree, leaf_off, &leaf);
-        return Status::OK();
-      }
+// ---- Index handlers --------------------------------------------------------
 
-      // Split the leaf (allocation is a local call: the allocator is
-      // co-located with the executor — the near-data win).
-      stats_.splits++;
-      DISAGG_ASSIGN_OR_RETURN(GlobalAddr right_addr,
-                              pool_->AllocLocal(kBTreeNodeBytes));
-      const uint64_t right_off = right_addr.offset;
-      BTreeNodeImage right;
-      std::memset(&right, 0, sizeof(right));
-      const uint32_t half = kFanout / 2;
-      right.level = 0;
-      right.nkeys = kFanout - half;
-      std::memcpy(right.keys, leaf.keys + half, right.nkeys * 8);
-      std::memcpy(right.vals, leaf.vals + half, right.nkeys * 8);
-      right.next = leaf.next;
-      leaf.nkeys = half;
-      leaf.next = right_off;
-      InsertIntoNode(key >= right.keys[0] ? &right : &leaf, key, value);
-
-      // Publish right first, then the shrunk left (B-link ordering).
-      StoreNode(tree, right_off, &right);
-      StoreNode(tree, leaf_off, &leaf);
-
-      uint64_t sep = right.keys[0];
-      uint64_t child = right_off;
-      for (size_t depth = path.size(); depth-- > 1;) {
-        const uint64_t parent_off = path[depth - 1];
-        BTreeNodeImage parent;
-        LoadNode(tree, parent_off, &parent, visited);
-        if (parent.nkeys < kFanout) {
-          InsertIntoNode(&parent, sep, child);
-          StoreNode(tree, parent_off, &parent);
-          return Status::OK();
-        }
-        stats_.splits++;
-        DISAGG_ASSIGN_OR_RETURN(GlobalAddr iright_addr,
-                                pool_->AllocLocal(kBTreeNodeBytes));
-        const uint64_t iright_off = iright_addr.offset;
-        BTreeNodeImage iright;
-        std::memset(&iright, 0, sizeof(iright));
-        const uint32_t ihalf = kFanout / 2;
-        iright.level = parent.level;
-        iright.nkeys = kFanout - ihalf;
-        std::memcpy(iright.keys, parent.keys + ihalf, iright.nkeys * 8);
-        std::memcpy(iright.vals, parent.vals + ihalf, iright.nkeys * 8);
-        parent.nkeys = ihalf;
-        InsertIntoNode(sep >= iright.keys[0] ? &iright : &parent, sep, child);
-        StoreNode(tree, iright_off, &iright);
-        StoreNode(tree, parent_off, &parent);
-        sep = iright.keys[0];
-        child = iright_off;
-      }
-
-      // The root itself split: grow the tree.
-      DISAGG_ASSIGN_OR_RETURN(GlobalAddr root_addr,
-                              pool_->AllocLocal(kBTreeNodeBytes));
-      BTreeNodeImage new_root;
-      std::memset(&new_root, 0, sizeof(new_root));
-      BTreeNodeImage old_root;
-      LoadNode(tree, path[0], &old_root, visited);
-      new_root.level = old_root.level + 1;
-      new_root.nkeys = 2;
-      new_root.keys[0] = 0;  // leftmost separator: minus infinity
-      new_root.vals[0] = path[0];
-      new_root.keys[1] = sep;
-      new_root.vals[1] = child;
-      StoreNode(tree, root_addr.offset, &new_root);
-      auto* root_word = reinterpret_cast<std::atomic<uint64_t>*>(
-          TreeBase(tree) + tree.root_ptr.offset);
-      root_word->store(root_addr.offset, std::memory_order_release);
-      return Status::OK();
-    }();
-    LockWordRelease(tree, leaf_slot);
-    return inner;
-  }();
-  LockWordRelease(tree, 0);
+template <class Walk>
+Status MemNodeExecutor::WalkTree(uint64_t tree_id, uint64_t Stats::*op,
+                                 RpcServerContext* sctx, Walk&& walk) {
+  RemoteBTree::TreeRef tree;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (tree_id >= trees_.size()) {
+      return Status::InvalidArgument("unknown tree id");
+    }
+    tree = trees_[tree_id];
+    stats_.*op += 1;
+  }
+  char* base =
+      fabric_->node(tree.root_ptr.node)->region(tree.root_ptr.region)->data();
+  RegionStore store(pool_, base, tree);
+  BLinkTree<RegionStore> index(&store);
+  Status st = walk(index);
+  sctx->ChargeCompute(offload::kDispatchNs +
+                      offload::kNodeVisitNs * store.visited);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.nodes_visited += store.visited;
+    stats_.splits += store.splits;
+  }
   return st;
 }
-
-// ---- Index handlers --------------------------------------------------------
 
 Status MemNodeExecutor::HandleIdxGet(Slice req, std::string* resp,
                                      RpcServerContext* sctx) {
@@ -354,30 +261,11 @@ Status MemNodeExecutor::HandleIdxGet(Slice req, std::string* resp,
   if (!GetVarint64(&req, &tree_id) || !GetFixed64(&req, &key)) {
     return Status::InvalidArgument("malformed exec.idx.get");
   }
-  RemoteBTree::TreeRef tree;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tree_id >= trees_.size()) {
-      return Status::InvalidArgument("unknown tree id");
-    }
-    tree = trees_[tree_id];
-    stats_.lookups++;
-  }
-  uint64_t visited = 0;
-  BTreeNodeImage leaf;
-  Descend(tree, key, nullptr, &leaf, &visited);
-  sctx->ChargeCompute(offload::kDispatchNs + offload::kNodeVisitNs * visited);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.nodes_visited += visited;
-  }
-  for (uint32_t i = 0; i < leaf.nkeys; i++) {
-    if (leaf.keys[i] == key) {
-      PutFixed64(resp, leaf.vals[i]);
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("key not in tree");
+  return WalkTree(tree_id, &Stats::lookups, sctx, [&](auto& index) -> Status {
+    DISAGG_ASSIGN_OR_RETURN(uint64_t value, index.Get(key));
+    PutFixed64(resp, value);
+    return Status::OK();
+  });
 }
 
 Status MemNodeExecutor::HandleIdxScan(Slice req, std::string* resp,
@@ -388,141 +276,39 @@ Status MemNodeExecutor::HandleIdxScan(Slice req, std::string* resp,
       !GetVarint64(&req, &limit)) {
     return Status::InvalidArgument("malformed exec.idx.scan");
   }
-  RemoteBTree::TreeRef tree;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tree_id >= trees_.size()) {
-      return Status::InvalidArgument("unknown tree id");
+  return WalkTree(tree_id, &Stats::scans, sctx, [&](auto& index) -> Status {
+    DISAGG_ASSIGN_OR_RETURN(auto out, index.Scan(from, limit));
+    sctx->ChargeCompute(offload::kEntryNs * out.size());
+    PutVarint64(resp, out.size());
+    for (const auto& [k, v] : out) {
+      PutFixed64(resp, k);
+      PutFixed64(resp, v);
     }
-    tree = trees_[tree_id];
-    stats_.scans++;
-  }
-  uint64_t visited = 0;
-  BTreeNodeImage leaf;
-  Descend(tree, from, nullptr, &leaf, &visited);
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  while (out.size() < limit) {
-    for (uint32_t i = 0; i < leaf.nkeys && out.size() < limit; i++) {
-      if (leaf.keys[i] >= from) out.emplace_back(leaf.keys[i], leaf.vals[i]);
-    }
-    if (leaf.next == 0 || out.size() >= limit) break;
-    LoadNode(tree, leaf.next, &leaf, &visited);
-  }
-  sctx->ChargeCompute(offload::kDispatchNs + offload::kNodeVisitNs * visited +
-                      offload::kEntryNs * out.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.nodes_visited += visited;
-  }
-  PutVarint64(resp, out.size());
-  for (const auto& [k, v] : out) {
-    PutFixed64(resp, k);
-    PutFixed64(resp, v);
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
-Status MemNodeExecutor::HandleIdxPut(Slice req, std::string* resp,
+Status MemNodeExecutor::HandleIdxPut(Slice req, std::string* /*resp*/,
                                      RpcServerContext* sctx) {
-  (void)resp;
   DISAGG_RETURN_NOT_OK(CheckAlive());
   uint64_t tree_id = 0, key = 0, value = 0;
   if (!GetVarint64(&req, &tree_id) || !GetFixed64(&req, &key) ||
       !GetFixed64(&req, &value)) {
     return Status::InvalidArgument("malformed exec.idx.put");
   }
-  RemoteBTree::TreeRef tree;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tree_id >= trees_.size()) {
-      return Status::InvalidArgument("unknown tree id");
-    }
-    tree = trees_[tree_id];
-    stats_.inserts++;
-  }
-  uint64_t visited = 0;
-  Status st = [&]() -> Status {
-    std::vector<uint64_t> path;
-    BTreeNodeImage leaf;
-    Descend(tree, key, &path, &leaf, &visited);
-    const uint64_t leaf_off = path.back();
-    const uint64_t slot = BTreeLockSlot(leaf_off, tree.lock_slots);
-    DISAGG_RETURN_NOT_OK(LockWordAcquire(tree, slot));
-    // Re-read under the lock (the image may have changed since the descent).
-    LoadNode(tree, leaf_off, &leaf, &visited);
-    for (uint32_t i = 0; i < leaf.nkeys; i++) {
-      if (leaf.keys[i] == key) {
-        leaf.vals[i] = value;
-        StoreNode(tree, leaf_off, &leaf);
-        LockWordRelease(tree, slot);
-        return Status::OK();
-      }
-    }
-    if (leaf.nkeys < BTreeNodeImage::kFanout) {
-      InsertIntoNode(&leaf, key, value);
-      StoreNode(tree, leaf_off, &leaf);
-      LockWordRelease(tree, slot);
-      return Status::OK();
-    }
-    LockWordRelease(tree, slot);
-    return InsertWithSplit(tree, key, value, &visited);
-  }();
-  sctx->ChargeCompute(offload::kDispatchNs + offload::kNodeVisitNs * visited);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.nodes_visited += visited;
-  }
-  return st;
+  return WalkTree(tree_id, &Stats::inserts, sctx,
+                  [&](auto& index) { return index.Put(key, value); });
 }
 
-Status MemNodeExecutor::HandleIdxDelete(Slice req, std::string* resp,
+Status MemNodeExecutor::HandleIdxDelete(Slice req, std::string* /*resp*/,
                                         RpcServerContext* sctx) {
-  (void)resp;
   DISAGG_RETURN_NOT_OK(CheckAlive());
   uint64_t tree_id = 0, key = 0;
   if (!GetVarint64(&req, &tree_id) || !GetFixed64(&req, &key)) {
     return Status::InvalidArgument("malformed exec.idx.del");
   }
-  RemoteBTree::TreeRef tree;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tree_id >= trees_.size()) {
-      return Status::InvalidArgument("unknown tree id");
-    }
-    tree = trees_[tree_id];
-    stats_.deletes++;
-  }
-  uint64_t visited = 0;
-  Status st = [&]() -> Status {
-    std::vector<uint64_t> path;
-    BTreeNodeImage leaf;
-    Descend(tree, key, &path, &leaf, &visited);
-    const uint64_t leaf_off = path.back();
-    const uint64_t slot = BTreeLockSlot(leaf_off, tree.lock_slots);
-    DISAGG_RETURN_NOT_OK(LockWordAcquire(tree, slot));
-    LoadNode(tree, leaf_off, &leaf, &visited);
-    Status inner = Status::NotFound("key not in tree");
-    for (uint32_t i = 0; i < leaf.nkeys; i++) {
-      if (leaf.keys[i] == key) {
-        for (uint32_t j = i; j + 1 < leaf.nkeys; j++) {
-          leaf.keys[j] = leaf.keys[j + 1];
-          leaf.vals[j] = leaf.vals[j + 1];
-        }
-        leaf.nkeys--;  // no merging: leaves may run underfull, as in Sherman
-        StoreNode(tree, leaf_off, &leaf);
-        inner = Status::OK();
-        break;
-      }
-    }
-    LockWordRelease(tree, slot);
-    return inner;
-  }();
-  sctx->ChargeCompute(offload::kDispatchNs + offload::kNodeVisitNs * visited);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.nodes_visited += visited;
-  }
-  return st;
+  return WalkTree(tree_id, &Stats::deletes, sctx,
+                  [&](auto& index) { return index.Delete(key); });
 }
 
 // ---- WOUND_WAIT lock table -------------------------------------------------
@@ -725,8 +511,10 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> OffloadIndexScan(
   if (!GetVarint64(&in, &count)) {
     return Status::Corruption("exec.idx.scan response");
   }
+  // A corrupt count must surface as Corruption below, not as a huge
+  // allocation: each entry takes 16 bytes of the reply.
   std::vector<std::pair<uint64_t, uint64_t>> out;
-  out.reserve(count);
+  out.reserve(std::min<uint64_t>(count, in.size() / 16));
   for (uint64_t i = 0; i < count; i++) {
     uint64_t k = 0, v = 0;
     if (!GetFixed64(&in, &k) || !GetFixed64(&in, &v)) {

@@ -20,12 +20,12 @@ class LeaseAuthority;  // net/membership.h
 /// Near-data concurrency offload (SmartOffloading / Farview direction): an
 /// RPC-hosted executor on the memory node's wimpy CPU that runs
 ///
-///  - **B+tree traversal**: `exec.idx.{get,scan,put,del}` walk the SAME
-///    on-pool node bytes a one-sided `RemoteBTree` client reads, but server
-///    side — one `Call` verb per operation instead of O(depth) one-sided
-///    reads (plus CAS/unlock round trips for writers). Writers take the
-///    SAME lock words via region-local atomics, so offloaded and one-sided
-///    clients interoperate on a live tree.
+///  - **B+tree traversal**: `exec.idx.{get,scan,put,del}` run the one-sided
+///    client's walk (`BLinkTree`, `rindex/blink_tree.h`) over the SAME
+///    on-pool node bytes, but server side — one `Call` verb per operation
+///    instead of O(depth) one-sided reads (plus CAS/unlock round trips for
+///    writers). Writers take the SAME lock words via region-local atomics,
+///    so offloaded and one-sided clients interoperate on a live tree.
 ///  - **a lock-table service**: `exec.lock.{acquire,release}` implement
 ///    S/X row locks with WOUND_WAIT deadlock avoidance (lower TxnId =
 ///    older = wins). Wound notices ride replies; there is no blocking —
@@ -126,24 +126,13 @@ class MemNodeExecutor {
   /// scheduled crash fires on this invocation.
   Status CheckAlive();
 
-  // ---- Region-local B+tree walker (no fabric verbs: handlers must not
-  // re-enter the pipeline; see the fabric-bypass rule in DESIGN.md) -------
-  char* TreeBase(const RemoteBTree::TreeRef& tree);
-  uint64_t LoadRoot(const RemoteBTree::TreeRef& tree);
-  void LoadNode(const RemoteBTree::TreeRef& tree, uint64_t offset,
-                BTreeNodeImage* out, uint64_t* visited);
-  void StoreNode(const RemoteBTree::TreeRef& tree, uint64_t offset,
-                 BTreeNodeImage* node);
-  /// Spins on the shared lock word via region-local atomics (interoperates
-  /// with one-sided CAS); Busy on starvation, per the status contract.
-  Status LockWordAcquire(const RemoteBTree::TreeRef& tree, uint64_t slot);
-  void LockWordRelease(const RemoteBTree::TreeRef& tree, uint64_t slot);
-  /// Descends to the leaf owning `key`; appends the path offsets.
-  void Descend(const RemoteBTree::TreeRef& tree, uint64_t key,
-               std::vector<uint64_t>* path, BTreeNodeImage* leaf,
-               uint64_t* visited);
-  Status InsertWithSplit(const RemoteBTree::TreeRef& tree, uint64_t key,
-                         uint64_t value, uint64_t* visited);
+  /// Resolves `tree_id`, counts the request in `op`, runs `walk` on the
+  /// shared B-link walk (`rindex/blink_tree.h`) over a region node store
+  /// for that tree, then charges the weak CPU per node visited and folds
+  /// the store's counters into `stats_`.
+  template <class Walk>
+  Status WalkTree(uint64_t tree_id, uint64_t Stats::*op,
+                  RpcServerContext* sctx, Walk&& walk);
 
   // ---- WOUND_WAIT lock table (all under mu_) ----------------------------
   offload::LockOutcome AcquireLocked(TxnId txn, uint64_t key, uint8_t mode);

@@ -273,20 +273,6 @@ uint64_t CongestionState::AdmitAuthoritative(NodeId node, uint32_t tenant,
                  arrival_ns, bytes, deadline_ns);
 }
 
-uint64_t CongestionState::BacklogEstimate(NodeId node, uint32_t tenant,
-                                          uint64_t arrival_ns,
-                                          uint64_t deadline_ns) {
-  if (PartitionEffects* eff = CurrentPartitionEffects()) {
-    return eff->ShardFor(this)->BacklogEstimate(node, tenant, arrival_ns,
-                                                deadline_ns);
-  }
-  const ControlTable& ct = controls();
-  std::lock_guard<std::mutex> lock(mu_);
-  const Resource* r = ResourceFor(node);
-  return BacklogAt(ct, *r, tenant, arrival_ns,
-                   EffectiveDeadline(arrival_ns, deadline_ns));
-}
-
 CongestionState::Resource* CongestionState::Shard::LocalFor(NodeId node) {
   auto it = nodes_.find(node);
   if (it == nodes_.end()) {
@@ -333,16 +319,6 @@ uint64_t CongestionState::Shard::Admit(NodeId node, uint32_t tenant,
                        deadline_ns});
   return owner_->AdmitOn(ct, link, backbone, tenant, arrival_ns, bytes,
                          deadline_ns);
-}
-
-uint64_t CongestionState::Shard::BacklogEstimate(NodeId node, uint32_t tenant,
-                                                 uint64_t arrival_ns,
-                                                 uint64_t deadline_ns) {
-  const ControlTable& ct = owner_->controls();
-  const Resource* r = LocalFor(node);
-  return owner_->BacklogAt(
-      ct, *r, tenant, arrival_ns,
-      owner_->EffectiveDeadline(arrival_ns, deadline_ns));
 }
 
 void CongestionState::MergeShard(Shard* shard) {

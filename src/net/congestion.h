@@ -195,15 +195,6 @@ class CongestionState {
   uint64_t Admit(NodeId node, uint32_t tenant, uint64_t arrival_ns,
                  uint64_t bytes, uint64_t deadline_ns = 0);
 
-  /// The queueing delay an op from `tenant` (absolute deadline
-  /// `deadline_ns`, 0 = none) arriving at `arrival_ns` would currently be
-  /// charged at `node`'s link — the signal join-shortest-virtual-queue
-  /// placement ranks candidates by. Routed through the partition's shard
-  /// view under the epoch-parallel driver, so placement decisions are a
-  /// pure function of the partition schedule (thread-count independent).
-  uint64_t BacklogEstimate(NodeId node, uint32_t tenant, uint64_t arrival_ns,
-                           uint64_t deadline_ns = 0);
-
   /// Atomically publishes a new per-tenant control table (weights +
   /// admission bounds). Tenants absent from `controls` fall back to the
   /// config defaults (`default_weight`, the resource's own bound). Intended
@@ -392,10 +383,6 @@ class CongestionState::Shard {
   /// Mirror of `CongestionState::Admit` against this partition's view.
   uint64_t Admit(NodeId node, uint32_t tenant, uint64_t arrival_ns,
                  uint64_t bytes, uint64_t deadline_ns);
-
-  /// Mirror of `CongestionState::BacklogEstimate` (read-only; not logged).
-  uint64_t BacklogEstimate(NodeId node, uint32_t tenant, uint64_t arrival_ns,
-                           uint64_t deadline_ns);
 
   CongestionState* owner() const { return owner_; }
   size_t pending_events() const { return log_.size(); }

@@ -124,26 +124,6 @@ std::map<uint32_t, SloSpec> Fabric::slo_specs() const {
   return slo_specs_;
 }
 
-NodeId Fabric::JoinShortestQueue(const std::vector<NodeId>& candidates,
-                                 const NetContext& ctx) const {
-  if (candidates.empty()) return 0;
-  CongestionState* congestion =
-      congestion_snapshot_.load(std::memory_order_acquire);
-  if (congestion == nullptr) return candidates.front();
-  NodeId best = candidates.front();
-  uint64_t best_backlog = congestion->BacklogEstimate(
-      best, ctx.tenant, ctx.sim_ns, ctx.deadline_ns);
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    const uint64_t b = congestion->BacklogEstimate(
-        candidates[i], ctx.tenant, ctx.sim_ns, ctx.deadline_ns);
-    if (b < best_backlog) {
-      best = candidates[i];
-      best_backlog = b;
-    }
-  }
-  return best;
-}
-
 Status Fabric::Execute(FabricOp* op, NetContext* ctx) {
   op->tenant = ctx->tenant;  // interceptors may rewrite it further down
   op->deadline_ns = ctx->deadline_ns;

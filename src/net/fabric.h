@@ -327,7 +327,7 @@ class Fabric {
   /// concurrently.
   std::shared_ptr<CongestionState> congestion() const;
 
-  // ---- Multi-tenant SLOs and placement -------------------------------
+  // ---- Multi-tenant SLOs ---------------------------------------------
 
   /// Declares (or replaces) `tenant`'s latency contract. Config-time, like
   /// node registration: declare before driving load.
@@ -340,15 +340,6 @@ class Fabric {
 
   /// All declared contracts, keyed by tenant.
   std::map<uint32_t, SloSpec> slo_specs() const;
-
-  /// Join-shortest-virtual-queue placement: returns the candidate node whose
-  /// link would impose the smallest queueing delay on an op issued by `ctx`
-  /// right now (ties break to the earliest candidate in `candidates`). With
-  /// congestion disabled every queue is empty and the first candidate wins.
-  /// Under the epoch-parallel driver the backlogs read are the partition's
-  /// own shard view, so placement is deterministic at any thread count.
-  NodeId JoinShortestQueue(const std::vector<NodeId>& candidates,
-                           const NetContext& ctx) const;
 
  private:
   using InterceptorChain = std::vector<std::shared_ptr<FabricInterceptor>>;

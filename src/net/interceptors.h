@@ -231,48 +231,6 @@ class RetryInterceptor : public FabricInterceptor {
   std::atomic<uint64_t> gave_up_{0};
 };
 
-/// Hedged requests (tail-latency insurance): if the primary attempt has not
-/// completed `hedge_delay_ns` after issue, a backup copy of the op is sent to
-/// the primary node's configured replica and the client continues at the
-/// *first* completion — while both branches' traffic is charged in full via
-/// `Fork`/`JoinParallel` (the loser's bytes still crossed the wire).
-/// Deterministic: in virtual time the primary's completion instant is known
-/// exactly, so "did the timer fire" is a pure function of the op stream.
-struct HedgePolicy {
-  /// Virtual-time delay after which the backup is issued. The backup branch
-  /// starts at `issue_time + hedge_delay_ns`.
-  uint64_t hedge_delay_ns = 50'000;
-
-  /// Backup target per primary node. Ops whose node has no entry are never
-  /// hedged. The replica is assumed to hold the same region layout at the
-  /// same offsets (true for the mirrored stores built by the engines).
-  std::map<NodeId, NodeId> replicas;
-
-  /// Hedge only side-effect-free verbs (kRead / kReadAtomic). Leave on:
-  /// hedging writes would double-apply them.
-  bool reads_only = true;
-};
-
-class HedgeInterceptor : public FabricInterceptor {
- public:
-  explicit HedgeInterceptor(HedgePolicy policy) : policy_(std::move(policy)) {}
-
-  const char* name() const override { return "hedge"; }
-
-  Status Intercept(Fabric* fabric, FabricOp* op, NetContext* ctx,
-                   const FabricOpInvoker& next) override;
-
-  uint64_t hedges() const { return hedges_.load(std::memory_order_relaxed); }
-  uint64_t wins() const { return wins_.load(std::memory_order_relaxed); }
-
-  const HedgePolicy& policy() const { return policy_; }
-
- private:
-  const HedgePolicy policy_;
-  std::atomic<uint64_t> hedges_{0};
-  std::atomic<uint64_t> wins_{0};
-};
-
 /// Per-node circuit breaker: closed → open when the recent error rate at a
 /// node crosses a threshold, open → half-open after a fixed number of
 /// fast-failed ops, half-open → closed after consecutive successful probes

@@ -55,7 +55,7 @@ struct NetContext {
   /// (included in `sim_ns`, not in `queue_ns`).
   uint64_t admission_rejects = 0;
 
-  // ---- Graceful-degradation counters (all 0 unless a deadline, hedge,
+  // ---- Graceful-degradation counters (all 0 unless a deadline,
   // breaker, or degrade policy is configured; see DESIGN.md "Graceful
   // degradation") ----------------------------------------------------------
 
@@ -63,14 +63,6 @@ struct NetContext {
   /// ops refused up front because the budget was already exhausted at issue
   /// time (those fail with `Status::TimedOut` before touching the wire).
   uint64_t deadline_misses = 0;
-
-  /// Backup requests issued by the hedge interceptor (each one is an extra
-  /// op whose traffic is charged on top of the primary's).
-  uint64_t hedges = 0;
-
-  /// Hedged ops where the backup completed before the primary (the client
-  /// continued at the backup's completion time).
-  uint64_t hedge_wins = 0;
 
   /// Ops fast-failed by an open circuit breaker: charged only the breaker's
   /// small fast-fail penalty instead of a full drop/timeout penalty.
@@ -165,8 +157,6 @@ struct NetContext {
     queue_ns += o.queue_ns;
     admission_rejects += o.admission_rejects;
     deadline_misses += o.deadline_misses;
-    hedges += o.hedges;
-    hedge_wins += o.hedge_wins;
     breaker_fast_fails += o.breaker_fast_fails;
     degraded_ops += o.degraded_ops;
     staleness_lsn += o.staleness_lsn;
@@ -189,8 +179,6 @@ inline void AccumulateTraffic(NetContext* parent, const NetContext& b) {
   parent->queue_ns += b.queue_ns;
   parent->admission_rejects += b.admission_rejects;
   parent->deadline_misses += b.deadline_misses;
-  parent->hedges += b.hedges;
-  parent->hedge_wins += b.hedge_wins;
   parent->breaker_fast_fails += b.breaker_fast_fails;
   parent->degraded_ops += b.degraded_ops;
   parent->staleness_lsn += b.staleness_lsn;

@@ -23,7 +23,7 @@ namespace disagg {
 ///  - `Status::Unavailable` — a *fault*: the target node is failed, flapping,
 ///    the packet was dropped, or a circuit breaker is fast-failing for it.
 ///    Retry against the same node may succeed after recovery; falling over
-///    to a replica (hedge, degrade ladder) is usually better.
+///    to a replica (the degrade ladder) is usually better.
 ///  - `Status::TimedOut` — a genuine *deadline* expiry: the op's
 ///    `deadline_ns` budget ran out (`FabricOp::deadline_exhausted` when
 ///    refused pre-issue). Never retryable — waiting longer cannot cure it;

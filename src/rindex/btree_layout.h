@@ -6,12 +6,11 @@
 
 namespace disagg {
 
-/// On-pool B+tree node image shared by the one-sided client
-/// (`RemoteBTree`) and the memory-node executor's server-side walker
-/// (`MemNodeExecutor`). POD, memcpy'd wholesale; the two protocols operate
-/// on the SAME bytes, so the layout lives here and both include it — a
-/// one-sided traversal and an offloaded traversal of one tree must agree
-/// field for field.
+/// On-pool B+tree node image. POD, memcpy'd wholesale. One walk
+/// (`BLinkTree`, `rindex/blink_tree.h`) reads and writes it over two node
+/// stores: the one-sided client's fabric verbs (`RemoteBTree`) and the
+/// memory-node executor's region-local loads (`MemNodeExecutor`). Both
+/// protocols operate on the SAME bytes of a live tree.
 struct BTreeNodeImage {
   static constexpr size_t kFanout = 32;
 

@@ -5,14 +5,114 @@
 #include <thread>
 
 #include "memnode/executor.h"
+#include "rindex/blink_tree.h"
 
 namespace disagg {
 
-namespace {
-constexpr int kMaxOptimisticRetries = 64;
-constexpr int kMaxLockSpins = 100000;
-constexpr uint64_t kSmoLockSlot = 0;
-}  // namespace
+/// Fabric node store: the one-sided protocol's view of the tree. Every node
+/// access is a verb from the compute node, charged to `ctx`.
+class RemoteBTree::FabricStore {
+ public:
+  FabricStore(RemoteBTree* tree, NetContext* ctx) : t_(tree), ctx_(ctx) {}
+
+  Result<uint64_t> Root() {
+    return t_->fabric_->ReadAtomic64(ctx_, t_->tree_.root_ptr);
+  }
+  Status SetRoot(uint64_t offset) {
+    return t_->fabric_->Write(ctx_, t_->tree_.root_ptr, &offset, 8);
+  }
+
+  /// With optimistic reads, retries torn/in-flight images.
+  Status Read(uint64_t offset, BTreeNodeImage* out) {
+    for (int retry = 0; retry < kBTreeMaxOptimisticRetries; retry++) {
+      DISAGG_RETURN_NOT_OK(
+          t_->fabric_->Read(ctx_, NodeAddr(offset), out, kBTreeNodeBytes));
+      t_->stats_.reads++;
+      if (!t_->options_.optimistic_reads) return Status::OK();
+      if (out->version_front == out->version_back &&
+          out->version_front % 2 == 0) {
+        return Status::OK();
+      }
+      t_->stats_.optimistic_retries++;
+    }
+    return Status::Busy("optimistic node read did not stabilize");
+  }
+
+  Status DescendRead(uint64_t offset, BTreeNodeImage* out) {
+    if (t_->options_.optimistic_reads) return Read(offset, out);
+    // Lock coupling: CAS-lock, read, unlock — three round trips per level.
+    const uint64_t slot = BTreeLockSlot(offset, lock_slots());
+    DISAGG_RETURN_NOT_OK(Lock(slot));
+    Status st = Read(offset, out);
+    DISAGG_RETURN_NOT_OK(Release(slot));
+    return st;
+  }
+
+  /// Writes a node image with a bumped version, honoring the batching mode.
+  Status Write(uint64_t offset, BTreeNodeImage* node) {
+    node->version_front += 2;
+    node->version_back = node->version_front;
+    t_->stats_.writes++;
+    const char* bytes = reinterpret_cast<const char*>(node);
+    const GlobalAddr a = NodeAddr(offset);
+    if (t_->options_.batched_writes) {
+      // Sherman: header, payload, and version tail ride one doorbell.
+      std::vector<Fabric::WriteOp> ops = {{a.remote(), bytes, kBTreeNodeBytes}};
+      return t_->fabric_->WriteBatch(ctx_, a.node, ops);
+    }
+    // Naive: three separate verbs (header+keys, values, tail), three RTTs.
+    const size_t head = offsetof(BTreeNodeImage, vals);
+    const size_t tail_off = offsetof(BTreeNodeImage, next);
+    DISAGG_RETURN_NOT_OK(t_->fabric_->Write(ctx_, a, bytes, head));
+    GlobalAddr b = a;
+    b.offset += head;
+    DISAGG_RETURN_NOT_OK(
+        t_->fabric_->Write(ctx_, b, bytes + head, tail_off - head));
+    GlobalAddr c = a;
+    c.offset += tail_off;
+    return t_->fabric_->Write(ctx_, c, bytes + tail_off,
+                              kBTreeNodeBytes - tail_off);
+  }
+
+  Status Lock(uint64_t slot) {
+    for (int spin = 0; spin < kBTreeMaxLockSpins; spin++) {
+      auto observed = t_->fabric_->CompareAndSwap(ctx_, LockWord(slot), 0, 1);
+      if (!observed.ok()) return observed.status();
+      if (*observed == 0) return Status::OK();
+      t_->stats_.lock_waits++;
+      std::this_thread::yield();
+    }
+    return Status::Busy("lock acquisition starved");
+  }
+  void Unlock(uint64_t slot) { (void)Release(slot); }
+  uint64_t lock_slots() const { return t_->tree_.lock_slots; }
+
+  Result<uint64_t> Alloc() {
+    DISAGG_ASSIGN_OR_RETURN(GlobalAddr addr,
+                            t_->slab_.Alloc(ctx_, kBTreeNodeBytes));
+    return addr.offset;
+  }
+  void CountSplit() { t_->stats_.splits++; }
+
+ private:
+  GlobalAddr NodeAddr(uint64_t offset) const {
+    GlobalAddr a = t_->tree_.root_ptr;
+    a.offset = offset;
+    return a;
+  }
+  GlobalAddr LockWord(uint64_t slot) const {
+    GlobalAddr a = t_->tree_.lock_table;
+    a.offset += slot * 8;
+    return a;
+  }
+  Status Release(uint64_t slot) {
+    const uint64_t zero = 0;
+    return t_->fabric_->Write(ctx_, LockWord(slot), &zero, 8);
+  }
+
+  RemoteBTree* t_;
+  NetContext* ctx_;
+};
 
 Result<RemoteBTree::TreeRef> RemoteBTree::Create(NetContext* ctx,
                                                  Fabric* fabric,
@@ -27,11 +127,11 @@ Result<RemoteBTree::TreeRef> RemoteBTree::Create(NetContext* ctx,
   ref.lock_table = *locks;
 
   // Initial empty leaf.
-  auto leaf_addr = pool->AllocLocal(kNodeBytes);
+  auto leaf_addr = pool->AllocLocal(kBTreeNodeBytes);
   if (!leaf_addr.ok()) return leaf_addr.status();
-  NodeImage leaf;
+  BTreeNodeImage leaf;
   std::memset(&leaf, 0, sizeof(leaf));
-  Status st = fabric->Write(ctx, *leaf_addr, &leaf, kNodeBytes);
+  Status st = fabric->Write(ctx, *leaf_addr, &leaf, kBTreeNodeBytes);
   if (!st.ok()) return st;
   const uint64_t off = leaf_addr->offset;
   st = fabric->Write(ctx, ref.root_ptr, &off, 8);
@@ -42,122 +142,9 @@ Result<RemoteBTree::TreeRef> RemoteBTree::Create(NetContext* ctx,
 RemoteBTree::RemoteBTree(Fabric* fabric, MemoryNode* pool, TreeRef tree,
                          Options options)
     : fabric_(fabric),
-      pool_(pool),
       tree_(tree),
       options_(std::move(options)),
       slab_(fabric, pool->node()) {}
-
-GlobalAddr RemoteBTree::LockAddr(uint64_t node_offset) const {
-  // Slot 0 is the SMO lock; nodes hash into the rest.
-  const uint64_t slot =
-      node_offset == kSmoLockSlot
-          ? 0
-          : 1 + (node_offset * 0x9E3779B97F4A7C15ull) % tree_.lock_slots;
-  GlobalAddr addr = tree_.lock_table;
-  addr.offset += slot * 8;
-  return addr;
-}
-
-Result<uint64_t> RemoteBTree::ReadRoot(NetContext* ctx) {
-  return fabric_->ReadAtomic64(ctx, tree_.root_ptr);
-}
-
-Status RemoteBTree::ReadNode(NetContext* ctx, uint64_t offset,
-                             NodeImage* out) {
-  for (int retry = 0; retry < kMaxOptimisticRetries; retry++) {
-    DISAGG_RETURN_NOT_OK(fabric_->Read(ctx, NodeAddr(offset), out,
-                                       kNodeBytes));
-    stats_.reads++;
-    if (!options_.optimistic_reads) return Status::OK();
-    if (out->version_front == out->version_back &&
-        out->version_front % 2 == 0) {
-      return Status::OK();
-    }
-    stats_.optimistic_retries++;
-  }
-  return Status::Busy("optimistic node read did not stabilize");
-}
-
-Status RemoteBTree::WriteNode(NetContext* ctx, uint64_t offset,
-                              NodeImage* node) {
-  node->version_front += 2;
-  node->version_back = node->version_front;
-  stats_.writes++;
-  const char* bytes = reinterpret_cast<const char*>(node);
-  if (options_.batched_writes) {
-    // Sherman: header, payload, and version tail ride one doorbell.
-    std::vector<Fabric::WriteOp> ops = {
-        {RemoteAddr{NodeAddr(offset).region, offset}, bytes, kNodeBytes}};
-    return fabric_->WriteBatch(ctx, tree_.root_ptr.node, ops);
-  }
-  // Naive: three separate verbs (header+keys, values, tail), three RTTs.
-  const size_t head = offsetof(NodeImage, vals);
-  const size_t tail_off = offsetof(NodeImage, next);
-  GlobalAddr a = NodeAddr(offset);
-  DISAGG_RETURN_NOT_OK(fabric_->Write(ctx, a, bytes, head));
-  GlobalAddr b = a;
-  b.offset += head;
-  DISAGG_RETURN_NOT_OK(fabric_->Write(ctx, b, bytes + head, tail_off - head));
-  GlobalAddr c = a;
-  c.offset += tail_off;
-  return fabric_->Write(ctx, c, bytes + tail_off, kNodeBytes - tail_off);
-}
-
-Status RemoteBTree::AcquireLock(NetContext* ctx, GlobalAddr lock) {
-  for (int spin = 0; spin < kMaxLockSpins; spin++) {
-    auto observed = fabric_->CompareAndSwap(ctx, lock, 0, 1);
-    if (!observed.ok()) return observed.status();
-    if (*observed == 0) return Status::OK();
-    stats_.lock_waits++;
-    std::this_thread::yield();
-  }
-  return Status::Busy("lock acquisition starved");
-}
-
-Status RemoteBTree::ReleaseLock(NetContext* ctx, GlobalAddr lock) {
-  const uint64_t zero = 0;
-  return fabric_->Write(ctx, lock, &zero, 8);
-}
-
-Status RemoteBTree::DescendToLeaf(NetContext* ctx, uint64_t key,
-                                  std::vector<uint64_t>* path,
-                                  NodeImage* leaf) {
-  DISAGG_ASSIGN_OR_RETURN(uint64_t offset, ReadRoot(ctx));
-  NodeImage node;
-  while (true) {
-    if (options_.optimistic_reads) {
-      DISAGG_RETURN_NOT_OK(ReadNode(ctx, offset, &node));
-    } else {
-      // Lock coupling: CAS-lock, read, unlock — three round trips per level.
-      const GlobalAddr lock = LockAddr(offset);
-      DISAGG_RETURN_NOT_OK(AcquireLock(ctx, lock));
-      Status st = ReadNode(ctx, offset, &node);
-      DISAGG_RETURN_NOT_OK(ReleaseLock(ctx, lock));
-      DISAGG_RETURN_NOT_OK(st);
-    }
-    if (path != nullptr) path->push_back(offset);
-    if (node.level == 0) {
-      // B-link step: a concurrent split may have moved the key right.
-      while (node.nkeys > 0 && key > node.keys[node.nkeys - 1] &&
-             node.next != 0) {
-        offset = node.next;
-        if (path != nullptr) path->back() = offset;
-        DISAGG_RETURN_NOT_OK(ReadNode(ctx, offset, &node));
-      }
-      *leaf = node;
-      return Status::OK();
-    }
-    // Internal: route to the last child whose separator <= key.
-    uint32_t idx = 0;
-    while (idx + 1 < node.nkeys && node.keys[idx + 1] <= key) idx++;
-    offset = node.vals[idx];
-  }
-}
-
-Result<uint64_t> RemoteBTree::AllocNode(NetContext* ctx) {
-  DISAGG_ASSIGN_OR_RETURN(GlobalAddr addr, slab_.Alloc(ctx, kNodeBytes));
-  return addr.offset;
-}
 
 Status RemoteBTree::Put(NetContext* ctx, uint64_t key, uint64_t value) {
   if (offload_) {
@@ -165,176 +152,8 @@ Status RemoteBTree::Put(NetContext* ctx, uint64_t key, uint64_t value) {
     return OffloadIndexPut(fabric_, ctx, offload_node_, offload_tree_, key,
                            value);
   }
-  std::vector<uint64_t> path;
-  NodeImage leaf;
-  DISAGG_RETURN_NOT_OK(DescendToLeaf(ctx, key, &path, &leaf));
-  const uint64_t leaf_off = path.back();
-  const GlobalAddr lock = LockAddr(leaf_off);
-  DISAGG_RETURN_NOT_OK(AcquireLock(ctx, lock));
-  // Re-read under the lock (the image may have changed since the descent).
-  Status st = ReadNode(ctx, leaf_off, &leaf);
-  if (!st.ok()) {
-    (void)ReleaseLock(ctx, lock);
-    return st;
-  }
-
-  // Update in place?
-  for (uint32_t i = 0; i < leaf.nkeys; i++) {
-    if (leaf.keys[i] == key) {
-      leaf.vals[i] = value;
-      Status ws = WriteNode(ctx, leaf_off, &leaf);
-      (void)ReleaseLock(ctx, lock);
-      return ws;
-    }
-  }
-  if (leaf.nkeys < kFanout) {
-    uint32_t pos = 0;
-    while (pos < leaf.nkeys && leaf.keys[pos] < key) pos++;
-    for (uint32_t i = leaf.nkeys; i > pos; i--) {
-      leaf.keys[i] = leaf.keys[i - 1];
-      leaf.vals[i] = leaf.vals[i - 1];
-    }
-    leaf.keys[pos] = key;
-    leaf.vals[pos] = value;
-    leaf.nkeys++;
-    Status ws = WriteNode(ctx, leaf_off, &leaf);
-    (void)ReleaseLock(ctx, lock);
-    return ws;
-  }
-  (void)ReleaseLock(ctx, lock);
-  return InsertWithSplit(ctx, key, value);
-}
-
-Status RemoteBTree::InsertWithSplit(NetContext* ctx, uint64_t key,
-                                    uint64_t value) {
-  GlobalAddr smo = tree_.lock_table;  // slot 0
-  DISAGG_RETURN_NOT_OK(AcquireLock(ctx, smo));
-  Status st = [&]() -> Status {
-    std::vector<uint64_t> path;
-    NodeImage leaf;
-    DISAGG_RETURN_NOT_OK(DescendToLeaf(ctx, key, &path, &leaf));
-    const uint64_t leaf_off = path.back();
-    const GlobalAddr leaf_lock = LockAddr(leaf_off);
-    DISAGG_RETURN_NOT_OK(AcquireLock(ctx, leaf_lock));
-    Status inner = [&]() -> Status {
-      DISAGG_RETURN_NOT_OK(ReadNode(ctx, leaf_off, &leaf));
-      // Room may have appeared (or the key may exist) after a racing op.
-      for (uint32_t i = 0; i < leaf.nkeys; i++) {
-        if (leaf.keys[i] == key) {
-          leaf.vals[i] = value;
-          return WriteNode(ctx, leaf_off, &leaf);
-        }
-      }
-      if (leaf.nkeys < kFanout) {
-        uint32_t pos = 0;
-        while (pos < leaf.nkeys && leaf.keys[pos] < key) pos++;
-        for (uint32_t i = leaf.nkeys; i > pos; i--) {
-          leaf.keys[i] = leaf.keys[i - 1];
-          leaf.vals[i] = leaf.vals[i - 1];
-        }
-        leaf.keys[pos] = key;
-        leaf.vals[pos] = value;
-        leaf.nkeys++;
-        return WriteNode(ctx, leaf_off, &leaf);
-      }
-
-      // Split the leaf.
-      stats_.splits++;
-      DISAGG_ASSIGN_OR_RETURN(uint64_t right_off, AllocNode(ctx));
-      NodeImage right;
-      std::memset(&right, 0, sizeof(right));
-      const uint32_t half = kFanout / 2;
-      right.level = 0;
-      right.nkeys = kFanout - half;
-      std::memcpy(right.keys, leaf.keys + half, right.nkeys * 8);
-      std::memcpy(right.vals, leaf.vals + half, right.nkeys * 8);
-      right.next = leaf.next;
-      leaf.nkeys = half;
-      leaf.next = right_off;
-
-      // Insert the new key into whichever half owns it.
-      NodeImage* target = key >= right.keys[0] ? &right : &leaf;
-      uint32_t pos = 0;
-      while (pos < target->nkeys && target->keys[pos] < key) pos++;
-      for (uint32_t i = target->nkeys; i > pos; i--) {
-        target->keys[i] = target->keys[i - 1];
-        target->vals[i] = target->vals[i - 1];
-      }
-      target->keys[pos] = key;
-      target->vals[pos] = value;
-      target->nkeys++;
-
-      // Publish right first, then the shrunk left (B-link ordering).
-      DISAGG_RETURN_NOT_OK(WriteNode(ctx, right_off, &right));
-      DISAGG_RETURN_NOT_OK(WriteNode(ctx, leaf_off, &leaf));
-
-      // Propagate the separator up the path (all under the SMO lock; only
-      // splitters ever write internal nodes).
-      uint64_t sep = right.keys[0];
-      uint64_t child = right_off;
-      for (size_t depth = path.size(); depth-- > 1;) {
-        const uint64_t parent_off = path[depth - 1];
-        NodeImage parent;
-        DISAGG_RETURN_NOT_OK(ReadNode(ctx, parent_off, &parent));
-        if (parent.nkeys < kFanout) {
-          uint32_t p = 0;
-          while (p < parent.nkeys && parent.keys[p] < sep) p++;
-          for (uint32_t i = parent.nkeys; i > p; i--) {
-            parent.keys[i] = parent.keys[i - 1];
-            parent.vals[i] = parent.vals[i - 1];
-          }
-          parent.keys[p] = sep;
-          parent.vals[p] = child;
-          parent.nkeys++;
-          return WriteNode(ctx, parent_off, &parent);
-        }
-        // Split the internal node too.
-        stats_.splits++;
-        DISAGG_ASSIGN_OR_RETURN(uint64_t iright_off, AllocNode(ctx));
-        NodeImage iright;
-        std::memset(&iright, 0, sizeof(iright));
-        const uint32_t ihalf = kFanout / 2;
-        iright.level = parent.level;
-        iright.nkeys = kFanout - ihalf;
-        std::memcpy(iright.keys, parent.keys + ihalf, iright.nkeys * 8);
-        std::memcpy(iright.vals, parent.vals + ihalf, iright.nkeys * 8);
-        parent.nkeys = ihalf;
-        NodeImage* itarget = sep >= iright.keys[0] ? &iright : &parent;
-        uint32_t p = 0;
-        while (p < itarget->nkeys && itarget->keys[p] < sep) p++;
-        for (uint32_t i = itarget->nkeys; i > p; i--) {
-          itarget->keys[i] = itarget->keys[i - 1];
-          itarget->vals[i] = itarget->vals[i - 1];
-        }
-        itarget->keys[p] = sep;
-        itarget->vals[p] = child;
-        itarget->nkeys++;
-        DISAGG_RETURN_NOT_OK(WriteNode(ctx, iright_off, &iright));
-        DISAGG_RETURN_NOT_OK(WriteNode(ctx, parent_off, &parent));
-        sep = iright.keys[0];
-        child = iright_off;
-      }
-
-      // The root itself split: grow the tree.
-      DISAGG_ASSIGN_OR_RETURN(uint64_t new_root_off, AllocNode(ctx));
-      NodeImage new_root;
-      std::memset(&new_root, 0, sizeof(new_root));
-      NodeImage old_root;
-      DISAGG_RETURN_NOT_OK(ReadNode(ctx, path[0], &old_root));
-      new_root.level = old_root.level + 1;
-      new_root.nkeys = 2;
-      new_root.keys[0] = 0;  // leftmost separator: minus infinity
-      new_root.vals[0] = path[0];
-      new_root.keys[1] = sep;
-      new_root.vals[1] = child;
-      DISAGG_RETURN_NOT_OK(WriteNode(ctx, new_root_off, &new_root));
-      return fabric_->Write(ctx, tree_.root_ptr, &new_root_off, 8);
-    }();
-    (void)ReleaseLock(ctx, leaf_lock);
-    return inner;
-  }();
-  (void)ReleaseLock(ctx, smo);
-  return st;
+  FabricStore store(this, ctx);
+  return BLinkTree<FabricStore>(&store).Put(key, value);
 }
 
 Result<uint64_t> RemoteBTree::Get(NetContext* ctx, uint64_t key) {
@@ -342,12 +161,8 @@ Result<uint64_t> RemoteBTree::Get(NetContext* ctx, uint64_t key) {
     stats_.offloaded++;
     return OffloadIndexGet(fabric_, ctx, offload_node_, offload_tree_, key);
   }
-  NodeImage leaf;
-  DISAGG_RETURN_NOT_OK(DescendToLeaf(ctx, key, nullptr, &leaf));
-  for (uint32_t i = 0; i < leaf.nkeys; i++) {
-    if (leaf.keys[i] == key) return leaf.vals[i];
-  }
-  return Status::NotFound("key not in tree");
+  FabricStore store(this, ctx);
+  return BLinkTree<FabricStore>(&store).Get(key);
 }
 
 Status RemoteBTree::Delete(NetContext* ctx, uint64_t key) {
@@ -355,28 +170,8 @@ Status RemoteBTree::Delete(NetContext* ctx, uint64_t key) {
     stats_.offloaded++;
     return OffloadIndexDelete(fabric_, ctx, offload_node_, offload_tree_, key);
   }
-  std::vector<uint64_t> path;
-  NodeImage leaf;
-  DISAGG_RETURN_NOT_OK(DescendToLeaf(ctx, key, &path, &leaf));
-  const uint64_t leaf_off = path.back();
-  const GlobalAddr lock = LockAddr(leaf_off);
-  DISAGG_RETURN_NOT_OK(AcquireLock(ctx, lock));
-  Status st = [&]() -> Status {
-    DISAGG_RETURN_NOT_OK(ReadNode(ctx, leaf_off, &leaf));
-    for (uint32_t i = 0; i < leaf.nkeys; i++) {
-      if (leaf.keys[i] == key) {
-        for (uint32_t j = i; j + 1 < leaf.nkeys; j++) {
-          leaf.keys[j] = leaf.keys[j + 1];
-          leaf.vals[j] = leaf.vals[j + 1];
-        }
-        leaf.nkeys--;  // no merging: leaves may run underfull, as in Sherman
-        return WriteNode(ctx, leaf_off, &leaf);
-      }
-    }
-    return Status::NotFound("key not in tree");
-  }();
-  (void)ReleaseLock(ctx, lock);
-  return st;
+  FabricStore store(this, ctx);
+  return BLinkTree<FabricStore>(&store).Delete(key);
 }
 
 Result<std::vector<std::pair<uint64_t, uint64_t>>> RemoteBTree::Scan(
@@ -386,17 +181,8 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> RemoteBTree::Scan(
     return OffloadIndexScan(fabric_, ctx, offload_node_, offload_tree_, from,
                             limit);
   }
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  NodeImage leaf;
-  DISAGG_RETURN_NOT_OK(DescendToLeaf(ctx, from, nullptr, &leaf));
-  while (out.size() < limit) {
-    for (uint32_t i = 0; i < leaf.nkeys && out.size() < limit; i++) {
-      if (leaf.keys[i] >= from) out.emplace_back(leaf.keys[i], leaf.vals[i]);
-    }
-    if (leaf.next == 0 || out.size() >= limit) break;
-    DISAGG_RETURN_NOT_OK(ReadNode(ctx, leaf.next, &leaf));
-  }
-  return out;
+  FabricStore store(this, ctx);
+  return BLinkTree<FabricStore>(&store).Scan(from, limit);
 }
 
 }  // namespace disagg

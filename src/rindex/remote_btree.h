@@ -26,10 +26,13 @@ namespace disagg {
 /// growth) serialize on a single SMO lock — a documented simplification of
 /// Sherman's hierarchical locking that leaves the measured read/write paths
 /// faithful.
+///
+/// The walk itself (descent with the B-link step, splits, separator
+/// propagation, root growth) is `BLinkTree` in `rindex/blink_tree.h`; this
+/// class supplies only its fabric node store. `MemNodeExecutor` runs the
+/// same walk over a region store on the memory node (`EnableOffload`).
 class RemoteBTree {
  public:
-  static constexpr size_t kFanout = 32;
-
   struct Options {
     bool optimistic_reads = true;
     bool batched_writes = true;
@@ -91,35 +94,11 @@ class RemoteBTree {
   const Options& options() const { return options_; }
 
  private:
-  // On-pool node image, shared with the memory-node executor's walker.
-  using NodeImage = BTreeNodeImage;
-  static constexpr size_t kNodeBytes = kBTreeNodeBytes;
-
-  GlobalAddr NodeAddr(uint64_t offset) const {
-    return GlobalAddr{tree_.root_ptr.node, tree_.root_ptr.region, offset};
-  }
-  GlobalAddr LockAddr(uint64_t node_offset) const;
-
-  Result<uint64_t> ReadRoot(NetContext* ctx);
-  /// Reads a node; with optimistic reads, retries torn/in-flight images.
-  Status ReadNode(NetContext* ctx, uint64_t offset, NodeImage* out);
-  /// Writes a node image with a bumped version, honoring the batching mode.
-  Status WriteNode(NetContext* ctx, uint64_t offset, NodeImage* node);
-
-  Status AcquireLock(NetContext* ctx, GlobalAddr lock);
-  Status ReleaseLock(NetContext* ctx, GlobalAddr lock);
-
-  /// Descends to the leaf that owns `key`, recording the path (offsets).
-  Status DescendToLeaf(NetContext* ctx, uint64_t key,
-                       std::vector<uint64_t>* path, NodeImage* leaf);
-
-  /// Split path under the SMO lock.
-  Status InsertWithSplit(NetContext* ctx, uint64_t key, uint64_t value);
-
-  Result<uint64_t> AllocNode(NetContext* ctx);
+  /// The one-sided node store the shared B-link walk runs over
+  /// (`rindex/blink_tree.h`); defined in remote_btree.cc.
+  class FabricStore;
 
   Fabric* fabric_;
-  MemoryNode* pool_;
   TreeRef tree_;
   Options options_;
   ClientSlab slab_;

@@ -388,80 +388,6 @@ TEST(DegradeLadderTest, PushdownFallsBackToClientSideExecution) {
   EXPECT_EQ(dead_ctx.degraded_ops, 0u);
 }
 
-TEST(DegradeLadderTest, HedgeBackupNeverOutlivesTheDeadline) {
-  // Deadline/hedge interaction audit: the deadline is ABSOLUTE virtual time
-  // and Fork() copies it, so a backup issued after hedge_delay_ns races
-  // strictly LESS remaining budget than the primary — and when the timer
-  // would land at or past the deadline, the backup is certain to be refused
-  // pre-wire and must never be issued at all.
-  auto build = [](Fabric* fabric, NodeId* slow, NodeId* replica) {
-    *slow = fabric->AddNode("slow", NodeKind::kStorage,
-                            InterconnectModel::Ssd());
-    *replica = fabric->AddNode("replica", NodeKind::kMemory,
-                               InterconnectModel::Rdma());
-    MemoryRegion* slow_mr = fabric->node(*slow)->AddRegion("heap", 1 << 16);
-    MemoryRegion* fast_mr =
-        fabric->node(*replica)->AddRegion("heap", 1 << 16);
-    ASSERT_EQ(slow_mr->id(), fast_mr->id());
-    std::memcpy(slow_mr->data(), "primary-bytes...", 16);
-    std::memcpy(fast_mr->data(), "replica-bytes...", 16);
-  };
-
-  const uint64_t primary_cost = InterconnectModel::Ssd().ReadCost(4096);
-  const uint64_t backup_cost = InterconnectModel::Rdma().ReadCost(4096);
-
-  Fabric hedged;
-  NodeId slow = 0, replica = 0;
-  build(&hedged, &slow, &replica);
-  HedgePolicy hp;
-  hp.hedge_delay_ns = 1'000;
-  hp.replicas[slow] = replica;
-  auto hedge = std::make_shared<HedgeInterceptor>(hp);
-  hedged.AddInterceptor(hedge);
-
-  // Deadline 900 < timer 1000: the backup would be born dead (issued at
-  // 1000, refused `deadline exhausted` pre-wire), so no hedge fires and the
-  // run is bit-identical to an un-hedged fabric — including the deadline
-  // miss the slow primary itself records.
-  std::vector<char> buf(4096);
-  NetContext guarded;
-  guarded.deadline_ns = 900;
-  GlobalAddr addr{slow, 0, 0};  // first region on the node has id 0
-  ASSERT_TRUE(hedged.Read(&guarded, addr, buf.data(), buf.size()).ok());
-  EXPECT_EQ(hedge->hedges(), 0u);
-  EXPECT_EQ(guarded.hedges, 0u);
-  EXPECT_EQ(guarded.sim_ns, primary_cost);
-  EXPECT_EQ(guarded.bytes_in, 4096u);
-  EXPECT_EQ(guarded.deadline_misses, 1u);  // the primary overran the budget
-
-  Fabric bare;
-  NodeId bare_slow = 0, bare_replica = 0;
-  build(&bare, &bare_slow, &bare_replica);
-  NetContext unhedged;
-  unhedged.deadline_ns = 900;
-  GlobalAddr bare_addr{bare_slow, 0, 0};
-  ASSERT_TRUE(bare.Read(&unhedged, bare_addr, buf.data(), buf.size()).ok());
-  EXPECT_EQ(guarded.sim_ns, unhedged.sim_ns);
-  EXPECT_EQ(guarded.bytes_in, unhedged.bytes_in);
-  EXPECT_EQ(guarded.round_trips, unhedged.round_trips);
-  EXPECT_EQ(guarded.deadline_misses, unhedged.deadline_misses);
-  EXPECT_EQ(guarded.queue_ns, unhedged.queue_ns);
-
-  // Deadline far enough for the timer: the backup launches at exactly
-  // fire_ns with the REMAINING budget (never a longer one), wins the race,
-  // and the op completes inside the deadline.
-  NetContext roomy;
-  roomy.deadline_ns = 2'000'000;
-  ASSERT_TRUE(hedged.Read(&roomy, addr, buf.data(), buf.size()).ok());
-  EXPECT_EQ(hedge->hedges(), 1u);
-  EXPECT_EQ(roomy.hedges, 1u);
-  EXPECT_EQ(roomy.sim_ns, hp.hedge_delay_ns + backup_cost);
-  EXPECT_EQ(roomy.bytes_in, 2 * 4096u);
-  EXPECT_LT(roomy.sim_ns, roomy.deadline_ns);
-  EXPECT_EQ(roomy.deadline_misses, 0u);
-  EXPECT_EQ(std::string(buf.data(), 13), "replica-bytes");
-}
-
 TEST(DegradeLadderTest, PerTenantStalenessOverrideGatesTheLadder) {
   // The SLO controller's staleness actuator: a per-tenant override on the
   // degrade ladder admits the stale copy for the granted tenant only, and

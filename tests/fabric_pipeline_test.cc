@@ -451,61 +451,6 @@ TEST_F(PipelineTest, RetryNeverBacksOffPastTheDeadline) {
   fabric_.node(mem_node_)->Revive();
 }
 
-TEST_F(PipelineTest, HedgeIssuesBackupAndContinuesAtFirstCompletion) {
-  // Slow primary (SSD-class), fast replica (RDMA-class): the hedge timer
-  // fires mid-flight and the backup wins the race.
-  NodeId slow = fabric_.AddNode("slow", NodeKind::kStorage,
-                                InterconnectModel::Ssd());
-  NodeId replica = fabric_.AddNode("replica", NodeKind::kMemory,
-                                   InterconnectModel::Rdma());
-  MemoryRegion* slow_mr = fabric_.node(slow)->AddRegion("heap", 1 << 16);
-  MemoryRegion* fast_mr = fabric_.node(replica)->AddRegion("heap", 1 << 16);
-  ASSERT_EQ(slow_mr->id(), fast_mr->id());
-  std::memcpy(slow_mr->data(), "primary-bytes...", 16);
-  std::memcpy(fast_mr->data(), "replica-bytes...", 16);
-
-  const uint64_t primary_cost = InterconnectModel::Ssd().ReadCost(4096);
-  const uint64_t backup_cost = InterconnectModel::Rdma().ReadCost(4096);
-  HedgePolicy hp;
-  hp.hedge_delay_ns = 1000;
-  hp.replicas[slow] = replica;
-  ASSERT_LT(hp.hedge_delay_ns + backup_cost, primary_cost);
-  auto hedge = std::make_shared<HedgeInterceptor>(hp);
-  fabric_.AddInterceptor(hedge);
-
-  NetContext ctx;
-  std::vector<char> buf(4096);
-  GlobalAddr addr{slow, slow_mr->id(), 0};
-  ASSERT_TRUE(fabric_.Read(&ctx, addr, buf.data(), buf.size()).ok());
-
-  // Client continues at the backup's completion, not the primary's...
-  EXPECT_EQ(ctx.sim_ns, hp.hedge_delay_ns + backup_cost);
-  // ...but BOTH branches' traffic crossed the wire and is charged.
-  EXPECT_EQ(ctx.bytes_in, 2 * 4096u);
-  EXPECT_EQ(ctx.round_trips, 2u);
-  EXPECT_EQ(ctx.hedges, 1u);
-  EXPECT_EQ(ctx.hedge_wins, 1u);
-  EXPECT_EQ(hedge->hedges(), 1u);
-  EXPECT_EQ(hedge->wins(), 1u);
-  // The winner's bytes are what the caller sees.
-  EXPECT_EQ(std::string(buf.data(), 13), "replica-bytes");
-
-  // A primary that completes before the timer never spawns a backup, and
-  // the accounting is bit-identical to an un-hedged run.
-  NetContext fast_ctx;
-  GlobalAddr fast_addr{replica, fast_mr->id(), 0};
-  ASSERT_TRUE(
-      fabric_.Read(&fast_ctx, fast_addr, buf.data(), buf.size()).ok());
-  EXPECT_EQ(fast_ctx.hedges, 0u);
-  EXPECT_EQ(fast_ctx.sim_ns, backup_cost);
-  EXPECT_EQ(fast_ctx.bytes_in, 4096u);
-
-  // Writes are never hedged under reads_only.
-  NetContext wctx;
-  ASSERT_TRUE(fabric_.Write(&wctx, addr, buf.data(), 8).ok());
-  EXPECT_EQ(wctx.hedges, 0u);
-}
-
 TEST_F(PipelineTest, CircuitBreakerOpensFastFailsAndRecloses) {
   BreakerPolicy bp;
   bp.window = 4;
@@ -726,8 +671,6 @@ TEST_F(PipelineTest, MergeAndMergeParallelCarryNewCounters) {
   a.queue_ns = 700;
   a.admission_rejects = 3;
   a.deadline_misses = 5;
-  a.hedges = 2;
-  a.hedge_wins = 1;
   a.breaker_fast_fails = 4;
   a.degraded_ops = 6;
   a.staleness_lsn = 90;
@@ -741,8 +684,6 @@ TEST_F(PipelineTest, MergeAndMergeParallelCarryNewCounters) {
   EXPECT_EQ(total.queue_ns, 1400u);
   EXPECT_EQ(total.admission_rejects, 6u);
   EXPECT_EQ(total.deadline_misses, 10u);
-  EXPECT_EQ(total.hedges, 4u);
-  EXPECT_EQ(total.hedge_wins, 2u);
   EXPECT_EQ(total.breaker_fast_fails, 8u);
   EXPECT_EQ(total.degraded_ops, 12u);
   EXPECT_EQ(total.staleness_lsn, 180u);
@@ -758,8 +699,6 @@ TEST_F(PipelineTest, MergeAndMergeParallelCarryNewCounters) {
   EXPECT_EQ(parent.queue_ns, 1400u);  // attribution: summed
   EXPECT_EQ(parent.verb(FabricVerb::kWrite).ops, 2u);  // attribution: summed
   EXPECT_EQ(parent.deadline_misses, 10u);
-  EXPECT_EQ(parent.hedges, 4u);
-  EXPECT_EQ(parent.hedge_wins, 2u);
   EXPECT_EQ(parent.breaker_fast_fails, 8u);
   EXPECT_EQ(parent.degraded_ops, 12u);
   EXPECT_EQ(parent.staleness_lsn, 180u);

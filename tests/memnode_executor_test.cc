@@ -7,9 +7,11 @@
 
 #include <cstring>
 #include <map>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "memnode/executor.h"
 #include "net/interconnect.h"
@@ -51,7 +53,8 @@ struct OffloadRig {
 
 // The same seeded op stream applied through the one-sided protocol and the
 // offloaded protocol must commit the identical key set with identical
-// values and identical statuses, op for op.
+// values and identical statuses, op for op, and that key set must match a
+// std::map model of the same ops.
 TEST(MemNodeExecutorTest, OffloadSemanticEquivalence) {
   OffloadRig a, b;
   RemoteBTree one_sided = a.OneSided();
@@ -59,6 +62,7 @@ TEST(MemNodeExecutorTest, OffloadSemanticEquivalence) {
   NetContext ca, cb;
 
   constexpr uint64_t kKeySpace = 200;  // forces splits and root growth
+  std::map<uint64_t, uint64_t> model;  // one shared walk: check it too
   Random rng(42);
   for (int i = 0; i < 1200; i++) {
     const uint64_t k = rng.Uniform(kKeySpace);
@@ -68,6 +72,7 @@ TEST(MemNodeExecutorTest, OffloadSemanticEquivalence) {
       Status sa = one_sided.Put(&ca, k, v);
       Status sb = offloaded.Put(&cb, k, v);
       ASSERT_EQ(sa.code(), sb.code()) << "op " << i;
+      model[k] = v;
     } else if (dice < 0.8) {
       auto ra = one_sided.Get(&ca, k);
       auto rb = offloaded.Get(&cb, k);
@@ -79,6 +84,7 @@ TEST(MemNodeExecutorTest, OffloadSemanticEquivalence) {
       Status sa = one_sided.Delete(&ca, k);
       Status sb = offloaded.Delete(&cb, k);
       ASSERT_EQ(sa.code(), sb.code()) << "op " << i;
+      model.erase(k);
     }
   }
 
@@ -96,8 +102,13 @@ TEST(MemNodeExecutorTest, OffloadSemanticEquivalence) {
   ASSERT_TRUE(sa.ok());
   ASSERT_TRUE(sb.ok());
   EXPECT_EQ(*sa, *sb);
+  const std::vector<std::pair<uint64_t, uint64_t>> want(model.begin(),
+                                                        model.end());
+  EXPECT_EQ(*sb, want);
   EXPECT_GT(b.exec.stats().inserts, 0u);
   EXPECT_GT(b.exec.stats().splits, 0u);
+  // One walk, two stores: the same op sequence splits the same nodes.
+  EXPECT_EQ(one_sided.stats().splits, b.exec.stats().splits);
 }
 
 // One-sided and offloaded handles operate on the SAME tree bytes under the
@@ -121,6 +132,68 @@ TEST(MemNodeExecutorTest, ProtocolsInteroperateOnLiveTree) {
   }
   ASSERT_TRUE(offloaded.Delete(&ctx, 4).ok());
   EXPECT_TRUE(one_sided.Get(&ctx, 4).status().IsNotFound());
+}
+
+// ---- Hostile inputs ---------------------------------------------------------
+
+// Every strict prefix of a well-formed exec.idx.* request, and a request
+// naming an unregistered tree, is InvalidArgument and leaves the pool's
+// bytes untouched.
+TEST(MemNodeExecutorTest, MalformedIndexRequestsAreInvalidArgument) {
+  OffloadRig rig;
+  RemoteBTree offloaded = rig.Offloaded();
+  NetContext ctx;
+  for (uint64_t k = 0; k < 100; k++) {
+    ASSERT_TRUE(offloaded.Put(&ctx, k, k).ok());  // a two-level tree
+  }
+  const MemoryRegion* region = rig.fabric.node(rig.tree_ref.root_ptr.node)
+                                   ->region(rig.tree_ref.root_ptr.region);
+  const std::string before(region->data(), region->size());
+
+  auto encode = [](const char* method, uint64_t tree) {
+    std::string req;
+    PutVarint64(&req, tree);
+    PutFixed64(&req, 42);  // key, or the scan's start key
+    const std::string_view m(method);
+    if (m == offload::kIdxPut) PutFixed64(&req, 7);
+    if (m == offload::kIdxScan) PutVarint64(&req, 300);  // 2-byte limit
+    return req;
+  };
+  for (const char* method : {offload::kIdxGet, offload::kIdxScan,
+                             offload::kIdxPut, offload::kIdxDelete}) {
+    const std::string valid = encode(method, rig.tree_id);
+    std::vector<std::string> hostile;
+    for (size_t n = 0; n < valid.size(); n++) {
+      hostile.push_back(valid.substr(0, n));
+    }
+    hostile.push_back(encode(method, rig.tree_id + 1));
+    hostile.push_back(encode(method, ~uint64_t{0}));
+    for (const std::string& req : hostile) {
+      std::string resp;
+      Status st = rig.fabric.Call(&ctx, rig.pool.node(), method, req, &resp);
+      EXPECT_TRUE(st.IsInvalidArgument())
+          << method << " with " << req.size() << " bytes: " << st.ToString();
+    }
+  }
+  EXPECT_TRUE(std::string(region->data(), region->size()) == before);
+}
+
+// A corrupt exec.idx.scan reply (a huge entry count over a short body) is
+// Corruption, not an allocation failure.
+TEST(MemNodeExecutorTest, CorruptScanReplyIsCorruption) {
+  Fabric fabric;
+  const NodeId node =
+      fabric.AddNode("fake-exec", NodeKind::kMemory, InterconnectModel::Rdma());
+  fabric.node(node)->RegisterHandler(
+      offload::kIdxScan, [](Slice, std::string* resp, RpcServerContext*) {
+        PutVarint64(resp, uint64_t{1} << 60);
+        PutFixed64(resp, 1);
+        PutFixed64(resp, 2);
+        return Status::OK();
+      });
+  NetContext ctx;
+  auto got = OffloadIndexScan(&fabric, &ctx, node, 0, 0, 10);
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
 }
 
 // ---- Traversal-RPC cost arithmetic ----------------------------------------

@@ -18,7 +18,7 @@ namespace {
 // the weight -> admission -> staleness escalation order, the infeasibility
 // freeze (flagged SLO sets never oscillate), the EDF discipline's exact
 // queue-jump arithmetic and its non-starvation slack for deadline-less ops,
-// join-shortest-virtual-queue placement, and the determinism contract:
+// and the determinism contract:
 // controller decisions are a pure function of (seed, workload, partitions,
 // epoch_ns) — never of the thread count.
 
@@ -302,10 +302,6 @@ TEST(EdfDisciplineTest, RanksByAbsoluteDeadlineExactArithmetic) {
   // (deadline-ordered drain), so a tight op arrives into a clear lane.
   EXPECT_EQ(cs.Admit(7, 0, 2'000, 8, 3'000), 0u);
 
-  // BacklogEstimate mirrors the admission arithmetic without mutating it.
-  EXPECT_EQ(cs.BacklogEstimate(7, 0, 2'000, 12'000), 2'000u);
-  EXPECT_EQ(cs.BacklogEstimate(7, 0, 2'000, 2'500), 0u);
-
   const auto st = cs.NodeStats(7);
   EXPECT_EQ(st.queue_ns, 4'000u);
   EXPECT_EQ(st.busy_ns, 5'000u);
@@ -337,42 +333,6 @@ TEST(EdfDisciplineTest, DefaultSlackBoundsDeadlinelessWaitNonStarvation) {
   // A second deadline-less op waits behind X and the tight op ONLY — not
   // behind the ten loose-deadline ops already queued.
   EXPECT_EQ(cs.Admit(7, 0, 0, 8, 0), 2'000u);
-}
-
-// ---- Join-shortest-virtual-queue placement --------------------------------
-
-TEST(JoinShortestQueueTest, PicksLeastBackloggedCandidate) {
-  Fabric fabric;
-  NodeId a = fabric.AddNode("a", NodeKind::kMemory, InterconnectModel::Rdma());
-  NodeId b = fabric.AddNode("b", NodeKind::kMemory, InterconnectModel::Rdma());
-  MemoryRegion* ra = fabric.node(a)->AddRegion("heap", 1 << 16);
-  fabric.node(b)->AddRegion("heap", 1 << 16);
-
-  // No congestion model: no signal to rank by, first candidate wins.
-  NetContext probe;
-  EXPECT_EQ(fabric.JoinShortestQueue({a, b}, probe), a);
-
-  CongestionConfig cfg;
-  cfg.default_node = ResourceCapacity{1000, 0.0};
-  fabric.EnableCongestion(cfg);
-
-  // Tie (both idle): deterministic earliest-candidate break.
-  EXPECT_EQ(fabric.JoinShortestQueue({a, b}, probe), a);
-
-  // Three queued ops on a: a probe at t=0 sees 3 service times of backlog
-  // there and none on b.
-  char buf[8];
-  for (int i = 0; i < 3; i++) {
-    NetContext c;
-    ASSERT_TRUE(fabric.Read(&c, GlobalAddr{a, ra->id(), 0}, buf, 8).ok());
-  }
-  EXPECT_EQ(fabric.JoinShortestQueue({a, b}, probe), b);
-  EXPECT_EQ(fabric.JoinShortestQueue({b, a}, probe), b);
-
-  // A probe arriving after a's backlog drained ties again -> first.
-  NetContext late;
-  late.Charge(50'000);
-  EXPECT_EQ(fabric.JoinShortestQueue({a, b}, late), a);
 }
 
 // ---- Closed-loop control against the real congestion model ----------------
