@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -60,16 +61,20 @@ inline void ReportSim(benchmark::State& state, const NetContext& ctx,
 }
 
 /// Reads the unsigned decimal environment variable `name` into `*out`.
-/// Returns false, leaving `*out` alone, when it is unset or not a number;
-/// a non-numeric value (strtoul would silently read "abc" as 0) is also
-/// reported on stderr.
+/// Returns false, leaving `*out` alone, when it is unset or not a decimal
+/// number in [0, UINT32_MAX]; such a value is also reported on stderr.
+/// strtoull alone would read "abc" as 0, and "-1" as ULLONG_MAX, which
+/// would truncate to 4294967295 worker threads.
 inline bool EnvU32(const char* name, uint32_t* out) {
   const char* env = std::getenv(name);
   if (env == nullptr) return false;
   char* end = nullptr;
-  const unsigned long parsed = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0') {
-    std::fprintf(stderr, "%s='%s' is not a number; ignoring it\n", name, env);
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(env, &end, 10);
+  if (*env < '0' || *env > '9' || *end != '\0' || errno == ERANGE ||
+      parsed > UINT32_MAX) {
+    std::fprintf(stderr, "%s='%s' is not a 32-bit unsigned number; "
+                 "ignoring it\n", name, env);
     return false;
   }
   *out = static_cast<uint32_t>(parsed);

@@ -44,7 +44,7 @@ constexpr SeqNum kInvalidSeqNum = 0;
 ///     tail LSNs.
 ///
 /// Node RPCs (all through `Fabric::Execute`, so tracing / faults / retry /
-/// deadlines / breaker / WFQ / congestion apply):
+/// deadlines / WFQ / congestion apply):
 ///   slog.append     -- primary append: epoch check, LSN dedup, assign seqnums
 ///   slog.replicate  -- backup store at given seqnums (idempotent by seqnum)
 ///   slog.read       -- tag suffix with seq > from AND lsn > from (exclusive

@@ -382,6 +382,18 @@ void MemNodeExecutor::ReleaseTxnLocked(TxnId txn) {
   stats_.releases++;
 }
 
+bool MemNodeExecutor::IsPendingList(Slice rest, uint64_t npend) {
+  // Divides instead of multiplying, so a hostile count cannot overflow.
+  return rest.size() % 8 == 0 && npend == rest.size() / 8;
+}
+
+void MemNodeExecutor::ReleasePendingLocked(Slice ids, uint64_t npend) {
+  for (uint64_t i = 0; i < npend; i++) {
+    ReleaseTxnLocked(DecodeFixed64(ids.data() + 8 * i));
+    stats_.piggybacked_releases++;
+  }
+}
+
 Status MemNodeExecutor::HandleLockAcquire(Slice req, std::string* resp,
                                           RpcServerContext* sctx) {
   DISAGG_RETURN_NOT_OK(CheckAlive());
@@ -392,20 +404,13 @@ Status MemNodeExecutor::HandleLockAcquire(Slice req, std::string* resp,
   }
   const uint8_t mode = static_cast<uint8_t>(req[0]);
   req.remove_prefix(1);
-  if (!GetVarint64(&req, &npend)) {
+  if (!GetVarint64(&req, &npend) || !IsPendingList(req, npend)) {
     return Status::InvalidArgument("malformed exec.lock.acquire");
   }
 
   std::lock_guard<std::mutex> lock(mu_);
   stats_.acquires++;
-  for (uint64_t i = 0; i < npend; i++) {
-    uint64_t dead = 0;
-    if (!GetFixed64(&req, &dead)) {
-      return Status::InvalidArgument("malformed exec.lock.acquire");
-    }
-    ReleaseTxnLocked(dead);
-    stats_.piggybacked_releases++;
-  }
+  ReleasePendingLocked(req, npend);
   sctx->ChargeCompute(offload::kDispatchNs +
                       offload::kLockOpNs * (1 + npend));
 
@@ -431,19 +436,12 @@ Status MemNodeExecutor::HandleLockRelease(Slice req, std::string* resp,
   DISAGG_RETURN_NOT_OK(CheckAlive());
   uint64_t req_epoch = 0, txn = 0, npend = 0;
   if (!GetVarint64(&req, &req_epoch) || !GetFixed64(&req, &txn) ||
-      !GetVarint64(&req, &npend)) {
+      !GetVarint64(&req, &npend) || !IsPendingList(req, npend)) {
     return Status::InvalidArgument("malformed exec.lock.release");
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  for (uint64_t i = 0; i < npend; i++) {
-    uint64_t dead = 0;
-    if (!GetFixed64(&req, &dead)) {
-      return Status::InvalidArgument("malformed exec.lock.release");
-    }
-    ReleaseTxnLocked(dead);
-    stats_.piggybacked_releases++;
-  }
+  ReleasePendingLocked(req, npend);
   sctx->ChargeCompute(offload::kDispatchNs +
                       offload::kLockOpNs * (1 + npend));
 

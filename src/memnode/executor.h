@@ -67,6 +67,8 @@ class MemNodeExecutor {
     uint64_t crashes = 0;
     uint64_t recoveries = 0;
     uint64_t lease_refences = 0;  ///< grant-voiding lease-epoch catch-ups
+
+    bool operator==(const Stats&) const = default;
   };
 
   /// Registers the `exec.*` handlers on `pool`'s node.
@@ -137,6 +139,12 @@ class MemNodeExecutor {
   // ---- WOUND_WAIT lock table (all under mu_) ----------------------------
   offload::LockOutcome AcquireLocked(TxnId txn, uint64_t key, uint8_t mode);
   void ReleaseTxnLocked(TxnId txn);
+
+  /// True when `rest` is exactly `npend` fixed64 txn ids: a lock request's
+  /// piggybacked release list, validated before any lock is touched.
+  static bool IsPendingList(Slice rest, uint64_t npend);
+  /// Releases the `npend` txns of a list `IsPendingList` accepted.
+  void ReleasePendingLocked(Slice ids, uint64_t npend);
 
   Fabric* fabric_;
   MemoryNode* pool_;

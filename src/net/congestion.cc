@@ -10,7 +10,6 @@ CongestionState::CongestionState(CongestionConfig config)
     : config_(std::move(config)) {
   auto table = std::make_shared<ControlTable>();
   table->sfq = config_.wfq_enabled();
-  table->default_weight = config_.default_weight;
   for (const auto& [tenant, w] : config_.tenant_weights) {
     table->tenants[tenant].weight = w;
   }
@@ -22,7 +21,6 @@ void CongestionState::UpdateTenantControls(
     const std::map<uint32_t, TenantControl>& controls) {
   auto table = std::make_shared<ControlTable>();
   table->sfq = config_.wfq_enabled();
-  table->default_weight = config_.default_weight;
   table->tenants = controls;
   std::lock_guard<std::mutex> lock(mu_);
   controls_retired_.push_back(std::move(controls_current_));
@@ -33,8 +31,7 @@ void CongestionState::UpdateTenantControls(
 TenantControl CongestionState::ControlFor(uint32_t tenant) const {
   const ControlTable& ct = controls();
   auto it = ct.tenants.find(tenant);
-  if (it != ct.tenants.end()) return it->second;
-  return TenantControl{ct.default_weight, 0};
+  return it != ct.tenants.end() ? it->second : TenantControl{};
 }
 
 uint64_t CongestionState::AdmitOneFifo(Resource* r, uint64_t t,
@@ -166,63 +163,26 @@ const CongestionState::Resource* CongestionState::FindResource(
   return it == nodes_.end() ? nullptr : &it->second;
 }
 
-CongestionState::Resource* CongestionState::BackbonePtrLocked() {
-  if (config_.backbone.unlimited()) return nullptr;
-  if (!backbone_init_) {
-    backbone_.cap = config_.backbone;
-    backbone_init_ = true;
-  }
-  return &backbone_;
-}
-
-int CongestionState::TryAdmitOn(const ControlTable& ct, const Resource* link,
-                                const Resource* backbone, uint32_t tenant,
-                                uint64_t arrival_ns,
-                                uint64_t deadline_ns) const {
-  const uint64_t eff = EffectiveDeadline(arrival_ns, deadline_ns);
-  const uint64_t link_bound = ct.BoundFor(tenant, link->cap.max_backlog_ns);
-  if (link_bound > 0 &&
-      BacklogAt(ct, *link, tenant, arrival_ns, eff) > link_bound) {
-    return 1;
-  }
-  if (backbone != nullptr) {
-    const uint64_t bb_bound =
-        ct.BoundFor(tenant, backbone->cap.max_backlog_ns);
-    if (bb_bound > 0 &&
-        BacklogAt(ct, *backbone, tenant, arrival_ns, eff) > bb_bound) {
-      return 2;
-    }
-  }
-  return 0;
+bool CongestionState::TryAdmitOn(const ControlTable& ct, const Resource& link,
+                                 uint32_t tenant, uint64_t arrival_ns,
+                                 uint64_t deadline_ns) const {
+  const uint64_t bound = ct.BoundFor(tenant, link.cap.max_backlog_ns);
+  return bound == 0 ||
+         BacklogAt(ct, link, tenant, arrival_ns,
+                   EffectiveDeadline(arrival_ns, deadline_ns)) <= bound;
 }
 
 uint64_t CongestionState::AdmitOn(const ControlTable& ct, Resource* link,
-                                  Resource* backbone, uint32_t tenant,
-                                  uint64_t arrival_ns, uint64_t bytes,
-                                  uint64_t deadline_ns) const {
-  const bool edf = config_.edf_enabled();
-  // The deadline is absolute, so both resources rank the op by the same
-  // effective value even though it reaches the backbone later.
-  const uint64_t eff = EffectiveDeadline(arrival_ns, deadline_ns);
-
-  // The op transits its target node's link, then the shared backbone
-  // (cut-through: it is admitted to the backbone as soon as it starts
-  // service on the link, so an idle pair of resources adds zero delay).
-  uint64_t t = arrival_ns;
-
-  if (!link->cap.unlimited()) {
-    t = edf      ? AdmitOneEdf(link, t, bytes, eff)
-        : ct.sfq ? AdmitOneSfq(ct, link, tenant, t, bytes)
-                 : AdmitOneFifo(link, t, bytes);
-  }
-
-  if (backbone != nullptr) {
-    t = edf      ? AdmitOneEdf(backbone, t, bytes, eff)
-        : ct.sfq ? AdmitOneSfq(ct, backbone, tenant, t, bytes)
-                 : AdmitOneFifo(backbone, t, bytes);
-  }
-
-  return t - arrival_ns;
+                                  uint32_t tenant, uint64_t arrival_ns,
+                                  uint64_t bytes, uint64_t deadline_ns) const {
+  if (link->cap.unlimited()) return 0;
+  const uint64_t start =
+      config_.edf_enabled()
+          ? AdmitOneEdf(link, arrival_ns, bytes,
+                        EffectiveDeadline(arrival_ns, deadline_ns))
+      : ct.sfq ? AdmitOneSfq(ct, link, tenant, arrival_ns, bytes)
+               : AdmitOneFifo(link, arrival_ns, bytes);
+  return start - arrival_ns;
 }
 
 bool CongestionState::TryAdmit(NodeId node, uint32_t tenant,
@@ -240,17 +200,9 @@ bool CongestionState::TryAdmitAuthoritative(NodeId node, uint32_t tenant,
   const ControlTable& ct = controls();
   std::lock_guard<std::mutex> lock(mu_);
   Resource* link = ResourceFor(node);
-  Resource* backbone = BackbonePtrLocked();
-  switch (TryAdmitOn(ct, link, backbone, tenant, arrival_ns, deadline_ns)) {
-    case 1:
-      link->stats.rejections++;
-      return false;
-    case 2:
-      backbone->stats.rejections++;
-      return false;
-    default:
-      return true;
-  }
+  if (TryAdmitOn(ct, *link, tenant, arrival_ns, deadline_ns)) return true;
+  link->stats.rejections++;
+  return false;
 }
 
 uint64_t CongestionState::Admit(NodeId node, uint32_t tenant,
@@ -269,8 +221,8 @@ uint64_t CongestionState::AdmitAuthoritative(NodeId node, uint32_t tenant,
                                              uint64_t deadline_ns) {
   const ControlTable& ct = controls();
   std::lock_guard<std::mutex> lock(mu_);
-  return AdmitOn(ct, ResourceFor(node), BackbonePtrLocked(), tenant,
-                 arrival_ns, bytes, deadline_ns);
+  return AdmitOn(ct, ResourceFor(node), tenant, arrival_ns, bytes,
+                 deadline_ns);
 }
 
 CongestionState::Resource* CongestionState::Shard::LocalFor(NodeId node) {
@@ -282,73 +234,51 @@ CongestionState::Resource* CongestionState::Shard::LocalFor(NodeId node) {
   return &it->second;
 }
 
-CongestionState::Resource* CongestionState::Shard::LocalBackbone() {
-  if (owner_->config_.backbone.unlimited()) return nullptr;
-  if (!backbone_copied_) {
-    std::lock_guard<std::mutex> lock(owner_->mu_);
-    backbone_ = *owner_->BackbonePtrLocked();
-    backbone_copied_ = true;
-  }
-  return &backbone_;
-}
-
 bool CongestionState::Shard::TryAdmit(NodeId node, uint32_t tenant,
                                       uint64_t arrival_ns,
                                       uint64_t deadline_ns) {
   const ControlTable& ct = owner_->controls();
   Resource* link = LocalFor(node);
-  Resource* backbone = LocalBackbone();
-  const int rej =
-      owner_->TryAdmitOn(ct, link, backbone, tenant, arrival_ns, deadline_ns);
-  if (rej == 0) return true;
+  if (owner_->TryAdmitOn(ct, *link, tenant, arrival_ns, deadline_ns)) {
+    return true;
+  }
   // Local scratch counter (kept coherent for BacklogAt reads); the
   // authoritative counter is bumped when the logged event replays.
-  (rej == 1 ? link : backbone)->stats.rejections++;
-  log_.push_back(Event{Event::kReject, rej == 2, node, tenant, arrival_ns, 0,
-                       deadline_ns});
+  link->stats.rejections++;
+  log_.push_back(
+      Event{Event::kReject, node, tenant, arrival_ns, 0, deadline_ns});
   return false;
 }
 
 uint64_t CongestionState::Shard::Admit(NodeId node, uint32_t tenant,
                                        uint64_t arrival_ns, uint64_t bytes,
                                        uint64_t deadline_ns) {
-  const ControlTable& ct = owner_->controls();
-  Resource* link = LocalFor(node);
-  Resource* backbone = LocalBackbone();
-  log_.push_back(Event{Event::kAdmit, false, node, tenant, arrival_ns, bytes,
-                       deadline_ns});
-  return owner_->AdmitOn(ct, link, backbone, tenant, arrival_ns, bytes,
-                         deadline_ns);
+  log_.push_back(
+      Event{Event::kAdmit, node, tenant, arrival_ns, bytes, deadline_ns});
+  return owner_->AdmitOn(owner_->controls(), LocalFor(node), tenant,
+                         arrival_ns, bytes, deadline_ns);
 }
 
 void CongestionState::MergeShard(Shard* shard) {
   const ControlTable& ct = controls();
   std::lock_guard<std::mutex> lock(mu_);
   for (const Shard::Event& e : shard->log_) {
+    Resource* link = ResourceFor(e.node);
     if (e.kind == Shard::Event::kAdmit) {
-      AdmitOn(ct, ResourceFor(e.node), BackbonePtrLocked(), e.tenant,
-              e.arrival_ns, e.bytes, e.deadline_ns);
+      AdmitOn(ct, link, e.tenant, e.arrival_ns, e.bytes, e.deadline_ns);
     } else {
-      Resource* r = e.backbone ? BackbonePtrLocked() : ResourceFor(e.node);
-      if (r != nullptr) r->stats.rejections++;
+      link->stats.rejections++;
     }
   }
   // Drop the epoch's copies: the next epoch re-snapshots the merged state.
   shard->log_.clear();
   shard->nodes_.clear();
-  shard->backbone_ = Resource{/*cap=*/{}, {}, {}, {}};
-  shard->backbone_copied_ = false;
 }
 
 CongestionState::ResourceStats CongestionState::NodeStats(NodeId node) const {
   std::lock_guard<std::mutex> lock(mu_);
   const Resource* r = FindResource(node);
   return r == nullptr ? ResourceStats{} : r->stats;
-}
-
-CongestionState::ResourceStats CongestionState::BackboneStats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return backbone_.stats;
 }
 
 std::map<uint32_t, uint64_t> CongestionState::NodeTenantOps(
@@ -363,14 +293,14 @@ std::map<uint32_t, uint64_t> CongestionState::NodeTenantOps(
 
 uint64_t CongestionState::total_queue_ns() const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = backbone_.stats.queue_ns;
+  uint64_t total = 0;
   for (const auto& [id, r] : nodes_) total += r.stats.queue_ns;
   return total;
 }
 
 uint64_t CongestionState::total_rejections() const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = backbone_.stats.rejections;
+  uint64_t total = 0;
   for (const auto& [id, r] : nodes_) total += r.stats.rejections;
   return total;
 }
@@ -382,9 +312,6 @@ void CongestionState::Reset() {
     r.lanes.clear();
     r.edf = EdfQueue{};
   }
-  backbone_.stats = ResourceStats{};
-  backbone_.lanes.clear();
-  backbone_.edf = EdfQueue{};
 }
 
 }  // namespace disagg

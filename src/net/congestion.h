@@ -15,8 +15,8 @@ struct PartitionEffects;  // src/net/partition.h
 
 using NodeId = uint32_t;  // mirrors fabric.h (kept header-independent)
 
-/// Service capacity of one shared resource (a node's NIC/link or the fabric
-/// backbone). An op moving `b` bytes occupies the resource for
+/// Service capacity of one shared resource (a node's NIC/link). An op moving
+/// `b` bytes occupies the resource for
 ///   ns_per_op + b * ns_per_byte
 /// simulated nanoseconds. Both terms default to 0 = "this dimension is
 /// unconstrained"; a resource with both at 0 never queues.
@@ -59,17 +59,17 @@ enum class QueueDiscipline : uint8_t {
   kTenantFair = 0,
   /// Earliest-deadline-first over `FabricOp::deadline_ns`: pending work is
   /// served in absolute-deadline order in a fluid model. Ops without a
-  /// deadline are assigned `arrival + edf_default_slack_ns`, which both
-  /// ranks them against real deadlines and bounds their wait (work arriving
-  /// later with deadlines beyond that horizon queues behind them — EDF here
-  /// cannot starve deadline-less traffic). Tenant weights are ignored in
-  /// this mode; per-tenant admission bounds still apply.
+  /// deadline are assigned `arrival + CongestionConfig::kEdfDefaultSlackNs`,
+  /// which both ranks them against real deadlines and bounds their wait
+  /// (work arriving later with deadlines beyond that horizon queues behind
+  /// them — EDF here cannot starve deadline-less traffic). Tenant weights
+  /// are ignored in this mode; per-tenant admission bounds still apply.
   kEdf = 1,
 };
 
 /// Per-tenant scheduling controls, updatable at run time (the SLO
-/// controller's actuators). A tenant absent from the table uses the config
-/// defaults.
+/// controller's actuators). A tenant absent from the table gets weight 1.0
+/// and the resource's own admission bound.
 struct TenantControl {
   double weight = 1.0;          ///< SFQ share (ignored under EDF)
   uint64_t max_backlog_ns = 0;  ///< 0 = inherit the resource's bound
@@ -85,38 +85,33 @@ struct CongestionConfig {
   /// Per-node overrides (e.g. a memory pool's NIC budget, Farview-style).
   std::map<NodeId, ResourceCapacity> node_caps;
 
-  /// A single shared backbone every op crosses in addition to its target
-  /// node's link (models the switch fabric / oversubscribed core).
-  ResourceCapacity backbone;
-
   /// Per-tenant weights for start-time fair queueing (SFQ). Empty (the
   /// default) keeps the strict FIFO-by-arrival discipline and bit-identical
   /// counters; any entry switches every constrained resource to weighted
   /// fair queueing keyed by `NetContext::tenant`. Tenants absent from the
-  /// map get `default_weight`. These are only the *initial* weights: the
-  /// live table is a `TenantControl` snapshot that
+  /// map get weight 1.0. These are only the *initial* weights: the live
+  /// table is a `TenantControl` snapshot that
   /// `CongestionState::UpdateTenantControls` can republish at run time.
   std::map<uint32_t, double> tenant_weights;
-  double default_weight = 1.0;
 
   /// Queueing discipline at constrained resources (see QueueDiscipline).
   QueueDiscipline discipline = QueueDiscipline::kTenantFair;
 
   /// EDF only: the slack granted to deadline-less ops (their effective
-  /// deadline is `arrival + slack`).
-  uint64_t edf_default_slack_ns = 1'000'000;
+  /// deadline is `arrival + kEdfDefaultSlackNs`).
+  static constexpr uint64_t kEdfDefaultSlackNs = 1'000'000;
 
   /// Sim time charged to an op rejected by admission control (the cost of
   /// learning "no": one NACKed round trip / doorbell, not a full service).
-  uint64_t rejection_cost_ns = 100;
+  static constexpr uint64_t kRejectionCostNs = 100;
 
   bool wfq_enabled() const { return !tenant_weights.empty(); }
   bool edf_enabled() const { return discipline == QueueDiscipline::kEdf; }
 
   double WeightFor(uint32_t tenant) const {
     auto it = tenant_weights.find(tenant);
-    const double w = it == tenant_weights.end() ? default_weight : it->second;
-    return w > 0.0 ? w : 1.0;
+    if (it == tenant_weights.end()) return 1.0;
+    return it->second > 0.0 ? it->second : 1.0;
   }
 };
 
@@ -151,7 +146,7 @@ struct CongestionConfig {
 /// override via `TenantControl::max_backlog_ns`) bounds how far behind a
 /// resource an op may queue: `TryAdmit` is consulted before the op
 /// executes, and a rejected op is failed fast with `Status::Busy`, charged
-/// only `CongestionConfig::rejection_cost_ns`.
+/// only `CongestionConfig::kRejectionCostNs`.
 ///
 /// Live reconfiguration: per-tenant weights and admission bounds live in an
 /// immutable `TenantControl` table published through an atomic snapshot
@@ -181,25 +176,25 @@ class CongestionState {
   /// `arrival_ns`, BEFORE it executes (its byte count may not be known yet;
   /// the backlog an op waits behind is independent of its own size).
   /// `deadline_ns` is the op's absolute deadline (0 = none; used only by the
-  /// EDF discipline to rank the op). Returns false — and bumps the rejecting
-  /// resource's `rejections` counter — when the estimated wait at the node
-  /// link or the backbone exceeds the tenant's effective backlog bound.
-  /// Always true for unbounded resources.
+  /// EDF discipline to rank the op). Returns false — and bumps the link's
+  /// `rejections` counter — when the estimated wait at the node's link
+  /// exceeds the tenant's effective backlog bound. Always true for
+  /// unbounded resources.
   bool TryAdmit(NodeId node, uint32_t tenant, uint64_t arrival_ns,
                 uint64_t deadline_ns = 0);
 
   /// Admits one op moving `bytes` bytes to/from `node`, arriving at the
   /// client's virtual time `arrival_ns` with absolute deadline `deadline_ns`
   /// (0 = none). Returns the queueing delay to charge the client; advances
-  /// the busy windows of the node's link and the backbone.
+  /// the busy window of the node's link.
   uint64_t Admit(NodeId node, uint32_t tenant, uint64_t arrival_ns,
                  uint64_t bytes, uint64_t deadline_ns = 0);
 
   /// Atomically publishes a new per-tenant control table (weights +
-  /// admission bounds). Tenants absent from `controls` fall back to the
-  /// config defaults (`default_weight`, the resource's own bound). Intended
-  /// to be called from epoch barriers / setup code; per-op readers are
-  /// lock-free and see either the previous or the new table in full.
+  /// admission bounds). Tenants absent from `controls` fall back to weight
+  /// 1.0 and the resource's own bound. Intended to be called from epoch
+  /// barriers / setup code; per-op readers are lock-free and see either the
+  /// previous or the new table in full.
   void UpdateTenantControls(const std::map<uint32_t, TenantControl>& controls);
 
   /// The control currently in force for `tenant` (weight + bound override).
@@ -216,7 +211,6 @@ class CongestionState {
   };
 
   ResourceStats NodeStats(NodeId node) const;
-  ResourceStats BackboneStats() const;
 
   /// Per-tenant ops/bytes serviced at one node's link (empty map until the
   /// first op; all traffic is tenant 0 unless clients set
@@ -253,13 +247,12 @@ class CongestionState {
   /// whole op.
   struct ControlTable {
     bool sfq = false;  ///< SFQ discipline active (frozen from the config)
-    double default_weight = 1.0;
     std::map<uint32_t, TenantControl> tenants;
 
     double WeightFor(uint32_t tenant) const {
       auto it = tenants.find(tenant);
-      const double w = it == tenants.end() ? default_weight : it->second.weight;
-      return w > 0.0 ? w : 1.0;
+      if (it == tenants.end()) return 1.0;
+      return it->second.weight > 0.0 ? it->second.weight : 1.0;
     }
     /// Effective admission bound: the tenant's override when set, else the
     /// resource's own bound. 0 = unbounded.
@@ -314,24 +307,26 @@ class CongestionState {
                      uint32_t tenant, uint64_t t,
                      uint64_t eff_deadline_ns) const;
 
-  /// The full admission arithmetic on caller-supplied resources (backbone
-  /// may be null = unconstrained). Single-sourced so the authoritative
-  /// path, partition shards, and barrier replay are bit-identical.
-  uint64_t AdmitOn(const ControlTable& ct, Resource* link, Resource* backbone,
-                   uint32_t tenant, uint64_t arrival_ns, uint64_t bytes,
+  /// The full admission arithmetic on a caller-supplied link, returning
+  /// the queueing delay. Single-sourced so the authoritative path,
+  /// partition shards, and barrier replay are bit-identical.
+  uint64_t AdmitOn(const ControlTable& ct, Resource* link, uint32_t tenant,
+                   uint64_t arrival_ns, uint64_t bytes,
                    uint64_t deadline_ns) const;
 
-  /// 0 = admitted, 1 = link would reject, 2 = backbone would reject.
-  /// Pure check; the caller bumps the rejecting resource's counter.
-  int TryAdmitOn(const ControlTable& ct, const Resource* link,
-                 const Resource* backbone, uint32_t tenant,
-                 uint64_t arrival_ns, uint64_t deadline_ns) const;
+  /// True when `link` would admit the op. Pure check; on false the caller
+  /// bumps the link's rejection counter.
+  bool TryAdmitOn(const ControlTable& ct, const Resource& link,
+                  uint32_t tenant, uint64_t arrival_ns,
+                  uint64_t deadline_ns) const;
 
   /// The effective deadline EDF ranks an op by (deadline-less ops get
-  /// `arrival + edf_default_slack_ns`).
-  uint64_t EffectiveDeadline(uint64_t arrival_ns, uint64_t deadline_ns) const {
-    return deadline_ns != 0 ? deadline_ns
-                            : arrival_ns + config_.edf_default_slack_ns;
+  /// `arrival + kEdfDefaultSlackNs`).
+  static uint64_t EffectiveDeadline(uint64_t arrival_ns,
+                                    uint64_t deadline_ns) {
+    return deadline_ns != 0
+               ? deadline_ns
+               : arrival_ns + CongestionConfig::kEdfDefaultSlackNs;
   }
 
   /// Lock-free load of the current control table (valid for the lifetime of
@@ -342,7 +337,6 @@ class CongestionState {
 
   Resource* ResourceFor(NodeId node);          // lazily created
   const Resource* FindResource(NodeId node) const;
-  Resource* BackbonePtrLocked();  // null when the backbone is unlimited
 
   bool TryAdmitAuthoritative(NodeId node, uint32_t tenant,
                              uint64_t arrival_ns, uint64_t deadline_ns);
@@ -353,8 +347,6 @@ class CongestionState {
   const CongestionConfig config_;
   mutable std::mutex mu_;
   std::map<NodeId, Resource> nodes_;  // lazily created on first op
-  Resource backbone_{/*cap=*/{}, {}, {}, {}};
-  bool backbone_init_ = false;
 
   // Tenant-control snapshot: shared_ptr (under mu_) owns, raw atomic
   // mirrors for the per-op hot path. Old tables are parked in
@@ -393,7 +385,6 @@ class CongestionState::Shard {
   struct Event {
     enum Kind : uint8_t { kAdmit, kReject };
     Kind kind = kAdmit;
-    bool backbone = false;  // kReject: which resource refused
     NodeId node = 0;
     uint32_t tenant = 0;
     uint64_t arrival_ns = 0;
@@ -402,12 +393,9 @@ class CongestionState::Shard {
   };
 
   Resource* LocalFor(NodeId node);  // copy-on-first-touch from the owner
-  Resource* LocalBackbone();        // null when the backbone is unlimited
 
   CongestionState* const owner_;
   std::map<NodeId, Resource> nodes_;
-  Resource backbone_{/*cap=*/{}, {}, {}, {}};
-  bool backbone_copied_ = false;
   std::vector<Event> log_;
 };
 

@@ -199,7 +199,7 @@ Status Fabric::ExecuteCore(FabricOp* op, NetContext* ctx) {
   // client pays only the (small) cost of learning "no". The Busy status
   // flows into any installed RetryInterceptor like app-level contention.
   if (!congestion->TryAdmit(op->node, op->tenant, arrival, op->deadline_ns)) {
-    ctx->Charge(congestion->config().rejection_cost_ns);
+    ctx->Charge(CongestionConfig::kRejectionCostNs);
     ctx->admission_rejects++;
     op->admission_rejected = true;
     return Status::Busy("admission control: backlog bound exceeded at node " +

@@ -308,9 +308,9 @@ class Fabric {
   // ---- Shared-resource congestion ------------------------------------
 
   /// Turns on the shared-resource congestion model: every subsequent op is
-  /// routed through a virtual-time queue at its target node's link (and the
-  /// backbone, if configured) and charged the resulting queueing delay on
-  /// top of the unchanged interconnect cost model. The discipline is strict
+  /// routed through a virtual-time queue at its target node's link and
+  /// charged the resulting queueing delay on top of the unchanged
+  /// interconnect cost model. The discipline is strict
   /// FIFO by default, or start-time fair queueing keyed by
   /// `NetContext::tenant` when `CongestionConfig::tenant_weights` is set;
   /// with `ResourceCapacity::max_backlog_ns` configured, over-backlogged ops

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "net/partition.h"
 
 namespace disagg {
 
@@ -165,7 +164,7 @@ Status FaultInterceptor::Intercept(Fabric* /*fabric*/, FabricOp* op,
                             : (seq >= flap.from_seq && seq < flap.until_seq);
     if (flap.node == op->node && active) {
       flap_rejections_.fetch_add(1, std::memory_order_relaxed);
-      ctx->Charge(policy_.drop_penalty_ns);
+      ctx->Charge(FaultPolicy::kDropPenaltyNs);
       ctx->faults_injected++;
       return Status::Unavailable("injected flap: node " +
                                  std::to_string(op->node) + " down at op " +
@@ -192,19 +191,19 @@ Status FaultInterceptor::Intercept(Fabric* /*fabric*/, FabricOp* op,
     oneway_drops_.fetch_add(1, std::memory_order_relaxed);
     ctx->faults_injected++;
     if (ow.dir == FaultPolicy::OneWay::Direction::kRequestLost) {
-      ctx->Charge(policy_.drop_penalty_ns);
+      ctx->Charge(FaultPolicy::kDropPenaltyNs);
       return Status::Unavailable("injected one-way partition: request to node " +
                                  std::to_string(op->node) + " lost");
     }
     (void)next(op, ctx);
-    ctx->Charge(policy_.drop_penalty_ns);
+    ctx->Charge(FaultPolicy::kDropPenaltyNs);
     return Status::Unavailable("injected one-way partition: reply from node " +
                                std::to_string(op->node) + " lost");
   }
 
   if (Decide(key, /*salt=*/0xD0, policy_.drop_prob)) {
     drops_.fetch_add(1, std::memory_order_relaxed);
-    ctx->Charge(policy_.drop_penalty_ns);
+    ctx->Charge(FaultPolicy::kDropPenaltyNs);
     ctx->faults_injected++;
     return Status::Unavailable("injected packet loss at op " +
                                std::to_string(seq));
@@ -291,159 +290,6 @@ Status RetryInterceptor::Intercept(Fabric* /*fabric*/, FabricOp* op,
   }
   if (!st.ok() && Retryable(st)) {
     gave_up_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return st;
-}
-
-// ---- CircuitBreakerInterceptor -------------------------------------------
-
-CircuitBreakerInterceptor::State CircuitBreakerInterceptor::StateFor(
-    NodeId node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = nodes_.find(node);
-  return it == nodes_.end() ? State::kClosed : it->second.state;
-}
-
-void CircuitBreakerInterceptor::ResetNode(NodeId node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  nodes_.erase(node);
-}
-
-void CircuitBreakerInterceptor::ApplyFastFail(NodeState* ns,
-                                              const BreakerPolicy& policy) {
-  // Fast-fail without touching the wire; after `open_ops` of these the
-  // breaker moves to half-open and the *next* op becomes a probe.
-  ns->open_fast_fails++;
-  if (ns->open_fast_fails >= policy.open_ops) {
-    ns->state = State::kHalfOpen;
-    ns->probe_successes = 0;
-  }
-}
-
-bool CircuitBreakerInterceptor::ApplyOutcome(NodeState* ns, bool failure,
-                                             const BreakerPolicy& policy) {
-  switch (ns->state) {
-    case State::kClosed: {
-      ns->window_ops++;
-      if (failure) ns->window_failures++;
-      if (ns->window_ops >= policy.min_samples &&
-          static_cast<double>(ns->window_failures) >=
-              policy.open_error_rate * static_cast<double>(ns->window_ops)) {
-        ns->state = State::kOpen;
-        ns->open_fast_fails = 0;
-        ns->window_ops = 0;
-        ns->window_failures = 0;
-        return true;
-      }
-      if (ns->window_ops >= policy.window) {
-        ns->window_ops = 0;  // window boundary: forget old outcomes
-        ns->window_failures = 0;
-      }
-      return false;
-    }
-    case State::kHalfOpen: {
-      if (failure) {
-        ns->state = State::kOpen;  // probe failed: back to fast-failing
-        ns->open_fast_fails = 0;
-        ns->probe_successes = 0;
-        return true;
-      }
-      ns->probe_successes++;
-      if (ns->probe_successes >= policy.half_open_probes) {
-        *ns = NodeState{};  // closed, with a fresh window
-      }
-      return false;
-    }
-    case State::kOpen:
-      return false;  // outcome observed while open (replay edge): ignored
-  }
-  return false;
-}
-
-CircuitBreakerInterceptor::NodeState& CircuitBreakerInterceptor::ShardNodeFor(
-    ShardState* shard, NodeId node) {
-  auto it = shard->nodes.find(node);
-  if (it == shard->nodes.end()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    it = shard->nodes.emplace(node, nodes_[node]).first;
-  }
-  return it->second;
-}
-
-Status CircuitBreakerInterceptor::InterceptSharded(PartitionEffects* eff,
-                                                   FabricOp* op,
-                                                   NetContext* ctx,
-                                                   const FabricOpInvoker& next) {
-  ShardState& shard = eff->BreakerShardFor(this);
-  NodeState& ns = ShardNodeFor(&shard, op->node);
-  if (ns.state == State::kOpen) {
-    ApplyFastFail(&ns, policy_);
-    shard.log.emplace_back(op->node, ShardState::Outcome::kFastFail);
-    shard.fast_fails++;
-    ctx->Charge(policy_.fast_fail_penalty_ns);
-    ctx->breaker_fast_fails++;
-    return Status::Unavailable("circuit open: node " +
-                               std::to_string(op->node));
-  }
-
-  Status st = next(op, ctx);
-  const bool failure = st.IsUnavailable() || st.IsTimedOut();
-  shard.log.emplace_back(op->node, failure ? ShardState::Outcome::kFailure
-                                           : ShardState::Outcome::kOk);
-  // Opens are counted at replay time, where the authoritative machine takes
-  // the same transition; counting here too would double them.
-  ApplyOutcome(&ns, failure, policy_);
-  return st;
-}
-
-void CircuitBreakerInterceptor::MergeShard(ShardState* shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [node, outcome] : shard->log) {
-    NodeState& ns = nodes_[node];
-    if (outcome == ShardState::Outcome::kFastFail) {
-      // The shard refused the op against its view; keep the authoritative
-      // machine's open-phase countdown in step when it agrees it is open.
-      if (ns.state == State::kOpen) ApplyFastFail(&ns, policy_);
-    } else if (ApplyOutcome(&ns, outcome == ShardState::Outcome::kFailure,
-                            policy_)) {
-      opens_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  fast_fails_.fetch_add(shard->fast_fails, std::memory_order_relaxed);
-  shard->nodes.clear();
-  shard->log.clear();
-  shard->fast_fails = 0;
-}
-
-Status CircuitBreakerInterceptor::Intercept(Fabric* /*fabric*/, FabricOp* op,
-                                            NetContext* ctx,
-                                            const FabricOpInvoker& next) {
-  if (PartitionEffects* eff = CurrentPartitionEffects()) {
-    return InterceptSharded(eff, op, ctx, next);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    NodeState& ns = nodes_[op->node];
-    if (ns.state == State::kOpen) {
-      ApplyFastFail(&ns, policy_);
-      fast_fails_.fetch_add(1, std::memory_order_relaxed);
-      ctx->Charge(policy_.fast_fail_penalty_ns);
-      ctx->breaker_fast_fails++;
-      return Status::Unavailable("circuit open: node " +
-                                 std::to_string(op->node));
-    }
-  }
-
-  Status st = next(op, ctx);
-  // Busy is contention/admission, not node health; only fault-shaped
-  // statuses feed the error rate.
-  const bool failure = st.IsUnavailable() || st.IsTimedOut();
-
-  std::lock_guard<std::mutex> lock(mu_);
-  NodeState& ns = nodes_[op->node];
-  if (ApplyOutcome(&ns, failure, policy_)) {
-    opens_.fetch_add(1, std::memory_order_relaxed);
   }
   return st;
 }

@@ -13,8 +13,6 @@
 
 namespace disagg {
 
-struct PartitionEffects;  // src/net/partition.h
-
 /// Observes every op flowing through `Fabric::Execute()`: per-op sim-time
 /// histograms keyed by "verb/interconnect/node-kind", aggregate op/failure
 /// counts, and an optional bounded ring-buffer trace of the most recent ops
@@ -78,11 +76,13 @@ class TraceInterceptor : public FabricInterceptor {
 struct FaultPolicy {
   uint64_t seed = 1;
 
+  /// Sim time charged to an op the schedule drops, flaps or loses one way:
+  /// the client's timeout detection.
+  static constexpr uint64_t kDropPenaltyNs = 2000;
+
   /// Per-op probability the op is dropped before reaching the target; the
-  /// client is charged `drop_penalty_ns` (timeout detection) and sees
-  /// Status::Unavailable.
+  /// client is charged `kDropPenaltyNs` and sees Status::Unavailable.
   double drop_prob = 0.0;
-  uint64_t drop_penalty_ns = 2000;
 
   /// Per-op probability a completed op is charged `spike_ns` extra latency
   /// (congestion / retransmission on the wire).
@@ -117,7 +117,7 @@ struct FaultPolicy {
   /// virtual-time window [from_ns, until_ns) while the node itself stays up
   /// and its outbound replies to everyone else flow — the classic gray
   /// failure a symmetric flap cannot express. `kRequestLost` drops the op
-  /// before it reaches the node (charged `drop_penalty_ns`, Unavailable,
+  /// before it reaches the node (charged `kDropPenaltyNs`, Unavailable,
   /// side effects never happen); `kReplyLost` lets the op EXECUTE at the
   /// node and loses the acknowledgement on the way back (the caller is
   /// charged the penalty and sees Unavailable even though the side effect
@@ -229,104 +229,6 @@ class RetryInterceptor : public FabricInterceptor {
   const RetryPolicy policy_;
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> gave_up_{0};
-};
-
-/// Per-node circuit breaker: closed → open when the recent error rate at a
-/// node crosses a threshold, open → half-open after a fixed number of
-/// fast-failed ops, half-open → closed after consecutive successful probes
-/// (or back to open on a probe failure). While open, ops are refused
-/// immediately with `Status::Unavailable` for a small `fast_fail_penalty_ns`
-/// instead of burning a full drop/timeout penalty at a node that is down
-/// anyway — callers fall through to replicas or the degrade ladder.
-///
-/// The whole state machine is a pure function of the per-node op outcome
-/// stream (counts, not clocks), so chaos replay with a fixed seed drives it
-/// through bit-identical transitions. Only `Unavailable`/`TimedOut` count as
-/// failures: `Busy` is contention/admission, not node health.
-struct BreakerPolicy {
-  uint32_t window = 16;        ///< per-node outcomes per evaluation window
-  uint32_t min_samples = 8;    ///< evaluate only once the window has this many
-  double open_error_rate = 0.5;  ///< open when failures/window >= this
-  uint64_t open_ops = 32;      ///< fast-fails while open before half-open
-  uint32_t half_open_probes = 2;  ///< consecutive probe successes to close
-  uint64_t fast_fail_penalty_ns = 200;  ///< cost of learning "open" locally
-};
-
-class CircuitBreakerInterceptor : public FabricInterceptor {
- public:
-  explicit CircuitBreakerInterceptor(BreakerPolicy policy) : policy_(policy) {}
-
-  const char* name() const override { return "breaker"; }
-
-  Status Intercept(Fabric* fabric, FabricOp* op, NetContext* ctx,
-                   const FabricOpInvoker& next) override;
-
-  enum class State : uint8_t { kClosed, kOpen, kHalfOpen };
-
-  /// Current state for `node` (kClosed if the node was never seen).
-  State StateFor(NodeId node) const;
-
-  /// Forgets everything about `node`: closed state, fresh window. The
-  /// membership orchestrator calls this when a revoked node rejoins at a
-  /// new lease epoch — the old incarnation's failure history must not
-  /// fast-fail the healthy replacement.
-  void ResetNode(NodeId node);
-
-  uint64_t fast_fails() const {
-    return fast_fails_.load(std::memory_order_relaxed);
-  }
-  uint64_t opens() const { return opens_.load(std::memory_order_relaxed); }
-
-  const BreakerPolicy& policy() const { return policy_; }
-
-  struct NodeState {
-    State state = State::kClosed;
-    uint32_t window_ops = 0;       // outcomes observed in the current window
-    uint32_t window_failures = 0;
-    uint64_t open_fast_fails = 0;  // fast-fails since the breaker opened
-    uint32_t probe_successes = 0;  // consecutive successes while half-open
-  };
-
-  /// Partition-local view of this breaker for the epoch-parallel driver
-  /// (src/net/partition.h): per-node state copied from the authoritative map
-  /// on first touch each epoch, plus the per-node outcome log the barrier
-  /// replays through the authoritative state machine in partition order
-  /// (`MergeShard`). Never shared across threads.
-  struct ShardState {
-    enum class Outcome : uint8_t { kOk, kFailure, kFastFail };
-    std::map<NodeId, NodeState> nodes;        // copy-on-first-touch
-    std::vector<std::pair<NodeId, Outcome>> log;
-    uint64_t fast_fails = 0;  // shard-local; summed into fast_fails_ at merge
-  };
-
-  /// Replays one partition's epoch of outcomes into the authoritative state
-  /// machines and clears the shard for the next epoch; transitions reflect
-  /// the merged partition order.
-  void MergeShard(ShardState* shard);
-
- private:
-  Status InterceptSharded(PartitionEffects* eff, FabricOp* op, NetContext* ctx,
-                          const FabricOpInvoker& next);
-
-  /// The open-state fast-fail bookkeeping (open → half-open after
-  /// `open_ops`). Call only while `ns->state == kOpen`.
-  static void ApplyFastFail(NodeState* ns, const BreakerPolicy& policy);
-
-  /// Feeds one closed/half-open outcome through the state machine; returns
-  /// true when this outcome opened the breaker. Single-sourced so the
-  /// inline, sharded, and replay paths transition identically.
-  static bool ApplyOutcome(NodeState* ns, bool failure,
-                           const BreakerPolicy& policy);
-
-  /// The shard's view of `node`, copied from the authoritative map (under
-  /// `mu_`) the first time the partition touches it this epoch.
-  NodeState& ShardNodeFor(ShardState* shard, NodeId node);
-
-  const BreakerPolicy policy_;
-  mutable std::mutex mu_;
-  std::map<NodeId, NodeState> nodes_;
-  std::atomic<uint64_t> fast_fails_{0};
-  std::atomic<uint64_t> opens_{0};
 };
 
 }  // namespace disagg

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/coding.h"
-#include "net/interceptors.h"
 
 namespace disagg {
 
@@ -53,12 +52,6 @@ void MembershipService::OnRejoin(NodeId node, std::function<void()> fn) {
   nodes_[node].on_rejoin = std::move(fn);
 }
 
-void MembershipService::ResetBreakerOnRejoin(
-    CircuitBreakerInterceptor* breaker) {
-  std::lock_guard<std::mutex> lock(mu_);
-  breakers_.push_back(breaker);
-}
-
 void MembershipService::At(uint64_t at_ns, std::function<void()> fn) {
   std::lock_guard<std::mutex> lock(mu_);
   ScheduledAction action;
@@ -99,22 +92,14 @@ void MembershipService::EndEpoch(uint64_t epoch_end_ns) {
       stats_.repairs++;
       // Once per lease epoch: replaying a barrier (or a second timer for
       // the same revocation) must not re-run the recovery action.
-      std::function<void()> hook;
       if (opts_.auto_recover && st.on_repair &&
           st.repaired_epoch != st.lease_epoch) {
         st.repaired_epoch = st.lease_epoch;
-        hook = st.on_repair;
+        std::function<void()> hook = st.on_repair;
+        lock.unlock();
+        hook();
+        lock.lock();
       }
-      std::vector<CircuitBreakerInterceptor*> breakers = breakers_;
-      lock.unlock();
-      // Breakers reset as probation opens, not after it: an open breaker
-      // would fast-fail the very probes that prove the repair worked, and
-      // the node could never heal.
-      for (CircuitBreakerInterceptor* breaker : breakers) {
-        breaker->ResetNode(id);
-      }
-      if (hook) hook();
-      lock.lock();
       // Fall through: the freshly repaired node starts probation at this
       // same barrier.
     }
@@ -260,14 +245,12 @@ void MembershipService::RejoinLocked(NodeId id, NodeState* st,
   st->rtt_ewma = 0.0;  // new incarnation, new baseline
   events_.push_back({now_ns, id, Event::Kind::kRejoin, st->lease_epoch});
   stats_.rejoins++;
-  std::vector<CircuitBreakerInterceptor*> breakers = breakers_;
-  std::function<void()> hook = st->on_rejoin;
-  lock->unlock();
-  // The failed incarnation's error history must not fast-fail the
-  // replacement: reset per-node breaker state.
-  for (CircuitBreakerInterceptor* breaker : breakers) breaker->ResetNode(id);
-  if (hook) hook();
-  lock->lock();
+  if (st->on_rejoin) {
+    std::function<void()> hook = st->on_rejoin;
+    lock->unlock();
+    hook();
+    lock->lock();
+  }
 }
 
 uint64_t MembershipService::LeaseEpoch(NodeId node) const {

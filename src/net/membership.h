@@ -13,8 +13,6 @@
 
 namespace disagg {
 
-class CircuitBreakerInterceptor;  // net/interceptors.h
-
 namespace membership {
 /// Heartbeat RPC every monitored node answers (registered by `Monitor`).
 inline constexpr const char* kPingMethod = "member.ping";
@@ -55,7 +53,7 @@ struct MembershipOptions {
   /// the score by `healthy_decay`. `Status::Busy` is an ALIVE signal —
   /// admission rejection is overload, not node death — so it decays the
   /// score exactly like a healthy ack and never moves the RTT baseline
-  /// (the PR 5 circuit-breaker lesson, here load-bearing for quorum
+  /// (the status contract of `net/verb.h`, here load-bearing for quorum
   /// safety: overload can never amputate members).
   double suspicion_threshold = 3.0;
   double miss_increment = 1.0;
@@ -72,7 +70,7 @@ struct MembershipOptions {
   uint64_t repair_delay_ns = 100'000;
 
   /// Consecutive alive heartbeats a repaired node must answer before it
-  /// rejoins (lease validated, breaker reset, rejoin hooks run).
+  /// rejoins (lease validated, rejoin hooks run).
   uint32_t rejoin_probes = 2;
 
   /// When false the service detects and revokes (fencing still happens)
@@ -99,9 +97,9 @@ struct MembershipOptions {
 /// Node lifecycle: kUp --(suspicion >= threshold)--> kRevoked (lease
 /// epoch bumped; revoke hook fences downstream state; repair timer armed)
 /// --(timer at a barrier)--> kRejoining (repair hook runs, probation
-/// probing starts) --(rejoin_probes alive acks)--> kUp (breaker reset,
-/// rejoin hook). Repair runs at most once per lease epoch — actions are
-/// idempotent and replayable by construction.
+/// probing starts) --(rejoin_probes alive acks)--> kUp (rejoin hook).
+/// Repair runs at most once per lease epoch — actions are idempotent and
+/// replayable by construction.
 class MembershipService : public LeaseAuthority {
  public:
   enum class NodeHealth : uint8_t { kUp, kRevoked, kRejoining };
@@ -144,12 +142,6 @@ class MembershipService : public LeaseAuthority {
 
   /// Action run when `node` completes probation and rejoins.
   void OnRejoin(NodeId node, std::function<void()> fn);
-
-  /// Breakers whose per-node history is reset when a revoked node's repair
-  /// opens rejoin probation (and again at rejoin): the failed incarnation's
-  /// error history must not fast-fail the replacement — or the probation
-  /// probes themselves.
-  void ResetBreakerOnRejoin(CircuitBreakerInterceptor* breaker);
 
   /// Schedules `fn` to run at the first barrier whose end >= `at_ns`
   /// (before that barrier's heartbeats), in (at_ns, registration) order.
@@ -225,7 +217,6 @@ class MembershipService : public LeaseAuthority {
   std::map<NodeId, NodeState> nodes_;  // ascending id = barrier visit order
   std::vector<ScheduledAction> actions_;  // sorted by (at_ns, seq)
   uint64_t action_seq_ = 0;
-  std::vector<CircuitBreakerInterceptor*> breakers_;
   std::vector<Event> events_;
   NetContext charge_;
   Stats stats_;

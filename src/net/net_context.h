@@ -51,22 +51,17 @@ struct NetContext {
 
   /// Ops refused up front by congestion admission control
   /// (`ResourceCapacity::max_backlog_ns`); each was failed with
-  /// `Status::Busy` and charged only `CongestionConfig::rejection_cost_ns`
+  /// `Status::Busy` and charged only `CongestionConfig::kRejectionCostNs`
   /// (included in `sim_ns`, not in `queue_ns`).
   uint64_t admission_rejects = 0;
 
-  // ---- Graceful-degradation counters (all 0 unless a deadline,
-  // breaker, or degrade policy is configured; see DESIGN.md "Graceful
-  // degradation") ----------------------------------------------------------
+  // ---- Graceful-degradation counters (all 0 unless a deadline or degrade
+  // policy is configured; see DESIGN.md "Graceful degradation") -----------
 
   /// Ops whose completion overran the context's `deadline_ns` budget, plus
   /// ops refused up front because the budget was already exhausted at issue
   /// time (those fail with `Status::TimedOut` before touching the wire).
   uint64_t deadline_misses = 0;
-
-  /// Ops fast-failed by an open circuit breaker: charged only the breaker's
-  /// small fast-fail penalty instead of a full drop/timeout penalty.
-  uint64_t breaker_fast_fails = 0;
 
   /// Reads served by the engine degrade ladder from a bounded-staleness
   /// replica copy (the strict-freshness path had failed with
@@ -137,32 +132,6 @@ struct NetContext {
     return b;
   }
 
-  /// Merges another context's counters by summing everything, `sim_ns`
-  /// included. This is the *sequential* merge: it is correct when `o`'s
-  /// work happened after (or interleaved with, on one logical timeline)
-  /// this context's work — e.g. folding the phases of one client's run
-  /// together. For contexts that represent *concurrent* clients or fan-out
-  /// branches, summing `sim_ns` overstates wall-clock time; use
-  /// `MergeParallel()` below, which takes the max of elapsed time and sums
-  /// only the traffic/attribution counters.
-  void Merge(const NetContext& o) {
-    sim_ns += o.sim_ns;
-    bytes_out += o.bytes_out;
-    bytes_in += o.bytes_in;
-    round_trips += o.round_trips;
-    rpcs += o.rpcs;
-    retries += o.retries;
-    backoff_ns += o.backoff_ns;
-    faults_injected += o.faults_injected;
-    queue_ns += o.queue_ns;
-    admission_rejects += o.admission_rejects;
-    deadline_misses += o.deadline_misses;
-    breaker_fast_fails += o.breaker_fast_fails;
-    degraded_ops += o.degraded_ops;
-    staleness_lsn += o.staleness_lsn;
-    for (size_t v = 0; v < kNumFabricVerbs; v++) per_verb[v].Merge(o.per_verb[v]);
-  }
-
   double SimMillis() const { return static_cast<double>(sim_ns) / 1e6; }
 };
 
@@ -179,7 +148,6 @@ inline void AccumulateTraffic(NetContext* parent, const NetContext& b) {
   parent->queue_ns += b.queue_ns;
   parent->admission_rejects += b.admission_rejects;
   parent->deadline_misses += b.deadline_misses;
-  parent->breaker_fast_fails += b.breaker_fast_fails;
   parent->degraded_ops += b.degraded_ops;
   parent->staleness_lsn += b.staleness_lsn;
   for (size_t v = 0; v < kNumFabricVerbs; v++) {
@@ -195,10 +163,11 @@ inline void AccumulateTraffic(NetContext* parent, const NetContext& b) {
 /// counters and are summed, so after a parallel merge they bound, rather
 /// than equal, the parent's elapsed `sim_ns`.
 ///
-/// Rule of thumb: one timeline -> `Merge`; side-by-side timelines ->
-/// `MergeParallel`. Users: quorum/raft replication fan-out, engine commit
-/// fan-out (`src/core/engines.cc`), FORD parallel validation,
-/// pushdown producers and `SnowflakeDb::Query` VW merge. The load driver
+/// Rule of thumb: one timeline -> `AccumulateTraffic` plus the summed
+/// `sim_ns`; side-by-side timelines -> `MergeParallel`. Users: quorum/raft
+/// replication fan-out, engine commit fan-out (`src/core/engines.cc`), FORD
+/// parallel validation, pushdown producers and `SnowflakeDb::Query` VW
+/// merge. The load driver
 /// folds its clients the same way, summing `AccumulateTraffic` per
 /// partition rather than keeping a context per open-loop client.
 inline void MergeParallel(NetContext* parent,

@@ -16,11 +16,6 @@ CongestionState::Shard* PartitionEffects::ShardFor(CongestionState* state) {
   return it->second.get();
 }
 
-CircuitBreakerInterceptor::ShardState& PartitionEffects::BreakerShardFor(
-    CircuitBreakerInterceptor* breaker) {
-  return breaker_shards[breaker];
-}
-
 PartitionEffects* CurrentPartitionEffects() { return g_current_effects; }
 
 PartitionEffectsScope::PartitionEffectsScope(PartitionEffects* effects)

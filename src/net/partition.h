@@ -5,39 +5,31 @@
 #include <memory>
 
 #include "net/congestion.h"
-#include "net/interceptors.h"
 
 namespace disagg {
 
-/// Everything one client partition accumulates against order-sensitive
-/// shared state while it executes an epoch under the epoch-parallel driver
-/// (DESIGN.md "Parallel simulation"): a `CongestionState::Shard` per
-/// congestion model touched and a `CircuitBreakerInterceptor::ShardState`
-/// per breaker touched, both created lazily on first use. With more than
-/// one partition the driver installs one of these per partition via
-/// `PartitionEffectsScope` before running the partition's slice of an
-/// epoch, and replays every shard into the authoritative state at the
-/// barrier — in partition-id order, so the merged evolution is a pure
-/// function of the simulation config, not of thread scheduling.
+/// The per-node congestion state one client partition accumulates while it
+/// executes an epoch under the epoch-parallel driver (DESIGN.md "Parallel
+/// simulation"): a `CongestionState::Shard` per congestion model touched,
+/// created lazily on first use. With more than one partition the driver
+/// installs one of these per partition via `PartitionEffectsScope` before
+/// running the partition's slice of an epoch, and replays every shard into
+/// the authoritative state at the barrier — in partition-id order, so the
+/// merged evolution is a pure function of the simulation config, not of
+/// thread scheduling.
 ///
 /// Shards are keyed by the authoritative object's address, which makes the
 /// routing workload-agnostic: the driver never needs to know which fabrics
-/// (or how many) the client closure touches. Iteration order of these maps
+/// (or how many) the client closure touches. Iteration order of this map
 /// only interleaves shards of *independent* objects, so it cannot affect
 /// results; the order that matters — partitions within one object — is
 /// fixed by the driver's merge loop.
 struct PartitionEffects {
   std::map<CongestionState*, std::unique_ptr<CongestionState::Shard>>
       congestion_shards;
-  std::map<CircuitBreakerInterceptor*, CircuitBreakerInterceptor::ShardState>
-      breaker_shards;
 
   /// This partition's shard of `state`, created on first touch.
   CongestionState::Shard* ShardFor(CongestionState* state);
-
-  /// This partition's shard of `breaker`, created on first touch.
-  CircuitBreakerInterceptor::ShardState& BreakerShardFor(
-      CircuitBreakerInterceptor* breaker);
 };
 
 /// The effects container installed for the calling thread, or null when no

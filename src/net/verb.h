@@ -11,7 +11,7 @@ namespace disagg {
 /// executed by the single `Fabric::Execute()` path, so interceptors and
 /// per-verb accounting see a uniform stream of operations.
 ///
-/// Failure-status contract for fabric ops (three interceptors and the engine
+/// Failure-status contract for fabric ops (two interceptors and the engine
 /// degrade ladders branch on it, so the distinctions are load-bearing):
 ///
 ///  - `Status::Busy` — retryable *contention*: app-level conflicts (seqlock /
@@ -21,7 +21,7 @@ namespace disagg {
 ///    retrying an admission rejection is budgeted tighter
 ///    (`RetryPolicy::max_admission_attempts`) since it amplifies overload.
 ///  - `Status::Unavailable` — a *fault*: the target node is failed, flapping,
-///    the packet was dropped, or a circuit breaker is fast-failing for it.
+///    or the packet was dropped.
 ///    Retry against the same node may succeed after recovery; falling over
 ///    to a replica (the degrade ladder) is usually better.
 ///  - `Status::TimedOut` — a genuine *deadline* expiry: the op's

@@ -122,7 +122,6 @@ std::string ChaosSchedule::Describe() const {
   if (degrade.enabled) {
     out += " degrade<=" + std::to_string(degrade.max_staleness_lsn);
   }
-  if (breaker) out += " breaker";
   if (!log_reconfig_points.empty()) {
     out += " slog_reconfigs=" + std::to_string(log_reconfig_points.size());
   }
@@ -594,13 +593,11 @@ std::string ChaosReport::Summary() const {
   if (log_reconfigs != 0) {
     out += " slog_reconfigs=" + std::to_string(log_reconfigs);
   }
-  if (degraded_reads != 0 || admission_rejects != 0 ||
-      breaker_fast_fails != 0) {
+  if (degraded_reads != 0 || admission_rejects != 0) {
     std::snprintf(buf, sizeof(buf),
                   " degraded=%" PRIu64 " staleness=%" PRIu64
-                  " adm_rej=%" PRIu64 " fast_fail=%" PRIu64,
-                  degraded_reads, staleness_lsn, admission_rejects,
-                  breaker_fast_fails);
+                  " adm_rej=%" PRIu64,
+                  degraded_reads, staleness_lsn, admission_rejects);
     out += buf;
   }
   for (const std::string& v : violations) out += "\n  VIOLATION: " + v;
@@ -731,20 +728,14 @@ class ChaosRunner {
       }
     }
     fault_ = std::make_shared<FaultInterceptor>(fp);
-    if (schedule_.breaker) {
-      breaker_ = std::make_shared<CircuitBreakerInterceptor>(BreakerPolicy{});
-    }
   }
 
   void InstallInterceptors() {
-    // Retry first = outermost, so retries wrap the breaker's fast-fails
-    // and the injected faults; the breaker sits between them so it
-    // observes the post-fault outcome stream. The SAME interceptor objects
-    // are reinstalled after every oracle interlude: the fault sequence
-    // counter (and breaker state) keeps running, which keeps the whole run
-    // a pure function of the seed.
+    // Retry first = outermost, so retries wrap the injected faults. The
+    // SAME interceptor objects are reinstalled after every oracle
+    // interlude: the fault sequence counter keeps running, which keeps the
+    // whole run a pure function of the seed.
     fabric_.AddInterceptor(retry_);
-    if (breaker_ != nullptr) fabric_.AddInterceptor(breaker_);
     fabric_.AddInterceptor(fault_);
   }
 
@@ -1073,7 +1064,6 @@ class ChaosRunner {
     report_.faults_injected = ctx_.faults_injected;
     report_.staleness_lsn = ctx_.staleness_lsn;
     report_.admission_rejects = ctx_.admission_rejects;
-    report_.breaker_fast_fails = ctx_.breaker_fast_fails;
   }
 
   ChaosSchedule schedule_;
@@ -1087,7 +1077,6 @@ class ChaosRunner {
   NetContext ctx_;  // workload client context (sim time drives the trace)
   std::shared_ptr<RetryInterceptor> retry_;
   std::shared_ptr<FaultInterceptor> fault_;
-  std::shared_ptr<CircuitBreakerInterceptor> breaker_;  // null unless enabled
 };
 
 }  // namespace

@@ -64,12 +64,6 @@ struct ChaosSchedule {
   /// within the policy bound, which the runner asserts.
   DegradePolicy degrade;
 
-  /// Installs a per-node circuit breaker between retry and fault
-  /// injection, so sustained flap failures fast-fail instead of paying
-  /// full drop penalties. Purely deterministic: state is a function of the
-  /// op outcome stream.
-  bool breaker = false;
-
   /// Derives every field from `seed` alone.
   static ChaosSchedule FromSeed(uint64_t seed);
 
@@ -228,7 +222,6 @@ struct ChaosReport {
   uint64_t degraded_reads = 0;      // workload reads served by the ladder
   uint64_t staleness_lsn = 0;       // summed LSN staleness of those reads
   uint64_t admission_rejects = 0;   // Busy fail-fasts from admission control
-  uint64_t breaker_fast_fails = 0;  // ops short-circuited by open breakers
 
   std::string Summary() const;
 };

@@ -440,19 +440,18 @@ void DrainRecords(std::vector<Partition>* parts, std::vector<RecordRun>* runs,
 /// The epoch loop both disciplines share. Each epoch every partition makes
 /// the epoch current in its calendar and hands its runnables to
 /// `step(part, r)` in (time, client) order; then, with workers parked, the
-/// barrier legs run on the calling thread: the partitions' congestion and
-/// breaker shards replay into the authoritative state in partition-id
-/// order, the epoch's op records drain into `sink` in canonical order, the
-/// SLO controller ingests each partition's observations (also in
-/// partition-id order) and runs its control step, and membership runs its
+/// barrier legs run on the calling thread: the partitions' congestion
+/// shards replay into the authoritative state in partition-id order, the
+/// epoch's op records drain into `sink` in canonical order, the SLO
+/// controller ingests each partition's observations (also in partition-id
+/// order) and runs its control step, and membership runs its
 /// heartbeat rounds, revocations and repairs. Empty epochs are skipped: the
 /// next epoch is the one holding the earliest pending event. Returns the
 /// number of barriers crossed.
 ///
-/// A single partition installs no effects container, so congestion and
-/// breaker calls act on the authoritative state directly: there is no other
-/// partition to exchange with, and shard + replay would do each admission
-/// twice.
+/// A single partition installs no effects container, so congestion calls
+/// act on the authoritative state directly: there is no other partition to
+/// exchange with, and shard + replay would do each admission twice.
 template <typename Step, typename Sink>
 uint64_t RunEpochs(const ParallelConfig& pc, uint64_t epoch_ns,
                    std::vector<Partition>* parts, Step step, Sink sink) {
@@ -472,9 +471,6 @@ uint64_t RunEpochs(const ParallelConfig& pc, uint64_t epoch_ns,
     for (Partition& part : *parts) {
       for (auto& [state, shard] : part.effects.congestion_shards) {
         state->MergeShard(shard.get());
-      }
-      for (auto& [breaker, shard] : part.effects.breaker_shards) {
-        breaker->MergeShard(&shard);
       }
     }
     DrainRecords(parts, &runs, sink);

@@ -30,7 +30,7 @@ inline constexpr uint64_t kDefaultEpochNs = 100'000;
 /// virtual-time epochs. Within an epoch each partition processes its own
 /// virtual-time heap; then all partitions barrier. With more than one
 /// partition, each runs against partition-local views of the
-/// order-sensitive shared state (congestion queues, breaker windows), and
+/// order-sensitive shared state (the per-node congestion queues), and
 /// the barrier replays their effect logs into the authoritative state in
 /// partition-id order. A single partition has nothing to exchange: its ops
 /// act on the authoritative state directly, in global virtual-time order.

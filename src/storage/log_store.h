@@ -76,9 +76,9 @@ class LogStoreClient {
   }
   Result<std::vector<LogRecord>> ReadFrom(NetContext* ctx, Lsn from_exclusive,
                                           uint64_t max_records = 1024);
-  /// Highest durable LSN on the node, fetched over the fabric (so deadline,
-  /// breaker, and WFQ accounting all apply — recovery probes must not peek
-  /// service state directly).
+  /// Highest durable LSN on the node, fetched over the fabric (so deadline
+  /// and WFQ accounting apply — recovery probes must not peek service state
+  /// directly).
   Result<Lsn> DurableLsn(NetContext* ctx);
   Status Truncate(NetContext* ctx, Lsn up_to_inclusive);
 

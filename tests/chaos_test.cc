@@ -335,13 +335,12 @@ TEST(ChaosSuiteTest, NoEngineSurfacesTimedOutForRetryableContention) {
 }
 
 // Overload chaos: flap windows AND per-node admission control active at
-// once, with the circuit breaker and the engine degrade ladder installed.
-// Every read must complete, fail clean (Busy from admission / Unavailable
-// from faults or open breakers), or be served degraded within the
-// staleness bound; the membership, balance-conservation and
-// committed-replay audits must stay clean (degraded reads and breaker
-// fast-fails never mask committed data); and the identical schedule must
-// replay bit-identically through the new interceptors.
+// once, with the engine degrade ladder installed. Every read must complete,
+// fail clean (Busy from admission / Unavailable from faults), or be served
+// degraded within the staleness bound; the membership,
+// balance-conservation and committed-replay audits must stay clean
+// (degraded reads never mask committed data); and the identical schedule
+// must replay bit-identically.
 TEST(ChaosOverloadTest, FlapsPlusAdmissionControlCompleteBusyOrDegrade) {
   SKIP_UNDER_MUTATION();
   ChaosSchedule s;
@@ -361,9 +360,7 @@ TEST(ChaosOverloadTest, FlapsPlusAdmissionControlCompleteBusyOrDegrade) {
   s.max_backlog_ns = 20'000;
   s.overload_ns_per_op = 120'000;
   s.degrade = {/*enabled=*/true, /*max_staleness_lsn=*/1'000'000};
-  s.breaker = true;
   uint64_t total_rejects = 0;
-  uint64_t total_fast_fails = 0;
   for (const std::string& engine :
        {std::string("aurora"), std::string("polar"),
         std::string("socrates"), std::string("taurus")}) {
@@ -382,23 +379,19 @@ TEST(ChaosOverloadTest, FlapsPlusAdmissionControlCompleteBusyOrDegrade) {
           << "\n" << a.Summary();
     }
     total_rejects += a.admission_rejects;
-    total_fast_fails += a.breaker_fast_fails;
     const ChaosReport b = RunEngineChaos(engine, s);
     EXPECT_EQ(TraceToString(a.trace), TraceToString(b.trace))
         << engine << ": overload schedule did not replay bit-identically";
     EXPECT_EQ(a.degraded_reads, b.degraded_reads);
-    EXPECT_EQ(a.breaker_fast_fails, b.breaker_fast_fails);
   }
-  // The new layers actually engaged: admission control rejected ops (the
-  // backed-off retries then landed them, so commits survived) and the
-  // breakers fast-failed ops to flapped nodes instead of paying full drop
-  // penalties. Degrade-ladder engagement under open-loop multi-client
+  // The overload layer actually engaged: admission control rejected ops
+  // (the backed-off retries then landed them, so commits survived).
+  // Degrade-ladder engagement under open-loop multi-client
   // overload is measured by bench_e24_degradation (a serial chaos client
   // is charged its own queueing delay, so it cannot sustain the backlog a
   // degraded read needs); here the enabled policy pins the invariant that
   // any degraded read that does fire stays within the staleness bound.
   EXPECT_GT(total_rejects, 0u);
-  EXPECT_GT(total_fast_fails, 0u);
 }
 
 // Replay entry point used by scripts/chaos_replay.sh and the CI chaos

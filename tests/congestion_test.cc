@@ -72,7 +72,6 @@ TEST_F(CongestionTest, ZeroContentionParityIsBitIdentical) {
   // is always idle again before the client's next arrival.
   CongestionConfig cfg;
   cfg.node_caps[node_] = ResourceCapacity{50, 0.25};
-  cfg.backbone = ResourceCapacity{10, 0.01};
   fabric_.EnableCongestion(cfg);
 
   NetContext contended;
@@ -132,25 +131,6 @@ TEST_F(CongestionTest, FifoVirtualTimeQueueChargesExactWaits) {
   d.Charge(10'000);
   ASSERT_TRUE(fabric_.Read(&d, At(0), buf, 8).ok());
   EXPECT_EQ(d.queue_ns, 0u);
-}
-
-TEST_F(CongestionTest, BackboneQueuesIndependentlyOfNodeLinks) {
-  CongestionConfig cfg;
-  cfg.backbone = ResourceCapacity{500, 0.0};
-  fabric_.EnableCongestion(cfg);
-
-  char buf[8];
-  NetContext a, b;
-  ASSERT_TRUE(fabric_.Read(&a, At(0), buf, 8).ok());
-  ASSERT_TRUE(fabric_.Read(&b, At(0), buf, 8).ok());
-  EXPECT_EQ(a.queue_ns, 0u);
-  EXPECT_EQ(b.queue_ns, 500u);
-
-  auto bb = fabric_.congestion()->BackboneStats();
-  EXPECT_EQ(bb.ops, 2u);
-  EXPECT_EQ(bb.busy_ns, 1000u);
-  // The node link is unlimited: it never became a resource with stats.
-  EXPECT_EQ(fabric_.congestion()->NodeStats(node_).ops, 0u);
 }
 
 TEST_F(CongestionTest, RejectedOpsOccupyNothing) {
@@ -498,7 +478,6 @@ TEST_F(CongestionTest, RejectionChargesExactlyTheRejectionCost) {
   auto& cap = cfg.node_caps[node_];
   cap = ResourceCapacity{1000, 0.0};
   cap.max_backlog_ns = 5000;
-  cfg.rejection_cost_ns = 77;
   fabric_.EnableCongestion(cfg);
 
   // Six simultaneous arrivals build a 6000 ns backlog (the bound admits the
@@ -512,7 +491,8 @@ TEST_F(CongestionTest, RejectionChargesExactlyTheRejectionCost) {
   NetContext rejected;
   const Status st = fabric_.Read(&rejected, At(0), buf, 8);
   EXPECT_TRUE(st.IsBusy());
-  EXPECT_EQ(rejected.sim_ns, 77u);  // learns "no", pays only that
+  // Learns "no", pays only that.
+  EXPECT_EQ(rejected.sim_ns, CongestionConfig::kRejectionCostNs);
   EXPECT_EQ(rejected.queue_ns, 0u);
   EXPECT_EQ(rejected.bytes_in, 0u);
   EXPECT_EQ(rejected.admission_rejects, 1u);
@@ -568,7 +548,6 @@ TEST_F(CongestionTest, BusyFlowsIntoRetryInterceptorAndSucceeds) {
   auto& cap = cfg.node_caps[node_];
   cap = ResourceCapacity{1000, 0.0};
   cap.max_backlog_ns = 5000;
-  cfg.rejection_cost_ns = 100;
   fabric_.EnableCongestion(cfg);
 
   RetryPolicy rp;
@@ -666,7 +645,7 @@ TEST_F(CongestionTest, RegressionParallelMergeTakesMaxAndCarriesQueueNs) {
   b.bytes_in = 16;
 
   // Concurrent clients: elapsed time is the max, traffic and queue delay
-  // are summed (a sequential Merge would claim 400 ns of wall-clock).
+  // are summed (a sequential fold would claim 400 ns of wall-clock).
   NetContext parallel;
   const NetContext branches[2] = {a, b};
   MergeParallel(&parallel, branches, 2);
@@ -675,8 +654,10 @@ TEST_F(CongestionTest, RegressionParallelMergeTakesMaxAndCarriesQueueNs) {
   EXPECT_EQ(parallel.bytes_in, 24u);
 
   NetContext sequential;
-  sequential.Merge(a);
-  sequential.Merge(b);
+  for (const NetContext& phase : branches) {
+    AccumulateTraffic(&sequential, phase);
+    sequential.sim_ns += phase.sim_ns;
+  }
   EXPECT_EQ(sequential.sim_ns, 400u);
   EXPECT_EQ(sequential.queue_ns, 50u);
 
@@ -753,7 +734,7 @@ TEST_F(CongestionTest, UpdateTenantControlsSwapsWeightsAndBoundsLive) {
 TEST_F(CongestionTest, ExecuteBatchMidBatchBusyMatchesLoopedExecutes) {
   // Uncoalesced ExecuteBatch under admission control: when the first member
   // fills the queue past the bound, every later member is refused Busy and
-  // charged rejection_cost_ns ONCE each — and the whole ledger (statuses,
+  // charged kRejectionCostNs ONCE each — and the whole ledger (statuses,
   // charges, resource stats) is bit-identical to issuing the same six ops
   // through fabric.Read one by one.
   auto build = [](Fabric* fabric, NodeId* node, MemoryRegion** region) {
@@ -764,11 +745,11 @@ TEST_F(CongestionTest, ExecuteBatchMidBatchBusyMatchesLoopedExecutes) {
     auto& cap = cfg.node_caps[*node];
     cap = ResourceCapacity{10'000, 0.0};  // one member fills 10 us
     cap.max_backlog_ns = 5'000;
-    cfg.rejection_cost_ns = 77;
     fabric->EnableCongestion(cfg);
   };
 
   const uint64_t read_cost = InterconnectModel::Rdma().ReadCost(8);
+  const uint64_t reject_cost = CongestionConfig::kRejectionCostNs;
   char buf[6][8];
 
   // Arm 1: one six-member batch on a single context.
@@ -788,14 +769,14 @@ TEST_F(CongestionTest, ExecuteBatchMidBatchBusyMatchesLoopedExecutes) {
       batch_fabric.ExecuteBatch(&batch_ctx, batch_node, &members);
 
   // Member 1 is admitted (wait 0) and its service fills the queue to
-  // 10000 ns; members 2..6 arrive 2502, 2579, ... (each rejection advanced
-  // the clock by 77) against backlog > 5000 and are all refused.
+  // 10000 ns; members 2..6 arrive 2502, 2602, ... (each rejection advanced
+  // the clock by 100) against backlog > 5000 and are all refused.
   EXPECT_TRUE(batch_st.IsBusy());  // first error propagates
   EXPECT_TRUE(members[0].status.ok());
   for (size_t i = 1; i < members.size(); i++) {
     EXPECT_TRUE(members[i].status.IsBusy()) << "member " << i;
   }
-  EXPECT_EQ(batch_ctx.sim_ns, read_cost + 5 * 77);
+  EXPECT_EQ(batch_ctx.sim_ns, read_cost + 5 * reject_cost);
   EXPECT_EQ(batch_ctx.admission_rejects, 5u);
   EXPECT_EQ(batch_ctx.queue_ns, 0u);
   EXPECT_EQ(batch_ctx.bytes_in, 8u);  // only the admitted member's bytes

@@ -234,7 +234,6 @@ TEST_F(PipelineTest, FlapWindowWithRetryAccountsBackoffExactly) {
   rp.backoff_multiplier = 2.0;
   auto retry = std::make_shared<RetryInterceptor>(rp);
   FaultPolicy fp;
-  fp.drop_penalty_ns = 2000;
   fp.flaps.push_back({mem_node_, /*from_seq=*/0, /*until_seq=*/2});
   auto fault = std::make_shared<FaultInterceptor>(fp);
   fabric_.AddInterceptor(retry);
@@ -258,7 +257,7 @@ TEST_F(PipelineTest, FlapWindowWithRetryAccountsBackoffExactly) {
   EXPECT_EQ(fault->flap_rejections(), 2u);
   EXPECT_EQ(retry->retries(), 2u);
   // sim_ns = two flap penalties + backoffs + the successful read.
-  EXPECT_EQ(ctx.sim_ns, 2 * 2000u + 3000u +
+  EXPECT_EQ(ctx.sim_ns, 2 * FaultPolicy::kDropPenaltyNs + 3000u +
                             InterconnectModel::Rdma().ReadCost(8));
   // Only the landed op shows up in the per-verb breakdown.
   EXPECT_EQ(ctx.verb(FabricVerb::kRead).ops, 1u);
@@ -451,63 +450,12 @@ TEST_F(PipelineTest, RetryNeverBacksOffPastTheDeadline) {
   fabric_.node(mem_node_)->Revive();
 }
 
-TEST_F(PipelineTest, CircuitBreakerOpensFastFailsAndRecloses) {
-  BreakerPolicy bp;
-  bp.window = 4;
-  bp.min_samples = 4;
-  bp.open_error_rate = 1.0;
-  bp.open_ops = 3;
-  bp.half_open_probes = 2;
-  bp.fast_fail_penalty_ns = 200;
-  auto breaker = std::make_shared<CircuitBreakerInterceptor>(bp);
-  fabric_.AddInterceptor(breaker);
-
-  fabric_.node(mem_node_)->Fail();
-  NetContext ctx;
-  char buf[8];
-  for (int i = 0; i < 4; i++) {
-    EXPECT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).IsUnavailable());
-  }
-  EXPECT_EQ(breaker->opens(), 1u);
-  EXPECT_EQ(breaker->StateFor(mem_node_),
-            CircuitBreakerInterceptor::State::kOpen);
-
-  // While open: fast-fail at exactly the penalty, wire untouched.
-  const uint64_t before = ctx.sim_ns;
-  for (int i = 0; i < 3; i++) {
-    EXPECT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).IsUnavailable());
-  }
-  EXPECT_EQ(ctx.sim_ns - before, 3 * 200u);
-  EXPECT_EQ(ctx.breaker_fast_fails, 3u);
-  EXPECT_EQ(breaker->fast_fails(), 3u);
-  EXPECT_EQ(breaker->StateFor(mem_node_),
-            CircuitBreakerInterceptor::State::kHalfOpen);
-
-  // Half-open probes against the revived node re-close the breaker.
-  fabric_.node(mem_node_)->Revive();
-  ASSERT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).ok());
-  EXPECT_EQ(breaker->StateFor(mem_node_),
-            CircuitBreakerInterceptor::State::kHalfOpen);
-  ASSERT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).ok());
-  EXPECT_EQ(breaker->StateFor(mem_node_),
-            CircuitBreakerInterceptor::State::kClosed);
-
-  // A failed probe would have re-opened instead.
-  fabric_.node(mem_node_)->Fail();
-  for (int i = 0; i < 4; i++) {
-    EXPECT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).IsUnavailable());
-  }
-  EXPECT_EQ(breaker->opens(), 2u);
-  fabric_.node(mem_node_)->Revive();
-}
-
 TEST_F(PipelineTest, OneWayPartitionLosesExactlyOneDirection) {
   // kRequestLost refuses BEFORE any side effect; kReplyLost executes the op
   // and loses only the acknowledgement — the caller sees Unavailable while
   // the effect landed. The asymmetry is the signature failure mode lease
   // fencing exists for, so the injector must model both halves exactly.
   FaultPolicy fp;
-  fp.drop_penalty_ns = 2000;
   FaultPolicy::OneWay ow;
   ow.node = mem_node_;
   ow.from_ns = 0;
@@ -521,7 +469,7 @@ TEST_F(PipelineTest, OneWayPartitionLosesExactlyOneDirection) {
   NetContext ctx;
   const char payload[8] = {'X', 'X', 'X', 'X', 'X', 'X', 'X', 'X'};
   EXPECT_TRUE(fabric_.Write(&ctx, At(0), payload, 8).IsUnavailable());
-  EXPECT_EQ(ctx.sim_ns, 2000u);
+  EXPECT_EQ(ctx.sim_ns, FaultPolicy::kDropPenaltyNs);
   EXPECT_EQ(ctx.round_trips, 0u);
   EXPECT_EQ(ctx.faults_injected, 1u);
   EXPECT_EQ(fault->oneway_drops(), 1u);
@@ -531,7 +479,6 @@ TEST_F(PipelineTest, OneWayPartitionLosesExactlyOneDirection) {
   // the ack vanishes — Unavailable plus the penalty on top.
   fabric_.ClearInterceptors();
   FaultPolicy fp2;
-  fp2.drop_penalty_ns = 2000;
   ow.dir = FaultPolicy::OneWay::Direction::kReplyLost;
   fp2.oneways.push_back(ow);
   auto fault2 = std::make_shared<FaultInterceptor>(fp2);
@@ -540,7 +487,8 @@ TEST_F(PipelineTest, OneWayPartitionLosesExactlyOneDirection) {
   NetContext ctx2;
   EXPECT_TRUE(fabric_.Write(&ctx2, At(0), payload, 8).IsUnavailable());
   EXPECT_EQ(std::memcmp(region_->data(), payload, 8), 0);  // effect landed
-  EXPECT_EQ(ctx2.sim_ns, InterconnectModel::Rdma().WriteCost(8) + 2000u);
+  EXPECT_EQ(ctx2.sim_ns, InterconnectModel::Rdma().WriteCost(8) +
+                          FaultPolicy::kDropPenaltyNs);
   EXPECT_EQ(ctx2.faults_injected, 1u);
   EXPECT_EQ(fault2->oneway_drops(), 1u);
 }
@@ -549,7 +497,6 @@ TEST_F(PipelineTest, OneWayMethodFilterScopesTheCutToOneVerb) {
   // A method-scoped window cuts exactly that RPC: heartbeats can die while
   // every data verb — and every other RPC — flows untouched.
   FaultPolicy fp;
-  fp.drop_penalty_ns = 2000;
   FaultPolicy::OneWay ow;
   ow.node = mem_node_;
   ow.from_ns = 0;
@@ -608,61 +555,7 @@ TEST_F(PipelineTest, SlowdownChargesExactMultiplierAndStaysInWindow) {
   EXPECT_EQ(fault->slowdown_hits(), 1u);
 }
 
-TEST_F(PipelineTest, BreakerResetNodeForgetsTheFailedIncarnation) {
-  // Membership rejoin runs ResetBreakerOnRejoin -> ResetNode: the replaced
-  // node's error history must vanish, so the first op against the healthy
-  // replacement goes to the wire instead of fast-failing on ghosts.
-  BreakerPolicy bp;
-  bp.window = 4;
-  bp.min_samples = 4;
-  bp.open_error_rate = 1.0;
-  bp.open_ops = 1'000'000;  // stays open ~forever without an explicit reset
-  bp.fast_fail_penalty_ns = 200;
-  auto breaker = std::make_shared<CircuitBreakerInterceptor>(bp);
-  fabric_.AddInterceptor(breaker);
-
-  fabric_.node(mem_node_)->Fail();
-  NetContext ctx;
-  char buf[8];
-  for (int i = 0; i < 4; i++) {
-    EXPECT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).IsUnavailable());
-  }
-  ASSERT_EQ(breaker->StateFor(mem_node_),
-            CircuitBreakerInterceptor::State::kOpen);
-  EXPECT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).IsUnavailable());
-  EXPECT_EQ(breaker->fast_fails(), 1u);
-
-  // "Replace" the node and reset its breaker history: closed again, and the
-  // next op is charged the plain model cost — no penalty, no probe ceremony.
-  fabric_.node(mem_node_)->Revive();
-  breaker->ResetNode(mem_node_);
-  EXPECT_EQ(breaker->StateFor(mem_node_),
-            CircuitBreakerInterceptor::State::kClosed);
-  const uint64_t before = ctx.sim_ns;
-  ASSERT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).ok());
-  EXPECT_EQ(ctx.sim_ns - before, InterconnectModel::Rdma().ReadCost(8));
-  EXPECT_EQ(breaker->fast_fails(), 1u);  // unchanged
-
-  // History restarts from scratch: re-opening takes a full window of fresh
-  // errors (the successful read above already consumed one window slot, so
-  // the ring resets at its 4-op boundary and a NEW all-failure window must
-  // fill before the breaker trips again).
-  fabric_.node(mem_node_)->Fail();
-  for (int i = 0; i < 3; i++) {
-    EXPECT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).IsUnavailable());
-  }
-  EXPECT_EQ(breaker->StateFor(mem_node_),
-            CircuitBreakerInterceptor::State::kClosed);
-  for (int i = 0; i < 4; i++) {
-    EXPECT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).IsUnavailable());
-  }
-  EXPECT_EQ(breaker->StateFor(mem_node_),
-            CircuitBreakerInterceptor::State::kOpen);
-  EXPECT_EQ(breaker->opens(), 2u);
-  fabric_.node(mem_node_)->Revive();
-}
-
-TEST_F(PipelineTest, MergeAndMergeParallelCarryNewCounters) {
+TEST_F(PipelineTest, SequentialFoldAndMergeParallelCarryNewCounters) {
   NetContext a;
   RunMixedWorkload(&a);
   a.retries = 2;
@@ -671,20 +564,22 @@ TEST_F(PipelineTest, MergeAndMergeParallelCarryNewCounters) {
   a.queue_ns = 700;
   a.admission_rejects = 3;
   a.deadline_misses = 5;
-  a.breaker_fast_fails = 4;
   a.degraded_ops = 6;
   a.staleness_lsn = 90;
 
+  // One timeline: traffic plus the summed clock.
   NetContext total;
-  total.Merge(a);
-  total.Merge(a);
+  for (int i = 0; i < 2; i++) {
+    AccumulateTraffic(&total, a);
+    total.sim_ns += a.sim_ns;
+  }
+  EXPECT_EQ(total.sim_ns, 2 * a.sim_ns);
   EXPECT_EQ(total.retries, 4u);
   EXPECT_EQ(total.backoff_ns, 6000u);
   EXPECT_EQ(total.faults_injected, 2u);
   EXPECT_EQ(total.queue_ns, 1400u);
   EXPECT_EQ(total.admission_rejects, 6u);
   EXPECT_EQ(total.deadline_misses, 10u);
-  EXPECT_EQ(total.breaker_fast_fails, 8u);
   EXPECT_EQ(total.degraded_ops, 12u);
   EXPECT_EQ(total.staleness_lsn, 180u);
   EXPECT_EQ(total.verb(FabricVerb::kRpc).ops, 2u);
@@ -699,7 +594,6 @@ TEST_F(PipelineTest, MergeAndMergeParallelCarryNewCounters) {
   EXPECT_EQ(parent.queue_ns, 1400u);  // attribution: summed
   EXPECT_EQ(parent.verb(FabricVerb::kWrite).ops, 2u);  // attribution: summed
   EXPECT_EQ(parent.deadline_misses, 10u);
-  EXPECT_EQ(parent.breaker_fast_fails, 8u);
   EXPECT_EQ(parent.degraded_ops, 12u);
   EXPECT_EQ(parent.staleness_lsn, 180u);
 

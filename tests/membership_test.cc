@@ -105,7 +105,7 @@ TEST_F(MembershipTest, CrashIsDetectedRevokedRepairedAndRejoined) {
   EXPECT_EQ(member.stats().rejoins, 1u);
 }
 
-// The PR 5 circuit-breaker lesson, re-pinned for the detector: Busy means
+// The status contract of net/verb.h, pinned for the detector: Busy means
 // the node is ALIVE and shedding load. A node answering every probe with
 // admission rejection must never accrue suspicion, never lose its lease.
 TEST_F(MembershipTest, BusyIsAnAliveSignalNeverAFailure) {
@@ -227,40 +227,6 @@ TEST_F(MembershipTest, RepairRunsOncePerLeaseEpochAcrossRepeatedIncidents) {
   }
   EXPECT_EQ(member.stats().revocations, 3u);
   EXPECT_EQ(member.stats().rejoins, 3u);
-}
-
-TEST_F(MembershipTest, RejoinResetsTheBreakersNodeHistory) {
-  BreakerPolicy bp;
-  bp.window = 4;
-  bp.min_samples = 4;
-  bp.open_error_rate = 1.0;
-  bp.open_ops = 1'000'000;  // stay open for the whole outage
-  auto breaker = std::make_shared<CircuitBreakerInterceptor>(bp);
-  fabric_.AddInterceptor(breaker);
-
-  // Threshold high enough that a whole breaker window fills with probe
-  // failures (and opens) before the lease is revoked: the ring resets at
-  // each `window` boundary, so 8 consecutive misses guarantee one full
-  // all-failure window regardless of where the boundary falls.
-  MembershipOptions mo = SnappyOptions();
-  mo.suspicion_threshold = 8.0;
-  MembershipService member(&fabric_, mo);
-  member.Monitor(node_);
-  member.OnRepair(node_, [&] { fabric_.node(node_)->Revive(); });
-  member.ResetBreakerOnRejoin(breaker.get());
-
-  Step(&member, 5);
-  member.At(now_ns_ + 1, [&] { fabric_.node(node_)->Fail(); });
-  // Enough misses to open the breaker before the lease is revoked (probes
-  // keep flowing until revocation, so the window fills with failures).
-  Step(&member, 30);
-
-  EXPECT_EQ(member.HealthFor(node_), Health::kUp);
-  EXPECT_GT(breaker->opens(), 0u);
-  // The old incarnation opened the breaker; the rejoin reset it, so the
-  // replacement starts with a clean window.
-  EXPECT_EQ(breaker->StateFor(node_),
-            CircuitBreakerInterceptor::State::kClosed);
 }
 
 // ---- Determinism: the acceptance contract --------------------------------

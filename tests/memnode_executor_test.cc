@@ -178,6 +178,76 @@ TEST(MemNodeExecutorTest, MalformedIndexRequestsAreInvalidArgument) {
   EXPECT_TRUE(std::string(region->data(), region->size()) == before);
 }
 
+// A lock request is validated whole before it touches the lock table. Both
+// requests below piggyback txns 1 and 2 as dead, so a handler that acted
+// before validating would free their locks. Every strict prefix, every bit
+// flip of the pending-list count, a flipped continuation bit on the epoch
+// varint (which shifts every later field by a byte) and oversized counts
+// (one that wraps to 16 when multiplied by 8 included) must be
+// InvalidArgument and leave the lock table and the stats as they were.
+TEST(MemNodeExecutorTest, MalformedLockRequestsChangeNoState) {
+  OffloadRig rig;
+  OffloadedLockClient locks(&rig.fabric, rig.pool.node());
+  NetContext ctx;
+  ASSERT_TRUE(locks.AcquireLock(&ctx, 1, 100, LockMode::kExclusive).ok());
+  ASSERT_TRUE(locks.AcquireLock(&ctx, 2, 200, LockMode::kShared).ok());
+  const size_t locks_before = rig.exec.active_locks();
+  const MemNodeExecutor::Stats stats_before = rig.exec.stats();
+  ASSERT_EQ(locks_before, 2u);
+
+  auto encode = [](std::string_view method, uint64_t npend) {
+    std::string req;
+    PutVarint64(&req, offload::kFreshEpoch);
+    PutFixed64(&req, 3);  // the requesting txn
+    if (method == offload::kLockAcquire) {
+      PutFixed64(&req, 300);  // key
+      req.push_back(static_cast<char>(offload::kModeExclusive));
+    }
+    PutVarint64(&req, npend);
+    PutFixed64(&req, 1);
+    PutFixed64(&req, 2);
+    return req;
+  };
+  for (const char* method : {offload::kLockAcquire, offload::kLockRelease}) {
+    const std::string valid = encode(method, 2);
+    const size_t count_at = valid.size() - 17;  // the count's one byte
+    std::vector<std::string> hostile;
+    for (size_t n = 0; n < valid.size(); n++) {
+      hostile.push_back(valid.substr(0, n));
+    }
+    for (int bit = 0; bit < 8; bit++) {
+      std::string flipped = valid;
+      flipped[count_at] = static_cast<char>(flipped[count_at] ^ (1 << bit));
+      hostile.push_back(flipped);
+    }
+    std::string shifted = valid;
+    shifted[0] = static_cast<char>(shifted[0] ^ 0x80);
+    hostile.push_back(shifted);
+    for (uint64_t npend : {uint64_t{3}, (uint64_t{1} << 61) + 2,
+                           ~uint64_t{0}}) {
+      hostile.push_back(encode(method, npend));
+    }
+    for (const std::string& req : hostile) {
+      std::string resp;
+      Status st = rig.fabric.Call(&ctx, rig.pool.node(), method, req, &resp);
+      EXPECT_TRUE(st.IsInvalidArgument())
+          << method << " with " << req.size() << " bytes: " << st.ToString();
+      EXPECT_EQ(rig.exec.active_locks(), locks_before)
+          << method << " with " << req.size() << " bytes";
+      EXPECT_TRUE(rig.exec.stats() == stats_before)
+          << method << " with " << req.size() << " bytes";
+    }
+  }
+
+  // The well-formed release frees both piggybacked txns.
+  std::string resp;
+  ASSERT_TRUE(rig.fabric
+                  .Call(&ctx, rig.pool.node(), offload::kLockRelease,
+                        encode(offload::kLockRelease, 2), &resp)
+                  .ok());
+  EXPECT_EQ(rig.exec.active_locks(), 0u);
+}
+
 // A corrupt exec.idx.scan reply (a huge entry count over a short body) is
 // Corruption, not an allocation failure.
 TEST(MemNodeExecutorTest, CorruptScanReplyIsCorruption) {

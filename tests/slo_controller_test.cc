@@ -313,18 +313,20 @@ TEST(EdfDisciplineTest, DefaultSlackBoundsDeadlinelessWaitNonStarvation) {
   // arrival + slack, so work arriving with deadlines BEYOND that horizon
   // queues behind it — an arbitrarily deep stream of loose-deadline traffic
   // cannot push a deadline-less op back.
+  const uint64_t slack = CongestionConfig::kEdfDefaultSlackNs;
   CongestionConfig cfg;
   cfg.node_caps[7] = ResourceCapacity{1000, 0.0};
   cfg.discipline = QueueDiscipline::kEdf;
-  cfg.edf_default_slack_ns = 5'000;
   CongestionState cs(cfg);
 
-  EXPECT_EQ(cs.Admit(7, 0, 0, 8, 0), 0u);  // X: effective deadline 5000
+  EXPECT_EQ(cs.Admit(7, 0, 0, 8, 0), 0u);  // X: effective deadline = slack
 
-  // Ten loose-deadline ops (6000..15000): each waits behind X plus the
-  // earlier members of its own stream — none of them displaces X.
+  // Ten loose-deadline ops (slack + 1000 .. slack + 10000): each waits
+  // behind X plus the earlier members of its own stream — none of them
+  // displaces X.
   for (uint64_t k = 0; k < 10; k++) {
-    EXPECT_EQ(cs.Admit(7, 0, 0, 8, 6'000 + 1'000 * k), 1'000 + 1'000 * k);
+    EXPECT_EQ(cs.Admit(7, 0, 0, 8, slack + 1'000 + 1'000 * k),
+              1'000 + 1'000 * k);
   }
 
   // A genuinely tight op still jumps everything.
