@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, a sim-counter parity check against the newest
 # committed bench snapshot, a sanitizer pass over the whole test suite, a
-# ThreadSanitizer pass over the parallel-driver, memory-node executor and
-# shared-log suites, and the chaos stage
+# ThreadSanitizer pass over the parallel-driver, memory-node executor,
+# shared-log and storage-service suites, and the chaos stage
 # (fresh commit-derived seeds + mutation self-check).
 #
 #   scripts/ci.sh          # full: build + ctest + parity + sanitizers + chaos
@@ -53,21 +53,24 @@ ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 
 # ThreadSanitizer over the `parallel` suites, which drive the load driver's
 # worker pool at up to 8 threads (partition queues, barrier drains, effect
-# shards), and over the memory-node executor and shared-log suites, whose
-# services take their own locks. concurrency_test stays out until the
+# shards), over the memory-node executor and shared-log suites, whose
+# services take their own locks, and over the storage-service suite, whose
+# threaded case shares redo batches across writer and reader threads (their
+# reference counts drop on whichever thread releases them last). concurrency_test stays out until the
 # fabric's region copies stop racing with its CAS on the same words (memcpy
 # vs compare_exchange in Fabric::ExecuteVerb); TSan reports those today.
-echo "==> ThreadSanitizer pass: ctest -L parallel + executor + shared log"
+echo "==> ThreadSanitizer pass: ctest -L parallel + executor + shared log + storage"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "${JOBS}" \
   --target parallel_sim_test slo_controller_test membership_test \
-  memnode_executor_test shared_log_test log_backend_parity_test
+  memnode_executor_test shared_log_test log_backend_parity_test \
+  storage_services_test
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L parallel
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R '^(memnode_executor_test|shared_log_test|log_backend_parity_test)$'
+  -R '^(memnode_executor_test|shared_log_test|log_backend_parity_test|storage_services_test)$'
 
 # Chaos stage: beyond the fixed seeds baked into chaos_test, run fresh
 # schedules derived from the commit hash so every commit explores new

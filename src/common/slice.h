@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -52,6 +53,11 @@ class Slice {
   const char* data_;
   size_t size_;
 };
+
+/// Immutable bytes shared by reference: every holder keeps them alive, and
+/// none may change them. One redo batch crosses the fabric and lands in
+/// several stores as one such buffer.
+using SharedBytes = std::shared_ptr<const std::string>;
 
 inline bool operator==(const Slice& a, const Slice& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;

@@ -103,7 +103,8 @@ class XlogSink : public LogBackend {
   LogStoreService* service() { return service_.get(); }
 
   Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
-    return client_->Append(ctx, records.Batch(0, records.size()));
+    return client_->Append(ctx, std::make_shared<const std::string>(
+                                    records.Batch(0, records.size())));
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
     return client_->ReadFrom(ctx, 0, ~0ull);
@@ -132,7 +133,9 @@ class MultiLogSink : public LogBackend {
   }
 
   Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
-    const std::string batch = records.Batch(0, records.size());
+    // One batch, referenced by every store rather than copied into each.
+    const auto batch =
+        std::make_shared<const std::string>(records.Batch(0, records.size()));
     std::vector<NetContext> branch(nodes_.size(), ctx->Fork());
     int acks = 0;
     Lsn lsn = kInvalidLsn;
@@ -311,8 +314,10 @@ Status AuroraDb::OnCommit(NetContext* ctx,
                           const std::vector<LogRecord>& records) {
   if (segment_ == nullptr && !records.empty()) {
     // Shared-log mode: the log fleet is dumb storage, so redo reaches the
-    // page-materialization replicas here (parallel fan-out, all copies).
-    const std::string batch = LogRecord::EncodeBatch(records);
+    // page-materialization replicas here (parallel fan-out, all copies),
+    // each referencing this one batch.
+    const auto batch =
+        std::make_shared<const std::string>(LogRecord::EncodeBatch(records));
     std::vector<NetContext> branch(page_nodes_.size(), ctx->Fork());
     for (size_t i = 0; i < page_nodes_.size(); i++) {
       PageStoreClient client(fabric_, page_nodes_[i]);
@@ -450,7 +455,9 @@ Status SocratesDb::PropagateLogs(NetContext* ctx) {
   DISAGG_ASSIGN_OR_RETURN(std::vector<LogRecord> records,
                           sink_->ReadFrom(ctx, propagated_lsn_));
   if (records.empty()) return Status::OK();
-  const std::string batch = LogRecord::EncodeBatch(records);
+  // One batch, referenced by every page server rather than copied into each.
+  const auto batch =
+      std::make_shared<const std::string>(LogRecord::EncodeBatch(records));
   std::vector<NetContext> branch(page_nodes_.size(), ctx->Fork());
   for (size_t i = 0; i < page_nodes_.size(); i++) {
     PageStoreClient client(fabric_, page_nodes_[i]);

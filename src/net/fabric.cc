@@ -352,6 +352,7 @@ Status Fabric::ExecuteVerb(FabricOp* op, NetContext* ctx) {
                                     target->name());
       }
       RpcServerContext server_ctx;
+      server_ctx.request_owner = op->request_owner;
       op->response->clear();
       Status st = (*h)(op->request, op->response, &server_ctx);
       const uint64_t ns =
@@ -469,12 +470,14 @@ Status Fabric::ExecuteBatch(NetContext* ctx, NodeId node_id,
 }
 
 Status Fabric::Call(NetContext* ctx, NodeId node_id, const std::string& method,
-                    Slice request, std::string* response) {
+                    Slice request, std::string* response,
+                    const SharedBytes& request_owner) {
   FabricOp op;
   op.verb = FabricVerb::kRpc;
   op.node = node_id;
   op.method = &method;
   op.request = request;
+  op.request_owner = &request_owner;
   op.response = response;
   return Execute(&op, ctx);
 }

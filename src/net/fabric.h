@@ -99,6 +99,22 @@ class MemoryRegion {
 struct RpcServerContext {
   uint64_t compute_ns = 0;
   void ChargeCompute(uint64_t ns) { compute_ns += ns; }
+
+  /// Owner of the request bytes, as passed to `Fabric::Call` (may be null).
+  const SharedBytes* request_owner = nullptr;
+
+  /// A shared buffer holding exactly `request`'s bytes, for a handler that
+  /// keeps them past the call: the caller's owner when its bytes are
+  /// `request` itself (same address and size), else one new copy. Handlers
+  /// validate a request before retaining it.
+  SharedBytes RetainRequest(Slice request) const {
+    if (request_owner != nullptr && *request_owner != nullptr &&
+        (*request_owner)->data() == request.data() &&
+        (*request_owner)->size() == request.size()) {
+      return *request_owner;
+    }
+    return std::make_shared<const std::string>(request.data(), request.size());
+  }
 };
 
 using RpcHandler =
@@ -284,8 +300,12 @@ class Fabric {
 
   // ---- Two-sided (RPC, involves remote CPU) --------------------------
 
+  /// `request_owner`, when set, owns the request bytes; a handler that keeps
+  /// them takes a reference instead of a copy (`RpcServerContext::
+  /// RetainRequest`). It changes no cost: the wire still carries `request`.
   Status Call(NetContext* ctx, NodeId node_id, const std::string& method,
-              Slice request, std::string* response);
+              Slice request, std::string* response,
+              const SharedBytes& request_owner = nullptr);
 
   // ---- The unified op pipeline ---------------------------------------
 
@@ -427,6 +447,7 @@ struct FabricOp {
   // RPC.
   const std::string* method = nullptr;
   Slice request{};
+  const SharedBytes* request_owner = nullptr;  ///< see `Fabric::Call`
   std::string* response = nullptr;
 
   // ---- Outputs -------------------------------------------------------

@@ -140,76 +140,79 @@ EncodedRecords::EncodedRecords(const std::vector<LogRecord>& records) {
   for (const LogRecord& r : records) Append(r);
 }
 
-size_t EncodedRecords::EndOf(size_t i) const {
-  const Entry& e = index_[i];
-  if (i + 1 < index_.size() && index_[i + 1].chunk == e.chunk) {
-    return index_[i + 1].offset;
-  }
-  return ChunkOf(e).used;
-}
-
-Slice EncodedRecords::record(size_t i) const {
-  i += head_;
-  const Entry& e = index_[i];
-  return Slice(ChunkOf(e).data.get() + e.offset, EndOf(i) - e.offset);
-}
-
-template <typename Fn>
-void EncodedRecords::ForEachRun(size_t first, size_t last, Fn fn) const {
-  const uint32_t first_chunk = index_[first].chunk;
-  const uint32_t last_chunk = index_[last].chunk;
-  for (uint32_t c = first_chunk; c <= last_chunk; c++) {
-    const Chunk& chunk = chunks_[c - first_chunk_];
-    const size_t begin = c == first_chunk ? index_[first].offset : 0;
-    const size_t end = c == last_chunk ? EndOf(last) : chunk.used;
-    fn(chunk.data.get() + begin, end - begin);
-  }
+void EncodedRecords::Index(Lsn lsn, size_t offset, size_t length) {
+  DISAGG_CHECK(offset + length <= UINT32_MAX);  // buffers stay below 4 GiB
+  index_.push_back(
+      {lsn, first_buffer_ + static_cast<uint32_t>(buffers_.size() - 1),
+       static_cast<uint32_t>(offset), static_cast<uint32_t>(length)});
+  bytes_ += length;
 }
 
 char* EncodedRecords::Place(Lsn lsn, size_t n) {
-  if (chunks_.empty() || chunks_.back().capacity - chunks_.back().used < n) {
-    const size_t step =
-        chunks_.empty() ? kMinChunkBytes
-                        : std::min(kMaxChunkBytes, 2 * chunks_.back().capacity);
-    Chunk chunk;
-    chunk.capacity = std::max(step, n);
-    chunk.data = std::make_unique_for_overwrite<char[]>(chunk.capacity);
-    chunks_.push_back(std::move(chunk));
+  if (tail_ == nullptr || tail_capacity_ - tail_used_ < n) {
+    const size_t step = tail_ == nullptr
+                            ? kMinChunkBytes
+                            : std::min(kMaxChunkBytes, 2 * tail_capacity_);
+    tail_capacity_ = std::max(step, n);
+    tail_ = std::make_shared_for_overwrite<char[]>(tail_capacity_);
+    tail_used_ = 0;
   }
-  Chunk& chunk = chunks_.back();
-  index_.push_back({lsn,
-                    first_chunk_ + static_cast<uint32_t>(chunks_.size() - 1),
-                    static_cast<uint32_t>(chunk.used)});
-  char* dst = chunk.data.get() + chunk.used;
-  chunk.used += n;
-  bytes_ += n;
+  if (buffers_.empty() || buffers_.back().get() != tail_.get()) {
+    buffers_.emplace_back(tail_, tail_.get());
+  }
+  Index(lsn, tail_used_, n);
+  char* dst = tail_.get() + tail_used_;
+  tail_used_ += n;
   return dst;
-}
-
-void EncodedRecords::Append(Lsn lsn, Slice encoding) {
-  std::memcpy(Place(lsn, encoding.size()), encoding.data(), encoding.size());
 }
 
 void EncodedRecords::Append(const LogRecord& record) {
   record.EncodeTo(Place(record.lsn, record.EncodedSize()));
 }
 
+void EncodedRecords::Append(Lsn lsn, const SharedBytes& buffer, size_t offset,
+                            size_t length) {
+  const char* data = buffer->data();
+  if (buffers_.empty() || buffers_.back().get() != data) {
+    buffers_.emplace_back(buffer, data);
+  }
+  Index(lsn, offset, length);
+}
+
+void EncodedRecords::Append(const EncodedRecords& records, size_t i) {
+  const Entry e = records.index_[records.head_ + i];  // `records` may be *this
+  const std::shared_ptr<const char>& buffer =
+      records.buffers_[e.buffer - records.first_buffer_];
+  if (buffers_.empty() || buffers_.back() != buffer) buffers_.push_back(buffer);
+  Index(e.lsn, e.offset, e.length);
+}
+
 void EncodedRecords::Append(const EncodedRecords& records) {
   const size_t n = records.size();  // fixed up front: `records` may be *this
-  for (size_t i = 0; i < n; i++) Append(records.lsn(i), records.record(i));
+  for (size_t i = 0; i < n; i++) Append(records, i);
 }
 
 std::string EncodedRecords::Batch(size_t from, size_t count) const {
   std::string out;
   PutVarint64(&out, count);
-  if (count == 0) return out;
   const size_t first = head_ + from;
-  const size_t last = first + count - 1;
+  const size_t last = first + count;
   size_t total = out.size();
-  ForEachRun(first, last, [&](const char*, size_t n) { total += n; });
+  for (size_t i = first; i < last; i++) total += index_[i].length;
   out.reserve(total);
-  ForEachRun(first, last,
-             [&](const char* data, size_t n) { out.append(data, n); });
+  // Records adjacent in one buffer (a chunk's owned appends, a batch's
+  // spans) go out in one copy.
+  for (size_t i = first; i < last;) {
+    const Entry& e = index_[i];
+    size_t end = e.offset + e.length;
+    for (i++; i < last && index_[i].buffer == e.buffer &&
+              index_[i].offset == end;
+         i++) {
+      end += index_[i].length;
+    }
+    out.append(buffers_[e.buffer - first_buffer_].get() + e.offset,
+               end - e.offset);
+  }
   return out;
 }
 
@@ -238,13 +241,12 @@ void EncodedRecords::EraseFront(size_t n) {
     Clear();
     return;
   }
-  ForEachRun(head_, head_ + n - 1,
-             [&](const char*, size_t bytes) { bytes_ -= bytes; });
+  for (size_t i = head_; i < head_ + n; i++) bytes_ -= index_[i].length;
   head_ += n;
-  const uint32_t keep = index_[head_].chunk;
-  chunks_.erase(chunks_.begin(),
-                chunks_.begin() + static_cast<ptrdiff_t>(keep - first_chunk_));
-  first_chunk_ = keep;
+  const uint32_t keep = index_[head_].buffer;
+  buffers_.erase(buffers_.begin(),
+                 buffers_.begin() + static_cast<ptrdiff_t>(keep - first_buffer_));
+  first_buffer_ = keep;
   if (head_ > index_.size() - head_) {
     index_.erase(index_.begin(),
                  index_.begin() + static_cast<ptrdiff_t>(head_));
@@ -253,12 +255,18 @@ void EncodedRecords::EraseFront(size_t n) {
 }
 
 void EncodedRecords::Clear() {
-  if (chunks_.size() > 1) chunks_.erase(chunks_.begin(), chunks_.end() - 1);
-  if (!chunks_.empty()) chunks_.front().used = 0;
-  first_chunk_ = 0;
+  buffers_.clear();
+  first_buffer_ = 0;
   index_.clear();
   head_ = 0;
   bytes_ = 0;
+  // Refilling a chunk another holder still indexes would rewrite its
+  // records under it: reuse the tail only when this is its last reference.
+  if (tail_.use_count() == 1) {
+    tail_used_ = 0;
+  } else {
+    tail_ = nullptr;
+  }
 }
 
 Status ApplyRedo(Page* page, const LogRecord& record) {

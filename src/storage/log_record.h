@@ -74,19 +74,25 @@ struct LogRecord {
   static Status ScanBatch(Slice input, std::vector<LogRecordSpan>* out);
 };
 
-/// Log records kept encoded: their encodings in append-only chunks, each
-/// indexed by LSN. This is the one form redo takes between the compute
-/// node's WAL append and page materialization — the WAL buffer, a segment
-/// client's append history, a log store's log, and each page's pending redo
-/// — so records are encoded once and decoded only when a consumer needs
-/// them.
+/// Log records kept encoded, each indexed by LSN as a span of a refcounted
+/// buffer. This is the one form redo takes between the compute node's WAL
+/// append and page materialization — the WAL buffer, a segment client's
+/// append history, a log store's log, and each page's pending redo — so
+/// records are encoded once and decoded only when a consumer needs them.
 ///
-/// A record never moves once written: a `record(i)` slice stays valid until
-/// the record is erased. Chunks grow geometrically up to `kMaxChunkBytes`;
-/// a record that does not fit in the current chunk starts a new one, sized
-/// to hold it if it is larger than the next step. `Clear` keeps the newest
-/// chunk, so a buffer that is filled and cleared repeatedly (the WAL, the
-/// append history) stops allocating once it has grown to its working size.
+/// Records arrive two ways. Owned appends (`Append(record)`) encode into a
+/// tail chunk these records own; chunks grow geometrically up to
+/// `kMaxChunkBytes`, and a record that does not fit starts a new one, sized
+/// to hold it if it is larger than the next step. By-reference appends index
+/// a span of a buffer someone else built (a request batch, another
+/// `EncodedRecords`' chunk) and keep that buffer alive instead of copying
+/// it, so one batch can sit in many stores at once.
+///
+/// Bytes are immutable once indexed: a `record(i)` slice stays valid until
+/// the record is erased, whoever else holds or drops the buffer. `Clear`
+/// recycles the tail chunk only when no other holder shares it, so a buffer
+/// that is filled and cleared repeatedly (the WAL) stops allocating once it
+/// has grown to its working size.
 class EncodedRecords {
  public:
   static constexpr size_t kMinChunkBytes = 256;
@@ -95,20 +101,33 @@ class EncodedRecords {
   EncodedRecords() = default;
   /// Encodes `records` in order.
   explicit EncodedRecords(const std::vector<LogRecord>& records);
+  // Move-only: two copies would both write into the same tail chunk.
+  EncodedRecords(EncodedRecords&&) = default;
+  EncodedRecords& operator=(EncodedRecords&&) = default;
+  EncodedRecords(const EncodedRecords&) = delete;
+  EncodedRecords& operator=(const EncodedRecords&) = delete;
 
   size_t size() const { return index_.size() - head_; }
   bool empty() const { return size() == 0; }
   /// Total encoded bytes of the records held.
   size_t bytes() const { return bytes_; }
   Lsn lsn(size_t i) const { return index_[head_ + i].lsn; }
-  /// Record `i`'s encoding, within one chunk.
-  Slice record(size_t i) const;
+  /// Record `i`'s encoding.
+  Slice record(size_t i) const {
+    const Entry& e = index_[head_ + i];
+    return Slice(buffers_[e.buffer - first_buffer_].get() + e.offset,
+                 e.length);
+  }
 
-  /// Appends one record's encoding (e.g. a `LogRecordSpan`'s bytes).
-  void Append(Lsn lsn, Slice encoding);
   /// Encodes `record` and appends it.
   void Append(const LogRecord& record);
-  /// Appends every record of `records`, in order.
+  /// Appends, by reference, the record encoded in the `length` bytes at
+  /// `offset` of `*buffer`, keeping `buffer` alive (no copy).
+  void Append(Lsn lsn, const SharedBytes& buffer, size_t offset,
+              size_t length);
+  /// Appends record `i` of `records` by reference, sharing its buffer.
+  void Append(const EncodedRecords& records, size_t i);
+  /// Appends every record of `records`, in order, by reference.
   void Append(const EncodedRecords& records);
 
   /// Records [from, from + count) in `LogRecord::EncodeBatch`'s format.
@@ -119,45 +138,44 @@ class EncodedRecords {
   /// records to be in increasing LSN order.
   size_t FirstAfter(Lsn lsn) const;
 
-  /// Drops the first `n` records, freeing the chunks that held only them.
+  /// Drops the first `n` records, releasing the buffers that held only
+  /// them.
   void EraseFront(size_t n);
-  /// Drops every record; keeps the newest chunk for reuse.
+  /// Drops every record; keeps the tail chunk for reuse unless another
+  /// holder shares it.
   void Clear();
 
  private:
-  struct Chunk {
-    std::unique_ptr<char[]> data;
-    size_t capacity = 0;
-    size_t used = 0;
-  };
-  // Record bytes start at `offset` in chunk `chunk` (a sequence number:
-  // chunks_[chunk - first_chunk_]) and end where the next record of that
-  // chunk starts, or at the chunk's `used` mark.
+  // Record bytes are `length` bytes at `offset` of buffer `buffer` (a
+  // sequence number: buffers_[buffer - first_buffer_]). Buffer numbers never
+  // decrease along the index, so EraseFront releases a prefix of buffers_.
   struct Entry {
     Lsn lsn;
-    uint32_t chunk;
+    uint32_t buffer;
     uint32_t offset;
+    uint32_t length;
   };
-  const Chunk& ChunkOf(const Entry& e) const {
-    return chunks_[e.chunk - first_chunk_];
-  }
-  // End offset of record `i` (absolute index) in its chunk.
-  size_t EndOf(size_t i) const;
-  // Calls fn(data, length) once per chunk for the bytes of records
-  // [first, last] (absolute indexes): a chunk's records are contiguous.
-  template <typename Fn>
-  void ForEachRun(size_t first, size_t last, Fn fn) const;
-  // Space for `n` more bytes at the end of the newest chunk, starting a new
-  // chunk when they do not fit; indexes a record there under `lsn`.
+  // Indexes `length` bytes at `offset` of buffers_.back() under `lsn`.
+  void Index(Lsn lsn, size_t offset, size_t length);
+  // Space for `n` more bytes in the tail chunk, starting a new chunk when
+  // they do not fit; indexes a record there under `lsn`.
   char* Place(Lsn lsn, size_t n);
 
-  std::vector<Chunk> chunks_;
-  uint32_t first_chunk_ = 0;  // sequence number of chunks_[0]
+  // Every buffer a live record lies in, each pointing at its first byte and
+  // sharing ownership of whatever holds it. The tail chunk appears once per
+  // run of owned appends not interrupted by a by-reference one.
+  std::vector<std::shared_ptr<const char>> buffers_;
+  uint32_t first_buffer_ = 0;  // sequence number of buffers_[0]
   // index_[head_..] are the live records; the erased prefix is compacted
   // away once it outgrows them, so EraseFront is amortized O(n).
   std::vector<Entry> index_;
   size_t head_ = 0;
   size_t bytes_ = 0;
+  // The chunk owned appends write into. Only its first `tail_used_` bytes
+  // are ever indexed, here or by another holder, and they never change.
+  std::shared_ptr<char[]> tail_;
+  size_t tail_capacity_ = 0;
+  size_t tail_used_ = 0;
 };
 
 /// Applies a redo record to a page. Idempotent: records at or below the

@@ -57,10 +57,12 @@ Status LogStoreService::HandleAppend(Slice req, std::string* resp,
                                      RpcServerContext* sctx) {
   std::lock_guard<std::mutex> lock(mu_);
   DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(req, &scan_));
+  SharedBytes batch;  // retained once the first new record is found
   for (const LogRecordSpan& r : scan_) {
     if (r.lsn <= durable_lsn_) continue;  // idempotent re-send
+    if (batch == nullptr) batch = sctx->RetainRequest(req);
     durable_lsn_ = r.lsn;
-    log_.Append(r.lsn, r.bytes);
+    log_.Append(r.lsn, batch, r.bytes.data() - req.data(), r.bytes.size());
   }
   sctx->ChargeCompute(kAppendNsPerRecord * scan_.size());
   resp->clear();
@@ -108,9 +110,9 @@ Status LogStoreService::HandleTruncate(Slice req, std::string* resp,
   return Status::OK();
 }
 
-Result<Lsn> LogStoreClient::Append(NetContext* ctx, Slice encoded_batch) {
+Result<Lsn> LogStoreClient::Append(NetContext* ctx, const SharedBytes& batch) {
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "log.append", encoded_batch, &resp);
+  Status st = fabric_->Call(ctx, node_, "log.append", *batch, &resp, batch);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t lsn = 0;

@@ -26,7 +26,8 @@ namespace disagg {
 /// LSN: records with `lsn <= durable_lsn` are dropped on re-send, which is
 /// what makes WAL re-flush after a failed batch safe.
 ///
-/// Records are kept as the bytes they arrived in (`EncodedRecords`):
+/// Records are kept as the bytes they arrived in (`EncodedRecords`), by
+/// reference to the request batch (`RpcServerContext::RetainRequest`):
 /// `log.read` returns stored bytes without re-encoding, and records are
 /// decoded only when a co-located caller asks for them (SnapshotFrom).
 ///
@@ -68,11 +69,13 @@ class LogStoreClient {
 
   NodeId node() const { return node_; }
 
-  /// Appends a pre-encoded batch (LogRecord::EncodeBatch's format), so a
-  /// caller fanning one batch out to several stores encodes it once.
-  Result<Lsn> Append(NetContext* ctx, Slice encoded_batch);
+  /// Appends a pre-encoded batch (LogRecord::EncodeBatch's format). The
+  /// store keeps a reference to `batch` rather than a copy, so a caller
+  /// fanning one batch out to several stores encodes and stores it once.
+  Result<Lsn> Append(NetContext* ctx, const SharedBytes& batch);
   Result<Lsn> Append(NetContext* ctx, const std::vector<LogRecord>& records) {
-    return Append(ctx, LogRecord::EncodeBatch(records));
+    return Append(ctx, std::make_shared<const std::string>(
+                           LogRecord::EncodeBatch(records)));
   }
   Result<std::vector<LogRecord>> ReadFrom(NetContext* ctx, Lsn from_exclusive,
                                           uint64_t max_records = 1024);

@@ -85,8 +85,7 @@ void PageStoreService::IngestPage(const Page& page) {
     if (pit != pending_.end()) {
       EncodedRecords keep;
       for (size_t i = 0; i < pit->second.size(); i++) {
-        const Lsn lsn = pit->second.lsn(i);
-        if (lsn > page.lsn()) keep.Append(lsn, pit->second.record(i));
+        if (pit->second.lsn(i) > page.lsn()) keep.Append(pit->second, i);
       }
       pit->second = std::move(keep);
     }
@@ -119,10 +118,13 @@ Status PageStoreService::HandleApplyLog(Slice req, std::string* resp,
                                         RpcServerContext* sctx) {
   std::lock_guard<std::mutex> lock(mu_);
   DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(req, &scan_));
+  SharedBytes batch;  // retained once the first page record is found
   for (const LogRecordSpan& r : scan_) {
     if (r.lsn > high_water_lsn_) high_water_lsn_ = r.lsn;
     if (r.page_id == kInvalidPageId) continue;  // txn control records
-    pending_[r.page_id].Append(r.lsn, r.bytes);
+    if (batch == nullptr) batch = sctx->RetainRequest(req);
+    pending_[r.page_id].Append(r.lsn, batch, r.bytes.data() - req.data(),
+                               r.bytes.size());
   }
   // Receiving/queueing is cheap; replay cost is paid at materialization.
   sctx->ChargeCompute(30 * scan_.size());
@@ -161,10 +163,11 @@ Status PageStoreService::HandleGet(Slice req, std::string* resp,
   return Status::OK();
 }
 
-Result<Lsn> PageStoreClient::ApplyLog(NetContext* ctx, Slice encoded_batch) {
+Result<Lsn> PageStoreClient::ApplyLog(NetContext* ctx,
+                                      const SharedBytes& batch) {
   std::string resp;
   Status st =
-      fabric_->Call(ctx, node_, "page.apply_log", encoded_batch, &resp);
+      fabric_->Call(ctx, node_, "page.apply_log", *batch, &resp, batch);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t lsn = 0;

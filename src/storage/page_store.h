@@ -20,8 +20,10 @@ namespace disagg {
 ///    "generates data pages based on logs asynchronously";
 ///  - page shipping (PolarDB): compute sends whole pages ("page.put").
 /// Reads ("page.get") materialize any pending redo first and return the full
-/// page image plus its LSN. Pending redo is queued per page as the encoded
-/// bytes it arrived in and decoded only at materialization.
+/// page image plus its LSN. Pending redo is queued per page as references
+/// into the request batch it arrived in (`RpcServerContext::RetainRequest`)
+/// and decoded only at materialization, so a page's pending redo keeps its
+/// whole batch alive until the page is materialized.
 class PageStoreService {
  public:
   PageStoreService(Fabric* fabric, NodeId node);
@@ -71,11 +73,14 @@ class PageStoreClient {
   NodeId node() const { return node_; }
 
   /// Ships redo records (log shipping) as a pre-encoded batch
-  /// (LogRecord::EncodeBatch's format), so a caller fanning one batch out to
-  /// several stores encodes it once. Returns the store's high-water LSN.
-  Result<Lsn> ApplyLog(NetContext* ctx, Slice encoded_batch);
+  /// (LogRecord::EncodeBatch's format). The store queues references into
+  /// `batch` rather than copies, so a caller fanning one batch out to
+  /// several stores encodes and stores it once. Returns the store's
+  /// high-water LSN.
+  Result<Lsn> ApplyLog(NetContext* ctx, const SharedBytes& batch);
   Result<Lsn> ApplyLog(NetContext* ctx, const std::vector<LogRecord>& records) {
-    return ApplyLog(ctx, LogRecord::EncodeBatch(records));
+    return ApplyLog(ctx, std::make_shared<const std::string>(
+                             LogRecord::EncodeBatch(records)));
   }
 
   /// Ships a full page image (page shipping).

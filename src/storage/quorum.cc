@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "common/coding.h"
+
 namespace disagg {
 
 ReplicatedSegment::ReplicatedSegment(Fabric* fabric, const Config& config,
@@ -29,11 +31,19 @@ ReplicatedSegment::ReplicatedSegment(Fabric* fabric, const Config& config,
 Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
                                          const EncodedRecords& records) {
   std::lock_guard<std::mutex> lock(mu_);
-  const size_t first_new = history_.size();
-  history_.Append(records);
   // Fault-free every replica's un-acked suffix is exactly `records`, so all
-  // of them share this one request for both the log and the page service.
-  const std::string batch = records.Batch(0, records.size());
+  // of them share this one request for both the log and the page service,
+  // and every store keeps a reference to it instead of a copy. The history
+  // indexes the same bytes.
+  const auto batch =
+      std::make_shared<const std::string>(records.Batch(0, records.size()));
+  const size_t first_new = history_.size();
+  size_t offset = VarintLength(records.size());
+  for (size_t i = 0; i < records.size(); i++) {
+    const size_t length = records.record(i).size();
+    history_.Append(records.lsn(i), batch, offset, length);
+    offset += length;
+  }
   size_t fanout = replicas_.size();
 #ifdef DISAGG_CHAOS_MUTATION
   // Chaos-harness self-check mutation: silently skip the last replica and
@@ -48,12 +58,12 @@ Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
   for (size_t i = 0; i < fanout; i++) {
     // Resync: a replica that missed earlier appends gets everything it has
     // not acked yet, so the new records never land with a gap in front.
-    std::string resync;
-    Slice req(batch);
+    SharedBytes resync;
     if (next_idx_[i] != first_new) {
-      resync = history_.Batch(next_idx_[i], history_.size() - next_idx_[i]);
-      req = resync;
+      resync = std::make_shared<const std::string>(
+          history_.Batch(next_idx_[i], history_.size() - next_idx_[i]));
     }
+    const SharedBytes& req = resync != nullptr ? resync : batch;
     LogStoreClient log_client(fabric_, replicas_[i].node);
     PageStoreClient page_client(fabric_, replicas_[i].node);
     auto r = log_client.Append(&branch[i], req);

@@ -90,9 +90,10 @@ class ReplicatedSegment {
   // as one unit, so appends hold this for their full fan-out.
   mutable std::mutex mu_;
   std::vector<Lsn> acked_lsn_;  // per-replica contiguously-acked LSN
-  // Client-side append history driving per-replica resync, holding the
-  // appended bytes as they arrived. Only what some replica has not acked is
-  // kept: once every replica acks, the history empties.
+  // Client-side append history driving per-replica resync: references into
+  // each append's wire batch, which the replicas' stores share. Only what
+  // some replica has not acked is kept: once every replica acks, the history
+  // empties.
   EncodedRecords history_;
   std::vector<size_t> next_idx_;  // per-replica: first history_ index not acked
 };

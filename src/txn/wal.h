@@ -40,7 +40,8 @@ class LogServiceSink : public LogBackend {
   LogServiceSink(Fabric* fabric, NodeId node) : client_(fabric, node) {}
 
   Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
-    return client_.Append(ctx, records.Batch(0, records.size()));
+    return client_.Append(ctx, std::make_shared<const std::string>(
+                                   records.Batch(0, records.size())));
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
     return client_.ReadFrom(ctx, 0, ~0ull);

@@ -181,7 +181,9 @@ TEST(LogCodecTest, HostileBatchCountBoundsTheReservation) {
 }
 
 // Every rejected payload must fail log.append and page.apply_log with a
-// status and leave both stores exactly as they were.
+// status and leave both stores exactly as they were — sent bare, with a
+// shared owner of exactly its bytes, and with an owner of other (valid)
+// bytes, which a handler must neither trust nor retain.
 TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
   Fabric fabric;
   const NodeId node =
@@ -211,13 +213,21 @@ TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
   for (int round = 0; round < 8; round++) {
     const std::string good =
         LogRecord::EncodeBatch(WalBatch(&rng, 100 + round * 8));
+    const auto other = std::make_shared<const std::string>(good);
     for (const std::string& input : HostileCorpus(good, &rng)) {
       if (LogRecord::DecodeBatch(input).ok()) continue;
       rejected++;
+      const auto owned = std::make_shared<const std::string>(input);
       std::string resp;
-      EXPECT_FALSE(fabric.Call(&ctx, node, "log.append", input, &resp).ok());
-      EXPECT_FALSE(
-          fabric.Call(&ctx, node, "page.apply_log", input, &resp).ok());
+      for (const std::string method : {"log.append", "page.apply_log"}) {
+        EXPECT_FALSE(fabric.Call(&ctx, node, method, input, &resp).ok());
+        EXPECT_FALSE(
+            fabric.Call(&ctx, node, method, *owned, &resp, owned).ok());
+        EXPECT_FALSE(
+            fabric.Call(&ctx, node, method, input, &resp, other).ok());
+      }
+      EXPECT_EQ(owned.use_count(), 1);
+      EXPECT_EQ(other.use_count(), 1);
     }
   }
   ASSERT_GT(rejected, 0u);
@@ -229,10 +239,14 @@ TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
 }
 
 // EncodedRecords against a reference vector under seeded random sequences
-// of raw appends (0 bytes up to several maximum chunks), encoded-record
-// appends, bulk appends, front erasures and clears. A slice taken earlier
-// must keep its bytes for as long as its record lives: chunks never move
-// (the sanitizer build checks that freed chunks are never read).
+// of encoded-record appends, by-reference appends (of raw spans from 0 bytes
+// up to several maximum chunks; of another EncodedRecords, whose owner is
+// then dropped; of spans of a shared batch, whose handle the caller drops;
+// of a WAL-side buffer's records, whose chunk is then cleared and refilled),
+// front erasures and clears. A slice taken earlier must keep its bytes for
+// as long as its record lives: buffers never move, and a shared chunk is
+// never reused under a record (the sanitizer build checks that freed
+// buffers are never read).
 TEST(EncodedRecordsTest, MatchesReferenceUnderRandomOps) {
   constexpr size_t kMaxChunk = EncodedRecords::kMaxChunkBytes;
   struct Ref {
@@ -249,6 +263,7 @@ TEST(EncodedRecordsTest, MatchesReferenceUnderRandomOps) {
   for (uint64_t seed = 1; seed <= 6; seed++) {
     std::mt19937_64 rng(0x5eed0100 + seed);
     EncodedRecords store;
+    EncodedRecords wal;  // encodes like the WAL; `store` may share its chunk
     std::vector<Ref> ref;
     std::vector<Held> held;
     uint64_t next_seq = 0;
@@ -259,7 +274,7 @@ TEST(EncodedRecordsTest, MatchesReferenceUnderRandomOps) {
       return r;
     };
     for (int op = 0; op < 300; op++) {
-      switch (rng() % 10) {
+      switch (rng() % 12) {
         case 0:
         case 1:
         case 2: {
@@ -268,7 +283,11 @@ TEST(EncodedRecordsTest, MatchesReferenceUnderRandomOps) {
           std::string bytes(n, '\0');
           for (char& c : bytes) c = static_cast<char>(rng());
           const Lsn lsn = next_lsn++;
-          store.Append(lsn, bytes);
+          const size_t pad = rng() % 3;  // the span need not start at 0
+          store.Append(lsn,
+                       std::make_shared<const std::string>(
+                           std::string(pad, 'p') + bytes + "tail"),
+                       pad, n);
           ref.push_back({lsn, std::move(bytes), false, next_seq++});
           break;
         }
@@ -288,6 +307,53 @@ TEST(EncodedRecordsTest, MatchesReferenceUnderRandomOps) {
             ref.push_back({r.lsn, Encoded(r), true, next_seq++});
           }
           store.Append(batch);
+          break;
+        }
+        case 9: {
+          // Spans of a shared batch; the caller's handle dies at the end of
+          // this block and the store alone keeps the batch alive.
+          std::vector<LogRecord> records;
+          for (size_t n = 1 + rng() % 4; n > 0; n--) {
+            records.push_back(random_record());
+          }
+          const auto batch = std::make_shared<const std::string>(
+              LogRecord::EncodeBatch(records));
+          size_t offset = VarintLength(records.size());
+          for (const LogRecord& r : records) {
+            store.Append(r.lsn, batch, offset, r.EncodedSize());
+            offset += r.EncodedSize();
+            ref.push_back({r.lsn, Encoded(r), true, next_seq++});
+          }
+          ASSERT_EQ(offset, batch->size());
+          break;
+        }
+        case 10: {
+          // The chunk-reuse trap: `store` takes the WAL-side records by
+          // reference, then the WAL side is cleared and refilled. Its chunk
+          // is shared, so the refill must not land on the shared bytes.
+          wal.Clear();
+          std::vector<std::string> encodings;
+          for (size_t n = 1 + rng() % 4; n > 0; n--) {
+            const LogRecord r = random_record();
+            wal.Append(r);
+            encodings.push_back(Encoded(r));
+          }
+          const size_t first = store.size();
+          const bool whole = rng() % 2 == 0;
+          if (whole) store.Append(wal);
+          for (size_t i = 0; i < wal.size(); i++) {
+            if (!whole) {
+              if (rng() % 2 == 0) continue;
+              store.Append(wal, i);
+            }
+            ref.push_back({wal.lsn(i), encodings[i], true, next_seq++});
+            const size_t at = whole ? first + i : store.size() - 1;
+            held.push_back({ref.back().seq, store.record(at), encodings[i]});
+          }
+          wal.Clear();
+          for (size_t n = 1 + rng() % 4; n > 0; n--) {
+            wal.Append(RandomRecord(&rng));
+          }
           break;
         }
         case 7:

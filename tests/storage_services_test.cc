@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/coding.h"
@@ -136,7 +139,10 @@ TEST_F(LogStoreTest, ReadReturnsTheAppendedEncodings) {
                                    MakeInsert(4, 9, 0, "d")};
   second[0].undo_payload = "a";
   ASSERT_TRUE(client_->Append(&ctx_, first).ok());
-  ASSERT_TRUE(client_->Append(&ctx_, LogRecord::EncodeBatch(first)).ok());
+  ASSERT_TRUE(client_
+                  ->Append(&ctx_, std::make_shared<const std::string>(
+                                      LogRecord::EncodeBatch(first)))
+                  .ok());
   ASSERT_TRUE(client_->Append(&ctx_, second).ok());
   std::vector<LogRecord> all = first;
   all.insert(all.end(), second.begin(), second.end());
@@ -160,6 +166,130 @@ TEST_F(LogStoreTest, ReadReturnsTheAppendedEncodings) {
   ASSERT_TRUE(client_->Append(&ctx_, {MakeInsert(5, 9, 1, "e")}).ok());
   EXPECT_EQ(ReadAllBytes(&fabric_, &ctx_, node_, 3),
             LogRecord::EncodeBatch({all[3], MakeInsert(5, 9, 1, "e")}));
+}
+
+// A store keeps the caller's batch by reference only when the request
+// owner holds exactly the request bytes: the log store takes one reference,
+// the page store one per page with pending redo, and materializing a page
+// releases its reference. With no owner, or an owner of another buffer
+// (even with equal bytes), the stores copy the request once and the
+// caller's batch gains no holder. What the stores hold reads back the same
+// in every case.
+TEST(SharedRedoTest, StoresReferenceTheCallersBatchOnlyWhenItIsTheRequest) {
+  LogRecord commit;
+  commit.lsn = 4;
+  commit.type = LogType::kTxnCommit;
+  const std::vector<LogRecord> records = {
+      MakeInsert(1, 5, 0, "a"), MakeInsert(2, 6, 0, std::string(300, 'b')),
+      MakeInsert(3, 5, 1, "c"), commit};
+  enum class Owner { kExact, kNone, kOtherBuffer };
+  for (const Owner mode : {Owner::kExact, Owner::kNone, Owner::kOtherBuffer}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    Fabric fabric;
+    const NodeId node =
+        fabric.AddNode("s0", NodeKind::kStorage, InterconnectModel::Ssd());
+    LogStoreService log(&fabric, node);
+    PageStoreService pages(&fabric, node);
+    NetContext ctx;
+    const auto batch =
+        std::make_shared<const std::string>(LogRecord::EncodeBatch(records));
+    const auto copy = std::make_shared<const std::string>(*batch);
+    const SharedBytes owner = mode == Owner::kExact         ? batch
+                              : mode == Owner::kOtherBuffer ? copy
+                                                            : nullptr;
+    const long base = batch.use_count();
+    std::string resp;
+    ASSERT_TRUE(
+        fabric.Call(&ctx, node, "log.append", *batch, &resp, owner).ok());
+    EXPECT_EQ(batch.use_count(), base + (mode == Owner::kExact ? 1 : 0));
+    ASSERT_TRUE(
+        fabric.Call(&ctx, node, "page.apply_log", *batch, &resp, owner).ok());
+    // Pages 5 and 6 each queue redo; the commit record queues none.
+    EXPECT_EQ(batch.use_count(), base + (mode == Owner::kExact ? 3 : 0));
+    EXPECT_EQ(copy.use_count(), mode == Owner::kOtherBuffer ? 2 : 1);
+
+    EXPECT_EQ(ReadAllBytes(&fabric, &ctx, node), *batch);
+    EXPECT_EQ(ReadAllBytes(&fabric, &ctx, node, 2),
+              LogRecord::EncodeBatch({records[2], records[3]}));
+    PageStoreClient client(&fabric, node);
+    auto page = client.GetPage(&ctx, 5);
+    ASSERT_TRUE(page.ok());
+    EXPECT_EQ(page->Get(1)->ToString(), "c");
+    EXPECT_EQ(batch.use_count(), base + (mode == Owner::kExact ? 2 : 0));
+    ASSERT_TRUE(client.GetPage(&ctx, 6).ok());
+    EXPECT_EQ(batch.use_count(), base + (mode == Owner::kExact ? 1 : 0));
+  }
+}
+
+// Four writers append through one segment while two readers call log.read
+// and page.get on its replicas. Each batch is shared by the segment history
+// and all twelve stores, and its references drop on whichever thread
+// materializes a page or finishes a fan-out. Under ThreadSanitizer this
+// checks the refcounted buffers; everywhere it checks that every replica
+// ends with every record.
+TEST(SharedRedoTest, ConcurrentWritersAndReadersShareBatches) {
+  constexpr int kWriters = 4;
+  constexpr int kAppendsPerWriter = 150;
+  Fabric fabric;
+  ReplicatedSegment segment(&fabric, {});
+  std::mutex lsn_mu;  // LSN order must match append order across writers
+  Lsn next_lsn = 1;
+  std::atomic<int> writers_left{kWriters};
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; w++) {
+    threads.emplace_back([&, w] {
+      NetContext ctx;
+      const PageId page = static_cast<PageId>(w + 1);  // one writer per page
+      for (int i = 0; i < kAppendsPerWriter; i++) {
+        std::lock_guard<std::mutex> lock(lsn_mu);
+        LogRecord commit;
+        commit.lsn = next_lsn + 1;
+        commit.type = LogType::kTxnCommit;
+        const EncodedRecords records(
+            {MakeInsert(next_lsn, page, static_cast<uint16_t>(i),
+                        std::to_string(i)),
+             commit});
+        next_lsn += 2;
+        EXPECT_TRUE(segment.AppendLog(&ctx, records).ok());
+      }
+      writers_left--;
+    });
+  }
+  for (int r = 0; r < 2; r++) {
+    threads.emplace_back([&, r] {
+      NetContext ctx;
+      for (uint64_t n = 0; writers_left.load() > 0; n++) {
+        const NodeId node = segment.replica((n + r) % 6).node;
+        ReadAllBytes(&fabric, &ctx, node, n % 50);
+        PageStoreClient pages(&fabric, node);
+        auto page = pages.GetPage(&ctx, 1 + (n % kWriters));
+        EXPECT_TRUE(page.ok() || page.status().IsNotFound());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const Lsn last = 2 * kWriters * kAppendsPerWriter;
+  EXPECT_EQ(segment.CountDurable(last), 6);
+  NetContext ctx;
+  for (size_t i = 0; i < segment.replica_count(); i++) {
+    const NodeId node = segment.replica(i).node;
+    auto records = LogRecord::DecodeBatch(ReadAllBytes(&fabric, &ctx, node));
+    ASSERT_TRUE(records.ok());
+    ASSERT_EQ(records->size(), last);
+    for (size_t k = 0; k < records->size(); k++) {
+      EXPECT_EQ((*records)[k].lsn, k + 1);
+    }
+    PageStoreClient pages(&fabric, node);
+    for (PageId id = 1; id <= kWriters; id++) {
+      auto page = pages.GetPage(&ctx, id);
+      ASSERT_TRUE(page.ok());
+      EXPECT_EQ(page->slot_count(), kAppendsPerWriter);
+      EXPECT_EQ(page->Get(kAppendsPerWriter - 1)->ToString(),
+                std::to_string(kAppendsPerWriter - 1));
+    }
+  }
 }
 
 class PageStoreTest : public ::testing::Test {
