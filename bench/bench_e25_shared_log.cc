@@ -77,13 +77,11 @@ LogRecord Rec(Lsn lsn, int tenant) {
 }
 
 /// Private-mode backend: one tenant's own quorum segment behind the same
-/// `LogBackend` interface the engines use. The recovery read mirrors the
-/// engines' quorum sink: parallel durable-LSN probes over the fabric, then
-/// a full stream from the most complete replica.
+/// `LogBackend` interface the engines use. The recovery read is the
+/// engines' quorum sink's (`ReplicatedSegment::ReadLog`).
 class PrivateQuorumBackend : public LogBackend {
  public:
-  PrivateQuorumBackend(Fabric* fabric, int tenant)
-      : fabric_(fabric) {
+  PrivateQuorumBackend(Fabric* fabric, int tenant) {
     ReplicatedSegment::Config cfg;
     cfg.replicas = 3;
     cfg.num_azs = 3;
@@ -100,28 +98,10 @@ class PrivateQuorumBackend : public LogBackend {
   }
 
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
-    std::vector<NetContext> branch(segment_->replica_count(), ctx->Fork());
-    size_t best = 0;
-    Lsn best_lsn = kInvalidLsn;
-    bool reachable = false;
-    for (size_t i = 0; i < segment_->replica_count(); i++) {
-      LogStoreClient probe(fabric_, segment_->replica(i).node);
-      auto lsn = probe.DurableLsn(&branch[i]);
-      if (!lsn.ok()) continue;
-      if (!reachable || *lsn > best_lsn) {
-        reachable = true;
-        best = i;
-        best_lsn = *lsn;
-      }
-    }
-    JoinParallel(ctx, branch.data(), branch.size());
-    if (!reachable) return Status::Unavailable("no segment replica reachable");
-    LogStoreClient reader(fabric_, segment_->replica(best).node);
-    return reader.ReadFrom(ctx, 0, ~0ull);
+    return segment_->ReadLog(ctx);
   }
 
  private:
-  Fabric* fabric_;
   std::unique_ptr<ReplicatedSegment> segment_;
 };
 

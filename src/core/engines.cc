@@ -13,8 +13,7 @@ namespace {
 class OwningQuorumSink : public LogBackend {
  public:
   OwningQuorumSink(Fabric* fabric, const ReplicatedSegment::Config& config)
-      : fabric_(fabric),
-        segment_(std::make_unique<ReplicatedSegment>(fabric, config,
+      : segment_(std::make_unique<ReplicatedSegment>(fabric, config,
                                                      "aurora-seg")) {}
 
   ReplicatedSegment* segment() { return segment_.get(); }
@@ -23,33 +22,10 @@ class OwningQuorumSink : public LogBackend {
     return segment_->AppendLog(ctx, records);
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
-    // Under fault schedules individual replicas may lag, so stream from the
-    // replica with the highest durable LSN (client-side resync keeps each
-    // replica's log gap-free, so "highest" also means "most complete").
-    // Both the parallel tail probes and the full read ride Fabric::Execute:
-    // recovery traffic is charged, traced and fault-injected like any other.
-    std::vector<NetContext> branch(segment_->replica_count(), ctx->Fork());
-    size_t best = 0;
-    Lsn best_lsn = kInvalidLsn;
-    bool reachable = false;
-    for (size_t i = 0; i < segment_->replica_count(); i++) {
-      LogStoreClient probe(fabric_, segment_->replica(i).node);
-      auto lsn = probe.DurableLsn(&branch[i]);
-      if (!lsn.ok()) continue;
-      if (!reachable || *lsn > best_lsn) {
-        reachable = true;
-        best = i;
-        best_lsn = *lsn;
-      }
-    }
-    JoinParallel(ctx, branch.data(), branch.size());
-    if (!reachable) return Status::Unavailable("no segment replica reachable");
-    LogStoreClient reader(fabric_, segment_->replica(best).node);
-    return reader.ReadFrom(ctx, 0, ~0ull);
+    return segment_->ReadLog(ctx);
   }
 
  private:
-  Fabric* fabric_;
   std::unique_ptr<ReplicatedSegment> segment_;
 };
 
@@ -136,18 +112,16 @@ class MultiLogSink : public LogBackend {
     // One batch, referenced by every store rather than copied into each.
     const auto batch =
         std::make_shared<const std::string>(records.Batch(0, records.size()));
-    std::vector<NetContext> branch(nodes_.size(), ctx->Fork());
     int acks = 0;
     Lsn lsn = kInvalidLsn;
-    for (size_t i = 0; i < nodes_.size(); i++) {
-      LogStoreClient client(fabric_, nodes_[i]);
-      auto r = client.Append(&branch[i], batch);
+    (void)FanOut(ctx, nodes_, [&](NodeId node, NetContext* branch) {
+      auto r = LogStoreClient(fabric_, node).Append(branch, batch);
       if (r.ok()) {
         acks++;
         lsn = std::max(lsn, *r);
       }
-    }
-    JoinParallel(ctx, branch.data(), branch.size());
+      return Status::OK();
+    });
     const int majority = static_cast<int>(nodes_.size()) / 2 + 1;
     if (acks < majority) return Status::Unavailable("log-store majority lost");
     return lsn;
@@ -215,24 +189,6 @@ std::unique_ptr<LogBackend> SharedSink(const EngineLogConfig& log) {
   DISAGG_CHECK(log.shared_log != nullptr);
   return std::make_unique<SharedLogBackend>(log.shared_log->fabric(),
                                             log.shared_log, log.tag);
-}
-
-/// Shared degraded-fetch shape: parallel freshest-wins over a page-store
-/// fleet with no freshness gate (the ladder's staleness bound is judged by
-/// the caller against the returned page's own LSN).
-Result<Page> FreshestFromStores(Fabric* fabric, NetContext* ctx,
-                                const std::vector<NodeId>& nodes, PageId id) {
-  std::vector<NetContext> branch(nodes.size(), ctx->Fork());
-  Result<Page> best = Status::Unavailable("no page store reachable");
-  for (size_t i = 0; i < nodes.size(); i++) {
-    PageStoreClient client(fabric, nodes[i]);
-    auto page = client.GetPage(&branch[i], id);
-    if (page.ok() && (!best.ok() || page->lsn() > best->lsn())) {
-      best = std::move(page);
-    }
-  }
-  JoinParallel(ctx, branch.data(), branch.size());
-  return best;
 }
 
 }  // namespace
@@ -307,7 +263,7 @@ Result<Page> AuroraDb::FetchPage(NetContext* ctx, PageId id) {
 
 Result<Page> AuroraDb::FetchPageDegraded(NetContext* ctx, PageId id) {
   if (segment_ != nullptr) return segment_->ReadPageFreshest(ctx, id);
-  return FreshestFromStores(fabric_, ctx, page_nodes_, id);
+  return GetFreshestPage(fabric_, ctx, page_nodes_, id);
 }
 
 Status AuroraDb::OnCommit(NetContext* ctx,
@@ -318,12 +274,11 @@ Status AuroraDb::OnCommit(NetContext* ctx,
     // each referencing this one batch.
     const auto batch =
         std::make_shared<const std::string>(LogRecord::EncodeBatch(records));
-    std::vector<NetContext> branch(page_nodes_.size(), ctx->Fork());
-    for (size_t i = 0; i < page_nodes_.size(); i++) {
-      PageStoreClient client(fabric_, page_nodes_[i]);
-      DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i], batch).status());
-    }
-    JoinParallel(ctx, branch.data(), branch.size());
+    DISAGG_RETURN_NOT_OK(
+        FanOut(ctx, page_nodes_, [&](NodeId node, NetContext* branch) {
+          PageStoreClient client(fabric_, node);
+          return client.ApplyLog(branch, batch).status();
+        }));
   }
   // Legacy mode ships nothing — the log IS the database. Either way the
   // durable tier now covers these pages up to their LSNs, so record the
@@ -398,7 +353,7 @@ Result<Page> PolarDb::FetchPage(NetContext* ctx, PageId id) {
 }
 
 Result<Page> PolarDb::FetchPageDegraded(NetContext* ctx, PageId id) {
-  return FreshestFromStores(fabric_, ctx, page_nodes_, id);
+  return GetFreshestPage(fabric_, ctx, page_nodes_, id);
 }
 
 Status PolarDb::OnCommit(NetContext* ctx,
@@ -408,17 +363,18 @@ Status PolarDb::OnCommit(NetContext* ctx,
   for (const LogRecord& r : records) {
     if (r.page_id != kInvalidPageId) touched.insert(r.page_id);
   }
-  std::vector<NetContext> branch(page_nodes_.size(), ctx->Fork());
-  for (PageId id : touched) {
-    auto it = buffer_.find(id);
-    if (it == buffer_.end()) continue;
-    for (size_t i = 0; i < page_nodes_.size(); i++) {
-      PageStoreClient client(fabric_, page_nodes_[i]);
-      DISAGG_RETURN_NOT_OK(client.PutPage(&branch[i], it->second));
-    }
-    dirty_.erase(id);
-  }
-  JoinParallel(ctx, branch.data(), branch.size());
+  // One branch per replica puts every touched page, in page order.
+  DISAGG_RETURN_NOT_OK(
+      FanOut(ctx, page_nodes_, [&](NodeId node, NetContext* branch) {
+        PageStoreClient client(fabric_, node);
+        for (PageId id : touched) {
+          auto it = buffer_.find(id);
+          if (it == buffer_.end()) continue;
+          DISAGG_RETURN_NOT_OK(client.PutPage(branch, it->second));
+        }
+        return Status::OK();
+      }));
+  for (PageId id : touched) dirty_.erase(id);
   // Every touched page now sits on all replicas at its commit LSN.
   NoteDurablePageLsns(records);
   return Status::OK();
@@ -458,12 +414,10 @@ Status SocratesDb::PropagateLogs(NetContext* ctx) {
   // One batch, referenced by every page server rather than copied into each.
   const auto batch =
       std::make_shared<const std::string>(LogRecord::EncodeBatch(records));
-  std::vector<NetContext> branch(page_nodes_.size(), ctx->Fork());
-  for (size_t i = 0; i < page_nodes_.size(); i++) {
-    PageStoreClient client(fabric_, page_nodes_[i]);
-    DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i], batch).status());
-  }
-  JoinParallel(ctx, branch.data(), branch.size());
+  DISAGG_RETURN_NOT_OK(
+      FanOut(ctx, page_nodes_, [&](NodeId node, NetContext* branch) {
+        return PageStoreClient(fabric_, node).ApplyLog(branch, batch).status();
+      }));
   propagated_lsn_ = records.back().lsn;
   // The availability tier now holds these pages at their logged LSNs.
   NoteDurablePageLsns(records);
@@ -508,7 +462,7 @@ Result<Page> SocratesDb::FetchPage(NetContext* ctx, PageId id) {
 }
 
 Result<Page> SocratesDb::FetchPageDegraded(NetContext* ctx, PageId id) {
-  auto best = FreshestFromStores(fabric_, ctx, page_nodes_, id);
+  auto best = GetFreshestPage(fabric_, ctx, page_nodes_, id);
   if (best.ok()) return best;
   // No page server reachable: the freshest checkpoint, however old, is the
   // last rung of the ladder.
@@ -558,13 +512,11 @@ Status TaurusDb::OnCommit(NetContext* ctx,
             : (r.page_id * 0x9E3779B97F4A7C15ull) % page_nodes_.size();
     by_store[store].push_back(r);
   }
-  std::vector<NetContext> branch(by_store.size(), ctx->Fork());
-  size_t i = 0;
-  for (auto& [store, batch] : by_store) {
-    PageStoreClient client(fabric_, page_nodes_[store]);
-    DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i++], batch).status());
-  }
-  JoinParallel(ctx, branch.data(), branch.size());
+  DISAGG_RETURN_NOT_OK(
+      FanOut(ctx, by_store, [&](const auto& home, NetContext* branch) {
+        PageStoreClient client(fabric_, page_nodes_[home.first]);
+        return client.ApplyLog(branch, home.second).status();
+      }));
   // Each page's home store now holds its redo; freshest-wins fetches plus
   // this floor keep reads from ever regressing below the commit.
   NoteDurablePageLsns(records);
@@ -577,16 +529,8 @@ size_t TaurusDb::RunGossipRound(NetContext* ctx) {
 
 Result<Page> TaurusDb::FetchPage(NetContext* ctx, PageId id) {
   // Page stores may be mutually stale; take the freshest copy.
-  std::vector<NetContext> branch(page_nodes_.size(), ctx->Fork());
-  Result<Page> best = Status::NotFound("page in no store");
-  for (size_t i = 0; i < page_nodes_.size(); i++) {
-    PageStoreClient client(fabric_, page_nodes_[i]);
-    auto page = client.GetPage(&branch[i], id);
-    if (page.ok() && (!best.ok() || page->lsn() > best->lsn())) {
-      best = std::move(page);
-    }
-  }
-  JoinParallel(ctx, branch.data(), branch.size());
+  auto best = GetFreshestPage(fabric_, ctx, page_nodes_, id,
+                              Status::NotFound("page in no store"));
   const Lsn required = RequiredPageLsn(id);
   if (required != kInvalidLsn && (!best.ok() || best->lsn() < required)) {
     // Gossip has not yet spread the freshest image and its home store is
@@ -599,7 +543,7 @@ Result<Page> TaurusDb::FetchPage(NetContext* ctx, PageId id) {
 Result<Page> TaurusDb::FetchPageDegraded(NetContext* ctx, PageId id) {
   // The strict path is already freshest-wins; the ladder only removes the
   // RequiredPageLsn gate (gossip may not have spread the newest image yet).
-  return FreshestFromStores(fabric_, ctx, page_nodes_, id);
+  return GetFreshestPage(fabric_, ctx, page_nodes_, id);
 }
 
 }  // namespace disagg

@@ -247,6 +247,9 @@ Status RowEngine::CrashAndRecover(NetContext* ctx) {
   // replay reproduces every page.
   auto out = AriesRecovery::Recover(log, {});
   if (!out.ok()) return out.status();
+  // The crashed node's unflushed WAL tail (batches re-buffered by failed
+  // flushes) is lost with it: pages are rebuilt from the durable log alone.
+  wal_.DiscardBuffered();
   DropBuffer();
   for (auto& [id, page] : out->pages) {
     buffer_.emplace(id, std::move(page));

@@ -1,6 +1,7 @@
 #include "log/shared_log.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/coding.h"
 
@@ -605,14 +606,11 @@ Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
     };
 
     int acks = 1;  // the primary's copy
-    const size_t nbackups = replicas.size() - 1;
-    if (nbackups > 0) {
-      std::vector<NetContext> branch(nbackups, ctx->Fork());
-      for (size_t i = 0; i < nbackups; i++) {
-        if (replicate_to(&branch[i], replicas[i + 1])) acks++;
-      }
-      JoinParallel(ctx, branch.data(), nbackups);
-    }
+    const std::span<const NodeId> backups(replicas.begin() + 1, replicas.end());
+    (void)FanOut(ctx, backups, [&](NodeId backup, NetContext* bctx) {
+      if (replicate_to(bctx, backup)) acks++;
+      return Status::OK();
+    });
     if (acks >= view_.write_quorum) return static_cast<Lsn>(tail_lsn);
     last = Status::Unavailable("shared log: append below write quorum");
     Status r = RefreshView(ctx);

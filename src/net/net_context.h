@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/status.h"
 #include "net/verb.h"
 
 namespace disagg {
@@ -120,9 +121,9 @@ struct NetContext {
   /// A branch context for work forked *now*: the clock starts at this
   /// context's current `sim_ns` (so fabric ops issued on the branch arrive
   /// at the congestion model at the right virtual time), while all traffic
-  /// counters start at zero. Pair with `JoinParallel()`; with congestion
-  /// disabled, Fork+JoinParallel charges exactly what zero-initialized
-  /// branches + `MergeParallel` charged.
+  /// counters start at zero. `FanOut()` forks every branch this way; with
+  /// congestion disabled it charges exactly what zero-initialized branches +
+  /// `MergeParallel` charge.
   NetContext Fork() const {
     NetContext b;
     b.sim_ns = sim_ns;
@@ -136,7 +137,7 @@ struct NetContext {
 };
 
 /// Sums one branch's traffic/attribution counters (everything except the
-/// clock) into `parent`; the shared leg of `MergeParallel`/`JoinParallel`.
+/// clock) into `parent`; the shared leg of `MergeParallel` and `FanOut`.
 inline void AccumulateTraffic(NetContext* parent, const NetContext& b) {
   parent->bytes_out += b.bytes_out;
   parent->bytes_in += b.bytes_in;
@@ -155,21 +156,21 @@ inline void AccumulateTraffic(NetContext* parent, const NetContext& b) {
   }
 }
 
-/// Folds the contexts of operations issued *in parallel* (e.g. fan-out to
-/// quorum replicas, Snowflake virtual warehouses, or the LoadDriver's
-/// concurrent clients) into a parent context: elapsed simulated time is the
+/// Folds the contexts of operations issued *in parallel* from time zero
+/// (e.g. Snowflake virtual warehouses or a bench's concurrent clients) into
+/// a parent context: elapsed simulated time is the
 /// max of the branches, while traffic counters are summed. Per-verb
 /// breakdowns, `backoff_ns`, and `queue_ns` (like traffic) are attribution
 /// counters and are summed, so after a parallel merge they bound, rather
 /// than equal, the parent's elapsed `sim_ns`.
 ///
 /// Rule of thumb: one timeline -> `AccumulateTraffic` plus the summed
-/// `sim_ns`; side-by-side timelines -> `MergeParallel`. Users: quorum/raft
-/// replication fan-out, engine commit fan-out (`src/core/engines.cc`), FORD
-/// parallel validation, pushdown producers and `SnowflakeDb::Query` VW
-/// merge. The load driver
-/// folds its clients the same way, summing `AccumulateTraffic` per
-/// partition rather than keeping a context per open-loop client.
+/// `sim_ns`; side-by-side timelines -> `MergeParallel`; branches forked
+/// mid-timeline -> `FanOut`. Users: pushdown producers and consumers
+/// (`src/query/pushdown.cc`), the `SnowflakeDb::Query` VW merge and the
+/// E9/E20 benches' concurrent clients. The load driver folds its clients the
+/// same way, summing `AccumulateTraffic` per partition rather than keeping a
+/// context per open-loop client.
 inline void MergeParallel(NetContext* parent,
                           const NetContext* branches, size_t n) {
   uint64_t max_ns = 0;
@@ -181,22 +182,34 @@ inline void MergeParallel(NetContext* parent,
   parent->sim_ns += max_ns;
 }
 
-/// Joins branches created with `parent->Fork()`: the parent's clock jumps
-/// to the latest branch finish time (branch clocks are absolute, not
-/// elapsed), and traffic/attribution counters are summed exactly as in
-/// `MergeParallel`. Use this for *internal* fan-out on one client's
-/// timeline (quorum appends, page-store broadcast, FORD validation);
-/// `MergeParallel` remains the fold for *top-level* concurrent clients
-/// whose timelines all start at zero.
-inline void JoinParallel(NetContext* parent,
-                         const NetContext* branches, size_t n) {
-  uint64_t max_ns = parent->sim_ns;
-  for (size_t i = 0; i < n; i++) {
-    const NetContext& b = branches[i];
-    if (b.sim_ns > max_ns) max_ns = b.sim_ns;
-    AccumulateTraffic(parent, b);
+/// Runs an *internal* fan-out on one client's timeline (quorum, Raft and
+/// log-store appends, page-store broadcast, freshest-wins page reads, FORD
+/// lock and validate phases): for each element of `items`, `fn(item,
+/// &branch)` issues that element's work on `branch`, a `ctx->Fork()` taken
+/// at the fan-out's start. Each branch is folded into `ctx` as soon as it
+/// returns: its traffic and attribution counters are summed
+/// (`AccumulateTraffic`) and `ctx`'s clock ends at the latest branch finish
+/// (branch clocks are absolute), so no branch vector is built. A non-OK
+/// `fn` result stops the fan-out after that branch is folded and is
+/// returned, so every branch that ran is charged. Sites that tolerate a
+/// per-branch failure (quorum and majority counts) return OK from `fn` and
+/// count their own acks. `MergeParallel` remains the fold for *top-level*
+/// concurrent clients whose timelines all start at zero.
+template <typename Items, typename Fn>
+Status FanOut(NetContext* ctx, const Items& items, Fn fn) {
+  // `ctx->sim_ns` stays at the fan-out's start until every branch has run,
+  // so each `Fork()` starts its branch there.
+  uint64_t end_ns = ctx->sim_ns;
+  Status st;
+  for (const auto& item : items) {
+    NetContext branch = ctx->Fork();
+    st = fn(item, &branch);
+    AccumulateTraffic(ctx, branch);
+    if (branch.sim_ns > end_ns) end_ns = branch.sim_ns;
+    if (!st.ok()) break;
   }
-  parent->sim_ns = max_ns;
+  ctx->sim_ns = end_ns;
+  return st;
 }
 
 }  // namespace disagg

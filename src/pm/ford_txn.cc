@@ -80,57 +80,48 @@ Status FordTxnManager::Txn::Commit() {
   // --- Lock phase: CAS lock words 0 -> txn id, in rid order (no deadlock;
   // parallel across nodes so charge the max branch).
   std::vector<uint64_t> locked;
-  std::vector<NetContext> branch(writes_.size(), ctx_->Fork());
-  size_t b = 0;
   bool lock_failed = false;
-  for (const auto& [rid, value] : writes_) {
-    GlobalAddr lock_addr = mgr_->AddrOf(rid);
+  Status st = FanOut(ctx_, writes_, [&](const auto& write, NetContext* b) {
     auto observed =
-        mgr_->fabric_->CompareAndSwap(&branch[b], lock_addr, 0, id_);
+        mgr_->fabric_->CompareAndSwap(b, mgr_->AddrOf(write.first), 0, id_);
     if (!observed.ok()) return observed.status();
     if (*observed != 0) {
       lock_failed = true;
-      break;
+      return Status::Aborted("lock conflict");
     }
-    locked.push_back(rid);
-    b++;
-  }
-  JoinParallel(ctx_, branch.data(), branch.size());
+    locked.push_back(write.first);
+    return Status::OK();
+  });
 
   // --- Validate phase: read-set versions unchanged (one READ per record,
   // parallel).
   bool validate_failed = false;
-  if (!lock_failed) {
-    std::vector<NetContext> vbranch(read_versions_.size(), ctx_->Fork());
-    size_t v = 0;
-    for (const auto& [rid, version] : read_versions_) {
+  if (st.ok()) {
+    st = FanOut(ctx_, read_versions_, [&](const auto& read, NetContext* b) {
       char buf[16];
-      Status st = mgr_->fabric_->Read(&vbranch[v], mgr_->AddrOf(rid), buf, 16);
-      if (!st.ok()) return st;
+      DISAGG_RETURN_NOT_OK(
+          mgr_->fabric_->Read(b, mgr_->AddrOf(read.first), buf, 16));
       const uint64_t lock = DecodeFixed64(buf);
       const uint64_t current = DecodeFixed64(buf + 8);
       // A record we hold the lock on is "locked by us" — fine; any other
       // lock holder or version change kills the transaction.
-      if (current != version || (lock != 0 && lock != id_)) {
+      if (current != read.second || (lock != 0 && lock != id_)) {
         validate_failed = true;
       }
-      v++;
-    }
-    JoinParallel(ctx_, vbranch.data(), vbranch.size());
+      return Status::OK();
+    });
   }
 
-  if (lock_failed || validate_failed) {
-    // Release whatever we locked.
+  if (!st.ok() || validate_failed) {
+    // Release whatever we locked, on conflicts and fabric errors alike: a
+    // lock word left set would abort every later transaction on its record.
     for (uint64_t rid : locked) {
       (void)mgr_->fabric_->CompareAndSwap(ctx_, mgr_->AddrOf(rid), id_, 0);
     }
-    if (lock_failed) {
-      mgr_->stats_.aborts_lock++;
-    } else {
-      mgr_->stats_.aborts_validate++;
-    }
-    return Status::Aborted(lock_failed ? "lock conflict"
-                                       : "validation failed");
+    if (lock_failed) mgr_->stats_.aborts_lock++;
+    if (!st.ok()) return st;  // the lock conflict, or a fabric error
+    mgr_->stats_.aborts_validate++;
+    return Status::Aborted("validation failed");
   }
 
   // --- Write + persist phase: WRITE {version+1, value} for each record;

@@ -22,7 +22,8 @@ namespace disagg {
 ///   write+persist : one-sided WRITE of new {version+1, value}, then ONE
 ///                   flush-read per PM node covers all its writes (FORD's
 ///                   batched persistence), then unlock CAS.
-/// Aborts release acquired locks. Everything is charged one-sided costs.
+/// Aborts and fabric errors in the lock or validate phase release acquired
+/// locks. Everything is charged one-sided costs.
 class FordTxnManager {
  public:
   static constexpr size_t kValueBytes = 40;
@@ -72,10 +73,12 @@ class FordTxnManager {
 
   const Stats& stats() const { return stats_; }
 
+  /// Address of record `rid`'s slot; its first word is the lock word.
+  GlobalAddr AddrOf(uint64_t rid) const { return record_addrs_[rid]; }
+
  private:
   friend class Txn;
 
-  GlobalAddr AddrOf(uint64_t rid) const { return record_addrs_[rid]; }
   PmNode* NodeOf(uint64_t rid) const { return record_nodes_[rid]; }
 
   Fabric* fabric_;

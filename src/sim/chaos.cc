@@ -134,6 +134,7 @@ void KvModel::Commit(uint64_t key, std::optional<std::string> value) {
   Entry& e = entries_[key];
   e.committed = std::move(value);
   e.maybe.clear();
+  e.promotable_from = 0;
 }
 
 void KvModel::MaybeCommit(uint64_t key, std::optional<std::string> value) {
@@ -144,10 +145,15 @@ void KvModel::Poison(uint64_t key) { entries_[key].poisoned = true; }
 
 void KvModel::PromoteAllUncertain() {
   for (auto& [key, e] : entries_) {
-    if (e.maybe.empty()) continue;
+    if (e.maybe.size() == e.promotable_from) continue;
     e.committed = e.maybe.back();
     e.maybe.clear();
+    e.promotable_from = 0;
   }
+}
+
+void KvModel::Crash() {
+  for (auto& [key, e] : entries_) e.promotable_from = e.maybe.size();
 }
 
 std::string KvModel::CheckRead(uint64_t key, const Status& st,
@@ -945,6 +951,7 @@ class ChaosRunner {
     EnterOracleMode();
     NetContext octx;
     Status st = adapter_->CrashAndRecover(&octx);
+    model_.Crash();
     if (!st.ok()) {
       report_.violations.push_back("crash recovery failed: " +
                                    st.ToString());

@@ -82,6 +82,8 @@ class KvModel {
     /// Uncertain outcomes, oldest first (durable log prefixes resolve them
     /// monotonically, so membership in the set is the sound check).
     std::vector<std::optional<std::string>> maybe;
+    /// `maybe[0, promotable_from)` predate the last crash: never promoted.
+    size_t promotable_from = 0;
     bool poisoned = false;  // possibly non-atomic outcome: key exempted
   };
 
@@ -92,8 +94,14 @@ class KvModel {
   /// Exempts the key from checking (possibly non-atomic partial outcome).
   void Poison(uint64_t key);
   /// A later group-commit flush on the same WAL succeeded, which lands every
-  /// re-buffered batch: all uncertain outcomes became durable.
+  /// re-buffered batch: each uncertain outcome recorded since the last
+  /// `Crash()` became durable.
   void PromoteAllUncertain();
+  /// The compute node crashed and lost its unflushed WAL tail, so no later
+  /// flush lands the uncertain outcomes recorded so far. They stay
+  /// possible (a partly replicated batch may still surface) but are never
+  /// promoted.
+  void Crash();
 
   /// Validates one observed read (`st` is OK or NotFound). Returns "" if the
   /// observation is explainable, else a violation description.

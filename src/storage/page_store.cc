@@ -197,4 +197,18 @@ Result<Page> PageStoreClient::GetPage(NetContext* ctx, PageId id) {
   return page;
 }
 
+Result<Page> GetFreshestPage(Fabric* fabric, NetContext* ctx,
+                             std::span<const NodeId> stores, PageId id,
+                             Status none) {
+  Result<Page> best = std::move(none);
+  (void)FanOut(ctx, stores, [&](NodeId node, NetContext* branch) {
+    auto page = PageStoreClient(fabric, node).GetPage(branch, id);
+    if (page.ok() && (!best.ok() || page->lsn() > best->lsn())) {
+      best = std::move(page);
+    }
+    return Status::OK();
+  });
+  return best;
+}
+
 }  // namespace disagg

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -93,6 +94,14 @@ class PageStoreClient {
   Fabric* fabric_;
   NodeId node_;
 };
+
+/// Freshest-wins read over a page-store fleet: one `GetPage` per store, fanned
+/// out in parallel, returning the copy with the highest LSN, or `none` when
+/// every store misses. No freshness gate: the caller judges the returned
+/// page's own LSN.
+Result<Page> GetFreshestPage(
+    Fabric* fabric, NetContext* ctx, std::span<const NodeId> stores, PageId id,
+    Status none = Status::Unavailable("no page store reachable"));
 
 }  // namespace disagg
 

@@ -1,6 +1,7 @@
 #include "storage/quorum.h"
 
 #include <algorithm>
+#include <ranges>
 #include <string>
 
 #include "common/coding.h"
@@ -52,10 +53,10 @@ Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
   // the harness's durability checker must catch it.
   fanout = replicas_.size() - 1;
 #endif
-  std::vector<NetContext> branch(replicas_.size(), ctx->Fork());
   int acks = 0;
   Lsn lsn = kInvalidLsn;
-  for (size_t i = 0; i < fanout; i++) {
+  (void)FanOut(ctx, std::views::iota(size_t{0}, fanout),
+               [&](size_t i, NetContext* branch) {
     // Resync: a replica that missed earlier appends gets everything it has
     // not acked yet, so the new records never land with a gap in front.
     SharedBytes resync;
@@ -66,16 +67,17 @@ Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
     const SharedBytes& req = resync != nullptr ? resync : batch;
     LogStoreClient log_client(fabric_, replicas_[i].node);
     PageStoreClient page_client(fabric_, replicas_[i].node);
-    auto r = log_client.Append(&branch[i], req);
-    if (!r.ok()) continue;
+    auto r = log_client.Append(branch, req);
+    if (!r.ok()) return Status::OK();
     // The segment also queues the redo for page materialization.
-    auto p = page_client.ApplyLog(&branch[i], req);
-    if (!p.ok()) continue;
+    auto p = page_client.ApplyLog(branch, req);
+    if (!p.ok()) return Status::OK();
     next_idx_[i] = history_.size();
     acked_lsn_[i] = *r;
     lsn = std::max(lsn, *r);
     acks++;
-  }
+    return Status::OK();
+  });
   // Every replica holds the whole history: nothing is left to resync.
   if (std::all_of(next_idx_.begin(), next_idx_.end(), [&](size_t next) {
         return next == history_.size();
@@ -83,7 +85,6 @@ Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
     history_.Clear();
     std::fill(next_idx_.begin(), next_idx_.end(), 0);
   }
-  JoinParallel(ctx, branch.data(), branch.size());
   int required = config_.write_quorum;
 #ifdef DISAGG_CHAOS_MUTATION
   required = config_.write_quorum - 1;
@@ -114,39 +115,50 @@ Result<Page> ReplicatedSegment::ReadPage(NetContext* ctx, PageId id,
 }
 
 Result<Page> ReplicatedSegment::ReadPageFreshest(NetContext* ctx, PageId id) {
-  std::vector<NetContext> branch(replicas_.size(), ctx->Fork());
-  Result<Page> best = Status::Unavailable("no replica holds the page");
-  for (size_t i = 0; i < replicas_.size(); i++) {
-    PageStoreClient page_client(fabric_, replicas_[i].node);
-    auto page = page_client.GetPage(&branch[i], id);
-    if (page.ok() && (!best.ok() || page->lsn() > best->lsn())) {
-      best = std::move(page);
-    }
-  }
-  JoinParallel(ctx, branch.data(), branch.size());
-  return best;
+  std::vector<NodeId> nodes;
+  for (const SegmentReplica& r : replicas_) nodes.push_back(r.node);
+  return GetFreshestPage(fabric_, ctx, nodes, id,
+                         Status::Unavailable("no replica holds the page"));
 }
 
 Result<Lsn> ReplicatedSegment::RecoverDurableLsn(NetContext* ctx) {
-  std::vector<NetContext> branch(replicas_.size(), ctx->Fork());
   std::vector<Lsn> seen;
-  for (size_t i = 0; i < replicas_.size(); i++) {
-    if (static_cast<int>(seen.size()) >= config_.read_quorum) break;
-    LogStoreClient log_client(fabric_, replicas_[i].node);
+  (void)FanOut(ctx, replicas_, [&](const SegmentReplica& r,
+                                   NetContext* branch) {
+    if (static_cast<int>(seen.size()) >= config_.read_quorum) {
+      return Status::OK();
+    }
     // The probe rides the fabric end to end — the replica reports its own
     // durable LSN in the response, never peeked out of process (a dropped
     // or failed probe must not see the state it could not reach).
-    auto lsn = log_client.DurableLsn(&branch[i]);
-    if (!lsn.ok()) continue;
-    seen.push_back(*lsn);
-  }
-  JoinParallel(ctx, branch.data(), branch.size());
+    auto lsn = LogStoreClient(fabric_, r.node).DurableLsn(branch);
+    if (lsn.ok()) seen.push_back(*lsn);
+    return Status::OK();
+  });
   if (static_cast<int>(seen.size()) < config_.read_quorum) {
     return Status::Unavailable("read quorum not met");
   }
   // With W + R > V, the max over any R replicas is at least the highest
   // quorum-committed LSN.
   return *std::max_element(seen.begin(), seen.end());
+}
+
+Result<std::vector<LogRecord>> ReplicatedSegment::ReadLog(NetContext* ctx) {
+  const SegmentReplica* best = nullptr;
+  Lsn best_lsn = kInvalidLsn;
+  (void)FanOut(ctx, replicas_, [&](const SegmentReplica& r,
+                                   NetContext* branch) {
+    auto lsn = LogStoreClient(fabric_, r.node).DurableLsn(branch);
+    if (lsn.ok() && (best == nullptr || *lsn > best_lsn)) {
+      best = &r;
+      best_lsn = *lsn;
+    }
+    return Status::OK();
+  });
+  if (best == nullptr) {
+    return Status::Unavailable("no segment replica reachable");
+  }
+  return LogStoreClient(fabric_, best->node).ReadFrom(ctx, 0, ~0ull);
 }
 
 void ReplicatedSegment::FailAz(uint32_t az) {

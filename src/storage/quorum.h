@@ -26,8 +26,8 @@ struct SegmentReplica {
 /// availability zones with write quorum W and read quorum R (Aurora uses
 /// V=6, AZs=3, W=4, R=3 so that one whole-AZ failure plus one extra node
 /// never blocks writes). Writes fan out in parallel; the caller's simulated
-/// clock advances by the W-th fastest ack (we approximate with the max of
-/// the successful branch costs, a slight over-charge).
+/// clock should advance by the W-th fastest ack (we charge the latest
+/// branch finish, an over-charge when replicas are uneven).
 class ReplicatedSegment {
  public:
   struct Config {
@@ -73,6 +73,14 @@ class ReplicatedSegment {
   /// reached some replicas; Aurora completes or truncates those during
   /// repair).
   Result<Lsn> RecoverDurableLsn(NetContext* ctx);
+
+  /// Recovery read: probes every replica's durable LSN in parallel, then
+  /// streams the whole log from the replica with the highest one. Under
+  /// fault schedules single replicas may lag, and resync keeps each one
+  /// gap-free, so that replica is the most complete. Probes and read ride
+  /// `Fabric::Execute`: recovery traffic is charged, traced and
+  /// fault-injected like any other.
+  Result<std::vector<LogRecord>> ReadLog(NetContext* ctx);
 
   /// Fails / revives every replica in an AZ (failure-injection helper).
   void FailAz(uint32_t az);

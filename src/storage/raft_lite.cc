@@ -1,6 +1,7 @@
 #include "storage/raft_lite.h"
 
 #include <algorithm>
+#include <ranges>
 
 #include "common/coding.h"
 
@@ -235,12 +236,10 @@ Result<uint64_t> RaftLiteGroup::Append(NetContext* ctx, std::string payload) {
       leader_svc->AppendLocal(RaftEntry{term_, std::move(payload)});
 
   int acks = 1;  // leader itself
-  std::vector<NetContext> branch(replicas_.size(), ctx->Fork());
-  for (int i = 0; i < size(); i++) {
-    if (i == leader_) continue;
-    if (ReplicateTo(&branch[i], i).ok()) acks++;
-  }
-  JoinParallel(ctx, branch.data(), branch.size());
+  (void)FanOut(ctx, std::views::iota(0, size()), [&](int i, NetContext* b) {
+    if (i != leader_ && ReplicateTo(b, i).ok()) acks++;
+    return Status::OK();
+  });
 
   const int majority = size() / 2 + 1;
   if (acks < majority) {
@@ -280,12 +279,10 @@ Result<int> RaftLiteGroup::ElectLeader(NetContext* ctx, int preferred) {
   const uint64_t leader_len = replicas_[leader_].service->log_size();
   for (auto& m : replicas_) m.next_index = leader_len;
   // Re-assert leadership / sync live followers.
-  std::vector<NetContext> branch(replicas_.size(), ctx->Fork());
-  for (int i = 0; i < size(); i++) {
-    if (i == leader_) continue;
-    (void)ReplicateTo(&branch[i], i);
-  }
-  JoinParallel(ctx, branch.data(), branch.size());
+  (void)FanOut(ctx, std::views::iota(0, size()), [&](int i, NetContext* b) {
+    if (i != leader_) (void)ReplicateTo(b, i);
+    return Status::OK();
+  });
   return leader_;
 }
 

@@ -57,6 +57,11 @@ Status WalManager::Flush(NetContext* ctx) {
   return lsn.status();
 }
 
+void WalManager::DiscardBuffered() {
+  std::lock_guard<std::mutex> lock(mu_);
+  buffer_.Clear();
+}
+
 void WalManager::EndTxn(TxnId txn) {
   std::lock_guard<std::mutex> lock(mu_);
   last_lsn_.erase(txn);

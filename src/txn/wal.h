@@ -93,6 +93,11 @@ class WalManager {
   /// they stay buffered, ahead of anything appended meanwhile.
   Status Flush(NetContext* ctx);
 
+  /// Drops every buffered record: a compute-node crash loses the unflushed
+  /// tail, so no later flush ships records that recovery never saw. LSNs
+  /// are not reused.
+  void DiscardBuffered();
+
   /// Forgets `txn`'s prev_lsn chain once it has logged its last record
   /// (commit, read-only end, or the last CLR of a rollback).
   void EndTxn(TxnId txn);

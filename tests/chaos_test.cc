@@ -62,6 +62,24 @@ TEST(ChaosScheduleTest, ModelMembershipSemantics) {
   EXPECT_EQ(m.CheckRead(2, Status::NotFound(""), ""), "");
 }
 
+TEST(ChaosScheduleTest, CrashStopsPromotingEarlierUncertainOutcomes) {
+  KvModel m;
+  m.Commit(1, "a");
+  m.MaybeCommit(1, "b");  // its batch sits in the WAL buffer ...
+  m.Crash();              // ... which the crash loses
+  // A later flush cannot land "b": it stays possible but is not promoted.
+  m.PromoteAllUncertain();
+  EXPECT_EQ(m.CheckRead(1, Status::OK(), "a"), "");
+  EXPECT_EQ(m.CheckRead(1, Status::OK(), "b"), "");
+  // An outcome recorded after the crash is promoted as before.
+  m.MaybeCommit(1, "c");
+  m.PromoteAllUncertain();
+  EXPECT_FALSE(m.AnyUncertain());
+  EXPECT_NE(m.CheckRead(1, Status::OK(), "a"), "");
+  EXPECT_NE(m.CheckRead(1, Status::OK(), "b"), "");
+  EXPECT_EQ(m.CheckRead(1, Status::OK(), "c"), "");
+}
+
 // Acceptance gate: >= 20 seeded schedules across >= 6 engines with zero
 // invariant violations. 8 engines x 3 seeds = 24 full schedules (each with
 // drops, spikes, flaps where supported, and mid-run crash+recovery).

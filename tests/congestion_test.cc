@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ranges>
 #include <vector>
 
 #include "common/histogram.h"
+#include "core/engines.h"
 #include "net/fabric.h"
 #include "net/interceptors.h"
 #include "sim/load_driver.h"
@@ -161,13 +163,14 @@ TEST_F(CongestionTest, ForkedBranchesArriveAtParentVirtualTime) {
   // t=0 backlog.
   NetContext parent;
   parent.Charge(50'000);
-  std::vector<NetContext> branch(2, parent.Fork());
-  ASSERT_TRUE(fabric_.Read(&branch[0], At(0), buf, 8).ok());
-  ASSERT_TRUE(fabric_.Read(&branch[1], At(0), buf, 8).ok());
-  EXPECT_EQ(branch[0].queue_ns, 0u);
-  EXPECT_EQ(branch[1].queue_ns, 1000u);
+  std::vector<uint64_t> queued;
+  ASSERT_TRUE(FanOut(&parent, std::views::iota(0, 2), [&](int, NetContext* b) {
+                Status st = fabric_.Read(b, At(0), buf, 8);
+                queued.push_back(b->queue_ns);
+                return st;
+              }).ok());
+  EXPECT_EQ(queued, (std::vector<uint64_t>{0, 1000}));
 
-  JoinParallel(&parent, branch.data(), branch.size());
   // The parent lands at the slower branch's absolute finish time.
   EXPECT_EQ(parent.sim_ns, 50'000 + read_cost + 1000);
   EXPECT_EQ(parent.queue_ns, 1000u);
@@ -661,15 +664,113 @@ TEST_F(CongestionTest, RegressionParallelMergeTakesMaxAndCarriesQueueNs) {
   EXPECT_EQ(sequential.sim_ns, 400u);
   EXPECT_EQ(sequential.queue_ns, 50u);
 
-  // Fork/Join: branches forked mid-timeline join at the latest absolute
+  // FanOut: branches forked mid-timeline join at the latest absolute
   // finish, charging the same elapsed time as zero-based MergeParallel.
   NetContext parent;
   parent.Charge(1000);
-  NetContext branches2[2] = {parent.Fork(), parent.Fork()};
-  branches2[0].Charge(100);
-  branches2[1].Charge(300);
-  JoinParallel(&parent, branches2, 2);
+  const uint64_t legs[2] = {100, 300};
+  ASSERT_TRUE(FanOut(&parent, legs, [](uint64_t ns, NetContext* b) {
+                b->Charge(ns);
+                return Status::OK();
+              }).ok());
   EXPECT_EQ(parent.sim_ns, 1300u);
+}
+
+// ---- FanOut --------------------------------------------------------------
+
+TEST_F(CongestionTest, FanOutJoinsAtTheLatestBranchAndSumsTraffic) {
+  struct Leg {
+    size_t bytes;
+    uint64_t extra_ns;
+  };
+  // Uneven legs: the biggest read is not the slowest branch.
+  const Leg legs[3] = {{8, 30'000}, {4096, 0}, {512, 9'000}};
+  char buf[4096];
+  NetContext solo[3];
+  uint64_t slowest = 0;
+  for (size_t i = 0; i < 3; i++) {
+    ASSERT_TRUE(fabric_.Read(&solo[i], At(0), buf, legs[i].bytes).ok());
+    solo[i].Charge(legs[i].extra_ns);
+    slowest = std::max(slowest, solo[i].sim_ns);
+  }
+  ASSERT_EQ(slowest, solo[0].sim_ns);
+
+  NetContext parent;
+  parent.Charge(50'000);
+  parent.tenant = 3;
+  parent.deadline_ns = 1'000'000;
+  parent.op_tag = 77;
+  parent.fault_draws = 5;
+  std::vector<uint64_t> starts;
+  ASSERT_TRUE(FanOut(&parent, legs, [&](const Leg& leg, NetContext* b) {
+                // Each branch is a Fork() at the fan-out's start.
+                starts.push_back(b->sim_ns);
+                EXPECT_EQ(b->tenant, 3u);
+                EXPECT_EQ(b->deadline_ns, 1'000'000u);
+                EXPECT_EQ(b->op_tag, 77u);
+                EXPECT_EQ(b->fault_draws, 0u);
+                EXPECT_EQ(b->round_trips, 0u);
+                Status st = fabric_.Read(b, At(0), buf, leg.bytes);
+                b->Charge(leg.extra_ns);
+                return st;
+              }).ok());
+  EXPECT_EQ(starts, (std::vector<uint64_t>{50'000, 50'000, 50'000}));
+  // Clock: the latest branch finish. Traffic: the sum over branches.
+  EXPECT_EQ(parent.sim_ns, 50'000 + slowest);
+  EXPECT_EQ(parent.bytes_in,
+            solo[0].bytes_in + solo[1].bytes_in + solo[2].bytes_in);
+  EXPECT_EQ(parent.bytes_out,
+            solo[0].bytes_out + solo[1].bytes_out + solo[2].bytes_out);
+  EXPECT_EQ(parent.round_trips, 3u);
+  EXPECT_EQ(parent.verb(FabricVerb::kRead).ops, 3u);
+  EXPECT_EQ(parent.fault_draws, 5u);  // the fold leaves bookkeeping alone
+}
+
+TEST_F(CongestionTest, FanOutStopsAtAFailedBranchAndChargesThoseThatRan) {
+  char buf[8];
+  NetContext solo;
+  ASSERT_TRUE(fabric_.Read(&solo, At(0), buf, 8).ok());
+
+  NetContext parent;
+  parent.Charge(50'000);
+  int ran = 0;
+  const Status st = FanOut(&parent, std::views::iota(0, 3),
+                           [&](int i, NetContext* b) {
+                             ran++;
+                             if (i == 1) return Status::Unavailable("down");
+                             return fabric_.Read(b, At(0), buf, 8);
+                           });
+  EXPECT_TRUE(st.IsUnavailable());
+  EXPECT_EQ(ran, 2);  // the third branch never starts
+  EXPECT_EQ(parent.sim_ns, 50'000 + solo.sim_ns);
+  EXPECT_EQ(parent.bytes_in, solo.bytes_in);
+  EXPECT_EQ(parent.round_trips, 1u);
+}
+
+// Socrates disseminates XLOG redo to three page servers, the second of
+// which has failed: the fan-out stops there, and the parent is still
+// charged the first server's completed page.apply_log. A one-server
+// deployment runs exactly that first branch, so both cost the same.
+TEST(FanOutEarlyExitTest, PropagateLogsChargesTheApplyLogThatCompleted) {
+  auto propagate = [](int page_servers, bool fail_second) {
+    Fabric fabric;
+    SocratesDb db(&fabric, page_servers);
+    NetContext setup;
+    EXPECT_TRUE(db.Put(&setup, 1, "row").ok());
+    if (fail_second) fabric.node(db.page_server_node(1))->Fail();
+    NetContext ctx;
+    ctx.Charge(10'000);
+    EXPECT_EQ(db.PropagateLogs(&ctx).ok(), !fail_second);
+    return ctx;
+  };
+  const NetContext one = propagate(1, false);
+  const NetContext early = propagate(3, true);
+  // XLOG read + page.apply_log on the one server.
+  ASSERT_EQ(one.verb(FabricVerb::kRpc).ops, 2u);
+  EXPECT_EQ(early.verb(FabricVerb::kRpc).ops, 2u);
+  EXPECT_EQ(early.bytes_out, one.bytes_out);
+  EXPECT_EQ(early.round_trips, one.round_trips);
+  EXPECT_EQ(early.sim_ns, one.sim_ns);
 }
 
 TEST_F(CongestionTest, UpdateTenantControlsSwapsWeightsAndBoundsLive) {

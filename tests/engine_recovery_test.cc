@@ -82,5 +82,54 @@ TEST(EngineRecoveryTest, AuroraLogIsTheDatabaseEndToEnd) {
   EXPECT_FALSE(saw_ghost);
 }
 
+// Fails every `log.append` RPC while `down` is set.
+class LogAppendOutage : public FabricInterceptor {
+ public:
+  const char* name() const override { return "log-append-outage"; }
+  Status Intercept(Fabric*, FabricOp* op, NetContext* ctx,
+                   const FabricOpInvoker& next) override {
+    if (down && op->method != nullptr && *op->method == "log.append") {
+      return Status::Unavailable("log tier down");
+    }
+    return next(op, ctx);
+  }
+  bool down = false;
+};
+
+TEST(EngineRecoveryTest, CrashLosesTheUnflushedWalTail) {
+  // A commit whose flush failed leaves its batch in the WAL buffer. A crash
+  // loses that buffer with the compute node: recovery rebuilds the pages
+  // from the durable log alone, so no later flush may ship the lost batch
+  // (the log would then hold an update the recovered pages never saw).
+  Fabric fabric;
+  auto outage = std::make_shared<LogAppendOutage>();
+  fabric.AddInterceptor(outage);
+  SocratesDb db(&fabric, /*page_servers=*/1);
+  NetContext ctx;
+  ASSERT_TRUE(db.Put(&ctx, 1, "durable").ok());
+  outage->down = true;
+  // Same width, so the update stays in its slot (the row index is not
+  // rebuilt by recovery).
+  EXPECT_FALSE(db.Put(&ctx, 1, "lost-up").ok());
+  EXPECT_GT(db.wal()->buffered(), 0u);
+  outage->down = false;
+
+  ASSERT_TRUE(db.CrashAndRecover(&ctx).ok());
+  EXPECT_EQ(db.wal()->buffered(), 0u);
+  auto row = db.GetRow(&ctx, 1);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(*row, "durable");
+  const Status put = db.Put(&ctx, 2, "after");
+  ASSERT_TRUE(put.ok()) << put.ToString();
+  // The log still agrees with the pages the first recovery rebuilt.
+  ASSERT_TRUE(db.CrashAndRecover(&ctx).ok());
+  row = db.GetRow(&ctx, 1);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(*row, "durable");
+  row = db.GetRow(&ctx, 2);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(*row, "after");
+}
+
 }  // namespace
 }  // namespace disagg

@@ -69,22 +69,55 @@ TEST_F(FordTest, ValidationAbortsOnConcurrentUpdate) {
 TEST_F(FordTest, LockConflictAborts) {
   auto t1 = mgr_->Begin(&ctx_);
   ASSERT_TRUE(t1.Write(9, "t1").ok());
-  // Simulate t1 having locked record 9 (CAS its lock word directly).
-  auto lock_word = mgr_->ReadCommitted(&ctx_, 9);
-  ASSERT_TRUE(lock_word.ok());
-  GlobalAddr addr{};  // lock the record out-of-band
-  // Use a second txn to collide: lock phase CAS must observe a holder.
+  // Another transaction (id 999) holds record 9's lock word mid-commit.
   NetContext other;
-  auto blocker = fabric_.CompareAndSwap(
-      &other, GlobalAddr{pm_[0]->node(), pm_[0]->region(), 64}, 0, 999);
-  (void)blocker;
-  (void)addr;
-  // Direct approach: two txns writing the same record, first locks during
-  // commit; emulate by interleaving commits through a held lock.
+  auto held = fabric_.CompareAndSwap(&other, mgr_->AddrOf(9), 0, 999);
+  ASSERT_TRUE(held.ok());
+  ASSERT_EQ(*held, 0u);
+  // t1's lock-phase CAS observes the holder: a lock abort, not a validation
+  // abort (record 9's version never moved).
+  EXPECT_TRUE(t1.Commit().IsAborted());
+  EXPECT_EQ(mgr_->stats().aborts_lock, 1u);
+  EXPECT_EQ(mgr_->stats().aborts_validate, 0u);
+  // Once the holder releases, the record is writable again.
+  ASSERT_TRUE(fabric_.CompareAndSwap(&other, mgr_->AddrOf(9), 999, 0).ok());
   auto t2 = mgr_->Begin(&ctx_);
   ASSERT_TRUE(t2.Write(9, "t2").ok());
   ASSERT_TRUE(t2.Commit().ok());
-  EXPECT_TRUE(t1.Commit().IsAborted());  // version moved
+  EXPECT_EQ(*mgr_->ReadCommitted(&ctx_, 9), "t2");
+}
+
+TEST_F(FordTest, FabricErrorInLockPhaseReleasesHeldLocks) {
+  auto t1 = mgr_->Begin(&ctx_);
+  ASSERT_TRUE(t1.Write(1, "t1-a").ok());   // on pm0: locked first
+  ASSERT_TRUE(t1.Write(40, "t1-b").ok());  // on pm1: its CAS errors
+  fabric_.node(pm_[1]->node())->Fail();
+  const Status st = t1.Commit();
+  EXPECT_FALSE(st.ok());
+  EXPECT_FALSE(st.IsAborted());  // a fabric error, not a conflict
+  fabric_.node(pm_[1]->node())->Revive();
+  // rid 1's lock word was released on the error exit, so a later
+  // transaction on it commits.
+  auto t2 = mgr_->Begin(&ctx_);
+  ASSERT_TRUE(t2.Write(1, "t2").ok());
+  ASSERT_TRUE(t2.Commit().ok());
+  EXPECT_EQ(*mgr_->ReadCommitted(&ctx_, 1), "t2");
+  EXPECT_EQ(mgr_->stats().aborts_lock, 0u);
+}
+
+TEST_F(FordTest, FabricErrorInValidatePhaseReleasesHeldLocks) {
+  auto t1 = mgr_->Begin(&ctx_);
+  ASSERT_TRUE(t1.Read(40).ok());          // on pm1: its validate READ errors
+  ASSERT_TRUE(t1.Write(1, "t1").ok());    // on pm0: locked first
+  fabric_.node(pm_[1]->node())->Fail();
+  const Status st = t1.Commit();
+  EXPECT_FALSE(st.ok());
+  EXPECT_FALSE(st.IsAborted());
+  fabric_.node(pm_[1]->node())->Revive();
+  auto t2 = mgr_->Begin(&ctx_);
+  ASSERT_TRUE(t2.Write(1, "t2").ok());
+  ASSERT_TRUE(t2.Commit().ok());
+  EXPECT_EQ(*mgr_->ReadCommitted(&ctx_, 1), "t2");
 }
 
 TEST_F(FordTest, CommittedWritesSurvivePmCrash) {

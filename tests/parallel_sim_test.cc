@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <ranges>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -167,16 +168,22 @@ sim::LoadReport ReferenceOpenLoop(const sim::OpenLoopOptions& opts,
     while (!completions.empty() && completions.top() <= a.at_ns) {
       completions.pop();
     }
-    NetContext ctx = accs[a.client].Fork();
-    ctx.sim_ns = a.at_ns;
-    ctx.op_tag = RefOpTag(a.client, issued[a.client]);
-    const Status st = op(a.client, issued[a.client], &ctx, &rngs[a.client]);
-    RefRecord(&report, a.at_ns, ctx.sim_ns, a.client, issued[a.client], st);
-    completions.push(ctx.sim_ns);
-    report.queue_depth.Record(completions.size());
-    report.max_in_flight = std::max<uint64_t>(report.max_in_flight,
-                                              completions.size());
-    JoinParallel(&accs[a.client], &ctx, 1);
+    // The op is a one-branch fan-out from the client's accumulator whose
+    // clock starts at the arrival; the fold moves the accumulator to the
+    // latest finish.
+    (void)FanOut(&accs[a.client], std::views::single(a),
+                 [&](const RefEvent& ev, NetContext* ctx) {
+      ctx->sim_ns = ev.at_ns;
+      ctx->op_tag = RefOpTag(ev.client, issued[ev.client]);
+      const Status st = op(ev.client, issued[ev.client], ctx, &rngs[ev.client]);
+      RefRecord(&report, ev.at_ns, ctx->sim_ns, ev.client, issued[ev.client],
+                st);
+      completions.push(ctx->sim_ns);
+      report.queue_depth.Record(completions.size());
+      report.max_in_flight = std::max<uint64_t>(report.max_in_flight,
+                                                completions.size());
+      return Status::OK();
+    });
     if (++issued[a.client] < opts.ops_per_client) {
       arrivals.push({a.at_ns + gap(&arrival_rngs[a.client]), a.client});
     }
