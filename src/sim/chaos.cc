@@ -218,12 +218,10 @@ TxnOutcome ClassifyPut(const Status& st) {
 /// prefix); until then the architecture's cheap restart path is used.
 class RowEngineChaosAdapter : public ChaosAdapter {
  public:
-  RowEngineChaosAdapter(std::string name, Fabric* fabric)
+  RowEngineChaosAdapter(std::string name, std::unique_ptr<RowEngine> engine)
       : name_(std::move(name)),
-        base_(StripSlogSuffix(name_)),
-        engine_(MakeRowEngine(name_, fabric)) {
-    DISAGG_CHECK(engine_ != nullptr);
-  }
+        base_(BaseEngineName(name_)),
+        engine_(std::move(engine)) {}
 
   const char* name() const override { return name_.c_str(); }
   RowEngine* row_engine() override { return engine_.get(); }
@@ -360,26 +358,10 @@ class RowEngineChaosAdapter : public ChaosAdapter {
   SharedLogService* shared_log() override { return engine_->shared_log(); }
 
  private:
-  // "aurora+slog+offload" -> "aurora": crash and flap procedures key off
-  // the base architecture, whatever seam stack the registry layered on top.
-  static std::string StripSlogSuffix(const std::string& name) {
-    std::string base = name;
-    for (bool stripped = true; stripped;) {
-      stripped = false;
-      for (const char* suffix : {"+offload", "+slog"}) {
-        const std::string s(suffix);
-        if (base.size() > s.size() &&
-            base.compare(base.size() - s.size(), s.size(), s) == 0) {
-          base.resize(base.size() - s.size());
-          stripped = true;
-        }
-      }
-    }
-    return base;
-  }
-
   std::string name_;
-  std::string base_;  // architecture name with any "+slog" suffix removed
+  // Crash and flap procedures key off the base architecture, whatever
+  // seam stack ("+slog", "+offload") the registry layered on top.
+  std::string base_;
   std::unique_ptr<RowEngine> engine_;
   bool sticky_uncertain_ = false;
 };
@@ -543,12 +525,11 @@ class FordChaosAdapter : public ChaosAdapter {
 const std::vector<std::string>& ChaosEngineNames() {
   static const std::vector<std::string> kNames = [] {
     std::vector<std::string> names = RowEngineNames();
-    for (const std::string& slog : SharedLogRowEngineNames()) {
-      names.push_back(slog);
+    for (const auto* variants :
+         {&SharedLogRowEngineNames(), &OffloadRowEngineNames()}) {
+      names.insert(names.end(), variants->begin(), variants->end());
     }
-    names.push_back("serverless");
-    names.push_back("multiwriter");
-    names.push_back("ford");
+    names.insert(names.end(), {"serverless", "multiwriter", "ford"});
     return names;
   }();
   return kNames;
@@ -563,8 +544,9 @@ std::unique_ptr<ChaosAdapter> MakeChaosAdapter(const std::string& name,
     return std::make_unique<MultiWriterChaosAdapter>(fabric);
   }
   if (name == "ford") return std::make_unique<FordChaosAdapter>(fabric);
-  if (MakeRowEngine(name, fabric) == nullptr) return nullptr;
-  return std::make_unique<RowEngineChaosAdapter>(name, fabric);
+  std::unique_ptr<RowEngine> engine = MakeRowEngine(name, fabric);
+  if (engine == nullptr) return nullptr;
+  return std::make_unique<RowEngineChaosAdapter>(name, std::move(engine));
 }
 
 // ------------------------------------------------------------------ Traces
@@ -611,9 +593,167 @@ std::string ChaosReport::Summary() const {
   return out;
 }
 
-// ------------------------------------------------------------------ Runner
+// ---------------------------------------------------------------- Run loop
 
 namespace {
+
+/// One workload step's trace entry; the loop stamps its index and clock.
+/// `failed`: the op failed on the fabric, so its effect is unknown.
+struct StepOp {
+  char kind = '?';
+  uint64_t a = 0;
+  uint64_t b = 0;
+  uint8_t status = 0;
+  bool failed = false;
+};
+
+/// A step traced with its own Status; anything but OK or NotFound failed.
+StepOp StatusOp(char kind, uint64_t a, const Status& st) {
+  return {kind, a, 0, static_cast<uint8_t>(st.code()),
+          !st.ok() && !st.IsNotFound()};
+}
+
+/// How one runner's fault rig differs from another's; the rest of the
+/// faulted phase comes from the schedule.
+struct RigOptions {
+  std::optional<int> retry_attempts;  // nullopt: no RetryInterceptor
+  std::vector<NodeId> flappable;      // flap window i targets node i % K
+  std::shared_ptr<FabricInterceptor> inner;  // between retry and fault
+  RowEngine* row_engine = nullptr;  // reads through the degrade ladder
+};
+
+/// The run loop every chaos runner shares: the fault rig, faulted and
+/// oracle modes, the crash cursor, the trace, the failed-op tally and the
+/// report's counters. A runner brings its setup, one workload step, its
+/// crash interlude and its final audit.
+class ChaosLoop {
+ public:
+  ChaosLoop(Fabric* fabric, const ChaosSchedule& schedule, ChaosReport* report,
+            RigOptions rig)
+      : fabric_(fabric),
+        schedule_(schedule),
+        report_(report),
+        rig_(std::move(rig)) {
+    if (rig_.retry_attempts.has_value()) {
+      RetryPolicy rp;
+      rp.max_attempts = *rig_.retry_attempts;
+      if (schedule_.max_backlog_ns != 0) {
+        // Admission control is on: a rejected op must back off long enough
+        // for the backlog to drain below the bound, or every retry re-reads
+        // the same "queue full" answer. The defaults (1 us exponential) are
+        // tuned for lock contention, not for queues that drain at tens of
+        // microseconds per op.
+        rp.max_admission_attempts = 4;
+        rp.initial_backoff_ns = 16'000;
+      }
+      retry_ = std::make_shared<RetryInterceptor>(rp);
+    }
+    FaultPolicy fp;
+    fp.seed = schedule_.seed;
+    fp.drop_prob = schedule_.drop_prob;
+    fp.spike_prob = schedule_.spike_prob;
+    fp.spike_ns = schedule_.spike_ns;
+    for (size_t i = 0;
+         !rig_.flappable.empty() && i < schedule_.flap_windows.size(); i++) {
+      const ChaosSchedule::FlapWindow& w = schedule_.flap_windows[i];
+      fp.flaps.push_back({rig_.flappable[i % rig_.flappable.size()],
+                          w.from_seq, w.until_seq});
+    }
+    fault_ = std::make_shared<FaultInterceptor>(fp);
+  }
+
+  NetContext* ctx() { return &ctx_; }  // the workload client's
+
+  /// Workload mode: retry (outermost, so it wraps the faults), the inner
+  /// interceptor, faults, and the schedule's overload layer. The SAME
+  /// interceptors are reinstalled after every oracle interlude, so the fault
+  /// sequence keeps running and the run stays a pure function of the seed.
+  void EnterFaultedMode() {
+    if (retry_ != nullptr) fabric_->AddInterceptor(retry_);
+    if (rig_.inner != nullptr) fabric_->AddInterceptor(rig_.inner);
+    fabric_->AddInterceptor(fault_);
+    if (schedule_.max_backlog_ns != 0) {
+      CongestionConfig cc;
+      cc.default_node = {schedule_.overload_ns_per_op, 0,
+                         schedule_.max_backlog_ns};
+      fabric_->EnableCongestion(cc);
+    }
+    if (schedule_.degrade.enabled && rig_.row_engine != nullptr) {
+      rig_.row_engine->set_degrade_policy(schedule_.degrade);
+    }
+  }
+
+  /// Oracle mode: a bare fabric — no interceptors, no admission control,
+  /// strict reads only — so audits observe the system's true state.
+  void EnterOracleMode() {
+    fabric_->ClearInterceptors();
+    fabric_->DisableCongestion();
+    if (rig_.row_engine != nullptr) rig_.row_engine->set_degrade_policy({});
+  }
+
+  bool InFlapWindow() const {
+    const uint64_t seq = fault_->ops_seen();
+    for (const auto& f : fault_->policy().flaps) {
+      if (seq >= f.from_seq && seq < f.until_seq) return true;
+    }
+    return false;
+  }
+
+  void Record(int index, char kind, uint64_t a, uint64_t b, uint8_t status) {
+    report_->trace.push_back({index, kind, a, b, status, ctx_.sim_ns});
+  }
+
+  void Stop() { stopped_ = true; }  // after the current step
+
+  /// For each step i: `crash(i)` if i is the next of the increasing
+  /// `crash_steps`, then `step(i)`, whose StepOp is recorded.
+  template <typename CrashFn, typename StepFn>
+  void Run(int steps, const std::vector<int>& crash_steps, CrashFn crash,
+           StepFn step) {
+    EnterFaultedMode();
+    size_t next_crash = 0;
+    for (int i = 0; i < steps && !stopped_; i++) {
+      if (next_crash < crash_steps.size() && i == crash_steps[next_crash]) {
+        next_crash++;
+        crash(i);
+      }
+      const StepOp op = step(i);
+      if (op.failed) report_->read_errors++;
+      Record(i, op.kind, op.a, op.b, op.status);
+    }
+  }
+
+  /// The audit gate for runners whose ops have no rollback path.
+  bool AnyOpFailed() const { return report_->read_errors > 0; }
+
+  /// Copies the counters into the report; oracle mode for the final audit.
+  void Finish() {
+    report_->drops = fault_->drops();
+    report_->spikes = fault_->spikes();
+    report_->flap_rejections = fault_->flap_rejections();
+    report_->fault_ops_seen = fault_->ops_seen();
+    if (retry_ != nullptr) {
+      report_->retries = retry_->retries();
+      report_->gave_up = retry_->gave_up();
+    }
+    report_->faults_injected = ctx_.faults_injected;
+    report_->staleness_lsn = ctx_.staleness_lsn;
+    report_->admission_rejects = ctx_.admission_rejects;
+    EnterOracleMode();
+  }
+
+ private:
+  Fabric* fabric_;
+  const ChaosSchedule& schedule_;
+  ChaosReport* report_;
+  RigOptions rig_;
+  std::shared_ptr<RetryInterceptor> retry_;
+  std::shared_ptr<FaultInterceptor> fault_;
+  NetContext ctx_;
+  bool stopped_ = false;
+};
+
+// ------------------------------------------------------------ Engine chaos
 
 class ChaosRunner {
  public:
@@ -634,27 +774,17 @@ class ChaosRunner {
     }
     Setup();
     if (!report_.violations.empty()) return report_;
-    BuildInterceptors();
-    EnterFaultedMode();
-
-    size_t next_crash = 0;
-    size_t next_reconfig = 0;
-    for (int i = 0; i < schedule_.num_ops; i++) {
-      if (next_crash < schedule_.crash_points.size() &&
-          i == schedule_.crash_points[next_crash]) {
-        next_crash++;
-        CrashAndAudit(i, /*final_audit=*/false);
-      }
-      if (adapter_->shared_log() != nullptr &&
-          next_reconfig < schedule_.log_reconfig_points.size() &&
-          i == schedule_.log_reconfig_points[next_reconfig]) {
-        next_reconfig++;
-        LogViewChange(i);
-      }
-      RunOneOp(i);
-    }
+    RigOptions rig;
+    rig.retry_attempts = schedule_.retry_attempts;
+    rig.flappable = adapter_->FlappableNodes();
+    rig.row_engine = adapter_->row_engine();
+    loop_.emplace(&fabric_, schedule_, &report_, std::move(rig));
+    loop_->Run(
+        schedule_.num_ops, schedule_.crash_points,
+        [this](int i) { CrashAndAudit(i, /*final_audit=*/false); },
+        [this](int i) { return Step(i); });
+    loop_->Finish();
     CrashAndAudit(schedule_.num_ops, /*final_audit=*/true);
-    FillCounters();
     return report_;
   }
 
@@ -670,25 +800,20 @@ class ChaosRunner {
 
   void Setup() {
     NetContext ctx;
+    std::vector<std::pair<uint64_t, std::string>> rows;
     for (int a = 0; a < kBankAccounts; a++) {
-      const uint64_t key = kBankBase + a;
-      Status st;
-      if (adapter_->PutKv(&ctx, key, FormatBalance(kBankInitial), &st) !=
-          TxnOutcome::kCommitted) {
-        report_.violations.push_back("setup failed: " + st.ToString());
-        return;
-      }
-      model_.Commit(key, FormatBalance(kBankInitial));
+      rows.emplace_back(kBankBase + a, FormatBalance(kBankInitial));
     }
     for (uint64_t k = 0; k < kYcsbSpace; k++) {
-      const uint64_t key = kYcsbBase + k;
-      const std::string v = FixedValue(key, -1);
+      rows.emplace_back(kYcsbBase + k, FixedValue(kYcsbBase + k, -1));
+    }
+    for (const auto& [key, value] : rows) {
       Status st;
-      if (adapter_->PutKv(&ctx, key, v, &st) != TxnOutcome::kCommitted) {
+      if (adapter_->PutKv(&ctx, key, value, &st) != TxnOutcome::kCommitted) {
         report_.violations.push_back("setup failed: " + st.ToString());
         return;
       }
-      model_.Commit(key, v);
+      model_.Commit(key, value);
     }
     if (IsRow()) {
       TpccLite::Config cfg;
@@ -706,93 +831,50 @@ class ChaosRunner {
     }
   }
 
-  void BuildInterceptors() {
-    RetryPolicy rp;
-    rp.max_attempts = schedule_.retry_attempts;
-    if (schedule_.max_backlog_ns != 0) {
-      // Admission control is on: a rejected op must back off long enough
-      // for the backlog to drain below the bound, or every retry re-reads
-      // the same "queue full" answer. The defaults (1 us exponential) are
-      // tuned for lock contention, not for queues that drain at tens of
-      // microseconds per op.
-      rp.max_admission_attempts = 4;
-      rp.initial_backoff_ns = 16'000;
-    }
-    retry_ = std::make_shared<RetryInterceptor>(rp);
-
-    FaultPolicy fp;
-    fp.seed = schedule_.seed;
-    fp.drop_prob = schedule_.drop_prob;
-    fp.spike_prob = schedule_.spike_prob;
-    fp.spike_ns = schedule_.spike_ns;
-    const std::vector<NodeId> flappable = adapter_->FlappableNodes();
-    if (!flappable.empty()) {
-      for (size_t i = 0; i < schedule_.flap_windows.size(); i++) {
-        const ChaosSchedule::FlapWindow& w = schedule_.flap_windows[i];
-        fp.flaps.push_back(
-            {flappable[i % flappable.size()], w.from_seq, w.until_seq});
-      }
-    }
-    fault_ = std::make_shared<FaultInterceptor>(fp);
-  }
-
-  void InstallInterceptors() {
-    // Retry first = outermost, so retries wrap the injected faults. The
-    // SAME interceptor objects are reinstalled after every oracle
-    // interlude: the fault sequence counter keeps running, which keeps the
-    // whole run a pure function of the seed.
-    fabric_.AddInterceptor(retry_);
-    fabric_.AddInterceptor(fault_);
-  }
-
-  /// Workload mode: interceptors plus the schedule's optional overload
-  /// layer (admission control + engine degrade ladder).
-  void EnterFaultedMode() {
-    InstallInterceptors();
-    if (schedule_.max_backlog_ns != 0) {
-      CongestionConfig cc;
-      cc.default_node = {schedule_.overload_ns_per_op, 0,
-                         schedule_.max_backlog_ns};
-      fabric_.EnableCongestion(cc);
-    }
-    if (schedule_.degrade.enabled && adapter_->row_engine() != nullptr) {
-      adapter_->row_engine()->set_degrade_policy(schedule_.degrade);
-    }
-  }
-
-  /// Oracle mode: a bare fabric — no interceptors, no admission control,
-  /// strict reads only — so audits observe the engine's true state.
-  void EnterOracleMode() {
-    fabric_.ClearInterceptors();
-    fabric_.DisableCongestion();
-    if (adapter_->row_engine() != nullptr) {
-      adapter_->row_engine()->set_degrade_policy({});
-    }
-  }
-
-  bool InFlapWindow(uint64_t seq) const {
-    for (const auto& f : fault_->policy().flaps) {
-      if (seq >= f.from_seq && seq < f.until_seq) return true;
-    }
-    return false;
-  }
-
   void OnDefiniteCommit() {
     report_.commits++;
     // Group commit flushes the whole WAL buffer, including batches
     // re-buffered by earlier failed flushes: every uncertain outcome on
     // this engine's WAL is durable now.
     if (IsRow()) model_.PromoteAllUncertain();
-    if (InFlapWindow(fault_->ops_seen())) report_.commits_in_flap++;
+    if (loop_->InFlapWindow()) report_.commits_in_flap++;
     const std::string audit = adapter_->AuditDurability();
     if (!audit.empty()) report_.violations.push_back(audit);
   }
 
-  void Record(int index, char kind, uint64_t a, uint64_t b, uint8_t status) {
-    report_.trace.push_back({index, kind, a, b, status, ctx_.sim_ns});
+  /// Folds op i's write transaction outcome into the model and counters;
+  /// `clean` counts rollbacks before the durability point.
+  void ApplyOutcome(
+      int i, TxnOutcome out,
+      std::initializer_list<std::pair<uint64_t, const std::string*>> writes,
+      uint64_t* clean, const char* broken) {
+    switch (out) {
+      case TxnOutcome::kCommitted:
+        OnDefiniteCommit();
+        for (const auto& [key, value] : writes) model_.Commit(key, *value);
+        break;
+      case TxnOutcome::kAborted:
+        (*clean)++;
+        break;
+      case TxnOutcome::kMaybeCommitted:
+        report_.maybe_commits++;
+        for (const auto& [key, value] : writes) model_.MaybeCommit(key, *value);
+        break;
+      case TxnOutcome::kBroken:
+        for (const auto& [key, value] : writes) model_.Poison(key);
+        report_.notes.push_back(broken + (" at op " + std::to_string(i)));
+        break;
+    }
   }
 
-  void RunOneOp(int i) {
+  StepOp Step(int i) {
+    if (adapter_->shared_log() != nullptr &&
+        next_reconfig_ < schedule_.log_reconfig_points.size() &&
+        i == schedule_.log_reconfig_points[next_reconfig_]) {
+      next_reconfig_++;
+      LogViewChange(i);
+    }
+    NetContext* ctx = loop_->ctx();
     const double dice = wl_rng_.NextDouble();
     if (adapter_->SupportsTransfers() && dice < 0.30) {
       const uint64_t from = kBankBase + wl_rng_.Uniform(kBankAccounts);
@@ -801,33 +883,13 @@ class ChaosRunner {
       const uint64_t amount = 1 + wl_rng_.Uniform(400);
       std::string nf, nt;
       const TxnOutcome out =
-          adapter_->Transfer(&ctx_, from, to, amount, &nf, &nt);
-      switch (out) {
-        case TxnOutcome::kCommitted:
-          OnDefiniteCommit();
-          model_.Commit(from, nf);
-          model_.Commit(to, nt);
-          break;
-        case TxnOutcome::kAborted:
-          report_.aborts++;
-          break;
-        case TxnOutcome::kMaybeCommitted:
-          report_.maybe_commits++;
-          model_.MaybeCommit(from, nf);
-          model_.MaybeCommit(to, nt);
-          break;
-        case TxnOutcome::kBroken:
-          model_.Poison(from);
-          model_.Poison(to);
-          report_.notes.push_back("non-atomic transfer outcome at op " +
-                                  std::to_string(i));
-          break;
-      }
-      Record(i, 'T', from, to, static_cast<uint8_t>(out));
-      return;
+          adapter_->Transfer(ctx, from, to, amount, &nf, &nt);
+      ApplyOutcome(i, out, {{from, &nf}, {to, &nt}}, &report_.aborts,
+                   "non-atomic transfer outcome");
+      return {'T', from, to, static_cast<uint8_t>(out)};
     }
     if (tpcc_ != nullptr && dice >= 0.90) {
-      auto r = tpcc_->NewOrder(&ctx_);
+      auto r = tpcc_->NewOrder(ctx);
       if (r.ok() && *r) {
         OnDefiniteCommit();
       } else if (r.ok()) {
@@ -835,10 +897,9 @@ class ChaosRunner {
       } else {
         report_.tpcc_errors++;
       }
-      Record(i, 'N', 0, 0,
-             r.ok() ? (*r ? 0 : 1)
-                    : static_cast<uint8_t>(r.status().code()));
-      return;
+      const uint8_t status =
+          r.ok() ? (*r ? 0 : 1) : static_cast<uint8_t>(r.status().code());
+      return {'N', 0, 0, status};
     }
     YcsbGenerator::Op op = ycsb_.Next();
     if (op.type == YcsbGenerator::OpType::kInsert && !InsertsAllowed()) {
@@ -850,12 +911,11 @@ class ChaosRunner {
       const uint64_t key = wl_rng_.Uniform(4) == 0
                                ? kBankBase + wl_rng_.Uniform(kBankAccounts)
                                : kYcsbBase + op.key;
-      const uint64_t degraded_before = ctx_.degraded_ops;
-      const uint64_t staleness_before = ctx_.staleness_lsn;
-      auto r = adapter_->GetKv(&ctx_, key);
+      const uint64_t degraded_before = ctx->degraded_ops;
+      const uint64_t staleness_before = ctx->staleness_lsn;
+      auto r = adapter_->GetKv(ctx, key);
       const Status& st = r.status();
-      const bool degraded = ctx_.degraded_ops > degraded_before;
-      if (degraded) {
+      if (ctx->degraded_ops > degraded_before) {
         // Bounded-staleness read: any older committed value may
         // legitimately surface, so the membership check does not apply —
         // but the staleness the engine accounted must respect the bound.
@@ -864,47 +924,29 @@ class ChaosRunner {
         // re-buffered uncertain batches are durable now (page staleness
         // does not weaken log durability).
         if (st.ok() && IsRow()) model_.PromoteAllUncertain();
-        const uint64_t staleness = ctx_.staleness_lsn - staleness_before;
+        const uint64_t staleness = ctx->staleness_lsn - staleness_before;
         if (staleness > schedule_.degrade.max_staleness_lsn) {
           report_.violations.push_back(
               "degraded read of key " + std::to_string(key) +
               " exceeded the staleness bound: " + std::to_string(staleness) +
               " > " + std::to_string(schedule_.degrade.max_staleness_lsn));
         }
-        if (!st.ok() && !st.IsNotFound()) report_.read_errors++;
       } else if (st.ok() || st.IsNotFound()) {
         if (st.ok() && IsRow()) model_.PromoteAllUncertain();
         const std::string msg =
             model_.CheckRead(key, st, r.ok() ? *r : std::string());
         if (!msg.empty()) report_.violations.push_back(msg);
-      } else {
-        report_.read_errors++;  // infrastructure failure, allowed mid-run
       }
-      Record(i, 'R', key, 0, static_cast<uint8_t>(st.code()));
-      return;
+      // A failed read is an infrastructure failure, allowed mid-run.
+      return StatusOp('R', key, st);
     }
     const uint64_t key = kYcsbBase + op.key;
     const std::string value = FixedValue(key, i);
     Status st;
-    switch (adapter_->PutKv(&ctx_, key, value, &st)) {
-      case TxnOutcome::kCommitted:
-        OnDefiniteCommit();
-        model_.Commit(key, value);
-        break;
-      case TxnOutcome::kAborted:
-        report_.busy++;  // clean failure before the durability point
-        break;
-      case TxnOutcome::kMaybeCommitted:
-        report_.maybe_commits++;
-        model_.MaybeCommit(key, value);
-        break;
-      case TxnOutcome::kBroken:
-        model_.Poison(key);
-        report_.notes.push_back("broken put rollback at op " +
-                                std::to_string(i));
-        break;
-    }
-    Record(i, 'P', key, 0, static_cast<uint8_t>(st.code()));
+    ApplyOutcome(i, adapter_->PutKv(ctx, key, value, &st), {{key, &value}},
+                 &report_.busy, "broken put rollback");
+    // The adapter classified the outcome for the model: not a failed op.
+    return {'P', key, 0, static_cast<uint8_t>(st.code())};
   }
 
   /// Shared-log view change: kill one log node, seal + reconfigure the
@@ -917,7 +959,7 @@ class ChaosRunner {
   /// quorum of the NEW view's members.
   void LogViewChange(int at_op) {
     SharedLogService* slog = adapter_->shared_log();
-    EnterOracleMode();
+    loop_->EnterOracleMode();
     NetContext octx;
     const size_t victim = static_cast<size_t>(at_op) % slog->num_log_nodes();
     fabric_.node(slog->log_node(victim))->Fail();
@@ -941,14 +983,14 @@ class ChaosRunner {
       report_.violations.push_back(audit + " (after view change at op " +
                                    std::to_string(at_op) + ")");
     }
-    EnterFaultedMode();
-    Record(at_op, 'V', victim, slog->epoch(),
-           static_cast<uint8_t>((st.ok() ? st2 : st).code()));
+    loop_->EnterFaultedMode();
+    loop_->Record(at_op, 'V', victim, slog->epoch(),
+                  static_cast<uint8_t>((st.ok() ? st2 : st).code()));
   }
 
   void CrashAndAudit(int at_op, bool final_audit) {
     report_.crashes++;
-    EnterOracleMode();
+    loop_->EnterOracleMode();
     NetContext octx;
     Status st = adapter_->CrashAndRecover(&octx);
     model_.Crash();
@@ -981,10 +1023,10 @@ class ChaosRunner {
       CheckBalanceConservation(observed);
       CheckCommittedReplay(&octx);
     } else {
-      EnterFaultedMode();
+      loop_->EnterFaultedMode();
     }
-    Record(at_op, 'C', static_cast<uint64_t>(at_op), 0,
-           static_cast<uint8_t>(st.code()));
+    loop_->Record(at_op, 'C', static_cast<uint64_t>(at_op), 0,
+                  static_cast<uint8_t>(st.code()));
   }
 
   /// Transfers are atomic, and the durable log prefix the recovery read is
@@ -1061,29 +1103,17 @@ class ChaosRunner {
     }
   }
 
-  void FillCounters() {
-    report_.drops = fault_->drops();
-    report_.spikes = fault_->spikes();
-    report_.flap_rejections = fault_->flap_rejections();
-    report_.fault_ops_seen = fault_->ops_seen();
-    report_.retries = retry_->retries();
-    report_.gave_up = retry_->gave_up();
-    report_.faults_injected = ctx_.faults_injected;
-    report_.staleness_lsn = ctx_.staleness_lsn;
-    report_.admission_rejects = ctx_.admission_rejects;
-  }
 
   ChaosSchedule schedule_;
   ChaosReport report_;
   Fabric fabric_;
   std::unique_ptr<ChaosAdapter> adapter_;
+  std::optional<ChaosLoop> loop_;  // built once setup found the flap targets
   std::unique_ptr<TpccLite> tpcc_;
   KvModel model_;
   Random wl_rng_;
   YcsbGenerator ycsb_;
-  NetContext ctx_;  // workload client context (sim time drives the trace)
-  std::shared_ptr<RetryInterceptor> retry_;
-  std::shared_ptr<FaultInterceptor> fault_;
+  size_t next_reconfig_ = 0;  // cursor into schedule_.log_reconfig_points
 };
 
 }  // namespace
@@ -1099,71 +1129,159 @@ ChaosReport RunEngineChaos(const std::string& engine,
 
 // ------------------------------------------------------------- Index chaos
 
+namespace {
+
+/// One Put/Get/Delete/Scan surface over RACE and the B+-trees, so the
+/// index runner has one op path and one audit. Get returns values in
+/// decimal, the form RACE stores; only the trees answer Scan.
+class ChaosIndex {
+ public:
+  using Pairs = std::vector<std::pair<uint64_t, uint64_t>>;
+  ChaosIndex() = default;
+  ChaosIndex(const ChaosIndex&) = delete;
+  ChaosIndex& operator=(const ChaosIndex&) = delete;
+  virtual ~ChaosIndex() = default;
+  virtual const char* name() const = 0;  // prefixes read-mismatch reports
+  virtual Status Put(NetContext* ctx, uint64_t key, uint64_t value) = 0;
+  virtual Result<std::string> Get(NetContext* ctx, uint64_t key) = 0;
+  virtual Status Delete(NetContext* ctx, uint64_t key) = 0;
+  virtual Result<Pairs> Scan(NetContext*, uint64_t, size_t) {
+    return Status::NotSupported("no ordered scan");
+  }
+};
+
+class RaceChaosIndex : public ChaosIndex {
+ public:
+  RaceChaosIndex(Fabric* fabric, MemoryNode* pool, RaceHash::TableRef table)
+      : race_(fabric, pool, table) {}
+  const char* name() const override { return "race"; }
+  Status Put(NetContext* ctx, uint64_t key, uint64_t value) override {
+    return race_.Put(ctx, Key(key), std::to_string(value));
+  }
+  Result<std::string> Get(NetContext* ctx, uint64_t key) override {
+    return race_.Get(ctx, Key(key));
+  }
+  Status Delete(NetContext* ctx, uint64_t key) override {
+    return race_.Delete(ctx, Key(key));
+  }
+
+ private:
+  static std::string Key(uint64_t key) { return "k" + std::to_string(key); }
+  RaceHash race_;
+};
+
+class BTreeChaosIndex : public ChaosIndex {
+ public:
+  BTreeChaosIndex(Fabric* fabric, MemoryNode* pool, RemoteBTree::TreeRef tree,
+                  RemoteBTree::Options options)
+      : tree_(fabric, pool, tree, std::move(options)) {}
+  RemoteBTree* tree() { return &tree_; }
+  const char* name() const override { return "btree"; }
+  Status Put(NetContext* ctx, uint64_t key, uint64_t value) override {
+    return tree_.Put(ctx, key, value);
+  }
+  Result<std::string> Get(NetContext* ctx, uint64_t key) override {
+    DISAGG_ASSIGN_OR_RETURN(uint64_t value, tree_.Get(ctx, key));
+    return std::to_string(value);
+  }
+  Status Delete(NetContext* ctx, uint64_t key) override {
+    return tree_.Delete(ctx, key);
+  }
+  Result<Pairs> Scan(NetContext* ctx, uint64_t from, size_t limit) override {
+    return tree_.Scan(ctx, from, limit);
+  }
+
+ private:
+  RemoteBTree tree_;
+};
+
+/// Advances the membership clock to the op's issue instant before each
+/// (re)attempt. Heartbeats issued by the advance re-enter the interceptor
+/// chain; AdvanceTo's re-entrancy guard makes the nested pump a no-op.
+class MembershipPump : public FabricInterceptor {
+ public:
+  explicit MembershipPump(MembershipService* member) : member_(member) {}
+  const char* name() const override { return "membership-pump"; }
+  Status Intercept(Fabric*, FabricOp* op, NetContext* ctx,
+                   const FabricOpInvoker& next) override {
+    member_->AdvanceTo(ctx->sim_ns);
+    return next(op, ctx);
+  }
+
+ private:
+  MembershipService* member_;
+};
+
+}  // namespace
+
+const std::vector<std::string>& ChaosIndexKinds() {
+  static const std::vector<std::string> kKinds = {
+      "race", "sherman", "lockcouple", "offload", "offload-detector",
+  };
+  return kKinds;
+}
+
 ChaosReport RunIndexChaos(const std::string& kind, uint64_t seed) {
-  ChaosSchedule schedule = ChaosSchedule::FromSeed(seed);
+  const ChaosSchedule schedule = ChaosSchedule::FromSeed(seed);
   ChaosReport report;
   report.engine = "index-" + kind;
   report.seed = seed;
+  const std::vector<std::string>& kinds = ChaosIndexKinds();
+  if (std::find(kinds.begin(), kinds.end(), kind) == kinds.end()) {
+    report.violations.push_back("unknown index kind " + kind);
+    return report;
+  }
 
   Fabric fabric;
   MemoryNode pool(&fabric, "chaos-mem", 64 << 20);
   NetContext setup;
 
   constexpr uint64_t kKeySpace = 48;
-  const bool is_race = kind == "race";
   const bool is_detector = kind == "offload-detector";
-  const bool is_offload = kind == "offload" || is_detector;
-  std::unique_ptr<RaceHash> race;
-  std::unique_ptr<RemoteBTree> btree;
+  std::unique_ptr<ChaosIndex> index;
   std::unique_ptr<MemNodeExecutor> exec;
-  if (is_race) {
+  Status created;
+  if (kind == "race") {
     auto table = RaceHash::Create(&setup, &fabric, &pool, 256);
-    if (!table.ok()) {
-      report.violations.push_back("create failed: " +
-                                  table.status().ToString());
-      return report;
+    created = table.status();
+    if (table.ok()) {
+      index = std::make_unique<RaceChaosIndex>(&fabric, &pool, *table);
     }
-    race = std::make_unique<RaceHash>(&fabric, &pool, *table);
   } else {
     auto tree = RemoteBTree::Create(&setup, &fabric, &pool);
-    if (!tree.ok()) {
-      report.violations.push_back("create failed: " +
-                                  tree.status().ToString());
-      return report;
+    created = tree.status();
+    if (tree.ok()) {
+      auto btree = std::make_unique<BTreeChaosIndex>(
+          &fabric, &pool, *tree,
+          kind == "lockcouple" ? RemoteBTree::Options::LockCoupling()
+                               : RemoteBTree::Options::Sherman());
+      if (kind == "offload" || is_detector) {
+        // Near-data mode: every op becomes one exec.idx.* RPC. Dropped
+        // replies retry at-least-once through the same budget — the ops
+        // are idempotent, so the exact model still binds.
+        exec = std::make_unique<MemNodeExecutor>(&fabric, &pool);
+        btree->tree()->EnableOffload(pool.node(), exec->RegisterTree(*tree));
+      }
+      index = std::move(btree);
     }
-    btree = std::make_unique<RemoteBTree>(
-        &fabric, &pool, *tree,
-        kind == "lockcouple" ? RemoteBTree::Options::LockCoupling()
-                             : RemoteBTree::Options::Sherman());
-    if (is_offload) {
-      // Near-data mode: every op becomes one exec.idx.* RPC. Dropped
-      // replies retry at-least-once through the same budget — the ops are
-      // idempotent, so the exact model still binds.
-      exec = std::make_unique<MemNodeExecutor>(&fabric, &pool);
-      btree->EnableOffload(pool.node(), exec->RegisterTree(*tree));
-    }
+  }
+  if (!created.ok()) {
+    report.violations.push_back("create failed: " + created.ToString());
+    return report;
   }
 
   // Multi-step index ops have no rollback path, so give-ups would leave the
   // structure half-mutated; a deep retry budget makes them (deterministic-
-  // seed-verifiably) impossible, which keeps the model exact.
-  RetryPolicy rp;
-  rp.max_attempts = 16;
-  auto retry = std::make_shared<RetryInterceptor>(rp);
-  FaultPolicy fp;
-  fp.seed = schedule.seed;
-  fp.drop_prob = schedule.drop_prob;
-  fp.spike_prob = schedule.spike_prob;
-  fp.spike_ns = schedule.spike_ns;
-  auto fault = std::make_shared<FaultInterceptor>(fp);
-  fabric.AddInterceptor(retry);
+  // seed-verifiably) rare, and the audit gate below catches the rest.
+  RigOptions rig;
+  rig.retry_attempts = 16;
 
   // Detector mode: crash points only KILL the executor; recovery is owned
   // by a membership service watching the pool node. Virtual time between
-  // barrier steps is pumped from inside the retry loop (the interceptor
-  // below), so a workload op that arrives during the outage survives on
-  // its retry budget until detection + repair revive the node — recovery
-  // is detector-driven, not scripted.
+  // barrier steps is pumped from inside the retry loop (the rig's inner
+  // interceptor), so a workload op that arrives during the outage survives
+  // on its retry budget until detection + repair revive the node —
+  // recovery is detector-driven, not scripted.
   std::unique_ptr<MembershipService> member;
   if (is_detector) {
     MembershipOptions mo;
@@ -1174,35 +1292,13 @@ ChaosReport RunIndexChaos(const std::string& kind, uint64_t seed) {
     member = std::make_unique<MembershipService>(&fabric, mo);
     member->Monitor(pool.node());
     member->OnRepair(pool.node(), [&exec] { exec->Recover(); });
-
-    // Pump interceptor: advances the membership clock to the op's issue
-    // instant before each (re)attempt. Heartbeats issued by the advance
-    // re-enter this chain; AdvanceTo's re-entrancy guard makes the nested
-    // pump a no-op.
-    class MembershipPump : public FabricInterceptor {
-     public:
-      explicit MembershipPump(MembershipService* m) : member_(m) {}
-      const char* name() const override { return "membership-pump"; }
-      Status Intercept(Fabric*, FabricOp* op, NetContext* ctx,
-                       const FabricOpInvoker& next) override {
-        member_->AdvanceTo(ctx->sim_ns);
-        return next(op, ctx);
-      }
-
-     private:
-      MembershipService* member_;
-    };
-    fabric.AddInterceptor(std::make_shared<MembershipPump>(member.get()));
+    rig.inner = std::make_shared<MembershipPump>(member.get());
   }
-  fabric.AddInterceptor(fault);
-
-  std::map<uint64_t, uint64_t> model;
-  Random rng(seed * 0x2545F4914F6CDD1Dull + 1);
-  NetContext ctx;
-  auto key_name = [](uint64_t k) { return "k" + std::to_string(k); };
+  ChaosLoop loop(&fabric, schedule, &report, std::move(rig));
 
   // Drains membership events into the trace as 'M' records (a = event
-  // kind, b = lease epoch) so detector decisions are replay-checked.
+  // kind, b = lease epoch, stamped with the detector's clock) so detector
+  // decisions are replay-checked.
   size_t next_event = 0;
   auto drain_events = [&](int op_index) {
     if (member == nullptr) return;
@@ -1215,87 +1311,67 @@ ChaosReport RunIndexChaos(const std::string& kind, uint64_t seed) {
     }
   };
 
-  size_t next_crash = 0;
-  for (int i = 0; i < schedule.num_ops; i++) {
-    if (is_offload && next_crash < schedule.crash_points.size() &&
-        i == schedule.crash_points[next_crash]) {
-      // Executor crash interlude at an op boundary: the service dies and
-      // its lock table would be lost, but the pool region — the tree
-      // bytes — survives, so traversal resumes against intact data. In
-      // scripted mode recovery is immediate; in detector mode the node
-      // stays dead until the membership service revokes its lease and the
-      // orchestrator's repair hook revives it.
-      exec->Crash();
-      if (!is_detector) exec->Recover();
-      report.crashes++;
-      report.trace.push_back({i, 'C', 0, 0, 0, ctx.sim_ns});
-      next_crash++;
-    }
-    drain_events(i);
-    const uint64_t k = rng.Uniform(kKeySpace);
-    const uint64_t v = static_cast<uint64_t>(i) + 1;
-    const double dice = rng.NextDouble();
-    Status st;
-    char kindc;
-    if (dice < 0.5) {
-      kindc = 'P';
-      st = is_race ? race->Put(&ctx, key_name(k), std::to_string(v))
-                   : btree->Put(&ctx, k, v);
-      if (st.ok()) model[k] = v;
-    } else if (dice < 0.8) {
-      kindc = 'R';
-      if (is_race) {
-        auto r = race->Get(&ctx, key_name(k));
-        st = r.status();
-        if (st.ok() && model.count(k) &&
-            *r != std::to_string(model[k])) {
-          report.violations.push_back("race read mismatch on key " +
-                                      std::to_string(k));
+  std::map<uint64_t, uint64_t> model;
+  Random rng(seed * 0x2545F4914F6CDD1Dull + 1);
+  // Only the executor crashes; the one-sided indexes live in the pool.
+  loop.Run(
+      schedule.num_ops,
+      exec != nullptr ? schedule.crash_points : std::vector<int>{},
+      [&](int i) {
+        // Executor crash interlude at an op boundary: the service dies and
+        // its lock table would be lost, but the pool region — the tree
+        // bytes — survives, so traversal resumes against intact data. In
+        // scripted mode recovery is immediate; in detector mode the node
+        // stays dead until the membership service revokes its lease and
+        // the orchestrator's repair hook revives it.
+        exec->Crash();
+        if (!is_detector) exec->Recover();
+        report.crashes++;
+        loop.Record(i, 'C', 0, 0, 0);
+      },
+      [&](int i) {
+        drain_events(i);
+        NetContext* ctx = loop.ctx();
+        const uint64_t k = rng.Uniform(kKeySpace);
+        const uint64_t v = static_cast<uint64_t>(i) + 1;
+        const double dice = rng.NextDouble();
+        if (dice < 0.5) {
+          const Status st = index->Put(ctx, k, v);
+          if (st.ok()) model[k] = v;
+          return StatusOp('P', k, st);
         }
-      } else {
-        auto r = btree->Get(&ctx, k);
-        st = r.status();
-        if (st.ok() && model.count(k) && *r != model[k]) {
-          report.violations.push_back("btree read mismatch on key " +
-                                      std::to_string(k));
+        if (dice < 0.8) {
+          auto r = index->Get(ctx, k);
+          auto it = model.find(k);
+          if (r.ok() && it != model.end() &&
+              *r != std::to_string(it->second)) {
+            report.violations.push_back(std::string(index->name()) +
+                                        " read mismatch on key " +
+                                        std::to_string(k));
+          }
+          if (r.status().IsNotFound() && it != model.end()) {
+            report.violations.push_back("inserted key " + std::to_string(k) +
+                                        " reads as absent");
+          }
+          return StatusOp('R', k, r.status());
         }
-      }
-      if (st.IsNotFound() && model.count(k)) {
-        report.violations.push_back("inserted key " + std::to_string(k) +
-                                    " reads as absent");
-      }
-    } else {
-      kindc = 'D';
-      st = is_race ? race->Delete(&ctx, key_name(k))
-                   : btree->Delete(&ctx, k);
-      if (st.ok() || st.IsNotFound()) model.erase(k);
-    }
-    if (st.ok() || st.IsNotFound()) {
-      // applied (or cleanly absent)
-    } else {
-      report.read_errors++;
-    }
-    report.trace.push_back({i, kindc, k, 0,
-                            static_cast<uint8_t>(st.code()), ctx.sim_ns});
-  }
+        const Status st = index->Delete(ctx, k);
+        if (st.ok() || st.IsNotFound()) model.erase(k);
+        return StatusOp('D', k, st);
+      });
 
   if (member != nullptr) {
     // Let any in-flight detection/repair run to completion in virtual time
     // (a kill near the end of the stream must still be recovered before
     // the oracle audits against a live node), then flush the event tail.
-    member->AdvanceTo(ctx.sim_ns + 64 * member->options().heartbeat_period_ns);
+    member->AdvanceTo(loop.ctx()->sim_ns +
+                      64 * member->options().heartbeat_period_ns);
     drain_events(schedule.num_ops);
   }
+  loop.Finish();
 
-  report.drops = fault->drops();
-  report.spikes = fault->spikes();
-  report.fault_ops_seen = fault->ops_seen();
-  report.retries = retry->retries();
-  report.gave_up = retry->gave_up();
-  report.faults_injected = ctx.faults_injected;
-
-  if (report.gave_up > 0 || report.read_errors > 0) {
-    // A gave-up op may have half-applied; the exact model no longer binds.
+  if (loop.AnyOpFailed()) {
+    // A failed op may have half-applied; the exact model no longer binds.
     report.notes.push_back("retry budget exhausted; key-set check skipped");
     report.violations.clear();
     return report;
@@ -1303,46 +1379,27 @@ ChaosReport RunIndexChaos(const std::string& kind, uint64_t seed) {
 
   // Oracle audit: the surviving key set must match the model exactly —
   // every key present with its value, every other key absent (no ghosts).
-  fabric.ClearInterceptors();
   NetContext octx;
   for (uint64_t k = 0; k < kKeySpace; k++) {
     auto it = model.find(k);
-    if (is_race) {
-      auto r = race->Get(&octx, key_name(k));
-      if (it != model.end()) {
-        if (!r.ok() || *r != std::to_string(it->second)) {
-          report.violations.push_back("final: key " + std::to_string(k) +
-                                      " wrong or missing");
-        }
-      } else if (!r.status().IsNotFound()) {
-        report.violations.push_back("final: ghost key " + std::to_string(k));
+    auto r = index->Get(&octx, k);
+    if (it != model.end()) {
+      if (!r.ok() || *r != std::to_string(it->second)) {
+        report.violations.push_back("final: key " + std::to_string(k) +
+                                    " wrong or missing");
       }
-    } else {
-      auto r = btree->Get(&octx, k);
-      if (it != model.end()) {
-        if (!r.ok() || *r != it->second) {
-          report.violations.push_back("final: key " + std::to_string(k) +
-                                      " wrong or missing");
-        }
-      } else if (!r.status().IsNotFound()) {
-        report.violations.push_back("final: ghost key " + std::to_string(k));
-      }
+    } else if (!r.status().IsNotFound()) {
+      report.violations.push_back("final: ghost key " + std::to_string(k));
     }
   }
-  if (!is_race) {
-    auto scan = btree->Scan(&octx, 0, kKeySpace + 16);
-    if (!scan.ok()) {
-      report.violations.push_back("final scan failed: " +
-                                  scan.status().ToString());
-    } else {
-      std::vector<std::pair<uint64_t, uint64_t>> want(model.begin(),
-                                                      model.end());
-      if (*scan != want) {
-        report.violations.push_back(
-            "final scan does not match the model key set (ghost or lost "
-            "entries)");
-      }
-    }
+  auto scan = index->Scan(&octx, 0, kKeySpace + 16);
+  if (scan.ok() && *scan != ChaosIndex::Pairs(model.begin(), model.end())) {
+    report.violations.push_back(
+        "final scan does not match the model key set (ghost or lost "
+        "entries)");
+  } else if (!scan.ok() && !scan.status().IsNotSupported()) {
+    report.violations.push_back("final scan failed: " +
+                                scan.status().ToString());
   }
   return report;
 }
@@ -1350,7 +1407,7 @@ ChaosReport RunIndexChaos(const std::string& kind, uint64_t seed) {
 // -------------------------------------------------------------- Lock chaos
 
 ChaosReport RunLockChaos(uint64_t seed) {
-  ChaosSchedule schedule = ChaosSchedule::FromSeed(seed);
+  const ChaosSchedule schedule = ChaosSchedule::FromSeed(seed);
   ChaosReport report;
   report.engine = "lock-offload";
   report.seed = seed;
@@ -1359,14 +1416,9 @@ ChaosReport RunLockChaos(uint64_t seed) {
   MemoryNode pool(&fabric, "chaos-lock-pool", 1 << 20);
   MemNodeExecutor exec(&fabric, &pool);
   OffloadedLockClient locks(&fabric, pool.node());
-
-  FaultPolicy fp;
-  fp.seed = schedule.seed;
-  fp.drop_prob = schedule.drop_prob;
-  fp.spike_prob = schedule.spike_prob;
-  fp.spike_ns = schedule.spike_ns;
-  auto fault = std::make_shared<FaultInterceptor>(fp);
-  fabric.AddInterceptor(fault);
+  // No retry interceptor: a client whose request failed releases its locks
+  // and restarts, so the fault layer's failures reach the lock protocol.
+  ChaosLoop loop(&fabric, schedule, &report, RigOptions{});
 
   // K clients, each looping acquire(key1) -> acquire(key2) -> release, over
   // a small key space with randomized key order — cyclic contention arises
@@ -1389,7 +1441,6 @@ ChaosReport RunLockChaos(uint64_t seed) {
   Client clients[kClients];
   TxnId next_txn = 1;
   Random rng(seed * 0x9E3779B97F4A7C15ull + 7);
-  NetContext ctx;
 
   auto fresh_txn = [&](Client* c) {
     c->txn = next_txn++;
@@ -1401,86 +1452,87 @@ ChaosReport RunLockChaos(uint64_t seed) {
   };
   for (auto& c : clients) fresh_txn(&c);
 
-  size_t next_crash = 0;
+  // The schedule's crash points, scaled from its op count to the steps.
+  std::vector<int> crash_steps;
+  for (int point : schedule.crash_points) {
+    crash_steps.push_back(point * kSteps / schedule.num_ops);
+  }
   bool down = false;
   int steps_without_progress = 0;
-  for (int i = 0; i < kSteps; i++) {
-    if (down) {
-      // The executor crashed mid-handoff last step; bring it back before
-      // anyone else acts (bounded outage keeps the liveness check sharp).
-      exec.Recover();
-      down = false;
-      steps_without_progress = 0;
-      report.trace.push_back({i, 'C', 0, 0, 0, ctx.sim_ns});
-    }
-    if (next_crash < schedule.crash_points.size() &&
-        i == schedule.crash_points[next_crash] * kSteps / schedule.num_ops) {
-      // Arm a crash at the START of the next handler invocation: the next
-      // lock request reaches the node and the node dies holding it — a
-      // crash mid-lock-handoff, with no reply and no partial mutation.
-      exec.ScheduleCrashAfter(1);
-      next_crash++;
-    }
-
-    Client& c = clients[rng.Uniform(kClients)];
-    Status st;
-    char kindc;
-    uint64_t key = 0;
-    if (c.step < 2) {
-      kindc = 'L';
-      key = c.keys[c.step];
-      st = locks.AcquireLock(&ctx, c.txn, key, LockMode::kExclusive);
-      if (st.ok()) {
-        c.step++;
-        if (c.step == 2) report.commits++;  // both keys held: txn "commits"
-        steps_without_progress = 0;
-      } else if (st.IsBusy()) {
-        report.busy++;  // wound-wait "wait": retry when next scheduled
-        steps_without_progress++;
-      } else if (st.IsAborted()) {
-        // Wounded or fenced: abort — release and restart as a younger txn.
-        locks.ReleaseAllLocks(&ctx, c.txn);
-        report.aborts++;
-        fresh_txn(&c);
-        steps_without_progress = 0;
-      } else {
-        // Fault-layer failure (drop, crash): outcome unknown — release
-        // conservatively (a failed release queues for piggybacking) and
-        // restart.
-        if (st.IsUnavailable()) down = true;
-        locks.ReleaseAllLocks(&ctx, c.txn);
-        fresh_txn(&c);
-        steps_without_progress++;
-      }
-    } else {
-      kindc = 'U';
-      key = c.txn;  // trace the txn being released
-      locks.ReleaseAllLocks(&ctx, c.txn);
-      fresh_txn(&c);
-      st = Status::OK();
-      steps_without_progress = 0;
-    }
-    report.trace.push_back({i, kindc, key, c.txn,
-                            static_cast<uint8_t>(st.code()), ctx.sim_ns});
-    if (steps_without_progress > kMaxStepsWithoutProgress) {
-      report.violations.push_back(
-          "lock wedge: no grant or release in " +
-          std::to_string(kMaxStepsWithoutProgress) + " scheduler steps");
-      break;
-    }
-  }
-
-  report.drops = fault->drops();
-  report.spikes = fault->spikes();
-  report.fault_ops_seen = fault->ops_seen();
-  report.faults_injected = ctx.faults_injected;
+  loop.Run(
+      kSteps, crash_steps,
+      [&](int) {
+        // Arm a crash at the START of the next handler invocation: the next
+        // lock request reaches the node and the node dies holding it — a
+        // crash mid-lock-handoff, with no reply and no partial mutation.
+        exec.ScheduleCrashAfter(1);
+      },
+      [&](int i) {
+        if (down) {
+          // The executor crashed mid-handoff last step; bring it back
+          // before anyone acts (bounded outage keeps the liveness check
+          // sharp).
+          exec.Recover();
+          down = false;
+          steps_without_progress = 0;
+          loop.Record(i, 'C', 0, 0, 0);
+        }
+        NetContext* ctx = loop.ctx();
+        Client& c = clients[rng.Uniform(kClients)];
+        Status st;
+        char kindc;
+        uint64_t key = 0;
+        if (c.step < 2) {
+          kindc = 'L';
+          key = c.keys[c.step];
+          st = locks.AcquireLock(ctx, c.txn, key, LockMode::kExclusive);
+          if (st.ok()) {
+            c.step++;
+            if (c.step == 2) report.commits++;  // both keys held: "commits"
+            steps_without_progress = 0;
+          } else if (st.IsBusy()) {
+            report.busy++;  // wound-wait "wait": retry when next scheduled
+            steps_without_progress++;
+          } else if (st.IsAborted()) {
+            // Wounded or fenced: abort — release and restart younger.
+            locks.ReleaseAllLocks(ctx, c.txn);
+            report.aborts++;
+            fresh_txn(&c);
+            steps_without_progress = 0;
+          } else {
+            // Fault-layer failure (drop, crash): outcome unknown — release
+            // conservatively (a failed release queues for piggybacking)
+            // and restart.
+            if (st.IsUnavailable()) down = true;
+            locks.ReleaseAllLocks(ctx, c.txn);
+            fresh_txn(&c);
+            steps_without_progress++;
+          }
+        } else {
+          kindc = 'U';
+          key = c.txn;  // trace the txn being released
+          locks.ReleaseAllLocks(ctx, c.txn);
+          fresh_txn(&c);
+          st = Status::OK();
+          steps_without_progress = 0;
+        }
+        if (steps_without_progress > kMaxStepsWithoutProgress) {
+          report.violations.push_back(
+              "lock wedge: no grant or release in " +
+              std::to_string(kMaxStepsWithoutProgress) + " scheduler steps");
+          loop.Stop();
+        }
+        // The release-and-restart above resolved a failed request, so no
+        // lock op is left with an unknown outcome.
+        return StepOp{kindc, key, c.txn, static_cast<uint8_t>(st.code())};
+      });
+  loop.Finish();
   report.crashes = exec.stats().crashes;
 
   // Oracle audit (faults off, executor up): after every client releases,
   // a fresh transaction must be able to acquire every key — no key may stay
   // wedged behind a dead client or a pre-crash grant — and the lock table
   // must drain to empty.
-  fabric.ClearInterceptors();
   exec.ScheduleCrashAfter(0);  // disarm any crash point the loop never hit
   if (down) exec.Recover();
   NetContext octx;

@@ -126,8 +126,9 @@ enum class TxnOutcome {
 
 /// Uniform chaos surface over one engine: a keyed KV op interface, the fault
 /// domains the schedule may flap, and the architecture's crash+recovery
-/// procedure. All eight engines (five RowEngine architectures, serverless,
-/// multi-writer, FORD) sit behind this.
+/// procedure. Every engine in `ChaosEngineNames()` sits behind this: the
+/// RowEngine architectures and their variants, serverless, multi-writer and
+/// FORD.
 class ChaosAdapter {
  public:
   virtual ~ChaosAdapter() = default;
@@ -177,11 +178,15 @@ class ChaosAdapter {
   virtual SharedLogService* shared_log() { return nullptr; }
 };
 
-/// Names accepted by MakeChaosAdapter: the RowEngine registry names plus
+/// Names accepted by MakeChaosAdapter: the RowEngine registry names (the
+/// five architectures and their "+slog" and "+offload" variants) plus
 /// "serverless", "multiwriter", "ford".
 const std::vector<std::string>& ChaosEngineNames();
 std::unique_ptr<ChaosAdapter> MakeChaosAdapter(const std::string& name,
                                                Fabric* fabric);
+
+/// Kinds accepted by RunIndexChaos (documented there).
+const std::vector<std::string>& ChaosIndexKinds();
 
 /// One entry of the deterministic op trace.
 struct OpRecord {
@@ -210,7 +215,7 @@ struct ChaosReport {
   uint64_t aborts = 0;
   uint64_t maybe_commits = 0;
   uint64_t busy = 0;
-  uint64_t read_errors = 0;  // faulted-mode reads that failed (allowed)
+  uint64_t read_errors = 0;  // workload ops that failed on the fabric
   uint64_t tpcc_errors = 0;
   uint64_t crashes = 0;
   uint64_t log_reconfigs = 0;  // shared-log view-change interludes taken
@@ -254,7 +259,8 @@ ChaosReport RunEngineChaos(const std::string& engine,
 /// node — heartbeat misses accrue suspicion, the lease is revoked, and the
 /// orchestrator's repair hook revives the executor, all in virtual time.
 /// Membership events land in the trace as 'M' records, so detector
-/// decisions are part of the bit-identical replay contract).
+/// decisions are part of the bit-identical replay contract). A failed
+/// workload op may have half-applied, so it skips the audit (noted).
 ChaosReport RunIndexChaos(const std::string& kind, uint64_t seed);
 
 /// Lock chaos: seeded multi-client contention against the memory-node

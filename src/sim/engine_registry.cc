@@ -1,5 +1,7 @@
 #include "sim/engine_registry.h"
 
+#include <string_view>
+
 #include "log/shared_log.h"
 #include "memnode/executor.h"
 
@@ -8,13 +10,14 @@ namespace sim {
 
 namespace {
 constexpr char kSlogSuffix[] = "+slog";
-constexpr size_t kSlogSuffixLen = 5;
 constexpr char kOffloadSuffix[] = "+offload";
-constexpr size_t kOffloadSuffixLen = 8;
 
-bool HasSuffix(const std::string& name, const char* suffix, size_t len) {
-  return name.size() > len &&
-         name.compare(name.size() - len, len, suffix) == 0;
+/// "<base><suffix>" with a non-empty base: stores the base, returns true.
+bool StripSuffix(const std::string& name, std::string_view suffix,
+                 std::string* base) {
+  if (name.size() <= suffix.size() || !name.ends_with(suffix)) return false;
+  *base = name.substr(0, name.size() - suffix.size());
+  return true;
 }
 }  // namespace
 
@@ -47,12 +50,20 @@ const std::vector<std::string>& OffloadRowEngineNames() {
   return kNames;
 }
 
+std::string BaseEngineName(const std::string& name) {
+  std::string base = name;
+  while (StripSuffix(base, kOffloadSuffix, &base) ||
+         StripSuffix(base, kSlogSuffix, &base)) {
+  }
+  return base;
+}
+
 std::unique_ptr<RowEngine> MakeRowEngine(const std::string& name,
                                          Fabric* fabric) {
-  if (HasSuffix(name, kOffloadSuffix, kOffloadSuffixLen)) {
+  std::string base;
+  if (StripSuffix(name, kOffloadSuffix, &base)) {
     // "<base>+offload": the base architecture with its compute-local lock
     // table swapped for the memory-node executor's lock service.
-    const std::string base = name.substr(0, name.size() - kOffloadSuffixLen);
     auto engine = MakeRowEngine(base, fabric);
     if (engine != nullptr) {
       engine->AdoptConcurrencyOffload(
@@ -60,12 +71,9 @@ std::unique_ptr<RowEngine> MakeRowEngine(const std::string& name,
     }
     return engine;
   }
-  const size_t n = name.size();
-  if (n > kSlogSuffixLen &&
-      name.compare(n - kSlogSuffixLen, kSlogSuffixLen, kSlogSuffix) == 0) {
+  if (StripSuffix(name, kSlogSuffix, &base)) {
     // "<base>+slog": the base architecture with its private WAL tier
     // swapped for one tag of a shared-log fleet the engine owns.
-    const std::string base = name.substr(0, n - kSlogSuffixLen);
     auto slog =
         std::make_unique<SharedLogService>(fabric, SharedLogService::Config{});
     EngineLogConfig log;

@@ -27,8 +27,12 @@ const std::vector<std::string>& SharedLogRowEngineNames();
 /// service (`RowEngine::concurrency_offload()` exposes the bundle). Every
 /// row-lock acquire/release becomes one RPC to the pool node; the data
 /// path is otherwise identical. Enrolled in the chaos harness alongside
-/// the legacy and "+slog" names.
+/// the legacy and "+slog" names (`sim::ChaosEngineNames()`).
 const std::vector<std::string>& OffloadRowEngineNames();
+
+/// The architecture under a registry name, with every "+slog" and
+/// "+offload" suffix removed: "aurora+slog+offload" -> "aurora".
+std::string BaseEngineName(const std::string& name);
 
 /// Builds the named engine on `fabric` (which the engine may ignore, e.g.
 /// the monolithic baseline). Accepts the legacy names and the "+slog" /

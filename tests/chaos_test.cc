@@ -81,8 +81,9 @@ TEST(ChaosScheduleTest, CrashStopsPromotingEarlierUncertainOutcomes) {
 }
 
 // Acceptance gate: >= 20 seeded schedules across >= 6 engines with zero
-// invariant violations. 8 engines x 3 seeds = 24 full schedules (each with
-// drops, spikes, flaps where supported, and mid-run crash+recovery).
+// invariant violations. Every ChaosEngineNames() entry x 3 seeds, each a
+// full schedule (drops, spikes, flaps where supported, and mid-run
+// crash+recovery).
 TEST(ChaosSuiteTest, EveryEngineSurvivesSeededSchedules) {
   SKIP_UNDER_MUTATION();
   int runs = 0;
@@ -187,10 +188,7 @@ TEST(ChaosSuiteTest, RegressionSeedCorpus) {
 // checked against an exact model with ghost detection.
 TEST(ChaosIndexTest, IndexStructuresKeepKeySetConsistent) {
   SKIP_UNDER_MUTATION();
-  for (const std::string& kind :
-       {std::string("race"), std::string("sherman"),
-        std::string("lockcouple"), std::string("offload"),
-        std::string("offload-detector")}) {
+  for (const std::string& kind : ChaosIndexKinds()) {
     for (uint64_t seed : {11ull, 12ull, 13ull}) {
       const ChaosReport r = RunIndexChaos(kind, seed);
       EXPECT_TRUE(r.violations.empty()) << r.Summary();
@@ -226,12 +224,17 @@ TEST(ChaosIndexTest, SameSeedSameTrace) {
 // clients keep retrying — and the exact-model audit must still bind. The
 // 'M' records in the trace are the detector's decision log: revocations
 // and repairs actually fired, and the whole run (decisions included)
-// replays bit for bit.
+// replays bit for bit. The audit binds only if it ran: heartbeats that give
+// up while the executor is dead are not workload ops and must not skip it.
 TEST(ChaosIndexTest, DetectorDrivenRecoveryReplacesScriptedInterludes) {
   SKIP_UNDER_MUTATION();
   for (uint64_t seed : {11ull, 12ull, 13ull}) {
     const ChaosReport r = RunIndexChaos("offload-detector", seed);
     EXPECT_TRUE(r.violations.empty()) << r.Summary();
+    for (const std::string& note : r.notes) {
+      EXPECT_EQ(note.find("key-set check skipped"), std::string::npos)
+          << r.Summary();
+    }
     EXPECT_GT(r.crashes, 0u) << r.Summary();
     uint64_t revokes = 0, repairs = 0, rejoins = 0;
     for (const OpRecord& rec : r.trace) {
@@ -339,10 +342,7 @@ TEST(ChaosSuiteTest, NoEngineSurfacesTimedOutForRetryableContention) {
       check(RunEngineChaos(engine, seed));
     }
   }
-  for (const std::string& kind :
-       {std::string("race"), std::string("sherman"),
-        std::string("lockcouple"), std::string("offload"),
-        std::string("offload-detector")}) {
+  for (const std::string& kind : ChaosIndexKinds()) {
     for (uint64_t seed : {11ull, 12ull, 13ull}) {
       check(RunIndexChaos(kind, seed));
     }
@@ -353,16 +353,11 @@ TEST(ChaosSuiteTest, NoEngineSurfacesTimedOutForRetryableContention) {
 }
 
 // Overload chaos: flap windows AND per-node admission control active at
-// once, with the engine degrade ladder installed. Every read must complete,
-// fail clean (Busy from admission / Unavailable from faults), or be served
-// degraded within the staleness bound; the membership,
-// balance-conservation and committed-replay audits must stay clean
-// (degraded reads never mask committed data); and the identical schedule
-// must replay bit-identically.
-TEST(ChaosOverloadTest, FlapsPlusAdmissionControlCompleteBusyOrDegrade) {
-  SKIP_UNDER_MUTATION();
+// once, with the engine degrade ladder installed, on the architectures with
+// a remote page or log tier.
+ChaosSchedule OverloadSchedule(uint64_t seed) {
   ChaosSchedule s;
-  s.seed = 515;
+  s.seed = seed;
   s.drop_prob = 0.08;
   s.spike_prob = 0.0;
   s.num_ops = 140;
@@ -378,10 +373,25 @@ TEST(ChaosOverloadTest, FlapsPlusAdmissionControlCompleteBusyOrDegrade) {
   s.max_backlog_ns = 20'000;
   s.overload_ns_per_op = 120'000;
   s.degrade = {/*enabled=*/true, /*max_staleness_lsn=*/1'000'000};
+  return s;
+}
+
+const std::vector<std::string>& OverloadEngines() {
+  static const std::vector<std::string> kEngines = {"aurora", "polar",
+                                                    "socrates", "taurus"};
+  return kEngines;
+}
+
+// Every read must complete, fail clean (Busy from admission / Unavailable
+// from faults), or be served degraded within the staleness bound; the
+// membership, balance-conservation and committed-replay audits must stay
+// clean (degraded reads never mask committed data); and the identical
+// schedule must replay bit-identically.
+TEST(ChaosOverloadTest, FlapsPlusAdmissionControlCompleteBusyOrDegrade) {
+  SKIP_UNDER_MUTATION();
+  const ChaosSchedule s = OverloadSchedule(515);
   uint64_t total_rejects = 0;
-  for (const std::string& engine :
-       {std::string("aurora"), std::string("polar"),
-        std::string("socrates"), std::string("taurus")}) {
+  for (const std::string& engine : OverloadEngines()) {
     const ChaosReport a = RunEngineChaos(engine, s);
     EXPECT_TRUE(a.violations.empty()) << a.Summary();
     EXPECT_GT(a.commits, 0u) << a.Summary();
@@ -412,47 +422,52 @@ TEST(ChaosOverloadTest, FlapsPlusAdmissionControlCompleteBusyOrDegrade) {
   EXPECT_GT(total_rejects, 0u);
 }
 
-// Replay entry point used by scripts/chaos_replay.sh and the CI chaos
-// stage: DISAGG_CHAOS_SEEDS holds comma- or space-separated seeds; each is
-// run against every engine and every index kind.
-TEST(ChaosReplayTest, ReplaySeedsFromEnv) {
-  SKIP_UNDER_MUTATION();
-  const char* env = std::getenv("DISAGG_CHAOS_SEEDS");
-  if (env == nullptr || *env == '\0') {
-    GTEST_SKIP() << "DISAGG_CHAOS_SEEDS not set";
-  }
-  std::vector<uint64_t> seeds;
+// The comma- or space-separated integers in `env` (a getenv() result);
+// empty when it is null.
+std::vector<uint64_t> ParseList(const char* env) {
+  std::vector<uint64_t> out;
+  if (env == nullptr) return out;
   std::string tok;
   for (const char* p = env;; p++) {
     if (*p == ',' || *p == ' ' || *p == '\0') {
-      if (!tok.empty()) seeds.push_back(std::strtoull(tok.c_str(), nullptr, 0));
+      if (!tok.empty()) out.push_back(std::strtoull(tok.c_str(), nullptr, 0));
       tok.clear();
       if (*p == '\0') break;
     } else {
       tok += *p;
     }
   }
+  return out;
+}
+
+// Replay entry point used by scripts/chaos_replay.sh and the CI chaos
+// stage: DISAGG_CHAOS_SEEDS holds comma- or space-separated seeds; each is
+// run against every engine, every index kind, the lock table and the
+// overload schedule.
+TEST(ChaosReplayTest, ReplaySeedsFromEnv) {
+  SKIP_UNDER_MUTATION();
+  const char* env = std::getenv("DISAGG_CHAOS_SEEDS");
+  if (env == nullptr || *env == '\0') {
+    GTEST_SKIP() << "DISAGG_CHAOS_SEEDS not set";
+  }
+  const std::vector<uint64_t> seeds = ParseList(env);
   ASSERT_FALSE(seeds.empty());
+  const auto check = [](const ChaosReport& r) {
+    printf("%s\n", r.Summary().c_str());
+    EXPECT_TRUE(r.violations.empty()) << r.Summary();
+  };
   for (uint64_t seed : seeds) {
     printf("=== schedule %s\n",
            ChaosSchedule::FromSeed(seed).Describe().c_str());
     for (const std::string& engine : ChaosEngineNames()) {
-      const ChaosReport r = RunEngineChaos(engine, seed);
-      printf("%s\n", r.Summary().c_str());
-      EXPECT_TRUE(r.violations.empty()) << r.Summary();
+      check(RunEngineChaos(engine, seed));
     }
-    for (const std::string& kind :
-         {std::string("race"), std::string("sherman"),
-          std::string("lockcouple"), std::string("offload"),
-          std::string("offload-detector")}) {
-      const ChaosReport r = RunIndexChaos(kind, seed);
-      printf("%s\n", r.Summary().c_str());
-      EXPECT_TRUE(r.violations.empty()) << r.Summary();
+    for (const std::string& kind : ChaosIndexKinds()) {
+      check(RunIndexChaos(kind, seed));
     }
-    {
-      const ChaosReport r = RunLockChaos(seed);
-      printf("%s\n", r.Summary().c_str());
-      EXPECT_TRUE(r.violations.empty()) << r.Summary();
+    check(RunLockChaos(seed));
+    for (const std::string& engine : OverloadEngines()) {
+      check(RunEngineChaos(engine, OverloadSchedule(seed)));
     }
   }
 }
@@ -467,26 +482,10 @@ TEST(ChaosReplayTest, ReplaySeedsFromEnv) {
 // DISAGG_CHAOS_THREADS (chaos_replay.sh --threads), else {1, 2, 8}.
 TEST(ChaosParallelReplayTest, ScheduleReplaysIdenticallyAcrossThreads) {
   SKIP_UNDER_MUTATION();
-  auto parse = [](const char* env) {
-    std::vector<uint64_t> out;
-    if (env == nullptr) return out;
-    std::string tok;
-    for (const char* p = env;; p++) {
-      if (*p == ',' || *p == ' ' || *p == '\0') {
-        if (!tok.empty()) {
-          out.push_back(std::strtoull(tok.c_str(), nullptr, 0));
-        }
-        tok.clear();
-        if (*p == '\0') break;
-      } else {
-        tok += *p;
-      }
-    }
-    return out;
-  };
-  std::vector<uint64_t> seeds = parse(std::getenv("DISAGG_CHAOS_SEEDS"));
+  std::vector<uint64_t> seeds = ParseList(std::getenv("DISAGG_CHAOS_SEEDS"));
   if (seeds.empty()) seeds = {7, 42, 0xC0FFEE};
-  std::vector<uint64_t> threads = parse(std::getenv("DISAGG_CHAOS_THREADS"));
+  std::vector<uint64_t> threads =
+      ParseList(std::getenv("DISAGG_CHAOS_THREADS"));
   if (threads.empty()) threads = {1, 2, 8};
 
   auto run = [](uint64_t seed, uint32_t partitions, uint32_t thread_count) {

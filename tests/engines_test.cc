@@ -5,6 +5,7 @@
 #include "core/engines.h"
 #include "core/serverless_db.h"
 #include "core/snowflake_db.h"
+#include "sim/engine_registry.h"
 #include "test_util.h"
 
 namespace disagg {
@@ -14,7 +15,7 @@ namespace {
 void RunCrudSuite(const std::string& name) {
   SCOPED_TRACE("engine=" + name);
   Fabric fabric;
-  auto db = testutil::MakeEngine(name, &fabric);
+  auto db = sim::MakeRowEngine(name, &fabric);
   ASSERT_NE(db, nullptr);
   NetContext ctx;
 
@@ -55,7 +56,7 @@ void RunCrudSuite(const std::string& name) {
 // Registry-driven: every RowEngine architecture passes the same CRUD
 // conformance suite. Adding an engine to sim::RowEngineNames() enrolls it.
 TEST(RowEngineConformanceTest, CrudSuiteEveryEngine) {
-  for (const std::string& name : testutil::EngineNames()) {
+  for (const std::string& name : sim::RowEngineNames()) {
     RunCrudSuite(name);
   }
 }
@@ -64,10 +65,10 @@ TEST(RowEngineConformanceTest, CrudSuiteEveryEngine) {
 // engine and must leave the identical committed state readable.
 TEST(RowEngineConformanceTest, SeededWorkloadConvergesEverywhere) {
   std::map<uint64_t, std::string> reference;
-  for (const std::string& name : testutil::EngineNames()) {
+  for (const std::string& name : sim::RowEngineNames()) {
     SCOPED_TRACE("engine=" + name);
     Fabric fabric;
-    auto db = testutil::MakeEngine(name, &fabric);
+    auto db = sim::MakeRowEngine(name, &fabric);
     ASSERT_NE(db, nullptr);
     NetContext ctx;
     auto committed = testutil::RunSeededMixedWorkload(db.get(), &ctx);

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 
 #include "common/random.h"
-#include "core/platform.h"
+#include "sim/engine_registry.h"
 #include "workload/tpcc_lite.h"
 
 namespace disagg {
@@ -15,11 +16,11 @@ namespace {
 // on every architecture — they differ only in cost, never in semantics.
 // ---------------------------------------------------------------------
 
-class EveryEngineTest : public ::testing::TestWithParam<EngineKind> {};
+class EveryEngineTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EveryEngineTest, RandomWorkloadMatchesModel) {
   Fabric fabric;
-  auto db = MakeEngine(&fabric, GetParam());
+  auto db = sim::MakeRowEngine(GetParam(), &fabric);
   std::map<uint64_t, std::string> model;
   Random rng(31);
   NetContext ctx;
@@ -56,7 +57,7 @@ TEST_P(EveryEngineTest, RandomWorkloadMatchesModel) {
 
 TEST_P(EveryEngineTest, AbortedTxnLeavesNoTrace) {
   Fabric fabric;
-  auto db = MakeEngine(&fabric, GetParam());
+  auto db = sim::MakeRowEngine(GetParam(), &fabric);
   NetContext ctx;
   ASSERT_TRUE(db->Put(&ctx, 1, "keep-me").ok());
   const TxnId txn = db->Begin();
@@ -73,7 +74,7 @@ TEST_P(EveryEngineTest, TpccMoneyIsConserved) {
   // consistency conditions; our lite version checks commits succeed and the
   // order counters advance exactly once per committed NewOrder.
   Fabric fabric;
-  auto db = MakeEngine(&fabric, GetParam());
+  auto db = sim::MakeRowEngine(GetParam(), &fabric);
   TpccLite::Config cfg;
   cfg.warehouses = 1;
   cfg.districts_per_warehouse = 2;
@@ -96,9 +97,9 @@ TEST_P(EveryEngineTest, TpccMoneyIsConserved) {
   EXPECT_EQ(orders_issued, 30u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Architectures, EveryEngineTest, ::testing::ValuesIn(kAllEngineKinds),
-    [](const auto& info) { return EngineName(info.param); });
+INSTANTIATE_TEST_SUITE_P(Architectures, EveryEngineTest,
+                         ::testing::ValuesIn(sim::RowEngineNames()),
+                         [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------------
 // Cost-model sanity across architectures: the platform exists to compare
@@ -106,31 +107,29 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------
 
 TEST(PlatformCostTest, WritePathByteOrdering) {
-  std::map<EngineKind, uint64_t> bytes_out;
-  for (EngineKind kind : kAllEngineKinds) {
+  std::map<std::string, uint64_t> bytes_out;
+  for (const std::string& name : sim::RowEngineNames()) {
     Fabric fabric;
-    auto db = MakeEngine(&fabric, kind);
+    auto db = sim::MakeRowEngine(name, &fabric);
     NetContext ctx;
     for (uint64_t k = 0; k < 50; k++) {
       ASSERT_TRUE(db->Put(&ctx, k, std::string(150, 'x')).ok());
     }
-    bytes_out[kind] = ctx.bytes_out;
+    bytes_out[name] = ctx.bytes_out;
   }
   // Page shipping moves the most; single-service log shipping the least
   // among the disaggregated designs; monolithic ships nothing remote but
   // its fsync bytes are counted too.
-  EXPECT_GT(bytes_out[EngineKind::kPolar], bytes_out[EngineKind::kAurora]);
-  EXPECT_GT(bytes_out[EngineKind::kAurora],
-            bytes_out[EngineKind::kSocrates]);
-  EXPECT_GT(bytes_out[EngineKind::kTaurus],
-            bytes_out[EngineKind::kSocrates]);
-  EXPECT_GT(bytes_out[EngineKind::kPolar], bytes_out[EngineKind::kTaurus]);
+  EXPECT_GT(bytes_out["polar"], bytes_out["aurora"]);
+  EXPECT_GT(bytes_out["aurora"], bytes_out["socrates"]);
+  EXPECT_GT(bytes_out["taurus"], bytes_out["socrates"]);
+  EXPECT_GT(bytes_out["polar"], bytes_out["taurus"]);
 }
 
 TEST(PlatformCostTest, EngineNamesAreUnique) {
   std::set<std::string> names;
-  for (EngineKind kind : kAllEngineKinds) {
-    EXPECT_TRUE(names.insert(EngineName(kind)).second);
+  for (const std::string& name : sim::RowEngineNames()) {
+    EXPECT_TRUE(names.insert(name).second);
   }
 }
 

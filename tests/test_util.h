@@ -4,31 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/random.h"
 #include "core/row_engine.h"
-#include "sim/engine_registry.h"
 
 namespace disagg {
 namespace testutil {
-
-/// The engine name list tests iterate over — one source of truth with the
-/// chaos harness (src/sim/engine_registry.h), so a new architecture enrolls
-/// in the CRUD conformance suite, the recovery suite and the chaos runs by
-/// being added in exactly one place.
-inline const std::vector<std::string>& EngineNames() {
-  return sim::RowEngineNames();
-}
-
-inline std::unique_ptr<RowEngine> MakeEngine(const std::string& name,
-                                             Fabric* fabric) {
-  return sim::MakeRowEngine(name, fabric);
-}
 
 /// Seeded transactional workload mixing inserts, updates and deletes with
 /// both committed and aborted transactions. Returns the expected committed
