@@ -3,6 +3,8 @@
 
     scripts/bench_snapshot.py --out BENCH_<n>.json [--build build]
     scripts/bench_snapshot.py --out new.json --compare old.json
+    scripts/bench_snapshot.py --out BENCH_<n>.json --compare old.json \
+        --host-runs 10 [--host-parent <checkout>]
 
 Runs every `<build>/bench/bench_*` binary once (google-benchmark JSON
 output, no DISAGG_*_ASSERT variables) and writes the UserCounters of every
@@ -11,6 +13,17 @@ pure function of the code and its seeds, so two snapshots of the same
 model agree bit for bit. With `--compare`, every counter that was added,
 removed or changed relative to the old snapshot is printed, and the script
 exits 1 unless each of them is declared in EXCLUDED or CHANGED below.
+
+Host mode (`--host-runs N`) also runs the repository benchmark that
+BENCHMARK.json declares (its command, workloads, `run_seconds` and
+end-to-end metrics) on N seeds per workload and stores the host clock as
+data: a `perfbench` block with the median and IQR of each end-to-end
+metric per workload, the raw values in seed order, and a machine
+fingerprint. With `--host-parent`, each seed runs the parent checkout and
+this one as a pair, the parent first on even-numbered pairs and second on
+odd ones, and the block holds both sides. Host numbers are never part of
+the parity gate: `--compare` prints host deltas only between blocks with
+the same fingerprint, and never fails on them.
 """
 
 import argparse
@@ -18,9 +31,14 @@ import fnmatch
 import json
 import math
 import os
+import platform
+import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Counters that are not simulated values, keyed by (binary glob, counter).
 # They are left out of the snapshot.
@@ -109,13 +127,138 @@ def compare(old, new):
     return undeclared
 
 
+# Host mode. The snapshot key holding it is not a bench binary.
+HOST_KEY = "perfbench"
+HOST_FIRST_SEED = 51
+COMPILER = re.compile(r'^# perfbench .* compiler="([^"]*)"')
+
+
+def load_benchmark():
+    """BENCHMARK.json: the benchmark's command, workloads, run length and
+    end-to-end metrics."""
+    with open(ROOT / "BENCHMARK.json") as f:
+        return json.load(f)
+
+
+def perfbench_run(bench, checkout, workload, seed):
+    """One run of the benchmark in `checkout`: (its end-to-end metrics, its
+    compiler)."""
+    out = subprocess.run(
+        bench["command"] + [
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", str(bench["run_seconds"]), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True, check=True).stdout.splitlines()
+    result = json.loads(out[-1])
+    if not result["correct"] or result["failed"]:
+        sys.exit(f"bench_snapshot: perfbench {workload} seed {seed} in "
+                 f"{checkout} failed its checks")
+    compiler = next((m.group(1) for m in map(COMPILER.search, out) if m),
+                    "unknown")
+    return ({m["name"]: result["metrics"][m["name"]]["value"]
+             for m in bench["end_to_end"]}, compiler)
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def summarize(values):
+    """Median, IQR and the raw values (in seed order) of one metric."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "iqr": q3 - q1, "values": values}
+
+
+def host_block(runs, parent):
+    """Runs the benchmark `runs` times per workload (paired with `parent`
+    when given, alternating which side runs first) and returns the
+    snapshot's host block."""
+    bench = load_benchmark()
+    workloads = [w["name"] for w in bench["workloads"]]
+    seeds = list(range(HOST_FIRST_SEED, HOST_FIRST_SEED + runs))
+    sides = ([("parent", parent)] if parent else []) + [("change", ROOT)]
+    values = {side: {w: {m["name"]: [] for m in bench["end_to_end"]}
+                     for w in workloads} for side, _ in sides}
+    compilers = set()
+    for workload in workloads:
+        for pair, seed in enumerate(seeds):
+            for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
+                print(f"bench_snapshot: perfbench {workload} seed {seed} "
+                      f"({side})", file=sys.stderr)
+                metrics, compiler = perfbench_run(bench, checkout, workload,
+                                                  seed)
+                compilers.add(compiler)
+                for m, value in metrics.items():
+                    values[side][workload][m].append(value)
+    block = {
+        "fingerprint": {"cpu": cpu_model(), "vcpus": os.cpu_count(),
+                        "compiler": " / ".join(sorted(compilers))},
+        "seconds": bench["run_seconds"],
+        "seeds": seeds,
+    }
+    for side, _ in sides:
+        block[side] = {w: {m: summarize(v) for m, v in metrics.items()}
+                       for w, metrics in values[side].items()}
+    return block
+
+
+def print_host_deltas(label, old, new):
+    """Prints new vs old medians per workload and metric next to the old
+    IQR and, when both sides have one value per seed, in how many seed
+    pairs the new value is lower."""
+    print(f"host: {label}")
+    for workload in sorted(set(old) & set(new)):
+        for metric in sorted(set(old[workload]) & set(new[workload])):
+            a, b = old[workload][metric], new[workload][metric]
+            delta = (b["median"] / a["median"] - 1) * 100 if a["median"] \
+                else float("nan")
+            pairs = ""
+            if len(a["values"]) == len(b["values"]):
+                lower = sum(y < x for x, y in zip(a["values"], b["values"]))
+                pairs = f", lower in {lower}/{len(a['values'])} pairs"
+            print(f"  {workload} {metric}: {a['median']:.6g} -> "
+                  f"{b['median']:.6g} ({delta:+.1f}%; old IQR "
+                  f"{a['iqr']:.3g}{pairs})")
+
+
+def compare_host(old, new):
+    """Host deltas of the old snapshot's change side vs this one's, when
+    both have a host block from the same machine. Never affects the exit
+    status."""
+    new_block = new.get(HOST_KEY)
+    old_block = old.get(HOST_KEY)
+    if not (old_block and new_block):
+        return
+    if old_block["fingerprint"] != new_block["fingerprint"]:
+        print("host: machine fingerprints differ; no host deltas vs the old "
+              "snapshot")
+        return
+    print_host_deltas("old snapshot -> this snapshot (change sides)",
+                      old_block["change"], new_block["change"])
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build", default="build",
                         help="cmake build tree holding bench/bench_*")
     parser.add_argument("--out", required=True, help="snapshot to write")
     parser.add_argument("--compare", help="older snapshot to diff against")
+    parser.add_argument("--host-runs", type=int, default=0,
+                        help="host mode: perfbench runs (seeds) per workload")
+    parser.add_argument("--host-parent",
+                        help="host mode: parent checkout to alternate with")
     args = parser.parse_args()
+    if args.host_parent and not args.host_runs:
+        parser.error("--host-parent needs --host-runs")
+    if args.host_runs == 1:
+        parser.error("--host-runs needs at least two runs for an IQR")
 
     binaries = sorted(p for p in Path(args.build, "bench").glob("bench_*")
                       if p.is_file() and os.access(p, os.X_OK))
@@ -125,17 +268,27 @@ def main():
     for path in binaries:
         print(f"bench_snapshot: {path.name}", file=sys.stderr)
         snapshot[path.name] = run_binary(path)
+    if args.host_runs:
+        snapshot[HOST_KEY] = host_block(args.host_runs, args.host_parent)
     with open(args.out, "w") as f:
         json.dump(snapshot, f, indent=1, sort_keys=True)
         f.write("\n")
-    cases = sum(len(c) for c in snapshot.values())
-    print(f"bench_snapshot: {len(snapshot)} binaries, {cases} cases -> "
+    cases = sum(len(c) for b, c in snapshot.items() if b != HOST_KEY)
+    print(f"bench_snapshot: {len(binaries)} binaries, {cases} cases -> "
           f"{args.out}", file=sys.stderr)
+
+    if args.host_parent:
+        print_host_deltas("parent -> change (this snapshot)",
+                          snapshot[HOST_KEY]["parent"],
+                          snapshot[HOST_KEY]["change"])
 
     if args.compare:
         with open(args.compare) as f:
             old = json.load(f)
-        undeclared = compare(old, snapshot)
+        compare_host(old, snapshot)
+        undeclared = compare(
+            {b: c for b, c in old.items() if b != HOST_KEY},
+            {b: c for b, c in snapshot.items() if b != HOST_KEY})
         print(f"bench_snapshot: {undeclared} undeclared difference(s) vs "
               f"{args.compare}")
         return 1 if undeclared else 0

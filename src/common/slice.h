@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace disagg {
 
@@ -58,6 +59,31 @@ class Slice {
 /// none may change them. One redo batch crosses the fabric and lands in
 /// several stores as one such buffer.
 using SharedBytes = std::shared_ptr<const std::string>;
+
+/// Shared bytes a caller hands along with a request that lies in them, so a
+/// handler that keeps the request references them instead of copying.
+/// Types that know more about their bytes (a redo batch's record index)
+/// extend this; that knowledge holds for a request only when the request is
+/// exactly these bytes (`Holds`).
+class RequestOwner {
+ public:
+  explicit RequestOwner(SharedBytes bytes) : bytes_(std::move(bytes)) {}
+  RequestOwner(const RequestOwner&) = default;
+  RequestOwner(RequestOwner&&) = default;
+  RequestOwner& operator=(const RequestOwner&) = default;
+  RequestOwner& operator=(RequestOwner&&) = default;
+  virtual ~RequestOwner() = default;
+
+  const SharedBytes& bytes() const { return bytes_; }
+  /// Whether `request` is these bytes themselves: same address, same size.
+  bool Holds(const Slice& request) const {
+    return bytes_ != nullptr && bytes_->data() == request.data() &&
+           bytes_->size() == request.size();
+  }
+
+ private:
+  SharedBytes bytes_;
+};
 
 inline bool operator==(const Slice& a, const Slice& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;

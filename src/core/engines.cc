@@ -79,8 +79,8 @@ class XlogSink : public LogBackend {
   LogStoreService* service() { return service_.get(); }
 
   Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
-    return client_->Append(ctx, std::make_shared<const std::string>(
-                                    records.Batch(0, records.size())));
+    return client_->Append(ctx,
+                           RedoBatch::Encode(records, 0, records.size()));
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
     return client_->ReadFrom(ctx, 0, ~0ull);
@@ -109,9 +109,9 @@ class MultiLogSink : public LogBackend {
   }
 
   Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
-    // One batch, referenced by every store rather than copied into each.
-    const auto batch =
-        std::make_shared<const std::string>(records.Batch(0, records.size()));
+    // One batch, scanned once and referenced by every store rather than
+    // copied into each.
+    const RedoBatch batch = RedoBatch::Encode(records, 0, records.size());
     int acks = 0;
     Lsn lsn = kInvalidLsn;
     (void)FanOut(ctx, nodes_, [&](NodeId node, NetContext* branch) {
@@ -271,9 +271,8 @@ Status AuroraDb::OnCommit(NetContext* ctx,
   if (segment_ == nullptr && !records.empty()) {
     // Shared-log mode: the log fleet is dumb storage, so redo reaches the
     // page-materialization replicas here (parallel fan-out, all copies),
-    // each referencing this one batch.
-    const auto batch =
-        std::make_shared<const std::string>(LogRecord::EncodeBatch(records));
+    // each referencing this one batch and its index.
+    const RedoBatch batch = RedoBatch::Encode(records);
     DISAGG_RETURN_NOT_OK(
         FanOut(ctx, page_nodes_, [&](NodeId node, NetContext* branch) {
           PageStoreClient client(fabric_, node);
@@ -411,9 +410,9 @@ Status SocratesDb::PropagateLogs(NetContext* ctx) {
   DISAGG_ASSIGN_OR_RETURN(std::vector<LogRecord> records,
                           sink_->ReadFrom(ctx, propagated_lsn_));
   if (records.empty()) return Status::OK();
-  // One batch, referenced by every page server rather than copied into each.
-  const auto batch =
-      std::make_shared<const std::string>(LogRecord::EncodeBatch(records));
+  // One batch, scanned once and referenced by every page server rather than
+  // copied into each.
+  const RedoBatch batch = RedoBatch::Encode(records);
   DISAGG_RETURN_NOT_OK(
       FanOut(ctx, page_nodes_, [&](NodeId node, NetContext* branch) {
         return PageStoreClient(fabric_, node).ApplyLog(branch, batch).status();

@@ -471,13 +471,13 @@ Status Fabric::ExecuteBatch(NetContext* ctx, NodeId node_id,
 
 Status Fabric::Call(NetContext* ctx, NodeId node_id, const std::string& method,
                     Slice request, std::string* response,
-                    const SharedBytes& request_owner) {
+                    const RequestOwner* request_owner) {
   FabricOp op;
   op.verb = FabricVerb::kRpc;
   op.node = node_id;
   op.method = &method;
   op.request = request;
-  op.request_owner = &request_owner;
+  op.request_owner = request_owner;
   op.response = response;
   return Execute(&op, ctx);
 }

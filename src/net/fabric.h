@@ -101,18 +101,26 @@ struct RpcServerContext {
   void ChargeCompute(uint64_t ns) { compute_ns += ns; }
 
   /// Owner of the request bytes, as passed to `Fabric::Call` (may be null).
-  const SharedBytes* request_owner = nullptr;
+  const RequestOwner* request_owner = nullptr;
+
+  /// The caller's owner when its bytes are exactly `request` (same address
+  /// and size), else null. Only then may a handler rely on what the owner
+  /// knows about its bytes (a redo batch's record index): a request with no
+  /// owner, a foreign owner (an interceptor rewrote the request, a caller
+  /// passed the wrong buffer) or a mere prefix of the owner's bytes is
+  /// parsed from scratch.
+  const RequestOwner* ExactOwner(Slice request) const {
+    return request_owner != nullptr && request_owner->Holds(request)
+               ? request_owner
+               : nullptr;
+  }
 
   /// A shared buffer holding exactly `request`'s bytes, for a handler that
-  /// keeps them past the call: the caller's owner when its bytes are
-  /// `request` itself (same address and size), else one new copy. Handlers
-  /// validate a request before retaining it.
+  /// keeps them past the call: the exact owner's bytes (`ExactOwner`), else
+  /// one new copy. Handlers validate a request before retaining it. Only
+  /// the bytes are retained, never the owner itself.
   SharedBytes RetainRequest(Slice request) const {
-    if (request_owner != nullptr && *request_owner != nullptr &&
-        (*request_owner)->data() == request.data() &&
-        (*request_owner)->size() == request.size()) {
-      return *request_owner;
-    }
+    if (const RequestOwner* owner = ExactOwner(request)) return owner->bytes();
     return std::make_shared<const std::string>(request.data(), request.size());
   }
 };
@@ -300,12 +308,15 @@ class Fabric {
 
   // ---- Two-sided (RPC, involves remote CPU) --------------------------
 
-  /// `request_owner`, when set, owns the request bytes; a handler that keeps
-  /// them takes a reference instead of a copy (`RpcServerContext::
-  /// RetainRequest`). It changes no cost: the wire still carries `request`.
+  /// `request_owner`, when set, owns the request bytes and must outlive the
+  /// call; a handler that keeps them takes a reference instead of a copy
+  /// (`RpcServerContext::RetainRequest`), and one whose request is exactly
+  /// the owner's bytes may use what the owner knows about them
+  /// (`RpcServerContext::ExactOwner`). It changes no cost: the wire still
+  /// carries `request`.
   Status Call(NetContext* ctx, NodeId node_id, const std::string& method,
               Slice request, std::string* response,
-              const SharedBytes& request_owner = nullptr);
+              const RequestOwner* request_owner = nullptr);
 
   // ---- The unified op pipeline ---------------------------------------
 
@@ -447,7 +458,7 @@ struct FabricOp {
   // RPC.
   const std::string* method = nullptr;
   Slice request{};
-  const SharedBytes* request_owner = nullptr;  ///< see `Fabric::Call`
+  const RequestOwner* request_owner = nullptr;  ///< see `Fabric::Call`
   std::string* response = nullptr;
 
   // ---- Outputs -------------------------------------------------------

@@ -140,14 +140,6 @@ EncodedRecords::EncodedRecords(const std::vector<LogRecord>& records) {
   for (const LogRecord& r : records) Append(r);
 }
 
-void EncodedRecords::Index(Lsn lsn, size_t offset, size_t length) {
-  DISAGG_CHECK(offset + length <= UINT32_MAX);  // buffers stay below 4 GiB
-  index_.push_back(
-      {lsn, first_buffer_ + static_cast<uint32_t>(buffers_.size() - 1),
-       static_cast<uint32_t>(offset), static_cast<uint32_t>(length)});
-  bytes_ += length;
-}
-
 char* EncodedRecords::Place(Lsn lsn, size_t n) {
   if (tail_ == nullptr || tail_capacity_ - tail_used_ < n) {
     const size_t step = tail_ == nullptr
@@ -168,15 +160,6 @@ char* EncodedRecords::Place(Lsn lsn, size_t n) {
 
 void EncodedRecords::Append(const LogRecord& record) {
   record.EncodeTo(Place(record.lsn, record.EncodedSize()));
-}
-
-void EncodedRecords::Append(Lsn lsn, const SharedBytes& buffer, size_t offset,
-                            size_t length) {
-  const char* data = buffer->data();
-  if (buffers_.empty() || buffers_.back().get() != data) {
-    buffers_.emplace_back(buffer, data);
-  }
-  Index(lsn, offset, length);
 }
 
 void EncodedRecords::Append(const EncodedRecords& records, size_t i) {
@@ -267,6 +250,30 @@ void EncodedRecords::Clear() {
   } else {
     tail_ = nullptr;
   }
+}
+
+RedoBatch::RedoBatch(SharedBytes bytes, std::vector<LogRecordSpan> spans)
+    : RequestOwner(std::move(bytes)), spans_(std::move(spans)) {}
+
+Result<RedoBatch> RedoBatch::Index(SharedBytes bytes) {
+  std::vector<LogRecordSpan> spans;
+  DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(*bytes, &spans));
+  return RedoBatch(std::move(bytes), std::move(spans));
+}
+
+RedoBatch RedoBatch::Encode(const std::vector<LogRecord>& records) {
+  auto batch = Index(
+      std::make_shared<const std::string>(LogRecord::EncodeBatch(records)));
+  DISAGG_CHECK(batch.ok());  // a fresh encoding always scans
+  return std::move(batch).value();
+}
+
+RedoBatch RedoBatch::Encode(const EncodedRecords& records, size_t from,
+                            size_t count) {
+  auto batch =
+      Index(std::make_shared<const std::string>(records.Batch(from, count)));
+  DISAGG_CHECK(batch.ok());  // indexed records are whole, valid encodings
+  return std::move(batch).value();
 }
 
 Status ApplyRedo(Page* page, const LogRecord& record) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/result.h"
 #include "common/slice.h"
 #include "storage/page.h"
@@ -176,6 +177,58 @@ class EncodedRecords {
   std::shared_ptr<char[]> tail_;
   size_t tail_capacity_ = 0;
   size_t tail_used_ = 0;
+};
+
+// Inline: the segment history and every log and page store append each
+// record of each commit batch by reference, so these run many times per
+// record.
+inline void EncodedRecords::Index(Lsn lsn, size_t offset, size_t length) {
+  DISAGG_CHECK(offset + length <= UINT32_MAX);  // buffers stay below 4 GiB
+  index_.push_back(
+      {lsn, first_buffer_ + static_cast<uint32_t>(buffers_.size() - 1),
+       static_cast<uint32_t>(offset), static_cast<uint32_t>(length)});
+  bytes_ += length;
+}
+
+inline void EncodedRecords::Append(Lsn lsn, const SharedBytes& buffer,
+                                   size_t offset, size_t length) {
+  const char* data = buffer->data();
+  if (buffers_.empty() || buffers_.back().get() != data) {
+    buffers_.emplace_back(buffer, data);
+  }
+  Index(lsn, offset, length);
+}
+
+/// One redo batch as it ships: bytes in `LogRecord::EncodeBatch`'s format
+/// plus the per-record index that one `ScanBatch` of them built, made only
+/// by the factories below, so `ScanBatch` stays the one record parser.
+///
+/// A batch is the request owner of the `log.append` and `page.apply_log`
+/// calls that carry it (`LogStoreClient::Append`, `PageStoreClient::
+/// ApplyLog`). A handler whose request is exactly the batch's bytes
+/// (`RpcServerContext::ExactOwner`) uses the index instead of scanning
+/// again, so a commit fanned out to twelve stores is scanned once; any
+/// other request is scanned as it arrives. Stores keep the bytes, never
+/// the index: the spans live only as long as the batch object.
+class RedoBatch final : public RequestOwner {
+ public:
+  /// Indexes `bytes` with one `ScanBatch`; fails exactly when it does.
+  static Result<RedoBatch> Index(SharedBytes bytes);
+  /// Encodes `records` into a new batch.
+  static RedoBatch Encode(const std::vector<LogRecord>& records);
+  /// Copies records [from, from + count) of `records` into a new batch.
+  static RedoBatch Encode(const EncodedRecords& records, size_t from,
+                          size_t count);
+
+  /// The batch's bytes as a request.
+  Slice request() const { return Slice(*bytes()); }
+  /// One span per record, in batch order, each inside `bytes()`.
+  const std::vector<LogRecordSpan>& spans() const { return spans_; }
+
+ private:
+  RedoBatch(SharedBytes bytes, std::vector<LogRecordSpan> spans);
+
+  std::vector<LogRecordSpan> spans_;
 };
 
 /// Applies a redo record to a page. Idempotent: records at or below the

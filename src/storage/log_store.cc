@@ -55,16 +55,21 @@ std::vector<LogRecord> LogStoreService::SnapshotFrom(Lsn from_exclusive) const {
 
 Status LogStoreService::HandleAppend(Slice req, std::string* resp,
                                      RpcServerContext* sctx) {
+  const auto* indexed = dynamic_cast<const RedoBatch*>(sctx->ExactOwner(req));
   std::lock_guard<std::mutex> lock(mu_);
-  DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(req, &scan_));
+  if (indexed == nullptr) {
+    DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(req, &scan_));
+  }
+  const std::vector<LogRecordSpan>& spans =
+      indexed != nullptr ? indexed->spans() : scan_;
   SharedBytes batch;  // retained once the first new record is found
-  for (const LogRecordSpan& r : scan_) {
+  for (const LogRecordSpan& r : spans) {
     if (r.lsn <= durable_lsn_) continue;  // idempotent re-send
     if (batch == nullptr) batch = sctx->RetainRequest(req);
     durable_lsn_ = r.lsn;
     log_.Append(r.lsn, batch, r.bytes.data() - req.data(), r.bytes.size());
   }
-  sctx->ChargeCompute(kAppendNsPerRecord * scan_.size());
+  sctx->ChargeCompute(kAppendNsPerRecord * spans.size());
   resp->clear();
   PutVarint64(resp, durable_lsn_);
   return Status::OK();
@@ -110,9 +115,10 @@ Status LogStoreService::HandleTruncate(Slice req, std::string* resp,
   return Status::OK();
 }
 
-Result<Lsn> LogStoreClient::Append(NetContext* ctx, const SharedBytes& batch) {
+Result<Lsn> LogStoreClient::Append(NetContext* ctx, const RedoBatch& batch) {
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "log.append", *batch, &resp, batch);
+  Status st =
+      fabric_->Call(ctx, node_, "log.append", batch.request(), &resp, &batch);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t lsn = 0;

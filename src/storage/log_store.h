@@ -30,6 +30,10 @@ namespace disagg {
 /// reference to the request batch (`RpcServerContext::RetainRequest`):
 /// `log.read` returns stored bytes without re-encoding, and records are
 /// decoded only when a co-located caller asks for them (SnapshotFrom).
+/// `log.append` takes its records from the index of an exact `RedoBatch`
+/// owner (`RpcServerContext::ExactOwner`) and scans any other request;
+/// either way it walks the records one by one. The log keeps the batch's
+/// bytes, never its index.
 ///
 /// All state is behind a mutex; handler compute time is charged to callers
 /// via RpcServerContext.
@@ -57,7 +61,7 @@ class LogStoreService {
   mutable std::mutex mu_;
   // In increasing LSN order: appends only accept lsn > durable_lsn_.
   EncodedRecords log_;
-  // log.append's scan of the request, reused across requests (mu_).
+  // log.append's scan of an unindexed request, reused across requests (mu_).
   std::vector<LogRecordSpan> scan_;
   Lsn durable_lsn_ = kInvalidLsn;
 };
@@ -69,13 +73,13 @@ class LogStoreClient {
 
   NodeId node() const { return node_; }
 
-  /// Appends a pre-encoded batch (LogRecord::EncodeBatch's format). The
-  /// store keeps a reference to `batch` rather than a copy, so a caller
-  /// fanning one batch out to several stores encodes and stores it once.
-  Result<Lsn> Append(NetContext* ctx, const SharedBytes& batch);
+  /// Appends an indexed batch. The store keeps a reference to its bytes
+  /// rather than a copy and reuses its index rather than scanning, so a
+  /// caller fanning one batch out to several stores encodes, scans and
+  /// stores it once.
+  Result<Lsn> Append(NetContext* ctx, const RedoBatch& batch);
   Result<Lsn> Append(NetContext* ctx, const std::vector<LogRecord>& records) {
-    return Append(ctx, std::make_shared<const std::string>(
-                           LogRecord::EncodeBatch(records)));
+    return Append(ctx, RedoBatch::Encode(records));
   }
   Result<std::vector<LogRecord>> ReadFrom(NetContext* ctx, Lsn from_exclusive,
                                           uint64_t max_records = 1024);

@@ -116,10 +116,15 @@ Status PageStoreService::MaterializeLocked(PageId id) {
 
 Status PageStoreService::HandleApplyLog(Slice req, std::string* resp,
                                         RpcServerContext* sctx) {
+  const auto* indexed = dynamic_cast<const RedoBatch*>(sctx->ExactOwner(req));
   std::lock_guard<std::mutex> lock(mu_);
-  DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(req, &scan_));
+  if (indexed == nullptr) {
+    DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(req, &scan_));
+  }
+  const std::vector<LogRecordSpan>& spans =
+      indexed != nullptr ? indexed->spans() : scan_;
   SharedBytes batch;  // retained once the first page record is found
-  for (const LogRecordSpan& r : scan_) {
+  for (const LogRecordSpan& r : spans) {
     if (r.lsn > high_water_lsn_) high_water_lsn_ = r.lsn;
     if (r.page_id == kInvalidPageId) continue;  // txn control records
     if (batch == nullptr) batch = sctx->RetainRequest(req);
@@ -127,7 +132,7 @@ Status PageStoreService::HandleApplyLog(Slice req, std::string* resp,
                                r.bytes.size());
   }
   // Receiving/queueing is cheap; replay cost is paid at materialization.
-  sctx->ChargeCompute(30 * scan_.size());
+  sctx->ChargeCompute(30 * spans.size());
   resp->clear();
   PutVarint64(resp, high_water_lsn_);
   return Status::OK();
@@ -164,10 +169,10 @@ Status PageStoreService::HandleGet(Slice req, std::string* resp,
 }
 
 Result<Lsn> PageStoreClient::ApplyLog(NetContext* ctx,
-                                      const SharedBytes& batch) {
+                                      const RedoBatch& batch) {
   std::string resp;
-  Status st =
-      fabric_->Call(ctx, node_, "page.apply_log", *batch, &resp, batch);
+  Status st = fabric_->Call(ctx, node_, "page.apply_log", batch.request(),
+                            &resp, &batch);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t lsn = 0;

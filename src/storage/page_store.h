@@ -24,7 +24,10 @@ namespace disagg {
 /// page image plus its LSN. Pending redo is queued per page as references
 /// into the request batch it arrived in (`RpcServerContext::RetainRequest`)
 /// and decoded only at materialization, so a page's pending redo keeps its
-/// whole batch alive until the page is materialized.
+/// whole batch alive until the page is materialized. `page.apply_log` walks
+/// the index of an exact `RedoBatch` owner (`RpcServerContext::ExactOwner`)
+/// and scans any other request; either way it queues the batch's bytes,
+/// never its index.
 class PageStoreService {
  public:
   PageStoreService(Fabric* fabric, NodeId node);
@@ -61,7 +64,8 @@ class PageStoreService {
   std::map<PageId, Page> pages_;
   // Each page's queued redo in arrival order, re-sent duplicates included.
   std::unordered_map<PageId, EncodedRecords> pending_;
-  // page.apply_log's scan of the request, reused across requests (mu_).
+  // page.apply_log's scan of an unindexed request, reused across requests
+  // (mu_).
   std::vector<LogRecordSpan> scan_;
   Lsn high_water_lsn_ = kInvalidLsn;
 };
@@ -73,15 +77,14 @@ class PageStoreClient {
 
   NodeId node() const { return node_; }
 
-  /// Ships redo records (log shipping) as a pre-encoded batch
-  /// (LogRecord::EncodeBatch's format). The store queues references into
-  /// `batch` rather than copies, so a caller fanning one batch out to
-  /// several stores encodes and stores it once. Returns the store's
+  /// Ships redo records (log shipping) as an indexed batch. The store
+  /// queues references into its bytes rather than copies and reuses its
+  /// index rather than scanning, so a caller fanning one batch out to
+  /// several stores encodes, scans and stores it once. Returns the store's
   /// high-water LSN.
-  Result<Lsn> ApplyLog(NetContext* ctx, const SharedBytes& batch);
+  Result<Lsn> ApplyLog(NetContext* ctx, const RedoBatch& batch);
   Result<Lsn> ApplyLog(NetContext* ctx, const std::vector<LogRecord>& records) {
-    return ApplyLog(ctx, std::make_shared<const std::string>(
-                             LogRecord::EncodeBatch(records)));
+    return ApplyLog(ctx, RedoBatch::Encode(records));
   }
 
   /// Ships a full page image (page shipping).

@@ -1,10 +1,9 @@
 #include "storage/quorum.h"
 
 #include <algorithm>
+#include <optional>
 #include <ranges>
 #include <string>
-
-#include "common/coding.h"
 
 namespace disagg {
 
@@ -33,17 +32,14 @@ Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
                                          const EncodedRecords& records) {
   std::lock_guard<std::mutex> lock(mu_);
   // Fault-free every replica's un-acked suffix is exactly `records`, so all
-  // of them share this one request for both the log and the page service,
-  // and every store keeps a reference to it instead of a copy. The history
-  // indexes the same bytes.
-  const auto batch =
-      std::make_shared<const std::string>(records.Batch(0, records.size()));
+  // of them share this one indexed batch for both the log and the page
+  // service: it is scanned once, here, and every store keeps a reference
+  // to its bytes instead of a copy. The history indexes the same bytes.
+  const RedoBatch batch = RedoBatch::Encode(records, 0, records.size());
   const size_t first_new = history_.size();
-  size_t offset = VarintLength(records.size());
-  for (size_t i = 0; i < records.size(); i++) {
-    const size_t length = records.record(i).size();
-    history_.Append(records.lsn(i), batch, offset, length);
-    offset += length;
+  for (const LogRecordSpan& r : batch.spans()) {
+    history_.Append(r.lsn, batch.bytes(),
+                    r.bytes.data() - batch.bytes()->data(), r.bytes.size());
   }
   size_t fanout = replicas_.size();
 #ifdef DISAGG_CHAOS_MUTATION
@@ -59,12 +55,12 @@ Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
                [&](size_t i, NetContext* branch) {
     // Resync: a replica that missed earlier appends gets everything it has
     // not acked yet, so the new records never land with a gap in front.
-    SharedBytes resync;
+    std::optional<RedoBatch> resync;
     if (next_idx_[i] != first_new) {
-      resync = std::make_shared<const std::string>(
-          history_.Batch(next_idx_[i], history_.size() - next_idx_[i]));
+      resync = RedoBatch::Encode(history_, next_idx_[i],
+                                 history_.size() - next_idx_[i]);
     }
-    const SharedBytes& req = resync != nullptr ? resync : batch;
+    const RedoBatch& req = resync.has_value() ? *resync : batch;
     LogStoreClient log_client(fabric_, replicas_[i].node);
     PageStoreClient page_client(fabric_, replicas_[i].node);
     auto r = log_client.Append(branch, req);

@@ -9,7 +9,6 @@
 #include "net/net_context.h"
 #include "storage/log_backend.h"
 #include "storage/log_record.h"
-#include "storage/log_store.h"
 #include "storage/quorum.h"
 
 namespace disagg {
@@ -32,27 +31,6 @@ class LocalDiskSink : public LogBackend {
   std::mutex mu_;
   EncodedRecords records_;
   Lsn durable_ = kInvalidLsn;
-};
-
-/// Sink writing to a LogStoreService over the fabric.
-class LogServiceSink : public LogBackend {
- public:
-  LogServiceSink(Fabric* fabric, NodeId node) : client_(fabric, node) {}
-
-  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
-    return client_.Append(ctx, std::make_shared<const std::string>(
-                                   records.Batch(0, records.size())));
-  }
-  Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
-    return client_.ReadFrom(ctx, 0, ~0ull);
-  }
-  Result<std::vector<LogRecord>> ReadFrom(NetContext* ctx,
-                                          Lsn from_exclusive) override {
-    return client_.ReadFrom(ctx, from_exclusive, ~0ull);
-  }
-
- private:
-  LogStoreClient client_;
 };
 
 /// Sink writing through an Aurora-style replicated segment quorum.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -181,9 +182,12 @@ TEST(LogCodecTest, HostileBatchCountBoundsTheReservation) {
 }
 
 // Every rejected payload must fail log.append and page.apply_log with a
-// status and leave both stores exactly as they were — sent bare, with a
-// shared owner of exactly its bytes, and with an owner of other (valid)
-// bytes, which a handler must neither trust nor retain.
+// status and leave both stores exactly as they were — sent bare; with a
+// shared owner of exactly its bytes; with an owner of other (valid) bytes,
+// plain or indexed, which a handler must neither trust nor retain. Every
+// strict prefix of an indexed batch's own bytes (same address, shorter
+// size) is rejected too: the index describes bytes that are not the
+// request.
 TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
   Fabric fabric;
   const NodeId node =
@@ -213,22 +217,43 @@ TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
   for (int round = 0; round < 8; round++) {
     const std::string good =
         LogRecord::EncodeBatch(WalBatch(&rng, 100 + round * 8));
-    const auto other = std::make_shared<const std::string>(good);
+    const RequestOwner other(std::make_shared<const std::string>(good));
+    auto indexed = RedoBatch::Index(std::make_shared<const std::string>(good));
+    ASSERT_TRUE(indexed.ok());
     for (const std::string& input : HostileCorpus(good, &rng)) {
       if (LogRecord::DecodeBatch(input).ok()) continue;
       rejected++;
-      const auto owned = std::make_shared<const std::string>(input);
+      const RequestOwner owned(std::make_shared<const std::string>(input));
+      const long refs[] = {owned.bytes().use_count(),
+                           other.bytes().use_count(),
+                           indexed->bytes().use_count()};
       std::string resp;
       for (const std::string method : {"log.append", "page.apply_log"}) {
         EXPECT_FALSE(fabric.Call(&ctx, node, method, input, &resp).ok());
+        EXPECT_FALSE(fabric.Call(&ctx, node, method, *owned.bytes(), &resp,
+                                 &owned)
+                         .ok());
         EXPECT_FALSE(
-            fabric.Call(&ctx, node, method, *owned, &resp, owned).ok());
+            fabric.Call(&ctx, node, method, input, &resp, &other).ok());
         EXPECT_FALSE(
-            fabric.Call(&ctx, node, method, input, &resp, other).ok());
+            fabric.Call(&ctx, node, method, input, &resp, &*indexed).ok());
       }
-      EXPECT_EQ(owned.use_count(), 1);
-      EXPECT_EQ(other.use_count(), 1);
+      EXPECT_EQ(owned.bytes().use_count(), refs[0]);
+      EXPECT_EQ(other.bytes().use_count(), refs[1]);
+      EXPECT_EQ(indexed->bytes().use_count(), refs[2]);
     }
+    const long refs = indexed->bytes().use_count();
+    std::string resp;
+    for (size_t k = 0; k < good.size(); k++) {
+      const Slice prefix(indexed->bytes()->data(), k);
+      for (const std::string method : {"log.append", "page.apply_log"}) {
+        EXPECT_FALSE(
+            fabric.Call(&ctx, node, method, prefix, &resp, &*indexed).ok())
+            << method << " accepted a " << k << "-byte prefix of a "
+            << good.size() << "-byte batch";
+      }
+    }
+    EXPECT_EQ(indexed->bytes().use_count(), refs);
   }
   ASSERT_GT(rejected, 0u);
   EXPECT_EQ(read_all(), log_bytes);
@@ -236,6 +261,187 @@ TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
   EXPECT_EQ(pages.pending_records(), pending);
   EXPECT_EQ(pages.high_water_lsn(), high_water);
   EXPECT_EQ(pages.PageVersions(), versions);
+}
+
+// Redo for a handful of pages that materializes cleanly: inserts take each
+// page's next slot, updates rewrite a slot that exists with a payload of
+// the same size, and control records carry no page.
+class PageRedoGen {
+ public:
+  explicit PageRedoGen(uint64_t seed) : rng_(seed) {}
+
+  LogRecord Next(Lsn lsn) {
+    LogRecord r;
+    r.lsn = lsn;
+    r.txn_id = 1 + rng_() % 4;
+    const uint64_t kind = rng_() % 6;
+    if (kind == 0) {
+      r.type = rng_() % 2 == 0 ? LogType::kTxnBegin : LogType::kTxnCommit;
+      return r;
+    }
+    r.page_id = rng_() % kPages;
+    uint16_t& slots = slots_[r.page_id];
+    // Fixed width: an in-place update cannot grow a record.
+    r.payload = std::to_string(lsn);
+    r.payload.insert(0, 24 - r.payload.size(), 'v');
+    if (kind < 3 && slots > 0) {
+      r.type = LogType::kUpdate;
+      r.slot = static_cast<uint16_t>(rng_() % slots);
+    } else {
+      r.type = LogType::kInsert;
+      r.slot = slots++;
+    }
+    return r;
+  }
+
+  // `n` records with LSNs first, first + 1, ...
+  std::vector<LogRecord> Batch(Lsn first, size_t n) {
+    std::vector<LogRecord> out;
+    for (size_t i = 0; i < n; i++) out.push_back(Next(first + i));
+    return out;
+  }
+
+  std::mt19937_64* rng() { return &rng_; }
+
+ private:
+  static constexpr PageId kPages = 6;
+  std::mt19937_64 rng_;
+  std::map<PageId, uint16_t> slots_;
+};
+
+// A log store and a page store fed through the indexed path (a RedoBatch
+// owner of exactly the request) end in the same state as a twin pair fed
+// the same bytes with no owner, which scans every request: the same
+// responses and charges, log.read bytes, durable LSN, page versions,
+// pending redo and materialized pages. The batches include fresh WAL
+// batches, re-sent duplicates, a lagging replica's resync suffix (old
+// records in front of new ones), control records only, and LSNs that do
+// not increase.
+TEST(LogCodecTest, IndexedBatchesLeaveStoresAsScannedBatchesDo) {
+  for (uint64_t seed = 1; seed <= 6; seed++) {
+    SCOPED_TRACE(seed);
+    PageRedoGen gen(0x5eed0200 + seed);
+    std::mt19937_64& rng = *gen.rng();
+    Fabric fabric;
+    const NodeId indexed_node =
+        fabric.AddNode("indexed", NodeKind::kStorage, InterconnectModel::Ssd());
+    const NodeId scanned_node =
+        fabric.AddNode("scanned", NodeKind::kStorage, InterconnectModel::Ssd());
+    LogStoreService indexed_log(&fabric, indexed_node);
+    LogStoreService scanned_log(&fabric, scanned_node);
+    PageStoreService indexed_pages(&fabric, indexed_node);
+    PageStoreService scanned_pages(&fabric, scanned_node);
+    NetContext indexed_ctx, scanned_ctx;
+
+    auto send = [&](const RedoBatch& batch) {
+      const std::string copy = *batch.bytes();  // same bytes, no owner
+      for (const std::string method : {"log.append", "page.apply_log"}) {
+        std::string indexed_resp, scanned_resp;
+        ASSERT_TRUE(fabric
+                        .Call(&indexed_ctx, indexed_node, method,
+                              batch.request(), &indexed_resp, &batch)
+                        .ok());
+        ASSERT_TRUE(fabric
+                        .Call(&scanned_ctx, scanned_node, method, copy,
+                              &scanned_resp)
+                        .ok());
+        ASSERT_EQ(indexed_resp, scanned_resp) << method;
+      }
+    };
+    auto read_all = [&](NodeId node, NetContext* ctx) {
+      std::string req, resp;
+      PutVarint64(&req, 0);
+      PutVarint64(&req, ~uint64_t{0});
+      EXPECT_TRUE(fabric.Call(ctx, node, "log.read", req, &resp).ok());
+      return resp;
+    };
+    auto expect_twins = [&] {
+      EXPECT_EQ(read_all(indexed_node, &indexed_ctx),
+                read_all(scanned_node, &scanned_ctx));
+      EXPECT_EQ(indexed_log.durable_lsn(), scanned_log.durable_lsn());
+      EXPECT_EQ(indexed_pages.PageVersions(), scanned_pages.PageVersions());
+      EXPECT_EQ(indexed_pages.pending_records(),
+                scanned_pages.pending_records());
+      EXPECT_EQ(indexed_pages.high_water_lsn(),
+                scanned_pages.high_water_lsn());
+      EXPECT_EQ(indexed_ctx.sim_ns, scanned_ctx.sim_ns);
+    };
+
+    Lsn next = 1;
+    EncodedRecords history;  // everything shipped, for resync suffixes
+    std::vector<RedoBatch> sent;
+    auto fresh = [&](size_t n) {
+      const std::vector<LogRecord> records = gen.Batch(next, n);
+      next += n;
+      for (const LogRecord& r : records) history.Append(r);
+      return RedoBatch::Encode(records);
+    };
+    for (int step = 0; step < 40; step++) {
+      switch (rng() % 6) {
+        case 0:
+        case 1: {  // a fresh WAL batch
+          sent.push_back(fresh(1 + rng() % 6));
+          send(sent.back());
+          break;
+        }
+        case 2: {  // a re-sent duplicate
+          if (!sent.empty()) send(sent[rng() % sent.size()]);
+          break;
+        }
+        case 3: {  // a lagging replica's resync suffix: records it missed
+                   // (never sent here) behind some it already holds
+          const size_t shipped = history.size();
+          for (int missed = 1 + rng() % 2; missed > 0; missed--) {
+            (void)fresh(1 + rng() % 4);
+          }
+          const size_t from = rng() % (shipped + 1);
+          const RedoBatch resync =
+              RedoBatch::Encode(history, from, history.size() - from);
+          send(resync);
+          break;
+        }
+        case 4: {  // control records only: no page id at all
+          std::vector<LogRecord> control(1 + rng() % 3);
+          for (LogRecord& r : control) {
+            r.lsn = next++;
+            r.type = LogType::kTxnCommit;
+          }
+          for (const LogRecord& r : control) history.Append(r);
+          send(RedoBatch::Encode(control));
+          break;
+        }
+        case 5: {  // LSNs that do not increase: a later record first, an
+                   // old LSN at the end (the page record keeps its page's
+                   // redo in LSN order, so pages still materialize)
+          std::vector<LogRecord> records(4);
+          records[0].lsn = next + 2;
+          records[1] = gen.Next(next);
+          records[2].lsn = next + 1;
+          records[3].lsn = 1 + rng() % next;
+          for (size_t i : {0, 2, 3}) records[i].type = LogType::kTxnAbort;
+          next += 3;
+          const RedoBatch batch = RedoBatch::Encode(records);
+          send(batch);
+          break;
+        }
+      }
+      expect_twins();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(indexed_pages.MaterializeAll(), scanned_pages.MaterializeAll());
+    EXPECT_EQ(indexed_pages.pending_records(), 0u);  // every page applied
+    expect_twins();
+    const auto versions = indexed_pages.PageVersions();
+    ASSERT_FALSE(versions.empty());
+    for (const auto& [id, lsn] : versions) {
+      auto a = indexed_pages.PeekPage(id);
+      auto b = scanned_pages.PeekPage(id);
+      ASSERT_EQ(a.ok(), b.ok()) << "page " << id;
+      if (a.ok()) {
+        EXPECT_EQ(Slice(a->data(), kPageSize), Slice(b->data(), kPageSize));
+      }
+    }
+  }
 }
 
 // EncodedRecords against a reference vector under seeded random sequences
@@ -310,21 +516,22 @@ TEST(EncodedRecordsTest, MatchesReferenceUnderRandomOps) {
           break;
         }
         case 9: {
-          // Spans of a shared batch; the caller's handle dies at the end of
-          // this block and the store alone keeps the batch alive.
+          // Spans of an indexed batch; the batch object dies at the end of
+          // this block and the store alone keeps its bytes alive (its index
+          // dies with it).
           std::vector<LogRecord> records;
           for (size_t n = 1 + rng() % 4; n > 0; n--) {
             records.push_back(random_record());
           }
-          const auto batch = std::make_shared<const std::string>(
-              LogRecord::EncodeBatch(records));
-          size_t offset = VarintLength(records.size());
+          const RedoBatch batch = RedoBatch::Encode(records);
+          for (const LogRecordSpan& r : batch.spans()) {
+            store.Append(r.lsn, batch.bytes(),
+                         r.bytes.data() - batch.bytes()->data(),
+                         r.bytes.size());
+          }
           for (const LogRecord& r : records) {
-            store.Append(r.lsn, batch, offset, r.EncodedSize());
-            offset += r.EncodedSize();
             ref.push_back({r.lsn, Encoded(r), true, next_seq++});
           }
-          ASSERT_EQ(offset, batch->size());
           break;
         }
         case 10: {

@@ -139,10 +139,7 @@ TEST_F(LogStoreTest, ReadReturnsTheAppendedEncodings) {
                                    MakeInsert(4, 9, 0, "d")};
   second[0].undo_payload = "a";
   ASSERT_TRUE(client_->Append(&ctx_, first).ok());
-  ASSERT_TRUE(client_
-                  ->Append(&ctx_, std::make_shared<const std::string>(
-                                      LogRecord::EncodeBatch(first)))
-                  .ok());
+  ASSERT_TRUE(client_->Append(&ctx_, RedoBatch::Encode(first)).ok());
   ASSERT_TRUE(client_->Append(&ctx_, second).ok());
   std::vector<LogRecord> all = first;
   all.insert(all.end(), second.begin(), second.end());
@@ -169,12 +166,12 @@ TEST_F(LogStoreTest, ReadReturnsTheAppendedEncodings) {
 }
 
 // A store keeps the caller's batch by reference only when the request
-// owner holds exactly the request bytes: the log store takes one reference,
-// the page store one per page with pending redo, and materializing a page
-// releases its reference. With no owner, or an owner of another buffer
-// (even with equal bytes), the stores copy the request once and the
-// caller's batch gains no holder. What the stores hold reads back the same
-// in every case.
+// owner holds exactly the request bytes, indexed or not: the log store takes
+// one reference, the page store one per page with pending redo, and
+// materializing a page releases its reference. With no owner, or an owner
+// of another buffer (even with equal bytes), the stores copy the request
+// once and neither buffer gains a holder. What the stores hold reads back
+// the same in every case.
 TEST(SharedRedoTest, StoresReferenceTheCallersBatchOnlyWhenItIsTheRequest) {
   LogRecord commit;
   commit.lsn = 4;
@@ -182,8 +179,9 @@ TEST(SharedRedoTest, StoresReferenceTheCallersBatchOnlyWhenItIsTheRequest) {
   const std::vector<LogRecord> records = {
       MakeInsert(1, 5, 0, "a"), MakeInsert(2, 6, 0, std::string(300, 'b')),
       MakeInsert(3, 5, 1, "c"), commit};
-  enum class Owner { kExact, kNone, kOtherBuffer };
-  for (const Owner mode : {Owner::kExact, Owner::kNone, Owner::kOtherBuffer}) {
+  enum class Owner { kIndexed, kBytes, kNone, kOtherBuffer };
+  for (const Owner mode :
+       {Owner::kIndexed, Owner::kBytes, Owner::kNone, Owner::kOtherBuffer}) {
     SCOPED_TRACE(static_cast<int>(mode));
     Fabric fabric;
     const NodeId node =
@@ -191,22 +189,25 @@ TEST(SharedRedoTest, StoresReferenceTheCallersBatchOnlyWhenItIsTheRequest) {
     LogStoreService log(&fabric, node);
     PageStoreService pages(&fabric, node);
     NetContext ctx;
-    const auto batch =
-        std::make_shared<const std::string>(LogRecord::EncodeBatch(records));
-    const auto copy = std::make_shared<const std::string>(*batch);
-    const SharedBytes owner = mode == Owner::kExact         ? batch
-                              : mode == Owner::kOtherBuffer ? copy
-                                                            : nullptr;
+    const RedoBatch indexed = RedoBatch::Encode(records);
+    const SharedBytes& batch = indexed.bytes();
+    const RequestOwner bytes(batch);
+    const RequestOwner other(std::make_shared<const std::string>(*batch));
+    const RequestOwner* owner = mode == Owner::kIndexed ? &indexed
+                                : mode == Owner::kBytes ? &bytes
+                                : mode == Owner::kOtherBuffer ? &other
+                                                              : nullptr;
+    const bool exact = mode == Owner::kIndexed || mode == Owner::kBytes;
     const long base = batch.use_count();
     std::string resp;
     ASSERT_TRUE(
         fabric.Call(&ctx, node, "log.append", *batch, &resp, owner).ok());
-    EXPECT_EQ(batch.use_count(), base + (mode == Owner::kExact ? 1 : 0));
+    EXPECT_EQ(batch.use_count(), base + (exact ? 1 : 0));
     ASSERT_TRUE(
         fabric.Call(&ctx, node, "page.apply_log", *batch, &resp, owner).ok());
     // Pages 5 and 6 each queue redo; the commit record queues none.
-    EXPECT_EQ(batch.use_count(), base + (mode == Owner::kExact ? 3 : 0));
-    EXPECT_EQ(copy.use_count(), mode == Owner::kOtherBuffer ? 2 : 1);
+    EXPECT_EQ(batch.use_count(), base + (exact ? 3 : 0));
+    EXPECT_EQ(other.bytes().use_count(), 1);
 
     EXPECT_EQ(ReadAllBytes(&fabric, &ctx, node), *batch);
     EXPECT_EQ(ReadAllBytes(&fabric, &ctx, node, 2),
@@ -215,9 +216,9 @@ TEST(SharedRedoTest, StoresReferenceTheCallersBatchOnlyWhenItIsTheRequest) {
     auto page = client.GetPage(&ctx, 5);
     ASSERT_TRUE(page.ok());
     EXPECT_EQ(page->Get(1)->ToString(), "c");
-    EXPECT_EQ(batch.use_count(), base + (mode == Owner::kExact ? 2 : 0));
+    EXPECT_EQ(batch.use_count(), base + (exact ? 2 : 0));
     ASSERT_TRUE(client.GetPage(&ctx, 6).ok());
-    EXPECT_EQ(batch.use_count(), base + (mode == Owner::kExact ? 1 : 0));
+    EXPECT_EQ(batch.use_count(), base + (exact ? 1 : 0));
   }
 }
 
