@@ -3,16 +3,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
 
-#include "net/interceptors.h"
 #include "net/net_context.h"
-#include "sim/load_driver.h"
 
 namespace disagg::bench {
 
@@ -58,83 +52,6 @@ inline void ReportSim(benchmark::State& state, const NetContext& ctx,
     state.counters["queue_us_per_op"] =
         static_cast<double>(ctx.queue_ns) / 1e3 / static_cast<double>(ops);
   }
-}
-
-/// Reads the unsigned decimal environment variable `name` into `*out`.
-/// Returns false, leaving `*out` alone, when it is unset or not a decimal
-/// number in [0, UINT32_MAX]; such a value is also reported on stderr.
-/// strtoull alone would read "abc" as 0, and "-1" as ULLONG_MAX, which
-/// would truncate to 4294967295 worker threads.
-inline bool EnvU32(const char* name, uint32_t* out) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (*env < '0' || *env > '9' || *end != '\0' || errno == ERANGE ||
-      parsed > UINT32_MAX) {
-    std::fprintf(stderr, "%s='%s' is not a 32-bit unsigned number; "
-                 "ignoring it\n", name, env);
-    return false;
-  }
-  *out = static_cast<uint32_t>(parsed);
-  return true;
-}
-
-/// The load driver configuration from the environment, for any bench built
-/// on sim::RunClosedLoop / sim::RunOpenLoop:
-///   DISAGG_SIM_PARTITIONS - client partitions (default 1)
-///   DISAGG_SIM_THREADS    - worker threads (execution resource only; the
-///                           determinism contract keeps results identical
-///                           at any value)
-/// Unset variables keep the defaults, so existing invocations are
-/// untouched. Returns the config to assign into LoadOptions/
-/// OpenLoopOptions::parallel.
-inline sim::ParallelConfig ParallelFromEnv() {
-  sim::ParallelConfig parallel;
-  const bool partitions_set =
-      EnvU32("DISAGG_SIM_PARTITIONS", &parallel.partitions);
-  if (EnvU32("DISAGG_SIM_THREADS", &parallel.threads)) {
-    if (parallel.threads == 0) parallel.threads = 1;
-    // Threads without partitions would leave every client on one
-    // partition; give the sweep something to parallelize over.
-    if (!partitions_set) parallel.partitions = parallel.threads;
-  }
-  return parallel;
-}
-
-/// Installs a TraceInterceptor on `fabric` when the DISAGG_TRACE environment
-/// variable is set (its value is the ring-buffer capacity; 0 or non-numeric
-/// keeps histograms only). Returns the interceptor, or nullptr when tracing
-/// is off. Pair with DumpTrace() after the measured section.
-inline std::shared_ptr<TraceInterceptor> MaybeTraceFromEnv(Fabric* fabric) {
-  const char* env = std::getenv("DISAGG_TRACE");
-  if (env == nullptr) return nullptr;
-  // strtoull with a discarded end pointer would silently read garbage (or a
-  // trailing suffix like "100x") as a number; detect it, warn, and fall back
-  // to histogram-only mode instead of quietly dropping the op trace.
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  size_t capacity = static_cast<size_t>(parsed);
-  if (end == env || *end != '\0') {
-    std::fprintf(stderr,
-                 "DISAGG_TRACE='%s' is not a number; tracing with "
-                 "histograms only (capacity 0)\n",
-                 env);
-    capacity = 0;
-  }
-  auto trace = std::make_shared<TraceInterceptor>(capacity);
-  fabric->AddInterceptor(trace);
-  return trace;
-}
-
-/// Prints the op-trace JSON to stderr (benchmark counters cannot carry
-/// structured payloads). No-op when tracing is off.
-inline void DumpTrace(const std::shared_ptr<TraceInterceptor>& trace,
-                      const char* label) {
-  if (trace == nullptr) return;
-  std::fprintf(stderr, "DISAGG_TRACE %s %s\n", label,
-               trace->DumpJson().c_str());
 }
 
 }  // namespace disagg::bench

@@ -13,17 +13,17 @@
 //    very different client counts because the knee depends on the ratio of
 //    round-trip latency to service time, not on either alone.
 //
-// With DISAGG_E22_ASSERT=1 the bench self-checks the saturation shape (used
-// as a CI smoke stage): at >= 64 clients the measured throughput must land
-// within [0.8x, 1.001x] of the capacity bound min(N x single-client tput,
-// configured capacity), and the saturated p99 must be >= 10x the
-// uncontended p99.
+// Every run self-checks the saturation shape: at >= 64 clients the
+// measured throughput lands within [0.8x, 1.001x] of the capacity bound
+// min(N x single-client tput, configured capacity). The claims that compare
+// two cases (saturated p99 >= 10x the one-client p99; past-knee backlog and
+// tail >= 10x the 50% run's) are rows of scripts/bench_snapshot.py's CLAIMS
+// table.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "common/logging.h"
@@ -34,11 +34,6 @@
 
 namespace disagg {
 namespace {
-
-bool AssertFromEnv() {
-  const char* env = std::getenv("DISAGG_E22_ASSERT");
-  return env != nullptr && env[0] == '1';
-}
 
 constexpr uint64_t kPage = 4096;
 constexpr uint64_t kPoolPages = 4096;  // 16 MiB pool
@@ -89,22 +84,10 @@ void BM_E22_PageReadSaturation(benchmark::State& state) {
   state.counters["capacity_frac"] = report.ThroughputOpsPerSec() / capacity;
   state.SetLabel(model.name);
 
-  if (AssertFromEnv() && clients >= 64) {
-    // Saturation shape: plateau at the capacity bound, queueing tail.
+  if (clients >= 64) {
+    // Saturation shape: plateau at the capacity bound.
     DISAGG_CHECK(report.ThroughputOpsPerSec() >= 0.8 * bound);
     DISAGG_CHECK(report.ThroughputOpsPerSec() <= 1.001 * bound);
-    fabric.congestion()->Reset();  // drain the backlog before the baseline
-    sim::LoadOptions one;
-    one.clients = 1;
-    one.ops_per_client = 256;
-    auto solo = sim::RunClosedLoop(
-        one, [&](uint64_t, uint64_t, NetContext* ctx, Random* rng) {
-          char buf[kPage];
-          return fabric.Read(ctx, pool.at(rng->Uniform(kPoolPages) * kPage),
-                             buf, kPage);
-        });
-    DISAGG_CHECK(report.latency.Percentile(99) >=
-                 10.0 * solo.latency.Percentile(99));
   }
 }
 BENCHMARK(BM_E22_PageReadSaturation)
@@ -135,7 +118,8 @@ void BM_E22_OpenLoopSweep(benchmark::State& state) {
   fabric.EnableCongestion(cfg);
   const double capacity = cap.OpsPerSec(kPage);
 
-  auto run = [&](uint64_t pct) {
+  sim::LoadReport report;
+  for (auto _ : state) {
     fabric.congestion()->Reset();
     sim::OpenLoopOptions opts;
     opts.clients = kClients;
@@ -143,21 +127,16 @@ void BM_E22_OpenLoopSweep(benchmark::State& state) {
     // short Poisson streams under-report it by O(1/sqrt(ops)) purely from
     // arrival-end raggedness across clients.
     opts.ops_per_client = 2048;
-    opts.ops_per_sec = capacity * static_cast<double>(pct) / 100.0 /
+    opts.ops_per_sec = capacity * static_cast<double>(offered_pct) / 100.0 /
                        static_cast<double>(kClients);
     opts.process = poisson ? sim::ArrivalProcess::kPoisson
                            : sim::ArrivalProcess::kDeterministic;
-    return sim::RunOpenLoop(
+    report = sim::RunOpenLoop(
         opts, [&](uint64_t, uint64_t, NetContext* ctx, Random* rng) {
           char buf[kPage];
           return fabric.Read(ctx, pool.at(rng->Uniform(kPoolPages) * kPage),
                              buf, kPage);
         });
-  };
-
-  sim::LoadReport report;
-  for (auto _ : state) {
-    report = run(offered_pct);
     DISAGG_CHECK(report.errors == 0);
   }
 
@@ -170,31 +149,23 @@ void BM_E22_OpenLoopSweep(benchmark::State& state) {
   state.counters["capacity_frac"] = report.ThroughputOpsPerSec() / capacity;
   state.SetLabel(poisson ? "poisson" : "deterministic");
 
-  if (AssertFromEnv() && offered_pct >= 140 && poisson) {
+  if (poisson && offered_pct == 50) {
+    // Below the knee achieved == offered.
+    DISAGG_CHECK(report.ThroughputOpsPerSec() >=
+                 0.90 * report.offered_ops_per_sec);
+  }
+  if (poisson && offered_pct >= 140) {
     // Open-loop saturation shape: achieved throughput plateaus at capacity
-    // while offered load keeps rising, and both the backlog and the
-    // response-time tail blow up relative to a below-knee run.
-    fabric.congestion()->Reset();
-    const auto below = run(50);
+    // while offered load keeps rising.
     DISAGG_CHECK(report.ThroughputOpsPerSec() >= 0.9 * capacity);
     DISAGG_CHECK(report.ThroughputOpsPerSec() <= 1.001 * capacity);
     DISAGG_CHECK(report.offered_ops_per_sec >= 1.3 * capacity);
-    DISAGG_CHECK(below.ThroughputOpsPerSec() >=
-                 0.90 * below.offered_ops_per_sec);
-    DISAGG_CHECK(report.max_in_flight >= 10 * below.max_in_flight);
-    DISAGG_CHECK(report.latency.Percentile(99) >=
-                 10.0 * below.latency.Percentile(99));
   }
 }
 BENCHMARK(BM_E22_OpenLoopSweep)
     ->ArgsProduct({{50, 80, 95, 105, 140}, {0, 1}})
     ->ArgNames({"offered_pct", "proc"})
     ->Iterations(1);
-
-bool ParallelAssertFromEnv() {
-  const char* env = std::getenv("DISAGG_E22_PARALLEL_ASSERT");
-  return env != nullptr && env[0] == '1';
-}
 
 /// E26 (EXPERIMENTS.md): the epoch-parallel driver at open-loop scales one
 /// partition cannot reach interactively — 10^4 and 10^5 Poisson streams
@@ -203,11 +174,10 @@ bool ParallelAssertFromEnv() {
 /// every row at the same client count and partition count are identical and
 /// only the benchmark's real time moves.
 ///
-/// With DISAGG_E22_PARALLEL_ASSERT=1 the clients=100000/threads=8 row
-/// becomes the CI smoke stage for the contract at scale: it re-runs the
-/// sweep at threads {1, 2, 8} asserting bit-identical counters and traces,
-/// re-runs partitions=1 at threads {1, 2, 8} asserting the same, and
-/// enforces a wall-clock budget on the sweep itself.
+/// The clients=100000/threads=8 row also checks the contract at scale: it
+/// re-runs the sweep at threads {1, 2, 8} asserting bit-identical counters
+/// and traces, re-runs partitions=1 at threads {1, 2, 8} asserting the
+/// same, and enforces a wall-clock budget on those six runs.
 void BM_E22_ParallelOpenLoopSweep(benchmark::State& state) {
   const uint64_t clients = static_cast<uint64_t>(state.range(0));
   const uint32_t threads = static_cast<uint32_t>(state.range(1));
@@ -272,7 +242,7 @@ void BM_E22_ParallelOpenLoopSweep(benchmark::State& state) {
   state.counters["epochs"] = static_cast<double>(report.epochs);
   state.counters["sim_ops"] = static_cast<double>(report.ops);
 
-  if (ParallelAssertFromEnv() && clients >= 100'000 && threads == 8) {
+  if (clients >= 100'000 && threads == 8) {
     const auto start = std::chrono::steady_clock::now();
     auto elapsed_ms = [](std::chrono::steady_clock::time_point since) {
       return std::chrono::duration<double, std::milli>(
@@ -308,7 +278,7 @@ void BM_E22_ParallelOpenLoopSweep(benchmark::State& state) {
       DISAGG_CHECK(p1.makespan_ns == p1_t.makespan_ns);
       DISAGG_CHECK(p1.total.queue_ns == p1_t.total.queue_ns);
     }
-    // (c) Budget: the whole 6-run assert block (3 sweeps at 64 partitions
+    // (c) Budget: the whole 6-run block (3 sweeps at 64 partitions
     // + 3 at one, over 10^5 clients) stays CI-viable.
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -27,20 +27,20 @@
 // admission rejects and deadline misses. The staleness bound is asserted
 // per degraded read — a violation is counted, never tolerated.
 //
-// With DISAGG_E24_ASSERT=1 (the CI smoke stage) the bench self-checks:
+// Every run self-checks:
 //   - zero staleness-bound violations anywhere;
 //   - at 120% offered load the degrade mode serves a nonzero degraded
 //     fraction with nonzero (but bounded) total staleness;
-//   - degrade completes at least as many requests as reject-only at every
-//     rate, strictly more at 120%;
-//   - reject-only p99 time-to-data >= degrade p99 at 120% (re-issue rounds
-//     cost more than one degraded fan-out);
 //   - at 35% both modes complete >= 95% of requests (degradation is a
 //     last resort, not a tax on the healthy regime).
+// The reject/degrade comparisons are rows of scripts/bench_snapshot.py's
+// CLAIMS table: degrade completes at least as many requests as reject-only
+// at every rate, strictly more at 120%, and at 120% reject-only's p99
+// time-to-data is >= degrade's (re-issue rounds cost more than one degraded
+// fan-out).
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -54,11 +54,6 @@
 
 namespace disagg {
 namespace {
-
-bool AssertFromEnv() {
-  const char* env = std::getenv("DISAGG_E24_ASSERT");
-  return env != nullptr && env[0] == '1';
-}
 
 constexpr int kKeys = 32;
 constexpr size_t kValueBytes = 400;  // ~16 rows per 8 KiB page -> 2 pages
@@ -185,7 +180,6 @@ ModeResult RunMode(bool degrade, uint64_t offered_pct) {
   opts.ops_per_sec = offered / static_cast<double>(opts.clients);
   opts.process = sim::ArrivalProcess::kPoisson;
   opts.seed = 24;
-  opts.parallel = bench::ParallelFromEnv();  // DISAGG_SIM_{THREADS,PARTITIONS}
 
   res.load = sim::RunOpenLoop(
       opts, [&](uint64_t, uint64_t, NetContext* ctx, Random* rng) {
@@ -255,27 +249,13 @@ void BM_E24_DegradeVsReject(benchmark::State& state) {
   state.SetLabel(degrade ? "degrade" : "reject-only");
 
   DISAGG_CHECK(res.bound_violations == 0);
-  if (AssertFromEnv()) {
-    // Cross-mode checks run once, from the last benchmark in the sweep.
-    if (offered_pct == 120 && degrade) {
-      const ModeResult rej = RunMode(/*degrade=*/false, 120);
-      DISAGG_CHECK(res.degraded > 0);
-      DISAGG_CHECK(res.staleness_sum > 0);
-      DISAGG_CHECK(res.staleness_max <= kStalenessBound);
-      DISAGG_CHECK(res.ok_ops > rej.ok_ops);
-      DISAGG_CHECK(rej.ok_latency.Percentile(99) >=
-                   res.ok_latency.Percentile(99));
-      for (uint64_t pct : {35ull, 70ull}) {
-        const ModeResult d = RunMode(/*degrade=*/true, pct);
-        const ModeResult r = RunMode(/*degrade=*/false, pct);
-        DISAGG_CHECK(d.bound_violations == 0 && r.bound_violations == 0);
-        DISAGG_CHECK(d.ok_ops >= r.ok_ops);
-        if (pct == 35) {
-          DISAGG_CHECK(static_cast<double>(d.ok_ops) >= 0.95 * total);
-          DISAGG_CHECK(static_cast<double>(r.ok_ops) >= 0.95 * total);
-        }
-      }
-    }
+  if (offered_pct == 120 && degrade) {
+    DISAGG_CHECK(res.degraded > 0);
+    DISAGG_CHECK(res.staleness_sum > 0);
+    DISAGG_CHECK(res.staleness_max <= kStalenessBound);
+  }
+  if (offered_pct == 35) {
+    DISAGG_CHECK(static_cast<double>(res.ok_ops) >= 0.95 * total);
   }
 }
 BENCHMARK(BM_E24_DegradeVsReject)

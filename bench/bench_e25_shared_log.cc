@@ -24,23 +24,22 @@
 // append-batch p50/p99, recovery-read bytes, view-change recovery time,
 // first-append latency after the kill, and the log-node fleet size.
 //
-// With DISAGG_E25_ASSERT=1 (the CI smoke stage) the shared-mode bench at
-// the largest tenant count re-runs its private twin and self-checks:
-//   - every append in both modes succeeded (quorums held through the kill);
+// Every run self-checks:
+//   - every append succeeded (quorums held through the kill);
 //   - every tenant's final log replays completely, in strictly increasing
-//     LSN order, with identical record counts across modes;
-//   - the shared fleet is smaller (3 vs 3N), its recovery-read traffic is
-//     within header overhead of the private fleet's (the tag index serves
-//     exactly the tenant's records), and its TOTAL wire traffic is strictly
-//     lower — after the kill the sealed view stops paying append fan-out to
-//     the dead node, while every private quorum keeps shipping a growing
-//     un-acked suffix to its corpse;
-//   - the shared-mode view change after the kill took nonzero simulated
+//     LSN order;
+//   - in shared mode, the view change after the kill took nonzero simulated
 //     time and every tenant's first append after it succeeded.
+// The comparison with the private twin at 4 tenants x 8 computes is a set
+// of rows in scripts/bench_snapshot.py's CLAIMS table: identical record
+// counts; a smaller shared fleet (3 vs 3N); recovery-read traffic within
+// header overhead of the private fleet's (the tag index serves exactly the
+// tenant's records); and strictly lower TOTAL wire traffic — after the kill
+// the sealed view stops paying append fan-out to the dead node, while every
+// private quorum keeps shipping a growing un-acked suffix to its corpse.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,11 +54,6 @@
 
 namespace disagg {
 namespace {
-
-bool AssertFromEnv() {
-  const char* env = std::getenv("DISAGG_E25_ASSERT");
-  return env != nullptr && env[0] == '1';
-}
 
 constexpr int kBatchesPerSession = 16;
 constexpr int kRecordsPerBatch = 4;
@@ -256,20 +250,7 @@ void BM_E25_SharedLogVsPrivate(benchmark::State& state) {
 
   DISAGG_CHECK(res.append_errors == 0);
   DISAGG_CHECK(res.replay_ok);
-
-  if (AssertFromEnv() && shared && tenants >= 4 && computes >= 8) {
-    const E25Result priv = RunMode(/*shared=*/false, tenants, computes);
-    DISAGG_CHECK(priv.append_errors == 0 && priv.replay_ok);
-    DISAGG_CHECK(res.records == priv.records);
-    DISAGG_CHECK(res.log_nodes < priv.log_nodes);
-    // Recovery replays move the same records in both modes; the shared
-    // tag index must not add more than protocol-header overhead on top.
-    DISAGG_CHECK(static_cast<double>(res.recovery_read_bytes) <=
-                 1.05 * static_cast<double>(priv.recovery_read_bytes));
-    // Total wire traffic: the sealed view stops paying fan-out to the dead
-    // node, while each private quorum ships an ever-growing un-acked
-    // suffix to its corpse — shared must come out strictly cheaper.
-    DISAGG_CHECK(res.wire_bytes < priv.wire_bytes);
+  if (shared) {
     DISAGG_CHECK(res.reconfig_ns > 0);
     DISAGG_CHECK(res.post_kill_first_append_ns > 0);
   }

@@ -29,13 +29,12 @@
 //                        run must end FLAGGED infeasible with the actuators
 //                        frozen at their clamps, not oscillating.
 //
-// With DISAGG_E27_ASSERT=1 (the CI smoke stage) the bench self-checks the
-// control plane's claims:
-//  - controller mode re-runs the static twin inline: the static rig's
-//    late-half (post-transient) interactive p99 misses the target while the
-//    controlled run's meets it and sits strictly below the static tail; the
-//    controller itself reports meeting, converged, not infeasible, with a
-//    raised weight;
+// Every run self-checks the control plane's claims:
+//  - the static rig's late-half (post-transient) interactive p99 misses the
+//    target while the controlled run's meets it; the controller itself
+//    reports meeting, converged, not infeasible, with a raised weight (that
+//    the controlled tail sits strictly below the static one is a row of
+//    scripts/bench_snapshot.py's CLAIMS table);
 //  - controller decisions are bit-identical across worker threads 1/2/8 at
 //    fixed partitions (trace, makespan, published weight and bound, and the
 //    controller's full per-tenant state line);
@@ -45,7 +44,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,11 +59,6 @@
 
 namespace disagg {
 namespace {
-
-bool AssertFromEnv() {
-  const char* env = std::getenv("DISAGG_E27_ASSERT");
-  return env != nullptr && env[0] == '1';
-}
 
 constexpr uint64_t kInteractiveTenant = 1;
 constexpr uint64_t kBatchTenant = 2;
@@ -199,7 +192,7 @@ void BM_E27_SloControlPlane(benchmark::State& state) {
 
   ModeResult r;
   for (auto _ : state) {
-    r = RunMode(mode, bench::ParallelFromEnv());
+    r = RunMode(mode, {});
     // No admission bound exists in any mode (the bench controller steers
     // weight only), so every op in every mode must complete.
     DISAGG_CHECK(r.report.errors == 0);
@@ -222,21 +215,19 @@ void BM_E27_SloControlPlane(benchmark::State& state) {
   state.counters["sim_kops"] = r.report.ThroughputOpsPerSec() / 1e3;
   state.SetLabel(ModeName(mode));
 
-  if (!AssertFromEnv()) return;
+  if (mode == kStaticWfq) {
+    // The static rig holds its saturated tail past the target the whole run.
+    DISAGG_CHECK(late_p99 > static_cast<double>(target));
+  }
 
   if (mode == kControlled) {
-    // The static twin holds its saturated tail past the target the whole
-    // run; the controlled run converges under it.
-    const ModeResult fixed = RunMode(kStaticWfq, {});
-    const double static_late = InteractiveP99(fixed.report, true);
-    DISAGG_CHECK(static_late > static_cast<double>(target));
+    // The controlled run converges under the target.
     DISAGG_CHECK(r.interactive.meeting);
     DISAGG_CHECK(r.interactive.observed_p99_ns <=
                  static_cast<double>(target));
     DISAGG_CHECK(!r.any_infeasible);
     DISAGG_CHECK(r.published.weight > 1.0);  // it actually steered
     DISAGG_CHECK(late_p99 <= static_cast<double>(target));
-    DISAGG_CHECK(late_p99 < static_late);
 
     // Controller decisions are a pure function of (seed, partitions,
     // epoch_ns): at fixed partitions, threads 1/2/8 must agree on every

@@ -16,7 +16,7 @@
 //    crash/flap schedules (RunIndexChaos "offload", RunLockChaos) — the
 //    run must stay violation-free while taking executor crash interludes.
 //
-// With DISAGG_E28_ASSERT=1 (the CI smoke stage) the bench self-checks:
+// Every run self-checks:
 // offloaded lookups are exactly one RTT and one RPC per op while one-sided
 // lookups pay >= 3 reads; at >= 64 clients the offloaded path beats
 // one-sided on throughput AND p99; and every chaos schedule replays with
@@ -24,7 +24,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -39,11 +38,6 @@
 
 namespace disagg {
 namespace {
-
-bool AssertFromEnv() {
-  const char* env = std::getenv("DISAGG_E28_ASSERT");
-  return env != nullptr && env[0] == '1';
-}
 
 constexpr int kOps = 2000;
 
@@ -92,15 +86,13 @@ void BM_E28_LookupDepth(benchmark::State& state) {
       static_cast<double>(one_sided.sim_ns) / 1e3 / ops;
   state.counters["offload_us_per_op"] =
       static_cast<double>(offloaded.sim_ns) / 1e3 / ops;
-  if (AssertFromEnv()) {
-    // The acceptance bound: an offloaded lookup is ONE fabric round trip
-    // (one Call, no one-sided verbs) at any depth; one-sided pays >= the
-    // tree depth in reads.
-    DISAGG_CHECK(offloaded.round_trips == static_cast<uint64_t>(kOps));
-    DISAGG_CHECK(offloaded.rpcs == static_cast<uint64_t>(kOps));
-    DISAGG_CHECK(one_sided.round_trips >= 3u * kOps);
-    DISAGG_CHECK(one_sided.rpcs == 0u);
-  }
+  // The acceptance bound: an offloaded lookup is ONE fabric round trip
+  // (one Call, no one-sided verbs) at any depth; one-sided pays >= the
+  // tree depth in reads.
+  DISAGG_CHECK(offloaded.round_trips == static_cast<uint64_t>(kOps));
+  DISAGG_CHECK(offloaded.rpcs == static_cast<uint64_t>(kOps));
+  DISAGG_CHECK(one_sided.round_trips >= 3u * kOps);
+  DISAGG_CHECK(one_sided.rpcs == 0u);
   state.SetLabel(keys <= 4000 ? "depth-3" : "depth-4");
 }
 
@@ -154,7 +146,7 @@ void BM_E28_ZipfianSaturation(benchmark::State& state) {
       static_cast<double>(one_sided.latency.Percentile(99)) / 1e3;
   state.counters["offload_p99_us"] =
       static_cast<double>(offloaded.latency.Percentile(99)) / 1e3;
-  if (AssertFromEnv() && clients >= 64) {
+  if (clients >= 64) {
     // Past the NIC knee the one-sided path burns depth+lock messages of
     // the pool's issue budget per op; the offloaded path one. It must win
     // on both axes under skew at saturation.
@@ -181,11 +173,9 @@ void BM_E28_ChaosOffload(benchmark::State& state) {
       crashes += lock.crashes;
       lock_commits += lock.commits;
       lock_busy += lock.busy;
-      if (AssertFromEnv()) {
-        DISAGG_CHECK(idx.crashes > 0);
-        DISAGG_CHECK(lock.crashes > 0);
-        DISAGG_CHECK(lock.commits > 0);
-      }
+      DISAGG_CHECK(idx.crashes > 0);
+      DISAGG_CHECK(lock.crashes > 0);
+      DISAGG_CHECK(lock.commits > 0);
     }
   }
   state.counters["crash_interludes"] = static_cast<double>(crashes);

@@ -22,7 +22,7 @@
 // decision trace; it must be bit-identical across worker thread counts, at
 // four partitions and at one.
 //
-// With DISAGG_E29_ASSERT=1 (the CI smoke stage) the bench self-checks:
+// Every run self-checks:
 // the self-heal arm completes >= 99% of ops and every failed node is
 // revoked, repaired, and rejoined (MTTR measured); the overloaded node is
 // NEVER revoked (Busy is an alive signal); the no-recovery arm's
@@ -32,7 +32,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,11 +45,6 @@
 
 namespace disagg {
 namespace {
-
-bool AssertFromEnv() {
-  const char* env = std::getenv("DISAGG_E29_ASSERT");
-  return env != nullptr && env[0] == '1';
-}
 
 // Virtual-time failure schedule (all instants are epoch-barrier aligned).
 constexpr uint64_t kEpochNs = 20'000;
@@ -132,7 +126,6 @@ ArmResult RunArm(Arm arm, uint32_t partitions, uint32_t threads) {
   rp.initial_backoff_ns = 2'000;
   rp.backoff_multiplier = 2.0;
   rp.max_backoff_ns = 8'000;
-  rp.retry_unavailable = true;
   fabric.AddInterceptor(std::make_shared<RetryInterceptor>(rp));
   fabric.AddInterceptor(std::make_shared<BusyWallInterceptor>(
       nodes[3], kBusyFromNs, kBusyUntilNs));
@@ -239,47 +232,28 @@ void BM_E29_SelfHealing(benchmark::State& state) {
   state.counters["gray_acks"] = static_cast<double>(r.member_stats.gray_acks);
   state.counters["busy_acks"] = static_cast<double>(r.member_stats.busy_acks);
 
-  if (std::getenv("DISAGG_E29_DEBUG") != nullptr) {
-    std::fprintf(stderr,
-                 "makespan=%llu hb=%llu miss=%llu gray=%llu busy=%llu\n",
-                 static_cast<unsigned long long>(r.makespan_ns),
-                 static_cast<unsigned long long>(r.member_stats.heartbeats),
-                 static_cast<unsigned long long>(r.member_stats.misses),
-                 static_cast<unsigned long long>(r.member_stats.gray_acks),
-                 static_cast<unsigned long long>(r.member_stats.busy_acks));
-    for (const auto& e : r.events) {
-      std::fprintf(stderr, "  at=%llu node=%llu kind=%d epoch=%llu\n",
-                   static_cast<unsigned long long>(e.at_ns),
-                   static_cast<unsigned long long>(e.node),
-                   static_cast<int>(e.kind),
-                   static_cast<unsigned long long>(e.lease_epoch));
-    }
+  // >= 99% of ops complete across the kill + gray + partition schedule.
+  DISAGG_CHECK(r.Availability() >= 0.99);
+  // The kill was detected and healed unattended: revoke -> repair ->
+  // rejoin all present, MTTR measured, node back up at the end.
+  DISAGG_CHECK(r.detect_ns > 0);
+  DISAGG_CHECK(r.mttr_ns > 0);
+  DISAGG_CHECK(r.member_stats.repairs >= 1);
+  // Every node that lost its lease was re-admitted: nothing ends the run
+  // revoked or stuck in probation.
+  for (auto h : r.final_health) {
+    DISAGG_CHECK(h == MembershipService::NodeHealth::kUp);
   }
-
-  if (AssertFromEnv()) {
-    // >= 99% of ops complete across the kill + gray + partition schedule.
-    DISAGG_CHECK(r.Availability() >= 0.99);
-    // The kill was detected and healed unattended: revoke -> repair ->
-    // rejoin all present, MTTR measured, node back up at the end.
-    DISAGG_CHECK(r.detect_ns > 0);
-    DISAGG_CHECK(r.mttr_ns > 0);
-    DISAGG_CHECK(r.member_stats.repairs >= 1);
-    // Every node that lost its lease was re-admitted: nothing ends the run
-    // revoked or stuck in probation.
-    for (auto h : r.final_health) {
-      DISAGG_CHECK(h == MembershipService::NodeHealth::kUp);
-    }
-    DISAGG_CHECK(r.member_stats.rejoins == r.member_stats.revocations);
-    // The gray node and the partitioned node were each caught without a
-    // single hard failure signal from the node itself.
-    DISAGG_CHECK(r.member_stats.gray_acks > 0);
-    DISAGG_CHECK(NodeWasRevoked(r, 1));
-    DISAGG_CHECK(NodeWasRevoked(r, 2));
-    // Pure overload is an alive signal: the Busy-walled node keeps its
-    // lease through the whole window.
-    DISAGG_CHECK(r.member_stats.busy_acks > 0);
-    DISAGG_CHECK(!NodeWasRevoked(r, 3));
-  }
+  DISAGG_CHECK(r.member_stats.rejoins == r.member_stats.revocations);
+  // The gray node and the partitioned node were each caught without a
+  // single hard failure signal from the node itself.
+  DISAGG_CHECK(r.member_stats.gray_acks > 0);
+  DISAGG_CHECK(NodeWasRevoked(r, 1));
+  DISAGG_CHECK(NodeWasRevoked(r, 2));
+  // Pure overload is an alive signal: the Busy-walled node keeps its
+  // lease through the whole window.
+  DISAGG_CHECK(r.member_stats.busy_acks > 0);
+  DISAGG_CHECK(!NodeWasRevoked(r, 3));
 }
 
 void BM_E29_RecoveryComparison(benchmark::State& state) {
@@ -296,17 +270,15 @@ void BM_E29_RecoveryComparison(benchmark::State& state) {
   state.counters["scripted_mttr_us"] =
       static_cast<double>(scripted.mttr_ns) / 1e3;
 
-  if (AssertFromEnv()) {
-    // Detection + fencing fire in every arm (the lease is the fence); only
-    // the repair differs. Leaving the node dead costs real availability.
-    DISAGG_CHECK(none.detect_ns > 0);
-    DISAGG_CHECK(scripted.detect_ns > 0);
-    DISAGG_CHECK(none.Availability() < heal.Availability());
-    DISAGG_CHECK(heal.Availability() >= 0.99);
-    // The scripted revive also re-admits through probation — same rejoin
-    // machinery, hand-timed repair.
-    DISAGG_CHECK(scripted.mttr_ns > 0);
-  }
+  // Detection + fencing fire in every arm (the lease is the fence); only
+  // the repair differs. Leaving the node dead costs real availability.
+  DISAGG_CHECK(none.detect_ns > 0);
+  DISAGG_CHECK(scripted.detect_ns > 0);
+  DISAGG_CHECK(none.Availability() < heal.Availability());
+  DISAGG_CHECK(heal.Availability() >= 0.99);
+  // The scripted revive also re-admits through probation — same rejoin
+  // machinery, hand-timed repair.
+  DISAGG_CHECK(scripted.mttr_ns > 0);
 }
 
 void BM_E29_DecisionDeterminism(benchmark::State& state) {
@@ -333,7 +305,7 @@ void BM_E29_DecisionDeterminism(benchmark::State& state) {
          p1.makespan_ns == p1_t2.makespan_ns &&
          p1.makespan_ns == p1_t8.makespan_ns &&
          !t1.events.empty() && !p1.events.empty();
-    DISAGG_CHECK(ok);  // determinism is load-bearing: always enforced
+    DISAGG_CHECK(ok);
   }
   state.counters["bit_identical"] = ok ? 1.0 : 0.0;
 }

@@ -35,8 +35,6 @@ void BM_Fig2_LocalCacheFractionSweep(benchmark::State& state) {
     storage.Seed(page);
   }
   TwoTierCache cache(&fabric, &pool, &storage, l1_pages, kPages);
-  // Set DISAGG_TRACE=<ring capacity> to dump a per-op JSON trace of this run.
-  auto trace = bench::MaybeTraceFromEnv(&fabric);
   ZipfianGenerator zipf(kPages, 0.99, 11);
   NetContext ctx;
   for (auto _ : state) {
@@ -45,7 +43,6 @@ void BM_Fig2_LocalCacheFractionSweep(benchmark::State& state) {
     }
   }
   bench::ReportSim(state, ctx, kOps);
-  bench::DumpTrace(trace, "fig2_local_cache_sweep");
   state.counters["l1_hit_rate"] = cache.stats().L1HitRate();
   state.counters["l2_hits"] = static_cast<double>(cache.stats().l2_hits);
   state.counters["storage_misses"] =

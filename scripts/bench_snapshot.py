@@ -7,12 +7,16 @@
         --host-runs 10 [--host-parent <checkout>]
 
 Runs every `<build>/bench/bench_*` binary once (google-benchmark JSON
-output, no DISAGG_*_ASSERT variables) and writes the UserCounters of every
-case to `--out`, keyed by binary and case name. Simulated counters are a
-pure function of the code and its seeds, so two snapshots of the same
-model agree bit for bit. With `--compare`, every counter that was added,
-removed or changed relative to the old snapshot is printed, and the script
-exits 1 unless each of them is declared in EXCLUDED or CHANGED below.
+output) and writes the UserCounters of every case to `--out`, keyed by
+binary and case name. Simulated counters are a pure function of the code
+and its seeds, so two snapshots of the same model agree bit for bit. The
+same run checks the experiments' claims: each case DISAGG_CHECKs what it
+can see alone (a failed check aborts its binary, and the script with it),
+and the CLAIMS table below holds the claims that compare cases; the script
+exits 1 if any row fails or names a case or counter the snapshot lacks.
+With `--compare`, every counter that was added, removed or changed
+relative to the old snapshot is printed, and the script exits 1 unless
+each of them is declared in EXCLUDED or CHANGED below.
 
 Host mode (`--host-runs N`) also runs the repository benchmark that
 BENCHMARK.json declares (its command, workloads, `run_seconds` and
@@ -30,6 +34,7 @@ import argparse
 import fnmatch
 import json
 import math
+import operator
 import os
 import platform
 import re
@@ -44,11 +49,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # They are left out of the snapshot.
 EXCLUDED = {
     ("bench_e22_saturation", "p1_ms"):
-        "host wall clock of the partitions=1 leg (E22 parallel assert only)",
+        "host wall clock of the 10^5-client row's partitions=1 leg",
     ("bench_e22_saturation", "par_t1_ms"):
-        "host wall clock of the 1-thread leg (E22 parallel assert only)",
+        "host wall clock of the 10^5-client row's 1-thread leg",
     ("bench_e22_saturation", "par_t8_ms"):
-        "host wall clock of the 8-thread leg (E22 parallel assert only)",
+        "host wall clock of the 10^5-client row's 8-thread leg",
     ("bench_e20_multi_writer", "conflict_rate"):
         "counted over real OS threads, so it depends on their interleaving",
 }
@@ -57,6 +62,92 @@ EXCLUDED = {
 # the reason. They stay in the snapshot; `--compare` reports but tolerates
 # their differences. Empty while no change is meant to move the model.
 CHANGED = {}
+
+# The experiments' claims that compare bench cases. A row (experiment,
+# binary, case, counter, relation, factor, other case[, other counter])
+# holds when `case`'s counter RELATION factor x `other case`'s counter (the
+# same counter unless named); with other case None, the counter is compared
+# with the factor itself. Case names drop their "/iterations:1" suffix.
+# Bands come from EXPERIMENTS.md's stated shapes, not from today's numbers.
+# Claims a case can check alone are DISAGG_CHECKs in that case instead.
+FIG1 = "bench_fig1_shared_storage"
+E16 = "bench_e16_cxl"
+E22 = "bench_e22_saturation"
+E23 = "bench_e23_fairness"
+E24 = "bench_e24_degradation"
+E25 = "bench_e25_shared_log"
+E27 = "bench_e27_slo"
+CLAIMS = [
+    # PolarDB ships ~6x Aurora's bytes; Socrates has the cheapest txn of the
+    # disaggregated engines; monolithic pays no network.
+    ("E1", FIG1, "BM_Fig1_Polar_PageShipping", "bytes_out_per_op", ">=", 5,
+     "BM_Fig1_Aurora_LogShipping"),
+    ("E1", FIG1, "BM_Fig1_Polar_PageShipping", "bytes_out_per_op", "<=", 7,
+     "BM_Fig1_Aurora_LogShipping"),
+] + [
+    ("E1", FIG1, "BM_Fig1_Socrates_Tiered", "sim_us_per_op", "<", 1,
+     "BM_Fig1_" + engine)
+    for engine in ("Aurora_LogShipping", "Polar_PageShipping",
+                   "Taurus_GossipPages")
+] + [
+    ("E1", FIG1, "BM_Fig1_Monolithic", "rtts_per_op", "==", 0, None),
+    # RDMA:CXL raw read ~6x; TPC-DS-like scans slow 7-27% with the main
+    # store on CXL; explicit tiering beats oblivious placement.
+    ("E16", E16, "BM_E16_RawLatency/2", "sim_us_per_op", ">=", 5,
+     "BM_E16_RawLatency/1"),
+    ("E16", E16, "BM_E16_RawLatency/2", "sim_us_per_op", "<=", 7,
+     "BM_E16_RawLatency/1"),
+    ("E16", E16, "BM_E16_Ahn_TpcdsLike/1", "sim_us_per_op", ">=", 1.07,
+     "BM_E16_Ahn_TpcdsLike/0"),
+    ("E16", E16, "BM_E16_Ahn_TpcdsLike/1", "sim_us_per_op", "<=", 1.27,
+     "BM_E16_Ahn_TpcdsLike/0"),
+    ("E16", E16, "BM_E16_TieredVsUnified/1", "sim_us_per_op", "<", 1,
+     "BM_E16_TieredVsUnified/0"),
+] + [
+    # Saturated closed loop: a queueing tail >= 10x the one-client p99.
+    ("E22", E22, f"BM_E22_PageReadSaturation/tier:{tier}/clients:{clients}",
+     "p99_us", ">=", 10, f"BM_E22_PageReadSaturation/tier:{tier}/clients:1")
+    for tier in (0, 1, 2) for clients in (64, 128)
+] + [
+    # Open loop past the knee: backlog and tail >= 10x the 50% run's.
+    ("E22", E22, "BM_E22_OpenLoopSweep/offered_pct:140/proc:0", counter,
+     ">=", 10, "BM_E22_OpenLoopSweep/offered_pct:50/proc:0")
+    for counter in ("max_inflight", "p99_us")
+] + [
+    # WFQ restores the victim's end-to-end tail. Admission bounds its
+    # in-system tail (rejections + final admitted wait + service); its
+    # end-to-end tail also pays retry backoff, which under FIFO+admission
+    # can rival the FIFO queueing it replaces.
+    ("E23", E23, f"BM_E23_TenantIsolation/mode:{mode}", counter, "<=", 0.5,
+     "BM_E23_TenantIsolation/mode:0", "oltp_p99_us")
+    for mode, counter in ((2, "oltp_p99_us"), (3, "oltp_p99_us"),
+                          (1, "oltp_sys_p99_us"), (3, "oltp_sys_p99_us"))
+] + [
+    # Degrade completes at least as many requests as reject-only, strictly
+    # more at 120%, where re-issue rounds also cost reject-only its tail.
+    ("E24", E24, f"BM_E24_DegradeVsReject/offered_pct:{pct}/degrade:1",
+     "ok_frac", relation, 1,
+     f"BM_E24_DegradeVsReject/offered_pct:{pct}/degrade:0")
+    for pct, relation in ((35, ">="), (70, ">="), (120, ">"))
+] + [
+    ("E24", E24, "BM_E24_DegradeVsReject/offered_pct:120/degrade:0",
+     "p99_us", ">=", 1, "BM_E24_DegradeVsReject/offered_pct:120/degrade:1"),
+] + [
+    # Shared log vs private quorums: the same records on a smaller fleet,
+    # recovery reads within header overhead, strictly less wire traffic.
+    ("E25", E25, "BM_E25_SharedLogVsPrivate/tenants:4/computes:8/shared:1",
+     counter, relation, factor,
+     "BM_E25_SharedLogVsPrivate/tenants:4/computes:8/shared:0")
+    for counter, relation, factor in (
+        ("records", "==", 1), ("log_nodes", "<", 1),
+        ("recovery_read_mb", "<=", 1.05), ("wire_mb", "<", 1))
+] + [
+    # The controller's post-transient tail sits below static WFQ's.
+    ("E27", E27, "BM_E27_SloControlPlane/mode:2", "interactive_late_p99_us",
+     "<", 1, "BM_E27_SloControlPlane/mode:0"),
+]
+RELATIONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+             ">=": operator.ge, ">": operator.gt}
 
 # Keys google-benchmark writes for every case; everything else is a counter.
 STANDARD_KEYS = {
@@ -77,12 +168,10 @@ def declared(table, binary, counter):
 
 def run_binary(path):
     """The counters of every case `path` runs, as {case: {counter: value}}."""
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("DISAGG_")}
     out = subprocess.run(
         [str(path), "--benchmark_format=json",
          "--benchmark_min_warmup_time=0"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        capture_output=True, text=True, check=True).stdout
     doc = json.loads(out)
     cases = {}
     for case in doc["benchmarks"]:
@@ -95,6 +184,32 @@ def run_binary(path):
             and declared(EXCLUDED, path.name, key) is None
         }
     return cases
+
+
+def check_claims(snapshot):
+    """Prints every CLAIMS row that fails over `snapshot`; returns their
+    number."""
+    failed = 0
+    for experiment, binary, case, counter, relation, factor, other, *named \
+            in CLAIMS:
+        other_counter = named[0] if named else counter
+        cases = snapshot.get(binary, {})
+        try:
+            value = cases[case + "/iterations:1"][counter]
+            base = 1 if other is None else \
+                cases[other + "/iterations:1"][other_counter]
+        except KeyError as missing:
+            print(f"CLAIM FAILED: {experiment}: {binary} has no {missing}")
+            failed += 1
+            continue
+        if not RELATIONS[relation](value, factor * base):
+            of = "" if other is None else \
+                f" x {other} {other_counter} ({base})"
+            print(f"CLAIM FAILED: {experiment}: {case} {counter} ({value}) "
+                  f"is not {relation} {factor}{of}")
+            failed += 1
+    print(f"bench_snapshot: {len(CLAIMS) - failed}/{len(CLAIMS)} claims hold")
+    return failed
 
 
 def same(a, b):
@@ -282,6 +397,7 @@ def main():
                           snapshot[HOST_KEY]["parent"],
                           snapshot[HOST_KEY]["change"])
 
+    failed = check_claims(snapshot)
     if args.compare:
         with open(args.compare) as f:
             old = json.load(f)
@@ -291,8 +407,8 @@ def main():
             {b: c for b, c in snapshot.items() if b != HOST_KEY})
         print(f"bench_snapshot: {undeclared} undeclared difference(s) vs "
               f"{args.compare}")
-        return 1 if undeclared else 0
-    return 0
+        failed += undeclared
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,130 +1,11 @@
 #include "net/interceptors.h"
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "common/random.h"
 
 namespace disagg {
-
-// ---- TraceInterceptor ----------------------------------------------------
-
-Status TraceInterceptor::Intercept(Fabric* fabric, FabricOp* op,
-                                   NetContext* ctx,
-                                   const FabricOpInvoker& next) {
-  const uint64_t ns_before = ctx->sim_ns;
-  const uint64_t out_before = ctx->bytes_out;
-  const uint64_t in_before = ctx->bytes_in;
-  const uint64_t queue_before = ctx->queue_ns;
-  Status st = next(op, ctx);
-  const uint64_t ns = ctx->sim_ns - ns_before;
-
-  std::string key = FabricVerbName(op->verb);
-  key += '/';
-  const Node* target = fabric->node(op->node);
-  if (target != nullptr) {
-    key += target->model().name;
-    key += '/';
-    key += NodeKindName(target->kind());
-  } else {
-    key += "?/?";
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  ops_++;
-  if (!st.ok()) failures_++;
-  hists_[key].Record(ns);
-  if (capacity_ > 0) {
-    TraceRecord rec;
-    rec.seq = seq_++;
-    rec.verb = op->verb;
-    rec.node = op->node;
-    rec.tenant = op->tenant;
-    rec.bytes_out = ctx->bytes_out - out_before;
-    rec.bytes_in = ctx->bytes_in - in_before;
-    rec.sim_ns = ns;
-    rec.queue_ns = ctx->queue_ns - queue_before;
-    rec.ok = st.ok();
-    if (ring_.size() < capacity_) {
-      ring_.push_back(rec);
-    } else {
-      ring_[ring_next_] = rec;
-      ring_next_ = (ring_next_ + 1) % capacity_;
-    }
-  }
-  return st;
-}
-
-uint64_t TraceInterceptor::ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ops_;
-}
-
-uint64_t TraceInterceptor::failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return failures_;
-}
-
-std::vector<std::string> TraceInterceptor::Keys() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> keys;
-  keys.reserve(hists_.size());
-  for (const auto& [key, hist] : hists_) keys.push_back(key);
-  return keys;
-}
-
-Histogram TraceInterceptor::HistogramFor(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = hists_.find(key);
-  return it == hists_.end() ? Histogram{} : it->second;
-}
-
-std::vector<TraceInterceptor::TraceRecord> TraceInterceptor::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_ || capacity_ == 0) {
-    out = ring_;
-  } else {
-    for (size_t i = 0; i < ring_.size(); i++) {
-      out.push_back(ring_[(ring_next_ + i) % ring_.size()]);
-    }
-  }
-  return out;
-}
-
-std::string TraceInterceptor::DumpJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream os;
-  os << "{\"ops\":" << ops_ << ",\"failures\":" << failures_
-     << ",\"histograms\":{";
-  bool first = true;
-  for (const auto& [key, hist] : hists_) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << key << "\":{\"count\":" << hist.count()
-       << ",\"mean_ns\":" << hist.Mean() << ",\"p50_ns\":" << hist.Percentile(50)
-       << ",\"p99_ns\":" << hist.Percentile(99) << ",\"max_ns\":" << hist.max()
-       << '}';
-  }
-  os << "},\"trace\":[";
-  // Oldest-first walk of the ring (inline Snapshot; we already hold mu_).
-  const size_t n = ring_.size();
-  const size_t start = (capacity_ > 0 && n == capacity_) ? ring_next_ : 0;
-  for (size_t i = 0; i < n; i++) {
-    const TraceRecord& r = ring_[(start + i) % n];
-    if (i > 0) os << ',';
-    os << "{\"seq\":" << r.seq << ",\"verb\":\"" << FabricVerbName(r.verb)
-       << "\",\"node\":" << r.node << ",\"tenant\":" << r.tenant
-       << ",\"bytes_out\":" << r.bytes_out
-       << ",\"bytes_in\":" << r.bytes_in << ",\"sim_ns\":" << r.sim_ns
-       << ",\"queue_ns\":" << r.queue_ns
-       << ",\"ok\":" << (r.ok ? "true" : "false") << '}';
-  }
-  os << "]}";
-  return os.str();
-}
 
 // ---- FaultInterceptor ----------------------------------------------------
 
@@ -244,8 +125,7 @@ Status FaultInterceptor::Intercept(Fabric* /*fabric*/, FabricOp* op,
 // ---- RetryInterceptor ----------------------------------------------------
 
 bool RetryInterceptor::Retryable(const Status& st) const {
-  if (st.IsUnavailable()) return policy_.retry_unavailable;
-  if (st.IsTimedOut()) return policy_.retry_timed_out;
+  if (st.IsUnavailable() || st.IsTimedOut()) return true;
   if (st.IsBusy()) return policy_.retry_busy;
   return false;
 }

@@ -3,70 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "net/fabric.h"
 
 namespace disagg {
-
-/// Observes every op flowing through `Fabric::Execute()`: per-op sim-time
-/// histograms keyed by "verb/interconnect/node-kind", aggregate op/failure
-/// counts, and an optional bounded ring-buffer trace of the most recent ops
-/// dumpable as JSON for benches. Purely observational — charges nothing, so
-/// installing it never changes a client's counters.
-class TraceInterceptor : public FabricInterceptor {
- public:
-  /// `trace_capacity` bounds the ring-buffer op trace; 0 keeps histograms
-  /// only.
-  explicit TraceInterceptor(size_t trace_capacity = 0)
-      : capacity_(trace_capacity) {}
-
-  const char* name() const override { return "trace"; }
-
-  Status Intercept(Fabric* fabric, FabricOp* op, NetContext* ctx,
-                   const FabricOpInvoker& next) override;
-
-  struct TraceRecord {
-    uint64_t seq = 0;
-    FabricVerb verb = FabricVerb::kRead;
-    NodeId node = 0;
-    uint32_t tenant = 0;     ///< tenant billed for the op (`FabricOp::tenant`)
-    uint64_t bytes_out = 0;
-    uint64_t bytes_in = 0;
-    uint64_t sim_ns = 0;
-    uint64_t queue_ns = 0;   ///< congestion queueing delay within `sim_ns`
-    bool ok = false;
-  };
-
-  uint64_t ops() const;
-  uint64_t failures() const;
-
-  /// Histogram keys present so far, e.g. "read/rdma/memory".
-  std::vector<std::string> Keys() const;
-
-  /// Copy of the histogram for `key`; zero-count histogram if absent.
-  Histogram HistogramFor(const std::string& key) const;
-
-  /// The retained ring-buffer records, oldest first.
-  std::vector<TraceRecord> Snapshot() const;
-
-  /// Dumps histogram summaries plus the retained op trace as a JSON object.
-  std::string DumpJson() const;
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::map<std::string, Histogram> hists_;
-  uint64_t ops_ = 0;
-  uint64_t failures_ = 0;
-  uint64_t seq_ = 0;
-  std::vector<TraceRecord> ring_;  // circular once size() == capacity_
-  size_t ring_next_ = 0;
-};
 
 /// Deterministic seeded fault schedule, the composable replacement for the
 /// binary `Node::Fail()` switch: packet drops and latency spikes are decided
@@ -196,9 +138,9 @@ struct RetryPolicy {
   uint64_t initial_backoff_ns = 1000;
   double backoff_multiplier = 2.0;
   uint64_t max_backoff_ns = 1 << 20;  ///< ~1 ms cap
-  bool retry_unavailable = true;
-  bool retry_timed_out = true;
-  bool retry_busy = false;  ///< Busy usually signals app-level conflicts
+  /// Unavailable and TimedOut are always retried; Busy, which usually
+  /// signals app-level conflicts, only when this is set.
+  bool retry_busy = false;
 
   /// Total issues (including the first) for ops refused by congestion
   /// admission control (`FabricOp::admission_rejected`). Re-issuing into a

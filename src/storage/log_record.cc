@@ -114,6 +114,7 @@ Result<std::vector<LogRecord>> LogRecord::DecodeBatch(Slice input) {
     if (!rec.ok()) return rec.status();
     out.push_back(std::move(rec).value());
   }
+  if (!input.empty()) return Status::Corruption("bytes after batch");
   return out;
 }
 
@@ -132,6 +133,10 @@ Status LogRecord::ScanBatch(Slice input, std::vector<LogRecordSpan>* out) {
     }
     out->push_back({fields.lsn, fields.page_id,
                     Slice(start, static_cast<size_t>(input.data() - start))});
+  }
+  if (!input.empty()) {
+    out->clear();
+    return Status::Corruption("bytes after batch");
   }
   return Status::OK();
 }

@@ -65,7 +65,8 @@ struct LogRecord {
   static Result<LogRecord> DecodeFrom(Slice* input);
 
   /// Encodes a batch of records into one buffer (group shipping):
-  /// varint(count) followed by each record's encoding.
+  /// varint(count) followed by each record's encoding. The decoders reject
+  /// a batch with bytes after its last counted record.
   static std::string EncodeBatch(const std::vector<LogRecord>& records);
   static Result<std::vector<LogRecord>> DecodeBatch(Slice input);
   /// Splits an encoded batch into per-record spans in `*out` (cleared

@@ -141,44 +141,6 @@ TEST_F(PipelineTest, PerVerbBreakdownSumsToAggregates) {
   EXPECT_EQ(in, ctx.bytes_in);
 }
 
-TEST_F(PipelineTest, TraceInterceptorIsObservationOnly) {
-  NetContext bare;
-  RunMixedWorkload(&bare);
-
-  auto trace = std::make_shared<TraceInterceptor>(/*trace_capacity=*/4);
-  fabric_.AddInterceptor(trace);
-  NetContext traced;
-  RunMixedWorkload(&traced);
-
-  // Identical counters: tracing never perturbs the cost model.
-  EXPECT_EQ(traced.sim_ns, bare.sim_ns);
-  EXPECT_EQ(traced.bytes_out, bare.bytes_out);
-  EXPECT_EQ(traced.bytes_in, bare.bytes_in);
-  EXPECT_EQ(traced.round_trips, bare.round_trips);
-
-  EXPECT_EQ(trace->ops(), 7u);
-  EXPECT_EQ(trace->failures(), 0u);
-
-  // Histograms keyed by verb × interconnect × node kind.
-  Histogram h = trace->HistogramFor("read/rdma/memory");
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(static_cast<uint64_t>(h.Mean()),
-            InterconnectModel::Rdma().ReadCost(16));
-  EXPECT_FALSE(trace->Keys().empty());
-
-  // Ring buffer keeps only the most recent `capacity` ops, oldest first.
-  auto records = trace->Snapshot();
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_EQ(records.front().seq, 3u);
-  EXPECT_EQ(records.back().seq, 6u);
-  EXPECT_EQ(records.back().verb, FabricVerb::kRpc);
-
-  const std::string json = trace->DumpJson();
-  EXPECT_NE(json.find("\"ops\":7"), std::string::npos);
-  EXPECT_NE(json.find("read/rdma/memory"), std::string::npos);
-  EXPECT_NE(json.find("\"verb\":\"rpc\""), std::string::npos);
-}
-
 TEST_F(PipelineTest, SeededFaultScheduleIsDeterministic) {
   auto run = [&](uint64_t seed) {
     Fabric fabric;
@@ -317,33 +279,6 @@ TEST_F(PipelineTest, ZeroBackoffRetryStillAdvancesSimTime) {
   EXPECT_EQ(ctx2.retries, 5u);
   EXPECT_GE(ctx2.backoff_ns, 5u);  // >= 1 ns per retry even after decay
   fabric_.node(mem_node_)->Revive();
-}
-
-TEST_F(PipelineTest, TraceRecordsCarryTenantAndQueueDelay) {
-  auto trace = std::make_shared<TraceInterceptor>(/*trace_capacity=*/8);
-  fabric_.AddInterceptor(trace);
-  CongestionConfig cfg;
-  cfg.node_caps[mem_node_].ns_per_op = 50'000;  // each op occupies 50 us
-  fabric_.EnableCongestion(cfg);
-
-  NetContext ctx;
-  ctx.tenant = 7;
-  char buf[8];
-  ASSERT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).ok());
-  // The second read arrives while the link is still busy with the first.
-  ASSERT_TRUE(fabric_.Read(&ctx, At(8), buf, 8).ok());
-
-  auto records = trace->Snapshot();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].tenant, 7u);
-  EXPECT_EQ(records[1].tenant, 7u);
-  EXPECT_EQ(records[0].queue_ns, 0u);  // idle link: no wait
-  EXPECT_GT(records[1].queue_ns, 0u);  // queued behind op 0
-  EXPECT_EQ(records[0].queue_ns + records[1].queue_ns, ctx.queue_ns);
-
-  const std::string json = trace->DumpJson();
-  EXPECT_NE(json.find("\"tenant\":7"), std::string::npos);
-  EXPECT_NE(json.find("\"queue_ns\":"), std::string::npos);
 }
 
 TEST_F(PipelineTest, AdmissionBusyRetriesCappedTighterThanContentionBusy) {

@@ -220,8 +220,20 @@ TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
     const RequestOwner other(std::make_shared<const std::string>(good));
     auto indexed = RedoBatch::Index(std::make_shared<const std::string>(good));
     ASSERT_TRUE(indexed.ok());
-    for (const std::string& input : HostileCorpus(good, &rng)) {
+    std::vector<std::string> inputs;
+    for (std::string& input : HostileCorpus(good, &rng)) {
       if (LogRecord::DecodeBatch(input).ok()) continue;
+      inputs.push_back(std::move(input));
+    }
+    // A valid batch followed by bytes its count does not cover.
+    for (const std::string& tail : {std::string(1, '\0'), good}) {
+      inputs.push_back(good + tail);
+      EXPECT_FALSE(LogRecord::DecodeBatch(inputs.back()).ok());
+      EXPECT_FALSE(
+          RedoBatch::Index(std::make_shared<const std::string>(inputs.back()))
+              .ok());
+    }
+    for (const std::string& input : inputs) {
       rejected++;
       const RequestOwner owned(std::make_shared<const std::string>(input));
       const long refs[] = {owned.bytes().use_count(),
