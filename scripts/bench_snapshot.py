@@ -16,7 +16,11 @@ and the CLAIMS table below holds the claims that compare cases; the script
 exits 1 if any row fails or names a case or counter the snapshot lacks.
 With `--compare`, every counter that was added, removed or changed
 relative to the old snapshot is printed, and the script exits 1 unless
-each of them is declared in EXCLUDED or CHANGED below.
+each of them is declared in EXCLUDED or CHANGED below. Each binary's wall
+seconds and peak RSS, and their totals, are printed to stdout; they are
+kept out of the snapshot and out of every check. Linux carries the
+spawning process's high-water mark across exec, so no binary reads below
+this script's own resident set (~16 MB).
 
 Host mode (`--host-runs N`) also runs the repository benchmark that
 BENCHMARK.json declares (its command, workloads, `run_seconds` and
@@ -41,6 +45,8 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -167,11 +173,25 @@ def declared(table, binary, counter):
 
 
 def run_binary(path):
-    """The counters of every case `path` runs, as {case: {counter: value}}."""
-    out = subprocess.run(
-        [str(path), "--benchmark_format=json",
-         "--benchmark_min_warmup_time=0"],
-        capture_output=True, text=True, check=True).stdout
+    """The counters of every case `path` runs, as {case: {counter: value}},
+    and the binary's host cost: its wall seconds and peak RSS in MB (from
+    `os.wait4`'s rusage)."""
+    start = time.monotonic()
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [str(path), "--benchmark_format=json",
+             "--benchmark_min_warmup_time=0"],
+            stdout=subprocess.PIPE, stderr=err)
+        with proc.stdout:
+            out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        wall_s = time.monotonic() - start
+        if proc.returncode != 0:
+            err.seek(0)
+            sys.stderr.write(err.read().decode(errors="replace"))
+            sys.exit(f"bench_snapshot: {path.name} exited with status "
+                     f"{proc.returncode}")
     doc = json.loads(out)
     cases = {}
     for case in doc["benchmarks"]:
@@ -183,7 +203,7 @@ def run_binary(path):
             if key not in STANDARD_KEYS
             and declared(EXCLUDED, path.name, key) is None
         }
-    return cases
+    return cases, (wall_s, usage.ru_maxrss / 1024.0)
 
 
 def check_claims(snapshot):
@@ -380,9 +400,16 @@ def main():
     if not binaries:
         sys.exit(f"bench_snapshot: no bench_* binaries under {args.build}")
     snapshot = {}
+    host_cost = {}  # binary -> (wall s, peak RSS MB); printed, never stored
     for path in binaries:
         print(f"bench_snapshot: {path.name}", file=sys.stderr)
-        snapshot[path.name] = run_binary(path)
+        snapshot[path.name], host_cost[path.name] = run_binary(path)
+    for name, (wall_s, rss_mb) in host_cost.items():
+        print(f"host cost: {name}: {wall_s:.2f} s, peak RSS {rss_mb:.1f} MB")
+    largest = max(host_cost, key=lambda name: host_cost[name][1])
+    print(f"host cost: {len(host_cost)} binaries: "
+          f"{sum(w for w, _ in host_cost.values()):.1f} s in total, largest "
+          f"peak RSS {host_cost[largest][1]:.1f} MB ({largest})")
     if args.host_runs:
         snapshot[HOST_KEY] = host_block(args.host_runs, args.host_parent)
     with open(args.out, "w") as f:

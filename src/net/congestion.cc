@@ -10,6 +10,7 @@ CongestionState::CongestionState(CongestionConfig config)
     : config_(std::move(config)) {
   auto table = std::make_shared<ControlTable>();
   table->sfq = config_.wfq_enabled();
+  table->bounded = ConfigBounded();
   for (const auto& [tenant, w] : config_.tenant_weights) {
     table->tenants[tenant].weight = w;
   }
@@ -21,11 +22,23 @@ void CongestionState::UpdateTenantControls(
     const std::map<uint32_t, TenantControl>& controls) {
   auto table = std::make_shared<ControlTable>();
   table->sfq = config_.wfq_enabled();
+  table->bounded = ConfigBounded();
+  for (const auto& [tenant, control] : controls) {
+    if (control.max_backlog_ns != 0) table->bounded = true;
+  }
   table->tenants = controls;
   std::lock_guard<std::mutex> lock(mu_);
   controls_retired_.push_back(std::move(controls_current_));
   controls_current_ = std::move(table);
   controls_snapshot_.store(controls_current_.get(), std::memory_order_release);
+}
+
+bool CongestionState::ConfigBounded() const {
+  if (config_.default_node.max_backlog_ns != 0) return true;
+  for (const auto& [node, cap] : config_.node_caps) {
+    if (cap.max_backlog_ns != 0) return true;
+  }
+  return false;
 }
 
 TenantControl CongestionState::ControlFor(uint32_t tenant) const {
@@ -147,20 +160,20 @@ uint64_t CongestionState::BacklogAt(const ControlTable& ct, const Resource& r,
 }
 
 CongestionState::Resource* CongestionState::ResourceFor(NodeId node) {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) {
+  if (node >= nodes_.size()) nodes_.resize(node + 1);
+  std::optional<Resource>& slot = nodes_[node];
+  if (!slot) {
     auto cit = config_.node_caps.find(node);
     const ResourceCapacity cap =
         cit == config_.node_caps.end() ? config_.default_node : cit->second;
-    it = nodes_.emplace(node, Resource{cap, {}, {}, {}}).first;
+    slot.emplace(Resource{cap, {}, {}, {}});
   }
-  return &it->second;
+  return &*slot;
 }
 
 const CongestionState::Resource* CongestionState::FindResource(
     NodeId node) const {
-  auto it = nodes_.find(node);
-  return it == nodes_.end() ? nullptr : &it->second;
+  return node < nodes_.size() && nodes_[node] ? &*nodes_[node] : nullptr;
 }
 
 bool CongestionState::TryAdmitOn(const ControlTable& ct, const Resource& link,
@@ -187,6 +200,7 @@ uint64_t CongestionState::AdmitOn(const ControlTable& ct, Resource* link,
 
 bool CongestionState::TryAdmit(NodeId node, uint32_t tenant,
                                uint64_t arrival_ns, uint64_t deadline_ns) {
+  if (!controls().bounded) return true;
   if (PartitionEffects* eff = CurrentPartitionEffects()) {
     return eff->ShardFor(this)->TryAdmit(node, tenant, arrival_ns,
                                          deadline_ns);
@@ -226,12 +240,10 @@ uint64_t CongestionState::AdmitAuthoritative(NodeId node, uint32_t tenant,
 }
 
 CongestionState::Resource* CongestionState::Shard::LocalFor(NodeId node) {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) {
-    std::lock_guard<std::mutex> lock(owner_->mu_);
-    it = nodes_.emplace(node, *owner_->ResourceFor(node)).first;
-  }
-  return &it->second;
+  if (node < nodes_.size() && nodes_[node]) return &*nodes_[node];
+  std::lock_guard<std::mutex> lock(owner_->mu_);
+  if (node >= nodes_.size()) nodes_.resize(node + 1);
+  return &nodes_[node].emplace(*owner_->ResourceFor(node));
 }
 
 bool CongestionState::Shard::TryAdmit(NodeId node, uint32_t tenant,
@@ -272,7 +284,7 @@ void CongestionState::MergeShard(Shard* shard) {
   }
   // Drop the epoch's copies: the next epoch re-snapshots the merged state.
   shard->log_.clear();
-  shard->nodes_.clear();
+  for (std::optional<Resource>& slot : shard->nodes_) slot.reset();
 }
 
 CongestionState::ResourceStats CongestionState::NodeStats(NodeId node) const {
@@ -294,23 +306,28 @@ std::map<uint32_t, uint64_t> CongestionState::NodeTenantOps(
 uint64_t CongestionState::total_queue_ns() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& [id, r] : nodes_) total += r.stats.queue_ns;
+  for (const std::optional<Resource>& r : nodes_) {
+    if (r) total += r->stats.queue_ns;
+  }
   return total;
 }
 
 uint64_t CongestionState::total_rejections() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& [id, r] : nodes_) total += r.stats.rejections;
+  for (const std::optional<Resource>& r : nodes_) {
+    if (r) total += r->stats.rejections;
+  }
   return total;
 }
 
 void CongestionState::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, r] : nodes_) {
-    r.stats = ResourceStats{};
-    r.lanes.clear();
-    r.edf = EdfQueue{};
+  for (std::optional<Resource>& r : nodes_) {
+    if (!r) continue;
+    r->stats = ResourceStats{};
+    r->lanes.clear();
+    r->edf = EdfQueue{};
   }
 }
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -146,7 +147,8 @@ struct CongestionConfig {
 /// override via `TenantControl::max_backlog_ns`) bounds how far behind a
 /// resource an op may queue: `TryAdmit` is consulted before the op
 /// executes, and a rejected op is failed fast with `Status::Busy`, charged
-/// only `CongestionConfig::kRejectionCostNs`.
+/// only `CongestionConfig::kRejectionCostNs`. With no bound set anywhere
+/// `TryAdmit` admits at once, without a lock or a link lookup.
 ///
 /// Live reconfiguration: per-tenant weights and admission bounds live in an
 /// immutable `TenantControl` table published through an atomic snapshot
@@ -247,6 +249,9 @@ class CongestionState {
   /// whole op.
   struct ControlTable {
     bool sfq = false;  ///< SFQ discipline active (frozen from the config)
+    /// Some admission bound is set, by a resource in the config or by a
+    /// tenant in this table. Without one no op is ever refused.
+    bool bounded = false;
     std::map<uint32_t, TenantControl> tenants;
 
     double WeightFor(uint32_t tenant) const {
@@ -286,6 +291,11 @@ class CongestionState {
     std::map<uint32_t, Lane> lanes;  // SFQ mode: tenant -> lane
     EdfQueue edf;                    // EDF mode
   };
+
+  /// Links indexed by NodeId, which the fabric numbers densely from 1 (it
+  /// sends no op for a node it does not have). A slot stays empty until its
+  /// node's first op.
+  using Links = std::vector<std::optional<Resource>>;
 
   /// Starts service for one op on `r` at `>= t` under strict FIFO; returns
   /// the service start time (== t when the resource is idle).
@@ -338,6 +348,9 @@ class CongestionState {
   Resource* ResourceFor(NodeId node);          // lazily created
   const Resource* FindResource(NodeId node) const;
 
+  /// Whether some resource in the config carries an admission bound.
+  bool ConfigBounded() const;
+
   bool TryAdmitAuthoritative(NodeId node, uint32_t tenant,
                              uint64_t arrival_ns, uint64_t deadline_ns);
   uint64_t AdmitAuthoritative(NodeId node, uint32_t tenant,
@@ -346,7 +359,7 @@ class CongestionState {
 
   const CongestionConfig config_;
   mutable std::mutex mu_;
-  std::map<NodeId, Resource> nodes_;  // lazily created on first op
+  Links nodes_;  // lazily created on first op
 
   // Tenant-control snapshot: shared_ptr (under mu_) owns, raw atomic
   // mirrors for the per-op hot path. Old tables are parked in
@@ -395,7 +408,7 @@ class CongestionState::Shard {
   Resource* LocalFor(NodeId node);  // copy-on-first-touch from the owner
 
   CongestionState* const owner_;
-  std::map<NodeId, Resource> nodes_;
+  Links nodes_;
   std::vector<Event> log_;
 };
 

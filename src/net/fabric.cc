@@ -186,7 +186,12 @@ Status Fabric::ExecuteCore(FabricOp* op, NetContext* ctx) {
   }
   CongestionState* congestion =
       congestion_snapshot_.load(std::memory_order_acquire);
-  if (congestion == nullptr) return ExecuteVerb(op, ctx);
+  // An op to a node that does not exist fails in `CheckTarget` before it
+  // moves a byte, so it never meets a congestion queue (whose links are
+  // indexed by node id).
+  if (congestion == nullptr || node(op->node) == nullptr) {
+    return ExecuteVerb(op, ctx);
+  }
 
   // The op arrives at the client's virtual time *before* its own service
   // cost; the bytes it moves are known only after the verb ran (RPC response

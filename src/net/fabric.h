@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -72,25 +74,42 @@ struct GlobalAddr {
 /// A registered memory region ("MR" in RDMA terms) hosted by a node. The
 /// bytes live in process memory; one-sided verbs copy directly in and out,
 /// exactly like DMA by a NIC, with no remote-CPU involvement.
+///
+/// The bytes start zero and are committed on first touch: `calloc` hands a
+/// large request back as untouched zero pages, so a pool declared far larger
+/// than a run's working set (Figure 2's memory pools) costs the host only
+/// the pages the run writes.
 class MemoryRegion {
  public:
   MemoryRegion(uint32_t id, std::string name, size_t size)
-      : id_(id), name_(std::move(name)), data_(size, 0) {}
+      : id_(id),
+        name_(std::move(name)),
+        size_(size),
+        data_(static_cast<char*>(std::calloc(size, 1))) {
+    if (data_ == nullptr && size != 0) throw std::bad_alloc();
+  }
+  MemoryRegion(const MemoryRegion&) = delete;
+  MemoryRegion& operator=(const MemoryRegion&) = delete;
 
   uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
-  size_t size() const { return data_.size(); }
-  char* data() { return data_.data(); }
-  const char* data() const { return data_.data(); }
+  size_t size() const { return size_; }
+  char* data() { return data_.get(); }
+  const char* data() const { return data_.get(); }
 
   bool Contains(uint64_t offset, size_t n) const {
-    return offset + n <= data_.size() && offset + n >= offset;
+    return offset + n <= size_ && offset + n >= offset;
   }
 
  private:
+  struct Free {
+    void operator()(char* p) const { std::free(p); }
+  };
+
   uint32_t id_;
   std::string name_;
-  std::vector<char> data_;
+  size_t size_;
+  std::unique_ptr<char, Free> data_;
 };
 
 /// Server-side context passed to RPC handlers so they can report the CPU work

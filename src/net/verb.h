@@ -25,9 +25,13 @@ namespace disagg {
 ///    Retry against the same node may succeed after recovery; falling over
 ///    to a replica (the degrade ladder) is usually better.
 ///  - `Status::TimedOut` — a genuine *deadline* expiry: the op's
-///    `deadline_ns` budget ran out (`FabricOp::deadline_exhausted` when
-///    refused pre-issue). Never retryable — waiting longer cannot cure it;
-///    the only useful responses are degrading or reporting the miss.
+///    `deadline_ns` budget ran out. The fabric emits it only when it refuses
+///    an op before issue, and it then sets `FabricOp::deadline_exhausted`.
+///    `RetryInterceptor` stops on that flag without re-issuing the op and
+///    counts the op as given up (`gave_up()`): waiting longer cannot cure
+///    it, so the only useful responses are degrading or reporting the miss.
+///    A TimedOut without the flag (none is emitted today) would be retried
+///    with backoff like Unavailable.
 ///
 /// Engines must never surface `TimedOut` for contention (pinned by the chaos
 /// suite's status-contract test).

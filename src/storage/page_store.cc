@@ -49,14 +49,9 @@ size_t PageStoreService::pending_records() const {
 size_t PageStoreService::MaterializeAll() {
   std::lock_guard<std::mutex> lock(mu_);
   size_t applied = 0;
-  std::vector<PageId> ids;
   for (const auto& [id, redo] : pending_) {
-    applied += redo.size();
-    ids.push_back(id);
-  }
-  for (PageId id : ids) {
-    Status st = MaterializeLocked(id);
-    (void)st;  // materialization errors surface on reads
+    Status st = MaterializeLocked(id, &applied);
+    (void)st;  // the failing record stays pending; page.get reports it
   }
   return applied;
 }
@@ -100,18 +95,25 @@ Result<Page> PageStoreService::PeekPage(PageId id) const {
   return it->second;
 }
 
-Status PageStoreService::MaterializeLocked(PageId id) {
+Status PageStoreService::MaterializeLocked(PageId id, size_t* applied) {
   auto pit = pending_.find(id);
   if (pit == pending_.end() || pit->second.empty()) return Status::OK();
   auto it = pages_.find(id);
   if (it == pages_.end()) {
     it = pages_.emplace(id, Page(id)).first;
   }
-  for (const LogRecord& r : pit->second.Decode(0)) {
-    DISAGG_RETURN_NOT_OK(ApplyRedo(&it->second, r));
+  const std::vector<LogRecord> redo = pit->second.Decode(0);
+  size_t done = 0;
+  Status st;
+  for (; done < redo.size(); done++) {
+    st = ApplyRedo(&it->second, redo[done]);
+    if (!st.ok()) break;
   }
-  pit->second.Clear();
-  return Status::OK();
+  // A failing record stays pending with its successors, so every later
+  // read retries from it and reports the same status.
+  pit->second.EraseFront(done);
+  if (applied != nullptr) *applied += done;
+  return st;
 }
 
 Status PageStoreService::HandleApplyLog(Slice req, std::string* resp,

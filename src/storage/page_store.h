@@ -40,8 +40,9 @@ class PageStoreService {
   size_t pending_records() const;
 
   /// Applies all pending redo (normally done lazily on read). Returns the
-  /// number of records applied. Exposed so benchmarks can measure the
-  /// foreground vs background split.
+  /// number of records applied. A page whose redo fails keeps the failing
+  /// record and its successors pending. Exposed so benchmarks can measure
+  /// the foreground vs background split.
   size_t MaterializeAll();
 
   /// Gossip support (Taurus, Sec. 2.1): version vector of page → LSN, and
@@ -55,8 +56,10 @@ class PageStoreService {
   Status HandlePut(Slice req, std::string* resp, RpcServerContext* sctx);
   Status HandleGet(Slice req, std::string* resp, RpcServerContext* sctx);
 
-  // Applies pending redo for one page (mu_ held).
-  Status MaterializeLocked(PageId id);
+  // Applies pending redo for one page (mu_ held), in order, up to the first
+  // record that fails; drops the applied prefix, adds its length to
+  // `*applied` (if given) and returns the failure.
+  Status MaterializeLocked(PageId id, size_t* applied = nullptr);
 
   Fabric* fabric_;
   NodeId node_;

@@ -147,6 +147,17 @@ TEST_F(CongestionTest, RejectedOpsOccupyNothing) {
       fabric_.Read(&ctx, At((1 << 20) - 4), buf, 8).IsInvalidArgument());
   EXPECT_EQ(ctx.queue_ns, 0u);
   EXPECT_EQ(fabric_.congestion()->NodeStats(node_).ops, 0u);
+
+  // An op to a node the fabric does not have, with admission bounds in
+  // force: refused by the fabric, and no link is made for it.
+  cfg.default_node.max_backlog_ns = 500;
+  fabric_.EnableCongestion(cfg);
+  const NodeId missing = 0xFFFFFFF0u;
+  EXPECT_TRUE(fabric_.Read(&ctx, GlobalAddr{missing, 0, 0}, buf, 8)
+                  .IsInvalidArgument());
+  EXPECT_EQ(ctx.queue_ns, 0u);
+  EXPECT_EQ(ctx.admission_rejects, 0u);
+  EXPECT_EQ(fabric_.congestion()->NodeStats(missing).ops, 0u);
 }
 
 TEST_F(CongestionTest, ForkedBranchesArriveAtParentVirtualTime) {

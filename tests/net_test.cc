@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <string>
 
 #include "common/coding.h"
@@ -153,6 +158,77 @@ TEST_F(FabricTest, FailedNodeIsUnavailableUntilRevived) {
   EXPECT_FALSE(fabric_.CompareAndSwap(&ctx_, addr, 0, 1).ok());
   fabric_.node(mem_node_)->Revive();
   EXPECT_TRUE(fabric_.Read(&ctx_, addr, buf, 8).ok());
+}
+
+// Resident set of this process in bytes (`/proc/self/statm`, field 2).
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// The most one first touch may commit: a page, or a huge page when
+// transparent huge pages are always on.
+uint64_t FirstTouchGranule() {
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  std::getline(thp, mode);
+  return mode.find("[always]") != std::string::npos
+             ? uint64_t{2} << 20
+             : static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// A region is committed on first touch: declaring a pool far larger than
+// what a run writes costs only the pages written.
+TEST(MemoryRegionTest, CommitsOnlyThePagesWritten) {
+  constexpr size_t kSize = size_t{1} << 30;
+  const uint64_t before = ResidentBytes();
+  auto region = std::make_unique<MemoryRegion>(0, "pool", kSize);
+  const uint64_t created = ResidentBytes();
+  EXPECT_LT(created, before + (uint64_t{16} << 20));
+
+  volatile char* bytes = region->data();  // stores the compiler keeps
+  bytes[0] = 1;
+  bytes[kSize - 1] = 2;
+  const uint64_t touched = ResidentBytes();
+  // Two pages, plus a little slack for the test's own allocations.
+  EXPECT_LE(touched, created + 2 * FirstTouchGranule() + 8 * 4096);
+  EXPECT_EQ(bytes[kSize / 2], 0);
+}
+
+// A region allocated right after a dirtied one of the same size was freed
+// reads zero where the old one was written (the allocator may hand the
+// same memory back).
+TEST(MemoryRegionTest, ReusedMemoryStartsZero) {
+  for (size_t size : {size_t{4096}, size_t{1} << 20, size_t{64} << 20}) {
+    const size_t offsets[] = {0, size / 2, size - 1};
+    {
+      MemoryRegion dirty(0, "dirty", size);
+      volatile char* bytes = dirty.data();
+      for (size_t off : offsets) bytes[off] = 0x5a;
+    }
+    MemoryRegion fresh(0, "fresh", size);
+    for (size_t off : offsets) {
+      EXPECT_EQ(fresh.data()[off], 0) << "size " << size << " offset " << off;
+    }
+  }
+}
+
+TEST(MemoryRegionTest, ContainsRefusesAtExactlySize) {
+  constexpr size_t kSize = 4096;
+  const MemoryRegion region(0, "r", kSize);
+  EXPECT_EQ(region.size(), kSize);
+  EXPECT_TRUE(region.Contains(0, kSize));
+  EXPECT_TRUE(region.Contains(kSize - 1, 1));
+  EXPECT_TRUE(region.Contains(kSize, 0));
+  EXPECT_FALSE(region.Contains(0, kSize + 1));
+  EXPECT_FALSE(region.Contains(kSize, 1));
+  EXPECT_FALSE(region.Contains(1, kSize));
+  // offset + n wraps around: refused, not read as a small range.
+  EXPECT_FALSE(region.Contains(UINT64_MAX, 1));
+  EXPECT_FALSE(region.Contains(UINT64_MAX, 2));
+  EXPECT_FALSE(region.Contains(8, SIZE_MAX - 4));
 }
 
 TEST(InterconnectTest, LatencyOrderingMatchesPaper) {

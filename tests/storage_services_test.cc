@@ -408,6 +408,34 @@ TEST_F(PageStoreTest, GetChargesPerPendingRecordIncludingDuplicates) {
   EXPECT_GT(two.sim_ns, one.sim_ns);
 }
 
+// An unappliable record (an update that grows its slot) stops
+// materialization there: the applied prefix leaves the pending list, the
+// failing record and its successors stay, and every read reports the same
+// status instead of re-running the prefix.
+TEST_F(PageStoreTest, UnappliableRedoKeepsItselfAndItsSuccessorsPending) {
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(1, 6, 0, "a"),
+                                        MakeUpdate(2, 6, 0, "grown"),
+                                        MakeInsert(3, 6, 1, "b")})
+                  .ok());
+  EXPECT_EQ(service_->MaterializeAll(), 1u);
+  EXPECT_EQ(service_->pending_records(), 2u);
+
+  // A second attempt applies nothing twice and stops at the same record.
+  EXPECT_EQ(service_->MaterializeAll(), 0u);
+  EXPECT_EQ(service_->pending_records(), 2u);
+  const Status first = client_->GetPage(&ctx_, 6).status();
+  const Status second = client_->GetPage(&ctx_, 6).status();
+  EXPECT_TRUE(first.IsInvalidArgument()) << first.ToString();
+  EXPECT_EQ(first.ToString(), second.ToString());
+  EXPECT_EQ(service_->pending_records(), 2u);
+
+  auto page = service_->PeekPage(6);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->lsn(), 1u);
+  EXPECT_EQ(page->slot_count(), 1u);
+  EXPECT_EQ(page->Get(0)->ToString(), "a");
+}
+
 TEST(QuorumTest, AuroraQuorumSurvivesAzFailure) {
   Fabric fabric;
   ReplicatedSegment::Config cfg;  // 6 replicas / 3 AZs / W=4 / R=3
