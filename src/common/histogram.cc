@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <limits>
 
 namespace disagg {
@@ -80,16 +79,6 @@ double Histogram::Percentile(double p) const {
     first_occupied = false;
   }
   return static_cast<double>(max_);
-}
-
-std::string Histogram::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "count=%llu mean=%.1f p50=%.0f p99=%.0f max=%llu",
-                static_cast<unsigned long long>(count_), Mean(),
-                Percentile(50), Percentile(99),
-                static_cast<unsigned long long>(max_));
-  return buf;
 }
 
 }  // namespace disagg

@@ -2,7 +2,6 @@
 #define DISAGG_COMMON_HISTOGRAM_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace disagg {
@@ -26,8 +25,6 @@ class Histogram {
   /// clamped into [min(), max()] so no percentile undershoots the smallest
   /// or overshoots the largest recorded sample. Monotonic in p.
   double Percentile(double p) const;
-
-  std::string ToString() const;
 
  private:
   static constexpr int kNumBuckets = 64 * 4;  // 4 sub-buckets per power of 2.

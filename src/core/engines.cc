@@ -8,27 +8,6 @@ namespace disagg {
 
 namespace {
 
-/// Quorum sink that owns its segment (so the sink's lifetime covers the
-/// engine's).
-class OwningQuorumSink : public LogBackend {
- public:
-  OwningQuorumSink(Fabric* fabric, const ReplicatedSegment::Config& config)
-      : segment_(std::make_unique<ReplicatedSegment>(fabric, config,
-                                                     "aurora-seg")) {}
-
-  ReplicatedSegment* segment() { return segment_.get(); }
-
-  Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
-    return segment_->AppendLog(ctx, records);
-  }
-  Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
-    return segment_->ReadLog(ctx);
-  }
-
- private:
-  std::unique_ptr<ReplicatedSegment> segment_;
-};
-
 /// PolarFS sink: the WAL rides a 3-way RaftLite replication group.
 class RaftLogSink : public LogBackend {
  public:
@@ -223,11 +202,12 @@ AuroraDb::AuroraDb(Fabric* fabric, ReplicatedSegment::Config config,
     : RowEngine(UseShared(log)
                     ? SharedSink(log)
                     : std::unique_ptr<LogBackend>(
-                          std::make_unique<OwningQuorumSink>(fabric, config))),
+                          std::make_unique<QuorumSink>(fabric, config,
+                                                       "aurora-seg"))),
       fabric_(fabric),
       segment_(UseShared(log)
                    ? nullptr
-                   : static_cast<OwningQuorumSink*>(sink_.get())->segment()) {
+                   : static_cast<QuorumSink*>(sink_.get())->segment()) {
   if (UseShared(log)) {
     // The smart segment materialized pages from the log as a side effect of
     // appending; with the WAL on the shared (dumb) log fleet, a dedicated

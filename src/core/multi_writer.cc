@@ -22,9 +22,10 @@ MultiWriterDb::MultiWriterDb(Fabric* fabric, size_t max_pages,
     log_backend_ = std::make_unique<SharedLogBackend>(
         log.shared_log->fabric(), log.shared_log, log.tag);
   } else {
-    segment_ = std::make_unique<ReplicatedSegment>(fabric_, storage_config,
-                                                   "multiwriter-seg");
-    log_backend_ = std::make_unique<QuorumSink>(segment_.get());
+    auto sink = std::make_unique<QuorumSink>(fabric_, storage_config,
+                                             "multiwriter-seg");
+    segment_ = sink->segment();
+    log_backend_ = std::move(sink);
   }
 }
 

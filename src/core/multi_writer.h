@@ -78,7 +78,7 @@ class MultiWriterDb {
   /// The redo-durability tier (quorum segment or shared-log tag).
   LogBackend* log_backend() { return log_backend_.get(); }
   /// Null in shared-log mode.
-  ReplicatedSegment* segment() { return segment_.get(); }
+  ReplicatedSegment* segment() { return segment_; }
 
  private:
   friend class Writer;
@@ -97,8 +97,8 @@ class MultiWriterDb {
   Fabric* fabric_;
   std::unique_ptr<MemoryNode> pool_;
   std::unique_ptr<SharedBufferPoolHome> home_;
-  std::unique_ptr<ReplicatedSegment> segment_;  // null in shared-log mode
   std::unique_ptr<LogBackend> log_backend_;
+  ReplicatedSegment* segment_ = nullptr;  // owned by log_backend_
   GlobalAddr lock_table_{};
   // Shared metadata (a real deployment would host this on the memory node
   // too; keeping it in-process models the metadata service).

@@ -44,7 +44,7 @@ Result<Page*> RowEngine::GetPageForRead(NetContext* ctx, PageId id) {
   const Lsn required = RequiredPageLsn(id);
   const Lsn have = stale->lsn();
   const uint64_t staleness = required > have ? required - have : 0;
-  if (staleness > degrade_.BoundFor(ctx->tenant)) return page.status();
+  if (staleness > degrade_.max_staleness_lsn) return page.status();
   ctx->degraded_ops++;
   ctx->staleness_lsn += staleness;
   stats_.degraded_fetches++;

@@ -7,7 +7,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "net/slo_controller.h"
 #include "txn/txn_manager.h"
 
 namespace disagg {
@@ -34,19 +33,6 @@ struct DegradePolicy {
   /// 0 still helps: it admits exactly-fresh copies the strict path could
   /// not reach (e.g. replicas skipped for lagging acks or congestion).
   uint64_t max_staleness_lsn = 0;
-
-  /// Per-tenant overrides of `max_staleness_lsn`, actuated at epoch
-  /// barriers by the SLO controller (`SloController::AddDegradeTarget`): a
-  /// tenant that cannot meet its latency target with weight and admission
-  /// alone is granted a looser freshness bound than the engine-wide one.
-  /// Tenants absent here use `max_staleness_lsn`; an empty map keeps the
-  /// read path bit-identical to the pre-override ladder.
-  std::map<uint32_t, uint64_t> tenant_staleness_lsn = {};
-
-  uint64_t BoundFor(uint32_t tenant) const {
-    auto it = tenant_staleness_lsn.find(tenant);
-    return it == tenant_staleness_lsn.end() ? max_staleness_lsn : it->second;
-  }
 };
 
 /// Shared OLTP engine core: a keyed row store (uint64 key -> byte-string
@@ -62,7 +48,7 @@ struct DegradePolicy {
 /// pages shipped.  Socrates: XLOG WAL, page servers fed from the log,
 /// checkpoints to XStore.  Taurus: replicated log stores + single-page-store
 /// propagation with gossip.
-class RowEngine : public StalenessActuator {
+class RowEngine {
  public:
   struct EngineStats {
     uint64_t commits = 0;
@@ -111,22 +97,7 @@ class RowEngine : public StalenessActuator {
   /// Installs (or clears) the read-path degrade ladder. Takes effect for
   /// subsequent reads only; writes never consult it.
   void set_degrade_policy(DegradePolicy policy) { degrade_ = policy; }
-  const DegradePolicy& degrade_policy() const { return degrade_; }
 
-  /// `StalenessActuator`: the SLO controller's third (last-resort) actuator.
-  /// Moves only the per-tenant staleness bound — whether the ladder exists
-  /// at all stays an operator decision (`set_degrade_policy`). Called only
-  /// at epoch barriers while simulation workers are parked, so the plain
-  /// map write needs no lock. `lsn == 0` erases the override rather than
-  /// storing it: bound 0 is already the map-absent default, and erasing
-  /// restores bit-parity with a never-controlled run.
-  void SetTenantStaleness(uint32_t tenant, uint64_t max_staleness_lsn) override {
-    if (max_staleness_lsn == 0) {
-      degrade_.tenant_staleness_lsn.erase(tenant);
-    } else {
-      degrade_.tenant_staleness_lsn[tenant] = max_staleness_lsn;
-    }
-  }
   WalManager* wal() { return &wal_; }
   LogBackend* sink() { return sink_.get(); }
 

@@ -72,10 +72,6 @@ void SharedLogService::RegisterHandlers(NodeState* ns) {
                                              RpcServerContext* sctx) {
     return HandleRead(ns, req, resp, sctx);
   });
-  n->RegisterHandler("slog.tail", [this, ns](Slice req, std::string* resp,
-                                             RpcServerContext* sctx) {
-    return HandleTail(ns, req, resp, sctx);
-  });
   n->RegisterHandler("slog.trim", [this, ns](Slice req, std::string* resp,
                                              RpcServerContext* sctx) {
     return HandleTrim(ns, req, resp, sctx);
@@ -211,22 +207,6 @@ Status SharedLogService::HandleRead(NodeState* ns, Slice req,
   resp->clear();
   PutVarint64(resp, out_base);
   *resp += LogRecord::EncodeBatch(out);
-  return Status::OK();
-}
-
-Status SharedLogService::HandleTail(NodeState* ns, Slice req,
-                                    std::string* resp, RpcServerContext* sctx) {
-  uint64_t e = 0, tag = 0;
-  if (!GetVarint64(&req, &e) || !GetVarint64(&req, &tag)) {
-    return Status::InvalidArgument("malformed slog.tail");
-  }
-  std::lock_guard<std::mutex> lock(ns->mu);
-  if (e != ns->epoch) return Status::Aborted("stale epoch");
-  sctx->ChargeCompute(kScanNsPerRecord);  // one index probe
-  auto it = ns->tags.find(tag);
-  resp->clear();
-  PutVarint64(resp, it == ns->tags.end() ? kInvalidSeqNum : it->second.tail_seq);
-  PutVarint64(resp, it == ns->tags.end() ? kInvalidLsn : it->second.tail_lsn);
   return Status::OK();
 }
 
@@ -439,16 +419,6 @@ size_t SharedLogService::CountDurable(LogTag tag, Lsn lsn) const {
   return count;
 }
 
-SeqNum SharedLogService::DebugTailSeqnum(LogTag tag) const {
-  SeqNum tail = kInvalidSeqNum;
-  for (const auto& ns : nodes_) {
-    std::lock_guard<std::mutex> lock(ns->mu);
-    auto it = ns->tags.find(tag);
-    if (it != ns->tags.end()) tail = std::max(tail, it->second.tail_seq);
-  }
-  return tail;
-}
-
 // ---------------------------------------------------------------------------
 // SharedLogClient
 // ---------------------------------------------------------------------------
@@ -650,24 +620,6 @@ Result<std::vector<LogRecord>> SharedLogClient::ReadFromLsn(NetContext* ctx,
   uint64_t base = 0;
   if (!GetVarint64(&in, &base)) return Status::Corruption("slog.read response");
   return LogRecord::DecodeBatch(in);
-}
-
-Result<SharedLogClient::TagTail> SharedLogClient::Tail(NetContext* ctx,
-                                                       LogTag tag) {
-  std::string resp;
-  Status st = CallPrimary(ctx, tag, "slog.tail", "", &resp);
-  if (!st.ok()) return st;
-  Slice in(resp);
-  TagTail t;
-  if (!GetVarint64(&in, &t.seqnum) || !GetVarint64(&in, &t.lsn)) {
-    return Status::Corruption("slog.tail response");
-  }
-  return t;
-}
-
-Result<SeqNum> SharedLogClient::TailSeqnum(NetContext* ctx, LogTag tag) {
-  DISAGG_ASSIGN_OR_RETURN(TagTail t, Tail(ctx, tag));
-  return t.seqnum;
 }
 
 Status SharedLogClient::Trim(NetContext* ctx, LogTag tag,

@@ -39,9 +39,7 @@ constexpr SeqNum kInvalidSeqNum = 0;
 ///     the new replica set, bumps the epoch, and publishes the new view.
 ///     Un-acked suffixes lost with a crashed node stay lost — exactly the
 ///     WAL's "maybe-committed" semantics.
-///   - Tag index: `slog.read` / `slog.tail` serve per-tag suffix reads and
-///     tail queries; engines map `RequiredPageLsn` freshness floors onto tag
-///     tail LSNs.
+///   - Tag index: `slog.read` serves per-tag suffix reads.
 ///
 /// Node RPCs (all through `Fabric::Execute`, so tracing / faults / retry /
 /// deadlines / WFQ / congestion apply):
@@ -49,7 +47,6 @@ constexpr SeqNum kInvalidSeqNum = 0;
 ///   slog.replicate  -- backup store at given seqnums (idempotent by seqnum)
 ///   slog.read       -- tag suffix with seq > from AND lsn > from (exclusive
 ///                      bounds, LSN order; NotFound below the trim point)
-///   slog.tail       -- tag tail seqnum + tail LSN
 ///   slog.trim       -- drop records with seq <= watermark (retention)
 ///   slog.seal       -- seal the node's epoch, return per-tag tails
 ///   slog.install    -- install a new view on the node
@@ -86,8 +83,6 @@ class SharedLogService {
 
   /// Number of log nodes holding `tag` records up through `lsn`.
   size_t CountDurable(LogTag tag, Lsn lsn) const;
-  /// Highest seqnum any node holds for `tag`.
-  SeqNum DebugTailSeqnum(LogTag tag) const;
 
  private:
   struct TagStore {
@@ -115,8 +110,6 @@ class SharedLogService {
   Status HandleReplicate(NodeState* ns, Slice req, std::string* resp,
                          RpcServerContext* sctx);
   Status HandleRead(NodeState* ns, Slice req, std::string* resp,
-                    RpcServerContext* sctx);
-  Status HandleTail(NodeState* ns, Slice req, std::string* resp,
                     RpcServerContext* sctx);
   Status HandleTrim(NodeState* ns, Slice req, std::string* resp,
                     RpcServerContext* sctx);
@@ -162,13 +155,6 @@ class SharedLogClient {
   /// Tag suffix with `lsn > from_exclusive` (the `LogBackend` bound).
   Result<std::vector<LogRecord>> ReadFromLsn(NetContext* ctx, LogTag tag,
                                              Lsn from_exclusive);
-
-  struct TagTail {
-    SeqNum seqnum = kInvalidSeqNum;
-    Lsn lsn = kInvalidLsn;
-  };
-  Result<TagTail> Tail(NetContext* ctx, LogTag tag);
-  Result<SeqNum> TailSeqnum(NetContext* ctx, LogTag tag);
 
   /// Retention: drops records with `seqnum <= up_to_inclusive` on every
   /// replica of `tag`; later reads below the watermark return `NotFound`.

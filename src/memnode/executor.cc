@@ -546,7 +546,6 @@ Status OffloadedLockClient::AcquireLock(NetContext* ctx, TxnId txn,
     auto it = txn_epoch_.find(txn);
     PutVarint64(&req,
                 it == txn_epoch_.end() ? offload::kFreshEpoch : it->second);
-    stats_.acquires++;
   }
   PutFixed64(&req, txn);
   PutFixed64(&req, key);
@@ -576,13 +575,10 @@ Status OffloadedLockClient::AcquireLock(NetContext* ctx, TxnId txn,
       txn_epoch_[txn] = cur_epoch;
       return Status::OK();
     case offload::LockOutcome::kConflict:
-      stats_.busy++;
       return Status::Busy("lock conflict at memory-node lock table");
     case offload::LockOutcome::kWounded:
-      stats_.wounded++;
       return Status::Aborted("wounded by an older transaction");
     case offload::LockOutcome::kFenced:
-      stats_.fenced++;
       txn_epoch_.erase(txn);
       return Status::Aborted("lock grants fenced by executor recovery");
   }
@@ -613,13 +609,7 @@ void OffloadedLockClient::ReleaseAllLocks(NetContext* ctx, TxnId txn) {
     RestorePending(pend);
     std::lock_guard<std::mutex> lock(mu_);
     pending_release_.push_back(txn);
-    stats_.release_rpc_failures++;
   }
-}
-
-OffloadedLockClient::Stats OffloadedLockClient::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 size_t OffloadedLockClient::pending_releases() const {

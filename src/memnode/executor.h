@@ -170,14 +170,6 @@ class MemNodeExecutor {
 /// recovery, never wedging a key forever.
 class OffloadedLockClient : public LockBackend {
  public:
-  struct Stats {
-    uint64_t acquires = 0;
-    uint64_t busy = 0;      ///< kConflict replies (mapped to Busy)
-    uint64_t wounded = 0;   ///< kWounded replies (mapped to Aborted)
-    uint64_t fenced = 0;    ///< kFenced replies (mapped to Aborted)
-    uint64_t release_rpc_failures = 0;  ///< releases queued for piggyback
-  };
-
   OffloadedLockClient(Fabric* fabric, NodeId exec_node)
       : fabric_(fabric), node_(exec_node) {}
 
@@ -185,7 +177,6 @@ class OffloadedLockClient : public LockBackend {
                      LockMode mode) override;
   void ReleaseAllLocks(NetContext* ctx, TxnId txn) override;
 
-  Stats stats() const;
   size_t pending_releases() const;
 
  private:
@@ -199,7 +190,6 @@ class OffloadedLockClient : public LockBackend {
   mutable std::mutex mu_;
   std::map<TxnId, uint64_t> txn_epoch_;  // first-grant epoch per live txn
   std::vector<TxnId> pending_release_;
-  Stats stats_;
 };
 
 /// Offloaded index traversal, client side: one `Call` per operation. Free

@@ -17,10 +17,6 @@ MemoryNode::MemoryNode(Fabric* fabric, const std::string& name,
                                          RpcServerContext* sctx) {
     return HandleAlloc(req, resp, sctx);
   });
-  n->RegisterHandler("mem.free", [this](Slice req, std::string* resp,
-                                        RpcServerContext* sctx) {
-    return HandleFree(req, resp, sctx);
-  });
 }
 
 size_t MemoryNode::allocated_bytes() const {
@@ -44,6 +40,11 @@ size_t MemoryNode::SizeClass(size_t bytes) {
 
 Result<GlobalAddr> MemoryNode::AllocLocal(size_t bytes) {
   if (bytes == 0) return Status::InvalidArgument("zero-size alloc");
+  // Checked before rounding: SizeClass doubles past 2^63 to 0 and never
+  // returns.
+  if (bytes > region_->size()) {
+    return Status::Unavailable("memory pool exhausted");
+  }
   const size_t cls = SizeClass(bytes);
   std::lock_guard<std::mutex> lock(mu_);
   auto& fl = free_lists_[cls];
@@ -87,17 +88,6 @@ Status MemoryNode::HandleAlloc(Slice req, std::string* resp,
   return Status::OK();
 }
 
-Status MemoryNode::HandleFree(Slice req, std::string* resp,
-                              RpcServerContext* sctx) {
-  uint64_t offset = 0, bytes = 0;
-  if (!GetVarint64(&req, &offset) || !GetVarint64(&req, &bytes)) {
-    return Status::InvalidArgument("malformed mem.free");
-  }
-  sctx->ChargeCompute(300);
-  resp->clear();
-  return FreeLocal(GlobalAddr{node_, region_->id(), offset}, bytes);
-}
-
 Result<GlobalAddr> RemoteAllocator::Alloc(NetContext* ctx, size_t bytes) {
   std::string req;
   PutVarint64(&req, bytes);
@@ -108,14 +98,6 @@ Result<GlobalAddr> RemoteAllocator::Alloc(NetContext* ctx, size_t bytes) {
   uint64_t offset = 0;
   if (!GetVarint64(&in, &offset)) return Status::Corruption("alloc response");
   return GlobalAddr{node_, 0, offset};
-}
-
-Status RemoteAllocator::Free(NetContext* ctx, GlobalAddr addr, size_t bytes) {
-  std::string req;
-  PutVarint64(&req, addr.offset);
-  PutVarint64(&req, bytes);
-  std::string resp;
-  return fabric_->Call(ctx, node_, "mem.free", req, &resp);
 }
 
 }  // namespace disagg

@@ -12,13 +12,14 @@
 namespace disagg {
 
 /// A memory-pool node (Sec. 3): a large registered region served by a wimpy
-/// CPU. Compute nodes access the region with one-sided verbs; a small RPC
-/// surface provides shared allocation ("mem.alloc"/"mem.free") so multiple
-/// compute nodes can carve the pool without coordinating among themselves.
+/// CPU. Compute nodes access the region with one-sided verbs; an RPC
+/// ("mem.alloc") provides shared allocation so multiple compute nodes can
+/// carve the pool without coordinating among themselves.
 ///
 /// The allocator is a bump allocator with per-size-class free lists —
-/// remote-friendly because a free / alloc is a single RPC and no compaction
-/// ever moves data under a remote pointer.
+/// remote-friendly because an alloc is a single RPC and no compaction ever
+/// moves data under a remote pointer. Only co-located services free
+/// (`FreeLocal`): no RPC hands an offset back to the pool.
 class MemoryNode {
  public:
   /// Creates the node, its backing region, and the allocator RPC handlers.
@@ -50,7 +51,6 @@ class MemoryNode {
 
  private:
   Status HandleAlloc(Slice req, std::string* resp, RpcServerContext* sctx);
-  Status HandleFree(Slice req, std::string* resp, RpcServerContext* sctx);
 
   static size_t SizeClass(size_t bytes);
 
@@ -69,7 +69,6 @@ class RemoteAllocator {
   RemoteAllocator(Fabric* fabric, NodeId node) : fabric_(fabric), node_(node) {}
 
   Result<GlobalAddr> Alloc(NetContext* ctx, size_t bytes);
-  Status Free(NetContext* ctx, GlobalAddr addr, size_t bytes);
 
  private:
   Fabric* fabric_;

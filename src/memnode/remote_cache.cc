@@ -121,7 +121,7 @@ Status PointerChain::HandleChase(Slice req, std::string* resp,
   }
   MemoryRegion* region = fabric_->node(pool_->node())->region(0);
   for (size_t i = 0;; i++) {
-    if (offset + kNodeSize > region->size()) {
+    if (!region->Contains(offset, kNodeSize)) {
       return Status::InvalidArgument("chase ran off the region");
     }
     const char* node_bytes = region->data() + offset;

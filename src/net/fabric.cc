@@ -22,11 +22,6 @@ MemoryRegion* Node::region(uint32_t id) {
   return regions_[id].get();
 }
 
-const MemoryRegion* Node::region(uint32_t id) const {
-  if (id >= num_regions_.load(std::memory_order_acquire)) return nullptr;
-  return regions_[id].get();
-}
-
 void Node::RegisterHandler(const std::string& method, RpcHandler handler) {
   std::lock_guard<std::mutex> lock(mu_);
   handlers_[method] = std::move(handler);
@@ -51,11 +46,6 @@ NodeId Fabric::AddNode(const std::string& name, NodeKind kind,
 // Lock-free for the same reason as Node::region(): node registration is
 // config-time, and CheckTarget runs this on every single op.
 Node* Fabric::node(NodeId id) {
-  if (id >= num_nodes_.load(std::memory_order_acquire)) return nullptr;
-  return nodes_[id].get();
-}
-
-const Node* Fabric::node(NodeId id) const {
   if (id >= num_nodes_.load(std::memory_order_acquire)) return nullptr;
   return nodes_[id].get();
 }
@@ -112,11 +102,6 @@ std::shared_ptr<CongestionState> Fabric::congestion() const {
 void Fabric::DeclareSlo(uint32_t tenant, SloSpec spec) {
   std::lock_guard<std::mutex> lock(slo_mu_);
   slo_specs_[tenant] = spec;
-}
-
-void Fabric::RevokeSlo(uint32_t tenant) {
-  std::lock_guard<std::mutex> lock(slo_mu_);
-  slo_specs_.erase(tenant);
 }
 
 std::map<uint32_t, SloSpec> Fabric::slo_specs() const {

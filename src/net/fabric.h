@@ -183,7 +183,6 @@ class Node {
 
   MemoryRegion* AddRegion(const std::string& name, size_t size);
   MemoryRegion* region(uint32_t id);
-  const MemoryRegion* region(uint32_t id) const;
 
   void RegisterHandler(const std::string& method, RpcHandler handler);
   const RpcHandler* handler(const std::string& method) const;
@@ -261,7 +260,6 @@ class Fabric {
                  InterconnectModel model, uint32_t az = 0);
 
   Node* node(NodeId id);
-  const Node* node(NodeId id) const;
   size_t num_nodes() const { return nodes_.size(); }
 
   // ---- One-sided verbs (no remote CPU) -------------------------------
@@ -382,11 +380,6 @@ class Fabric {
   /// Declares (or replaces) `tenant`'s latency contract. Config-time, like
   /// node registration: declare before driving load.
   void DeclareSlo(uint32_t tenant, SloSpec spec);
-
-  /// Withdraws `tenant`'s contract (tenant churn). The SLO controller GCs
-  /// the departed tenant's state — frozen-infeasible flag, actuator clamps,
-  /// staleness bound — at its next epoch barrier.
-  void RevokeSlo(uint32_t tenant);
 
   /// All declared contracts, keyed by tenant.
   std::map<uint32_t, SloSpec> slo_specs() const;

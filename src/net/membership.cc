@@ -1,7 +1,6 @@
 #include "net/membership.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/coding.h"
 
@@ -40,16 +39,6 @@ void MembershipService::Monitor(NodeId node) {
 void MembershipService::OnRepair(NodeId node, std::function<void()> fn) {
   std::lock_guard<std::mutex> lock(mu_);
   nodes_[node].on_repair = std::move(fn);
-}
-
-void MembershipService::OnRevoke(NodeId node, std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  nodes_[node].on_revoke = std::move(fn);
-}
-
-void MembershipService::OnRejoin(NodeId node, std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  nodes_[node].on_rejoin = std::move(fn);
 }
 
 void MembershipService::At(uint64_t at_ns, std::function<void()> fn) {
@@ -204,12 +193,12 @@ void MembershipService::HeartbeatLocked(NodeId id, NodeState* st,
       events_.push_back({now_ns, id, Event::Kind::kSuspect, st->lease_epoch});
     }
     if (st->suspicion >= opts_.suspicion_threshold) {
-      RevokeLocked(id, st, now_ns, lock);
+      RevokeLocked(id, st, now_ns);
     }
   } else if (st->health == NodeHealth::kRejoining) {
     if (alive) {
       if (++st->alive_probes >= opts_.rejoin_probes) {
-        RejoinLocked(id, st, now_ns, lock);
+        RejoinLocked(id, st, now_ns);
       }
     } else {
       st->alive_probes = 0;  // probation restarts on any non-alive signal
@@ -218,39 +207,23 @@ void MembershipService::HeartbeatLocked(NodeId id, NodeState* st,
 }
 
 void MembershipService::RevokeLocked(NodeId id, NodeState* st,
-                                     uint64_t now_ns,
-                                     std::unique_lock<std::mutex>* lock) {
+                                     uint64_t now_ns) {
   st->health = NodeHealth::kRevoked;
   st->lease_epoch++;
   st->suspected = false;
   st->repair_due_ns = now_ns + opts_.repair_delay_ns;
   events_.push_back({now_ns, id, Event::Kind::kRevoke, st->lease_epoch});
   stats_.revocations++;
-  // The revoke hook is the fence (log reseal, writer fencing) and always
-  // runs; repair — the recovery half — is gated on auto_recover.
-  if (st->on_revoke) {
-    std::function<void()> hook = st->on_revoke;
-    lock->unlock();
-    hook();
-    lock->lock();
-  }
 }
 
 void MembershipService::RejoinLocked(NodeId id, NodeState* st,
-                                     uint64_t now_ns,
-                                     std::unique_lock<std::mutex>* lock) {
+                                     uint64_t now_ns) {
   st->health = NodeHealth::kUp;
   st->suspicion = 0.0;
   st->alive_probes = 0;
   st->rtt_ewma = 0.0;  // new incarnation, new baseline
   events_.push_back({now_ns, id, Event::Kind::kRejoin, st->lease_epoch});
   stats_.rejoins++;
-  if (st->on_rejoin) {
-    std::function<void()> hook = st->on_rejoin;
-    lock->unlock();
-    hook();
-    lock->lock();
-  }
 }
 
 uint64_t MembershipService::LeaseEpoch(NodeId node) const {
@@ -283,25 +256,6 @@ double MembershipService::SuspicionFor(NodeId node) const {
 MembershipService::Stats MembershipService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-std::string MembershipService::ToString() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream os;
-  for (const auto& [id, st] : nodes_) {
-    os << "node " << id << ": "
-       << (st.health == NodeHealth::kUp
-               ? "UP"
-               : st.health == NodeHealth::kRevoked ? "REVOKED" : "REJOINING")
-       << " lease=" << st.lease_epoch << " suspicion=" << st.suspicion
-       << " ewma=" << static_cast<uint64_t>(st.rtt_ewma) << "ns probes="
-       << st.probe_seq << "\n";
-  }
-  os << "heartbeats=" << stats_.heartbeats << " misses=" << stats_.misses
-     << " gray=" << stats_.gray_acks << " busy=" << stats_.busy_acks
-     << " revocations=" << stats_.revocations << " repairs=" << stats_.repairs
-     << " rejoins=" << stats_.rejoins << "\n";
-  return os.str();
 }
 
 }  // namespace disagg

@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -70,7 +69,7 @@ struct MembershipOptions {
   uint64_t repair_delay_ns = 100'000;
 
   /// Consecutive alive heartbeats a repaired node must answer before it
-  /// rejoins (lease validated, rejoin hooks run).
+  /// rejoins (its lease valid again).
   uint32_t rejoin_probes = 2;
 
   /// When false the service detects and revokes (fencing still happens)
@@ -95,9 +94,9 @@ struct MembershipOptions {
 /// source of detection-latency / MTTR metrics.
 ///
 /// Node lifecycle: kUp --(suspicion >= threshold)--> kRevoked (lease
-/// epoch bumped; revoke hook fences downstream state; repair timer armed)
-/// --(timer at a barrier)--> kRejoining (repair hook runs, probation
-/// probing starts) --(rejoin_probes alive acks)--> kUp (rejoin hook).
+/// epoch bumped, which fences every consumer bound to this authority;
+/// repair timer armed) --(timer at a barrier)--> kRejoining (repair hook
+/// runs, probation probing starts) --(rejoin_probes alive acks)--> kUp.
 /// Repair runs at most once per lease epoch — actions are idempotent and
 /// replayable by construction.
 class MembershipService : public LeaseAuthority {
@@ -136,13 +135,6 @@ class MembershipService : public LeaseAuthority {
   /// with `auto_recover` set. Must not call back into this service.
   void OnRepair(NodeId node, std::function<void()> fn);
 
-  /// Fencing action run at revocation itself (always, even in detect-only
-  /// mode): the lease is the fence, recovery is the repair.
-  void OnRevoke(NodeId node, std::function<void()> fn);
-
-  /// Action run when `node` completes probation and rejoins.
-  void OnRejoin(NodeId node, std::function<void()> fn);
-
   /// Schedules `fn` to run at the first barrier whose end >= `at_ns`
   /// (before that barrier's heartbeats), in (at_ns, registration) order.
   /// The deterministic stand-in for "a node dies at t": chaos schedules
@@ -175,8 +167,6 @@ class MembershipService : public LeaseAuthority {
   /// measurable.
   const NetContext& probe_context() const { return charge_; }
 
-  std::string ToString() const;
-
  private:
   struct NodeState {
     NodeHealth health = NodeHealth::kUp;
@@ -189,9 +179,7 @@ class MembershipService : public LeaseAuthority {
     uint64_t repair_due_ns = 0;      // armed while kRevoked
     uint64_t repaired_epoch = 0;     // lease epoch whose repair already ran
     uint32_t alive_probes = 0;       // consecutive, while kRejoining
-    std::function<void()> on_revoke;
     std::function<void()> on_repair;
-    std::function<void()> on_rejoin;
   };
 
   struct ScheduledAction {
@@ -205,10 +193,8 @@ class MembershipService : public LeaseAuthority {
   /// pipeline — and anything it fences — runs).
   void HeartbeatLocked(NodeId id, NodeState* st, uint64_t now_ns,
                        std::unique_lock<std::mutex>* lock);
-  void RevokeLocked(NodeId id, NodeState* st, uint64_t now_ns,
-                    std::unique_lock<std::mutex>* lock);
-  void RejoinLocked(NodeId id, NodeState* st, uint64_t now_ns,
-                    std::unique_lock<std::mutex>* lock);
+  void RevokeLocked(NodeId id, NodeState* st, uint64_t now_ns);
+  void RejoinLocked(NodeId id, NodeState* st, uint64_t now_ns);
 
   Fabric* const fabric_;
   const MembershipOptions opts_;

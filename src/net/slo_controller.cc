@@ -8,10 +8,6 @@ namespace disagg {
 SloController::SloController(Fabric* fabric, Options opts)
     : fabric_(fabric), opts_(opts) {}
 
-void SloController::AddDegradeTarget(StalenessActuator* target) {
-  degrade_targets_.push_back(target);
-}
-
 void SloController::Sample::Add(uint64_t latency_ns, const Status& st) {
   ops++;
   if (st.ok()) {
@@ -70,7 +66,7 @@ void SloController::EndEpoch(uint64_t /*epoch_end_ns*/) {
     ts.epoch_busy = s.busy;
 
     if (s.latency.count() < opts_.min_samples) {
-      // Thin evidence (idle or churned-away tenant): hold every actuator.
+      // Thin evidence (an idle tenant): hold every actuator.
       ts.stable_epochs++;
       continue;
     }
@@ -83,7 +79,7 @@ void SloController::EndEpoch(uint64_t /*epoch_end_ns*/) {
     bool changed = false;
 
     if (ratio > 1.0) {
-      // Missing. Escalate: weight, then admission, then staleness.
+      // Missing. Escalate: weight, then admission.
       ts.meeting = false;
       const double nw = std::clamp(
           ts.weight * std::min(2.0, 1.0 + opts_.gain * (ratio - 1.0)),
@@ -103,15 +99,6 @@ void SloController::EndEpoch(uint64_t /*epoch_end_ns*/) {
           ts.backlog_bound_ns = nb;
           changed = true;
         }
-      }
-      if (!changed && !degrade_targets_.empty() &&
-          ts.staleness_bound_lsn < opts_.staleness_max_lsn) {
-        // Weight and bound are pinned at their clamps: trade freshness.
-        ts.staleness_bound_lsn =
-            std::min(opts_.staleness_max_lsn,
-                     ts.staleness_bound_lsn + opts_.staleness_step_lsn);
-        staleness_dirty_ = true;
-        changed = true;
       }
       if (changed) {
         ts.saturated_epochs = 0;
@@ -144,14 +131,6 @@ void SloController::EndEpoch(uint64_t /*epoch_end_ns*/) {
           changed = true;
         }
       }
-      if (ts.staleness_bound_lsn > 0) {
-        ts.staleness_bound_lsn =
-            ts.staleness_bound_lsn > opts_.staleness_step_lsn
-                ? ts.staleness_bound_lsn - opts_.staleness_step_lsn
-                : 0;
-        staleness_dirty_ = true;
-        changed = true;
-      }
     } else {
       // In the deadband: the fixed point. Touch nothing.
       ts.meeting = true;
@@ -164,26 +143,6 @@ void SloController::EndEpoch(uint64_t /*epoch_end_ns*/) {
     } else {
       ts.stable_epochs++;
     }
-  }
-
-  // Tenant churn GC: a tenant whose contract was revoked (Fabric::RevokeSlo)
-  // releases everything the controller imposed for it — weight overlay,
-  // admission bound, staleness, frozen-infeasible flag. The staleness bound
-  // is zeroed explicitly (PublishControls only walks live tenants), and the
-  // republished table rebuilds from the static config, so the departed
-  // tenant falls back to its operator-configured share.
-  for (auto it = tenants_.begin(); it != tenants_.end();) {
-    if (specs.count(it->first) != 0) {
-      ++it;
-      continue;
-    }
-    if (it->second.staleness_bound_lsn > 0) {
-      for (StalenessActuator* target : degrade_targets_) {
-        target->SetTenantStaleness(it->first, 0);
-      }
-    }
-    it = tenants_.erase(it);
-    controls_changed = true;
   }
 
   if (controls_changed || epochs_ == 1) PublishControls();
@@ -202,14 +161,6 @@ void SloController::PublishControls() {
       table[tenant] = TenantControl{ts.weight, ts.backlog_bound_ns};
     }
     congestion->UpdateTenantControls(table);
-  }
-  if (staleness_dirty_) {
-    for (StalenessActuator* target : degrade_targets_) {
-      for (const auto& [tenant, ts] : tenants_) {
-        target->SetTenantStaleness(tenant, ts.staleness_bound_lsn);
-      }
-    }
-    staleness_dirty_ = false;
   }
 }
 
@@ -240,8 +191,7 @@ std::string SloController::ToString() const {
     os << "tenant " << tenant << ": target=" << ts.spec.p99_target_ns
        << "ns observed=" << static_cast<uint64_t>(ts.observed_p99_ns)
        << "ns weight=" << ts.weight << " bound=" << ts.backlog_bound_ns
-       << "ns staleness=" << ts.staleness_bound_lsn
-       << " ops=" << ts.epoch_ops << " busy=" << ts.epoch_busy
+       << "ns ops=" << ts.epoch_ops << " busy=" << ts.epoch_busy
        << (ts.meeting ? " MEETING" : " MISSING")
        << (ts.infeasible ? " INFEASIBLE" : "")
        << (ts.stable_epochs >= opts_.converge_epochs ? " CONVERGED" : "")

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/histogram.h"
 #include "common/status.h"
@@ -12,24 +11,13 @@
 
 namespace disagg {
 
-/// Degrade-ladder actuation seam: anything owning a per-tenant staleness
-/// bound (the `RowEngine` degrade ladder in src/core) implements this so the
-/// SLO controller can loosen it for a tenant that cannot meet its target any
-/// other way — without src/net depending on engine headers.
-class StalenessActuator {
- public:
-  virtual ~StalenessActuator() = default;
-  virtual void SetTenantStaleness(uint32_t tenant,
-                                  uint64_t max_staleness_lsn) = 0;
-};
-
 /// Multi-tenant SLO control plane.
 ///
 /// Tenants declare p99 latency targets on the fabric (`Fabric::DeclareSlo`).
 /// The load driver records one observation per completed op, ingests each
 /// partition's observations and calls `EndEpoch` at every virtual-time epoch
 /// barrier. Each epoch the controller compares
-/// every declared tenant's observed p99 against its target and steers three
+/// every declared tenant's observed p99 against its target and steers two
 /// actuators, in escalation order:
 ///
 ///   1. WFQ weight (`TenantControl::weight`): a missing tenant's share of
@@ -42,9 +30,6 @@ class StalenessActuator {
 ///      queue past the bound are refused `Busy` instead of blowing the
 ///      tail), relaxed while meeting. The bound never leaves
 ///      `[backlog_min_fraction, backlog_max_fraction] x target`.
-///   3. Staleness (`DegradePolicy` per-tenant bound, via registered
-///      `StalenessActuator`s): the last resort — only stepped up when both
-///      the weight and the admission bound are already saturated.
 ///
 /// A tenant whose observed/target ratio lands in the deadband
 /// `[deadband_lo, 1.0]` is *meeting*: no actuator moves, which makes the
@@ -80,22 +65,14 @@ class SloController {
     uint32_t converge_epochs = 3;
     /// Consecutive saturated-and-missing epochs before the infeasible flag.
     uint32_t infeasible_epochs = 4;
-    /// Admission-bound actuation (disable to run weight/staleness only).
+    /// Admission-bound actuation (disable to run the weight only).
     bool actuate_admission = true;
     double backlog_fraction = 1.0;      ///< initial bound = fraction*target
     double backlog_min_fraction = 0.25; ///< tightening floor
     double backlog_max_fraction = 4.0;  ///< relaxation ceiling
-    /// Staleness actuation step / cap (LSNs of allowed staleness).
-    uint64_t staleness_step_lsn = 16;
-    uint64_t staleness_max_lsn = 1024;
   };
 
   SloController(Fabric* fabric, Options opts);
-
-  /// Registers a degrade ladder the controller may loosen per tenant. The
-  /// target's engine-wide `DegradePolicy` must already be enabled by the
-  /// operator; the controller only moves the per-tenant bound.
-  void AddDegradeTarget(StalenessActuator* target);
 
   /// Per-tenant observations accumulated over one epoch. Additive and
   /// commutative so partition ingestion order cannot affect decisions.
@@ -117,8 +94,8 @@ class SloController {
 
   /// Closes the control epoch ending at `epoch_end_ns`: runs the feedback
   /// step over the epoch's observations, publishes any changed tenant
-  /// controls to the fabric's congestion state and staleness targets, and
-  /// clears the observation buffer. Must be called with no ops in flight.
+  /// controls to the fabric's congestion state, and clears the observation
+  /// buffer. Must be called with no ops in flight.
   void EndEpoch(uint64_t epoch_end_ns);
 
   /// Controller-visible state of one tenant.
@@ -126,7 +103,6 @@ class SloController {
     SloSpec spec;
     double weight = 1.0;
     uint64_t backlog_bound_ns = 0;    ///< 0 = not actuating admission
-    uint64_t staleness_bound_lsn = 0;
     double observed_p99_ns = 0.0;     ///< last epoch with enough samples
     uint64_t epoch_ops = 0;           ///< ops seen in that epoch
     uint64_t epoch_busy = 0;          ///< refusals in that epoch
@@ -152,11 +128,9 @@ class SloController {
 
   Fabric* const fabric_;
   const Options opts_;
-  std::vector<StalenessActuator*> degrade_targets_;
   EpochObservations obs_;
   std::map<uint32_t, TenantState> tenants_;
   uint64_t epochs_ = 0;
-  bool staleness_dirty_ = false;
 };
 
 }  // namespace disagg

@@ -218,12 +218,10 @@ TxnOutcome ClassifyPut(const Status& st) {
 /// prefix); until then the architecture's cheap restart path is used.
 class RowEngineChaosAdapter : public ChaosAdapter {
  public:
-  RowEngineChaosAdapter(std::string name, std::unique_ptr<RowEngine> engine)
-      : name_(std::move(name)),
-        base_(BaseEngineName(name_)),
-        engine_(std::move(engine)) {}
+  RowEngineChaosAdapter(const std::string& name,
+                        std::unique_ptr<RowEngine> engine)
+      : base_(BaseEngineName(name)), engine_(std::move(engine)) {}
 
-  const char* name() const override { return name_.c_str(); }
   RowEngine* row_engine() override { return engine_.get(); }
   bool SupportsTransfers() const override { return true; }
 
@@ -358,7 +356,6 @@ class RowEngineChaosAdapter : public ChaosAdapter {
   SharedLogService* shared_log() override { return engine_->shared_log(); }
 
  private:
-  std::string name_;
   // Crash and flap procedures key off the base architecture, whatever
   // seam stack ("+slog", "+offload") the registry layered on top.
   std::string base_;
@@ -374,7 +371,6 @@ class ServerlessChaosAdapter : public ChaosAdapter {
     compute_ = db_.AttachCompute(8, /*writer=*/true);
   }
 
-  const char* name() const override { return "serverless"; }
 
   TxnOutcome PutKv(NetContext* ctx, uint64_t key, const std::string& value,
                    Status* status) override {
@@ -406,7 +402,6 @@ class MultiWriterChaosAdapter : public ChaosAdapter {
     writer_ = db_.AttachWriter(8);
   }
 
-  const char* name() const override { return "multiwriter"; }
 
   TxnOutcome PutKv(NetContext* ctx, uint64_t key, const std::string& value,
                    Status* status) override {
@@ -445,7 +440,6 @@ class FordChaosAdapter : public ChaosAdapter {
     mgr_ = std::make_unique<FordTxnManager>(fabric, raw, kRecordsPerNode);
   }
 
-  const char* name() const override { return "ford"; }
   bool SupportsTransfers() const override { return true; }
 
   TxnOutcome PutKv(NetContext* ctx, uint64_t key, const std::string& value,

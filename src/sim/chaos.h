@@ -133,8 +133,6 @@ class ChaosAdapter {
  public:
   virtual ~ChaosAdapter() = default;
 
-  virtual const char* name() const = 0;
-
   /// Single-key upsert. The adapter — not the caller — classifies the
   /// outcome, because only it knows whether a failure happened before or
   /// after the durability point (a pre-commit failure is cleanly rolled

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -660,24 +659,6 @@ LoadReport RunOpenLoop(const OpenLoopOptions& opts, const ClientOpFn& op) {
   for (const OpenClient& c : clients) clocks.push_back(c.done_ns);
   FinalizeCounters(parts, std::move(clocks), &report);
   return report;
-}
-
-std::string LoadReport::ToString() const {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "clients=%llu ops=%llu errors=%llu busy=%llu "
-                "makespan_ms=%.3f tput_kops=%.1f offered_kops=%.1f "
-                "p50_us=%.2f p99_us=%.2f queue_ms=%.3f max_inflight=%llu",
-                static_cast<unsigned long long>(clients),
-                static_cast<unsigned long long>(ops),
-                static_cast<unsigned long long>(errors),
-                static_cast<unsigned long long>(busy),
-                static_cast<double>(makespan_ns) / 1e6,
-                ThroughputOpsPerSec() / 1e3, offered_ops_per_sec / 1e3,
-                latency.Percentile(50) / 1e3, latency.Percentile(99) / 1e3,
-                static_cast<double>(total.queue_ns) / 1e6,
-                static_cast<unsigned long long>(max_in_flight));
-  return buf;
 }
 
 }  // namespace sim

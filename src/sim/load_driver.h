@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common/histogram.h"
@@ -175,8 +174,6 @@ struct LoadReport {
                             : static_cast<double>(ops) * 1e9 /
                                   static_cast<double>(makespan_ns);
   }
-
-  std::string ToString() const;
 };
 
 /// Runs `opts.clients` closed-loop clients against `op`, interleaving them

@@ -31,11 +31,6 @@ LogStoreService::LogStoreService(Fabric* fabric, NodeId node)
                             RpcServerContext* sctx) {
                        return HandleTail(req, resp, sctx);
                      });
-  n->RegisterHandler("log.truncate",
-                     [this](Slice req, std::string* resp,
-                            RpcServerContext* sctx) {
-                       return HandleTruncate(req, resp, sctx);
-                     });
 }
 
 Lsn LogStoreService::durable_lsn() const {
@@ -102,19 +97,6 @@ Status LogStoreService::HandleTail(Slice req, std::string* resp,
   return Status::OK();
 }
 
-Status LogStoreService::HandleTruncate(Slice req, std::string* resp,
-                                       RpcServerContext* sctx) {
-  uint64_t up_to = 0;
-  if (!GetVarint64(&req, &up_to)) {
-    return Status::InvalidArgument("malformed log.truncate");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  sctx->ChargeCompute(kScanNsPerRecord * log_.size());
-  log_.EraseFront(log_.FirstAfter(up_to));
-  resp->clear();
-  return Status::OK();
-}
-
 Result<Lsn> LogStoreClient::Append(NetContext* ctx, const RedoBatch& batch) {
   std::string resp;
   Status st =
@@ -146,13 +128,6 @@ Result<Lsn> LogStoreClient::DurableLsn(NetContext* ctx) {
   uint64_t lsn = 0;
   if (!GetVarint64(&in, &lsn)) return Status::Corruption("tail response");
   return lsn;
-}
-
-Status LogStoreClient::Truncate(NetContext* ctx, Lsn up_to_inclusive) {
-  std::string req;
-  PutVarint64(&req, up_to_inclusive);
-  std::string resp;
-  return fabric_->Call(ctx, node_, "log.truncate", req, &resp);
 }
 
 }  // namespace disagg

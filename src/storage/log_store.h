@@ -15,7 +15,6 @@ namespace disagg {
 ///   log.append   -- append a batch, returns the new durable LSN
 ///   log.read     -- read records with lsn > from_lsn (bounded count)
 ///   log.tail     -- return the highest durable LSN (no records on the wire)
-///   log.truncate -- drop records up to an LSN (after archiving)
 ///
 /// Read contract (shared with `LogBackend::ReadFrom` and the shared log's
 /// `slog.read`): the bound is EXCLUSIVE — `log.read(from, max)` returns up
@@ -54,7 +53,6 @@ class LogStoreService {
   Status HandleAppend(Slice req, std::string* resp, RpcServerContext* sctx);
   Status HandleRead(Slice req, std::string* resp, RpcServerContext* sctx);
   Status HandleTail(Slice req, std::string* resp, RpcServerContext* sctx);
-  Status HandleTruncate(Slice req, std::string* resp, RpcServerContext* sctx);
 
   Fabric* fabric_;
   NodeId node_;
@@ -87,7 +85,6 @@ class LogStoreClient {
   /// and WFQ accounting apply — recovery probes must not peek service state
   /// directly).
   Result<Lsn> DurableLsn(NetContext* ctx);
-  Status Truncate(NetContext* ctx, Lsn up_to_inclusive);
 
  private:
   Fabric* fabric_;

@@ -19,22 +19,11 @@ ObjectStoreService::ObjectStoreService(Fabric* fabric, NodeId node)
                                         RpcServerContext* sctx) {
     return HandleList(req, resp, sctx);
   });
-  n->RegisterHandler("obj.delete", [this](Slice req, std::string* resp,
-                                          RpcServerContext* sctx) {
-    return HandleDelete(req, resp, sctx);
-  });
 }
 
 size_t ObjectStoreService::object_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return objects_.size();
-}
-
-size_t ObjectStoreService::total_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& [k, v] : objects_) n += v.size();
-  return n;
 }
 
 Status ObjectStoreService::HandlePut(Slice req, std::string* resp,
@@ -87,21 +76,6 @@ Status ObjectStoreService::HandleList(Slice req, std::string* resp,
   return Status::OK();
 }
 
-Status ObjectStoreService::HandleDelete(Slice req, std::string* resp,
-                                        RpcServerContext* sctx) {
-  Slice key;
-  if (!GetLengthPrefixedSlice(&req, &key)) {
-    return Status::InvalidArgument("malformed obj.delete");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (objects_.erase(key.ToString()) == 0) {
-    return Status::NotFound(key.ToString());
-  }
-  sctx->ChargeCompute(1000);
-  resp->clear();
-  return Status::OK();
-}
-
 Status ObjectStoreClient::Put(NetContext* ctx, const std::string& key,
                               Slice value) {
   std::string req;
@@ -140,13 +114,6 @@ Result<std::vector<std::string>> ObjectStoreClient::List(
     keys.push_back(k.ToString());
   }
   return keys;
-}
-
-Status ObjectStoreClient::Delete(NetContext* ctx, const std::string& key) {
-  std::string req;
-  PutLengthPrefixedSlice(&req, key);
-  std::string resp;
-  return fabric_->Call(ctx, node_, "obj.delete", req, &resp);
 }
 
 }  // namespace disagg

@@ -21,13 +21,11 @@ class ObjectStoreService {
 
   NodeId node() const { return node_; }
   size_t object_count() const;
-  size_t total_bytes() const;
 
  private:
   Status HandlePut(Slice req, std::string* resp, RpcServerContext* sctx);
   Status HandleGet(Slice req, std::string* resp, RpcServerContext* sctx);
   Status HandleList(Slice req, std::string* resp, RpcServerContext* sctx);
-  Status HandleDelete(Slice req, std::string* resp, RpcServerContext* sctx);
 
   Fabric* fabric_;
   NodeId node_;
@@ -45,7 +43,6 @@ class ObjectStoreClient {
   Result<std::string> Get(NetContext* ctx, const std::string& key);
   Result<std::vector<std::string>> List(NetContext* ctx,
                                         const std::string& prefix);
-  Status Delete(NetContext* ctx, const std::string& key);
 
  private:
   Fabric* fabric_;

@@ -40,11 +40,6 @@ RaftReplicaService::RaftReplicaService(Fabric* fabric, NodeId node)
       });
 }
 
-uint64_t RaftReplicaService::current_term() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return term_;
-}
-
 uint64_t RaftReplicaService::log_size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return log_.size();
@@ -85,8 +80,9 @@ Status RaftReplicaService::HandleAppendEntries(Slice req, std::string* resp,
       !GetVarint64(&req, &n)) {
     return Status::InvalidArgument("malformed append_entries");
   }
+  // `n` comes off the wire: no reserve, so a forged count fails below when
+  // the payload runs out instead of sizing an allocation.
   std::vector<RaftEntry> entries;
-  entries.reserve(n);
   for (uint64_t i = 0; i < n; i++) {
     RaftEntry e;
     Slice payload;

@@ -28,7 +28,6 @@ class RaftReplicaService {
   RaftReplicaService(Fabric* fabric, NodeId node);
 
   NodeId node() const { return node_; }
-  uint64_t current_term() const;
   uint64_t log_size() const;
   uint64_t commit_index() const;  // number of committed entries
   Result<RaftEntry> entry(uint64_t index) const;

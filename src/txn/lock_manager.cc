@@ -7,7 +7,6 @@ Status LockManager::Acquire(TxnId txn, uint64_t key, Mode mode) {
   Entry& e = table_[key];
   if (mode == Mode::kShared) {
     if (e.exclusive != 0 && e.exclusive != txn) {
-      conflicts_++;
       return Status::Busy("X-lock held by another transaction");
     }
     if (e.sharers.insert(txn).second) held_[txn].push_back(key);
@@ -16,13 +15,11 @@ Status LockManager::Acquire(TxnId txn, uint64_t key, Mode mode) {
   // Exclusive.
   if (e.exclusive != 0) {
     if (e.exclusive == txn) return Status::OK();
-    conflicts_++;
     return Status::Busy("X-lock held by another transaction");
   }
   // Upgrade allowed only when we are the sole sharer.
   for (TxnId sharer : e.sharers) {
     if (sharer != txn) {
-      conflicts_++;
       return Status::Busy("S-lock held by another txn");
     }
   }
@@ -53,11 +50,6 @@ size_t LockManager::held_locks() const {
   size_t n = 0;
   for (const auto& [txn, keys] : held_) n += keys.size();
   return n;
-}
-
-uint64_t LockManager::conflicts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return conflicts_;
 }
 
 }  // namespace disagg

@@ -46,9 +46,6 @@ class LockManager : public LockBackend {
 
   size_t held_locks() const;
 
-  /// Conflicting acquisitions rejected with Busy since construction.
-  uint64_t conflicts() const;
-
  private:
   struct Entry {
     std::set<TxnId> sharers;
@@ -58,7 +55,6 @@ class LockManager : public LockBackend {
   mutable std::mutex mu_;
   std::map<uint64_t, Entry> table_;
   std::map<TxnId, std::vector<uint64_t>> held_;
-  uint64_t conflicts_ = 0;
 };
 
 }  // namespace disagg

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -33,21 +34,25 @@ class LocalDiskSink : public LogBackend {
   Lsn durable_ = kInvalidLsn;
 };
 
-/// Sink writing through an Aurora-style replicated segment quorum.
+/// Sink writing through an Aurora-style replicated segment quorum. Owns the
+/// segment, so the sink's lifetime covers its engine's.
 class QuorumSink : public LogBackend {
  public:
-  explicit QuorumSink(ReplicatedSegment* segment) : segment_(segment) {}
+  QuorumSink(Fabric* fabric, const ReplicatedSegment::Config& config,
+             const std::string& name)
+      : segment_(std::make_unique<ReplicatedSegment>(fabric, config, name)) {}
+
+  ReplicatedSegment* segment() { return segment_.get(); }
 
   Result<Lsn> Append(NetContext* ctx, const EncodedRecords& records) override {
     return segment_->AppendLog(ctx, records);
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
-    (void)ctx;
-    return Status::NotSupported("read from segment replicas directly");
+    return segment_->ReadLog(ctx);
   }
 
  private:
-  ReplicatedSegment* segment_;
+  std::unique_ptr<ReplicatedSegment> segment_;
 };
 
 /// Write-ahead-log manager on the compute node: allocates LSNs, chains each

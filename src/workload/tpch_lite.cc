@@ -13,18 +13,6 @@ Schema LineitemSchema() {
                  {"returnflag", ColumnType::kString}}};
 }
 
-Schema OrdersSchema() {
-  return Schema{{{"orderkey", ColumnType::kInt64},
-                 {"custkey", ColumnType::kInt64},
-                 {"orderday", ColumnType::kInt64},
-                 {"priority", ColumnType::kInt64}}};
-}
-
-Schema CustomerSchema() {
-  return Schema{{{"custkey", ColumnType::kInt64},
-                 {"segment", ColumnType::kString}}};
-}
-
 std::vector<Tuple> GenLineitem(size_t rows, uint64_t seed) {
   Random rng(seed);
   static const char* kFlags[] = {"A", "N", "R"};

@@ -16,11 +16,11 @@ namespace disagg::tpch {
 
 Schema LineitemSchema();  // orderkey, quantity, price, discount, shipday,
                           // returnflag
-Schema OrdersSchema();    // orderkey, custkey, orderday, priority
-Schema CustomerSchema();  // custkey, segment
 
 std::vector<Tuple> GenLineitem(size_t rows, uint64_t seed = 101);
+/// Rows of (orderkey, custkey, orderday, priority), all int64.
 std::vector<Tuple> GenOrders(size_t rows, uint64_t seed = 102);
+/// Rows of (custkey int64, segment string).
 std::vector<Tuple> GenCustomer(size_t rows, uint64_t seed = 103);
 
 /// Q1-style pricing summary: filter shipday <= cutoff, group by returnflag,

@@ -388,67 +388,5 @@ TEST(DegradeLadderTest, PushdownFallsBackToClientSideExecution) {
   EXPECT_EQ(dead_ctx.degraded_ops, 0u);
 }
 
-TEST(DegradeLadderTest, PerTenantStalenessOverrideGatesTheLadder) {
-  // The SLO controller's staleness actuator: a per-tenant override on the
-  // degrade ladder admits the stale copy for the granted tenant only, and
-  // withdrawing the grant (bound back to 0) restores the engine-wide bound
-  // bit for bit.
-  Fabric fabric;
-  ReplicatedSegment::Config config;
-  config.replicas = 4;
-  config.num_azs = 4;
-  config.write_quorum = 2;
-  config.read_quorum = 3;
-  AuroraDb db(&fabric, config);
-  NetContext setup;
-  ASSERT_TRUE(db.Put(&setup, 1, "v1-payload").ok());
-
-  // Same fault dance as AuroraServesBoundedStalenessFromLaggingReplica:
-  // only a one-version-stale replica pair survives.
-  db.segment()->FailAz(2);
-  db.segment()->FailAz(3);
-  ASSERT_TRUE(db.Put(&setup, 1, "v2-payload").ok());
-  db.segment()->ReviveAz(2);
-  db.segment()->ReviveAz(3);
-  db.segment()->FailAz(0);
-  db.segment()->FailAz(1);
-  db.DropBuffer();
-
-  // Engine-wide bound 0: the stale copy is refused for everyone. All reads
-  // below are GetRowReadOnly — no commit record, so nothing resyncs the
-  // lagging pair between steps.
-  db.set_degrade_policy({/*enabled=*/true, /*max_staleness_lsn=*/0});
-  NetContext before;
-  before.tenant = 7;
-  EXPECT_TRUE(db.GetRowReadOnly(&before, 1).status().IsUnavailable());
-  EXPECT_EQ(before.degraded_ops, 0u);
-
-  // The controller grants tenant 7 a staleness allowance. Tenant 8 still
-  // runs under the engine-wide bound and keeps being refused.
-  db.SetTenantStaleness(7, 1'000'000);
-  NetContext other;
-  other.tenant = 8;
-  EXPECT_TRUE(db.GetRowReadOnly(&other, 1).status().IsUnavailable());
-  EXPECT_EQ(other.degraded_ops, 0u);
-
-  NetContext granted;
-  granted.tenant = 7;
-  auto stale = db.GetRowReadOnly(&granted, 1);
-  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
-  EXPECT_EQ(*stale, "v1-payload");
-  EXPECT_EQ(granted.degraded_ops, 1u);
-  EXPECT_GT(granted.staleness_lsn, 0u);
-
-  // Withdrawing the grant erases the override (not "stores 0"): tenant 7 is
-  // back on the operator's engine-wide bound, and the policy map is exactly
-  // what a never-controlled run would hold.
-  db.SetTenantStaleness(7, 0);
-  EXPECT_TRUE(db.degrade_policy().tenant_staleness_lsn.empty());
-  NetContext after;
-  after.tenant = 7;
-  EXPECT_TRUE(db.GetRowReadOnly(&after, 1).status().IsUnavailable());
-  EXPECT_EQ(after.degraded_ops, 0u);
-}
-
 }  // namespace
 }  // namespace disagg

@@ -2,12 +2,14 @@
 
 #include <string>
 
+#include "common/coding.h"
 #include "common/logging.h"
 #include "memnode/memory_node.h"
 #include "memnode/page_source.h"
 #include "memnode/remote_cache.h"
 #include "memnode/shared_buffer_pool.h"
 #include "memnode/two_tier_cache.h"
+#include "test_util.h"
 
 namespace disagg {
 namespace {
@@ -38,6 +40,38 @@ TEST(MemoryNodeTest, ExhaustionIsUnavailable) {
   MemoryNode pool(&fabric, "mem0", 4096);
   ASSERT_TRUE(pool.AllocLocal(2048).ok());
   EXPECT_TRUE(pool.AllocLocal(4096).status().IsUnavailable());
+  // Above 2^63 the size class cannot be rounded up to a power of two; the
+  // request is refused, not looped on.
+  EXPECT_TRUE(pool.AllocLocal((uint64_t{1} << 63) + 1).status()
+                  .IsUnavailable());
+  EXPECT_TRUE(pool.AllocLocal(~uint64_t{0}).status().IsUnavailable());
+  EXPECT_EQ(pool.allocated_bytes(), 2048u);
+}
+
+TEST(MemoryNodeTest, HostileAllocRequestsFailWithoutSideEffects) {
+  Fabric fabric;
+  MemoryNode pool(&fabric, "mem0", 1 << 20);
+  NetContext ctx;
+  std::string good;
+  PutVarint64(&good, 300);  // two varint bytes: both strict prefixes fail
+  std::vector<std::string> hostile = testutil::MalformedPayloads(good, {});
+  for (uint64_t bytes : {uint64_t{0}, uint64_t{(1 << 20) + 1},
+                         (uint64_t{1} << 63) + 1, ~uint64_t{0}}) {
+    std::string req;
+    PutVarint64(&req, bytes);
+    hostile.push_back(std::move(req));
+  }
+  for (const std::string& req : hostile) {
+    std::string resp;
+    EXPECT_FALSE(fabric.Call(&ctx, pool.node(), "mem.alloc", req, &resp).ok())
+        << "request of " << req.size() << " bytes";
+  }
+  EXPECT_EQ(pool.allocated_bytes(), 0u);
+  // The bump pointer never moved: the first real allocation takes the
+  // first offset past the reserved null line.
+  auto first = pool.AllocLocal(64);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->offset, 64u);
 }
 
 TEST(MemoryNodeTest, RemoteAllocatorRpc) {
@@ -54,8 +88,7 @@ TEST(MemoryNodeTest, RemoteAllocatorRpc) {
   char buf[16] = {0};
   ASSERT_TRUE(fabric.Read(&ctx, *addr, buf, data.size()).ok());
   EXPECT_EQ(std::string(buf, data.size()), data);
-  ASSERT_TRUE(alloc.Free(&ctx, *addr, 256).ok());
-  EXPECT_EQ(pool.allocated_bytes(), 0u);
+  EXPECT_EQ(pool.allocated_bytes(), 256u);
 }
 
 class TwoTierCacheTest : public ::testing::Test {
@@ -313,6 +346,37 @@ TEST(PointerChainTest, ChaseBeyondEndFails) {
   ASSERT_TRUE(head.ok());
   EXPECT_TRUE(chain.ChaseClientSide(&ctx, *head, 3).status().IsNotFound());
   EXPECT_TRUE(chain.ChaseServerSide(&ctx, *head, 3).status().IsNotFound());
+}
+
+TEST(PointerChainTest, HostileChaseRequestsFail) {
+  Fabric fabric;
+  MemoryNode pool(&fabric, "mem0", 1 << 20);
+  PointerChain chain(&fabric, &pool);
+  NetContext ctx;
+  auto head = chain.Build(&ctx, {"n0", "n1"});
+  ASSERT_TRUE(head.ok());
+  std::string good;
+  PutVarint64(&good, head->offset);
+  PutVarint64(&good, 1);
+  std::vector<std::string> hostile = testutil::MalformedPayloads(good, {});
+  // Offsets whose node would end past the region, including ones where
+  // `offset + node size` wraps around 2^64.
+  for (uint64_t offset : {uint64_t{1} << 20, (uint64_t{1} << 20) - 1,
+                          ~uint64_t{0} - 63, ~uint64_t{0}}) {
+    std::string req;
+    PutVarint64(&req, offset);
+    PutVarint64(&req, 0);
+    hostile.push_back(std::move(req));
+  }
+  for (const std::string& req : hostile) {
+    std::string resp;
+    EXPECT_FALSE(
+        fabric.Call(&ctx, pool.node(), "cache.chase", req, &resp).ok())
+        << "request of " << req.size() << " bytes";
+  }
+  auto still = chain.ChaseServerSide(&ctx, *head, 1);
+  ASSERT_TRUE(still.ok());
+  EXPECT_EQ(*still, "n1");
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <string>
 
+#include "common/coding.h"
 #include "common/logging.h"
 #include "pm/pilot_log.h"
 #include "pm/pm_node.h"
+#include "test_util.h"
 
 namespace disagg {
 namespace {
@@ -57,6 +59,41 @@ TEST_F(PmNodeTest, RpcPersistIsDurable) {
   ASSERT_TRUE(client_.WritePersistRpc(&ctx_, addr, "rpc-persisted").ok());
   pm_.Crash();
   EXPECT_EQ(ReadBack(addr, 13), "rpc-persisted");
+}
+
+TEST_F(PmNodeTest, HostilePersistWritesFailWithoutSideEffects) {
+  GlobalAddr addr = Alloc(16);
+  ASSERT_TRUE(client_.WritePersistRpc(&ctx_, addr, "BASE").ok());
+  // A well-formed request: offset varint, then length-prefixed data.
+  std::string good;
+  PutVarint64(&good, addr.offset);
+  const size_t data_prefix = good.size();
+  PutLengthPrefixedSlice(&good, "evil");
+  std::vector<std::string> hostile =
+      testutil::MalformedPayloads(good, {data_prefix});
+  // Writes that end past the region, including offsets where
+  // `offset + length` wraps around 2^64, and a length far beyond the bytes
+  // that follow.
+  for (uint64_t offset : {uint64_t{1} << 20, (uint64_t{1} << 20) - 2,
+                          ~uint64_t{0} - 1}) {
+    std::string req;
+    PutVarint64(&req, offset);
+    PutLengthPrefixedSlice(&req, "evil");
+    hostile.push_back(std::move(req));
+  }
+  std::string huge;
+  PutVarint64(&huge, addr.offset);
+  PutVarint64(&huge, uint64_t{1} << 62);
+  huge += "evil";
+  hostile.push_back(std::move(huge));
+  for (const std::string& req : hostile) {
+    std::string resp;
+    EXPECT_FALSE(
+        fabric_.Call(&ctx_, pm_.node(), "pm.persist_write", req, &resp).ok())
+        << "request of " << req.size() << " bytes";
+  }
+  EXPECT_EQ(ReadBack(addr, 4), "BASE");
+  EXPECT_EQ(pm_.staged_writes(), 0u);
 }
 
 TEST_F(PmNodeTest, CrashRestoresOverlappingWritesInOrder) {

@@ -15,22 +15,12 @@ namespace disagg {
 namespace {
 
 // The SLO control plane suite: the feedback law's fixed point (the deadband),
-// the weight -> admission -> staleness escalation order, the infeasibility
+// the weight -> admission escalation order, the infeasibility
 // freeze (flagged SLO sets never oscillate), the EDF discipline's exact
 // queue-jump arithmetic and its non-starvation slack for deadline-less ops,
 // and the determinism contract:
 // controller decisions are a pure function of (seed, workload, partitions,
 // epoch_ns) — never of the thread count.
-
-class RecordingActuator : public StalenessActuator {
- public:
-  void SetTenantStaleness(uint32_t tenant, uint64_t lsn) override {
-    bounds[tenant] = lsn;
-    calls++;
-  }
-  std::map<uint32_t, uint64_t> bounds;
-  int calls = 0;
-};
 
 /// `n` identical-latency OK samples for `tenant`. Constant samples pin the
 /// histogram's p99 to exactly `latency_ns` (the min/max clamp), so the
@@ -81,7 +71,6 @@ TEST_F(SloControllerTest, DeadbandIsTheFixedPoint) {
   EXPECT_TRUE(ts.meeting);
   EXPECT_DOUBLE_EQ(ts.weight, 1.0);
   EXPECT_EQ(ts.backlog_bound_ns, 10'000u);  // seeded at target, never moved
-  EXPECT_EQ(ts.staleness_bound_lsn, 0u);
   EXPECT_DOUBLE_EQ(ts.observed_p99_ns, 9'000.0);
   EXPECT_EQ(ts.stable_epochs, 5u);
   EXPECT_TRUE(ctrl.AllConverged());
@@ -94,7 +83,7 @@ TEST_F(SloControllerTest, DeadbandIsTheFixedPoint) {
 }
 
 TEST_F(SloControllerTest, MissSaturatesActuatorsThenFlagsInfeasibleAndFreezes) {
-  // A 2x miss every epoch with no degrade ladder registered: the weight
+  // A 2x miss every epoch: the weight
   // climbs by 1.4x per epoch to the 64.0 clamp, the admission bound tightens
   // by 0.8x per epoch to the 0.25*target floor, and once both are pinned the
   // tenant accrues saturated epochs and is flagged infeasible — FROZEN, not
@@ -122,106 +111,6 @@ TEST_F(SloControllerTest, MissSaturatesActuatorsThenFlagsInfeasibleAndFreezes) {
     EXPECT_DOUBLE_EQ(c.weight, 64.0);
     EXPECT_EQ(c.max_backlog_ns, 2'500u);
   }
-}
-
-TEST_F(SloControllerTest, StalenessIsLastResortAndHandsGrantsBack) {
-  // Small clamps so weight and admission saturate quickly; staleness may
-  // move ONLY after both are pinned, and a tenant that later beats its
-  // target returns the staleness grant before anything else matters.
-  SloController::Options o;
-  o.max_weight = 2.0;
-  o.backlog_min_fraction = 0.5;
-  o.staleness_step_lsn = 64;
-  o.staleness_max_lsn = 128;
-  o.infeasible_epochs = 2;
-  RecordingActuator ladder;
-  fabric_.DeclareSlo(1, SloSpec{10'000});
-  SloController ctrl(&fabric_, o);
-  ctrl.AddDegradeTarget(&ladder);
-
-  // Four missing epochs: weight 1 -> 1.4 -> 1.96 -> 2.0 (clamp), bound
-  // 10000 -> 8000 -> 6400 -> 5120 -> 5000 (floor). Staleness untouched.
-  Drive(&ctrl, 4, 32, 20'000);
-  EXPECT_DOUBLE_EQ(ctrl.StateFor(1).weight, 2.0);
-  EXPECT_EQ(ctrl.StateFor(1).backlog_bound_ns, 5'000u);
-  EXPECT_EQ(ctrl.StateFor(1).staleness_bound_lsn, 0u);
-  EXPECT_EQ(ladder.bounds.count(1), 0u);
-
-  // Epochs 5 and 6: both other actuators saturated -> staleness escalates
-  // one step per epoch to its cap, reaching the registered ladder.
-  FeedOk(&ctrl, 1, 32, 20'000);
-  ctrl.EndEpoch(500'000);
-  EXPECT_EQ(ctrl.StateFor(1).staleness_bound_lsn, 64u);
-  EXPECT_EQ(ladder.bounds.at(1), 64u);
-  FeedOk(&ctrl, 1, 32, 20'000);
-  ctrl.EndEpoch(600'000);
-  EXPECT_EQ(ctrl.StateFor(1).staleness_bound_lsn, 128u);
-  EXPECT_EQ(ladder.bounds.at(1), 128u);
-  EXPECT_FALSE(ctrl.AnyInfeasible());
-
-  // Now comfortably beating the target: the staleness grant unwinds step by
-  // step (freshness is restored first-class, not kept as a trophy).
-  FeedOk(&ctrl, 1, 32, 4'000);
-  ctrl.EndEpoch(700'000);
-  EXPECT_EQ(ctrl.StateFor(1).staleness_bound_lsn, 64u);
-  EXPECT_EQ(ladder.bounds.at(1), 64u);
-  FeedOk(&ctrl, 1, 32, 4'000);
-  ctrl.EndEpoch(800'000);
-  EXPECT_EQ(ctrl.StateFor(1).staleness_bound_lsn, 0u);
-  EXPECT_EQ(ladder.bounds.at(1), 0u);
-}
-
-TEST_F(SloControllerTest, RevokedTenantReleasesEveryActuatorAndFlag) {
-  // Departed-tenant GC: drive tenant 1 all the way down the escalation
-  // ladder — weight clamped, admission floored, staleness granted, frozen
-  // infeasible — then revoke its contract. The next EndEpoch must release
-  // everything: controller state gone (fresh defaults), published weight
-  // back to the operator's static 1.0 with no bound, and the staleness
-  // actuator told to restore freshness. Nothing may stay clamped for a
-  // tenant that no longer exists.
-  SloController::Options o;
-  o.max_weight = 2.0;
-  o.backlog_min_fraction = 0.5;
-  o.staleness_step_lsn = 64;
-  o.staleness_max_lsn = 128;
-  o.infeasible_epochs = 2;
-  RecordingActuator ladder;
-  fabric_.DeclareSlo(1, SloSpec{10'000});
-  SloController ctrl(&fabric_, o);
-  ctrl.AddDegradeTarget(&ladder);
-
-  Drive(&ctrl, 10, 32, 20'000);
-  ASSERT_TRUE(ctrl.StateFor(1).infeasible);
-  ASSERT_TRUE(ctrl.AnyInfeasible());
-  ASSERT_EQ(ctrl.StateFor(1).staleness_bound_lsn, 128u);
-  ASSERT_EQ(ladder.bounds.at(1), 128u);
-  ASSERT_DOUBLE_EQ(fabric_.congestion()->ControlFor(1).weight, 2.0);
-
-  fabric_.RevokeSlo(1);
-  ctrl.EndEpoch(2'000'000);
-
-  const auto ts = ctrl.StateFor(1);
-  EXPECT_FALSE(ts.infeasible);
-  EXPECT_FALSE(ctrl.AnyInfeasible());
-  EXPECT_DOUBLE_EQ(ts.weight, 1.0);
-  EXPECT_EQ(ts.backlog_bound_ns, 0u);
-  EXPECT_EQ(ts.staleness_bound_lsn, 0u);
-  EXPECT_EQ(ladder.bounds.at(1), 0u);  // freshness restored explicitly
-
-  // The republished table rebuilt from static config: operator share, no
-  // admission bound, other tenants untouched.
-  const TenantControl c1 = fabric_.congestion()->ControlFor(1);
-  EXPECT_DOUBLE_EQ(c1.weight, 1.0);
-  EXPECT_EQ(c1.max_backlog_ns, 0u);
-  EXPECT_DOUBLE_EQ(fabric_.congestion()->ControlFor(3).weight, 2.5);
-
-  // Re-declaring later starts from scratch — no ghost of the frozen state.
-  fabric_.DeclareSlo(1, SloSpec{10'000});
-  FeedOk(&ctrl, 1, 32, 9'000);
-  ctrl.EndEpoch(2'100'000);
-  EXPECT_TRUE(ctrl.StateFor(1).meeting);
-  EXPECT_DOUBLE_EQ(ctrl.StateFor(1).weight, 1.0);
-  EXPECT_FALSE(ctrl.StateFor(1).infeasible);
 }
 
 TEST_F(SloControllerTest, ThinEvidenceHoldsEveryActuator) {

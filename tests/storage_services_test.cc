@@ -15,6 +15,7 @@
 #include "storage/page_store.h"
 #include "storage/quorum.h"
 #include "storage/raft_lite.h"
+#include "test_util.h"
 
 namespace disagg {
 namespace {
@@ -120,18 +121,6 @@ TEST_F(LogStoreTest, ReadFromReturnsSuffix) {
   EXPECT_EQ((*recs)[1].lsn, 3u);
 }
 
-TEST_F(LogStoreTest, TruncateDropsPrefix) {
-  ASSERT_TRUE(client_->Append(&ctx_, {MakeInsert(1, 7, 0, "a"),
-                                      MakeInsert(2, 7, 1, "b")})
-                  .ok());
-  ASSERT_TRUE(client_->Truncate(&ctx_, 1).ok());
-  EXPECT_EQ(service_->record_count(), 1u);
-  auto recs = client_->ReadFrom(&ctx_, 0);
-  ASSERT_TRUE(recs.ok());
-  ASSERT_EQ(recs->size(), 1u);
-  EXPECT_EQ((*recs)[0].lsn, 2u);
-}
-
 TEST_F(LogStoreTest, ReadReturnsTheAppendedEncodings) {
   const std::vector<LogRecord> first = {MakeInsert(1, 7, 0, "a"),
                                         MakeInsert(2, 8, 0, std::string(200, 'b'))};
@@ -155,11 +144,6 @@ TEST_F(LogStoreTest, ReadReturnsTheAppendedEncodings) {
   EXPECT_EQ(LogRecord::EncodeBatch(service_->SnapshotFrom(2)),
             LogRecord::EncodeBatch({all[2], all[3]}));
 
-  ASSERT_TRUE(client_->Truncate(&ctx_, 2).ok());
-  EXPECT_EQ(ReadAllBytes(&fabric_, &ctx_, node_),
-            LogRecord::EncodeBatch({all[2], all[3]}));
-  EXPECT_EQ(LogRecord::EncodeBatch(service_->SnapshotFrom(0)),
-            LogRecord::EncodeBatch({all[2], all[3]}));
   ASSERT_TRUE(client_->Append(&ctx_, {MakeInsert(5, 9, 1, "e")}).ok());
   EXPECT_EQ(ReadAllBytes(&fabric_, &ctx_, node_, 3),
             LogRecord::EncodeBatch({all[3], MakeInsert(5, 9, 1, "e")}));
@@ -687,7 +671,62 @@ TEST(RaftLiteTest, NonConvergenceIsBusyAndResumes) {
   EXPECT_EQ(e->term, 1u);  // the real log replaced the junk
 }
 
-TEST(ObjectStoreTest, ImmutablePutGetListDelete) {
+TEST(RaftLiteTest, HostilePayloadsFailWithoutSideEffects) {
+  Fabric fabric;
+  RaftLiteGroup group(&fabric, 3);
+  NetContext ctx;
+  ASSERT_TRUE(group.Append(&ctx, "a").ok());
+  const NodeId follower = group.replica_node(1);
+  const uint64_t commit_before = group.replica(1)->commit_index();
+
+  // A well-formed append_entries carrying the follower's next entry: term,
+  // prev_index, prev_term, leader_commit, entry count, then each entry's
+  // term and length-prefixed payload.
+  std::string append;
+  for (uint64_t v : {group.term(), uint64_t{1}, group.term(), uint64_t{1},
+                     uint64_t{1}, group.term()}) {
+    PutVarint64(&append, v);
+  }
+  const size_t count_prefix = 4;
+  const size_t payload_prefix = append.size();
+  PutLengthPrefixedSlice(&append, "b");
+  std::vector<std::string> appends =
+      testutil::MalformedPayloads(append, {count_prefix, payload_prefix});
+  // Entry counts far beyond the bytes that follow (2^60 used to size an
+  // allocation and abort the process).
+  for (uint64_t n : {uint64_t{2}, uint64_t{1} << 60, ~uint64_t{0}}) {
+    std::string req = append.substr(0, count_prefix);
+    PutVarint64(&req, n);
+    req += append.substr(count_prefix + 1);
+    appends.push_back(std::move(req));
+  }
+  std::string read;
+  PutVarint64(&read, 300);  // two varint bytes: both strict prefixes fail
+  std::vector<std::string> reads = testutil::MalformedPayloads(read, {});
+  for (uint64_t index : {uint64_t{1}, ~uint64_t{0}}) {  // not committed
+    std::string req;
+    PutVarint64(&req, index);
+    reads.push_back(std::move(req));
+  }
+  const std::pair<const char*, std::vector<std::string>> corpora[] = {
+      {"raft.append_entries", appends},
+      {"raft.read", reads},
+  };
+  for (const auto& [method, hostile] : corpora) {
+    for (const std::string& req : hostile) {
+      std::string resp;
+      EXPECT_FALSE(fabric.Call(&ctx, follower, method, req, &resp).ok())
+          << method << ", request of " << req.size() << " bytes";
+    }
+  }
+  EXPECT_EQ(group.replica(1)->log_size(), 1u);
+  EXPECT_EQ(group.replica(1)->commit_index(), commit_before);
+  // The follower's term did not move either: the leader still replicates.
+  ASSERT_TRUE(group.Append(&ctx, "b").ok());
+  EXPECT_EQ(group.replica(1)->log_size(), 2u);
+}
+
+TEST(ObjectStoreTest, ImmutablePutGetList) {
   Fabric fabric;
   NodeId node = fabric.AddNode("s3", NodeKind::kObject,
                                InterconnectModel::ObjectStore());
@@ -707,10 +746,53 @@ TEST(ObjectStoreTest, ImmutablePutGetListDelete) {
   auto keys = client.List(&ctx, "tbl/");
   ASSERT_TRUE(keys.ok());
   EXPECT_EQ(keys->size(), 2u);
+  EXPECT_EQ(service.object_count(), 2u);
+}
 
-  ASSERT_TRUE(client.Delete(&ctx, "tbl/part-0").ok());
+TEST(ObjectStoreTest, HostilePayloadsFailWithoutSideEffects) {
+  Fabric fabric;
+  NodeId node = fabric.AddNode("s3", NodeKind::kObject,
+                               InterconnectModel::ObjectStore());
+  ObjectStoreService service(&fabric, node);
+  ObjectStoreClient client(&fabric, node);
+  NetContext ctx;
+  ASSERT_TRUE(client.Put(&ctx, "tbl/part-0", "AAAA").ok());
+
+  // obj.put of a new key: key prefix at byte 0, value prefix after the key.
+  std::string put;
+  PutLengthPrefixedSlice(&put, "tbl/part-1");
+  const size_t value_prefix = put.size();
+  PutLengthPrefixedSlice(&put, "BBBB");
+  std::vector<std::string> puts =
+      testutil::MalformedPayloads(put, {0, value_prefix});
+  for (uint64_t claimed : {uint64_t{1000}, uint64_t{1} << 62}) {
+    std::string req;
+    PutLengthPrefixedSlice(&req, "tbl/part-2");
+    PutVarint64(&req, claimed);
+    req += "short";
+    puts.push_back(std::move(req));
+  }
+  // obj.get and obj.list: one length-prefixed key or prefix.
+  std::string get;
+  PutLengthPrefixedSlice(&get, "tbl/part-0");
+  std::string list;
+  PutLengthPrefixedSlice(&list, "tbl/");
+  const std::pair<const char*, std::vector<std::string>> corpora[] = {
+      {"obj.put", puts},
+      {"obj.get", testutil::MalformedPayloads(get, {0})},
+      {"obj.list", testutil::MalformedPayloads(list, {0})},
+  };
+  for (const auto& [method, hostile] : corpora) {
+    for (const std::string& req : hostile) {
+      std::string resp;
+      EXPECT_FALSE(fabric.Call(&ctx, node, method, req, &resp).ok())
+          << method << ", request of " << req.size() << " bytes";
+    }
+  }
   EXPECT_EQ(service.object_count(), 1u);
-  EXPECT_TRUE(client.Delete(&ctx, "tbl/part-0").IsNotFound());
+  auto blob = client.Get(&ctx, "tbl/part-0");
+  ASSERT_TRUE(blob.ok());
+  EXPECT_EQ(*blob, "AAAA");
 }
 
 TEST(ObjectStoreTest, ObjectStoreIsSlowestTier) {

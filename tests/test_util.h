@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "core/row_engine.h"
@@ -76,6 +78,31 @@ Status PutWithBusyRetry(Writer* writer, NetContext* ctx, uint64_t key,
     std::this_thread::yield();  // let the real-thread lock holder finish
   }
   return Status::Busy("PutWithBusyRetry exhausted attempts");
+}
+
+/// Malformed variants of the well-formed RPC payload `good`, for hostile-input
+/// tests: every strict prefix, every 0->1 bit flip in the bytes at
+/// `length_offsets` (each the one-byte length or count prefix of a field, so
+/// the flip claims more bytes than follow), and an overlong varint (eleven
+/// continuation bytes). Callers pick `good` so that none of its strict
+/// prefixes decodes.
+inline std::vector<std::string> MalformedPayloads(
+    const std::string& good, std::initializer_list<size_t> length_offsets) {
+  std::vector<std::string> out;
+  for (size_t len = 0; len < good.size(); len++) {
+    out.push_back(good.substr(0, len));
+  }
+  for (size_t at : length_offsets) {
+    for (int bit = 0; bit < 8; bit++) {
+      const char mask = static_cast<char>(1 << bit);
+      if ((good[at] & mask) != 0) continue;
+      std::string flipped = good;
+      flipped[at] = static_cast<char>(flipped[at] | mask);
+      out.push_back(std::move(flipped));
+    }
+  }
+  out.push_back(std::string(11, '\x80'));
+  return out;
 }
 
 }  // namespace testutil
