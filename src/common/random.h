@@ -3,7 +3,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <string>
+#include <utility>
 
 namespace disagg {
 
@@ -58,7 +61,10 @@ class ZipfianGenerator {
  public:
   ZipfianGenerator(uint64_t n, double theta = 0.99,
                    uint64_t seed = 0xDEADBEEFULL)
-      : n_(n), theta_(theta), rng_(seed) {
+      : n_(n),
+        theta_(theta),
+        rng_(seed),
+        half_pow_theta_(std::pow(0.5, theta)) {
     zetan_ = Zeta(n_, theta_);
     zeta2_ = Zeta(2, theta_);
     alpha_ = 1.0 / (1.0 - theta_);
@@ -70,21 +76,32 @@ class ZipfianGenerator {
     const double u = rng_.NextDouble();
     const double uz = u * zetan_;
     if (uz < 1.0) return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+    if (uz < 1.0 + half_pow_theta_) return 1;
     return static_cast<uint64_t>(
         static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   }
 
  private:
+  /// zeta(n, theta) = sum of i^-theta for i in [1, n]: n `pow` calls, so
+  /// each (n, theta) is summed once per process and remembered (a YCSB run
+  /// builds one generator per client over the same key space).
   static double Zeta(uint64_t n, double theta) {
-    double sum = 0;
-    for (uint64_t i = 1; i <= n; i++) sum += 1.0 / std::pow(i, theta);
-    return sum;
+    static std::mutex mu;
+    static std::map<std::pair<uint64_t, double>, double> memo;
+    std::lock_guard<std::mutex> lock(mu);
+    auto [it, inserted] = memo.try_emplace({n, theta}, 0.0);
+    if (inserted) {
+      double sum = 0;
+      for (uint64_t i = 1; i <= n; i++) sum += 1.0 / std::pow(i, theta);
+      it->second = sum;
+    }
+    return it->second;
   }
 
   uint64_t n_;
   double theta_;
   Random rng_;
+  double half_pow_theta_;  // 0.5^theta, the bound of the second rank
   double zetan_, zeta2_, alpha_, eta_;
 };
 

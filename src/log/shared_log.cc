@@ -8,6 +8,15 @@
 namespace disagg {
 
 namespace {
+
+const RpcMethod kSlogView("slog.view");
+const RpcMethod kSlogAppend("slog.append");
+const RpcMethod kSlogReplicate("slog.replicate");
+const RpcMethod kSlogRead("slog.read");
+const RpcMethod kSlogTrim("slog.trim");
+const RpcMethod kSlogSeal("slog.seal");
+const RpcMethod kSlogInstall("slog.install");
+
 // Modeled CPU cost on the log-tier nodes (mirrors LogStoreService's costs so
 // shared vs private log comparisons isolate the *replication topology*, not
 // a different per-record price).
@@ -40,8 +49,8 @@ SharedLogService::SharedLogService(Fabric* fabric, const Config& config,
   ctl_node_ =
       fabric_->AddNode(name_prefix + "-ctl", NodeKind::kLog, config_.model);
   fabric_->node(ctl_node_)
-      ->RegisterHandler("slog.view", [this](Slice req, std::string* resp,
-                                            RpcServerContext* sctx) {
+      ->RegisterHandler(kSlogView, [this](Slice req, std::string* resp,
+                                          RpcServerContext* sctx) {
         return HandleView(req, resp, sctx);
       });
   for (int i = 0; i < config_.log_nodes; i++) {
@@ -60,28 +69,28 @@ SharedLogService::SharedLogService(Fabric* fabric, const Config& config,
 
 void SharedLogService::RegisterHandlers(NodeState* ns) {
   Node* n = fabric_->node(ns->node);
-  n->RegisterHandler("slog.append", [this, ns](Slice req, std::string* resp,
-                                               RpcServerContext* sctx) {
+  n->RegisterHandler(kSlogAppend, [this, ns](Slice req, std::string* resp,
+                                             RpcServerContext* sctx) {
     return HandleAppend(ns, req, resp, sctx);
   });
-  n->RegisterHandler("slog.replicate", [this, ns](Slice req, std::string* resp,
-                                                  RpcServerContext* sctx) {
+  n->RegisterHandler(kSlogReplicate, [this, ns](Slice req, std::string* resp,
+                                                RpcServerContext* sctx) {
     return HandleReplicate(ns, req, resp, sctx);
   });
-  n->RegisterHandler("slog.read", [this, ns](Slice req, std::string* resp,
-                                             RpcServerContext* sctx) {
+  n->RegisterHandler(kSlogRead, [this, ns](Slice req, std::string* resp,
+                                           RpcServerContext* sctx) {
     return HandleRead(ns, req, resp, sctx);
   });
-  n->RegisterHandler("slog.trim", [this, ns](Slice req, std::string* resp,
-                                             RpcServerContext* sctx) {
+  n->RegisterHandler(kSlogTrim, [this, ns](Slice req, std::string* resp,
+                                           RpcServerContext* sctx) {
     return HandleTrim(ns, req, resp, sctx);
   });
-  n->RegisterHandler("slog.seal", [this, ns](Slice req, std::string* resp,
-                                             RpcServerContext* sctx) {
+  n->RegisterHandler(kSlogSeal, [this, ns](Slice req, std::string* resp,
+                                           RpcServerContext* sctx) {
     return HandleSeal(ns, req, resp, sctx);
   });
-  n->RegisterHandler("slog.install", [this, ns](Slice req, std::string* resp,
-                                                RpcServerContext* sctx) {
+  n->RegisterHandler(kSlogInstall, [this, ns](Slice req, std::string* resp,
+                                              RpcServerContext* sctx) {
     return HandleInstall(ns, req, resp, sctx);
   });
 }
@@ -313,7 +322,7 @@ Status SharedLogService::SealAndReconfigure(NetContext* ctx) {
   }
   for (NodeState* ns : live) {
     std::string resp;
-    Status st = fabric_->Call(ctx, ns->node, "slog.seal", "", &resp);
+    Status st = fabric_->Call(ctx, ns->node, kSlogSeal, "", &resp);
     if (!st.ok()) return st;
     Slice in(resp);
     uint64_t node_epoch = 0, ntags = 0;
@@ -343,7 +352,7 @@ Status SharedLogService::SealAndReconfigure(NetContext* ctx) {
   for (NodeId m : new_members) PutVarint64(&inst, m);
   for (NodeState* ns : live) {
     std::string resp;
-    Status st = fabric_->Call(ctx, ns->node, "slog.install", inst, &resp);
+    Status st = fabric_->Call(ctx, ns->node, kSlogInstall, inst, &resp);
     if (!st.ok()) return st;
   }
 
@@ -377,7 +386,7 @@ Status SharedLogService::SealAndReconfigure(NetContext* ctx) {
       PutVarint64(&read_req, 0);     // no LSN bound
       PutVarint64(&read_req, ~0ull);  // full suffix
       std::string read_resp;
-      Status st = fabric_->Call(ctx, src, "slog.read", read_req, &read_resp);
+      Status st = fabric_->Call(ctx, src, kSlogRead, read_req, &read_resp);
       if (!st.ok()) return st;
       Slice in(read_resp);
       uint64_t base = 0;
@@ -393,7 +402,7 @@ Status SharedLogService::SealAndReconfigure(NetContext* ctx) {
       PutVarint64(&rep_req, best.trimmed_lsn);
       rep_req += LogRecord::EncodeBatch(*recs);
       std::string rep_resp;
-      st = fabric_->Call(ctx, dest, "slog.replicate", rep_req, &rep_resp);
+      st = fabric_->Call(ctx, dest, kSlogReplicate, rep_req, &rep_resp);
       if (!st.ok()) return st;
     }
   }
@@ -430,7 +439,7 @@ Status SharedLogClient::EnsureView(NetContext* ctx) {
 
 Status SharedLogClient::RefreshView(NetContext* ctx) {
   std::string resp;
-  Status st = fabric_->Call(ctx, ctl_, "slog.view", "", &resp);
+  Status st = fabric_->Call(ctx, ctl_, kSlogView, "", &resp);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t epoch = 0, repl = 0, w = 0, n = 0;
@@ -456,7 +465,7 @@ std::vector<NodeId> SharedLogClient::ReplicasFor(LogTag tag) const {
 }
 
 Status SharedLogClient::CallPrimary(NetContext* ctx, LogTag tag,
-                                    const std::string& method,
+                                    const RpcMethod& method,
                                     const std::string& body,
                                     std::string* resp) {
   Status last = Status::Unavailable("shared log: no view");
@@ -496,7 +505,7 @@ Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
     PutVarint64(&req, tag);
     req += batch;
     std::string resp;
-    st = fabric_->Call(ctx, replicas[0], "slog.append", req, &resp);
+    st = fabric_->Call(ctx, replicas[0], kSlogAppend, req, &resp);
     if (!st.ok()) {
       // Stale epoch (Aborted) or crashed primary (Unavailable): the view
       // may have moved — refresh and retry; a reconfigure will have
@@ -534,7 +543,7 @@ Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
     const NodeId primary = replicas[0];
     auto replicate_to = [&](NetContext* bctx, NodeId backup) -> bool {
       std::string rep_resp;
-      if (!fabric_->Call(bctx, backup, "slog.replicate", rep_req, &rep_resp)
+      if (!fabric_->Call(bctx, backup, kSlogReplicate, rep_req, &rep_resp)
                .ok()) {
         return false;
       }
@@ -551,7 +560,7 @@ Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
       PutVarint64(&read_req, 0);
       PutVarint64(&read_req, ~0ull);
       std::string read_resp;
-      if (!fabric_->Call(bctx, primary, "slog.read", read_req, &read_resp)
+      if (!fabric_->Call(bctx, primary, kSlogRead, read_req, &read_resp)
                .ok()) {
         return false;
       }
@@ -567,7 +576,7 @@ Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
       PutVarint64(&rep2, 0);
       PutVarint64(&rep2, 0);
       rep2 += LogRecord::EncodeBatch(*gap);
-      if (!fabric_->Call(bctx, backup, "slog.replicate", rep2, &rep_resp)
+      if (!fabric_->Call(bctx, backup, kSlogReplicate, rep2, &rep_resp)
                .ok()) {
         return false;
       }
@@ -598,7 +607,7 @@ Result<std::vector<LogRecord>> SharedLogClient::ReadFrom(NetContext* ctx,
   PutVarint64(&body, 0);  // no LSN bound
   PutVarint64(&body, max_records);
   std::string resp;
-  Status st = CallPrimary(ctx, tag, "slog.read", body, &resp);
+  Status st = CallPrimary(ctx, tag, kSlogRead, body, &resp);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t base = 0;
@@ -614,7 +623,7 @@ Result<std::vector<LogRecord>> SharedLogClient::ReadFromLsn(NetContext* ctx,
   PutVarint64(&body, from_exclusive);
   PutVarint64(&body, ~0ull);
   std::string resp;
-  Status st = CallPrimary(ctx, tag, "slog.read", body, &resp);
+  Status st = CallPrimary(ctx, tag, kSlogRead, body, &resp);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t base = 0;
@@ -635,7 +644,7 @@ Status SharedLogClient::Trim(NetContext* ctx, LogTag tag,
   Status last = Status::OK();
   for (NodeId r : replicas) {
     std::string resp;
-    Status ts = fabric_->Call(ctx, r, "slog.trim", req, &resp);
+    Status ts = fabric_->Call(ctx, r, kSlogTrim, req, &resp);
     if (ts.ok()) {
       oks++;
     } else {

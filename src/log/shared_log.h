@@ -175,7 +175,7 @@ class SharedLogClient {
   /// Replica set for `tag` under the cached view, primary first.
   std::vector<NodeId> ReplicasFor(LogTag tag) const;
   /// One read-style call with epoch refresh-and-retry on Aborted.
-  Status CallPrimary(NetContext* ctx, LogTag tag, const std::string& method,
+  Status CallPrimary(NetContext* ctx, LogTag tag, const RpcMethod& method,
                      const std::string& body, std::string* resp);
 
   Fabric* fabric_;

@@ -72,8 +72,9 @@ void MemNodeExecutor::Recover() {
   wounded_.clear();
   epoch_++;
   stats_.recoveries++;
-  // Recovery observes the current lease so the lazy re-fence in CheckAlive
-  // does not bump the epoch a second time for the same incident.
+  // Recovery observes the current lease so the lazy re-fence in
+  // CheckAliveLocked does not bump the epoch a second time for the same
+  // incident.
   if (lease_authority_ != nullptr) {
     lease_epoch_seen_ = lease_authority_->LeaseEpoch(pool_->node());
   }
@@ -104,11 +105,13 @@ size_t MemNodeExecutor::active_locks() const {
 
 MemNodeExecutor::Stats MemNodeExecutor::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats s = stats_;
+  s.nodes_visited += nodes_visited_.load(std::memory_order_relaxed);
+  s.splits += splits_.load(std::memory_order_relaxed);
+  return s;
 }
 
-Status MemNodeExecutor::CheckAlive() {
-  std::lock_guard<std::mutex> lock(mu_);
+Status MemNodeExecutor::CheckAliveLocked() {
   if (lease_authority_ != nullptr) {
     const uint64_t lease_epoch = lease_authority_->LeaseEpoch(pool_->node());
     if (lease_epoch > lease_epoch_seen_) {
@@ -140,7 +143,7 @@ namespace {
 /// stores and atomics on the pool region. It issues no fabric verbs
 /// (handlers must not re-enter the pipeline; see the fabric-bypass rule in
 /// DESIGN.md). It counts the nodes it inspects and the splits it makes; the
-/// handler charges the visits and folds both into `stats()` under `mu_`.
+/// handler charges the visits and adds both to the executor's counters.
 class RegionStore {
  public:
   RegionStore(MemoryNode* pool, char* base, const RemoteBTree::TreeRef& tree)
@@ -228,11 +231,14 @@ class RegionStore {
 // ---- Index handlers --------------------------------------------------------
 
 template <class Walk>
-Status MemNodeExecutor::WalkTree(uint64_t tree_id, uint64_t Stats::*op,
+Status MemNodeExecutor::WalkTree(bool parsed, const char* malformed,
+                                 uint64_t tree_id, uint64_t Stats::*op,
                                  RpcServerContext* sctx, Walk&& walk) {
   RemoteBTree::TreeRef tree;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    DISAGG_RETURN_NOT_OK(CheckAliveLocked());
+    if (!parsed) return Status::InvalidArgument(malformed);
     if (tree_id >= trees_.size()) {
       return Status::InvalidArgument("unknown tree id");
     }
@@ -246,69 +252,60 @@ Status MemNodeExecutor::WalkTree(uint64_t tree_id, uint64_t Stats::*op,
   Status st = walk(index);
   sctx->ChargeCompute(offload::kDispatchNs +
                       offload::kNodeVisitNs * store.visited);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.nodes_visited += store.visited;
-    stats_.splits += store.splits;
-  }
+  nodes_visited_.fetch_add(store.visited, std::memory_order_relaxed);
+  splits_.fetch_add(store.splits, std::memory_order_relaxed);
   return st;
 }
 
+// Each handler parses its request before taking `mu_`; `WalkTree` reports a
+// malformed one only after the crash-point check, so every invocation,
+// well formed or not, counts toward `ScheduleCrashAfter`.
+
 Status MemNodeExecutor::HandleIdxGet(Slice req, std::string* resp,
                                      RpcServerContext* sctx) {
-  DISAGG_RETURN_NOT_OK(CheckAlive());
   uint64_t tree_id = 0, key = 0;
-  if (!GetVarint64(&req, &tree_id) || !GetFixed64(&req, &key)) {
-    return Status::InvalidArgument("malformed exec.idx.get");
-  }
-  return WalkTree(tree_id, &Stats::lookups, sctx, [&](auto& index) -> Status {
-    DISAGG_ASSIGN_OR_RETURN(uint64_t value, index.Get(key));
-    PutFixed64(resp, value);
-    return Status::OK();
-  });
+  const bool parsed = GetVarint64(&req, &tree_id) && GetFixed64(&req, &key);
+  return WalkTree(parsed, "malformed exec.idx.get", tree_id, &Stats::lookups,
+                  sctx, [&](auto& index) -> Status {
+                    DISAGG_ASSIGN_OR_RETURN(uint64_t value, index.Get(key));
+                    PutFixed64(resp, value);
+                    return Status::OK();
+                  });
 }
 
 Status MemNodeExecutor::HandleIdxScan(Slice req, std::string* resp,
                                       RpcServerContext* sctx) {
-  DISAGG_RETURN_NOT_OK(CheckAlive());
   uint64_t tree_id = 0, from = 0, limit = 0;
-  if (!GetVarint64(&req, &tree_id) || !GetFixed64(&req, &from) ||
-      !GetVarint64(&req, &limit)) {
-    return Status::InvalidArgument("malformed exec.idx.scan");
-  }
-  return WalkTree(tree_id, &Stats::scans, sctx, [&](auto& index) -> Status {
-    DISAGG_ASSIGN_OR_RETURN(auto out, index.Scan(from, limit));
-    sctx->ChargeCompute(offload::kEntryNs * out.size());
-    PutVarint64(resp, out.size());
-    for (const auto& [k, v] : out) {
-      PutFixed64(resp, k);
-      PutFixed64(resp, v);
-    }
-    return Status::OK();
-  });
+  const bool parsed = GetVarint64(&req, &tree_id) &&
+                      GetFixed64(&req, &from) && GetVarint64(&req, &limit);
+  return WalkTree(parsed, "malformed exec.idx.scan", tree_id, &Stats::scans,
+                  sctx, [&](auto& index) -> Status {
+                    DISAGG_ASSIGN_OR_RETURN(auto out, index.Scan(from, limit));
+                    sctx->ChargeCompute(offload::kEntryNs * out.size());
+                    PutVarint64(resp, out.size());
+                    for (const auto& [k, v] : out) {
+                      PutFixed64(resp, k);
+                      PutFixed64(resp, v);
+                    }
+                    return Status::OK();
+                  });
 }
 
 Status MemNodeExecutor::HandleIdxPut(Slice req, std::string* /*resp*/,
                                      RpcServerContext* sctx) {
-  DISAGG_RETURN_NOT_OK(CheckAlive());
   uint64_t tree_id = 0, key = 0, value = 0;
-  if (!GetVarint64(&req, &tree_id) || !GetFixed64(&req, &key) ||
-      !GetFixed64(&req, &value)) {
-    return Status::InvalidArgument("malformed exec.idx.put");
-  }
-  return WalkTree(tree_id, &Stats::inserts, sctx,
-                  [&](auto& index) { return index.Put(key, value); });
+  const bool parsed = GetVarint64(&req, &tree_id) && GetFixed64(&req, &key) &&
+                      GetFixed64(&req, &value);
+  return WalkTree(parsed, "malformed exec.idx.put", tree_id, &Stats::inserts,
+                  sctx, [&](auto& index) { return index.Put(key, value); });
 }
 
 Status MemNodeExecutor::HandleIdxDelete(Slice req, std::string* /*resp*/,
                                         RpcServerContext* sctx) {
-  DISAGG_RETURN_NOT_OK(CheckAlive());
   uint64_t tree_id = 0, key = 0;
-  if (!GetVarint64(&req, &tree_id) || !GetFixed64(&req, &key)) {
-    return Status::InvalidArgument("malformed exec.idx.del");
-  }
-  return WalkTree(tree_id, &Stats::deletes, sctx,
-                  [&](auto& index) { return index.Delete(key); });
+  const bool parsed = GetVarint64(&req, &tree_id) && GetFixed64(&req, &key);
+  return WalkTree(parsed, "malformed exec.idx.del", tree_id, &Stats::deletes,
+                  sctx, [&](auto& index) { return index.Delete(key); });
 }
 
 // ---- WOUND_WAIT lock table -------------------------------------------------
@@ -396,7 +393,8 @@ void MemNodeExecutor::ReleasePendingLocked(Slice ids, uint64_t npend) {
 
 Status MemNodeExecutor::HandleLockAcquire(Slice req, std::string* resp,
                                           RpcServerContext* sctx) {
-  DISAGG_RETURN_NOT_OK(CheckAlive());
+  std::lock_guard<std::mutex> lock(mu_);
+  DISAGG_RETURN_NOT_OK(CheckAliveLocked());
   uint64_t req_epoch = 0, txn = 0, key = 0, npend = 0;
   if (!GetVarint64(&req, &req_epoch) || !GetFixed64(&req, &txn) ||
       !GetFixed64(&req, &key) || req.empty()) {
@@ -408,7 +406,6 @@ Status MemNodeExecutor::HandleLockAcquire(Slice req, std::string* resp,
     return Status::InvalidArgument("malformed exec.lock.acquire");
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
   stats_.acquires++;
   ReleasePendingLocked(req, npend);
   sctx->ChargeCompute(offload::kDispatchNs +
@@ -433,14 +430,14 @@ Status MemNodeExecutor::HandleLockAcquire(Slice req, std::string* resp,
 
 Status MemNodeExecutor::HandleLockRelease(Slice req, std::string* resp,
                                           RpcServerContext* sctx) {
-  DISAGG_RETURN_NOT_OK(CheckAlive());
+  std::lock_guard<std::mutex> lock(mu_);
+  DISAGG_RETURN_NOT_OK(CheckAliveLocked());
   uint64_t req_epoch = 0, txn = 0, npend = 0;
   if (!GetVarint64(&req, &req_epoch) || !GetFixed64(&req, &txn) ||
       !GetVarint64(&req, &npend) || !IsPendingList(req, npend)) {
     return Status::InvalidArgument("malformed exec.lock.release");
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
   ReleasePendingLocked(req, npend);
   sctx->ChargeCompute(offload::kDispatchNs +
                       offload::kLockOpNs * (1 + npend));
@@ -461,13 +458,39 @@ Status MemNodeExecutor::HandleLockRelease(Slice req, std::string* resp,
 
 // ---- Compute-side clients --------------------------------------------------
 
+namespace {
+
+/// An `exec.idx.*` request (varint tree id, then fixed64 fields) encoded
+/// on the stack, so an offloaded op allocates nothing to send it.
+class IndexRequest {
+ public:
+  explicit IndexRequest(uint32_t tree)
+      : size_(static_cast<size_t>(EncodeVarint64(buf_, tree) - buf_)) {}
+
+  IndexRequest& Fixed(uint64_t v) {
+    EncodeFixed64(buf_ + size_, v);
+    size_ += 8;
+    return *this;
+  }
+  IndexRequest& Varint(uint64_t v) {
+    size_ = static_cast<size_t>(EncodeVarint64(buf_ + size_, v) - buf_);
+    return *this;
+  }
+  Slice slice() const { return Slice(buf_, size_); }
+
+ private:
+  char buf_[5 + 8 + 10] = {};  // varint32 tree id, fixed64, fixed64 or varint
+  size_t size_;
+};
+
+}  // namespace
+
 Result<uint64_t> OffloadIndexGet(Fabric* fabric, NetContext* ctx, NodeId node,
                                  uint32_t tree, uint64_t key) {
-  std::string req;
-  PutVarint64(&req, tree);
-  PutFixed64(&req, key);
   std::string resp;
-  DISAGG_RETURN_NOT_OK(fabric->Call(ctx, node, offload::kIdxGet, req, &resp));
+  DISAGG_RETURN_NOT_OK(fabric->Call(ctx, node, offload::kIdxGet,
+                                    IndexRequest(tree).Fixed(key).slice(),
+                                    &resp));
   Slice in(resp);
   uint64_t value = 0;
   if (!GetFixed64(&in, &value)) {
@@ -478,32 +501,27 @@ Result<uint64_t> OffloadIndexGet(Fabric* fabric, NetContext* ctx, NodeId node,
 
 Status OffloadIndexPut(Fabric* fabric, NetContext* ctx, NodeId node,
                        uint32_t tree, uint64_t key, uint64_t value) {
-  std::string req;
-  PutVarint64(&req, tree);
-  PutFixed64(&req, key);
-  PutFixed64(&req, value);
   std::string resp;
-  return fabric->Call(ctx, node, offload::kIdxPut, req, &resp);
+  return fabric->Call(ctx, node, offload::kIdxPut,
+                      IndexRequest(tree).Fixed(key).Fixed(value).slice(),
+                      &resp);
 }
 
 Status OffloadIndexDelete(Fabric* fabric, NetContext* ctx, NodeId node,
                           uint32_t tree, uint64_t key) {
-  std::string req;
-  PutVarint64(&req, tree);
-  PutFixed64(&req, key);
   std::string resp;
-  return fabric->Call(ctx, node, offload::kIdxDelete, req, &resp);
+  return fabric->Call(ctx, node, offload::kIdxDelete,
+                      IndexRequest(tree).Fixed(key).slice(), &resp);
 }
 
 Result<std::vector<std::pair<uint64_t, uint64_t>>> OffloadIndexScan(
     Fabric* fabric, NetContext* ctx, NodeId node, uint32_t tree, uint64_t from,
     size_t limit) {
-  std::string req;
-  PutVarint64(&req, tree);
-  PutFixed64(&req, from);
-  PutVarint64(&req, limit);
+  IndexRequest req(tree);
+  req.Fixed(from).Varint(limit);
   std::string resp;
-  DISAGG_RETURN_NOT_OK(fabric->Call(ctx, node, offload::kIdxScan, req, &resp));
+  DISAGG_RETURN_NOT_OK(
+      fabric->Call(ctx, node, offload::kIdxScan, req.slice(), &resp));
   Slice in(resp);
   uint64_t count = 0;
   if (!GetVarint64(&in, &count)) {

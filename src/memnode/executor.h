@@ -1,6 +1,7 @@
 #ifndef DISAGG_MEMNODE_EXECUTOR_H_
 #define DISAGG_MEMNODE_EXECUTOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -124,17 +125,19 @@ class MemNodeExecutor {
   Status HandleLockRelease(Slice req, std::string* resp,
                            RpcServerContext* sctx);
 
-  /// Crash-point check shared by every handler; returns Unavailable when a
-  /// scheduled crash fires on this invocation.
-  Status CheckAlive();
+  /// Crash-point check shared by every handler, under `mu_`; returns
+  /// Unavailable when a scheduled crash fires on this invocation.
+  Status CheckAliveLocked();
 
-  /// Resolves `tree_id`, counts the request in `op`, runs `walk` on the
+  /// In one hold of `mu_`: the crash-point check, then `malformed` when the
+  /// request did not parse (`!parsed`), then resolves `tree_id` and counts
+  /// the request in `op`. Without the lock it then runs `walk` on the
   /// shared B-link walk (`rindex/blink_tree.h`) over a region node store
-  /// for that tree, then charges the weak CPU per node visited and folds
-  /// the store's counters into `stats_`.
+  /// for that tree, charges the weak CPU per node visited and adds the
+  /// store's counters to `nodes_visited_` and `splits_`.
   template <class Walk>
-  Status WalkTree(uint64_t tree_id, uint64_t Stats::*op,
-                  RpcServerContext* sctx, Walk&& walk);
+  Status WalkTree(bool parsed, const char* malformed, uint64_t tree_id,
+                  uint64_t Stats::*op, RpcServerContext* sctx, Walk&& walk);
 
   // ---- WOUND_WAIT lock table (all under mu_) ----------------------------
   offload::LockOutcome AcquireLocked(TxnId txn, uint64_t key, uint8_t mode);
@@ -158,7 +161,9 @@ class MemNodeExecutor {
   uint64_t crash_after_ = 0;  // 0 = disarmed
   const LeaseAuthority* lease_authority_ = nullptr;  // not owned
   uint64_t lease_epoch_seen_ = 0;  // last lease epoch folded into epoch_
-  Stats stats_;
+  Stats stats_;  // all but the two below, which `stats()` adds in
+  std::atomic<uint64_t> nodes_visited_{0};
+  std::atomic<uint64_t> splits_{0};
 };
 
 /// Compute-side `LockBackend` speaking to a `MemNodeExecutor`'s lock table.

@@ -6,6 +6,12 @@
 
 namespace disagg {
 
+namespace {
+
+const RpcMethod kMemAlloc("mem.alloc");
+
+}  // namespace
+
 MemoryNode::MemoryNode(Fabric* fabric, const std::string& name,
                        size_t capacity_bytes, InterconnectModel model)
     : fabric_(fabric) {
@@ -13,7 +19,7 @@ MemoryNode::MemoryNode(Fabric* fabric, const std::string& name,
   Node* n = fabric_->node(node_);
   n->set_cpu_scale(1.5);  // pool-side cores run at lower clocks (Sec. 1)
   region_ = n->AddRegion("pool", capacity_bytes);
-  n->RegisterHandler("mem.alloc", [this](Slice req, std::string* resp,
+  n->RegisterHandler(kMemAlloc, [this](Slice req, std::string* resp,
                                          RpcServerContext* sctx) {
     return HandleAlloc(req, resp, sctx);
   });
@@ -92,7 +98,7 @@ Result<GlobalAddr> RemoteAllocator::Alloc(NetContext* ctx, size_t bytes) {
   std::string req;
   PutVarint64(&req, bytes);
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "mem.alloc", req, &resp);
+  Status st = fabric_->Call(ctx, node_, kMemAlloc, req, &resp);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t offset = 0;

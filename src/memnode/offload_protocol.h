@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "net/rpc_method.h"
+
 namespace disagg {
 namespace offload {
 
@@ -12,14 +14,14 @@ namespace offload {
 /// does not need the executor's definition — only the verbs, outcome codes,
 /// and the weak-CPU cost constants the conformance tests check against.
 
-// ---- RPC method names (registered on the pool node) -----------------------
+// ---- RPC methods (registered on the pool node) -----------------------------
 
-inline constexpr char kIdxGet[] = "exec.idx.get";
-inline constexpr char kIdxScan[] = "exec.idx.scan";
-inline constexpr char kIdxPut[] = "exec.idx.put";
-inline constexpr char kIdxDelete[] = "exec.idx.del";
-inline constexpr char kLockAcquire[] = "exec.lock.acquire";
-inline constexpr char kLockRelease[] = "exec.lock.release";
+inline const RpcMethod kIdxGet("exec.idx.get");
+inline const RpcMethod kIdxScan("exec.idx.scan");
+inline const RpcMethod kIdxPut("exec.idx.put");
+inline const RpcMethod kIdxDelete("exec.idx.del");
+inline const RpcMethod kLockAcquire("exec.lock.acquire");
+inline const RpcMethod kLockRelease("exec.lock.release");
 
 // ---- Lock-service outcome codes -------------------------------------------
 

@@ -6,6 +6,12 @@
 
 namespace disagg {
 
+namespace {
+
+const RpcMethod kCacheChase("cache.chase");
+
+}  // namespace
+
 RemoteCache::RemoteCache(Fabric* fabric, MemoryNode* pool)
     : fabric_(fabric), pool_(pool) {}
 
@@ -62,7 +68,7 @@ Status RemoteCache::MigrateTo(NetContext* ctx, MemoryNode* new_pool) {
 PointerChain::PointerChain(Fabric* fabric, MemoryNode* pool)
     : fabric_(fabric), pool_(pool) {
   fabric_->node(pool_->node())
-      ->RegisterHandler("cache.chase",
+      ->RegisterHandler(kCacheChase,
                         [this](Slice req, std::string* resp,
                                RpcServerContext* sctx) {
                           return HandleChase(req, resp, sctx);
@@ -108,7 +114,7 @@ Result<std::string> PointerChain::ChaseServerSide(NetContext* ctx,
   PutVarint64(&req, head.offset);
   PutVarint64(&req, hops);
   std::string resp;
-  Status st = fabric_->Call(ctx, pool_->node(), "cache.chase", req, &resp);
+  Status st = fabric_->Call(ctx, pool_->node(), kCacheChase, req, &resp);
   if (!st.ok()) return st;
   return resp;
 }

@@ -1,5 +1,6 @@
 #include "net/fabric.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -22,15 +23,36 @@ MemoryRegion* Node::region(uint32_t id) {
   return regions_[id].get();
 }
 
-void Node::RegisterHandler(const std::string& method, RpcHandler handler) {
+void Node::RegisterHandler(const RpcMethod& method, RpcHandler handler) {
   std::lock_guard<std::mutex> lock(mu_);
-  handlers_[method] = std::move(handler);
+  handlers_.push_back(std::make_unique<RpcHandler>(std::move(handler)));
+  const HandlerTable* current = handler_table_.load(std::memory_order_relaxed);
+  auto next = current != nullptr ? std::make_unique<HandlerTable>(*current)
+                                 : std::make_unique<HandlerTable>();
+  auto it = std::lower_bound(
+      next->begin(), next->end(), method.id(),
+      [](const HandlerEntry& e, uint32_t id) { return e.method_id < id; });
+  if (it != next->end() && it->method_id == method.id()) {
+    it->handler = handlers_.back().get();
+  } else {
+    next->insert(it, HandlerEntry{method.id(), handlers_.back().get()});
+  }
+  handler_table_.store(next.get(), std::memory_order_release);
+  handler_tables_.push_back(std::move(next));
 }
 
-const RpcHandler* Node::handler(const std::string& method) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = handlers_.find(method);
-  return it == handlers_.end() ? nullptr : &it->second;
+const RpcHandler* Node::handler(const RpcMethod& method) const {
+  return FindHandler(method.id());
+}
+
+const RpcHandler* Node::FindHandler(uint32_t method_id) const {
+  const HandlerTable* table = handler_table_.load(std::memory_order_acquire);
+  if (table == nullptr) return nullptr;
+  auto it = std::lower_bound(
+      table->begin(), table->end(), method_id,
+      [](const HandlerEntry& e, uint32_t id) { return e.method_id < id; });
+  return it != table->end() && it->method_id == method_id ? it->handler
+                                                          : nullptr;
 }
 
 NodeId Fabric::AddNode(const std::string& name, NodeKind kind,
@@ -283,7 +305,7 @@ Status Fabric::ExecuteVerb(FabricOp* op, NetContext* ctx) {
 
     case FabricVerb::kWriteBatch: {
       size_t total = 0;
-      for (const WriteOp& w : *op->batch) {
+      for (const WriteOp& w : op->batch) {
         MemoryRegion* mr = target->region(w.addr.region);
         if (mr == nullptr || !mr->Contains(w.addr.offset, w.n)) {
           return Status::InvalidArgument("batched write out of region bounds");
@@ -336,10 +358,11 @@ Status Fabric::ExecuteVerb(FabricOp* op, NetContext* ctx) {
     }
 
     case FabricVerb::kRpc: {
-      const RpcHandler* h = target->handler(*op->method);
+      const RpcHandler* h = target->FindHandler(op->method_id);
       if (h == nullptr) {
-        return Status::NotSupported("no handler for '" + *op->method + "' on " +
-                                    target->name());
+        return Status::NotSupported(
+            "no handler for '" + (op->method != nullptr ? *op->method : "?") +
+            "' on " + target->name());
       }
       RpcServerContext server_ctx;
       server_ctx.request_owner = op->request_owner;
@@ -416,11 +439,11 @@ Result<uint64_t> Fabric::ReadAtomic64(NetContext* ctx, GlobalAddr addr) {
 }
 
 Status Fabric::WriteBatch(NetContext* ctx, NodeId node_id,
-                          const std::vector<WriteOp>& ops) {
+                          std::span<const WriteOp> ops) {
   FabricOp op;
   op.verb = FabricVerb::kWriteBatch;
   op.node = node_id;
-  op.batch = &ops;
+  op.batch = ops;
   return Execute(&op, ctx);
 }
 
@@ -459,13 +482,13 @@ Status Fabric::ExecuteBatch(NetContext* ctx, NodeId node_id,
   return st;
 }
 
-Status Fabric::Call(NetContext* ctx, NodeId node_id, const std::string& method,
+Status Fabric::Call(NetContext* ctx, NodeId node_id, const RpcMethod& method,
                     Slice request, std::string* response,
                     const RequestOwner* request_owner) {
   FabricOp op;
   op.verb = FabricVerb::kRpc;
   op.node = node_id;
-  op.method = &method;
+  op.set_method(method);
   op.request = request;
   op.request_owner = request_owner;
   op.response = response;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "net/congestion.h"
 #include "net/interconnect.h"
 #include "net/net_context.h"
+#include "net/rpc_method.h"
 #include "net/verb.h"
 
 namespace disagg {
@@ -184,10 +186,27 @@ class Node {
   MemoryRegion* AddRegion(const std::string& name, size_t size);
   MemoryRegion* region(uint32_t id);
 
-  void RegisterHandler(const std::string& method, RpcHandler handler);
-  const RpcHandler* handler(const std::string& method) const;
+  /// Registers (or replaces) the handler for `method`. Safe while calls run
+  /// on other threads: each registration publishes a new copy of the
+  /// node's method table, and the calls already running keep the table and
+  /// the handler they found.
+  void RegisterHandler(const RpcMethod& method, RpcHandler handler);
+  const RpcHandler* handler(const RpcMethod& method) const;
 
  private:
+  friend class Fabric;  // dispatches on a FabricOp's method id
+
+  /// One published method table: this node's methods only, sorted by id,
+  /// so its size follows what the node serves, not what the process
+  /// interned.
+  struct HandlerEntry {
+    uint32_t method_id;
+    const RpcHandler* handler;
+  };
+  using HandlerTable = std::vector<HandlerEntry>;
+
+  const RpcHandler* FindHandler(uint32_t method_id) const;
+
   NodeId id_;
   std::string name_;
   NodeKind kind_;
@@ -196,8 +215,14 @@ class Node {
   double cpu_scale_ = 1.0;
   std::atomic<bool> failed_{false};
   std::vector<std::unique_ptr<MemoryRegion>> regions_;
-  std::map<std::string, RpcHandler> handlers_;
-  mutable std::mutex mu_;  // guards regions_/handlers_ vectors (not bytes)
+  mutable std::mutex mu_;  // guards regions_ and the handler lists below
+  // Every handler and every method table ever published. Neither is freed
+  // before the node: a reader may still hold a pointer into either, and
+  // nothing tells the node when it lets go.
+  std::vector<std::unique_ptr<RpcHandler>> handlers_;
+  std::vector<std::unique_ptr<const HandlerTable>> handler_tables_;
+  // The current table, read lock-free on every call.
+  std::atomic<const HandlerTable*> handler_table_{nullptr};
   // Published region count for the lock-free region() fast path; only the
   // slots below this count are ever dereferenced by readers.
   std::atomic<size_t> num_regions_{0};
@@ -284,7 +309,7 @@ class Fabric {
     size_t n;
   };
   Status WriteBatch(NetContext* ctx, NodeId node_id,
-                    const std::vector<WriteOp>& ops);
+                    std::span<const WriteOp> ops);
 
   /// One member of a mixed read/write op batch (`ExecuteBatch`). Exactly one
   /// of `dst` (kRead) / `src` (kWrite) is set; `status` is an output.
@@ -331,7 +356,7 @@ class Fabric {
   /// the owner's bytes may use what the owner knows about them
   /// (`RpcServerContext::ExactOwner`). It changes no cost: the wire still
   /// carries `request`.
-  Status Call(NetContext* ctx, NodeId node_id, const std::string& method,
+  Status Call(NetContext* ctx, NodeId node_id, const RpcMethod& method,
               Slice request, std::string* response,
               const RequestOwner* request_owner = nullptr);
 
@@ -461,13 +486,16 @@ struct FabricOp {
   uint64_t arg1 = 0;
 
   // Doorbell batch.
-  const std::vector<Fabric::WriteOp>* batch = nullptr;
+  std::span<const Fabric::WriteOp> batch{};
 
   // Coalesced mixed read/write batch (kBatch); members' `status` fields are
   // outputs.
   std::vector<Fabric::BatchOp>* sub = nullptr;
 
-  // RPC.
+  // RPC. The core executor dispatches on `method_id`; `method` is the
+  // interned name of the same method, for interceptors and error text. An
+  // interceptor that re-routes an op sets both (`set_method`).
+  uint32_t method_id = 0;
   const std::string* method = nullptr;
   Slice request{};
   const RequestOwner* request_owner = nullptr;  ///< see `Fabric::Call`
@@ -487,6 +515,11 @@ struct FabricOp {
   /// `deadline_ns` had already passed at issue time (`Status::TimedOut`
   /// before touching the wire). Never retryable.
   bool deadline_exhausted = false;
+
+  void set_method(const RpcMethod& m) {
+    method_id = m.id();
+    method = &m.name();
+  }
 };
 
 }  // namespace disagg

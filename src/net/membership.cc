@@ -8,6 +8,8 @@ namespace disagg {
 
 namespace {
 
+const RpcMethod kPing(membership::kPingMethod);
+
 /// Deterministic nonzero op tag for a heartbeat probe: keyed fault policies
 /// (`key_by_op_tag`) then draw per-probe, not per-sequence-slot, so probe
 /// outcomes replay regardless of how much data traffic interleaves.
@@ -26,7 +28,7 @@ MembershipService::MembershipService(Fabric* fabric, MembershipOptions opts)
 void MembershipService::Monitor(NodeId node) {
   Node* n = fabric_->node(node);
   n->RegisterHandler(
-      membership::kPingMethod,
+      kPing,
       [](Slice request, std::string* response, RpcServerContext* server_ctx) {
         server_ctx->ChargeCompute(membership::kPingComputeNs);
         response->assign(request.data(), request.size());  // echo
@@ -142,8 +144,7 @@ void MembershipService::HeartbeatLocked(NodeId id, NodeState* st,
   PutFixed64(&request, st->probe_seq);
 
   lock->unlock();
-  const Status pst =
-      fabric_->Call(&ctx, id, membership::kPingMethod, request, &response);
+  const Status pst = fabric_->Call(&ctx, id, kPing, request, &response);
   lock->lock();
 
   stats_.heartbeats++;

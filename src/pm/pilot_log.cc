@@ -7,6 +7,12 @@
 
 namespace disagg {
 
+namespace {
+
+const RpcMethod kPilotAppend("pilot.append");
+
+}  // namespace
+
 PilotLog::PilotLog(Fabric* fabric, PmNode* pm, size_t log_capacity_bytes,
                    size_t max_pages)
     : fabric_(fabric),
@@ -25,7 +31,7 @@ PilotLog::PilotLog(Fabric* fabric, PmNode* pm, size_t log_capacity_bytes,
   pages_offset_ = pages->offset;
 
   fabric_->node(pm_->node())
-      ->RegisterHandler("pilot.append",
+      ->RegisterHandler(kPilotAppend,
                         [this](Slice req, std::string* resp,
                                RpcServerContext* sctx) {
                           return HandleRpcAppend(req, resp, sctx);
@@ -72,7 +78,7 @@ Status PilotLog::AppendLog(NetContext* ctx,
 
   if (mode == LogMode::kRpc) {
     std::string resp;
-    return fabric_->Call(ctx, pm_->node(), "pilot.append", payload, &resp);
+    return fabric_->Call(ctx, pm_->node(), kPilotAppend, payload, &resp);
   }
 
   // Compute-driven logging: FAA reserves space, one-sided WRITE lands the

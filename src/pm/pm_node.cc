@@ -6,6 +6,12 @@
 
 namespace disagg {
 
+namespace {
+
+const RpcMethod kPmPersistWrite("pm.persist_write");
+
+}  // namespace
+
 PmNode::PmNode(Fabric* fabric, const std::string& name, size_t capacity_bytes)
     : fabric_(fabric),
       pool_(fabric, name, capacity_bytes, InterconnectModel::RdmaToPm()) {
@@ -14,7 +20,7 @@ PmNode::PmNode(Fabric* fabric, const std::string& name, size_t capacity_bytes)
   // recent Xeon hosts) — which is exactly why offloading persistence to the
   // server side is attractive.
   n->set_cpu_scale(1.0);
-  n->RegisterHandler("pm.persist_write",
+  n->RegisterHandler(kPmPersistWrite,
                      [this](Slice req, std::string* resp,
                             RpcServerContext* sctx) {
                        return HandlePersistWrite(req, resp, sctx);
@@ -97,7 +103,7 @@ Status PmClient::WritePersistRpc(NetContext* ctx, GlobalAddr addr,
   PutVarint64(&req, addr.offset);
   PutLengthPrefixedSlice(&req, data);
   std::string resp;
-  return fabric_->Call(ctx, pm_->node(), "pm.persist_write", req, &resp);
+  return fabric_->Call(ctx, pm_->node(), kPmPersistWrite, req, &resp);
 }
 
 Status PmClient::ReadRemote(NetContext* ctx, GlobalAddr addr, void* dst,

@@ -1,5 +1,6 @@
 #include "query/pushdown.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/coding.h"
@@ -7,6 +8,8 @@
 namespace disagg {
 
 namespace {
+
+const RpcMethod kShufRecv("shuf.recv");
 
 std::atomic<uint64_t> g_table_counter{0};
 
@@ -24,13 +27,16 @@ void EncodeRows(const std::vector<Tuple>& rows, std::string* dst) {
 Result<std::vector<Tuple>> DecodeRows(Slice input) {
   uint64_t count = 0;
   if (!GetVarint64(&input, &count)) return Status::Corruption("row count");
+  // Both counts come off the wire: bound each reserve by the bytes left
+  // (a row takes at least its count byte, a value at least its tag byte),
+  // so a forged count fails below as Corruption instead of allocating.
   std::vector<Tuple> rows;
-  rows.reserve(count);
+  rows.reserve(std::min<uint64_t>(count, input.size()));
   for (uint64_t r = 0; r < count; r++) {
     uint64_t ncols = 0;
     if (!GetVarint64(&input, &ncols)) return Status::Corruption("col count");
     Tuple row;
-    row.reserve(ncols);
+    row.reserve(std::min<uint64_t>(ncols, input.size()));
     for (uint64_t c = 0; c < ncols; c++) {
       if (input.empty()) return Status::Corruption("value tag");
       Schema one;
@@ -51,7 +57,8 @@ constexpr uint64_t kDecodeNsPerRow = 2;
 Result<RemoteTable> RemoteTable::Create(NetContext* ctx, Fabric* fabric,
                                         MemoryNode* pool, Schema schema,
                                         const std::vector<Tuple>& rows) {
-  RemoteTable table;
+  RemoteTable table(RpcMethod(
+      "tele.exec." + std::to_string(g_table_counter.fetch_add(1))));
   table.fabric_ = fabric;
   table.pool_node_ = pool->node();
   table.schema_ = std::move(schema);
@@ -66,8 +73,6 @@ Result<RemoteTable> RemoteTable::Create(NetContext* ctx, Fabric* fabric,
   table.data_ = *addr;
   Status st = fabric->Write(ctx, table.data_, blob.data(), blob.size());
   if (!st.ok()) return st;
-
-  table.method_ = "tele.exec." + std::to_string(g_table_counter.fetch_add(1));
   return table;
 }
 
@@ -77,8 +82,8 @@ Result<std::vector<Tuple>> RemoteTable::FetchAll(NetContext* ctx) {
   Slice input(blob);
   uint64_t count = 0;
   if (!GetVarint64(&input, &count)) return Status::Corruption("row count");
-  std::vector<Tuple> rows;
-  rows.reserve(count);
+  std::vector<Tuple> rows;  // count is pool data: bounded as in DecodeRows
+  rows.reserve(std::min<uint64_t>(count, input.size()));
   for (uint64_t r = 0; r < count; r++) {
     auto row = DecodeTuple(schema_, &input);
     if (!row.ok()) return row.status();
@@ -98,8 +103,8 @@ Status RemoteTable::HandleExec(Slice req, std::string* resp,
   Slice input(region->data() + data_.offset, bytes_);
   uint64_t count = 0;
   if (!GetVarint64(&input, &count)) return Status::Corruption("row count");
-  std::vector<Tuple> rows;
-  rows.reserve(count);
+  std::vector<Tuple> rows;  // count is pool data: bounded as in DecodeRows
+  rows.reserve(std::min<uint64_t>(count, input.size()));
   for (uint64_t r = 0; r < count; r++) {
     auto row = DecodeTuple(schema_, &input);
     if (!row.ok()) return row.status();
@@ -146,8 +151,8 @@ Result<Shuffle::Report> Shuffle::RunCoupled(Fabric* fabric, int producers,
     received[c] = std::make_unique<std::string>();
     std::string* sink = received[c].get();
     fabric->node(n)->RegisterHandler(
-        "shuf.recv", [sink](Slice req, std::string* resp,
-                            RpcServerContext* sctx) {
+        kShufRecv, [sink](Slice req, std::string* resp,
+                          RpcServerContext* sctx) {
           sink->append(req.data(), req.size());
           sctx->ChargeCompute(50 + req.size() / 64);
           resp->clear();
@@ -166,7 +171,7 @@ Result<Shuffle::Report> Shuffle::RunCoupled(Fabric* fabric, int producers,
       report.connections++;
       std::string resp;
       DISAGG_RETURN_NOT_OK(fabric->Call(&producer_ctx[p], consumer_nodes[c],
-                                        "shuf.recv", partition, &resp));
+                                        kShufRecv, partition, &resp));
     }
   }
   NetContext total;

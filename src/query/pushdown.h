@@ -39,7 +39,7 @@ class RemoteTable {
                                       const ops::Fragment& fragment);
 
  private:
-  RemoteTable() = default;
+  explicit RemoteTable(RpcMethod method) : method_(method) {}
 
   Status HandleExec(Slice req, std::string* resp, RpcServerContext* sctx);
 
@@ -49,7 +49,7 @@ class RemoteTable {
   GlobalAddr data_{};
   size_t bytes_ = 0;
   size_t row_count_ = 0;
-  std::string method_;  // unique RPC name
+  RpcMethod method_;  // unique per table
 };
 
 /// Dremel-style distributed shuffle (Sec. 3.2): P producers exchange

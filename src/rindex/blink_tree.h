@@ -18,6 +18,11 @@ namespace disagg {
 inline constexpr int kBTreeMaxOptimisticRetries = 64;
 inline constexpr int kBTreeMaxLockSpins = 100000;
 
+/// Levels a walk accepts: the root's level must be below this, and each step
+/// down lands at least one level lower, so a descent passes at most this
+/// many nodes. At fanout 32 that is far more keys than any pool holds.
+inline constexpr uint32_t kBTreeMaxDepth = 16;
+
 /// The B-link tree walk over `BTreeNodeImage`s, written once for both
 /// placements of the index (Sec. 3.1 vs the near-data offload of Sec. 3.2):
 /// `RemoteBTree` runs it over a fabric store (one-sided verbs from the
@@ -40,6 +45,10 @@ inline constexpr int kBTreeMaxLockSpins = 100000;
 ///   uint64_t lock_slots() const;
 ///   Result<uint64_t> Alloc();                 // offset of a fresh node
 ///   void CountSplit();
+///
+/// A corrupt image cannot hang the walk: a child whose level is not below
+/// its parent's, or a right-sibling chain that leaves level 0 or loops, is
+/// `Status::Corruption`.
 ///
 /// Writers lock the leaf's word (`BTreeLockSlot`). Structure modifications
 /// (splits, root growth) also hold the SMO lock in slot 0 — a documented
@@ -78,10 +87,10 @@ class BLinkTree {
   }
 
   Status Put(uint64_t key, uint64_t value) {
-    std::vector<uint64_t> path;
+    Path path;
     Node leaf;
     DISAGG_RETURN_NOT_OK(Descend(key, &path, &leaf));
-    const uint64_t leaf_off = path.back();
+    const uint64_t leaf_off = path.leaf();
     bool full = false;
     DISAGG_RETURN_NOT_OK(Locked(LeafSlot(leaf_off), [&]() -> Status {
       // Re-read under the lock (the image may have changed since the descent).
@@ -93,10 +102,10 @@ class BLinkTree {
   }
 
   Status Delete(uint64_t key) {
-    std::vector<uint64_t> path;
+    Path path;
     Node leaf;
     DISAGG_RETURN_NOT_OK(Descend(key, &path, &leaf));
-    const uint64_t leaf_off = path.back();
+    const uint64_t leaf_off = path.leaf();
     return Locked(LeafSlot(leaf_off), [&]() -> Status {
       DISAGG_RETURN_NOT_OK(store_->Read(leaf_off, &leaf));
       for (uint32_t i = 0; i < leaf.nkeys; i++) {
@@ -117,6 +126,15 @@ class BLinkTree {
   static constexpr uint32_t kFanout = Node::kFanout;
   static constexpr uint64_t kSmoSlot = 0;
 
+  /// Offsets of the nodes a descent passed, root first, leaf last. Inline:
+  /// `Descend` bounds its length by `kBTreeMaxDepth`.
+  struct Path {
+    uint64_t offsets[kBTreeMaxDepth] = {};
+    uint32_t size = 0;
+
+    uint64_t leaf() const { return offsets[size - 1]; }
+  };
+
   uint64_t LeafSlot(uint64_t offset) const {
     return BTreeLockSlot(offset, store_->lock_slots());
   }
@@ -131,26 +149,48 @@ class BLinkTree {
   }
 
   /// Descends to the leaf that owns `key`, recording the path (offsets).
-  Status Descend(uint64_t key, std::vector<uint64_t>* path, Node* leaf) {
+  Status Descend(uint64_t key, Path* path, Node* leaf) {
     DISAGG_ASSIGN_OR_RETURN(uint64_t offset, store_->Root());
+    uint32_t above = kBTreeMaxDepth;  // the level the next node must be below
     while (true) {
       DISAGG_RETURN_NOT_OK(store_->DescendRead(offset, leaf));
-      if (path != nullptr) path->push_back(offset);
-      if (leaf->level == 0) {
-        // B-link step: a concurrent split may have moved the key right.
-        while (leaf->nkeys > 0 && key > leaf->keys[leaf->nkeys - 1] &&
-               leaf->next != 0) {
-          offset = leaf->next;
-          if (path != nullptr) path->back() = offset;
-          DISAGG_RETURN_NOT_OK(store_->Read(offset, leaf));
-        }
-        return Status::OK();
+      if (leaf->level >= above) {
+        return Status::Corruption("B-link node not below its parent");
       }
+      above = leaf->level;
+      if (path != nullptr) path->offsets[path->size++] = offset;
+      if (leaf->level == 0) return MoveRight(key, path, offset, leaf);
       // Internal: route to the last child whose separator <= key.
       uint32_t idx = 0;
       while (idx + 1 < leaf->nkeys && leaf->keys[idx + 1] <= key) idx++;
       offset = leaf->vals[idx];
     }
+  }
+
+  /// B-link step: a concurrent split may have moved `key` right of the leaf
+  /// at `offset`. A sound chain only leads right, so meeting an offset again
+  /// is a corrupt loop; Brent's check finds one with a single marker, moved
+  /// ahead at doubling intervals.
+  Status MoveRight(uint64_t key, Path* path, uint64_t offset, Node* leaf) {
+    uint64_t marker = offset, since_marker = 0, interval = 1;
+    while (leaf->nkeys > 0 && key > leaf->keys[leaf->nkeys - 1] &&
+           leaf->next != 0) {
+      offset = leaf->next;
+      if (offset == marker) {
+        return Status::Corruption("B-link sibling chain loops");
+      }
+      if (++since_marker == interval) {
+        marker = offset;
+        since_marker = 0;
+        interval *= 2;
+      }
+      if (path != nullptr) path->offsets[path->size - 1] = offset;
+      DISAGG_RETURN_NOT_OK(store_->Read(offset, leaf));
+      if (leaf->level != 0) {
+        return Status::Corruption("B-link sibling is not a leaf");
+      }
+    }
+    return Status::OK();
   }
 
   /// Sorted insert into a node with room.
@@ -182,10 +222,10 @@ class BLinkTree {
   /// Split path under the SMO lock.
   Status InsertWithSplit(uint64_t key, uint64_t value) {
     return Locked(kSmoSlot, [&]() -> Status {
-      std::vector<uint64_t> path;
+      Path path;
       Node leaf;
       DISAGG_RETURN_NOT_OK(Descend(key, &path, &leaf));
-      const uint64_t leaf_off = path.back();
+      const uint64_t leaf_off = path.leaf();
       return Locked(LeafSlot(leaf_off), [&]() -> Status {
         DISAGG_RETURN_NOT_OK(store_->Read(leaf_off, &leaf));
         // Room may have appeared (or the key may exist) after a racing op.
@@ -193,8 +233,8 @@ class BLinkTree {
         uint64_t sep = key, child = value;
         DISAGG_RETURN_NOT_OK(SplitInsert(leaf_off, &leaf, &sep, &child));
         // Propagate the separator up the path.
-        for (size_t depth = path.size() - 1; depth-- > 0;) {
-          const uint64_t parent_off = path[depth];
+        for (uint32_t depth = path.size - 1; depth-- > 0;) {
+          const uint64_t parent_off = path.offsets[depth];
           Node parent;
           DISAGG_RETURN_NOT_OK(store_->Read(parent_off, &parent));
           if (parent.nkeys < kFanout) {
@@ -203,7 +243,7 @@ class BLinkTree {
           }
           DISAGG_RETURN_NOT_OK(SplitInsert(parent_off, &parent, &sep, &child));
         }
-        return GrowRoot(path[0], sep, child);
+        return GrowRoot(path.offsets[0], sep, child);
       });
     });
   }

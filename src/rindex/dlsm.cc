@@ -10,15 +10,17 @@ namespace disagg {
 namespace {
 std::atomic<uint64_t> g_shard_counter{0};
 
-std::string ShardMethodName(uint64_t id) {
-  return "lsm.compact." + std::to_string(id);
+RpcMethod ShardMethod() {
+  return RpcMethod("lsm.compact." +
+                   std::to_string(g_shard_counter.fetch_add(1)));
 }
 }  // namespace
 
 DLsmShard::DLsmShard(Fabric* fabric, MemoryNode* pool, size_t memtable_limit)
-    : fabric_(fabric), pool_(pool), memtable_limit_(memtable_limit) {
-  const uint64_t id = g_shard_counter.fetch_add(1);
-  compact_method_ = ShardMethodName(id);
+    : fabric_(fabric),
+      pool_(pool),
+      memtable_limit_(memtable_limit),
+      compact_method_(ShardMethod()) {
   fabric_->node(pool_->node())
       ->RegisterHandler(compact_method_,
                         [this](Slice req, std::string* resp,

@@ -67,7 +67,7 @@ class DLsmShard {
   Fabric* fabric_;
   MemoryNode* pool_;
   size_t memtable_limit_;
-  std::string compact_method_;  // unique RPC name for this shard
+  RpcMethod compact_method_;  // unique per shard
   std::map<uint64_t, uint64_t> memtable_;
   std::vector<Run> runs_;  // index 0 = oldest
   Stats stats_;

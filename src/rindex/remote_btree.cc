@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <span>
 #include <thread>
 
 #include "memnode/executor.h"
@@ -57,8 +58,8 @@ class RemoteBTree::FabricStore {
     const GlobalAddr a = NodeAddr(offset);
     if (t_->options_.batched_writes) {
       // Sherman: header, payload, and version tail ride one doorbell.
-      std::vector<Fabric::WriteOp> ops = {{a.remote(), bytes, kBTreeNodeBytes}};
-      return t_->fabric_->WriteBatch(ctx_, a.node, ops);
+      const Fabric::WriteOp op{a.remote(), bytes, kBTreeNodeBytes};
+      return t_->fabric_->WriteBatch(ctx_, a.node, std::span(&op, 1));
     }
     // Naive: three separate verbs (header+keys, values, tail), three RTTs.
     const size_t head = offsetof(BTreeNodeImage, vals);

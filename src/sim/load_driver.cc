@@ -458,14 +458,16 @@ uint64_t RunEpochs(const ParallelConfig& pc, uint64_t epoch_ns,
   EpochPool pool(pc.threads, static_cast<uint32_t>(parts->size()));
   std::vector<RecordRun> runs;
   uint64_t epochs = 0;
-  for (uint64_t epoch = NextEpoch(*parts); epoch != EpochCalendar::kNone;
-       epoch = NextEpoch(*parts)) {
-    pool.Run([&](uint32_t p) {
-      Partition& part = (*parts)[p];
-      PartitionEffectsScope scope(sharded ? &part.effects : nullptr);
-      part.queue.Advance(epoch);
-      while (part.queue.Peek() != nullptr) step(part, part.queue.Pop());
-    });
+  uint64_t epoch = NextEpoch(*parts);
+  // Built once per run: a fresh closure per epoch would allocate each time.
+  const std::function<void(uint32_t)> run_partition = [&](uint32_t p) {
+    Partition& part = (*parts)[p];
+    PartitionEffectsScope scope(sharded ? &part.effects : nullptr);
+    part.queue.Advance(epoch);
+    while (part.queue.Peek() != nullptr) step(part, part.queue.Pop());
+  };
+  for (; epoch != EpochCalendar::kNone; epoch = NextEpoch(*parts)) {
+    pool.Run(run_partition);
     epochs++;
     for (Partition& part : *parts) {
       for (auto& [state, shard] : part.effects.congestion_shards) {

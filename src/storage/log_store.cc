@@ -7,6 +7,11 @@
 namespace disagg {
 
 namespace {
+
+const RpcMethod kLogAppend("log.append");
+const RpcMethod kLogRead("log.read");
+const RpcMethod kLogTail("log.tail");
+
 // Modeled CPU cost of durably appending / scanning one log record on the
 // storage-side CPU.
 constexpr uint64_t kAppendNsPerRecord = 150;
@@ -16,17 +21,17 @@ constexpr uint64_t kScanNsPerRecord = 40;
 LogStoreService::LogStoreService(Fabric* fabric, NodeId node)
     : fabric_(fabric), node_(node) {
   Node* n = fabric_->node(node_);
-  n->RegisterHandler("log.append",
+  n->RegisterHandler(kLogAppend,
                      [this](Slice req, std::string* resp,
                             RpcServerContext* sctx) {
                        return HandleAppend(req, resp, sctx);
                      });
-  n->RegisterHandler("log.read",
+  n->RegisterHandler(kLogRead,
                      [this](Slice req, std::string* resp,
                             RpcServerContext* sctx) {
                        return HandleRead(req, resp, sctx);
                      });
-  n->RegisterHandler("log.tail",
+  n->RegisterHandler(kLogTail,
                      [this](Slice req, std::string* resp,
                             RpcServerContext* sctx) {
                        return HandleTail(req, resp, sctx);
@@ -100,7 +105,7 @@ Status LogStoreService::HandleTail(Slice req, std::string* resp,
 Result<Lsn> LogStoreClient::Append(NetContext* ctx, const RedoBatch& batch) {
   std::string resp;
   Status st =
-      fabric_->Call(ctx, node_, "log.append", batch.request(), &resp, &batch);
+      fabric_->Call(ctx, node_, kLogAppend, batch.request(), &resp, &batch);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t lsn = 0;
@@ -115,14 +120,14 @@ Result<std::vector<LogRecord>> LogStoreClient::ReadFrom(NetContext* ctx,
   PutVarint64(&req, from_exclusive);
   PutVarint64(&req, max_records);
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "log.read", req, &resp);
+  Status st = fabric_->Call(ctx, node_, kLogRead, req, &resp);
   if (!st.ok()) return st;
   return LogRecord::DecodeBatch(resp);
 }
 
 Result<Lsn> LogStoreClient::DurableLsn(NetContext* ctx) {
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "log.tail", "", &resp);
+  Status st = fabric_->Call(ctx, node_, kLogTail, "", &resp);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t lsn = 0;

@@ -4,19 +4,27 @@
 
 namespace disagg {
 
+namespace {
+
+const RpcMethod kObjPut("obj.put");
+const RpcMethod kObjGet("obj.get");
+const RpcMethod kObjList("obj.list");
+
+}  // namespace
+
 ObjectStoreService::ObjectStoreService(Fabric* fabric, NodeId node)
     : fabric_(fabric), node_(node) {
   Node* n = fabric_->node(node_);
-  n->RegisterHandler("obj.put", [this](Slice req, std::string* resp,
-                                       RpcServerContext* sctx) {
+  n->RegisterHandler(kObjPut, [this](Slice req, std::string* resp,
+                                     RpcServerContext* sctx) {
     return HandlePut(req, resp, sctx);
   });
-  n->RegisterHandler("obj.get", [this](Slice req, std::string* resp,
-                                       RpcServerContext* sctx) {
+  n->RegisterHandler(kObjGet, [this](Slice req, std::string* resp,
+                                     RpcServerContext* sctx) {
     return HandleGet(req, resp, sctx);
   });
-  n->RegisterHandler("obj.list", [this](Slice req, std::string* resp,
-                                        RpcServerContext* sctx) {
+  n->RegisterHandler(kObjList, [this](Slice req, std::string* resp,
+                                      RpcServerContext* sctx) {
     return HandleList(req, resp, sctx);
   });
 }
@@ -82,7 +90,7 @@ Status ObjectStoreClient::Put(NetContext* ctx, const std::string& key,
   PutLengthPrefixedSlice(&req, key);
   PutLengthPrefixedSlice(&req, value);
   std::string resp;
-  return fabric_->Call(ctx, node_, "obj.put", req, &resp);
+  return fabric_->Call(ctx, node_, kObjPut, req, &resp);
 }
 
 Result<std::string> ObjectStoreClient::Get(NetContext* ctx,
@@ -90,7 +98,7 @@ Result<std::string> ObjectStoreClient::Get(NetContext* ctx,
   std::string req;
   PutLengthPrefixedSlice(&req, key);
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "obj.get", req, &resp);
+  Status st = fabric_->Call(ctx, node_, kObjGet, req, &resp);
   if (!st.ok()) return st;
   return resp;
 }
@@ -100,7 +108,7 @@ Result<std::vector<std::string>> ObjectStoreClient::List(
   std::string req;
   PutLengthPrefixedSlice(&req, prefix);
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "obj.list", req, &resp);
+  Status st = fabric_->Call(ctx, node_, kObjList, req, &resp);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t n = 0;

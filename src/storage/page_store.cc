@@ -5,6 +5,11 @@
 namespace disagg {
 
 namespace {
+
+const RpcMethod kPageApplyLog("page.apply_log");
+const RpcMethod kPagePut("page.put");
+const RpcMethod kPageGet("page.get");
+
 constexpr uint64_t kApplyNsPerRecord = 250;
 constexpr uint64_t kPageLookupNs = 400;
 }  // namespace
@@ -12,17 +17,17 @@ constexpr uint64_t kPageLookupNs = 400;
 PageStoreService::PageStoreService(Fabric* fabric, NodeId node)
     : fabric_(fabric), node_(node) {
   Node* n = fabric_->node(node_);
-  n->RegisterHandler("page.apply_log",
+  n->RegisterHandler(kPageApplyLog,
                      [this](Slice req, std::string* resp,
                             RpcServerContext* sctx) {
                        return HandleApplyLog(req, resp, sctx);
                      });
-  n->RegisterHandler("page.put",
+  n->RegisterHandler(kPagePut,
                      [this](Slice req, std::string* resp,
                             RpcServerContext* sctx) {
                        return HandlePut(req, resp, sctx);
                      });
-  n->RegisterHandler("page.get",
+  n->RegisterHandler(kPageGet,
                      [this](Slice req, std::string* resp,
                             RpcServerContext* sctx) {
                        return HandleGet(req, resp, sctx);
@@ -173,7 +178,7 @@ Status PageStoreService::HandleGet(Slice req, std::string* resp,
 Result<Lsn> PageStoreClient::ApplyLog(NetContext* ctx,
                                       const RedoBatch& batch) {
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "page.apply_log", batch.request(),
+  Status st = fabric_->Call(ctx, node_, kPageApplyLog, batch.request(),
                             &resp, &batch);
   if (!st.ok()) return st;
   Slice in(resp);
@@ -186,7 +191,7 @@ Status PageStoreClient::PutPage(NetContext* ctx, const Page& page) {
   Page copy = page;
   copy.Seal();
   std::string resp;
-  return fabric_->Call(ctx, node_, "page.put", Slice(copy.data(), kPageSize),
+  return fabric_->Call(ctx, node_, kPagePut, Slice(copy.data(), kPageSize),
                        &resp);
 }
 
@@ -194,7 +199,7 @@ Result<Page> PageStoreClient::GetPage(NetContext* ctx, PageId id) {
   std::string req;
   PutVarint64(&req, id);
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "page.get", req, &resp);
+  Status st = fabric_->Call(ctx, node_, kPageGet, req, &resp);
   if (!st.ok()) return st;
   auto page = Page::FromBytes(resp);
   if (!page.ok()) return page.status();

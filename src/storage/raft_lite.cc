@@ -9,6 +9,9 @@ namespace disagg {
 
 namespace {
 
+const RpcMethod kRaftAppendEntries("raft.append_entries");
+const RpcMethod kRaftRead("raft.read");
+
 // AppendEntries request wire format.
 void EncodeAppendEntries(std::string* dst, uint64_t term, uint64_t prev_index,
                          uint64_t prev_term, uint64_t leader_commit,
@@ -29,12 +32,12 @@ void EncodeAppendEntries(std::string* dst, uint64_t term, uint64_t prev_index,
 RaftReplicaService::RaftReplicaService(Fabric* fabric, NodeId node)
     : fabric_(fabric), node_(node) {
   fabric_->node(node_)->RegisterHandler(
-      "raft.append_entries",
+      kRaftAppendEntries,
       [this](Slice req, std::string* resp, RpcServerContext* sctx) {
         return HandleAppendEntries(req, resp, sctx);
       });
   fabric_->node(node_)->RegisterHandler(
-      "raft.read",
+      kRaftRead,
       [this](Slice req, std::string* resp, RpcServerContext* sctx) {
         return HandleRead(req, resp, sctx);
       });
@@ -188,7 +191,7 @@ Status RaftLiteGroup::ReplicateTo(NetContext* ctx, int follower_idx) {
                         leader_svc->commit_index(), suffix);
     std::string resp;
     DISAGG_RETURN_NOT_OK(fabric_->Call(ctx, follower.node,
-                                       "raft.append_entries", req, &resp));
+                                       kRaftAppendEntries, req, &resp));
     Slice in(resp);
     uint64_t success = 0, follower_term = 0, follower_log_size = 0;
     if (!GetVarint64(&in, &success) || !GetVarint64(&in, &follower_term) ||
@@ -287,7 +290,7 @@ Result<RaftEntry> RaftLiteGroup::ReadCommitted(NetContext* ctx,
   std::string req, resp;
   PutVarint64(&req, index);
   DISAGG_RETURN_NOT_OK(
-      fabric_->Call(ctx, replicas_[leader_].node, "raft.read", req, &resp));
+      fabric_->Call(ctx, replicas_[leader_].node, kRaftRead, req, &resp));
   Slice in(resp);
   RaftEntry e;
   Slice payload;

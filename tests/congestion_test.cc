@@ -15,6 +15,8 @@
 namespace disagg {
 namespace {
 
+const RpcMethod kEcho("echo");
+
 // Exercises the shared-resource congestion layer: exact FIFO virtual-time
 // queueing, zero-contention parity with the uncontended cost model,
 // conservation at a saturated resource, the saturation knee under the
@@ -29,7 +31,7 @@ class CongestionTest : public ::testing::Test {
                             InterconnectModel::Rdma());
     region_ = fabric_.node(node_)->AddRegion("heap", 1 << 20);
     fabric_.node(node_)->RegisterHandler(
-        "echo", [](Slice req, std::string* resp, RpcServerContext* sctx) {
+        kEcho, [](Slice req, std::string* resp, RpcServerContext* sctx) {
           resp->assign(req.data(), req.size());
           sctx->ChargeCompute(500);
           return Status::OK();
@@ -50,7 +52,7 @@ class CongestionTest : public ::testing::Test {
     ASSERT_TRUE(fabric_.FetchAdd(ctx, At(64), 3).ok());
     ASSERT_TRUE(fabric_.ReadAtomic64(ctx, At(64)).ok());
     std::string resp;
-    ASSERT_TRUE(fabric_.Call(ctx, node_, "echo", "ping", &resp).ok());
+    ASSERT_TRUE(fabric_.Call(ctx, node_, kEcho, "ping", &resp).ok());
   }
 
   Fabric fabric_;

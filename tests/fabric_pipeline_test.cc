@@ -11,6 +11,10 @@
 namespace disagg {
 namespace {
 
+const RpcMethod kEcho("echo");
+const RpcMethod kConflict("conflict");
+const RpcMethod kOther("other");
+
 // Exercises the unified FabricOp pipeline: interceptor ordering, cost-model
 // parity with the pre-pipeline verbs, per-verb NetContext breakdowns, seeded
 // fault-schedule determinism, and retry/backoff accounting.
@@ -22,7 +26,7 @@ class PipelineTest : public ::testing::Test {
                                 InterconnectModel::Rdma());
     region_ = fabric_.node(mem_node_)->AddRegion("heap", 1 << 20);
     fabric_.node(mem_node_)->RegisterHandler(
-        "echo", [](Slice req, std::string* resp, RpcServerContext* sctx) {
+        kEcho, [](Slice req, std::string* resp, RpcServerContext* sctx) {
           resp->assign(req.data(), req.size());
           sctx->ChargeCompute(500);
           return Status::OK();
@@ -49,7 +53,7 @@ class PipelineTest : public ::testing::Test {
     };
     EXPECT_TRUE(fabric_.WriteBatch(ctx, mem_node_, batch).ok());
     std::string resp;
-    EXPECT_TRUE(fabric_.Call(ctx, mem_node_, "echo", "ping", &resp).ok());
+    EXPECT_TRUE(fabric_.Call(ctx, mem_node_, kEcho, "ping", &resp).ok());
     return 7;
   }
 
@@ -316,7 +320,7 @@ TEST_F(PipelineTest, AdmissionBusyRetriesCappedTighterThanContentionBusy) {
   // retry budget.
   fabric_.DisableCongestion();
   fabric_.node(mem_node_)->RegisterHandler(
-      "conflict", [](Slice, std::string*, RpcServerContext*) {
+      kConflict, [](Slice, std::string*, RpcServerContext*) {
         return Status::Busy("lock conflict");
       });
   NetContext ctx2;
@@ -324,8 +328,7 @@ TEST_F(PipelineTest, AdmissionBusyRetriesCappedTighterThanContentionBusy) {
   FabricOp rpc;
   rpc.verb = FabricVerb::kRpc;
   rpc.node = mem_node_;
-  const std::string method = "conflict";
-  rpc.method = &method;
+  rpc.set_method(kConflict);
   rpc.request = Slice("x", 1);
   rpc.response = &resp;
   EXPECT_TRUE(fabric_.Execute(&rpc, &ctx2).IsBusy());
@@ -441,7 +444,7 @@ TEST_F(PipelineTest, OneWayMethodFilterScopesTheCutToOneVerb) {
   auto fault = std::make_shared<FaultInterceptor>(fp);
   fabric_.AddInterceptor(fault);
   fabric_.node(mem_node_)->RegisterHandler(
-      "other", [](Slice, std::string* resp, RpcServerContext*) {
+      kOther, [](Slice, std::string* resp, RpcServerContext*) {
         resp->assign("ok");
         return Status::OK();
       });
@@ -450,9 +453,9 @@ TEST_F(PipelineTest, OneWayMethodFilterScopesTheCutToOneVerb) {
   char buf[8];
   EXPECT_TRUE(fabric_.Read(&ctx, At(0), buf, 8).ok());
   std::string resp;
-  EXPECT_TRUE(fabric_.Call(&ctx, mem_node_, "other", "x", &resp).ok());
+  EXPECT_TRUE(fabric_.Call(&ctx, mem_node_, kOther, "x", &resp).ok());
   EXPECT_TRUE(
-      fabric_.Call(&ctx, mem_node_, "echo", "ping", &resp).IsUnavailable());
+      fabric_.Call(&ctx, mem_node_, kEcho, "ping", &resp).IsUnavailable());
   EXPECT_EQ(fault->oneway_drops(), 1u);
   EXPECT_EQ(ctx.faults_injected, 1u);
 }

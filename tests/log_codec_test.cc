@@ -15,6 +15,8 @@
 namespace disagg {
 namespace {
 
+const RpcMethod kLogRead("log.read");
+
 // Seeded generators for the redo codec: random records cover every varint
 // width (including full 64-bit LSNs), empty payloads and payloads whose
 // length prefix needs more than one byte.
@@ -204,7 +206,7 @@ TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
     std::string req, resp;
     PutVarint64(&req, 0);
     PutVarint64(&req, ~uint64_t{0});
-    EXPECT_TRUE(fabric.Call(&ctx, node, "log.read", req, &resp).ok());
+    EXPECT_TRUE(fabric.Call(&ctx, node, kLogRead, req, &resp).ok());
     return resp;
   };
   const std::string log_bytes = read_all();
@@ -241,14 +243,15 @@ TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
                            indexed->bytes().use_count()};
       std::string resp;
       for (const std::string method : {"log.append", "page.apply_log"}) {
-        EXPECT_FALSE(fabric.Call(&ctx, node, method, input, &resp).ok());
-        EXPECT_FALSE(fabric.Call(&ctx, node, method, *owned.bytes(), &resp,
+        const RpcMethod rpc(method);
+        EXPECT_FALSE(fabric.Call(&ctx, node, rpc, input, &resp).ok());
+        EXPECT_FALSE(fabric.Call(&ctx, node, rpc, *owned.bytes(), &resp,
                                  &owned)
                          .ok());
         EXPECT_FALSE(
-            fabric.Call(&ctx, node, method, input, &resp, &other).ok());
+            fabric.Call(&ctx, node, rpc, input, &resp, &other).ok());
         EXPECT_FALSE(
-            fabric.Call(&ctx, node, method, input, &resp, &*indexed).ok());
+            fabric.Call(&ctx, node, rpc, input, &resp, &*indexed).ok());
       }
       EXPECT_EQ(owned.bytes().use_count(), refs[0]);
       EXPECT_EQ(other.bytes().use_count(), refs[1]);
@@ -259,8 +262,9 @@ TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
     for (size_t k = 0; k < good.size(); k++) {
       const Slice prefix(indexed->bytes()->data(), k);
       for (const std::string method : {"log.append", "page.apply_log"}) {
+        const RpcMethod rpc(method);
         EXPECT_FALSE(
-            fabric.Call(&ctx, node, method, prefix, &resp, &*indexed).ok())
+            fabric.Call(&ctx, node, rpc, prefix, &resp, &*indexed).ok())
             << method << " accepted a " << k << "-byte prefix of a "
             << good.size() << "-byte batch";
       }
@@ -348,13 +352,14 @@ TEST(LogCodecTest, IndexedBatchesLeaveStoresAsScannedBatchesDo) {
     auto send = [&](const RedoBatch& batch) {
       const std::string copy = *batch.bytes();  // same bytes, no owner
       for (const std::string method : {"log.append", "page.apply_log"}) {
+        const RpcMethod rpc(method);
         std::string indexed_resp, scanned_resp;
         ASSERT_TRUE(fabric
-                        .Call(&indexed_ctx, indexed_node, method,
+                        .Call(&indexed_ctx, indexed_node, rpc,
                               batch.request(), &indexed_resp, &batch)
                         .ok());
         ASSERT_TRUE(fabric
-                        .Call(&scanned_ctx, scanned_node, method, copy,
+                        .Call(&scanned_ctx, scanned_node, rpc, copy,
                               &scanned_resp)
                         .ok());
         ASSERT_EQ(indexed_resp, scanned_resp) << method;
@@ -364,7 +369,7 @@ TEST(LogCodecTest, IndexedBatchesLeaveStoresAsScannedBatchesDo) {
       std::string req, resp;
       PutVarint64(&req, 0);
       PutVarint64(&req, ~uint64_t{0});
-      EXPECT_TRUE(fabric.Call(ctx, node, "log.read", req, &resp).ok());
+      EXPECT_TRUE(fabric.Call(ctx, node, kLogRead, req, &resp).ok());
       return resp;
     };
     auto expect_twins = [&] {

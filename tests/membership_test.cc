@@ -13,6 +13,8 @@
 namespace disagg {
 namespace {
 
+const RpcMethod kEcho("echo");
+
 // Fleet membership and lease service: heartbeat-driven failure detection
 // (hard crashes AND gray failures), lease-fenced revocation, unattended
 // recovery orchestration, and the determinism contract — detector decisions
@@ -246,7 +248,7 @@ FleetRun RunFleet(uint32_t threads, uint32_t partitions) {
   const NodeId n =
       fabric.AddNode("svc0", NodeKind::kMemory, InterconnectModel::Rdma());
   fabric.node(n)->RegisterHandler(
-      "echo", [](Slice req, std::string* resp, RpcServerContext* sctx) {
+      kEcho, [](Slice req, std::string* resp, RpcServerContext* sctx) {
         resp->assign(req.data(), req.size());
         sctx->ChargeCompute(300);
         return Status::OK();
@@ -276,7 +278,7 @@ FleetRun RunFleet(uint32_t threads, uint32_t partitions) {
   sim::LoadReport report = sim::RunClosedLoop(
       opts, [&](uint64_t, uint64_t, NetContext* ctx, Random*) {
         std::string resp;
-        return fabric.Call(ctx, n, "echo", "ping", &resp);
+        return fabric.Call(ctx, n, kEcho, "ping", &resp);
       });
   run.events = member.events();
   run.trace = report.trace;
@@ -325,7 +327,7 @@ TEST(MembershipDeterminismTest, UnconfiguredServiceIsInvisibleToTheWorkload) {
     const NodeId n =
         fabric.AddNode("svc0", NodeKind::kMemory, InterconnectModel::Rdma());
     fabric.node(n)->RegisterHandler(
-        "echo", [](Slice req, std::string* resp, RpcServerContext* sctx) {
+        kEcho, [](Slice req, std::string* resp, RpcServerContext* sctx) {
           resp->assign(req.data(), req.size());
           sctx->ChargeCompute(300);
           return Status::OK();
@@ -340,7 +342,7 @@ TEST(MembershipDeterminismTest, UnconfiguredServiceIsInvisibleToTheWorkload) {
     return sim::RunClosedLoop(
         opts, [&](uint64_t, uint64_t, NetContext* ctx, Random*) {
           std::string resp;
-          return fabric.Call(ctx, n, "echo", "ping", &resp);
+          return fabric.Call(ctx, n, kEcho, "ping", &resp);
         });
   };
   const sim::LoadReport without = run(false);

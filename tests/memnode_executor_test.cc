@@ -6,8 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <atomic>
 #include <map>
-#include <string_view>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -150,17 +151,18 @@ TEST(MemNodeExecutorTest, MalformedIndexRequestsAreInvalidArgument) {
                                    ->region(rig.tree_ref.root_ptr.region);
   const std::string before(region->data(), region->size());
 
-  auto encode = [](const char* method, uint64_t tree) {
+  auto encode = [](const RpcMethod& method, uint64_t tree) {
     std::string req;
     PutVarint64(&req, tree);
     PutFixed64(&req, 42);  // key, or the scan's start key
-    const std::string_view m(method);
-    if (m == offload::kIdxPut) PutFixed64(&req, 7);
-    if (m == offload::kIdxScan) PutVarint64(&req, 300);  // 2-byte limit
+    if (method.id() == offload::kIdxPut.id()) PutFixed64(&req, 7);
+    if (method.id() == offload::kIdxScan.id()) {
+      PutVarint64(&req, 300);  // 2-byte limit
+    }
     return req;
   };
-  for (const char* method : {offload::kIdxGet, offload::kIdxScan,
-                             offload::kIdxPut, offload::kIdxDelete}) {
+  for (const RpcMethod& method : {offload::kIdxGet, offload::kIdxScan,
+                                  offload::kIdxPut, offload::kIdxDelete}) {
     const std::string valid = encode(method, rig.tree_id);
     std::vector<std::string> hostile;
     for (size_t n = 0; n < valid.size(); n++) {
@@ -171,8 +173,9 @@ TEST(MemNodeExecutorTest, MalformedIndexRequestsAreInvalidArgument) {
     for (const std::string& req : hostile) {
       std::string resp;
       Status st = rig.fabric.Call(&ctx, rig.pool.node(), method, req, &resp);
-      EXPECT_TRUE(st.IsInvalidArgument())
-          << method << " with " << req.size() << " bytes: " << st.ToString();
+      EXPECT_TRUE(st.IsInvalidArgument()) << method.name() << " with "
+                                          << req.size()
+                                          << " bytes: " << st.ToString();
     }
   }
   EXPECT_TRUE(std::string(region->data(), region->size()) == before);
@@ -195,11 +198,11 @@ TEST(MemNodeExecutorTest, MalformedLockRequestsChangeNoState) {
   const MemNodeExecutor::Stats stats_before = rig.exec.stats();
   ASSERT_EQ(locks_before, 2u);
 
-  auto encode = [](std::string_view method, uint64_t npend) {
+  auto encode = [](const RpcMethod& method, uint64_t npend) {
     std::string req;
     PutVarint64(&req, offload::kFreshEpoch);
     PutFixed64(&req, 3);  // the requesting txn
-    if (method == offload::kLockAcquire) {
+    if (method.id() == offload::kLockAcquire.id()) {
       PutFixed64(&req, 300);  // key
       req.push_back(static_cast<char>(offload::kModeExclusive));
     }
@@ -208,7 +211,8 @@ TEST(MemNodeExecutorTest, MalformedLockRequestsChangeNoState) {
     PutFixed64(&req, 2);
     return req;
   };
-  for (const char* method : {offload::kLockAcquire, offload::kLockRelease}) {
+  for (const RpcMethod& method :
+       {offload::kLockAcquire, offload::kLockRelease}) {
     const std::string valid = encode(method, 2);
     const size_t count_at = valid.size() - 17;  // the count's one byte
     std::vector<std::string> hostile;
@@ -230,12 +234,13 @@ TEST(MemNodeExecutorTest, MalformedLockRequestsChangeNoState) {
     for (const std::string& req : hostile) {
       std::string resp;
       Status st = rig.fabric.Call(&ctx, rig.pool.node(), method, req, &resp);
-      EXPECT_TRUE(st.IsInvalidArgument())
-          << method << " with " << req.size() << " bytes: " << st.ToString();
+      EXPECT_TRUE(st.IsInvalidArgument()) << method.name() << " with "
+                                          << req.size()
+                                          << " bytes: " << st.ToString();
       EXPECT_EQ(rig.exec.active_locks(), locks_before)
-          << method << " with " << req.size() << " bytes";
+          << method.name() << " with " << req.size() << " bytes";
       EXPECT_TRUE(rig.exec.stats() == stats_before)
-          << method << " with " << req.size() << " bytes";
+          << method.name() << " with " << req.size() << " bytes";
     }
   }
 
@@ -264,6 +269,94 @@ TEST(MemNodeExecutorTest, CorruptScanReplyIsCorruption) {
   NetContext ctx;
   auto got = OffloadIndexScan(&fabric, &ctx, node, 0, 0, 10);
   EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+}
+
+// A corrupt tree image cannot hang a walk on either store: an internal node
+// whose child is itself, or a leaf whose right sibling is itself, makes Get
+// and Put return Corruption on the one-sided and the offloaded protocol.
+TEST(MemNodeExecutorTest, SelfPointingNodeIsCorruptionOnBothProtocols) {
+  for (const bool internal : {true, false}) {
+    OffloadRig rig;
+    NetContext ctx;
+    auto at = rig.pool.AllocLocal(kBTreeNodeBytes);
+    ASSERT_TRUE(at.ok());
+    BTreeNodeImage node;
+    std::memset(&node, 0, sizeof(node));
+    node.nkeys = 1;
+    if (internal) {
+      node.level = 1;
+      node.vals[0] = at->offset;  // its only child is itself
+    } else {
+      node.keys[0] = 1;
+      node.next = at->offset;  // a leaf chained to itself, left of key 5
+    }
+    ASSERT_TRUE(rig.fabric.Write(&ctx, *at, &node, kBTreeNodeBytes).ok());
+    const uint64_t root = at->offset;
+    ASSERT_TRUE(rig.fabric.Write(&ctx, rig.tree_ref.root_ptr, &root, 8).ok());
+
+    RemoteBTree one_sided = rig.OneSided();
+    RemoteBTree offloaded = rig.Offloaded();
+    for (RemoteBTree* tree : {&one_sided, &offloaded}) {
+      const char* what = tree == &one_sided ? "one-sided" : "offloaded";
+      auto got = tree->Get(&ctx, 5);
+      EXPECT_TRUE(got.status().IsCorruption())
+          << what << " internal=" << internal << ": "
+          << got.status().ToString();
+      Status put = tree->Put(&ctx, 5, 5);
+      EXPECT_TRUE(put.IsCorruption())
+          << what << " internal=" << internal << ": " << put.ToString();
+    }
+  }
+}
+
+// Handlers on several threads share one executor. Each thread walks its own
+// tree, so no two threads touch the same node bytes, and the executor's
+// counters must equal a one-thread run of the same ops. scripts/ci.sh runs
+// this suite under ThreadSanitizer.
+TEST(MemNodeExecutorTest, ConcurrentWalksKeepExactCounts) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeys = 200;  // several leaf splits per tree
+  auto run = [](bool threaded) {
+    Fabric fabric;
+    MemoryNode pool(&fabric, "pool", 8 << 20);
+    MemNodeExecutor exec(&fabric, &pool);
+    std::vector<RemoteBTree> trees;
+    trees.reserve(kThreads);
+    NetContext setup;
+    for (int t = 0; t < kThreads; t++) {
+      auto ref = RemoteBTree::Create(&setup, &fabric, &pool);
+      EXPECT_TRUE(ref.ok());
+      trees.emplace_back(&fabric, &pool, *ref, RemoteBTree::Options::Sherman());
+      trees.back().EnableOffload(pool.node(), exec.RegisterTree(*ref));
+    }
+    std::atomic<uint64_t> wrong{0};
+    auto work = [&](int t) {
+      NetContext ctx;
+      for (uint64_t k = 1; k <= kKeys; k++) {
+        if (!trees[t].Put(&ctx, k, k * kThreads + t).ok()) wrong++;
+      }
+      for (uint64_t k = 1; k <= kKeys; k++) {
+        auto got = trees[t].Get(&ctx, k);
+        if (!got.ok() || *got != k * kThreads + t) wrong++;
+      }
+    };
+    if (threaded) {
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; t++) threads.emplace_back(work, t);
+      for (std::thread& th : threads) th.join();
+    } else {
+      for (int t = 0; t < kThreads; t++) work(t);
+    }
+    EXPECT_EQ(wrong.load(), 0u) << (threaded ? "threaded" : "one thread");
+    return exec.stats();
+  };
+  const MemNodeExecutor::Stats one = run(false);
+  const MemNodeExecutor::Stats many = run(true);
+  EXPECT_EQ(many.inserts, uint64_t{kThreads} * kKeys);
+  EXPECT_EQ(many.lookups, uint64_t{kThreads} * kKeys);
+  EXPECT_GT(many.splits, 0u);
+  EXPECT_GT(many.nodes_visited, 0u);
+  EXPECT_TRUE(many == one);
 }
 
 // ---- Traversal-RPC cost arithmetic ----------------------------------------

@@ -14,6 +14,9 @@
 namespace disagg {
 namespace {
 
+const RpcMethod kMemAlloc("mem.alloc");
+const RpcMethod kCacheChase("cache.chase");
+
 Page MakePage(PageId id, const std::string& payload, Lsn lsn = 1) {
   Page p(id);
   DISAGG_CHECK(p.Insert(payload).ok());
@@ -63,7 +66,7 @@ TEST(MemoryNodeTest, HostileAllocRequestsFailWithoutSideEffects) {
   }
   for (const std::string& req : hostile) {
     std::string resp;
-    EXPECT_FALSE(fabric.Call(&ctx, pool.node(), "mem.alloc", req, &resp).ok())
+    EXPECT_FALSE(fabric.Call(&ctx, pool.node(), kMemAlloc, req, &resp).ok())
         << "request of " << req.size() << " bytes";
   }
   EXPECT_EQ(pool.allocated_bytes(), 0u);
@@ -371,7 +374,7 @@ TEST(PointerChainTest, HostileChaseRequestsFail) {
   for (const std::string& req : hostile) {
     std::string resp;
     EXPECT_FALSE(
-        fabric.Call(&ctx, pool.node(), "cache.chase", req, &resp).ok())
+        fabric.Call(&ctx, pool.node(), kCacheChase, req, &resp).ok())
         << "request of " << req.size() << " bytes";
   }
   auto still = chain.ChaseServerSide(&ctx, *head, 1);

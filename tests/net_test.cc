@@ -15,6 +15,9 @@
 namespace disagg {
 namespace {
 
+const RpcMethod kEcho("echo");
+const RpcMethod kNope("nope");
+
 class FabricTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -129,15 +132,15 @@ TEST_F(FabricTest, DoorbellBatchingPaysOneBaseLatency) {
 TEST_F(FabricTest, RpcDispatchAndComputeCharging) {
   Node* n = fabric_.node(mem_node_);
   n->set_cpu_scale(4.0);  // wimpy memory-pool CPU
-  n->RegisterHandler("echo", [](Slice req, std::string* resp,
-                                RpcServerContext* sctx) {
+  n->RegisterHandler(kEcho, [](Slice req, std::string* resp,
+                               RpcServerContext* sctx) {
     resp->assign(req.data(), req.size());
     sctx->ChargeCompute(1000);
     return Status::OK();
   });
 
   std::string resp;
-  ASSERT_TRUE(fabric_.Call(&ctx_, mem_node_, "echo", "ping", &resp).ok());
+  ASSERT_TRUE(fabric_.Call(&ctx_, mem_node_, kEcho, "ping", &resp).ok());
   EXPECT_EQ(resp, "ping");
   EXPECT_EQ(ctx_.rpcs, 1u);
   const InterconnectModel m = InterconnectModel::Rdma();
@@ -147,7 +150,7 @@ TEST_F(FabricTest, RpcDispatchAndComputeCharging) {
 TEST_F(FabricTest, RpcUnknownMethod) {
   std::string resp;
   EXPECT_TRUE(
-      fabric_.Call(&ctx_, mem_node_, "nope", "x", &resp).IsNotSupported());
+      fabric_.Call(&ctx_, mem_node_, kNope, "x", &resp).IsNotSupported());
 }
 
 TEST_F(FabricTest, FailedNodeIsUnavailableUntilRevived) {

@@ -11,6 +11,8 @@
 namespace disagg {
 namespace {
 
+const RpcMethod kPmPersistWrite("pm.persist_write");
+
 class PmNodeTest : public ::testing::Test {
  protected:
   PmNodeTest() : pm_(&fabric_, "pm0", 1 << 20), client_(&fabric_, &pm_) {}
@@ -89,7 +91,7 @@ TEST_F(PmNodeTest, HostilePersistWritesFailWithoutSideEffects) {
   for (const std::string& req : hostile) {
     std::string resp;
     EXPECT_FALSE(
-        fabric_.Call(&ctx_, pm_.node(), "pm.persist_write", req, &resp).ok())
+        fabric_.Call(&ctx_, pm_.node(), kPmPersistWrite, req, &resp).ok())
         << "request of " << req.size() << " bytes";
   }
   EXPECT_EQ(ReadBack(addr, 4), "BASE");

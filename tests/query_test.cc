@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "common/coding.h"
 #include "common/random.h"
 #include "query/columnar.h"
 #include "query/operators.h"
@@ -219,6 +223,67 @@ TEST_F(RemoteTableTest, AggregatePushdownReturnsOneRow) {
   ASSERT_EQ(out->size(), 1u);
   EXPECT_EQ(AsInt((*out)[0][1]), 2000);
   EXPECT_LT(ctx.bytes_in, 256u);  // Farview: only the aggregate crosses
+}
+
+// Records the method of the last RPC and the address of the last read it
+// passes.
+class Tap : public FabricInterceptor {
+ public:
+  const char* name() const override { return "tap"; }
+  Status Intercept(Fabric*, FabricOp* op, NetContext* ctx,
+                   const FabricOpInvoker& next) override {
+    if (op->verb == FabricVerb::kRpc) last_method = *op->method;
+    if (op->verb == FabricVerb::kRead) last_read = op->addr;
+    return next(op, ctx);
+  }
+
+  std::string last_method;
+  GlobalAddr last_read{};
+};
+
+// A pushdown reply whose row or column count promises more than its bytes
+// hold is Corruption: the client must not reserve what the wire claims.
+TEST_F(RemoteTableTest, ForgedPushdownReplyIsCorruption) {
+  auto tap = std::make_shared<Tap>();
+  fabric_.AddInterceptor(tap);
+  ops::Fragment frag;
+  frag.aggs = {{AggFunc::kCount, 0}};
+  ASSERT_TRUE(table_->Pushdown(&ctx_, frag).ok());
+  ASSERT_EQ(tap->last_method.rfind("tele.exec.", 0), 0u) << tap->last_method;
+
+  std::string huge_rows, huge_cols;
+  PutVarint64(&huge_rows, uint64_t{1} << 60);
+  PutVarint64(&huge_cols, 1);
+  PutVarint64(&huge_cols, uint64_t{1} << 60);
+  for (const std::string& forged : {huge_rows, huge_cols}) {
+    fabric_.node(pool_.node())
+        ->RegisterHandler(RpcMethod(tap->last_method),
+                          [forged](Slice, std::string* resp,
+                                   RpcServerContext*) {
+                            resp->assign(forged);
+                            return Status::OK();
+                          });
+    auto out = table_->Pushdown(&ctx_, frag);
+    EXPECT_TRUE(out.status().IsCorruption()) << out.status().ToString();
+  }
+}
+
+// The table's resident blob is pool memory: a forged row count there makes
+// both the client-side scan and the pool-side pushdown fail as Corruption.
+TEST_F(RemoteTableTest, ForgedBlobRowCountIsCorruption) {
+  auto tap = std::make_shared<Tap>();
+  fabric_.AddInterceptor(tap);
+  ASSERT_TRUE(table_->FetchAll(&ctx_).ok());  // one read: the whole blob
+  std::string forged;
+  PutVarint64(&forged, uint64_t{1} << 60);
+  ASSERT_TRUE(
+      fabric_.Write(&ctx_, tap->last_read, forged.data(), forged.size()).ok());
+  auto fetched = table_->FetchAll(&ctx_);
+  EXPECT_TRUE(fetched.status().IsCorruption()) << fetched.status().ToString();
+  ops::Fragment frag;
+  frag.aggs = {{AggFunc::kCount, 0}};
+  auto pushed = table_->Pushdown(&ctx_, frag);
+  EXPECT_TRUE(pushed.status().IsCorruption()) << pushed.status().ToString();
 }
 
 TEST(ShuffleTest, BothModesDeliverSameRows) {

@@ -20,6 +20,10 @@
 namespace disagg {
 namespace {
 
+const RpcMethod kLogRead("log.read");
+const RpcMethod kLogAppend("log.append");
+const RpcMethod kPageApplyLog("page.apply_log");
+
 LogRecord MakeInsert(Lsn lsn, PageId page, uint16_t slot,
                      const std::string& payload, TxnId txn = 1) {
   LogRecord r;
@@ -74,7 +78,7 @@ std::string ReadAllBytes(Fabric* fabric, NetContext* ctx, NodeId node,
   std::string req, resp;
   PutVarint64(&req, from);
   PutVarint64(&req, max);
-  EXPECT_TRUE(fabric->Call(ctx, node, "log.read", req, &resp).ok());
+  EXPECT_TRUE(fabric->Call(ctx, node, kLogRead, req, &resp).ok());
   return resp;
 }
 
@@ -185,10 +189,10 @@ TEST(SharedRedoTest, StoresReferenceTheCallersBatchOnlyWhenItIsTheRequest) {
     const long base = batch.use_count();
     std::string resp;
     ASSERT_TRUE(
-        fabric.Call(&ctx, node, "log.append", *batch, &resp, owner).ok());
+        fabric.Call(&ctx, node, kLogAppend, *batch, &resp, owner).ok());
     EXPECT_EQ(batch.use_count(), base + (exact ? 1 : 0));
     ASSERT_TRUE(
-        fabric.Call(&ctx, node, "page.apply_log", *batch, &resp, owner).ok());
+        fabric.Call(&ctx, node, kPageApplyLog, *batch, &resp, owner).ok());
     // Pages 5 and 6 each queue redo; the commit record queues none.
     EXPECT_EQ(batch.use_count(), base + (exact ? 3 : 0));
     EXPECT_EQ(other.bytes().use_count(), 1);
@@ -713,9 +717,10 @@ TEST(RaftLiteTest, HostilePayloadsFailWithoutSideEffects) {
       {"raft.read", reads},
   };
   for (const auto& [method, hostile] : corpora) {
+    const RpcMethod rpc(method);
     for (const std::string& req : hostile) {
       std::string resp;
-      EXPECT_FALSE(fabric.Call(&ctx, follower, method, req, &resp).ok())
+      EXPECT_FALSE(fabric.Call(&ctx, follower, rpc, req, &resp).ok())
           << method << ", request of " << req.size() << " bytes";
     }
   }
@@ -783,9 +788,10 @@ TEST(ObjectStoreTest, HostilePayloadsFailWithoutSideEffects) {
       {"obj.list", testutil::MalformedPayloads(list, {0})},
   };
   for (const auto& [method, hostile] : corpora) {
+    const RpcMethod rpc(method);
     for (const std::string& req : hostile) {
       std::string resp;
-      EXPECT_FALSE(fabric.Call(&ctx, node, method, req, &resp).ok())
+      EXPECT_FALSE(fabric.Call(&ctx, node, rpc, req, &resp).ok())
           << method << ", request of " << req.size() << " bytes";
     }
   }
