@@ -24,7 +24,9 @@ class Result {
   }
 
   bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
+  const Status& status() const& { return status_; }
+  /// Moves the error out of an expiring result (one pointer, no copy).
+  Status status() && { return std::move(status_); }
 
   T& value() & {
     assert(ok());
@@ -62,7 +64,7 @@ class Result {
 
 #define DISAGG_ASSIGN_OR_RETURN_IMPL_(tmp, lhs, expr) \
   auto tmp = (expr);                                  \
-  if (!tmp.ok()) return tmp.status();                 \
+  if (!tmp.ok()) return std::move(tmp).status();      \
   lhs = std::move(tmp).value()
 
 #define DISAGG_MACRO_CONCAT_(a, b) DISAGG_MACRO_CONCAT_IMPL_(a, b)

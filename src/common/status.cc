@@ -32,11 +32,16 @@ const char* CodeName(Status::Code code) {
 
 }  // namespace
 
+const std::string& Status::EmptyMessage() {
+  static const std::string kEmpty;
+  return kEmpty;
+}
+
 std::string Status::ToString() const {
-  std::string out = CodeName(code_);
-  if (!msg_.empty()) {
+  std::string out = CodeName(code());
+  if (!message().empty()) {
     out += ": ";
-    out += msg_;
+    out += message();
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef DISAGG_COMMON_STATUS_H_
 #define DISAGG_COMMON_STATUS_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -9,6 +10,10 @@ namespace disagg {
 /// Error-handling type used across the library instead of exceptions,
 /// following the RocksDB/Arrow idiom: functions that can fail return a
 /// `Status` (or a `Result<T>`, see result.h) and the caller inspects it.
+///
+/// One word: a null pointer is OK, so the success path of every op builds,
+/// moves and destroys nothing. A non-OK status owns its code and message on
+/// the heap; copying one deep-copies them. A moved-from status reads OK.
 class Status {
  public:
   enum class Code : unsigned char {
@@ -25,10 +30,17 @@ class Status {
   };
 
   Status() = default;
-  Status(const Status&) = default;
-  Status& operator=(const Status&) = default;
-  Status(Status&&) = default;
-  Status& operator=(Status&&) = default;
+  Status(const Status& other)
+      : state_(other.state_ ? std::make_unique<State>(*other.state_)
+                            : nullptr) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      state_ = other.state_ ? std::make_unique<State>(*other.state_) : nullptr;
+    }
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   /// Factory helpers; each optional message is kept for diagnostics.
   static Status OK() { return Status(); }
@@ -60,28 +72,38 @@ class Status {
     return Status(Code::kUnavailable, std::move(msg));
   }
 
-  bool ok() const { return code_ == Code::kOk; }
-  bool IsNotFound() const { return code_ == Code::kNotFound; }
-  bool IsCorruption() const { return code_ == Code::kCorruption; }
-  bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
-  bool IsIOError() const { return code_ == Code::kIOError; }
-  bool IsBusy() const { return code_ == Code::kBusy; }
-  bool IsAborted() const { return code_ == Code::kAborted; }
-  bool IsTimedOut() const { return code_ == Code::kTimedOut; }
-  bool IsNotSupported() const { return code_ == Code::kNotSupported; }
-  bool IsUnavailable() const { return code_ == Code::kUnavailable; }
+  bool ok() const { return state_ == nullptr; }
+  bool IsNotFound() const { return code() == Code::kNotFound; }
+  bool IsCorruption() const { return code() == Code::kCorruption; }
+  bool IsInvalidArgument() const { return code() == Code::kInvalidArgument; }
+  bool IsIOError() const { return code() == Code::kIOError; }
+  bool IsBusy() const { return code() == Code::kBusy; }
+  bool IsAborted() const { return code() == Code::kAborted; }
+  bool IsTimedOut() const { return code() == Code::kTimedOut; }
+  bool IsNotSupported() const { return code() == Code::kNotSupported; }
+  bool IsUnavailable() const { return code() == Code::kUnavailable; }
 
-  Code code() const { return code_; }
-  const std::string& message() const { return msg_; }
+  Code code() const { return state_ ? state_->code : Code::kOk; }
+  /// The diagnostic message; the empty string for OK.
+  const std::string& message() const {
+    return state_ ? state_->msg : EmptyMessage();
+  }
 
   /// Human-readable "<code>: <message>" string for logging.
   std::string ToString() const;
 
  private:
-  Status(Code code, std::string msg) : code_(code), msg_(std::move(msg)) {}
+  struct State {
+    Code code;
+    std::string msg;
+  };
 
-  Code code_ = Code::kOk;
-  std::string msg_;
+  Status(Code code, std::string msg)
+      : state_(std::make_unique<State>(State{code, std::move(msg)})) {}
+
+  static const std::string& EmptyMessage();
+
+  std::unique_ptr<State> state_;  // null iff OK
 };
 
 /// Propagates a non-OK status to the caller. Usable only in functions

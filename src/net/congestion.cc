@@ -198,21 +198,16 @@ uint64_t CongestionState::AdmitOn(const ControlTable& ct, Resource* link,
   return start - arrival_ns;
 }
 
+// The authoritative path below takes no lock: it has one writer at a time
+// (see the class comment).
 bool CongestionState::TryAdmit(NodeId node, uint32_t tenant,
                                uint64_t arrival_ns, uint64_t deadline_ns) {
-  if (!controls().bounded) return true;
+  const ControlTable& ct = controls();
+  if (!ct.bounded) return true;
   if (PartitionEffects* eff = CurrentPartitionEffects()) {
     return eff->ShardFor(this)->TryAdmit(node, tenant, arrival_ns,
                                          deadline_ns);
   }
-  return TryAdmitAuthoritative(node, tenant, arrival_ns, deadline_ns);
-}
-
-bool CongestionState::TryAdmitAuthoritative(NodeId node, uint32_t tenant,
-                                            uint64_t arrival_ns,
-                                            uint64_t deadline_ns) {
-  const ControlTable& ct = controls();
-  std::lock_guard<std::mutex> lock(mu_);
   Resource* link = ResourceFor(node);
   if (TryAdmitOn(ct, *link, tenant, arrival_ns, deadline_ns)) return true;
   link->stats.rejections++;
@@ -226,16 +221,7 @@ uint64_t CongestionState::Admit(NodeId node, uint32_t tenant,
     return eff->ShardFor(this)->Admit(node, tenant, arrival_ns, bytes,
                                       deadline_ns);
   }
-  return AdmitAuthoritative(node, tenant, arrival_ns, bytes, deadline_ns);
-}
-
-uint64_t CongestionState::AdmitAuthoritative(NodeId node, uint32_t tenant,
-                                             uint64_t arrival_ns,
-                                             uint64_t bytes,
-                                             uint64_t deadline_ns) {
-  const ControlTable& ct = controls();
-  std::lock_guard<std::mutex> lock(mu_);
-  return AdmitOn(ct, ResourceFor(node), tenant, arrival_ns, bytes,
+  return AdmitOn(controls(), ResourceFor(node), tenant, arrival_ns, bytes,
                  deadline_ns);
 }
 
@@ -273,7 +259,6 @@ uint64_t CongestionState::Shard::Admit(NodeId node, uint32_t tenant,
 
 void CongestionState::MergeShard(Shard* shard) {
   const ControlTable& ct = controls();
-  std::lock_guard<std::mutex> lock(mu_);
   for (const Shard::Event& e : shard->log_) {
     Resource* link = ResourceFor(e.node);
     if (e.kind == Shard::Event::kAdmit) {

@@ -148,7 +148,7 @@ struct CongestionConfig {
 /// resource an op may queue: `TryAdmit` is consulted before the op
 /// executes, and a rejected op is failed fast with `Status::Busy`, charged
 /// only `CongestionConfig::kRejectionCostNs`. With no bound set anywhere
-/// `TryAdmit` admits at once, without a lock or a link lookup.
+/// `TryAdmit` admits at once, without a link lookup.
 ///
 /// Live reconfiguration: per-tenant weights and admission bounds live in an
 /// immutable `TenantControl` table published through an atomic snapshot
@@ -170,6 +170,14 @@ struct CongestionConfig {
 /// mutex-free copy-on-first-touch view of this state — and the driver
 /// replays every shard's admission log into the authoritative state at the
 /// epoch barrier, in partition order, via `MergeShard`.
+///
+/// Threading: the authoritative links have one writer at a time — the
+/// single-partition driver thread, setup code, or the epoch barrier — so
+/// `TryAdmit`/`Admit` without a shard and `MergeShard` take no lock.
+/// Admitting from several raw threads at once on a congested fabric is
+/// unsupported. `mu_` guards only what other threads can reach: a shard's
+/// copy-on-first-touch (which may create an authoritative link), the
+/// control-table swap and the stats readers.
 class CongestionState {
  public:
   explicit CongestionState(CongestionConfig config);
@@ -351,13 +359,9 @@ class CongestionState {
   /// Whether some resource in the config carries an admission bound.
   bool ConfigBounded() const;
 
-  bool TryAdmitAuthoritative(NodeId node, uint32_t tenant,
-                             uint64_t arrival_ns, uint64_t deadline_ns);
-  uint64_t AdmitAuthoritative(NodeId node, uint32_t tenant,
-                              uint64_t arrival_ns, uint64_t bytes,
-                              uint64_t deadline_ns);
-
   const CongestionConfig config_;
+  // Guards shard copy-on-first-touch, the control-table swap and the stats
+  // readers; the single-writer admission path runs without it.
   mutable std::mutex mu_;
   Links nodes_;  // lazily created on first op
 

@@ -66,18 +66,10 @@ NodeId Fabric::AddNode(const std::string& name, NodeKind kind,
 }
 
 // Lock-free for the same reason as Node::region(): node registration is
-// config-time, and CheckTarget runs this on every single op.
+// config-time, and ExecuteCore runs this on every single op.
 Node* Fabric::node(NodeId id) {
   if (id >= num_nodes_.load(std::memory_order_acquire)) return nullptr;
   return nodes_[id].get();
-}
-
-Status Fabric::CheckTarget(NodeId id, Node** out) {
-  Node* n = node(id);
-  if (n == nullptr) return Status::InvalidArgument("no such node");
-  if (n->failed()) return Status::Unavailable("node " + n->name() + " failed");
-  *out = n;
-  return Status::OK();
 }
 
 // ---- Interceptor chain ---------------------------------------------------
@@ -191,14 +183,13 @@ Status Fabric::ExecuteCore(FabricOp* op, NetContext* ctx) {
     return Status::TimedOut("deadline exhausted before issue at node " +
                             std::to_string(op->node));
   }
+  // An op to a node that does not exist fails before it moves a byte, so it
+  // never meets a congestion queue (whose links are indexed by node id).
+  Node* target = node(op->node);
+  if (target == nullptr) return Status::InvalidArgument("no such node");
   CongestionState* congestion =
       congestion_snapshot_.load(std::memory_order_acquire);
-  // An op to a node that does not exist fails in `CheckTarget` before it
-  // moves a byte, so it never meets a congestion queue (whose links are
-  // indexed by node id).
-  if (congestion == nullptr || node(op->node) == nullptr) {
-    return ExecuteVerb(op, ctx);
-  }
+  if (congestion == nullptr) return ExecuteVerb(target, op, ctx);
 
   // The op arrives at the client's virtual time *before* its own service
   // cost; the bytes it moves are known only after the verb ran (RPC response
@@ -220,10 +211,10 @@ Status Fabric::ExecuteCore(FabricOp* op, NetContext* ctx) {
 
   const uint64_t out_before = ctx->bytes_out;
   const uint64_t in_before = ctx->bytes_in;
-  Status st = ExecuteVerb(op, ctx);
+  Status st = ExecuteVerb(target, op, ctx);
   const uint64_t bytes =
       (ctx->bytes_out - out_before) + (ctx->bytes_in - in_before);
-  // Ops rejected before touching the wire (bad target, bounds) move no bytes
+  // Ops rejected before touching the wire (failed node, bounds) move no bytes
   // and occupy nothing; anything that transferred data holds its resources.
   if (st.ok() || bytes > 0) {
     const uint64_t delay = congestion->Admit(op->node, op->tenant, arrival,
@@ -236,9 +227,10 @@ Status Fabric::ExecuteCore(FabricOp* op, NetContext* ctx) {
   return st;
 }
 
-Status Fabric::ExecuteVerb(FabricOp* op, NetContext* ctx) {
-  Node* target = nullptr;
-  DISAGG_RETURN_NOT_OK(CheckTarget(op->node, &target));
+Status Fabric::ExecuteVerb(Node* target, FabricOp* op, NetContext* ctx) {
+  if (target->failed()) {
+    return Status::Unavailable("node " + target->name() + " failed");
+  }
 
   switch (op->verb) {
     case FabricVerb::kRead: {

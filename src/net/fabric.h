@@ -412,16 +412,15 @@ class Fabric {
  private:
   using InterceptorChain = std::vector<std::shared_ptr<FabricInterceptor>>;
 
-  Status CheckTarget(NodeId id, Node** out);
-
   /// Terminal stage of the pipeline: runs the verb, then (when congestion
   /// is enabled) admits the op to its shared resources and charges the
   /// queueing delay.
   Status ExecuteCore(FabricOp* op, NetContext* ctx);
 
-  /// The verb itself: target/bounds checks, the real data movement, and
+  /// The verb itself on the existing node `target` (looked up once by
+  /// ExecuteCore): liveness and bounds checks, the real data movement, and
   /// cost charging (aggregate + per-verb).
-  Status ExecuteVerb(FabricOp* op, NetContext* ctx);
+  Status ExecuteVerb(Node* target, FabricOp* op, NetContext* ctx);
 
   Status InvokeChain(const InterceptorChain& chain, size_t index, FabricOp* op,
                      NetContext* ctx);

@@ -2,10 +2,6 @@
 
 namespace disagg {
 
-namespace {
-thread_local PartitionEffects* g_current_effects = nullptr;
-}  // namespace
-
 CongestionState::Shard* PartitionEffects::ShardFor(CongestionState* state) {
   auto it = congestion_shards.find(state);
   if (it == congestion_shards.end()) {
@@ -16,13 +12,13 @@ CongestionState::Shard* PartitionEffects::ShardFor(CongestionState* state) {
   return it->second.get();
 }
 
-PartitionEffects* CurrentPartitionEffects() { return g_current_effects; }
-
 PartitionEffectsScope::PartitionEffectsScope(PartitionEffects* effects)
-    : prev_(g_current_effects) {
-  g_current_effects = effects;
+    : prev_(current_partition_effects) {
+  current_partition_effects = effects;
 }
 
-PartitionEffectsScope::~PartitionEffectsScope() { g_current_effects = prev_; }
+PartitionEffectsScope::~PartitionEffectsScope() {
+  current_partition_effects = prev_;
+}
 
 }  // namespace disagg

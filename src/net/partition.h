@@ -32,11 +32,17 @@ struct PartitionEffects {
   CongestionState::Shard* ShardFor(CongestionState* state);
 };
 
+/// The calling thread's installed effects container (see
+/// `PartitionEffectsScope`); read inline on every congested op.
+inline thread_local PartitionEffects* current_partition_effects = nullptr;
+
 /// The effects container installed for the calling thread, or null when no
 /// partition of a multi-partition run is executing (single-partition runs
 /// and all code outside the load driver see null and run the authoritative,
-/// mutex-protected logic).
-PartitionEffects* CurrentPartitionEffects();
+/// single-writer logic).
+inline PartitionEffects* CurrentPartitionEffects() {
+  return current_partition_effects;
+}
 
 /// RAII install/restore of the calling thread's `PartitionEffects`.
 class PartitionEffectsScope {

@@ -7,69 +7,10 @@
 #include "common/crc32.h"
 #include "common/histogram.h"
 #include "common/random.h"
-#include "common/result.h"
 #include "common/slice.h"
-#include "common/status.h"
 
 namespace disagg {
 namespace {
-
-TEST(StatusTest, DefaultIsOk) {
-  Status s;
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(s.ToString(), "OK");
-}
-
-TEST(StatusTest, ErrorCodesRoundTrip) {
-  EXPECT_TRUE(Status::NotFound("x").IsNotFound());
-  EXPECT_TRUE(Status::Corruption().IsCorruption());
-  EXPECT_TRUE(Status::InvalidArgument().IsInvalidArgument());
-  EXPECT_TRUE(Status::IOError().IsIOError());
-  EXPECT_TRUE(Status::Busy().IsBusy());
-  EXPECT_TRUE(Status::Aborted().IsAborted());
-  EXPECT_TRUE(Status::TimedOut().IsTimedOut());
-  EXPECT_TRUE(Status::NotSupported().IsNotSupported());
-  EXPECT_TRUE(Status::Unavailable().IsUnavailable());
-  EXPECT_EQ(Status::NotFound("key 7").ToString(), "NotFound: key 7");
-}
-
-TEST(StatusTest, ReturnNotOkMacroPropagates) {
-  auto fails = []() -> Status { return Status::IOError("disk"); };
-  auto wrapper = [&]() -> Status {
-    DISAGG_RETURN_NOT_OK(fails());
-    return Status::OK();
-  };
-  EXPECT_TRUE(wrapper().IsIOError());
-}
-
-TEST(ResultTest, HoldsValue) {
-  Result<int> r = 42;
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 42);
-  EXPECT_EQ(r.ValueOr(0), 42);
-}
-
-TEST(ResultTest, HoldsError) {
-  Result<int> r = Status::NotFound("nope");
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsNotFound());
-  EXPECT_EQ(r.ValueOr(-1), -1);
-}
-
-TEST(ResultTest, AssignOrReturnMacro) {
-  auto make = [](bool ok) -> Result<std::string> {
-    if (ok) return std::string("hello");
-    return Status::Aborted();
-  };
-  auto use = [&](bool ok) -> Status {
-    std::string v;
-    DISAGG_ASSIGN_OR_RETURN(v, make(ok));
-    EXPECT_EQ(v, "hello");
-    return Status::OK();
-  };
-  EXPECT_TRUE(use(true).ok());
-  EXPECT_TRUE(use(false).IsAborted());
-}
 
 TEST(SliceTest, BasicOps) {
   Slice s("hello");

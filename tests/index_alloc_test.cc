@@ -1,15 +1,22 @@
-// The remote index's op path allocates nothing: after warm-up, Gets and
-// updating Puts on a one-sided and an offloaded `RemoteBTree`, with the
-// congestion model on, make no call to the global allocation functions.
+// The remote index's op path allocates nothing and locks little: after
+// warm-up, Gets and updating Puts on a one-sided and an offloaded
+// `RemoteBTree`, with the congestion model on, make no call to the global
+// allocation functions. One-sided ops take no mutex at all (the congestion
+// model's authoritative admission path is single-writer and lock-free);
+// each offloaded call takes exactly one, the executor's.
 //
-// This binary replaces the global `operator new` with a counting one, so it
+// This binary replaces the global `operator new` with a counting one and
+// interposes `pthread_mutex_lock` (forwarding to the next definition), so it
 // holds only this test.
 
+#include <dlfcn.h>
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 
 #include "memnode/executor.h"
@@ -33,7 +40,25 @@ void* AllocateAligned(std::size_t n, std::align_val_t al) {
   throw std::bad_alloc();
 }
 
+std::atomic<uint64_t> g_mutex_locks{0};
+
+using MutexLockFn = int (*)(pthread_mutex_t*);
+// Resolved on first use without a function-local static, whose guard could
+// itself take a lock.
+std::atomic<MutexLockFn> g_next_mutex_lock{nullptr};
+
 }  // namespace
+
+extern "C" int pthread_mutex_lock(pthread_mutex_t* m) {
+  MutexLockFn next = g_next_mutex_lock.load(std::memory_order_acquire);
+  if (next == nullptr) {
+    next = reinterpret_cast<MutexLockFn>(
+        dlsym(RTLD_NEXT, "pthread_mutex_lock"));
+    g_next_mutex_lock.store(next, std::memory_order_release);
+  }
+  g_mutex_locks.fetch_add(1, std::memory_order_relaxed);
+  return next(m);
+}
 
 void* operator new(std::size_t n) { return Allocate(n); }
 void* operator new[](std::size_t n) { return Allocate(n); }
@@ -59,7 +84,16 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace disagg {
 namespace {
 
-TEST(IndexAllocTest, GetsAndUpdatingPutsAllocateNothing) {
+TEST(IndexAllocTest, OpPathAllocatesNothingAndLocksOnlyTheExecutor) {
+  // The interposer sees this binary's own locks: std::mutex goes through it.
+  {
+    std::mutex probe;
+    const uint64_t before = g_mutex_locks.load(std::memory_order_relaxed);
+    probe.lock();
+    probe.unlock();
+    ASSERT_EQ(g_mutex_locks.load(std::memory_order_relaxed) - before, 1u);
+  }
+
   constexpr uint64_t kKeys = 2000;  // a two-level tree
   constexpr int kOps = 1000;
   Fabric fabric;
@@ -90,14 +124,18 @@ TEST(IndexAllocTest, GetsAndUpdatingPutsAllocateNothing) {
     // Counted window: tally failures instead of asserting inside it.
     uint64_t failures = 0;
     const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const uint64_t locks_before = g_mutex_locks.load(std::memory_order_relaxed);
     for (int i = 0; i < kOps; i++) failures += !tree->Get(&ctx, key(i)).ok();
     for (int i = 0; i < kOps; i++) {
       failures += !tree->Put(&ctx, key(i), key(i) + i).ok();
     }
+    const uint64_t locks =
+        g_mutex_locks.load(std::memory_order_relaxed) - locks_before;
     const uint64_t allocations =
         g_allocations.load(std::memory_order_relaxed) - before;
     EXPECT_EQ(failures, 0u) << what;
     EXPECT_EQ(allocations, 0u) << what;
+    EXPECT_EQ(locks, tree == &one_sided ? 0u : uint64_t{2 * kOps}) << what;
     EXPECT_EQ(tree->stats().splits, splits) << what << ": Puts split a leaf";
   }
   EXPECT_EQ(exec.stats().splits, 0u);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <map>
 #include <mutex>
 #include <string>
@@ -422,6 +423,106 @@ TEST_F(PageStoreTest, UnappliableRedoKeepsItselfAndItsSuccessorsPending) {
   EXPECT_EQ(page->lsn(), 1u);
   EXPECT_EQ(page->slot_count(), 1u);
   EXPECT_EQ(page->Get(0)->ToString(), "a");
+}
+
+// log.read, log.tail, page.get and page.put on one storage node (a log store
+// and a page store, as on every quorum replica): a hostile payload fails with
+// a status and moves nothing. log.tail ignores its request, so every payload
+// gets the same answer.
+TEST(StorageNodeTest, HostilePayloadsFailWithoutSideEffects) {
+  Fabric fabric;
+  const NodeId node =
+      fabric.AddNode("st0", NodeKind::kStorage, InterconnectModel::Ssd());
+  LogStoreService log(&fabric, node);
+  PageStoreService pages(&fabric, node);
+  LogStoreClient log_client(&fabric, node);
+  PageStoreClient page_client(&fabric, node);
+  NetContext ctx;
+  const std::vector<LogRecord> redo = {MakeInsert(1, 5, 0, "a"),
+                                       MakeInsert(2, 300, 0, "b")};
+  ASSERT_TRUE(log_client.Append(&ctx, redo).ok());
+  ASSERT_TRUE(page_client.ApplyLog(&ctx, redo).ok());
+  ASSERT_TRUE(page_client.GetPage(&ctx, 5).ok());  // page 300 stays pending
+  const Lsn durable = log.durable_lsn();
+  const size_t records = log.record_count();
+  const size_t materialized = pages.materialized_pages();
+  const size_t pending = pages.pending_records();
+  ASSERT_EQ(materialized, 1u);
+  ASSERT_EQ(pending, 1u);
+
+  // Two-byte varints, so no strict prefix decodes; the extra overlong
+  // varint runs ten continuation bytes before a terminator.
+  std::string read;
+  PutVarint64(&read, 300);
+  PutVarint64(&read, 300);
+  std::vector<std::string> reads = testutil::MalformedPayloads(read, {});
+  reads.push_back(std::string(10, '\xff') + '\x01');
+  std::string get;
+  PutVarint64(&get, 300);  // the pending page: a decode would materialize it
+  std::vector<std::string> gets = testutil::MalformedPayloads(get, {});
+  gets.push_back(std::string(10, '\xff') + '\x01');
+
+  // page.put: a sealed image of a new page, cut short or with one byte
+  // flipped (header, checksum, slot directory, record bytes, tail).
+  Page image(8);
+  ASSERT_TRUE(image.Insert("direct").ok());
+  image.set_lsn(3);
+  image.Seal();
+  const std::string put(image.data(), kPageSize);
+  std::vector<std::string> truncated = {std::string(11, '\x80')};
+  for (size_t len : {size_t{0}, size_t{1}, Page::kHeaderSize,
+                     kPageSize / 2, kPageSize - 1}) {
+    truncated.push_back(put.substr(0, len));
+  }
+  truncated.push_back(put + '\0');
+  std::vector<std::string> flipped;
+  for (size_t at : {size_t{0}, size_t{8}, offsetof(Page::Header, checksum),
+                    Page::kHeaderSize, kPageSize / 2, kPageSize - 1}) {
+    std::string bad = put;
+    bad[at] = static_cast<char>(bad[at] ^ 0x01);
+    flipped.push_back(std::move(bad));
+  }
+
+  const std::pair<const char*, std::vector<std::string>> corpora[] = {
+      {"log.read", reads},
+      {"page.get", gets},
+      {"page.put", truncated},
+      {"page.put", flipped},
+  };
+  for (const auto& [method, hostile] : corpora) {
+    const RpcMethod rpc(method);
+    for (const std::string& req : hostile) {
+      std::string resp;
+      const Status st = fabric.Call(&ctx, node, rpc, req, &resp);
+      EXPECT_FALSE(st.ok()) << method << ", request of " << req.size()
+                            << " bytes";
+      if (&hostile == &flipped) {
+        EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      }
+    }
+  }
+
+  const RpcMethod tail("log.tail");
+  std::string expected;
+  ASSERT_TRUE(fabric.Call(&ctx, node, tail, "", &expected).ok());
+  for (const std::vector<std::string>* corpus : {&reads, &gets, &truncated}) {
+    for (const std::string& req : *corpus) {
+      std::string resp;
+      EXPECT_TRUE(fabric.Call(&ctx, node, tail, req, &resp).ok());
+      EXPECT_EQ(resp, expected) << "request of " << req.size() << " bytes";
+    }
+  }
+
+  EXPECT_EQ(log.durable_lsn(), durable);
+  EXPECT_EQ(log.record_count(), records);
+  EXPECT_EQ(pages.materialized_pages(), materialized);
+  EXPECT_EQ(pages.pending_records(), pending);
+  EXPECT_TRUE(pages.PeekPage(8).status().IsNotFound());
+  // The well-formed requests still work.
+  std::string resp;
+  EXPECT_TRUE(fabric.Call(&ctx, node, kLogRead, read, &resp).ok());
+  EXPECT_TRUE(fabric.Call(&ctx, node, RpcMethod("page.put"), put, &resp).ok());
+  EXPECT_EQ(pages.materialized_pages(), materialized + 1);
 }
 
 TEST(QuorumTest, AuroraQuorumSurvivesAzFailure) {
