@@ -61,11 +61,12 @@ ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 # services take their own locks, and over the storage-service suite, whose
 # threaded case shares redo batches across writer and reader threads (their
 # reference counts drop on whichever thread releases them last), and over
-# the RPC method table, which threads register into while calls run.
+# the RPC method table, which threads register into while calls run, and
+# over the transaction suite, whose lock table is hammered from four threads.
 # concurrency_test stays out until the fabric's region copies stop racing
 # with its CAS on the same words (memcpy vs compare_exchange in
 # Fabric::ExecuteVerb); TSan reports those today.
-echo "==> ThreadSanitizer pass: ctest -L parallel + executor + shared log + storage + rpc methods"
+echo "==> ThreadSanitizer pass: ctest -L parallel + executor + shared log + storage + rpc methods + txn"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1" \
@@ -73,10 +74,10 @@ cmake -B build-tsan -S . \
 cmake --build build-tsan -j "${JOBS}" \
   --target parallel_sim_test slo_controller_test membership_test \
   memnode_executor_test shared_log_test log_backend_parity_test \
-  storage_services_test rpc_method_test
+  storage_services_test rpc_method_test txn_test
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L parallel
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R '^(memnode_executor_test|shared_log_test|log_backend_parity_test|storage_services_test|rpc_method_test)$'
+  -R '^(memnode_executor_test|shared_log_test|log_backend_parity_test|storage_services_test|rpc_method_test|txn_test)$'
 
 # Chaos stage: beyond the fixed seeds baked into chaos_test, run fresh
 # schedules derived from the commit hash so every commit explores new

@@ -63,7 +63,8 @@ inline size_t VarintLength(uint64_t v) {
 }
 
 /// Parses a varint64 from the front of `input`, advancing it. Returns false
-/// on malformed/truncated input.
+/// on malformed/truncated input, including a tenth byte above 1, whose bits
+/// would not fit in 64.
 inline bool GetVarint64(Slice* input, uint64_t* value) {
   uint64_t result = 0;
   for (uint32_t shift = 0; shift <= 63 && !input->empty(); shift += 7) {
@@ -72,6 +73,7 @@ inline bool GetVarint64(Slice* input, uint64_t* value) {
     if (byte & 0x80) {
       result |= (static_cast<uint64_t>(byte & 0x7F) << shift);
     } else {
+      if (shift == 63 && byte > 1) return false;
       result |= (static_cast<uint64_t>(byte) << shift);
       *value = result;
       return true;
@@ -85,7 +87,9 @@ inline bool GetVarint64(Slice* input, uint64_t* value) {
 inline bool SkipVarint64(Slice* input) {
   const size_t limit = input->size() < 10 ? input->size() : 10;
   for (size_t i = 0; i < limit; i++) {
-    if (!((*input)[i] & 0x80)) {
+    const unsigned char byte = static_cast<unsigned char>((*input)[i]);
+    if (!(byte & 0x80)) {
+      if (i == 9 && byte > 1) return false;
       input->remove_prefix(i + 1);
       return true;
     }

@@ -247,7 +247,7 @@ Result<Page> AuroraDb::FetchPageDegraded(NetContext* ctx, PageId id) {
 }
 
 Status AuroraDb::OnCommit(NetContext* ctx,
-                          const std::vector<LogRecord>& records) {
+                          std::span<const LogRecord> records) {
   if (segment_ == nullptr && !records.empty()) {
     // Shared-log mode: the log fleet is dumb storage, so redo reaches the
     // page-materialization replicas here (parallel fan-out, all copies),
@@ -336,7 +336,7 @@ Result<Page> PolarDb::FetchPageDegraded(NetContext* ctx, PageId id) {
 }
 
 Status PolarDb::OnCommit(NetContext* ctx,
-                         const std::vector<LogRecord>& records) {
+                         std::span<const LogRecord> records) {
   // PolarDB ships whole page images in addition to the log.
   std::set<PageId> touched;
   for (const LogRecord& r : records) {
@@ -477,7 +477,7 @@ TaurusDb::TaurusDb(Fabric* fabric, int log_stores, int page_stores,
 }
 
 Status TaurusDb::OnCommit(NetContext* ctx,
-                          const std::vector<LogRecord>& records) {
+                          std::span<const LogRecord> records) {
   // Each page has ONE home page store (sharded by page id) that receives
   // its redo; gossip spreads the materialized pages to the others
   // (Sec. 2.1: "propagated to one page store ... gossip protocol to achieve

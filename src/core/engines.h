@@ -49,7 +49,7 @@ class AuroraDb : public RowEngine {
   Result<Page> FetchPage(NetContext* ctx, PageId id) override;
   Result<Page> FetchPageDegraded(NetContext* ctx, PageId id) override;
   Status OnCommit(NetContext* ctx,
-                  const std::vector<LogRecord>& records) override;
+                  std::span<const LogRecord> records) override;
 
   Fabric* fabric_;
   ReplicatedSegment* segment_;  // owned by the sink; null in shared mode
@@ -96,7 +96,7 @@ class PolarDb : public RowEngine {
   Result<Page> FetchPage(NetContext* ctx, PageId id) override;
   Result<Page> FetchPageDegraded(NetContext* ctx, PageId id) override;
   Status OnCommit(NetContext* ctx,
-                  const std::vector<LogRecord>& records) override;
+                  std::span<const LogRecord> records) override;
 
   Fabric* fabric_;
   RaftLiteGroup* raft_;  // owned by the sink
@@ -155,7 +155,7 @@ class TaurusDb : public RowEngine {
   Result<Page> FetchPage(NetContext* ctx, PageId id) override;
   Result<Page> FetchPageDegraded(NetContext* ctx, PageId id) override;
   Status OnCommit(NetContext* ctx,
-                  const std::vector<LogRecord>& records) override;
+                  std::span<const LogRecord> records) override;
 
   Fabric* fabric_;
   std::vector<NodeId> page_nodes_;

@@ -64,7 +64,9 @@ Result<Page*> RowEngine::PageForInsert(NetContext* ctx, size_t bytes) {
 
 Status RowEngine::Insert(NetContext* ctx, TxnId txn, uint64_t key, Slice row) {
   DISAGG_RETURN_NOT_OK(tm_.LockExclusive(ctx, txn, key));
-  if (index_.count(key)) return Status::InvalidArgument("key exists");
+  if (index_.Find(key) != nullptr) {
+    return Status::InvalidArgument("key exists");
+  }
   DISAGG_ASSIGN_OR_RETURN(Page * page, PageForInsert(ctx, row.size()));
   const uint16_t slot = page->slot_count();
   const Lsn lsn = tm_.LogInsert(txn, page->page_id(), slot, row, key);
@@ -79,22 +81,22 @@ Status RowEngine::Insert(NetContext* ctx, TxnId txn, uint64_t key, Slice row) {
 
 Status RowEngine::Update(NetContext* ctx, TxnId txn, uint64_t key, Slice row) {
   DISAGG_RETURN_NOT_OK(tm_.LockExclusive(ctx, txn, key));
-  auto it = index_.find(key);
-  if (it == index_.end()) return Status::NotFound("no such key");
-  DISAGG_ASSIGN_OR_RETURN(Page * page, GetPage(ctx, it->second.page));
-  DISAGG_ASSIGN_OR_RETURN(Slice before, page->Get(it->second.slot));
+  RowLoc* loc = index_.Find(key);
+  if (loc == nullptr) return Status::NotFound("no such key");
+  DISAGG_ASSIGN_OR_RETURN(Page * page, GetPage(ctx, loc->page));
+  DISAGG_ASSIGN_OR_RETURN(Slice before, page->Get(loc->slot));
   if (row.size() <= before.size()) {
-    const Lsn lsn = tm_.LogUpdate(txn, page->page_id(), it->second.slot,
-                                  before, row, key);
-    DISAGG_RETURN_NOT_OK(page->Update(it->second.slot, row));
+    const Lsn lsn =
+        tm_.LogUpdate(txn, page->page_id(), loc->slot, before, row, key);
+    DISAGG_RETURN_NOT_OK(page->Update(loc->slot, row));
     page->set_lsn(lsn);
     dirty_.insert(page->page_id());
     return Status::OK();
   }
   // Grow-update: delete + insert elsewhere.
-  const Lsn del_lsn = tm_.LogDelete(txn, page->page_id(), it->second.slot,
-                                   before, key);
-  DISAGG_RETURN_NOT_OK(page->Delete(it->second.slot));
+  const Lsn del_lsn =
+      tm_.LogDelete(txn, page->page_id(), loc->slot, before, key);
+  DISAGG_RETURN_NOT_OK(page->Delete(loc->slot));
   page->set_lsn(del_lsn);
   dirty_.insert(page->page_id());
   DISAGG_ASSIGN_OR_RETURN(Page * npage, PageForInsert(ctx, row.size()));
@@ -104,51 +106,59 @@ Status RowEngine::Update(NetContext* ctx, TxnId txn, uint64_t key, Slice row) {
   if (!got.ok()) return got.status();
   npage->set_lsn(ins_lsn);
   dirty_.insert(npage->page_id());
-  it->second = RowLoc{npage->page_id(), slot};
+  *loc = RowLoc{npage->page_id(), slot};
   return Status::OK();
 }
 
 Status RowEngine::Delete(NetContext* ctx, TxnId txn, uint64_t key) {
   DISAGG_RETURN_NOT_OK(tm_.LockExclusive(ctx, txn, key));
-  auto it = index_.find(key);
-  if (it == index_.end()) return Status::NotFound("no such key");
-  DISAGG_ASSIGN_OR_RETURN(Page * page, GetPage(ctx, it->second.page));
-  DISAGG_ASSIGN_OR_RETURN(Slice before, page->Get(it->second.slot));
-  const Lsn lsn = tm_.LogDelete(txn, page->page_id(), it->second.slot,
-                                before, key);
-  DISAGG_RETURN_NOT_OK(page->Delete(it->second.slot));
+  const RowLoc* loc = index_.Find(key);
+  if (loc == nullptr) return Status::NotFound("no such key");
+  DISAGG_ASSIGN_OR_RETURN(Page * page, GetPage(ctx, loc->page));
+  DISAGG_ASSIGN_OR_RETURN(Slice before, page->Get(loc->slot));
+  const Lsn lsn = tm_.LogDelete(txn, page->page_id(), loc->slot, before, key);
+  DISAGG_RETURN_NOT_OK(page->Delete(loc->slot));
   page->set_lsn(lsn);
   dirty_.insert(page->page_id());
-  index_.erase(it);
+  index_.Erase(key);
   return Status::OK();
 }
 
-Result<std::string> RowEngine::Read(NetContext* ctx, TxnId txn, uint64_t key) {
+Status RowEngine::Read(NetContext* ctx, TxnId txn, uint64_t key,
+                       std::string* row) {
   // Explicit-transaction reads are strict: the transaction may go on to
   // write values computed from what it read, and a bounded-staleness input
   // would silently corrupt that write (lost update). Only the autocommit
   // read-only paths (`GetRow` / `GetRowReadOnly`) may use the degrade
   // ladder.
-  return ReadImpl(ctx, txn, key, /*allow_degraded=*/false);
+  return ReadImpl(ctx, txn, key, /*allow_degraded=*/false, row);
 }
 
-Result<std::string> RowEngine::ReadImpl(NetContext* ctx, TxnId txn,
-                                        uint64_t key, bool allow_degraded) {
+Result<std::string> RowEngine::Read(NetContext* ctx, TxnId txn, uint64_t key) {
+  std::string row;
+  DISAGG_RETURN_NOT_OK(Read(ctx, txn, key, &row));
+  return row;
+}
+
+Status RowEngine::ReadImpl(NetContext* ctx, TxnId txn, uint64_t key,
+                           bool allow_degraded, std::string* row) {
   DISAGG_RETURN_NOT_OK(tm_.LockShared(ctx, txn, key));
-  auto it = index_.find(key);
-  if (it == index_.end()) return Status::NotFound("no such key");
-  auto page = allow_degraded ? GetPageForRead(ctx, it->second.page)
-                             : GetPage(ctx, it->second.page);
+  const RowLoc* loc = index_.Find(key);
+  if (loc == nullptr) return Status::NotFound("no such key");
+  auto page = allow_degraded ? GetPageForRead(ctx, loc->page)
+                             : GetPage(ctx, loc->page);
   if (!page.ok()) return page.status();
-  DISAGG_ASSIGN_OR_RETURN(Slice row, (*page)->Get(it->second.slot));
-  return row.ToString();
+  DISAGG_ASSIGN_OR_RETURN(Slice got, (*page)->Get(loc->slot));
+  row->assign(got.data(), got.size());
+  return Status::OK();
 }
 
 Status RowEngine::Commit(NetContext* ctx, TxnId txn) {
-  std::vector<LogRecord> records;  // moved out of the transaction manager
-  DISAGG_RETURN_NOT_OK(tm_.Commit(ctx, txn, &records));  // durability point
-  stats_.commits++;
-  return OnCommit(ctx, records);
+  // Durability point; the hook runs only once the commit is durable.
+  return tm_.Commit(ctx, txn, [&](std::span<const LogRecord> records) {
+    stats_.commits++;
+    return OnCommit(ctx, records);
+  });
 }
 
 Status RowEngine::Abort(NetContext* ctx, TxnId txn) {
@@ -160,10 +170,10 @@ Status RowEngine::Abort(NetContext* ctx, TxnId txn) {
       switch (r.type) {
         case LogType::kInsert: {
           DISAGG_RETURN_NOT_OK(page->Delete(r.slot));
-          auto iit = index_.find(r.row_key);
-          if (iit != index_.end() && iit->second.page == r.page_id &&
-              iit->second.slot == r.slot) {
-            index_.erase(iit);
+          const RowLoc* loc = index_.Find(r.row_key);
+          if (loc != nullptr && loc->page == r.page_id &&
+              loc->slot == r.slot) {
+            index_.Erase(r.row_key);
           }
           break;
         }
@@ -195,8 +205,8 @@ Status RowEngine::Abort(NetContext* ctx, TxnId txn) {
 
 Status RowEngine::Put(NetContext* ctx, uint64_t key, Slice row) {
   const TxnId txn = Begin();
-  Status st = index_.count(key) ? Update(ctx, txn, key, row)
-                                : Insert(ctx, txn, key, row);
+  Status st = index_.Find(key) != nullptr ? Update(ctx, txn, key, row)
+                                          : Insert(ctx, txn, key, row);
   if (!st.ok()) {
     (void)Abort(ctx, txn);
     return st;
@@ -206,10 +216,11 @@ Status RowEngine::Put(NetContext* ctx, uint64_t key, Slice row) {
 
 Result<std::string> RowEngine::GetRow(NetContext* ctx, uint64_t key) {
   const TxnId txn = Begin();
-  auto row = ReadImpl(ctx, txn, key, /*allow_degraded=*/true);
-  if (!row.ok()) {
+  std::string row;
+  const Status st = ReadImpl(ctx, txn, key, /*allow_degraded=*/true, &row);
+  if (!st.ok()) {
     (void)Abort(ctx, txn);
-    return row.status();
+    return st;
   }
   DISAGG_RETURN_NOT_OK(Commit(ctx, txn));
   return row;
@@ -217,8 +228,10 @@ Result<std::string> RowEngine::GetRow(NetContext* ctx, uint64_t key) {
 
 Result<std::string> RowEngine::GetRowReadOnly(NetContext* ctx, uint64_t key) {
   const TxnId txn = Begin();
-  auto row = ReadImpl(ctx, txn, key, /*allow_degraded=*/true);
+  std::string row;
+  const Status st = ReadImpl(ctx, txn, key, /*allow_degraded=*/true, &row);
   tm_.EndReadOnly(ctx, txn);
+  if (!st.ok()) return st;
   return row;
 }
 
@@ -233,7 +246,7 @@ void RowEngine::DropBuffer() {
   insert_page_ = kInvalidPageId;
 }
 
-void RowEngine::NoteDurablePageLsns(const std::vector<LogRecord>& records) {
+void RowEngine::NoteDurablePageLsns(std::span<const LogRecord> records) {
   for (const LogRecord& r : records) {
     if (r.page_id == kInvalidPageId) continue;
     Lsn& floor = durable_page_lsn_[r.page_id];

@@ -5,8 +5,9 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
+#include <span>
 
+#include "common/flat_map.h"
 #include "txn/txn_manager.h"
 
 namespace disagg {
@@ -64,6 +65,8 @@ class RowEngine {
   Status Insert(NetContext* ctx, TxnId txn, uint64_t key, Slice row);
   Status Update(NetContext* ctx, TxnId txn, uint64_t key, Slice row);
   Status Delete(NetContext* ctx, TxnId txn, uint64_t key);
+  /// Reads `key`'s row into `*row` (its capacity reused).
+  Status Read(NetContext* ctx, TxnId txn, uint64_t key, std::string* row);
   Result<std::string> Read(NetContext* ctx, TxnId txn, uint64_t key);
   Status Commit(NetContext* ctx, TxnId txn);
   Status Abort(NetContext* ctx, TxnId txn);
@@ -86,9 +89,9 @@ class RowEngine {
     uint16_t slot = 0;
   };
   Result<RowLoc> Lookup(uint64_t key) const {
-    auto it = index_.find(key);
-    if (it == index_.end()) return Status::NotFound("no such key");
-    return it->second;
+    const RowLoc* loc = index_.Find(key);
+    if (loc == nullptr) return Status::NotFound("no such key");
+    return *loc;
   }
 
   size_t row_count() const { return index_.size(); }
@@ -130,8 +133,8 @@ class RowEngine {
   /// transaction made durable beyond the local buffer. Fetch paths use it
   /// to reject stale replicas under faults (kInvalidLsn when untracked).
   Lsn RequiredPageLsn(PageId id) const {
-    auto it = durable_page_lsn_.find(id);
-    return it == durable_page_lsn_.end() ? kInvalidLsn : it->second;
+    const Lsn* floor = durable_page_lsn_.Find(id);
+    return floor == nullptr ? kInvalidLsn : *floor;
   }
 
   /// Full compute restart: drops the buffer and rebuilds page images by
@@ -160,9 +163,10 @@ class RowEngine {
   }
 
   /// Post-durability hook: ship pages / redo records per architecture.
-  /// `records` are this transaction's stamped data records.
+  /// `records` are this transaction's stamped data records, valid until
+  /// the hook returns.
   virtual Status OnCommit(NetContext* ctx,
-                          const std::vector<LogRecord>& records) {
+                          std::span<const LogRecord> records) {
     (void)ctx;
     (void)records;
     return Status::OK();
@@ -177,10 +181,11 @@ class RowEngine {
   /// reads stay on `GetPage`.
   Result<Page*> GetPageForRead(NetContext* ctx, PageId id);
 
-  /// Shared body of `Read`/`GetRow`: `allow_degraded` selects between the
-  /// strict fetch and the degrade ladder.
-  Result<std::string> ReadImpl(NetContext* ctx, TxnId txn, uint64_t key,
-                               bool allow_degraded);
+  /// The one read implementation, behind `Read`/`GetRow`:
+  /// `allow_degraded` selects between the strict fetch and the degrade
+  /// ladder.
+  Status ReadImpl(NetContext* ctx, TxnId txn, uint64_t key,
+                  bool allow_degraded, std::string* row);
 
   /// True when `st` is a failure the degrade ladder may absorb (the
   /// `Busy`/`Unavailable`/`TimedOut` contract in `src/net/verb.h`).
@@ -195,7 +200,7 @@ class RowEngine {
   /// this from OnCommit once the transaction's page effects are
   /// recoverable outside the local buffer. Survives DropBuffer (it models
   /// metadata-service state, like the row index).
-  void NoteDurablePageLsns(const std::vector<LogRecord>& records);
+  void NoteDurablePageLsns(std::span<const LogRecord> records);
 
   std::unique_ptr<LogBackend> sink_;
   /// Owned shared-log fleet when built via the registry's "+slog" names
@@ -210,8 +215,8 @@ class RowEngine {
   WalManager wal_;
   LockManager locks_;
   TxnManager tm_;
-  std::unordered_map<uint64_t, RowLoc> index_;
-  std::unordered_map<PageId, Lsn> durable_page_lsn_;
+  FlatMap<RowLoc> index_;
+  FlatMap<Lsn> durable_page_lsn_;
   std::map<PageId, Page> buffer_;
   std::set<PageId> dirty_;
   PageId next_page_id_ = 1;

@@ -57,6 +57,15 @@ char* EncodeLengthPrefixed(char* dst, const std::string& bytes) {
   return dst + bytes.size();
 }
 
+// EncodeBatch's format over any contiguous records. EncodeBatch keeps its
+// vector parameter so brace-list calls (`EncodeBatch({a, b})`) still bind.
+std::string EncodeRecordBatch(std::span<const LogRecord> records) {
+  std::string out;
+  PutVarint64(&out, records.size());
+  for (const LogRecord& r : records) r.EncodeTo(&out);
+  return out;
+}
+
 }  // namespace
 
 size_t LogRecord::EncodedSize() const {
@@ -98,10 +107,7 @@ Result<LogRecord> LogRecord::DecodeFrom(Slice* input) {
 }
 
 std::string LogRecord::EncodeBatch(const std::vector<LogRecord>& records) {
-  std::string out;
-  PutVarint64(&out, records.size());
-  for (const LogRecord& r : records) r.EncodeTo(&out);
-  return out;
+  return EncodeRecordBatch(records);
 }
 
 Result<std::vector<LogRecord>> LogRecord::DecodeBatch(Slice input) {
@@ -266,9 +272,9 @@ Result<RedoBatch> RedoBatch::Index(SharedBytes bytes) {
   return RedoBatch(std::move(bytes), std::move(spans));
 }
 
-RedoBatch RedoBatch::Encode(const std::vector<LogRecord>& records) {
+RedoBatch RedoBatch::Encode(std::span<const LogRecord> records) {
   auto batch = Index(
-      std::make_shared<const std::string>(LogRecord::EncodeBatch(records)));
+      std::make_shared<const std::string>(EncodeRecordBatch(records)));
   DISAGG_CHECK(batch.ok());  // a fresh encoding always scans
   return std::move(batch).value();
 }

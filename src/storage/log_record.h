@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -216,7 +217,7 @@ class RedoBatch final : public RequestOwner {
   /// Indexes `bytes` with one `ScanBatch`; fails exactly when it does.
   static Result<RedoBatch> Index(SharedBytes bytes);
   /// Encodes `records` into a new batch.
-  static RedoBatch Encode(const std::vector<LogRecord>& records);
+  static RedoBatch Encode(std::span<const LogRecord> records);
   /// Copies records [from, from + count) of `records` into a new batch.
   static RedoBatch Encode(const EncodedRecords& records, size_t from,
                           size_t count);

@@ -1,5 +1,7 @@
 #include "storage/page.h"
 
+#include <cstddef>
+
 #include "common/crc32.h"
 
 namespace disagg {
@@ -79,13 +81,16 @@ void Page::Seal() {
 }
 
 bool Page::VerifyChecksum() const {
-  Header copy = header();
-  const uint32_t stored = copy.checksum;
-  // Recompute with the checksum field zeroed.
-  Page tmp;
-  tmp.data_ = data_;
-  tmp.mutable_header()->checksum = 0;
-  return Crc32c(tmp.data_.data(), tmp.data_.size()) == stored;
+  // The CRC Seal computed, with the checksum field read as zero: the bytes
+  // before the field, four zero bytes, then the bytes after it (the seed
+  // chains one range's CRC into the next).
+  constexpr size_t kField = offsetof(Header, checksum);
+  constexpr size_t kAfter = kField + sizeof(uint32_t);
+  static constexpr char kZero[sizeof(uint32_t)] = {};
+  uint32_t crc = Crc32c(data_.data(), kField);
+  crc = Crc32c(kZero, sizeof(kZero), crc);
+  crc = Crc32c(data_.data() + kAfter, data_.size() - kAfter, crc);
+  return crc == header().checksum;
 }
 
 Result<Page> Page::FromBytes(const Slice& bytes) {

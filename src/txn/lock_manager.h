@@ -2,11 +2,10 @@
 #define DISAGG_TXN_LOCK_MANAGER_H_
 
 #include <cstdint>
-#include <map>
 #include <mutex>
-#include <set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/status.h"
 #include "storage/log_record.h"
 #include "txn/lock_backend.h"
@@ -21,6 +20,10 @@ namespace disagg {
 /// The compute-local `LockBackend`: `ctx` is ignored, acquisition touches
 /// no fabric. The offloaded alternative lives at the memory node
 /// (`OffloadedLockClient`, src/memnode/executor.h).
+///
+/// Storage is recycled: a released entry's sharer list and a finished
+/// transaction's held-key list keep their capacity in spare pools, so once
+/// the tables reach their working size an acquire allocates nothing.
 class LockManager : public LockBackend {
  public:
   using Mode = LockMode;
@@ -48,13 +51,18 @@ class LockManager : public LockBackend {
 
  private:
   struct Entry {
-    std::set<TxnId> sharers;
-    TxnId exclusive = 0;  // 0 = none
+    std::vector<TxnId> sharers;  // unordered, each at most once
+    TxnId exclusive = 0;         // 0 = none
   };
 
   mutable std::mutex mu_;
-  std::map<uint64_t, Entry> table_;
-  std::map<TxnId, std::vector<uint64_t>> held_;
+  FlatMap<Entry> table_;
+  // Keys each transaction acquired, in order; an X holder that then takes S
+  // is listed twice, and `held_locks()` counts both.
+  FlatMap<std::vector<uint64_t>> held_;
+  size_t held_count_ = 0;
+  std::vector<std::vector<TxnId>> spare_sharers_;
+  std::vector<std::vector<uint64_t>> spare_held_;
 };
 
 }  // namespace disagg

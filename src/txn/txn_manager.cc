@@ -10,87 +10,98 @@ TxnId TxnManager::Begin() {
   begin.page_id = kInvalidPageId;
   wal_->Append(std::move(begin));
   std::lock_guard<std::mutex> lock(mu_);
-  undo_[txn] = {};
+  LogOfLocked(txn);
   return txn;
 }
 
-Lsn TxnManager::LogAndTrack(TxnId txn, LogRecord record) {
-  const Lsn lsn = wal_->Append(&record);  // stamps lsn/prev_lsn
+TxnManager::TxnLog* TxnManager::LogOfLocked(TxnId txn) {
+  auto [log, fresh] = active_.TryEmplace(txn);
+  if (fresh) {
+    if (pool_.empty()) {
+      *log = std::make_unique<TxnLog>();
+    } else {
+      *log = std::move(pool_.back());
+      pool_.pop_back();
+    }
+  }
+  return log->get();
+}
+
+LogRecord* TxnManager::NextRecord(TxnId txn, LogType type, PageId page,
+                                  uint16_t slot, uint64_t row_key) {
+  TxnLog* log;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    undo_[txn].push_back(std::move(record));
+    log = LogOfLocked(txn);
   }
-  return lsn;
+  if (log->used == log->slots.size()) log->slots.emplace_back();
+  LogRecord* r = &log->slots[log->used++];
+  r->txn_id = txn;
+  r->type = type;
+  r->page_id = page;
+  r->slot = slot;
+  r->row_key = row_key;
+  r->compensates_lsn = kInvalidLsn;
+  r->payload.clear();
+  r->undo_payload.clear();
+  return r;
 }
 
 Lsn TxnManager::LogInsert(TxnId txn, PageId page, uint16_t slot, Slice after,
                           uint64_t row_key) {
-  LogRecord r;
-  r.txn_id = txn;
-  r.type = LogType::kInsert;
-  r.page_id = page;
-  r.slot = slot;
-  r.row_key = row_key;
-  r.payload = after.ToString();
-  return LogAndTrack(txn, std::move(r));
+  LogRecord* r = NextRecord(txn, LogType::kInsert, page, slot, row_key);
+  r->payload.assign(after.data(), after.size());
+  return wal_->Append(r);  // stamps lsn/prev_lsn
 }
 
 Lsn TxnManager::LogUpdate(TxnId txn, PageId page, uint16_t slot, Slice before,
                           Slice after, uint64_t row_key) {
-  LogRecord r;
-  r.txn_id = txn;
-  r.type = LogType::kUpdate;
-  r.page_id = page;
-  r.slot = slot;
-  r.row_key = row_key;
-  r.payload = after.ToString();
-  r.undo_payload = before.ToString();
-  return LogAndTrack(txn, std::move(r));
+  LogRecord* r = NextRecord(txn, LogType::kUpdate, page, slot, row_key);
+  r->payload.assign(after.data(), after.size());
+  r->undo_payload.assign(before.data(), before.size());
+  return wal_->Append(r);
 }
 
 Lsn TxnManager::LogDelete(TxnId txn, PageId page, uint16_t slot, Slice before,
                           uint64_t row_key) {
-  LogRecord r;
-  r.txn_id = txn;
-  r.type = LogType::kDelete;
-  r.page_id = page;
-  r.slot = slot;
-  r.row_key = row_key;
-  r.undo_payload = before.ToString();
-  return LogAndTrack(txn, std::move(r));
+  LogRecord* r = NextRecord(txn, LogType::kDelete, page, slot, row_key);
+  r->undo_payload.assign(before.data(), before.size());
+  return wal_->Append(r);
 }
 
-Status TxnManager::Commit(NetContext* ctx, TxnId txn,
-                          std::vector<LogRecord>* records) {
+std::span<const LogRecord> TxnManager::RecordsOf(TxnId txn) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_ptr<TxnLog>* log = active_.Find(txn);
+  return log == nullptr ? std::span<const LogRecord>() : (*log)->records();
+}
+
+void TxnManager::Retire(TxnId txn, std::vector<LogRecord>* undo) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_ptr<TxnLog>* log = active_.Find(txn);
+  if (log == nullptr) return;
+  if (undo != nullptr) {
+    const std::span<const LogRecord> records = (*log)->records();
+    undo->assign(records.rbegin(), records.rend());
+  }
+  (*log)->used = 0;
+  pool_.push_back(std::move(*log));
+  active_.Erase(txn);
+}
+
+Status TxnManager::CommitDurable(NetContext* ctx, TxnId txn) {
   LogRecord commit;
   commit.txn_id = txn;
   commit.type = LogType::kTxnCommit;
   commit.page_id = kInvalidPageId;
-  wal_->Append(std::move(commit));
-  wal_->EndTxn(txn);
+  wal_->Append(std::move(commit));  // ends the transaction's LSN chain
   Status st = wal_->Flush(ctx);  // durability point
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = undo_.find(txn);
-    if (it != undo_.end()) {
-      if (records != nullptr) *records = std::move(it->second);
-      undo_.erase(it);
-    }
-  }
   locks_->ReleaseAllLocks(ctx, txn);
   return st;
 }
 
 std::vector<LogRecord> TxnManager::Abort(NetContext* ctx, TxnId txn) {
   std::vector<LogRecord> updates;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = undo_.find(txn);
-    if (it != undo_.end()) {
-      updates.assign(it->second.rbegin(), it->second.rend());
-      undo_.erase(it);
-    }
-  }
+  Retire(txn, &updates);
   // ARIES: a runtime rollback logs compensation records so that recovery
   // REDOES the rollback instead of replaying the aborted work. Insert/update
   // CLRs are fully determined here; delete-undo CLRs need the fresh slot the
@@ -113,10 +124,7 @@ std::vector<LogRecord> TxnManager::Abort(NetContext* ctx, TxnId txn) {
 
 void TxnManager::EndReadOnly(NetContext* ctx, TxnId txn) {
   wal_->EndTxn(txn);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    undo_.erase(txn);
-  }
+  Retire(txn, nullptr);
   locks_->ReleaseAllLocks(ctx, txn);
 }
 
@@ -134,7 +142,7 @@ Lsn TxnManager::LogClr(TxnId txn, PageId page, uint16_t slot,
 
 size_t TxnManager::active_txns() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return undo_.size();
+  return active_.size();
 }
 
 }  // namespace disagg

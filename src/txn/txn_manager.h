@@ -2,10 +2,12 @@
 #define DISAGG_TXN_TXN_MANAGER_H_
 
 #include <atomic>
-#include <map>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "txn/lock_manager.h"
 #include "txn/wal.h"
 
@@ -15,6 +17,11 @@ namespace disagg {
 /// Log* methods BEFORE applying a change to a page (write-ahead rule), and
 /// Commit flushes the log to the sink — the durability point whose cost
 /// varies across architectures (local fsync vs XLOG RPC vs Aurora quorum).
+///
+/// Each transaction's records live in a per-transaction log taken from a
+/// pool and returned to it when the transaction ends: the records and their
+/// payload strings keep their capacity, so a warm transaction's Log* calls
+/// allocate nothing.
 class TxnManager {
  public:
   TxnManager(WalManager* wal, LockBackend* locks) : wal_(wal), locks_(locks) {}
@@ -54,11 +61,21 @@ class TxnManager {
                 uint64_t row_key = 0);
 
   /// Appends the commit record and flushes (group commit). Releases locks.
-  /// If `records` is given, the transaction's stamped data records (oldest
-  /// first) are moved into it — what a page-shipping engine sends to its
-  /// page stores at commit.
-  Status Commit(NetContext* ctx, TxnId txn,
-                std::vector<LogRecord>* records = nullptr);
+  /// Once the flush succeeded, `on_durable` runs with the transaction's
+  /// stamped data records (oldest first) — what a page-shipping engine
+  /// sends to its page stores at commit — and its status is returned. The
+  /// span is valid until `on_durable` returns.
+  template <typename OnDurable>
+  Status Commit(NetContext* ctx, TxnId txn, OnDurable&& on_durable) {
+    Status st = CommitDurable(ctx, txn);
+    if (st.ok()) st = on_durable(RecordsOf(txn));
+    Retire(txn, nullptr);
+    return st;
+  }
+  Status Commit(NetContext* ctx, TxnId txn) {
+    return Commit(ctx, txn,
+                  [](std::span<const LogRecord>) { return Status::OK(); });
+  }
 
   /// Logs compensation records (CLRs) for the rollback plus an abort
   /// record, and returns the transaction's updates in reverse order so the
@@ -87,13 +104,37 @@ class TxnManager {
   size_t active_txns() const;
 
  private:
-  Lsn LogAndTrack(TxnId txn, LogRecord record);
+  /// One transaction's data records, newest last. Slots past `used` are
+  /// records of an earlier transaction kept for their string capacity.
+  struct TxnLog {
+    std::vector<LogRecord> slots;
+    size_t used = 0;
+
+    std::span<const LogRecord> records() const {
+      return std::span<const LogRecord>(slots.data(), used);
+    }
+  };
+
+  /// `txn`'s log, taken from the pool on first use. Caller holds `mu_`.
+  TxnLog* LogOfLocked(TxnId txn);
+  /// A cleared record appended to `txn`'s log, to be filled and stamped
+  /// outside `mu_` (only `txn`'s own calls touch its log).
+  LogRecord* NextRecord(TxnId txn, LogType type, PageId page, uint16_t slot,
+                        uint64_t row_key);
+  /// Logs the commit record, flushes and releases the locks.
+  Status CommitDurable(NetContext* ctx, TxnId txn);
+  /// `txn`'s records (empty if it has no log), valid until it is retired.
+  std::span<const LogRecord> RecordsOf(TxnId txn) const;
+  /// Returns `txn`'s log to the pool, first copying its records newest
+  /// first into `*undo` when given.
+  void Retire(TxnId txn, std::vector<LogRecord>* undo);
 
   WalManager* wal_;
   LockBackend* locks_;
   std::atomic<TxnId> next_txn_{1};
   mutable std::mutex mu_;
-  std::map<TxnId, std::vector<LogRecord>> undo_;  // newest last
+  FlatMap<std::unique_ptr<TxnLog>> active_;
+  std::vector<std::unique_ptr<TxnLog>> pool_;
 };
 
 }  // namespace disagg

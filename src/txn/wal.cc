@@ -30,6 +30,7 @@ Lsn WalManager::Append(LogRecord* record) {
   Lsn& last = last_lsn_[record->txn_id];
   record->prev_lsn = last;  // kInvalidLsn for the transaction's first record
   last = record->lsn;
+  if (record->type == LogType::kTxnCommit) last_lsn_.Erase(record->txn_id);
   buffer_.Append(*record);
   return record->lsn;
 }
@@ -64,7 +65,7 @@ void WalManager::DiscardBuffered() {
 
 void WalManager::EndTxn(TxnId txn) {
   std::lock_guard<std::mutex> lock(mu_);
-  last_lsn_.erase(txn);
+  last_lsn_.Erase(txn);
 }
 
 size_t WalManager::buffered() const {
@@ -74,8 +75,8 @@ size_t WalManager::buffered() const {
 
 Lsn WalManager::LastLsnOf(TxnId txn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = last_lsn_.find(txn);
-  return it == last_lsn_.end() ? kInvalidLsn : it->second;
+  const Lsn* last = last_lsn_.Find(txn);
+  return last == nullptr ? kInvalidLsn : *last;
 }
 
 }  // namespace disagg

@@ -4,9 +4,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "net/net_context.h"
 #include "storage/log_backend.h"
 #include "storage/log_record.h"
@@ -64,7 +64,9 @@ class WalManager {
   explicit WalManager(LogBackend* sink) : sink_(sink) {}
 
   /// Stamps `*record` with the next LSN and the transaction's prev_lsn
-  /// chain, then buffers its encoding. Returns the assigned LSN.
+  /// chain, then buffers its encoding. Returns the assigned LSN. A commit
+  /// record is its transaction's last: appending it also ends the chain
+  /// (as `EndTxn` does).
   Lsn Append(LogRecord* record);
   Lsn Append(LogRecord&& record) { return Append(&record); }
   Lsn Append(const LogRecord& record) {
@@ -82,7 +84,8 @@ class WalManager {
   void DiscardBuffered();
 
   /// Forgets `txn`'s prev_lsn chain once it has logged its last record
-  /// (commit, read-only end, or the last CLR of a rollback).
+  /// (read-only end, or the last CLR of a rollback; a commit record ends
+  /// its chain by itself).
   void EndTxn(TxnId txn);
 
   Lsn next_lsn() const { return next_lsn_; }
@@ -102,7 +105,7 @@ class WalManager {
   // The previous flush's buffer, cleared but keeping its chunk, swapped in
   // at the next flush so neither buffer regrows from empty.
   EncodedRecords spare_;
-  std::unordered_map<TxnId, Lsn> last_lsn_;
+  FlatMap<Lsn> last_lsn_;
 };
 
 }  // namespace disagg

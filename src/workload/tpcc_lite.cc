@@ -6,13 +6,15 @@ namespace disagg {
 
 namespace {
 
-// Row payloads: a couple of fixed counters plus padding to realistic widths.
-std::string NumericRow(uint64_t a, uint64_t b, size_t pad) {
-  std::string row;
-  PutFixed64(&row, a);
-  PutFixed64(&row, b);
-  row.append(pad, 'p');
-  return row;
+// Row payloads: a couple of fixed counters plus padding to realistic widths,
+// built into `*row` (its capacity reused).
+const std::string& NumericRow(std::string* row, uint64_t a, uint64_t b,
+                              size_t pad) {
+  row->clear();
+  PutFixed64(row, a);
+  PutFixed64(row, b);
+  row->append(pad, 'p');
+  return *row;
 }
 
 uint64_t Field0(const std::string& row) {
@@ -61,21 +63,21 @@ TpccLite::TpccLite(RowEngine* db, Config config)
 Status TpccLite::Load(NetContext* ctx) {
   for (int w = 0; w < config_.warehouses; w++) {
     DISAGG_RETURN_NOT_OK(
-        db_->Put(ctx, WarehouseKey(w), NumericRow(0, 0, 64)));
+        db_->Put(ctx, WarehouseKey(w), NumericRow(&new_row_, 0, 0, 64)));
     for (int d = 0; d < config_.districts_per_warehouse; d++) {
       // Field0 = next order id, Field1 = district YTD.
-      DISAGG_RETURN_NOT_OK(
-          db_->Put(ctx, DistrictKey(w, d), NumericRow(1, 0, 64)));
+      DISAGG_RETURN_NOT_OK(db_->Put(ctx, DistrictKey(w, d),
+                                    NumericRow(&new_row_, 1, 0, 64)));
       for (int c = 0; c < config_.customers_per_district; c++) {
         // Field0 = balance, Field1 = payment count.
-        DISAGG_RETURN_NOT_OK(
-            db_->Put(ctx, CustomerKey(w, d, c), NumericRow(1000, 0, 120)));
+        DISAGG_RETURN_NOT_OK(db_->Put(ctx, CustomerKey(w, d, c),
+                                      NumericRow(&new_row_, 1000, 0, 120)));
       }
     }
     for (int i = 0; i < config_.items; i++) {
       // Field0 = stock quantity.
-      DISAGG_RETURN_NOT_OK(
-          db_->Put(ctx, StockKey(w, i), NumericRow(100, 0, 40)));
+      DISAGG_RETURN_NOT_OK(db_->Put(ctx, StockKey(w, i),
+                                    NumericRow(&new_row_, 100, 0, 40)));
     }
   }
   return Status::OK();
@@ -88,8 +90,8 @@ Result<bool> TpccLite::NewOrder(NetContext* ctx) {
   const TxnId txn = db_->Begin();
   auto run = [&]() -> Status {
     // Read-modify-write the district's next order id.
-    std::string district;
-    DISAGG_ASSIGN_OR_RETURN(district, db_->Read(ctx, txn, DistrictKey(w, d)));
+    std::string& district = row_;
+    DISAGG_RETURN_NOT_OK(db_->Read(ctx, txn, DistrictKey(w, d), &district));
     const uint64_t order_id = Field0(district);
     SetField0(&district, order_id + 1);
     DISAGG_RETURN_NOT_OK(db_->Update(ctx, txn, DistrictKey(w, d), district));
@@ -97,18 +99,18 @@ Result<bool> TpccLite::NewOrder(NetContext* ctx) {
     // Decrement stock for each line, insert order + order lines.
     DISAGG_RETURN_NOT_OK(db_->Insert(
         ctx, txn, OrderKey(w, d, static_cast<int>(order_id)),
-        NumericRow(order_id, config_.lines_per_order, 32)));
+        NumericRow(&new_row_, order_id, config_.lines_per_order, 32)));
     for (int l = 0; l < config_.lines_per_order; l++) {
       const int item = static_cast<int>(rng_.Uniform(config_.items));
-      std::string stock;
-      DISAGG_ASSIGN_OR_RETURN(stock, db_->Read(ctx, txn, StockKey(w, item)));
+      std::string& stock = row_;
+      DISAGG_RETURN_NOT_OK(db_->Read(ctx, txn, StockKey(w, item), &stock));
       uint64_t qty = Field0(stock);
       qty = qty >= 5 ? qty - 5 : qty + 91 - 5;  // TPC-C restock rule
       SetField0(&stock, qty);
       DISAGG_RETURN_NOT_OK(db_->Update(ctx, txn, StockKey(w, item), stock));
       DISAGG_RETURN_NOT_OK(db_->Insert(
           ctx, txn, OrderLineKey(w, d, static_cast<int>(order_id), l),
-          NumericRow(item, 5, 24)));
+          NumericRow(&new_row_, item, 5, 24)));
     }
     return Status::OK();
   }();
@@ -132,19 +134,18 @@ Result<bool> TpccLite::Payment(NetContext* ctx) {
   const uint64_t amount = 1 + rng_.Uniform(500);
   const TxnId txn = db_->Begin();
   auto run = [&]() -> Status {
-    std::string warehouse;
-    DISAGG_ASSIGN_OR_RETURN(warehouse, db_->Read(ctx, txn, WarehouseKey(w)));
+    std::string& warehouse = row_;
+    DISAGG_RETURN_NOT_OK(db_->Read(ctx, txn, WarehouseKey(w), &warehouse));
     SetField1(&warehouse, Field1(warehouse) + amount);
     DISAGG_RETURN_NOT_OK(db_->Update(ctx, txn, WarehouseKey(w), warehouse));
 
-    std::string district;
-    DISAGG_ASSIGN_OR_RETURN(district, db_->Read(ctx, txn, DistrictKey(w, d)));
+    std::string& district = row_;
+    DISAGG_RETURN_NOT_OK(db_->Read(ctx, txn, DistrictKey(w, d), &district));
     SetField1(&district, Field1(district) + amount);
     DISAGG_RETURN_NOT_OK(db_->Update(ctx, txn, DistrictKey(w, d), district));
 
-    std::string customer;
-    DISAGG_ASSIGN_OR_RETURN(customer,
-                            db_->Read(ctx, txn, CustomerKey(w, d, c)));
+    std::string& customer = row_;
+    DISAGG_RETURN_NOT_OK(db_->Read(ctx, txn, CustomerKey(w, d, c), &customer));
     SetField0(&customer, Field0(customer) - amount);
     SetField1(&customer, Field1(customer) + 1);
     return db_->Update(ctx, txn, CustomerKey(w, d, c), customer);

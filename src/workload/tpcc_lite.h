@@ -53,6 +53,10 @@ class TpccLite {
   Config config_;
   Random rng_;
   Stats stats_;
+  // Scratch rows reused across transactions (their capacity kept): one
+  // read-modify-written row at a time, and one built for an insert.
+  std::string row_;
+  std::string new_row_;
 };
 
 }  // namespace disagg

@@ -68,6 +68,48 @@ TEST(CodingTest, VarintRejectsTruncated) {
   EXPECT_FALSE(GetVarint64(&in, &got));
 }
 
+// A ten-byte varint carries bit 63 in its last byte; a last byte above 1
+// would overflow 64 bits and is rejected, by the decoder and the skipper
+// alike.
+TEST(CodingTest, VarintRejectsOverflowingTenthByte) {
+  const std::string nine_ff(9, '\xff');
+  for (int last = 2; last <= 0x7f; last++) {
+    const std::string buf = nine_ff + static_cast<char>(last);
+    Slice in(buf);
+    uint64_t got = 0;
+    EXPECT_FALSE(GetVarint64(&in, &got)) << last;
+    Slice skip(buf);
+    EXPECT_FALSE(SkipVarint64(&skip)) << last;
+  }
+  const std::string max = nine_ff + '\x01';
+  Slice in(max);
+  uint64_t got = 0;
+  ASSERT_TRUE(GetVarint64(&in, &got));
+  EXPECT_EQ(got, ~0ull);
+  EXPECT_TRUE(in.empty());
+  Slice skip(max);
+  ASSERT_TRUE(SkipVarint64(&skip));
+  EXPECT_TRUE(skip.empty());
+
+  // Every encoder's output still round-trips at the length boundaries.
+  for (int bits = 0; bits <= 64; bits++) {
+    const uint64_t top = bits == 64 ? ~0ull : (uint64_t{1} << bits) - 1;
+    for (uint64_t v : {top, top + 1}) {
+      std::string buf;
+      PutVarint64(&buf, v);
+      ASSERT_EQ(buf.size(), VarintLength(v));
+      Slice dec(buf);
+      uint64_t out = 0;
+      ASSERT_TRUE(GetVarint64(&dec, &out)) << v;
+      EXPECT_EQ(out, v);
+      EXPECT_TRUE(dec.empty());
+      Slice sk(buf);
+      ASSERT_TRUE(SkipVarint64(&sk)) << v;
+      EXPECT_TRUE(sk.empty());
+    }
+  }
+}
+
 TEST(CodingTest, LengthPrefixedSlice) {
   std::string buf;
   PutLengthPrefixedSlice(&buf, "alpha");

@@ -1,9 +1,31 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 
 #include "storage/log_record.h"
 #include "storage/page.h"
+
+// Counts calls to the global allocation functions, so a case can show that
+// a call allocates nothing.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace disagg {
 namespace {
@@ -78,6 +100,36 @@ TEST(PageTest, ChecksumRoundTripAndCorruptionDetection) {
   EXPECT_TRUE(restored->VerifyChecksum());
   restored->data()[kPageSize - 1] ^= 0x5A;
   EXPECT_FALSE(restored->VerifyChecksum());
+}
+
+// Every single-byte flip of a sealed page fails verification, including
+// flips inside the checksum field itself, and verifying copies nothing.
+TEST(PageTest, ChecksumCatchesEveryByteFlipWithoutAllocating) {
+  Page page(3);
+  ASSERT_TRUE(page.Insert("alpha").ok());
+  ASSERT_TRUE(page.Insert(std::string(300, 'b')).ok());
+  page.set_lsn(41);
+  page.Seal();
+
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const bool sealed_verifies = page.VerifyChecksum();
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_TRUE(sealed_verifies);
+
+  size_t undetected = 0;
+  for (size_t i = 0; i < kPageSize; i++) {
+    page.data()[i] ^= 0x01;
+    undetected += page.VerifyChecksum();
+    page.data()[i] ^= 0x01;
+  }
+  EXPECT_EQ(undetected, 0u);
+  const size_t field = offsetof(Page::Header, checksum);
+  for (size_t i = field; i < field + sizeof(uint32_t); i++) {
+    page.data()[i] ^= static_cast<char>(0x80);
+    EXPECT_FALSE(page.VerifyChecksum()) << "checksum byte " << i - field;
+    page.data()[i] ^= static_cast<char>(0x80);
+  }
+  EXPECT_TRUE(page.VerifyChecksum());
 }
 
 TEST(PageTest, FromBytesRejectsWrongSize) {

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <functional>
+#include <map>
+#include <random>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "common/logging.h"
 #include "core/engines.h"
@@ -49,6 +56,135 @@ TEST(LockManagerTest, ReleaseAllFreesEverything) {
   lm.ReleaseAll(1);
   EXPECT_EQ(lm.held_locks(), 0u);
   EXPECT_TRUE(lm.Acquire(2, 1, LockManager::Mode::kExclusive).ok());
+}
+
+// The lock table's semantics written the plainest way (ordered maps and
+// sets): the reference the recycled-storage `LockManager` must match.
+class ReferenceLocks {
+ public:
+  bool Acquire(TxnId txn, uint64_t key, LockMode mode) {
+    Entry& e = table_[key];
+    if (mode == LockMode::kShared) {
+      if (e.exclusive != 0 && e.exclusive != txn) return false;
+      if (e.sharers.insert(txn).second) held_[txn].push_back(key);
+      return true;
+    }
+    if (e.exclusive != 0) return e.exclusive == txn;
+    for (TxnId sharer : e.sharers) {
+      if (sharer != txn) return false;
+    }
+    const bool newly_held = e.sharers.erase(txn) == 0;
+    e.exclusive = txn;
+    if (newly_held) held_[txn].push_back(key);
+    return true;
+  }
+
+  void ReleaseAll(TxnId txn) {
+    auto it = held_.find(txn);
+    if (it == held_.end()) return;
+    for (uint64_t key : it->second) {
+      auto te = table_.find(key);
+      if (te == table_.end()) continue;
+      te->second.sharers.erase(txn);
+      if (te->second.exclusive == txn) te->second.exclusive = 0;
+      if (te->second.sharers.empty() && te->second.exclusive == 0) {
+        table_.erase(te);
+      }
+    }
+    held_.erase(it);
+  }
+
+  size_t held_locks() const {
+    size_t n = 0;
+    for (const auto& [txn, keys] : held_) n += keys.size();
+    return n;
+  }
+
+ private:
+  struct Entry {
+    std::set<TxnId> sharers;
+    TxnId exclusive = 0;
+  };
+  std::map<uint64_t, Entry> table_;
+  std::map<TxnId, std::vector<uint64_t>> held_;
+};
+
+// Seeded random S/X acquires, upgrades and releases from 8 transactions on
+// 16 keys: every call's OK/Busy outcome and every `held_locks()` agree with
+// the reference. Released transactions come back under fresh ids, so the
+// recycled entries and held lists are exercised too.
+TEST(LockManagerTest, RandomSequencesMatchReference) {
+  for (uint64_t seed = 1; seed <= 10; seed++) {
+    std::mt19937_64 rng(seed);
+    LockManager lm;
+    ReferenceLocks ref;
+    std::array<TxnId, 8> txns;
+    TxnId next = 1;
+    for (TxnId& t : txns) t = next++;
+    for (int op = 0; op < 5000; op++) {
+      TxnId& txn = txns[rng() % txns.size()];
+      if (rng() % 10 == 0) {
+        lm.ReleaseAll(txn);
+        ref.ReleaseAll(txn);
+        txn = next++;
+      } else {
+        const uint64_t key = 1000 + rng() % 16;
+        const LockMode mode =
+            rng() % 2 == 0 ? LockMode::kShared : LockMode::kExclusive;
+        const Status st = lm.Acquire(txn, key, mode);
+        ASSERT_TRUE(st.ok() || st.IsBusy()) << st.ToString();
+        ASSERT_EQ(st.ok(), ref.Acquire(txn, key, mode))
+            << "seed " << seed << " op " << op << " txn " << txn << " key "
+            << key << (mode == LockMode::kShared ? " S" : " X");
+      }
+      ASSERT_EQ(lm.held_locks(), ref.held_locks())
+          << "seed " << seed << " op " << op;
+    }
+    for (TxnId txn : txns) lm.ReleaseAll(txn);
+    EXPECT_EQ(lm.held_locks(), 0u);
+  }
+}
+
+// Four threads lock overlapping keys exclusively: no two transactions ever
+// hold X on one key at once. Each holder bumps the key's atomic count while
+// it holds the lock and drops it before releasing.
+TEST(LockManagerTest, ThreadsNeverShareAnExclusiveLock) {
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 8;
+  LockManager lm;
+  std::array<std::atomic<int>, kKeys> holders{};
+  std::atomic<TxnId> next_txn{1};
+  std::atomic<int> violations{0};
+  std::atomic<uint64_t> granted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(static_cast<uint64_t>(t) + 1);
+      for (int round = 0; round < 3000; round++) {
+        const TxnId txn = next_txn.fetch_add(1);
+        std::vector<int> mine;
+        for (int i = 0; i < 3; i++) {
+          const int key = static_cast<int>(rng() % kKeys);
+          if (rng() % 3 == 0) {  // read first, then try to upgrade
+            if (!lm.Acquire(txn, key, LockMode::kShared).ok()) continue;
+          }
+          if (!lm.Acquire(txn, key, LockMode::kExclusive).ok()) continue;
+          bool held_already = false;
+          for (int k : mine) held_already |= k == key;
+          if (held_already) continue;
+          if (holders[key].fetch_add(1) != 0) violations++;
+          mine.push_back(key);
+          granted++;
+        }
+        for (int key : mine) holders[key].fetch_sub(1);
+        lm.ReleaseAll(txn);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_GT(granted.load(), 0u);
+  EXPECT_EQ(lm.held_locks(), 0u);
 }
 
 TEST(WalManagerTest, LsnsMonotonicAndChained) {
