@@ -12,9 +12,9 @@
 #include "bench_common.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "cxl/cxl_memory.h"
 #include "cxl/pond.h"
 #include "cxl/tiering.h"
+#include "memnode/memory_node.h"
 #include "workload/tpch_lite.h"
 
 namespace disagg {

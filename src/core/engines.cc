@@ -1,7 +1,11 @@
 #include "core/engines.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <utility>
 
+#include "common/coding.h"
 #include "common/logging.h"
 
 namespace disagg {
@@ -338,10 +342,13 @@ Result<Page> PolarDb::FetchPageDegraded(NetContext* ctx, PageId id) {
 Status PolarDb::OnCommit(NetContext* ctx,
                          std::span<const LogRecord> records) {
   // PolarDB ships whole page images in addition to the log.
-  std::set<PageId> touched;
+  std::vector<PageId> touched;
+  touched.reserve(records.size());
   for (const LogRecord& r : records) {
-    if (r.page_id != kInvalidPageId) touched.insert(r.page_id);
+    if (r.page_id != kInvalidPageId) touched.push_back(r.page_id);
   }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   // One branch per replica puts every touched page, in page order.
   DISAGG_RETURN_NOT_OK(
       FanOut(ctx, page_nodes_, [&](NodeId node, NetContext* branch) {
@@ -483,17 +490,37 @@ Status TaurusDb::OnCommit(NetContext* ctx,
   // (Sec. 2.1: "propagated to one page store ... gossip protocol to achieve
   // consistency among different page stores").
   if (records.empty()) return Status::OK();
-  std::map<size_t, std::vector<LogRecord>> by_store;
-  for (const LogRecord& r : records) {
-    const size_t store =
-        r.page_id == kInvalidPageId
-            ? 0
-            : (r.page_id * 0x9E3779B97F4A7C15ull) % page_nodes_.size();
-    by_store[store].push_back(r);
+  auto home_of = [&](const LogRecord& r) -> size_t {
+    return r.page_id == kInvalidPageId
+               ? 0
+               : (r.page_id * 0x9E3779B97F4A7C15ull) % page_nodes_.size();
+  };
+  // One batch per home store that has records, in store order, encoded
+  // straight from the commit's records.
+  std::vector<std::pair<NodeId, RedoBatch>> by_store;
+  by_store.reserve(page_nodes_.size());
+  for (size_t store = 0; store < page_nodes_.size(); store++) {
+    uint64_t count = 0;
+    size_t size = 0;
+    for (const LogRecord& r : records) {
+      if (home_of(r) != store) continue;
+      count++;
+      size += r.EncodedSize();
+    }
+    if (count == 0) continue;
+    auto bytes = std::make_shared<std::string>();
+    bytes->reserve(VarintLength(count) + size);
+    PutVarint64(bytes.get(), count);
+    for (const LogRecord& r : records) {
+      if (home_of(r) == store) r.EncodeTo(bytes.get());
+    }
+    DISAGG_ASSIGN_OR_RETURN(RedoBatch batch,
+                            RedoBatch::Index(std::move(bytes)));
+    by_store.emplace_back(page_nodes_[store], std::move(batch));
   }
   DISAGG_RETURN_NOT_OK(
       FanOut(ctx, by_store, [&](const auto& home, NetContext* branch) {
-        PageStoreClient client(fabric_, page_nodes_[home.first]);
+        PageStoreClient client(fabric_, home.first);
         return client.ApplyLog(branch, home.second).status();
       }));
   // Each page's home store now holds its redo; freshest-wins fetches plus

@@ -1,7 +1,9 @@
 #include "log/shared_log.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <span>
+#include <utility>
 
 #include "common/coding.h"
 
@@ -37,6 +39,56 @@ std::vector<NodeId> TagReplicas(const std::vector<NodeId>& members,
   for (size_t i = 0; i < r; i++) out.push_back(members[(p + i) % n]);
   return out;
 }
+
+std::string Varints(std::initializer_list<uint64_t> values) {
+  std::string out;
+  for (uint64_t v : values) PutVarint64(&out, v);
+  return out;
+}
+
+// Every tag-addressed request but slog.trim starts with the view epoch and
+// the tag.
+std::string ReadRequest(uint64_t epoch, LogTag tag, SeqNum from_seq,
+                        Lsn from_lsn, uint64_t max_records) {
+  return Varints({epoch, tag, from_seq, from_lsn, max_records});
+}
+
+// `batch` (EncodeBatch's format) stored from seq `base` on, carrying the
+// tag's trim watermark (0, 0 for none).
+std::string ReplicateRequest(uint64_t epoch, LogTag tag, SeqNum base,
+                             SeqNum trimmed, Lsn trimmed_lsn, Slice batch) {
+  std::string req = Varints({epoch, tag, base, trimmed, trimmed_lsn});
+  req.append(batch.data(), batch.size());
+  return req;
+}
+
+// Gap fill: reads `tag`'s records after seq `from` from `src` and forwards
+// the reply's batch, bytes unchanged, to `dest` at the seqs `src` reported,
+// with the trim watermark. An empty suffix is forwarded only when
+// `send_empty` (it still carries the watermark, or probes `dest`'s tail).
+// Returns `dest`'s tail as its reply reports it, or `from` if nothing was
+// sent.
+Result<SeqNum> FillGap(Fabric* fabric, NetContext* ctx, uint64_t epoch,
+                       LogTag tag, NodeId src, NodeId dest, SeqNum from,
+                       SeqNum trimmed, Lsn trimmed_lsn, bool send_empty) {
+  std::string resp;
+  DISAGG_RETURN_NOT_OK(fabric->Call(
+      ctx, src, kSlogRead, ReadRequest(epoch, tag, from, 0, ~0ull), &resp));
+  Slice in(resp);
+  uint64_t base = 0;
+  if (!GetVarint64(&in, &base)) return Status::Corruption("slog.read");
+  const Slice batch = in;
+  uint64_t count = 0;
+  if (!GetVarint64(&in, &count)) return Status::Corruption("slog.read");
+  if (count == 0 && !send_empty) return from;
+  DISAGG_RETURN_NOT_OK(fabric->Call(
+      ctx, dest, kSlogReplicate,
+      ReplicateRequest(epoch, tag, base, trimmed, trimmed_lsn, batch), &resp));
+  in = Slice(resp);
+  uint64_t tail = 0;
+  if (!GetVarint64(&in, &tail)) return Status::Corruption("slog.replicate");
+  return tail;
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -68,31 +120,22 @@ SharedLogService::SharedLogService(Fabric* fabric, const Config& config,
 }
 
 void SharedLogService::RegisterHandlers(NodeState* ns) {
-  Node* n = fabric_->node(ns->node);
-  n->RegisterHandler(kSlogAppend, [this, ns](Slice req, std::string* resp,
-                                             RpcServerContext* sctx) {
-    return HandleAppend(ns, req, resp, sctx);
-  });
-  n->RegisterHandler(kSlogReplicate, [this, ns](Slice req, std::string* resp,
-                                                RpcServerContext* sctx) {
-    return HandleReplicate(ns, req, resp, sctx);
-  });
-  n->RegisterHandler(kSlogRead, [this, ns](Slice req, std::string* resp,
-                                           RpcServerContext* sctx) {
-    return HandleRead(ns, req, resp, sctx);
-  });
-  n->RegisterHandler(kSlogTrim, [this, ns](Slice req, std::string* resp,
-                                           RpcServerContext* sctx) {
-    return HandleTrim(ns, req, resp, sctx);
-  });
-  n->RegisterHandler(kSlogSeal, [this, ns](Slice req, std::string* resp,
-                                           RpcServerContext* sctx) {
-    return HandleSeal(ns, req, resp, sctx);
-  });
-  n->RegisterHandler(kSlogInstall, [this, ns](Slice req, std::string* resp,
-                                              RpcServerContext* sctx) {
-    return HandleInstall(ns, req, resp, sctx);
-  });
+  using Handler = Status (SharedLogService::*)(NodeState*, Slice,
+                                               std::string*, RpcServerContext*);
+  const std::pair<const RpcMethod*, Handler> handlers[] = {
+      {&kSlogAppend, &SharedLogService::HandleAppend},
+      {&kSlogReplicate, &SharedLogService::HandleReplicate},
+      {&kSlogRead, &SharedLogService::HandleRead},
+      {&kSlogTrim, &SharedLogService::HandleTrim},
+      {&kSlogSeal, &SharedLogService::HandleSeal},
+      {&kSlogInstall, &SharedLogService::HandleInstall}};
+  for (const auto& [method, handler] : handlers) {
+    fabric_->node(ns->node)->RegisterHandler(
+        *method, [this, ns, handler = handler](Slice req, std::string* resp,
+                                               RpcServerContext* sctx) {
+          return (this->*handler)(ns, req, resp, sctx);
+        });
+  }
 }
 
 uint64_t SharedLogService::epoch() const {
@@ -100,16 +143,37 @@ uint64_t SharedLogService::epoch() const {
   return epoch_;
 }
 
+size_t SharedLogService::TagStore::CountThrough(SeqNum seq) const {
+  if (seq >= tail_seq) return records.size();
+  const uint64_t behind = tail_seq - seq;  // records above `seq`
+  return behind >= records.size() ? 0 : records.size() - behind;
+}
+
+void SharedLogService::TagStore::Push(const LogRecordSpan& r, Slice request,
+                                      SharedBytes* retained,
+                                      const RpcServerContext& sctx) {
+  if (*retained == nullptr) *retained = sctx.RetainRequest(request);
+  records.Append(r.lsn, *retained, r.bytes.data() - request.data(),
+                 r.bytes.size());
+  tail_lsn = r.lsn;
+  tail_seq++;
+}
+
+void SharedLogService::TagStore::DropTrimmed() {
+  records.EraseFront(CountThrough(trimmed));
+  tail_seq = std::max(tail_seq, trimmed);
+}
+
 Status SharedLogService::HandleAppend(NodeState* ns, Slice req,
                                       std::string* resp,
                                       RpcServerContext* sctx) {
+  const Slice request = req;
   uint64_t e = 0, tag = 0;
   if (!GetVarint64(&req, &e) || !GetVarint64(&req, &tag)) {
     return Status::InvalidArgument("malformed slog.append");
   }
-  auto batch = LogRecord::DecodeBatch(req);
-  if (!batch.ok()) return batch.status();
   std::lock_guard<std::mutex> lock(ns->mu);
+  DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(req, &ns->scan));
   if (e != ns->epoch || ns->epoch <= ns->sealed_epoch) {
     return Status::Aborted("stale or sealed epoch");
   }
@@ -118,38 +182,32 @@ Status SharedLogService::HandleAppend(NodeState* ns, Slice req,
     return Status::Aborted("not primary for tag");
   }
   TagStore& ts = ns->tags[tag];
+  const SeqNum base = ts.tail_seq + 1;
   uint64_t stored = 0;
-  SeqNum base = kInvalidSeqNum;
-  for (LogRecord& r : *batch) {
+  SharedBytes retained;
+  for (const LogRecordSpan& r : ns->scan) {
     if (r.lsn <= ts.tail_lsn) continue;  // idempotent re-send
-    const SeqNum seq = ts.tail_seq + 1;
-    if (stored == 0) base = seq;
-    ts.tail_lsn = r.lsn;
-    ts.records.emplace_back(seq, std::move(r));
-    ts.tail_seq = seq;
+    ts.Push(r, request, &retained, *sctx);
     stored++;
   }
-  sctx->ChargeCompute(kAppendNsPerRecord * batch->size());
-  resp->clear();
-  PutVarint64(resp, stored);
-  PutVarint64(resp, ts.tail_seq);
-  PutVarint64(resp, ts.tail_lsn);
-  PutVarint64(resp, base);
+  sctx->ChargeCompute(kAppendNsPerRecord * ns->scan.size());
+  *resp = Varints({stored, ts.tail_seq, ts.tail_lsn,
+                   stored == 0 ? kInvalidSeqNum : base});
   return Status::OK();
 }
 
 Status SharedLogService::HandleReplicate(NodeState* ns, Slice req,
                                          std::string* resp,
                                          RpcServerContext* sctx) {
+  const Slice request = req;
   uint64_t e = 0, tag = 0, base = 0, trimmed = 0, trimmed_lsn = 0;
   if (!GetVarint64(&req, &e) || !GetVarint64(&req, &tag) ||
       !GetVarint64(&req, &base) || !GetVarint64(&req, &trimmed) ||
       !GetVarint64(&req, &trimmed_lsn)) {
     return Status::InvalidArgument("malformed slog.replicate");
   }
-  auto batch = LogRecord::DecodeBatch(req);
-  if (!batch.ok()) return batch.status();
   std::lock_guard<std::mutex> lock(ns->mu);
+  DISAGG_RETURN_NOT_OK(LogRecord::ScanBatch(req, &ns->scan));
   if (e != ns->epoch || ns->epoch <= ns->sealed_epoch) {
     return Status::Aborted("stale or sealed epoch");
   }
@@ -157,23 +215,19 @@ Status SharedLogService::HandleReplicate(NodeState* ns, Slice req,
   if (trimmed > ts.trimmed) {
     ts.trimmed = trimmed;
     ts.trimmed_lsn = std::max(ts.trimmed_lsn, static_cast<Lsn>(trimmed_lsn));
-    if (ts.tail_seq < ts.trimmed) ts.tail_seq = ts.trimmed;
-    while (!ts.records.empty() && ts.records.front().first <= ts.trimmed) {
-      ts.records.erase(ts.records.begin());
-    }
+    ts.DropTrimmed();
   }
-  uint64_t i = 0;
-  for (LogRecord& r : *batch) {
-    const SeqNum seq = base + i++;
-    if (seq <= ts.tail_seq) continue;    // idempotent re-send
-    if (seq != ts.tail_seq + 1) break;   // gap: caller must resync first
-    ts.tail_lsn = r.lsn;
-    ts.records.emplace_back(seq, std::move(r));
-    ts.tail_seq = seq;
+  SharedBytes retained;
+  for (size_t i = 0; i < ns->scan.size(); i++) {
+    const SeqNum seq = base + i;
+    if (seq <= ts.tail_seq) continue;  // idempotent re-send
+    // A gap, or a record that would break the tag's LSN order (which reads
+    // rely on): the caller must resync first.
+    if (seq != ts.tail_seq + 1 || ns->scan[i].lsn <= ts.tail_lsn) break;
+    ts.Push(ns->scan[i], request, &retained, *sctx);
   }
-  sctx->ChargeCompute(kAppendNsPerRecord * batch->size());
-  resp->clear();
-  PutVarint64(resp, ts.tail_seq);
+  sctx->ChargeCompute(kAppendNsPerRecord * ns->scan.size());
+  *resp = Varints({ts.tail_seq});
   return Status::OK();
 }
 
@@ -190,32 +244,25 @@ Status SharedLogService::HandleRead(NodeState* ns, Slice req,
   auto it = ns->tags.find(tag);
   if (it == ns->tags.end()) {
     sctx->ChargeCompute(kScanNsPerRecord);
-    resp->clear();
-    PutVarint64(resp, kInvalidSeqNum);
-    *resp += LogRecord::EncodeBatch({});
+    *resp = Varints({kInvalidSeqNum, 0});  // no base, an empty batch
     return Status::OK();
   }
   const TagStore& ts = it->second;
-  sctx->ChargeCompute(kScanNsPerRecord * std::max<size_t>(1, ts.records.size()));
+  const size_t size = ts.records.size();
+  sctx->ChargeCompute(kScanNsPerRecord * std::max<size_t>(1, size));
   // Retention: a range reaching below the trim watermark cannot be served
   // completely — fail loudly instead of silently returning a gapped suffix.
-  if (from_seq < ts.trimmed && from_lsn == 0) {
+  if (from_lsn == 0 ? from_seq < ts.trimmed : from_lsn < ts.trimmed_lsn) {
     return Status::NotFound("slog.read below trim point");
   }
-  if (from_lsn > 0 && from_lsn < ts.trimmed_lsn) {
-    return Status::NotFound("slog.read below trim point");
-  }
-  std::vector<LogRecord> out;
-  SeqNum out_base = kInvalidSeqNum;
-  for (const auto& [seq, rec] : ts.records) {
-    if (seq <= from_seq || rec.lsn <= from_lsn) continue;
-    if (out.empty()) out_base = seq;
-    out.push_back(rec);
-    if (out.size() >= max_records) break;
-  }
-  resp->clear();
-  PutVarint64(resp, out_base);
-  *resp += LogRecord::EncodeBatch(out);
+  // A bound of 0 reads as 1, as in log.read.
+  const size_t first =
+      std::max(ts.CountThrough(from_seq), ts.records.FirstAfter(from_lsn));
+  const size_t count = static_cast<size_t>(std::min<uint64_t>(
+      std::max<uint64_t>(max_records, 1), size - first));
+  *resp = Varints({count == 0 ? kInvalidSeqNum
+                              : ts.tail_seq - size + 1 + first});
+  *resp += ts.records.Batch(first, count);
   return Status::OK();
 }
 
@@ -227,14 +274,14 @@ Status SharedLogService::HandleTrim(NodeState* ns, Slice req,
   }
   std::lock_guard<std::mutex> lock(ns->mu);
   TagStore& ts = ns->tags[tag];
-  sctx->ChargeCompute(kScanNsPerRecord * std::max<size_t>(1, ts.records.size()));
+  sctx->ChargeCompute(kScanNsPerRecord *
+                      std::max<size_t>(1, ts.records.size()));
   if (up_to > ts.trimmed) {
     ts.trimmed = up_to;
-    if (ts.tail_seq < ts.trimmed) ts.tail_seq = ts.trimmed;
-    while (!ts.records.empty() && ts.records.front().first <= ts.trimmed) {
-      ts.trimmed_lsn = std::max(ts.trimmed_lsn, ts.records.front().second.lsn);
-      ts.records.erase(ts.records.begin());
+    if (const size_t n = ts.CountThrough(up_to); n > 0) {
+      ts.trimmed_lsn = std::max(ts.trimmed_lsn, ts.records.lsn(n - 1));
     }
+    ts.DropTrimmed();
   }
   resp->clear();
   return Status::OK();
@@ -246,15 +293,10 @@ Status SharedLogService::HandleSeal(NodeState* ns, Slice req,
   std::lock_guard<std::mutex> lock(ns->mu);
   ns->sealed_epoch = std::max(ns->sealed_epoch, ns->epoch);
   sctx->ChargeCompute(kCtlNs + kScanNsPerRecord * ns->tags.size());
-  resp->clear();
-  PutVarint64(resp, ns->epoch);
-  PutVarint64(resp, ns->tags.size());
+  *resp = Varints({ns->epoch, ns->tags.size()});
   for (const auto& [tag, ts] : ns->tags) {
-    PutVarint64(resp, tag);
-    PutVarint64(resp, ts.tail_seq);
-    PutVarint64(resp, ts.tail_lsn);
-    PutVarint64(resp, ts.trimmed);
-    PutVarint64(resp, ts.trimmed_lsn);
+    *resp += Varints(
+        {tag, ts.tail_seq, ts.tail_lsn, ts.trimmed, ts.trimmed_lsn});
   }
   return Status::OK();
 }
@@ -287,11 +329,9 @@ Status SharedLogService::HandleView(Slice req, std::string* resp,
   (void)req;
   std::lock_guard<std::mutex> lock(view_mu_);
   sctx->ChargeCompute(kCtlNs);
-  resp->clear();
-  PutVarint64(resp, epoch_);
-  PutVarint64(resp, static_cast<uint64_t>(config_.replication));
-  PutVarint64(resp, static_cast<uint64_t>(config_.write_quorum));
-  PutVarint64(resp, members_.size());
+  *resp = Varints({epoch_, static_cast<uint64_t>(config_.replication),
+                   static_cast<uint64_t>(config_.write_quorum),
+                   members_.size()});
   for (NodeId m : members_) PutVarint64(resp, m);
   return Status::OK();
 }
@@ -346,9 +386,7 @@ Status SharedLogService::SealAndReconfigure(NetContext* ctx) {
   for (NodeState* ns : live) new_members.push_back(ns->node);
 
   // 3. Install the new view on every live node (opens them for new_epoch).
-  std::string inst;
-  PutVarint64(&inst, new_epoch);
-  PutVarint64(&inst, new_members.size());
+  std::string inst = Varints({new_epoch, new_members.size()});
   for (NodeId m : new_members) PutVarint64(&inst, m);
   for (NodeState* ns : live) {
     std::string resp;
@@ -378,32 +416,11 @@ Status SharedLogService::SealAndReconfigure(NetContext* ctx) {
       auto it = per_node.find(dest);
       if (it != per_node.end()) dinfo = it->second;
       if (dest == src || dinfo.tail >= best.tail) continue;
-      const SeqNum from = std::max(dinfo.tail, best.trimmed);
-      std::string read_req;
-      PutVarint64(&read_req, new_epoch);
-      PutVarint64(&read_req, tag);
-      PutVarint64(&read_req, from);
-      PutVarint64(&read_req, 0);     // no LSN bound
-      PutVarint64(&read_req, ~0ull);  // full suffix
-      std::string read_resp;
-      Status st = fabric_->Call(ctx, src, kSlogRead, read_req, &read_resp);
-      if (!st.ok()) return st;
-      Slice in(read_resp);
-      uint64_t base = 0;
-      if (!GetVarint64(&in, &base)) return Status::Corruption("slog.read");
-      auto recs = LogRecord::DecodeBatch(in);
-      if (!recs.ok()) return recs.status();
-      if (recs->empty() && best.trimmed <= dinfo.trimmed) continue;
-      std::string rep_req;
-      PutVarint64(&rep_req, new_epoch);
-      PutVarint64(&rep_req, tag);
-      PutVarint64(&rep_req, base);
-      PutVarint64(&rep_req, best.trimmed);
-      PutVarint64(&rep_req, best.trimmed_lsn);
-      rep_req += LogRecord::EncodeBatch(*recs);
-      std::string rep_resp;
-      st = fabric_->Call(ctx, dest, kSlogReplicate, rep_req, &rep_resp);
-      if (!st.ok()) return st;
+      // Forward the trim watermark even with no records when it advances.
+      auto filled = FillGap(fabric_, ctx, new_epoch, tag, src, dest,
+                            std::max(dinfo.tail, best.trimmed), best.trimmed,
+                            best.trimmed_lsn, best.trimmed > dinfo.trimmed);
+      if (!filled.ok()) return filled.status();
     }
   }
 
@@ -464,26 +481,26 @@ std::vector<NodeId> SharedLogClient::ReplicasFor(LogTag tag) const {
   return TagReplicas(view_.members, tag, view_.replication);
 }
 
+template <typename MakeRequest, typename OnReply>
 Status SharedLogClient::CallPrimary(NetContext* ctx, LogTag tag,
                                     const RpcMethod& method,
-                                    const std::string& body,
-                                    std::string* resp) {
+                                    MakeRequest make_request,
+                                    OnReply on_reply) {
   Status last = Status::Unavailable("shared log: no view");
   for (int attempt = 0; attempt < 3; attempt++) {
     Status st = EnsureView(ctx);
     if (!st.ok()) return st;
     const std::vector<NodeId> replicas = ReplicasFor(tag);
     if (replicas.empty()) return Status::Unavailable("shared log: empty view");
-    std::string req;
-    PutVarint64(&req, view_.epoch);
-    PutVarint64(&req, tag);
-    req += body;
-    st = fabric_->Call(ctx, replicas[0], method, req, resp);
-    if (st.ok()) return st;
-    // Epoch staleness and primary crashes are view problems: refresh and
-    // retry. Everything else (NotFound below trim, TimedOut, ...) is the
-    // caller's answer.
-    if (!st.IsAborted() && !st.IsUnavailable()) return st;
+    std::string resp;
+    st = fabric_->Call(ctx, replicas[0], method, make_request(view_.epoch),
+                       &resp);
+    if (st.ok()) st = on_reply(Slice(resp), replicas);
+    // Epoch staleness, primary crashes and appends short of the write
+    // quorum are view problems: refresh and retry (a reconfigure will have
+    // installed a new primary for the tag). Everything else (NotFound below
+    // trim, TimedOut, ...) is the caller's answer.
+    if (st.ok() || (!st.IsAborted() && !st.IsUnavailable())) return st;
     last = st;
     Status r = RefreshView(ctx);
     if (!r.ok()) return r;
@@ -494,150 +511,91 @@ Status SharedLogClient::CallPrimary(NetContext* ctx, LogTag tag,
 Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
                                     const EncodedRecords& records) {
   const std::string batch = records.Batch(0, records.size());
-  Status last = Status::Unavailable("shared log: no view");
-  for (int attempt = 0; attempt < 3; attempt++) {
-    Status st = EnsureView(ctx);
-    if (!st.ok()) return st;
-    const std::vector<NodeId> replicas = ReplicasFor(tag);
-    if (replicas.empty()) return Status::Unavailable("shared log: empty view");
-    std::string req;
-    PutVarint64(&req, view_.epoch);
-    PutVarint64(&req, tag);
-    req += batch;
-    std::string resp;
-    st = fabric_->Call(ctx, replicas[0], kSlogAppend, req, &resp);
-    if (!st.ok()) {
-      // Stale epoch (Aborted) or crashed primary (Unavailable): the view
-      // may have moved — refresh and retry; a reconfigure will have
-      // installed a new primary for the tag.
-      if (!st.IsAborted() && !st.IsUnavailable()) return st;
-      last = st;
-      Status r = RefreshView(ctx);
-      if (!r.ok()) return r;
-      continue;
-    }
-    Slice in(resp);
-    uint64_t stored = 0, tail_seq = 0, tail_lsn = 0, base = 0;
-    if (!GetVarint64(&in, &stored) || !GetVarint64(&in, &tail_seq) ||
-        !GetVarint64(&in, &tail_lsn) || !GetVarint64(&in, &base) ||
-        stored > records.size()) {
-      return Status::Corruption("slog.append response");
-    }
-    // The primary deduplicated a (possibly complete) prefix; backups get
-    // exactly the stored suffix at the assigned seqnums. A fully-deduped
-    // re-send (stored == 0) may sit on the primary alone — left there by an
-    // earlier attempt that died below the write quorum — so the fan-out
-    // runs regardless: an empty suffix acts as a tail probe, and the
-    // gap-resync path pulls whatever a lagging backup is missing from the
-    // primary. Returning early on duplicates would declare one copy
-    // durable.
-    std::string rep_req;
-    PutVarint64(&rep_req, view_.epoch);
-    PutVarint64(&rep_req, tag);
-    PutVarint64(&rep_req, base);
-    PutVarint64(&rep_req, 0);  // no trim watermark on the append path
-    PutVarint64(&rep_req, 0);
-    rep_req += records.Batch(records.size() - stored, stored);
-
-    const uint64_t epoch = view_.epoch;
-    const NodeId primary = replicas[0];
-    auto replicate_to = [&](NetContext* bctx, NodeId backup) -> bool {
-      std::string rep_resp;
-      if (!fabric_->Call(bctx, backup, kSlogReplicate, rep_req, &rep_resp)
-               .ok()) {
-        return false;
-      }
-      Slice rin(rep_resp);
-      uint64_t btail = 0;
-      if (!GetVarint64(&rin, &btail)) return false;
-      if (btail >= tail_seq) return true;
-      // The backup is behind (it missed earlier batches): fetch the gap
-      // from the primary and re-send the full missing suffix.
-      std::string read_req;
-      PutVarint64(&read_req, epoch);
-      PutVarint64(&read_req, tag);
-      PutVarint64(&read_req, btail);
-      PutVarint64(&read_req, 0);
-      PutVarint64(&read_req, ~0ull);
-      std::string read_resp;
-      if (!fabric_->Call(bctx, primary, kSlogRead, read_req, &read_resp)
-               .ok()) {
-        return false;
-      }
-      Slice in2(read_resp);
-      uint64_t base2 = 0;
-      if (!GetVarint64(&in2, &base2)) return false;
-      auto gap = LogRecord::DecodeBatch(in2);
-      if (!gap.ok()) return false;
-      std::string rep2;
-      PutVarint64(&rep2, epoch);
-      PutVarint64(&rep2, tag);
-      PutVarint64(&rep2, base2);
-      PutVarint64(&rep2, 0);
-      PutVarint64(&rep2, 0);
-      rep2 += LogRecord::EncodeBatch(*gap);
-      if (!fabric_->Call(bctx, backup, kSlogReplicate, rep2, &rep_resp)
-               .ok()) {
-        return false;
-      }
-      Slice rin2(rep_resp);
-      return GetVarint64(&rin2, &btail) && btail >= tail_seq;
-    };
-
-    int acks = 1;  // the primary's copy
-    const std::span<const NodeId> backups(replicas.begin() + 1, replicas.end());
-    (void)FanOut(ctx, backups, [&](NodeId backup, NetContext* bctx) {
-      if (replicate_to(bctx, backup)) acks++;
-      return Status::OK();
-    });
-    if (acks >= view_.write_quorum) return static_cast<Lsn>(tail_lsn);
-    last = Status::Unavailable("shared log: append below write quorum");
-    Status r = RefreshView(ctx);
-    if (!r.ok()) return r;
-  }
-  return last;
+  Lsn durable = kInvalidLsn;
+  Status st = CallPrimary(
+      ctx, tag, kSlogAppend,
+      [&](uint64_t epoch) { return Varints({epoch, tag}) + batch; },
+      [&](Slice in, const std::vector<NodeId>& replicas) -> Status {
+        uint64_t stored = 0, tail_seq = 0, tail_lsn = 0, base = 0;
+        if (!GetVarint64(&in, &stored) || !GetVarint64(&in, &tail_seq) ||
+            !GetVarint64(&in, &tail_lsn) || !GetVarint64(&in, &base) ||
+            stored > records.size()) {
+          return Status::Corruption("slog.append response");
+        }
+        // The primary deduplicated a (possibly complete) prefix; backups get
+        // exactly the stored suffix at the assigned seqnums. A fully-deduped
+        // re-send (stored == 0) may sit on the primary alone — left there by
+        // an earlier attempt that died below the write quorum — so the
+        // fan-out runs regardless: an empty suffix acts as a tail probe, and
+        // the gap fill pulls whatever a lagging backup is missing from the
+        // primary. Returning early on duplicates would declare one copy
+        // durable.
+        const uint64_t epoch = view_.epoch;
+        const NodeId primary = replicas[0];
+        const std::string rep_req = ReplicateRequest(
+            epoch, tag, base, 0, 0,  // no trim watermark on the append path
+            records.Batch(records.size() - stored, stored));
+        auto replicate_to = [&](NetContext* bctx, NodeId backup) -> bool {
+          std::string rep_resp;
+          if (!fabric_->Call(bctx, backup, kSlogReplicate, rep_req, &rep_resp)
+                   .ok()) {
+            return false;
+          }
+          Slice rin(rep_resp);
+          uint64_t btail = 0;
+          if (!GetVarint64(&rin, &btail)) return false;
+          if (btail >= tail_seq) return true;
+          // The backup is behind (it missed earlier batches): fill the gap
+          // from the primary.
+          auto filled = FillGap(fabric_, bctx, epoch, tag, primary, backup,
+                                btail, 0, 0, /*send_empty=*/true);
+          return filled.ok() && *filled >= tail_seq;
+        };
+        int acks = 1;  // the primary's copy
+        const std::span<const NodeId> backups(replicas.begin() + 1,
+                                              replicas.end());
+        (void)FanOut(ctx, backups, [&](NodeId backup, NetContext* bctx) {
+          if (replicate_to(bctx, backup)) acks++;
+          return Status::OK();
+        });
+        if (acks < view_.write_quorum) {
+          return Status::Unavailable("shared log: append below write quorum");
+        }
+        durable = static_cast<Lsn>(tail_lsn);
+        return Status::OK();
+      });
+  if (!st.ok()) return st;
+  return durable;
 }
 
-Result<std::vector<LogRecord>> SharedLogClient::ReadFrom(NetContext* ctx,
-                                                         LogTag tag,
-                                                         SeqNum from_exclusive,
-                                                         uint64_t max_records) {
-  std::string body;
-  PutVarint64(&body, from_exclusive);
-  PutVarint64(&body, 0);  // no LSN bound
-  PutVarint64(&body, max_records);
-  std::string resp;
-  Status st = CallPrimary(ctx, tag, kSlogRead, body, &resp);
+Result<std::vector<LogRecord>> SharedLogClient::Read(NetContext* ctx,
+                                                     LogTag tag,
+                                                     SeqNum from_seq,
+                                                     Lsn from_lsn,
+                                                     uint64_t max_records) {
+  std::vector<LogRecord> out;
+  Status st = CallPrimary(
+      ctx, tag, kSlogRead,
+      [&](uint64_t epoch) {
+        return ReadRequest(epoch, tag, from_seq, from_lsn, max_records);
+      },
+      [&](Slice in, const std::vector<NodeId>&) -> Status {
+        uint64_t base = 0;
+        if (!GetVarint64(&in, &base)) {
+          return Status::Corruption("slog.read response");
+        }
+        DISAGG_ASSIGN_OR_RETURN(out, LogRecord::DecodeBatch(in));
+        return Status::OK();
+      });
   if (!st.ok()) return st;
-  Slice in(resp);
-  uint64_t base = 0;
-  if (!GetVarint64(&in, &base)) return Status::Corruption("slog.read response");
-  return LogRecord::DecodeBatch(in);
-}
-
-Result<std::vector<LogRecord>> SharedLogClient::ReadFromLsn(NetContext* ctx,
-                                                            LogTag tag,
-                                                            Lsn from_exclusive) {
-  std::string body;
-  PutVarint64(&body, 0);  // no seqnum bound
-  PutVarint64(&body, from_exclusive);
-  PutVarint64(&body, ~0ull);
-  std::string resp;
-  Status st = CallPrimary(ctx, tag, kSlogRead, body, &resp);
-  if (!st.ok()) return st;
-  Slice in(resp);
-  uint64_t base = 0;
-  if (!GetVarint64(&in, &base)) return Status::Corruption("slog.read response");
-  return LogRecord::DecodeBatch(in);
+  return out;
 }
 
 Status SharedLogClient::Trim(NetContext* ctx, LogTag tag,
                              SeqNum up_to_inclusive) {
   Status st = EnsureView(ctx);
   if (!st.ok()) return st;
-  std::string req;
-  PutVarint64(&req, tag);
-  PutVarint64(&req, up_to_inclusive);
+  const std::string req = Varints({tag, up_to_inclusive});
   const std::vector<NodeId> replicas = ReplicasFor(tag);
   if (replicas.empty()) return Status::Unavailable("shared log: empty view");
   size_t oks = 0;

@@ -85,12 +85,25 @@ class SharedLogService {
   size_t CountDurable(LogTag tag, Lsn lsn) const;
 
  private:
+  /// One tag's records as the bytes they arrived in, by reference to the
+  /// request that carried them. Seqs are contiguous, so record `i` has seq
+  /// `tail_seq - records.size() + 1 + i`; LSNs increase along the tag.
   struct TagStore {
-    std::vector<std::pair<SeqNum, LogRecord>> records;  // contiguous seqs
+    EncodedRecords records;
     SeqNum tail_seq = kInvalidSeqNum;
     Lsn tail_lsn = kInvalidLsn;
     SeqNum trimmed = kInvalidSeqNum;  ///< seqs <= trimmed are gone
     Lsn trimmed_lsn = kInvalidLsn;    ///< highest LSN among trimmed records
+
+    /// Number of records with seq <= `seq`.
+    size_t CountThrough(SeqNum seq) const;
+    /// Stores `r`, a record of `request`, at seq `tail_seq + 1`. The first
+    /// record stored from a request retains it in `*retained`.
+    void Push(const LogRecordSpan& r, Slice request, SharedBytes* retained,
+              const RpcServerContext& sctx);
+    /// Drops the records at or below the trim watermark, which the tail
+    /// never falls below.
+    void DropTrimmed();
   };
 
   /// One log node's state. Guarded by `mu`; handlers run on the caller's
@@ -101,6 +114,7 @@ class SharedLogService {
     uint64_t sealed_epoch = 0;  ///< epochs <= this reject appends
     std::vector<NodeId> members;
     std::map<LogTag, TagStore> tags;
+    std::vector<LogRecordSpan> scan;  // a request's batch, reused (mu)
     mutable std::mutex mu;
   };
 
@@ -150,11 +164,15 @@ class SharedLogClient {
   /// `max_records`. `NotFound` if the range reaches below the trim point.
   Result<std::vector<LogRecord>> ReadFrom(NetContext* ctx, LogTag tag,
                                           SeqNum from_exclusive,
-                                          uint64_t max_records = 1024);
+                                          uint64_t max_records = 1024) {
+    return Read(ctx, tag, from_exclusive, kInvalidLsn, max_records);
+  }
 
   /// Tag suffix with `lsn > from_exclusive` (the `LogBackend` bound).
   Result<std::vector<LogRecord>> ReadFromLsn(NetContext* ctx, LogTag tag,
-                                             Lsn from_exclusive);
+                                             Lsn from_exclusive) {
+    return Read(ctx, tag, kInvalidSeqNum, from_exclusive, ~0ull);
+  }
 
   /// Retention: drops records with `seqnum <= up_to_inclusive` on every
   /// replica of `tag`; later reads below the watermark return `NotFound`.
@@ -174,9 +192,19 @@ class SharedLogClient {
   Status EnsureView(NetContext* ctx);
   /// Replica set for `tag` under the cached view, primary first.
   std::vector<NodeId> ReplicasFor(LogTag tag) const;
-  /// One read-style call with epoch refresh-and-retry on Aborted.
+  /// Calls `tag`'s primary with `make_request(epoch)` under the cached view
+  /// and hands the reply to `on_reply(reply, replicas)`. A failed call or
+  /// reply that says the view moved (Aborted: stale epoch; Unavailable:
+  /// crashed primary, or `on_reply`'s append below the write quorum)
+  /// refreshes the view and retries, three attempts in all; any other
+  /// status is the caller's answer.
+  template <typename MakeRequest, typename OnReply>
   Status CallPrimary(NetContext* ctx, LogTag tag, const RpcMethod& method,
-                     const std::string& body, std::string* resp);
+                     MakeRequest make_request, OnReply on_reply);
+  /// The `slog.read` behind ReadFrom and ReadFromLsn.
+  Result<std::vector<LogRecord>> Read(NetContext* ctx, LogTag tag,
+                                      SeqNum from_seq, Lsn from_lsn,
+                                      uint64_t max_records);
 
   Fabric* fabric_;
   NodeId ctl_;

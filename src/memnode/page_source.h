@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "net/net_context.h"
 #include "storage/page.h"
-#include "storage/page_store.h"
 
 namespace disagg {
 
@@ -18,22 +17,6 @@ class PageSource {
   virtual ~PageSource() = default;
   virtual Result<Page> FetchPage(NetContext* ctx, PageId id) = 0;
   virtual Status WritePage(NetContext* ctx, const Page& page) = 0;
-};
-
-/// PageSource over a PageStoreService on the fabric.
-class PageStoreSource : public PageSource {
- public:
-  PageStoreSource(Fabric* fabric, NodeId node) : client_(fabric, node) {}
-
-  Result<Page> FetchPage(NetContext* ctx, PageId id) override {
-    return client_.GetPage(ctx, id);
-  }
-  Status WritePage(NetContext* ctx, const Page& page) override {
-    return client_.PutPage(ctx, page);
-  }
-
- private:
-  PageStoreClient client_;
 };
 
 /// In-process page source with a configurable access-cost model; used by

@@ -443,26 +443,6 @@ Status Fabric::ExecuteBatch(NetContext* ctx, NodeId node_id,
                             std::vector<BatchOp>* ops) {
   if (ops == nullptr || ops->empty()) return Status::OK();
 
-  if (!op_batching_enabled()) {
-    // Uncoalesced: each member is an ordinary op — bit-identical charges to
-    // a caller issuing them one by one (pinned by the batching cost-parity
-    // test). The first failure is reported but later members still run,
-    // matching what N independent Execute() calls would have done.
-    Status first_err = Status::OK();
-    for (BatchOp& b : *ops) {
-      FabricOp op;
-      op.verb = b.verb;
-      op.node = node_id;
-      op.addr = GlobalAddr{node_id, b.addr.region, b.addr.offset};
-      op.dst = b.dst;
-      op.src = b.src;
-      op.n = b.n;
-      b.status = Execute(&op, ctx);
-      if (!b.status.ok() && first_err.ok()) first_err = b.status;
-    }
-    return first_err;
-  }
-
   FabricOp op;
   op.verb = FabricVerb::kBatch;
   op.node = node_id;

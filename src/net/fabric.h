@@ -322,31 +322,17 @@ class Fabric {
     Status status;  ///< per-member outcome, filled by ExecuteBatch
   };
 
-  /// Executes a multi-op batch of one-sided reads/writes against one node.
-  ///
-  /// With op batching *off* (the default) this is exactly `Execute()` per
-  /// member — same charges bit for bit, same per-member statuses — so an
-  /// unconfigured fabric is unchanged by callers adopting the batch API.
-  ///
-  /// With `EnableOpBatching(true)` the members are coalesced into ONE
-  /// `kBatch` descriptor rung through the interceptor chain and congestion
-  /// admission once (the doorbell win: one `ns_per_op` issue charge, one
-  /// chain traversal, one round trip), charged one read base latency if any
-  /// member reads and one write base latency if any writes, plus the summed
-  /// byte costs. The batch is all-or-nothing: every member's bounds are
-  /// validated before any data moves, and a refused batch (admission,
-  /// deadline, fault) fails every member with the same status.
+  /// Executes a multi-op batch of one-sided reads/writes against one node,
+  /// coalesced into ONE `kBatch` descriptor rung through the interceptor
+  /// chain and congestion admission once (the doorbell win: one `ns_per_op`
+  /// issue charge, one chain traversal, one round trip), charged one read
+  /// base latency if any member reads and one write base latency if any
+  /// writes, plus the summed byte costs. The batch is all-or-nothing: every
+  /// member's bounds are validated before any data moves, and a refused
+  /// batch (admission, deadline, fault) fails every member with the same
+  /// status.
   Status ExecuteBatch(NetContext* ctx, NodeId node_id,
                       std::vector<BatchOp>* ops);
-
-  /// Turns doorbell coalescing of `ExecuteBatch` on or off (default off,
-  /// keeping the cost model inert until an experiment opts in).
-  void EnableOpBatching(bool on) {
-    op_batching_.store(on, std::memory_order_relaxed);
-  }
-  bool op_batching_enabled() const {
-    return op_batching_.load(std::memory_order_relaxed);
-  }
 
   // ---- Two-sided (RPC, involves remote CPU) --------------------------
 
@@ -448,8 +434,6 @@ class Fabric {
   // not supported — config is a setup-time activity in every driver.
   std::atomic<const InterceptorChain*> chain_snapshot_{nullptr};
   std::atomic<CongestionState*> congestion_snapshot_{nullptr};
-
-  std::atomic<bool> op_batching_{false};
 
   std::map<uint32_t, SloSpec> slo_specs_;  // declared tenant contracts
   mutable std::mutex slo_mu_;

@@ -76,9 +76,6 @@ class LogStoreClient {
   /// caller fanning one batch out to several stores encodes, scans and
   /// stores it once.
   Result<Lsn> Append(NetContext* ctx, const RedoBatch& batch);
-  Result<Lsn> Append(NetContext* ctx, const std::vector<LogRecord>& records) {
-    return Append(ctx, RedoBatch::Encode(records));
-  }
   Result<std::vector<LogRecord>> ReadFrom(NetContext* ctx, Lsn from_exclusive,
                                           uint64_t max_records = 1024);
   /// Highest durable LSN on the node, fetched over the fabric (so deadline

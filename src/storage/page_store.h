@@ -86,9 +86,6 @@ class PageStoreClient {
   /// several stores encodes, scans and stores it once. Returns the store's
   /// high-water LSN.
   Result<Lsn> ApplyLog(NetContext* ctx, const RedoBatch& batch);
-  Result<Lsn> ApplyLog(NetContext* ctx, const std::vector<LogRecord>& records) {
-    return ApplyLog(ctx, RedoBatch::Encode(records));
-  }
 
   /// Ships a full page image (page shipping).
   Status PutPage(NetContext* ctx, const Page& page);

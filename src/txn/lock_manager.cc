@@ -24,7 +24,8 @@ Status LockManager::Acquire(TxnId txn, uint64_t key, Mode mode) {
   const auto sharer = std::find(e->sharers.begin(), e->sharers.end(), txn);
   const bool is_sharer = sharer != e->sharers.end();
   if (mode == Mode::kShared) {
-    if (e->exclusive != 0 && e->exclusive != txn) {
+    if (e->exclusive == txn) return Status::OK();  // X covers S
+    if (e->exclusive != 0) {
       return Status::Busy("X-lock held by another transaction");
     }
     if (is_sharer) return Status::OK();

@@ -57,8 +57,7 @@ class LockManager : public LockBackend {
 
   mutable std::mutex mu_;
   FlatMap<Entry> table_;
-  // Keys each transaction acquired, in order; an X holder that then takes S
-  // is listed twice, and `held_locks()` counts both.
+  // Keys each transaction acquired, in order, each listed once.
   FlatMap<std::vector<uint64_t>> held_;
   size_t held_count_ = 0;
   std::vector<std::vector<TxnId>> spare_sharers_;

@@ -845,92 +845,5 @@ TEST_F(CongestionTest, UpdateTenantControlsSwapsWeightsAndBoundsLive) {
   EXPECT_EQ(g.queue_ns, 7'000u);  // lane 4000 deep + stretch 4000 - service
 }
 
-TEST_F(CongestionTest, ExecuteBatchMidBatchBusyMatchesLoopedExecutes) {
-  // Uncoalesced ExecuteBatch under admission control: when the first member
-  // fills the queue past the bound, every later member is refused Busy and
-  // charged kRejectionCostNs ONCE each — and the whole ledger (statuses,
-  // charges, resource stats) is bit-identical to issuing the same six ops
-  // through fabric.Read one by one.
-  auto build = [](Fabric* fabric, NodeId* node, MemoryRegion** region) {
-    *node = fabric->AddNode("mem0", NodeKind::kMemory,
-                            InterconnectModel::Rdma());
-    *region = fabric->node(*node)->AddRegion("heap", 1 << 20);
-    CongestionConfig cfg;
-    auto& cap = cfg.node_caps[*node];
-    cap = ResourceCapacity{10'000, 0.0};  // one member fills 10 us
-    cap.max_backlog_ns = 5'000;
-    fabric->EnableCongestion(cfg);
-  };
-
-  const uint64_t read_cost = InterconnectModel::Rdma().ReadCost(8);
-  const uint64_t reject_cost = CongestionConfig::kRejectionCostNs;
-  char buf[6][8];
-
-  // Arm 1: one six-member batch on a single context.
-  Fabric batch_fabric;
-  NodeId batch_node = 0;
-  MemoryRegion* batch_region = nullptr;
-  build(&batch_fabric, &batch_node, &batch_region);
-  std::vector<Fabric::BatchOp> members(6);
-  for (size_t i = 0; i < members.size(); i++) {
-    members[i].verb = FabricVerb::kRead;
-    members[i].addr = RemoteAddr{batch_region->id(), 8 * i};
-    members[i].dst = buf[i];
-    members[i].n = 8;
-  }
-  NetContext batch_ctx;
-  const Status batch_st =
-      batch_fabric.ExecuteBatch(&batch_ctx, batch_node, &members);
-
-  // Member 1 is admitted (wait 0) and its service fills the queue to
-  // 10000 ns; members 2..6 arrive 2502, 2602, ... (each rejection advanced
-  // the clock by 100) against backlog > 5000 and are all refused.
-  EXPECT_TRUE(batch_st.IsBusy());  // first error propagates
-  EXPECT_TRUE(members[0].status.ok());
-  for (size_t i = 1; i < members.size(); i++) {
-    EXPECT_TRUE(members[i].status.IsBusy()) << "member " << i;
-  }
-  EXPECT_EQ(batch_ctx.sim_ns, read_cost + 5 * reject_cost);
-  EXPECT_EQ(batch_ctx.admission_rejects, 5u);
-  EXPECT_EQ(batch_ctx.queue_ns, 0u);
-  EXPECT_EQ(batch_ctx.bytes_in, 8u);  // only the admitted member's bytes
-
-  // Arm 2: the same six ops as plain Reads on a twin fabric.
-  Fabric loop_fabric;
-  NodeId loop_node = 0;
-  MemoryRegion* loop_region = nullptr;
-  build(&loop_fabric, &loop_node, &loop_region);
-  NetContext loop_ctx;
-  Status loop_first_err = Status::OK();
-  std::vector<Status> loop_statuses;
-  for (size_t i = 0; i < members.size(); i++) {
-    GlobalAddr addr{loop_node, loop_region->id(), 8 * i};
-    loop_statuses.push_back(loop_fabric.Read(&loop_ctx, addr, buf[i], 8));
-    if (!loop_statuses.back().ok() && loop_first_err.ok()) {
-      loop_first_err = loop_statuses.back();
-    }
-  }
-
-  EXPECT_EQ(batch_st.code(), loop_first_err.code());
-  for (size_t i = 0; i < members.size(); i++) {
-    EXPECT_EQ(members[i].status.code(), loop_statuses[i].code());
-  }
-  EXPECT_EQ(batch_ctx.sim_ns, loop_ctx.sim_ns);
-  EXPECT_EQ(batch_ctx.queue_ns, loop_ctx.queue_ns);
-  EXPECT_EQ(batch_ctx.admission_rejects, loop_ctx.admission_rejects);
-  EXPECT_EQ(batch_ctx.bytes_in, loop_ctx.bytes_in);
-  EXPECT_EQ(batch_ctx.round_trips, loop_ctx.round_trips);
-
-  const auto batch_stats = batch_fabric.congestion()->NodeStats(batch_node);
-  const auto loop_stats = loop_fabric.congestion()->NodeStats(loop_node);
-  EXPECT_EQ(batch_stats.ops, 1u);
-  EXPECT_EQ(batch_stats.rejections, 5u);
-  EXPECT_EQ(batch_stats.ops, loop_stats.ops);
-  EXPECT_EQ(batch_stats.rejections, loop_stats.rejections);
-  EXPECT_EQ(batch_stats.busy_ns, loop_stats.busy_ns);
-  EXPECT_EQ(batch_stats.queue_ns, loop_stats.queue_ns);
-  EXPECT_EQ(batch_stats.free_ns, loop_stats.free_ns);
-}
-
 }  // namespace
 }  // namespace disagg

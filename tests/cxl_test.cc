@@ -1,35 +1,37 @@
 #include <gtest/gtest.h>
 
-#include "cxl/cxl_memory.h"
+#include "memnode/memory_node.h"
 #include "cxl/pond.h"
 #include "cxl/tiering.h"
 
 namespace disagg {
 namespace {
 
+// A CXL Type-3 expander is a memory pool priced by the CXL model: loads and
+// stores are plain one-sided reads and writes.
 TEST(CxlMemoryTest, LoadStoreRoundTrip) {
   Fabric fabric;
-  CxlMemory cxl(&fabric, "cxl0", 1 << 20);
+  MemoryNode cxl(&fabric, "cxl0", 1 << 20, InterconnectModel::Cxl());
   NetContext ctx;
-  auto addr = cxl.Alloc(64);
+  auto addr = cxl.AllocLocal(64);
   ASSERT_TRUE(addr.ok());
   const uint64_t v = 0xABCD;
-  ASSERT_TRUE(cxl.Store(&ctx, *addr, &v, 8).ok());
+  ASSERT_TRUE(fabric.Write(&ctx, *addr, &v, 8).ok());
   uint64_t got = 0;
-  ASSERT_TRUE(cxl.Load(&ctx, *addr, &got, 8).ok());
+  ASSERT_TRUE(fabric.Read(&ctx, *addr, &got, 8).ok());
   EXPECT_EQ(got, v);
 }
 
 TEST(CxlMemoryTest, LatencySitsBetweenDramAndRdma) {
   Fabric fabric;
-  CxlMemory cxl(&fabric, "cxl0", 1 << 20);
+  MemoryNode cxl(&fabric, "cxl0", 1 << 20, InterconnectModel::Cxl());
   MemoryNode rdma(&fabric, "rdma0", 1 << 20);  // RDMA model
   NetContext cxl_ctx, rdma_ctx;
-  auto ca = cxl.Alloc(64);
+  auto ca = cxl.AllocLocal(64);
   auto ra = rdma.AllocLocal(64);
   ASSERT_TRUE(ca.ok() && ra.ok());
   char buf[64] = {0};
-  ASSERT_TRUE(cxl.Load(&cxl_ctx, *ca, buf, 64).ok());
+  ASSERT_TRUE(fabric.Read(&cxl_ctx, *ca, buf, 64).ok());
   ASSERT_TRUE(fabric.Read(&rdma_ctx, *ra, buf, 64).ok());
   EXPECT_GT(cxl_ctx.sim_ns, InterconnectModel::LocalDram().ReadCost(64));
   EXPECT_LT(cxl_ctx.sim_ns, rdma_ctx.sim_ns);

@@ -358,93 +358,36 @@ TEST(LoadDriverTest, OpenLoopQueueDepthGaugePropertiesAtHighRate) {
   EXPECT_GT(at_3x.offered_ops_per_sec, at_3x.ThroughputOpsPerSec());
 }
 
-TEST(LoadDriverTest, BatchChargesExactlySumOfMembersWhenBatchingOff) {
-  // Cost parity: with batching off, ExecuteBatch is definitionally a loop
-  // over Execute — a context fed the batch and a context fed the members
-  // one by one must agree on every counter, bit for bit.
-  auto rig = [](Fabric* fabric) {
-    NodeId node =
-        fabric->AddNode("mem0", NodeKind::kMemory, InterconnectModel::Rdma());
-    fabric->node(node)->AddRegion("heap", 1 << 20);
-    CongestionConfig cfg;
-    cfg.node_caps[node] = ResourceCapacity{1500, 0.1};
-    fabric->EnableCongestion(cfg);
-    return node;
-  };
+TEST(LoadDriverTest, BatchingOnCoalescesRoundTripsAndCostsLess) {
+  // The same four reads ride one descriptor: one round trip, one per-op
+  // overhead, strictly cheaper than four plain reads — while moving exactly
+  // the same bytes.
+  Fabric fabric;
+  NodeId node =
+      fabric.AddNode("mem0", NodeKind::kMemory, InterconnectModel::Rdma());
+  fabric.node(node)->AddRegion("heap", 1 << 20);
+  char dst[4][256];
+  std::vector<Fabric::BatchOp> ops(4);
+  for (int i = 0; i < 4; i++) {
+    ops[i].verb = FabricVerb::kRead;
+    ops[i].addr = RemoteAddr{0, static_cast<uint64_t>(i) * 4096};
+    ops[i].dst = dst[i];
+    ops[i].n = sizeof(dst[i]);
+  }
+  NetContext batched;
+  EXPECT_TRUE(fabric.ExecuteBatch(&batched, node, &ops).ok());
 
-  Fabric batch_fabric;
-  Fabric loop_fabric;
-  const NodeId batch_node = rig(&batch_fabric);
-  const NodeId loop_node = rig(&loop_fabric);
-
-  char dst[4][512];
-  char src[256] = {42};
-  auto members = [&](NodeId) {
-    std::vector<Fabric::BatchOp> ops(4);
-    for (int i = 0; i < 4; i++) {
-      ops[i].verb = FabricVerb::kRead;
-      ops[i].addr = RemoteAddr{0, static_cast<uint64_t>(i) * 4096};
-      ops[i].dst = dst[i];
-      ops[i].n = 64u << i;  // 64..512 bytes
-    }
-    ops[2].verb = FabricVerb::kWrite;
-    ops[2].src = src;
-    ops[2].n = 256;
-    return ops;
-  };
-
-  NetContext via_batch;
-  auto batch = members(batch_node);
-  ASSERT_TRUE(batch_fabric.ExecuteBatch(&via_batch, batch_node, &batch).ok());
-  for (const auto& b : batch) EXPECT_TRUE(b.status.ok());
-
-  NetContext via_loop;
-  for (auto& m : members(loop_node)) {
-    GlobalAddr addr{loop_node, m.addr.region, m.addr.offset};
-    if (m.verb == FabricVerb::kWrite) {
-      ASSERT_TRUE(loop_fabric.Write(&via_loop, addr, m.src, m.n).ok());
-    } else {
-      ASSERT_TRUE(loop_fabric.Read(&via_loop, addr, m.dst, m.n).ok());
-    }
+  NetContext plain;
+  for (int i = 0; i < 4; i++) {
+    const GlobalAddr addr{node, 0, static_cast<uint64_t>(i) * 4096};
+    EXPECT_TRUE(fabric.Read(&plain, addr, dst[i], sizeof(dst[i])).ok());
   }
 
-  EXPECT_EQ(via_batch.sim_ns, via_loop.sim_ns);
-  EXPECT_EQ(via_batch.queue_ns, via_loop.queue_ns);
-  EXPECT_EQ(via_batch.bytes_in, via_loop.bytes_in);
-  EXPECT_EQ(via_batch.bytes_out, via_loop.bytes_out);
-  EXPECT_EQ(via_batch.round_trips, via_loop.round_trips);
-}
-
-TEST(LoadDriverTest, BatchingOnCoalescesRoundTripsAndCostsLess) {
-  // With batching enabled the same four ops ride one descriptor: one round
-  // trip, one per-op overhead per direction, strictly cheaper than the
-  // member-by-member run — while moving exactly the same bytes.
-  auto run = [&](bool batching) {
-    Fabric fabric;
-    NodeId node =
-        fabric.AddNode("mem0", NodeKind::kMemory, InterconnectModel::Rdma());
-    fabric.node(node)->AddRegion("heap", 1 << 20);
-    fabric.EnableOpBatching(batching);
-    char dst[4][512];
-    std::vector<Fabric::BatchOp> ops(4);
-    for (int i = 0; i < 4; i++) {
-      ops[i].verb = FabricVerb::kRead;
-      ops[i].addr = RemoteAddr{0, static_cast<uint64_t>(i) * 4096};
-      ops[i].dst = dst[i];
-      ops[i].n = 256;
-    }
-    NetContext ctx;
-    EXPECT_TRUE(fabric.ExecuteBatch(&ctx, node, &ops).ok());
-    return ctx;
-  };
-
-  const NetContext off = run(false);
-  const NetContext on = run(true);
-  EXPECT_EQ(off.round_trips, 4u);
-  EXPECT_EQ(on.round_trips, 1u);
-  EXPECT_EQ(off.bytes_in, on.bytes_in);  // same data moved
-  EXPECT_LT(on.sim_ns, off.sim_ns);      // coalescing saved per-op overhead
-  EXPECT_EQ(on.per_verb[static_cast<size_t>(FabricVerb::kBatch)].ops, 1u);
+  EXPECT_EQ(plain.round_trips, 4u);
+  EXPECT_EQ(batched.round_trips, 1u);
+  EXPECT_EQ(plain.bytes_in, batched.bytes_in);  // same data moved
+  EXPECT_LT(batched.sim_ns, plain.sim_ns);      // coalescing saved overhead
+  EXPECT_EQ(batched.per_verb[static_cast<size_t>(FabricVerb::kBatch)].ops, 1u);
 }
 
 TEST(LoadDriverTest, RefusedBatchFailsEveryMemberAndMovesNothing) {
@@ -453,7 +396,6 @@ TEST(LoadDriverTest, RefusedBatchFailsEveryMemberAndMovesNothing) {
   NodeId node =
       fabric.AddNode("mem0", NodeKind::kMemory, InterconnectModel::Rdma());
   fabric.node(node)->AddRegion("heap", 4096);
-  fabric.EnableOpBatching(true);
 
   char dst[2][64];
   std::vector<Fabric::BatchOp> ops(2);

@@ -158,7 +158,7 @@ TEST(LogBackendParityTest, LogTailRpcReportsDurableTail) {
   r.type = LogType::kInsert;
   r.page_id = 1;
   r.payload = "p";
-  ASSERT_TRUE(client.Append(&ctx, {r}).ok());
+  ASSERT_TRUE(client.Append(&ctx, RedoBatch::Encode({&r, 1})).ok());
 
   NetContext probe;
   auto tail = client.DurableLsn(&probe);

@@ -198,7 +198,7 @@ TEST(LogCodecTest, StoreHandlersRejectHostileBatchesWithoutSideEffects) {
   PageStoreService pages(&fabric, node);
   std::mt19937_64 rng(0x5eed0003);
   NetContext ctx;
-  const std::vector<LogRecord> seed = WalBatch(&rng, 1);
+  const RedoBatch seed = RedoBatch::Encode(WalBatch(&rng, 1));
   ASSERT_TRUE(LogStoreClient(&fabric, node).Append(&ctx, seed).ok());
   ASSERT_TRUE(PageStoreClient(&fabric, node).ApplyLog(&ctx, seed).ok());
 

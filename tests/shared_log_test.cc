@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "log/shared_log.h"
 #include "sim/chaos.h"
+#include "test_util.h"
 
 namespace disagg {
 namespace {
@@ -20,6 +22,12 @@ LogRecord Rec(Lsn lsn, const char* payload = nullptr) {
 EncodedRecords Recs(Lsn from, Lsn to) {
   EncodedRecords out;
   for (Lsn l = from; l <= to; l++) out.Append(Rec(l));
+  return out;
+}
+
+std::string Varints(std::initializer_list<uint64_t> values) {
+  std::string out;
+  for (uint64_t v : values) PutVarint64(&out, v);
   return out;
 }
 
@@ -190,6 +198,133 @@ TEST_F(SharedLogTest, BackendAdapterSpeaksLogBackendContract) {
   ASSERT_TRUE(suffix.ok());
   ASSERT_EQ(suffix->size(), 1u);
   EXPECT_EQ((*suffix)[0].lsn, 3u);
+}
+
+// Hostile payloads: every malformed slog.append, slog.replicate, slog.read,
+// slog.trim and slog.install fails, a replicate that would lower a tag's
+// LSN order stores nothing, and no log node's copy of any tag (records,
+// seqs, tail LSN) moves. Each mutating request carries a header
+// the node would accept, so only its batch stands between it and the log;
+// the replicate header even carries a trim watermark. slog.seal and
+// slog.view answer every payload as they answer an empty one.
+TEST_F(SharedLogTest, HostilePayloadsFailWithoutSideEffects) {
+  const RpcMethod kAppend("slog.append"), kReplicate("slog.replicate"),
+      kRead("slog.read"), kTrim("slog.trim"), kInstall("slog.install"),
+      kSeal("slog.seal"), kView("slog.view");
+  SharedLogClient client = Client();
+  ASSERT_TRUE(client.Append(&ctx_, 1, Recs(1, 4)).ok());
+  ASSERT_TRUE(client.Append(&ctx_, 2, Recs(1, 2)).ok());
+  const uint64_t epoch = service_.epoch();
+  const NodeId primary = service_.log_node(1);  // tag 1 % 3 members
+  const NodeId backup = service_.log_node(2);
+
+  auto read_back = [&] {
+    std::vector<std::string> out;
+    for (size_t i = 0; i < service_.num_log_nodes(); i++) {
+      for (LogTag tag : {1, 2}) {
+        std::string resp;
+        EXPECT_TRUE(fabric_
+                        .Call(&ctx_, service_.log_node(i), kRead,
+                              Varints({epoch, tag, 0, 0, ~0ull}), &resp)
+                        .ok());
+        out.push_back(resp);
+      }
+    }
+    return out;
+  };
+  const std::vector<std::string> before = read_back();
+  ASSERT_EQ(before[2], Varints({1}) + Recs(1, 4).Batch(0, 4));  // tag 1
+
+  // Batches ScanBatch rejects: truncated, an overlong count varint, 0->1
+  // flips of the count and of the first payload length, trailing bytes, and
+  // forged counts.
+  const std::string good = Recs(5, 7).Batch(0, 3);
+  ASSERT_EQ(good[0], 3);
+  ASSERT_EQ(good[9], 2);  // Rec(5)'s payload length
+  std::vector<std::string> batches = testutil::MalformedPayloads(good, {0, 9});
+  batches.push_back(good + std::string(1, '\0'));
+  batches.push_back(good + good);
+  for (uint64_t count : {uint64_t{2}, uint64_t{4}, uint64_t{1} << 40}) {
+    batches.push_back(Varints({count}) + good.substr(1));
+  }
+  for (const std::string& b : batches) {
+    ASSERT_FALSE(LogRecord::DecodeBatch(b).ok());
+  }
+
+  const std::string append_header = Varints({epoch, 1});
+  const std::string replicate_header = Varints({epoch, 1, 5, 2, 2});
+  std::vector<std::pair<NodeId, std::string>> calls;
+  for (const std::string& b : batches) {
+    calls.emplace_back(primary, append_header + b);
+    calls.emplace_back(backup, replicate_header + b);
+  }
+  std::vector<std::string> appends =
+      testutil::MalformedPayloads(append_header + good, {});
+  std::vector<std::string> replicates =
+      testutil::MalformedPayloads(replicate_header + good, {});
+  size_t sent = 0;
+  std::string resp;
+  for (const auto& [node, req] : calls) {
+    const RpcMethod& method = node == primary ? kAppend : kReplicate;
+    EXPECT_FALSE(fabric_.Call(&ctx_, node, method, req, &resp).ok());
+    sent++;
+  }
+  for (const std::string& req : appends) {
+    EXPECT_FALSE(fabric_.Call(&ctx_, primary, kAppend, req, &resp).ok());
+    sent++;
+  }
+  for (const std::string& req : replicates) {
+    EXPECT_FALSE(fabric_.Call(&ctx_, backup, kReplicate, req, &resp).ok());
+    sent++;
+  }
+  const std::pair<const RpcMethod*, std::string> truncated[] = {
+      {&kRead, Varints({epoch, 1, 0, 0, 1000})},
+      {&kTrim, Varints({1, 3})},
+      {&kInstall, Varints({epoch + 1, 3, service_.log_node(0),
+                           service_.log_node(1), service_.log_node(2)})}};
+  for (const auto& [method, full] : truncated) {
+    for (size_t len = 0; len < full.size(); len++) {
+      for (size_t i = 0; i < service_.num_log_nodes(); i++) {
+        EXPECT_FALSE(fabric_
+                         .Call(&ctx_, service_.log_node(i), *method,
+                               full.substr(0, len), &resp)
+                         .ok())
+            << method->name() << " prefix " << len;
+        sent++;
+      }
+    }
+  }
+  EXPECT_GT(sent, 200u);
+  // A well-formed replicate whose record would not raise the tail's LSN is
+  // refused like a gap: the backup answers its unchanged tail.
+  ASSERT_TRUE(fabric_
+                  .Call(&ctx_, backup, kReplicate,
+                        Varints({epoch, 1, 5, 0, 0}) + Recs(3, 3).Batch(0, 1),
+                        &resp)
+                  .ok());
+  EXPECT_EQ(resp, Varints({4}));
+  EXPECT_EQ(read_back(), before);
+  for (const auto& [tag, tail] : {std::pair<LogTag, Lsn>{1, 4}, {2, 2}}) {
+    EXPECT_EQ(service_.CountDurable(tag, tail), service_.num_log_nodes());
+    EXPECT_EQ(service_.CountDurable(tag, tail + 1), 0u);
+  }
+  // The next append lands at seq 5 as if nothing had been sent.
+  ASSERT_TRUE(fabric_
+                  .Call(&ctx_, primary, kAppend,
+                        append_header + Recs(5, 5).Batch(0, 1), &resp)
+                  .ok());
+  EXPECT_EQ(resp, Varints({1, 5, 5, 5}));  // stored, tail seq/LSN, base
+
+  for (const auto& [node, method] :
+       {std::pair<NodeId, const RpcMethod*>{service_.ctl_node(), &kView},
+        {primary, &kSeal}}) {
+    std::string expected;
+    ASSERT_TRUE(fabric_.Call(&ctx_, node, *method, "", &expected).ok());
+    for (const std::string& req : appends) {
+      EXPECT_TRUE(fabric_.Call(&ctx_, node, *method, req, &resp).ok());
+      EXPECT_EQ(resp, expected) << method->name();
+    }
+  }
 }
 
 // Satellite: same-seed-same-trace determinism for a shared-log engine under

@@ -25,6 +25,10 @@ const RpcMethod kLogRead("log.read");
 const RpcMethod kLogAppend("log.append");
 const RpcMethod kPageApplyLog("page.apply_log");
 
+RedoBatch Redo(const std::vector<LogRecord>& records) {
+  return RedoBatch::Encode(records);
+}
+
 LogRecord MakeInsert(Lsn lsn, PageId page, uint16_t slot,
                      const std::string& payload, TxnId txn = 1) {
   LogRecord r;
@@ -99,8 +103,8 @@ class LogStoreTest : public ::testing::Test {
 };
 
 TEST_F(LogStoreTest, AppendAdvancesDurableLsn) {
-  auto lsn = client_->Append(&ctx_, {MakeInsert(1, 7, 0, "a"),
-                                     MakeInsert(2, 7, 1, "b")});
+  auto lsn = client_->Append(&ctx_, Redo({MakeInsert(1, 7, 0, "a"),
+                                     MakeInsert(2, 7, 1, "b")}));
   ASSERT_TRUE(lsn.ok());
   EXPECT_EQ(*lsn, 2u);
   EXPECT_EQ(service_->durable_lsn(), 2u);
@@ -108,16 +112,16 @@ TEST_F(LogStoreTest, AppendAdvancesDurableLsn) {
 }
 
 TEST_F(LogStoreTest, AppendIsIdempotentOnResend) {
-  std::vector<LogRecord> batch = {MakeInsert(1, 7, 0, "a")};
+  const RedoBatch batch = Redo({MakeInsert(1, 7, 0, "a")});
   ASSERT_TRUE(client_->Append(&ctx_, batch).ok());
   ASSERT_TRUE(client_->Append(&ctx_, batch).ok());  // duplicate send
   EXPECT_EQ(service_->record_count(), 1u);
 }
 
 TEST_F(LogStoreTest, ReadFromReturnsSuffix) {
-  ASSERT_TRUE(client_->Append(&ctx_, {MakeInsert(1, 7, 0, "a"),
+  ASSERT_TRUE(client_->Append(&ctx_, Redo({MakeInsert(1, 7, 0, "a"),
                                       MakeInsert(2, 7, 1, "b"),
-                                      MakeInsert(3, 7, 2, "c")})
+                                      MakeInsert(3, 7, 2, "c")}))
                   .ok());
   auto recs = client_->ReadFrom(&ctx_, 1);
   ASSERT_TRUE(recs.ok());
@@ -132,9 +136,9 @@ TEST_F(LogStoreTest, ReadReturnsTheAppendedEncodings) {
   std::vector<LogRecord> second = {MakeUpdate(3, 7, 0, ""),
                                    MakeInsert(4, 9, 0, "d")};
   second[0].undo_payload = "a";
-  ASSERT_TRUE(client_->Append(&ctx_, first).ok());
-  ASSERT_TRUE(client_->Append(&ctx_, RedoBatch::Encode(first)).ok());
-  ASSERT_TRUE(client_->Append(&ctx_, second).ok());
+  ASSERT_TRUE(client_->Append(&ctx_, Redo(first)).ok());
+  ASSERT_TRUE(client_->Append(&ctx_, Redo(first)).ok());
+  ASSERT_TRUE(client_->Append(&ctx_, Redo(second)).ok());
   std::vector<LogRecord> all = first;
   all.insert(all.end(), second.begin(), second.end());
 
@@ -149,7 +153,7 @@ TEST_F(LogStoreTest, ReadReturnsTheAppendedEncodings) {
   EXPECT_EQ(LogRecord::EncodeBatch(service_->SnapshotFrom(2)),
             LogRecord::EncodeBatch({all[2], all[3]}));
 
-  ASSERT_TRUE(client_->Append(&ctx_, {MakeInsert(5, 9, 1, "e")}).ok());
+  ASSERT_TRUE(client_->Append(&ctx_, Redo({MakeInsert(5, 9, 1, "e")})).ok());
   EXPECT_EQ(ReadAllBytes(&fabric_, &ctx_, node_, 3),
             LogRecord::EncodeBatch({all[3], MakeInsert(5, 9, 1, "e")}));
 }
@@ -299,8 +303,8 @@ class PageStoreTest : public ::testing::Test {
 };
 
 TEST_F(PageStoreTest, LogShippingMaterializesOnRead) {
-  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(1, 5, 0, "hello"),
-                                        MakeUpdate(2, 5, 0, "world")})
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Redo({MakeInsert(1, 5, 0, "hello"),
+                                        MakeUpdate(2, 5, 0, "world")}))
                   .ok());
   EXPECT_EQ(service_->pending_records(), 2u);
   EXPECT_EQ(service_->materialized_pages(), 0u);  // asynchronous
@@ -345,7 +349,7 @@ TEST_F(PageStoreTest, HighWaterTracksControlRecords) {
   commit.lsn = 9;
   commit.type = LogType::kTxnCommit;
   commit.page_id = kInvalidPageId;
-  ASSERT_TRUE(client_->ApplyLog(&ctx_, {commit}).ok());
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Redo({commit})).ok());
   EXPECT_EQ(service_->high_water_lsn(), 9u);
   EXPECT_EQ(service_->pending_records(), 0u);
 }
@@ -354,13 +358,13 @@ TEST_F(PageStoreTest, HighWaterTracksControlRecords) {
 // (the page store does not dedup re-sends; materialization skips records
 // at or below the page LSN).
 TEST_F(PageStoreTest, PendingRedoKeepsArrivalOrderCountsAndLsns) {
-  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(5, 1, 0, "a"),
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Redo({MakeInsert(5, 1, 0, "a"),
                                         MakeInsert(6, 2, 0, "x"),
-                                        MakeUpdate(7, 1, 0, "b")})
+                                        MakeUpdate(7, 1, 0, "b")}))
                   .ok());
   // A resync re-sends LSN 5 after 7: the last queued record for page 1 is
   // now the LSN-5 duplicate.
-  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(5, 1, 0, "a")}).ok());
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Redo({MakeInsert(5, 1, 0, "a")})).ok());
   EXPECT_EQ(service_->pending_records(), 4u);
   EXPECT_EQ(service_->PageVersions(),
             (std::map<PageId, Lsn>{{1, 5}, {2, 6}}));
@@ -386,11 +390,11 @@ TEST_F(PageStoreTest, PendingRedoKeepsArrivalOrderCountsAndLsns) {
 }
 
 TEST_F(PageStoreTest, GetChargesPerPendingRecordIncludingDuplicates) {
-  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(1, 4, 0, "a")}).ok());
-  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(1, 4, 0, "a")}).ok());
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Redo({MakeInsert(1, 4, 0, "a")})).ok());
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Redo({MakeInsert(1, 4, 0, "a")})).ok());
   NetContext two;
   ASSERT_TRUE(client_->GetPage(&two, 4).ok());
-  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeUpdate(2, 4, 0, "b")}).ok());
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Redo({MakeUpdate(2, 4, 0, "b")})).ok());
   NetContext one;
   ASSERT_TRUE(client_->GetPage(&one, 4).ok());
   // Same request and response sizes; only the replayed-record count differs.
@@ -402,9 +406,9 @@ TEST_F(PageStoreTest, GetChargesPerPendingRecordIncludingDuplicates) {
 // failing record and its successors stay, and every read reports the same
 // status instead of re-running the prefix.
 TEST_F(PageStoreTest, UnappliableRedoKeepsItselfAndItsSuccessorsPending) {
-  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(1, 6, 0, "a"),
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Redo({MakeInsert(1, 6, 0, "a"),
                                         MakeUpdate(2, 6, 0, "grown"),
-                                        MakeInsert(3, 6, 1, "b")})
+                                        MakeInsert(3, 6, 1, "b")}))
                   .ok());
   EXPECT_EQ(service_->MaterializeAll(), 1u);
   EXPECT_EQ(service_->pending_records(), 2u);
@@ -438,8 +442,8 @@ TEST(StorageNodeTest, HostilePayloadsFailWithoutSideEffects) {
   LogStoreClient log_client(&fabric, node);
   PageStoreClient page_client(&fabric, node);
   NetContext ctx;
-  const std::vector<LogRecord> redo = {MakeInsert(1, 5, 0, "a"),
-                                       MakeInsert(2, 300, 0, "b")};
+  const RedoBatch redo = Redo({MakeInsert(1, 5, 0, "a"),
+                               MakeInsert(2, 300, 0, "b")});
   ASSERT_TRUE(log_client.Append(&ctx, redo).ok());
   ASSERT_TRUE(page_client.ApplyLog(&ctx, redo).ok());
   ASSERT_TRUE(page_client.GetPage(&ctx, 5).ok());  // page 300 stays pending
@@ -583,7 +587,7 @@ TEST(QuorumTest, ParallelFanOutChargesMaxNotSum) {
   // simulated time (fan-out is parallel), so well under 6x a single RPC pair.
   NetContext single;
   LogStoreClient one(&fabric, segment.replica(0).node);
-  ASSERT_TRUE(one.Append(&single, {MakeInsert(2, 1, 1, "b")}).ok());
+  ASSERT_TRUE(one.Append(&single, Redo({MakeInsert(2, 1, 1, "b")})).ok());
   EXPECT_LT(ctx.sim_ns, 4 * single.sim_ns);
   EXPECT_GT(ctx.bytes_out, 5 * single.bytes_out);  // but 6x the traffic
 }
@@ -935,7 +939,7 @@ class GossipTest : public ::testing::Test {
 TEST_F(GossipTest, SpreadsPagesToAllStores) {
   // Taurus: the writer sends the page to ONE store only.
   PageStoreClient writer(&fabric_, services_[0]->node());
-  ASSERT_TRUE(writer.ApplyLog(&ctx_, {MakeInsert(1, 11, 0, "gossip-me")})
+  ASSERT_TRUE(writer.ApplyLog(&ctx_, Redo({MakeInsert(1, 11, 0, "gossip-me")}))
                   .ok());
   EXPECT_FALSE(group_->Converged());
   const size_t rounds = group_->RunUntilConverged(&ctx_);
@@ -951,10 +955,10 @@ TEST_F(GossipTest, SpreadsPagesToAllStores) {
 
 TEST_F(GossipTest, StalenessDropsMonotonically) {
   PageStoreClient writer(&fabric_, services_[0]->node());
-  ASSERT_TRUE(writer.ApplyLog(&ctx_, {MakeInsert(1, 11, 0, "v0")}).ok());
+  ASSERT_TRUE(writer.ApplyLog(&ctx_, Redo({MakeInsert(1, 11, 0, "v0")})).ok());
   for (Lsn lsn = 2; lsn <= 8; lsn++) {
     ASSERT_TRUE(
-        writer.ApplyLog(&ctx_, {MakeUpdate(lsn, 11, 0, "v")}).ok());
+        writer.ApplyLog(&ctx_, Redo({MakeUpdate(lsn, 11, 0, "v")})).ok());
   }
   services_[0]->MaterializeAll();
   uint64_t prev = group_->MaxStaleness();

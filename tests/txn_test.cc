@@ -38,6 +38,19 @@ TEST(LockManagerTest, ExclusiveExcludes) {
   EXPECT_TRUE(lm.Acquire(1, 100, LockManager::Mode::kShared).ok());
 }
 
+// A shared request from the X holder is already covered: the key stays
+// listed once and its release frees it for everyone.
+TEST(LockManagerTest, SharedAfterExclusiveHoldsOneLock) {
+  LockManager lm;
+  EXPECT_TRUE(lm.Acquire(1, 7, LockManager::Mode::kExclusive).ok());
+  EXPECT_TRUE(lm.Acquire(1, 7, LockManager::Mode::kShared).ok());
+  EXPECT_EQ(lm.held_locks(), 1u);
+  EXPECT_TRUE(lm.Acquire(2, 7, LockManager::Mode::kShared).IsBusy());
+  lm.ReleaseAll(1);
+  EXPECT_EQ(lm.held_locks(), 0u);
+  EXPECT_TRUE(lm.Acquire(2, 7, LockManager::Mode::kExclusive).ok());
+}
+
 TEST(LockManagerTest, UpgradeOnlyWhenSoleSharer) {
   LockManager lm;
   EXPECT_TRUE(lm.Acquire(1, 5, LockManager::Mode::kShared).ok());
@@ -65,7 +78,7 @@ class ReferenceLocks {
   bool Acquire(TxnId txn, uint64_t key, LockMode mode) {
     Entry& e = table_[key];
     if (mode == LockMode::kShared) {
-      if (e.exclusive != 0 && e.exclusive != txn) return false;
+      if (e.exclusive != 0) return e.exclusive == txn;
       if (e.sharers.insert(txn).second) held_[txn].push_back(key);
       return true;
     }
